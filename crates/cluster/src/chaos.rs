@@ -326,7 +326,8 @@ impl ChaosCorpus {
 }
 
 /// FNV-1a 64 digest of a serialized report, rendered `fnv1a64:<16 hex>` —
-/// the determinism fingerprint used by the bench gate and chaos corpora.
+/// the determinism fingerprint used by the tests, the benchmark and chaos
+/// corpora.
 pub fn report_digest(report: &RunReport) -> String {
     let json = serde_json::to_string(report).expect("reports always serialize");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

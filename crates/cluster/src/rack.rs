@@ -52,18 +52,23 @@ impl RackConfig {
         Self { crac_conductance_w_per_k: 10.0, ..Default::default() }
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on non-positive capacity/conductance or a recirculation
+    /// Validates the configuration, returning a description of the first
+    /// problem: non-positive capacity/conductance or a recirculation
     /// fraction outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(self.air_capacity_j_per_k > 0.0, "air capacity must be positive");
-        assert!(self.crac_conductance_w_per_k > 0.0, "CRAC conductance must be positive");
-        assert!(
+    pub fn validate(&self) -> Result<(), &'static str> {
+        fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
+            if ok {
+                Ok(())
+            } else {
+                Err(message)
+            }
+        }
+        check(self.air_capacity_j_per_k > 0.0, "air capacity must be positive")?;
+        check(self.crac_conductance_w_per_k > 0.0, "CRAC conductance must be positive")?;
+        check(
             (0.0..=1.0).contains(&self.recirculation_fraction),
-            "recirculation fraction must be in [0, 1]"
-        );
+            "recirculation fraction must be in [0, 1]",
+        )
     }
 
     /// Steady-state intake-air temperature for a given recirculated heat
@@ -84,8 +89,13 @@ pub struct RackModel {
 impl RackModel {
     /// Creates the rack with intake air at the steady state for the given
     /// initial heat load (idle nodes).
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`RackConfig::validate`].
     pub fn new(cfg: RackConfig, initial_heat_w: f64) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid rack config: {e}");
+        }
         let air_c = cfg.steady_air_c(initial_heat_w);
         Self { cfg, air_c }
     }
@@ -167,8 +177,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recirculation")]
     fn bad_fraction_rejected() {
-        RackConfig { recirculation_fraction: 1.5, ..Default::default() }.validate();
+        let cfg = RackConfig { recirculation_fraction: 1.5, ..Default::default() };
+        assert!(cfg.validate().is_err_and(|e| e.contains("recirculation")));
     }
 }

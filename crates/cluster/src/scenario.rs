@@ -240,8 +240,8 @@ pub struct Scenario {
     pub node_config_overrides: Vec<(usize, NodeConfig)>,
     /// Capacity of each node's observability event ring (most recent
     /// control-plane events kept for the report). 0 disables event
-    /// retention — counters are still maintained — which is the sink-off
-    /// arm of the bench overhead comparison.
+    /// retention — counters are still maintained — which makes it the
+    /// sink-off arm of an overhead comparison.
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
     /// Worker threads for the intra-run tick loop (capped at the node
@@ -447,11 +447,9 @@ impl Scenario {
 
     /// Validates the scenario, returning a description of the first
     /// problem found: zero nodes, non-positive times, a sampling period not
-    /// a whole number of ticks, references to out-of-range nodes, or a
-    /// control scheme whose controller tuning is unusable.
-    ///
-    /// # Panics
-    /// Hardware configs ([`NodeConfig`]) still assert internally.
+    /// a whole number of ticks, references to out-of-range nodes, a
+    /// hardware ([`NodeConfig`]) or rack config outside its physical range,
+    /// or a control scheme whose controller tuning is unusable.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         fn check(ok: bool, message: impl Into<String>) -> Result<(), ScenarioError> {
             if ok {
@@ -479,11 +477,16 @@ impl Scenario {
         for (node, _) in &self.fan_overrides {
             check(*node < self.nodes, format!("fan override for nonexistent node {node}"))?;
         }
+        self.node_config.validate().map_err(|e| ScenarioError::new(format!("node_config: {e}")))?;
         for (node, cfg) in &self.node_config_overrides {
             check(*node < self.nodes, format!("config override for nonexistent node {node}"))?;
-            cfg.validate();
+            cfg.validate().map_err(|e| {
+                ScenarioError::new(format!("node_config_overrides (node {node}): {e}"))
+            })?;
         }
-        self.node_config.validate();
+        if let Some(rack) = &self.rack {
+            rack.validate().map_err(|e| ScenarioError::new(format!("rack: {e}")))?;
+        }
         // Deserialized configs bypass constructor checks, so every config
         // that can arrive in a scenario file validates here as a data error.
         if let Some(fs) = &self.failsafe {

@@ -41,7 +41,7 @@ pub struct Simulation {
     finished_nodes: usize,
     /// Optional cluster-wide event journal; every node's event stream is
     /// teed into it on top of the per-node rings (e.g. a JSONL
-    /// [`unitherm_obs::JournalWriter`] behind `unitherm-bench --journal`).
+    /// [`unitherm_obs::JournalWriter`] behind `repro run-scenario --journal`).
     journal: Option<Box<dyn EventSink>>,
     /// Structure-of-arrays lanes over the hot physics state, one batch per
     /// shard (exactly one on the serial path). Nodes whose semantics the

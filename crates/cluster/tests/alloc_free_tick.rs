@@ -7,7 +7,7 @@
 //! performs zero heap allocations once the simulation is warmed up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
@@ -16,14 +16,24 @@ use unitherm_core::control_array::Policy;
 
 /// Counts every allocation and reallocation going through the global
 /// allocator (deallocations are free to happen — dropping a pre-reserved
-/// buffer is not a hot-path cost).
+/// buffer is not a hot-path cost), per thread: the test harness runs
+/// tests and prints results on other threads at the same time. Every
+/// scenario here runs on one thread (`threads = 1`), so all of the
+/// simulation's allocations land on the measuring thread's count.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: an allocation during thread teardown is not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,11 +50,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed while running `f`.
+/// Allocations performed by this thread while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn warmed(scenario: Scenario) -> Simulation {

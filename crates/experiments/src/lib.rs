@@ -18,8 +18,7 @@
 //!
 //! [`scale::Scale`] switches between `Full` (paper-sized runs: NPB class B,
 //! five-minute burns) and `Fast` (class A, shorter burns) so the same code
-//! serves the `repro` binary, the integration tests and the Criterion
-//! benches.
+//! serves the `repro` binary, the integration tests and the benchmark.
 
 pub mod ablations;
 pub mod fig1;

@@ -55,11 +55,11 @@ impl std::error::Error for ScenarioFileError {}
 
 /// Parses and validates a scenario from JSON text.
 ///
-/// The shared loading path for everything that accepts scenario JSON: the
-/// `repro run-scenario` / `unitherm-bench` CLIs go through [`load`] (this
-/// plus file I/O), and `unitherm-serve` feeds `POST /jobs` request bodies
-/// straight in — so a scenario rejected on the command line is rejected
-/// with the same named error over HTTP.
+/// The shared loading path for everything that accepts scenario JSON:
+/// `repro run-scenario` goes through [`load`] (this plus file I/O), and
+/// `unitherm-serve` feeds `POST /jobs` request bodies straight in — so a
+/// scenario rejected on the command line is rejected with the same named
+/// error over HTTP.
 pub fn parse(text: &str) -> Result<Scenario, ScenarioFileError> {
     let scenario: Scenario = serde_json::from_str(text).map_err(ScenarioFileError::Parse)?;
     scenario.validate().map_err(ScenarioFileError::Invalid)?;

@@ -12,6 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use unitherm_cluster::{report_digest, Simulation};
+use unitherm_experiments::scenario_file;
 use unitherm_obs::{records_to_bjl, EventRecord, EventSink, JournalWriter};
 use unitherm_serve::{JobStatus, Limits, QueueConfig, ServeConfig, Server};
 
@@ -181,6 +182,24 @@ fn rejections_are_named_and_slots_recycle() {
     let text = String::from_utf8_lossy(&body);
     assert_eq!(status, 400, "{text}");
     assert!(text.contains("node"), "validation failure is named: {text}");
+
+    // Hardware and rack values outside their physical range → 400 naming
+    // the block, not an accepted job that later panics in its runner.
+    let full = scenario_file::to_json(&scenario_file::parse(&scenario_json()).expect("valid"));
+    let zero_capacity =
+        full.replace("\"die_capacity_j_per_k\": 20.0", "\"die_capacity_j_per_k\": 0.0");
+    let bad_rack = full.replace(
+        "\"rack\": null",
+        "\"rack\": {\"air_capacity_j_per_k\": 800.0, \"supply_air_c\": 18.0, \
+         \"crac_conductance_w_per_k\": 10.0, \"recirculation_fraction\": 1.5}",
+    );
+    for (body, named) in [(zero_capacity, "die capacity"), (bad_rack, "recirculation fraction")] {
+        assert_ne!(body, full, "the mutation must hit the scenario");
+        let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&body));
+        let text = String::from_utf8_lossy(&reply);
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains(named), "validation failure is named: {text}");
+    }
 
     // Unknown job → 404.
     let (status, _, _) = request(&addr, "GET", "/jobs/999", None);

@@ -182,50 +182,60 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Validates the configuration, panicking with a description of the
-    /// first inconsistency. Construction-time validation keeps the
-    /// simulation loop free of defensive checks.
-    pub fn validate(&self) {
+    /// Validates the configuration, returning a description of the first
+    /// inconsistency. Scenario files carry whole node configs, so a bad
+    /// value is a data error for the caller to name; [`crate::Node`]
+    /// construction panics on the same error, which keeps the simulation
+    /// loop free of defensive checks.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
+            if ok {
+                Ok(())
+            } else {
+                Err(message)
+            }
+        }
         let t = &self.thermal;
-        assert!(t.die_capacity_j_per_k > 0.0, "die capacity must be positive");
-        assert!(t.sink_capacity_j_per_k > 0.0, "sink capacity must be positive");
-        assert!(t.die_sink_conductance_w_per_k > 0.0, "die-sink conductance must be positive");
-        assert!(t.natural_conductance_w_per_k >= 0.0, "natural conductance must be non-negative");
-        assert!(t.airflow_conductance_w_per_k >= 0.0, "airflow conductance must be non-negative");
-        assert!(t.airflow_exponent > 0.0, "airflow exponent must be positive");
+        check(t.die_capacity_j_per_k > 0.0, "die capacity must be positive")?;
+        check(t.sink_capacity_j_per_k > 0.0, "sink capacity must be positive")?;
+        check(t.die_sink_conductance_w_per_k > 0.0, "die-sink conductance must be positive")?;
+        check(t.natural_conductance_w_per_k >= 0.0, "natural conductance must be non-negative")?;
+        check(t.airflow_conductance_w_per_k >= 0.0, "airflow conductance must be non-negative")?;
+        check(t.airflow_exponent > 0.0, "airflow exponent must be positive")?;
 
         let c = &self.cpu;
-        assert!(!c.pstates.is_empty(), "at least one P-state required");
-        assert!(
+        check(!c.pstates.is_empty(), "at least one P-state required")?;
+        check(
             c.pstates.windows(2).all(|w| w[0].freq_mhz > w[1].freq_mhz),
-            "P-states must be in strictly descending frequency order"
-        );
-        assert!(c.dynamic_power_max_w >= 0.0, "dynamic power must be non-negative");
-        assert!(c.leakage_power_ref_w >= 0.0, "leakage power must be non-negative");
-        assert!(
+            "P-states must be in strictly descending frequency order",
+        )?;
+        check(c.dynamic_power_max_w >= 0.0, "dynamic power must be non-negative")?;
+        check(c.leakage_power_ref_w >= 0.0, "leakage power must be non-negative")?;
+        check(
             c.emergency_throttle_c < c.emergency_shutdown_c,
-            "throttle threshold must be below shutdown threshold"
-        );
-        assert!(c.emergency_hysteresis_c >= 0.0, "hysteresis must be non-negative");
+            "throttle threshold must be below shutdown threshold",
+        )?;
+        check(c.emergency_hysteresis_c >= 0.0, "hysteresis must be non-negative")?;
 
         let f = &self.fan;
-        assert!(f.max_rpm > 0.0, "fan max RPM must be positive");
-        assert!(f.time_constant_s > 0.0, "fan time constant must be positive");
-        assert!(f.max_power_w >= 0.0, "fan power must be non-negative");
-        assert!((0.0..1.0).contains(&f.stall_fraction), "stall fraction must be in [0,1)");
+        check(f.max_rpm > 0.0, "fan max RPM must be positive")?;
+        check(f.time_constant_s > 0.0, "fan time constant must be positive")?;
+        check(f.max_power_w >= 0.0, "fan power must be non-negative")?;
+        check((0.0..1.0).contains(&f.stall_fraction), "stall fraction must be in [0,1)")?;
 
         let s = &self.sensor;
-        assert!(s.noise_std_c >= 0.0, "sensor noise must be non-negative");
-        assert!(s.quantization_c >= 0.0, "sensor quantization must be non-negative");
-        assert!(s.count >= 1, "need at least one thermal sensor");
-        assert!(s.core_spread_c >= 0.0, "core spread must be non-negative");
+        check(s.noise_std_c >= 0.0, "sensor noise must be non-negative")?;
+        check(s.quantization_c >= 0.0, "sensor quantization must be non-negative")?;
+        check(s.count >= 1, "need at least one thermal sensor")?;
+        check(s.core_spread_c >= 0.0, "core spread must be non-negative")?;
 
         let b = &self.board;
-        assert!(b.base_power_w >= 0.0, "base power must be non-negative");
-        assert!(
+        check(b.base_power_w >= 0.0, "base power must be non-negative")?;
+        check(
             (0.0..=1.0).contains(&b.psu_efficiency) && b.psu_efficiency > 0.0,
-            "PSU efficiency must be in (0,1]"
-        );
+            "PSU efficiency must be in (0,1]",
+        )?;
+        Ok(())
     }
 }
 
@@ -235,7 +245,7 @@ mod tests {
 
     #[test]
     fn default_config_is_valid() {
-        NodeConfig::default().validate();
+        assert_eq!(NodeConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -247,27 +257,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "descending frequency")]
     fn rejects_unsorted_pstates() {
         let mut c = NodeConfig::default();
         c.cpu.pstates.reverse();
-        c.validate();
+        assert!(c.validate().is_err_and(|e| e.contains("descending frequency")));
     }
 
     #[test]
-    #[should_panic(expected = "die capacity")]
     fn rejects_zero_capacity() {
         let mut c = NodeConfig::default();
         c.thermal.die_capacity_j_per_k = 0.0;
-        c.validate();
+        assert!(c.validate().is_err_and(|e| e.contains("die capacity")));
     }
 
     #[test]
-    #[should_panic(expected = "below shutdown")]
     fn rejects_inverted_emergency_thresholds() {
         let mut c = NodeConfig::default();
         c.cpu.emergency_throttle_c = 90.0;
-        c.validate();
+        assert!(c.validate().is_err_and(|e| e.contains("below shutdown")));
     }
 
     #[test]

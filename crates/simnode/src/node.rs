@@ -92,8 +92,13 @@ impl Node {
     }
 
     /// Builds a node with a fault-injection plan.
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`NodeConfig::validate`].
     pub fn with_faults(cfg: NodeConfig, seed: u64, faults: FaultPlan) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid node config: {e}");
+        }
         let cpu = Cpu::new(cfg.cpu.clone());
         let chip = Adt7467::new();
 

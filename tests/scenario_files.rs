@@ -69,3 +69,31 @@ fn scenario_files_round_trip_through_to_json() {
         assert_eq!(reparsed.scheme, s.scheme, "{file}");
     }
 }
+
+#[test]
+fn out_of_range_hardware_and_rack_configs_are_named_errors() {
+    // Values a scenario file can carry that the physics cannot run with
+    // must come back as a validation error naming the block, not a panic.
+    let burn = scenario_file::load(repo_path("examples/scenarios/protected_burn.json")).unwrap();
+    let json = scenario_file::to_json(&burn);
+    let zero_capacity =
+        json.replace("\"die_capacity_j_per_k\": 20.0", "\"die_capacity_j_per_k\": 0.0");
+    assert_ne!(zero_capacity, json, "the mutation must hit the node config");
+
+    let rack = std::fs::read_to_string(repo_path("examples/scenarios/hot_rack_bt.json")).unwrap();
+    let bad_rack =
+        rack.replace("\"recirculation_fraction\": 0.25", "\"recirculation_fraction\": 1.5");
+    assert_ne!(bad_rack, rack, "the mutation must hit the rack block");
+
+    for (text, expected) in [
+        (zero_capacity, "node_config: die capacity must be positive"),
+        (bad_rack, "rack: recirculation fraction must be in [0, 1]"),
+    ] {
+        match scenario_file::parse(&text) {
+            Err(scenario_file::ScenarioFileError::Invalid(e)) => {
+                assert_eq!(e.message(), expected);
+            }
+            other => panic!("expected a validation error naming {expected:?}, got {other:?}"),
+        }
+    }
+}
