@@ -25,7 +25,7 @@
 //! * [`node_sim`] — one node's simulation state: hardware + platform
 //!   binding + control plane + recorders;
 //! * [`sim`] — the cluster tick loop with barrier release; with
-//!   `Scenario::threads > 1` the per-node passes run shard-parallel on a
+//!   a [`pool_width`] above 1 the per-node passes run shard-parallel on a
 //!   persistent worker pool with bit-identical results;
 //! * [`report`] — structured run results (traces + the summary numbers the
 //!   paper's tables report);
@@ -55,6 +55,7 @@ pub use chaos::{
     chaos_search, report_digest, AttackKind, ChaosConfig, ChaosCorpus, ChaosError, Counterexample,
     FaultWindow, OutcomePredicate, OutcomeSummary, CHAOS_SCHEMA,
 };
+pub use pool::{pool_width, MIN_NODES_PER_SHARD};
 pub use rack::{RackConfig, RackModel};
 pub use replay::{
     derive_fault_plan, derive_fault_plan_from_cursor, DerivedFault, ReplayError, ReplayOptions,

@@ -1,12 +1,20 @@
 //! The persistent node-parallel worker pool behind [`crate::sim::Simulation`].
 //!
-//! A simulation built with `Scenario::threads > 1` shards its nodes into
+//! A simulation whose [`pool_width`] is above 1 shards its nodes into
 //! contiguous ranges and runs the per-node halves of every tick — workload
 //! advance (pass A), daemons + physics (pass B), and the 4 Hz sampling
 //! pass — shard-parallel on this pool. The pool is created once per
 //! simulation and persists across ticks: at a 50 ms simulated dt a tick is
 //! microseconds of work, so spawn-per-tick (or even scope-per-tick) would
 //! dominate the run.
+//!
+//! # Width
+//!
+//! [`pool_width`] is the one rule for how many shards a run gets; the
+//! simulation, the sweep budget and the service permits all call it.
+//! `Scenario::threads` is an upper bound, clamped to the host's cores and
+//! to one shard per [`MIN_NODES_PER_SHARD`] nodes: below that grain the
+//! pass barriers cost more than the work they split (DESIGN.md §11).
 //!
 //! # Determinism
 //!
@@ -37,13 +45,39 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
 use unitherm_obs::{EventSink, VecSink};
 use unitherm_simnode::PhysicsBatch;
 
 use crate::node_sim::NodeSim;
+
+/// The fewest nodes a shard may hold. Measured on a dynamic-fan burn with
+/// recording off, two shards reliably beat one only once each holds about
+/// 256 nodes (DESIGN.md §11 has the crossover table and how it was taken).
+pub const MIN_NODES_PER_SHARD: usize = 256;
+
+/// How many shards a run of `nodes` nodes asking for `threads` gets:
+/// `min(threads, host cores, nodes / MIN_NODES_PER_SHARD)`, at least 1.
+///
+/// Results do not depend on the width, so narrowing a request only
+/// removes barrier round-trips that would slow the run down. The host core
+/// count is read once, and only for a request wider than one thread.
+pub fn pool_width(threads: usize, nodes: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    static HOST_CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *HOST_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    width_on(threads, nodes, cores)
+}
+
+/// [`pool_width`] on a host with `cores` cores.
+fn width_on(threads: usize, nodes: usize, cores: usize) -> usize {
+    threads.min(cores).min(nodes / MIN_NODES_PER_SHARD).max(1)
+}
 
 /// Which per-node pass to run over a shard.
 #[derive(Clone, Copy)]
@@ -347,6 +381,37 @@ unsafe fn exec_shard(job: &Job, s: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn width_never_exceeds_threads_cores_or_grain() {
+        for cores in [1usize, 2, 3, 8, 64] {
+            for threads in [1usize, 2, 3, 4, 7, 16, 1000] {
+                for nodes in [1usize, 4, 255, 256, 511, 512, 513, 1024, 10_000, 100_000] {
+                    let w = width_on(threads, nodes, cores);
+                    assert!(w >= 1, "{threads} threads, {nodes} nodes, {cores} cores");
+                    assert!(w <= threads && w <= cores, "{w} > {threads} threads or {cores} cores");
+                    if w > 1 {
+                        assert!(w <= nodes / MIN_NODES_PER_SHARD, "{w} shards over {nodes} nodes");
+                    }
+                    if nodes < 2 * MIN_NODES_PER_SHARD {
+                        assert_eq!(w, 1, "{nodes} nodes are below two shards' grain");
+                    }
+                }
+            }
+        }
+        assert_eq!(width_on(2, 10_000, 2), 2, "a 10k fleet keeps its 2-shard pool");
+        assert_eq!(width_on(16, 1024, 64), 4, "the grain caps a wide request");
+        assert_eq!(width_on(16, 100_000, 4), 4, "the cores cap a wide request");
+    }
+
+    #[test]
+    fn pool_width_clamps_to_this_host() {
+        assert_eq!(pool_width(1, 100_000), 1);
+        assert_eq!(pool_width(0, 100_000), 1, "a zero request still means one shard");
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool_width(4, 100_000), 4.min(host));
+        assert_eq!(pool_width(8, 3), 1);
+    }
 
     #[test]
     fn shard_ranges_cover_and_are_disjoint() {

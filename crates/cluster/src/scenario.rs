@@ -244,10 +244,11 @@ pub struct Scenario {
     /// sink-off arm of an overhead comparison.
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
-    /// Worker threads for the intra-run tick loop (capped at the node
-    /// count). 1 — the default — runs the serial tick path unchanged;
-    /// larger values shard the nodes across a persistent worker pool with
-    /// bit-identical results (see `crate::pool`). Coordinate with
+    /// Upper bound on worker threads for the intra-run tick loop. 1 — the
+    /// default — runs the serial tick path unchanged; larger values shard
+    /// the nodes across a persistent worker pool [`crate::pool_width`]
+    /// wide (clamped to the host's cores and the nodes-per-shard grain),
+    /// with bit-identical results. Coordinate with
     /// [`crate::sweep::run_scenarios_parallel`]'s thread budget when
     /// sweeping many scenarios at once.
     #[serde(default = "default_threads")]
@@ -389,8 +390,9 @@ impl Scenario {
         self
     }
 
-    /// Builder: intra-run worker threads (1 = serial tick loop; more shard
-    /// the nodes across a persistent pool, bit-identically).
+    /// Builder: at most `threads` intra-run worker threads (1 = serial tick
+    /// loop; more shard the nodes across a persistent pool
+    /// [`crate::pool_width`] wide, bit-identically).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

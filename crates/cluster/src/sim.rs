@@ -18,13 +18,13 @@ use unitherm_simnode::PhysicsBatch;
 use unitherm_workload::WorkState;
 
 use crate::node_sim::NodeSim;
-use crate::pool::{shard_range, PassKind, ShardOut, WorkerPool};
+use crate::pool::{pool_width, shard_range, PassKind, ShardOut, WorkerPool};
 use crate::report::{NodeReport, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 
 /// A runnable cluster simulation.
 pub struct Simulation {
-    /// The intra-run worker pool (`Scenario::threads > 1`). Declared first:
+    /// The intra-run worker pool (width > 1). Declared first:
     /// fields drop in declaration order, and the pool's `Drop` joins its
     /// workers — which may still hold shard pointers into `nodes` if a
     /// coordinator-side panic is unwinding — before `nodes` is freed.
@@ -69,8 +69,28 @@ pub struct Simulation {
 impl Simulation {
     /// Builds the cluster from a scenario, or reports why the scenario
     /// cannot be run (the [`Scenario::validate`] error).
+    ///
+    /// `Scenario::threads` is an upper bound: the pool is
+    /// [`pool_width`]`(threads, nodes)` shards wide (see [`Self::width`]).
     pub fn try_new(scenario: Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
+        let width = pool_width(scenario.threads, scenario.nodes);
+        Ok(Self::build(scenario, width))
+    }
+
+    /// Like [`Self::try_new`], but shards the nodes exactly `width` ways
+    /// (capped at the node count), bypassing the host-core clamp and the
+    /// nodes-per-shard grain. For tests that must run the worker pool on
+    /// small clusters; scenarios, the CLI and the service never reach it.
+    #[doc(hidden)]
+    pub fn try_with_width(scenario: Scenario, width: usize) -> Result<Self, ScenarioError> {
+        scenario.validate()?;
+        let width = width.clamp(1, scenario.nodes);
+        Ok(Self::build(scenario, width))
+    }
+
+    /// Builds a validated scenario on `shards` shards (1 = the serial loop).
+    fn build(scenario: Scenario, shards: usize) -> Self {
         let mut nodes: Vec<NodeSim> =
             (0..scenario.nodes).map(|i| NodeSim::build(&scenario, i)).collect();
         let ticks_per_sample = (scenario.sample_period_s / scenario.dt_s).round() as u64;
@@ -87,9 +107,6 @@ impl Simulation {
             }
             model
         });
-        // More shards than nodes would only spin idle workers; threads = 1
-        // (the default) skips the pool entirely and runs the serial loop.
-        let shards = scenario.threads.min(nodes.len()).max(1);
         let pool = (shards > 1).then(|| WorkerPool::new(shards));
         let heat_scratch = if rack.is_some() { vec![0.0; nodes.len()] } else { Vec::new() };
         let shard_outs = vec![ShardOut::default(); shards];
@@ -108,7 +125,7 @@ impl Simulation {
             .collect();
         let passthrough_idx =
             nodes.iter().enumerate().filter(|(_, ns)| ns.passthrough).map(|(i, _)| i).collect();
-        Ok(Self {
+        Self {
             pool,
             scenario,
             nodes,
@@ -124,7 +141,7 @@ impl Simulation {
             shard_outs,
             heat_scratch,
             event_scratch: Vec::new(),
-        })
+        }
     }
 
     /// Builds the cluster from a scenario.
@@ -172,6 +189,12 @@ impl Simulation {
         self.attach_journal(Box::new(unitherm_obs::BinaryJournalWriter::new(out, dt_s)));
     }
 
+    /// How many shards the nodes are split into: the worker-pool width
+    /// (1 = the serial loop). Never enters the report or the journal.
+    pub fn width(&self) -> usize {
+        self.batches.len()
+    }
+
     /// Current simulated time.
     pub fn time_s(&self) -> f64 {
         self.time_s
@@ -200,7 +223,7 @@ impl Simulation {
     /// sampling work that genuinely needs a completed pass) and performs no
     /// heap allocation in steady state — the barrier reduction folds into
     /// pass A instead of collecting per-rank states into a scratch `Vec`.
-    /// With `Scenario::threads > 1` both passes (and the sampling pass) run
+    /// At a width above 1 both passes (and the sampling pass) run
     /// shard-parallel on the persistent `pool::WorkerPool` with
     /// bit-identical results; the default runs the serial loop unchanged.
     pub fn tick(&mut self) {
@@ -211,7 +234,7 @@ impl Simulation {
         }
     }
 
-    /// The single-threaded tick loop (`threads = 1`): the shared pass
+    /// The single-threaded tick loop (width 1): the shared pass
     /// functions over the lone shard.
     fn tick_serial(&mut self) {
         let dt = self.scenario.dt_s;
@@ -284,7 +307,7 @@ impl Simulation {
         }
     }
 
-    /// The node-parallel tick loop (`threads > 1`): the same passes as
+    /// The node-parallel tick loop (width > 1): the same passes as
     /// [`Self::tick_serial`], shard-parallel on the worker pool.
     ///
     /// Determinism: the barrier decision folds exact booleans; rack heat is

@@ -9,6 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 
+use crate::pool::pool_width;
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sim::Simulation;
@@ -40,8 +41,8 @@ impl std::error::Error for SweepError {
 /// that `workers × threads_per_job` never exceeds `max_threads` (and no
 /// worker sits idle when there are fewer jobs than threads).
 ///
-/// `threads_per_job` is the *largest* intra-run thread count among the
-/// jobs — a scenario with `Scenario::threads > 1` brings its own worker
+/// `threads_per_job` is the *largest* intra-run pool width among the
+/// jobs — a scenario whose [`pool_width`] is above 1 brings its own worker
 /// pool to every simulation, so the sweep must leave room for it.
 pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) -> usize {
     if jobs == 0 {
@@ -55,7 +56,7 @@ pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) ->
 ///
 /// [`thread_budget`] sizes a one-shot sweep up front; a long-lived service
 /// (e.g. `unitherm-serve`) instead admits jobs as they arrive, each bringing
-/// its own intra-run worker pool (`Scenario::threads`). `ThreadPermits`
+/// its own intra-run worker pool ([`pool_width`] wide). `ThreadPermits`
 /// makes the same no-oversubscription guarantee dynamic: a job acquires as
 /// many permits as its pool is wide before running and returns them when the
 /// run finishes, so the sum of intra-run pool widths in flight never exceeds
@@ -143,8 +144,9 @@ impl Drop for PermitGuard<'_> {
 ///
 /// The worker count is budgeted by [`thread_budget`]: capped at the
 /// scenario count (small sweeps stop spawning idle threads) and divided by
-/// the largest per-scenario intra-run thread count, so sweep parallelism ×
-/// intra-run parallelism never oversubscribes the machine.
+/// the widest intra-run pool any scenario builds ([`pool_width`]), so
+/// sweep parallelism × intra-run parallelism never oversubscribes the
+/// machine.
 ///
 /// Work is dispatched through an atomic claim index instead of a mutex-held
 /// queue: a worker that panics mid-simulation cannot poison anything, so the
@@ -190,8 +192,7 @@ pub fn try_run_scenarios_parallel(
     if n == 0 {
         return Vec::new();
     }
-    let per_job = scenarios.iter().map(|s| s.threads.min(s.nodes).max(1)).max().unwrap_or(1);
-    let workers = thread_budget(max_threads, n, per_job);
+    let workers = sweep_workers(&scenarios, max_threads);
     if workers == 1 {
         return scenarios.into_iter().map(run_one).collect();
     }
@@ -235,6 +236,14 @@ pub fn try_run_scenarios_parallel(
     results.into_iter().map(|r| r.expect("every scenario produced a result")).collect()
 }
 
+/// How many scenario-level workers [`try_run_scenarios_parallel`] runs
+/// `scenarios` on: [`thread_budget`] with room for the widest pool the
+/// scenarios actually build.
+fn sweep_workers(scenarios: &[Scenario], max_threads: usize) -> usize {
+    let per_job = scenarios.iter().map(|s| pool_width(s.threads, s.nodes)).max().unwrap_or(1);
+    thread_budget(max_threads, scenarios.len(), per_job)
+}
+
 /// Runs every scenario with one worker per available CPU (capped at the
 /// scenario count).
 pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunReport> {
@@ -245,6 +254,7 @@ pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::MIN_NODES_PER_SHARD;
     use crate::scenario::WorkloadSpec;
     use crate::scheme::FanScheme;
     use unitherm_core::control_array::Policy;
@@ -287,6 +297,12 @@ mod tests {
                 .map(|i| quick(&format!("t{i}"), 30 + 10 * i).with_nodes(3).with_threads(2))
                 .collect()
         };
+        // 3 nodes are below the grain, so no pool is built and the sweep
+        // keeps one worker per job instead of halving for pools that never
+        // exist.
+        assert_eq!(sweep_workers(&build(), 4), 3);
+        let wide = vec![quick("wide", 50).with_nodes(2 * MIN_NODES_PER_SHARD).with_threads(2); 4];
+        assert_eq!(sweep_workers(&wide, 4), 4 / pool_width(2, 2 * MIN_NODES_PER_SHARD));
         let serial = run_scenarios_parallel(build(), 1);
         let parallel = run_scenarios_parallel(build(), 4);
         for (s, p) in serial.iter().zip(&parallel) {

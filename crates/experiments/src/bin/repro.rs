@@ -391,6 +391,10 @@ fn main() -> ExitCode {
             }
         }
         eprintln!("== running scenario {:?} from {path} ==", scenario.name);
+        let width = unitherm_cluster::pool_width(scenario.threads, scenario.nodes);
+        if scenario.threads > width {
+            eprintln!("pool width {width} (asked {})", scenario.threads);
+        }
         let (report, text) = match scenario_file::run_and_render_with_journal(
             scenario,
             journal_out.as_deref(),

@@ -3,10 +3,10 @@
 //!
 //! Concurrency discipline (DESIGN.md §15): the service owns one
 //! [`ThreadPermits`] budget of `max_threads` permits. Each runner acquires
-//! `scenario.threads.min(nodes).max(1)` permits — the exact worker-pool
-//! width `Simulation::run` will use — before it starts, so the sum of all
-//! intra-run pool widths never exceeds `max_threads` no matter how many
-//! jobs are in flight. This is the same arithmetic `sweep::thread_budget`
+//! [`pool_width`]`(threads, nodes)` permits before it starts and builds the
+//! simulation no wider than the permits it was granted, so the pools in
+//! flight never hold more worker threads than `max_threads`, however many
+//! jobs run at once. This is the same arithmetic `sweep::thread_budget`
 //! applies to a static sweep, restated for a long-lived service where the
 //! job count is open-ended.
 //!
@@ -19,7 +19,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
-use unitherm_cluster::{thread_budget, Simulation, ThreadPermits};
+use unitherm_cluster::{
+    pool_width, thread_budget, PermitGuard, Scenario, Simulation, ThreadPermits,
+};
 use unitherm_obs::{EventRecord, EventSink};
 
 use crate::queue::{JobId, JobQueue};
@@ -78,35 +80,41 @@ pub fn spawn_runners(queue: JobQueue, max_threads: usize) -> RunnerPool {
     RunnerPool { permits, handles }
 }
 
+/// Takes the permits `scenario`'s worker pool needs and narrows the
+/// scenario to the width they cover. Oversized requests clamp to the
+/// budget: the job still runs, narrower than asked, mirroring
+/// `thread_budget`'s floor of one.
+fn reserve(permits: &ThreadPermits, mut scenario: Scenario) -> (PermitGuard<'_>, Scenario) {
+    let guard = permits.acquire(pool_width(scenario.threads, scenario.nodes));
+    // `min` keeps an invalid `threads: 0` for validation to reject.
+    scenario.threads = scenario.threads.min(guard.held());
+    (guard, scenario)
+}
+
 /// Runs one job to completion: acquire permits, execute, record outcome.
 /// Exposed so tests can drive a single job synchronously.
-pub fn run_one(
-    queue: &JobQueue,
-    permits: &ThreadPermits,
-    id: JobId,
-    scenario: unitherm_cluster::Scenario,
-) {
-    // The pool width Simulation::run will actually use for this scenario;
-    // oversized requests clamp to the budget (an oversized pool still runs,
-    // just narrower than asked — mirroring thread_budget's floor of one).
-    let width = scenario.threads.min(scenario.nodes).max(1);
-    let _guard = permits.acquire(width);
-    match Simulation::try_new(scenario) {
-        Ok(mut sim) => {
+pub fn run_one(queue: &JobQueue, permits: &ThreadPermits, id: JobId, scenario: Scenario) {
+    let (_guard, scenario) = reserve(permits, scenario);
+    // Building the simulation spawns its pool, so it runs under the same
+    // catch as the run: a panic in either fails the job instead of killing
+    // the runner and leaving the job `running`.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        Simulation::try_new(scenario).map(|mut sim| {
             sim.attach_journal(Box::new(QueueSink::new(queue.clone(), id)));
-            match catch_unwind(AssertUnwindSafe(move || sim.run())) {
-                Ok(report) => queue.complete(id, report),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "simulation panicked".to_string());
-                    queue.fail(id, format!("simulation panicked: {msg}"));
-                }
-            }
+            sim.run()
+        })
+    }));
+    match outcome {
+        Ok(Ok(report)) => queue.complete(id, report),
+        Ok(Err(e)) => queue.fail(id, format!("scenario rejected: {e}")),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "simulation panicked".to_string());
+            queue.fail(id, format!("simulation panicked: {msg}"));
         }
-        Err(e) => queue.fail(id, format!("scenario rejected: {e}")),
     }
 }
 
@@ -121,7 +129,7 @@ fn runner_loop(queue: JobQueue, permits: Arc<ThreadPermits>) {
 mod tests {
     use super::*;
     use crate::queue::{JobStatus, QueueConfig};
-    use unitherm_cluster::{report_digest, Scenario};
+    use unitherm_cluster::{report_digest, MIN_NODES_PER_SHARD};
 
     fn tiny() -> Scenario {
         Scenario::new("runner-test").with_max_time(2.0).with_recording(false)
@@ -165,27 +173,43 @@ mod tests {
 
     #[test]
     fn oversized_thread_request_clamps_instead_of_deadlocking() {
-        let queue = JobQueue::new(QueueConfig::default());
-        let permits = ThreadPermits::new(1);
-        // Asks for 8 threads against a budget of 1; acquire() clamps.
-        let scenario = tiny().with_nodes(8).with_threads(8);
-        let id = queue.submit("t", scenario).expect("submit");
-        let (claimed, claimed_scenario) = queue.try_claim().expect("claim");
-        run_one(&queue, &permits, claimed, claimed_scenario);
-        assert_eq!(queue.snapshot(id).unwrap().status, JobStatus::Done);
-        assert_eq!(permits.available(), 1, "permits returned after the run");
+        // Asks for 8 threads against budgets of 1 and 2; acquire() clamps,
+        // and the job runs no wider than the permits it holds — also above
+        // the grain, where the pool would otherwise be built.
+        let wide = 2 * MIN_NODES_PER_SHARD + 1;
+        for (budget, nodes) in [(1, 8), (1, wide), (2, wide)] {
+            let queue = JobQueue::new(QueueConfig::default());
+            let permits = ThreadPermits::new(budget);
+            let scenario = tiny().with_max_time(3.0).with_nodes(nodes).with_threads(8);
+            {
+                let (guard, sized) = reserve(&permits, scenario.clone());
+                let sim = Simulation::try_new(sized).expect("valid");
+                assert!(sim.width() <= guard.held(), "{nodes} nodes on {budget} permit(s)");
+            }
+            let direct = Simulation::try_new(scenario.clone()).expect("valid").run();
+            let id = queue.submit("t", scenario).expect("submit");
+            let (claimed, claimed_scenario) = queue.try_claim().expect("claim");
+            run_one(&queue, &permits, claimed, claimed_scenario);
+            let snap = queue.snapshot(id).unwrap();
+            assert_eq!(snap.status, JobStatus::Done, "error: {:?}", snap.error);
+            assert_eq!(snap.digest.as_deref(), Some(report_digest(&direct).as_str()));
+            assert_eq!(permits.available(), budget, "permits returned after the run");
+        }
     }
 
     #[test]
     fn invalid_scenario_fails_with_named_reason() {
-        let queue = JobQueue::new(QueueConfig::default());
-        let permits = ThreadPermits::new(1);
-        let scenario = tiny().with_max_time(-1.0);
-        let id = queue.submit("t", scenario).expect("submit accepts; validation is the runner's");
-        let (claimed, claimed_scenario) = queue.try_claim().expect("claim");
-        run_one(&queue, &permits, claimed, claimed_scenario);
-        let snap = queue.snapshot(id).unwrap();
-        assert_eq!(snap.status, JobStatus::Failed);
-        assert!(snap.error.as_deref().unwrap_or("").contains("scenario rejected"), "{snap:?}");
+        // `threads: 0` must survive permit sizing to reach validation.
+        for scenario in [tiny().with_max_time(-1.0), tiny().with_threads(0)] {
+            let queue = JobQueue::new(QueueConfig::default());
+            let permits = ThreadPermits::new(2);
+            let id =
+                queue.submit("t", scenario).expect("submit accepts; validation is the runner's");
+            let (claimed, claimed_scenario) = queue.try_claim().expect("claim");
+            run_one(&queue, &permits, claimed, claimed_scenario);
+            let snap = queue.snapshot(id).unwrap();
+            assert_eq!(snap.status, JobStatus::Failed);
+            assert!(snap.error.as_deref().unwrap_or("").contains("scenario rejected"), "{snap:?}");
+        }
     }
 }

@@ -64,16 +64,17 @@ fn finds_minimizes_and_replays_a_failsafe_flip() {
         assert!(entry.outcome.failsafe_engagements > 0);
     }
 
-    // The top counterexample re-executes bit-identically at 1/2/4 threads,
-    // matching the digest recorded in the corpus.
+    // The top counterexample re-executes bit-identically 1/2/4 wide (forced:
+    // the scenario is below the nodes-per-shard grain), matching the digest
+    // recorded in the corpus.
     let entry = &corpus.counterexamples[0];
-    for threads in [1usize, 2, 4] {
-        let faulted = corpus.apply(base.clone(), 0).expect("entry 0 exists").with_threads(threads);
-        let report = Simulation::new(faulted).run();
+    for width in [1usize, 2, 4] {
+        let faulted = corpus.apply(base.clone(), 0).expect("entry 0 exists");
+        let report = Simulation::try_with_width(faulted, width).expect("valid scenario").run();
         assert_eq!(
             report_digest(&report),
             entry.report_digest,
-            "replay at {threads} thread(s) diverged from the corpus digest"
+            "replay {width} wide diverged from the corpus digest"
         );
         assert!(
             report.nodes.iter().any(|n| n.failsafe_engagements > 0),

@@ -11,8 +11,11 @@
 //! `UNITHERM_UPDATE_GOLDEN=1 cargo test --test control_plane_parity`
 //!
 //! `UNITHERM_GOLDEN_THREADS=N` runs every scenario through the intra-run
-//! worker pool at N threads; the snapshots must not move (CI regenerates
-//! with 4 threads and diffs against the committed serial traces).
+//! worker pool sharded exactly N ways, forced past the nodes-per-shard
+//! grain that would otherwise run these small clusters serially; N above a
+//! scenario's node count fails rather than testing a narrower pool. The
+//! snapshots must not move (CI regenerates 2 wide — the scenarios have two
+//! nodes — and diffs against the committed serial traces).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -136,7 +139,9 @@ fn check_scenario(name: &str, scenario: Scenario) {
         .ok()
         .map(|v| v.parse().expect("UNITHERM_GOLDEN_THREADS must be a thread count"))
         .unwrap_or(1);
-    let report = Simulation::new(scenario.with_threads(threads)).run();
+    let sim = Simulation::try_with_width(scenario, threads).expect("valid scenario");
+    assert_eq!(sim.width(), threads, "{name}: the pool was not built {threads} wide");
+    let report = sim.run();
     assert_matches_golden(name, &fingerprint(&report));
 }
 

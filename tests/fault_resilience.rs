@@ -157,10 +157,11 @@ fn i2c_wedge_leaves_last_duty_but_daemons_survive() {
 /// aggregation must skip whatever non-finite values that produces instead
 /// of panicking (report.rs used to `partial_cmp(..).expect(..)` on them),
 /// the report must survive a JSON round trip, the journal must read back
-/// cleanly — and all of it bit-identically at 1, 2 and 4 threads.
+/// cleanly — and all of it bit-identically 1, 2 and 4 wide (a forced pool
+/// width: two nodes are far below the nodes-per-shard grain).
 #[test]
 fn sensor_dark_from_first_tick_aggregates_and_round_trips() {
-    let build = |threads: usize| {
+    let build = || {
         Scenario::new("dark-from-birth")
             .with_nodes(2)
             .with_seed(0xB122)
@@ -168,7 +169,6 @@ fn sensor_dark_from_first_tick_aggregates_and_round_trips() {
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
             .with_dvfs(DvfsScheme::tdvfs(Policy::MODERATE))
             .with_max_time(30.0)
-            .with_threads(threads)
             // Both sensors die before the 4 Hz sampler ever produces a
             // reading; no restore, no failsafe — worst case for the
             // aggregation layer.
@@ -177,12 +177,12 @@ fn sensor_dark_from_first_tick_aggregates_and_round_trips() {
     };
 
     let mut jsons = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let dir = std::env::temp_dir().join(format!("unitherm_nan_e2e_{threads}"));
+    for width in [1usize, 2, 4] {
+        let dir = std::env::temp_dir().join(format!("unitherm_nan_e2e_{width}"));
         std::fs::create_dir_all(&dir).unwrap();
         let journal_path = dir.join("events.jsonl");
         let file = std::fs::File::create(&journal_path).unwrap();
-        let mut sim = Simulation::new(build(threads));
+        let mut sim = Simulation::try_with_width(build(), width).expect("valid scenario");
         sim.attach_journal(Box::new(JournalWriter::new(std::io::BufWriter::new(file))));
         let report = sim.run();
 
@@ -207,6 +207,6 @@ fn sensor_dark_from_first_tick_aggregates_and_round_trips() {
         let _ = std::fs::remove_dir_all(&dir);
         jsons.push(json);
     }
-    assert_eq!(jsons[0], jsons[1], "1-thread vs 2-thread reports diverged");
-    assert_eq!(jsons[1], jsons[2], "2-thread vs 4-thread reports diverged");
+    assert_eq!(jsons[0], jsons[1], "1-wide vs 2-wide reports diverged");
+    assert_eq!(jsons[1], jsons[2], "2-wide vs 4-wide reports diverged");
 }

@@ -1,6 +1,6 @@
 //! Bit-identity of the intra-run node-parallel tick loop.
 //!
-//! A simulation run with `Scenario::threads > 1` shards its nodes across a
+//! A simulation whose pool is wider than one shards its nodes across a
 //! persistent worker pool; these tests pin the contract that sharding is
 //! *unobservable* in the results: the full `RunReport` — every f64 trace
 //! sample, every counter, every retained event record — is identical to
@@ -8,11 +8,16 @@
 //! rack-coupled scenarios, and runs with a cluster-wide journal attached
 //! (whose "tick order, node order within a tick" stream must also not
 //! move).
+//!
+//! These clusters are far below the nodes-per-shard grain, where
+//! `Simulation::try_new` would run them serially, so the tests force the
+//! pool width with `Simulation::try_with_width` and assert it was built.
 
 use std::sync::{Arc, Mutex};
 
 use unitherm::cluster::{
-    DvfsScheme, FanScheme, RackConfig, RunReport, Scenario, Simulation, WorkloadSpec,
+    report_digest, DvfsScheme, FanScheme, RackConfig, RunReport, Scenario, Simulation,
+    WorkloadSpec, MIN_NODES_PER_SHARD,
 };
 use unitherm::core::control_array::Policy;
 use unitherm::core::failsafe::FailsafeConfig;
@@ -26,21 +31,30 @@ fn image(report: &RunReport) -> String {
     serde_json::to_string(report).expect("report serializes")
 }
 
-/// Runs `scenario` at `threads` and returns the full report image.
-fn run_at(scenario: Scenario, threads: usize) -> String {
-    image(&Simulation::new(scenario.with_threads(threads)).run())
+/// Builds `scenario` sharded `width` ways (capped at the node count) and
+/// checks the pool really is that wide.
+fn sim_at(scenario: Scenario, width: usize) -> Simulation {
+    let want = width.min(scenario.nodes);
+    let sim = Simulation::try_with_width(scenario, width).expect("valid scenario");
+    assert_eq!(sim.width(), want, "forced width not built");
+    sim
 }
 
-/// Thread counts the identity must hold at: even, power-of-two, and a
-/// prime that leaves ragged shard sizes (and exceeds some node counts,
-/// exercising the cap at `nodes`).
-const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
+/// Runs `scenario` sharded `width` ways and returns the full report image.
+fn run_at(scenario: Scenario, width: usize) -> String {
+    image(&sim_at(scenario, width).run())
+}
+
+/// Widths the identity must hold at: even, power-of-two, and a prime that
+/// leaves ragged shard sizes (and exceeds some node counts, exercising the
+/// cap at `nodes`).
+const WIDTHS: [usize; 3] = [2, 4, 7];
 
 fn assert_thread_invariant(name: &str, build: impl Fn() -> Scenario) {
     let serial = run_at(build(), 1);
-    for threads in THREAD_COUNTS {
-        let parallel = run_at(build(), threads);
-        assert_eq!(serial, parallel, "{name}: {threads}-thread run diverged from serial");
+    for width in WIDTHS {
+        let parallel = run_at(build(), width);
+        assert_eq!(serial, parallel, "{name}: {width}-wide run diverged from serial");
     }
 }
 
@@ -120,18 +134,17 @@ impl EventSink for SharedSink {
     }
 }
 
-fn run_with_journal(threads: usize) -> (String, Vec<EventRecord>) {
+fn run_with_journal(width: usize) -> (String, Vec<EventRecord>) {
     let scenario = Scenario::new("par-journal")
         .with_nodes(5)
         .with_seed(11)
         .with_workload(WorkloadSpec::CpuBurn)
         .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
         .with_rack(RackConfig::default())
-        .with_max_time(20.0)
-        .with_threads(threads);
+        .with_max_time(20.0);
     let sink = SharedSink::default();
     let stream = Arc::clone(&sink.0);
-    let mut sim = Simulation::new(scenario);
+    let mut sim = sim_at(scenario, width);
     sim.attach_journal(Box::new(sink));
     let report = sim.run();
     let events = std::mem::take(&mut *stream.lock().expect("journal lock"));
@@ -142,12 +155,12 @@ fn run_with_journal(threads: usize) -> (String, Vec<EventRecord>) {
 fn journal_stream_is_thread_count_invariant() {
     let (serial_report, serial_events) = run_with_journal(1);
     assert!(!serial_events.is_empty(), "the reference journal must capture events");
-    for threads in THREAD_COUNTS {
-        let (report, events) = run_with_journal(threads);
-        assert_eq!(serial_report, report, "{threads}-thread journal run diverged");
+    for width in WIDTHS {
+        let (report, events) = run_with_journal(width);
+        assert_eq!(serial_report, report, "{width}-wide journal run diverged");
         assert_eq!(
             serial_events, events,
-            "{threads}-thread journal stream differs from serial (order or content)"
+            "{width}-wide journal stream differs from serial (order or content)"
         );
     }
 }
@@ -172,8 +185,8 @@ fn journal_keeps_node_order_within_each_timestamp() {
 
 #[test]
 fn thread_knob_caps_at_node_count() {
-    // More threads than nodes must behave exactly like nodes-many threads
-    // (the pool is capped), not hang or change results.
+    // More threads (or a forced width) than nodes must behave exactly like
+    // nodes-many shards (the pool is capped), not hang or change results.
     let build = || {
         Scenario::new("par-cap")
             .with_nodes(2)
@@ -182,6 +195,34 @@ fn thread_knob_caps_at_node_count() {
             .with_max_time(10.0)
     };
     assert_eq!(run_at(build(), 1), run_at(build(), 16));
+    let knob = Simulation::new(build().with_threads(16));
+    assert_eq!(knob.width(), 1, "two nodes are far below the grain");
+    assert_eq!(run_at(build(), 1), image(&knob.run()));
+}
+
+#[test]
+fn with_threads_builds_a_pool_above_the_grain() {
+    // The public path: `threads` is an upper bound that the grain and the
+    // host's cores clamp, and above two shards' grain a 2-core host really
+    // builds the pool — with the serial run's results.
+    let build = |threads: usize| {
+        Scenario::new("par-grain")
+            .with_nodes(2 * MIN_NODES_PER_SHARD)
+            .with_seed(0x6A1)
+            .with_workload(WorkloadSpec::CpuBurn)
+            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+            .with_recording(false)
+            .with_max_time(3.0)
+            .with_threads(threads)
+    };
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sim = Simulation::new(build(4));
+    assert_eq!(sim.width(), host.min(2), "two shards' grain, clamped to {host} core(s)");
+    let serial = Simulation::new(build(1));
+    assert_eq!(serial.width(), 1);
+    assert_eq!(report_digest(&serial.run()), report_digest(&sim.run()));
+    let small = Simulation::new(build(4).with_nodes(2 * MIN_NODES_PER_SHARD - 1));
+    assert_eq!(small.width(), 1, "below two shards' grain the run is serial");
 }
 
 #[test]

@@ -42,10 +42,13 @@ impl EventSink for SharedSink {
     }
 }
 
-fn run_with_journal(scenario: Scenario) -> (RunReport, Vec<EventRecord>) {
+/// Runs `scenario` sharded `width` ways with a journal attached. The width
+/// is forced: the shipped scenarios are far below the nodes-per-shard
+/// grain, where `Simulation::new` would run serially.
+fn run_with_journal(scenario: Scenario, width: usize) -> (RunReport, Vec<EventRecord>) {
     let sink = SharedSink::default();
     let stream = Arc::clone(&sink.0);
-    let mut sim = Simulation::new(scenario);
+    let mut sim = Simulation::try_with_width(scenario, width).expect("valid scenario");
     sim.attach_journal(Box::new(sink));
     let report = sim.run();
     let events = std::mem::take(&mut *stream.lock().expect("journal lock"));
@@ -59,7 +62,7 @@ fn image(report: &RunReport) -> String {
 #[test]
 fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
     // Record: a clean run with a journal attached.
-    let (_, recorded) = run_with_journal(base_scenario());
+    let (_, recorded) = run_with_journal(base_scenario(), 1);
     assert!(!recorded.is_empty(), "the recording run must emit events");
 
     // Derive: fault windows pinned to the recorded decisions.
@@ -70,7 +73,7 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
     let dt = base.dt_s;
 
     // Replay at 1 thread: the reference faulted run.
-    let (ref_report, ref_events) = run_with_journal(plan.apply(base_scenario()));
+    let (ref_report, ref_events) = run_with_journal(plan.apply(base_scenario()), 1);
     let ref_image = image(&ref_report);
 
     // Every derived injection lands on its pinned tick: a FaultInjected
@@ -107,17 +110,17 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
         );
     }
 
-    // Replay at 2 and 4 threads: bit-identical report and journal stream.
-    for threads in [2usize, 4] {
-        let (report, events) = run_with_journal(plan.apply(base_scenario()).with_threads(threads));
-        assert_eq!(ref_image, image(&report), "{threads}-thread faulted replay diverged");
-        assert_eq!(ref_events, events, "{threads}-thread faulted journal stream diverged");
+    // Replay 2 and 4 wide: bit-identical report and journal stream.
+    for width in [2usize, 4] {
+        let (report, events) = run_with_journal(plan.apply(base_scenario()), width);
+        assert_eq!(ref_image, image(&report), "{width}-wide faulted replay diverged");
+        assert_eq!(ref_events, events, "{width}-wide faulted journal stream diverged");
     }
 }
 
 #[test]
 fn derivation_is_a_pure_function_of_the_journal() {
-    let (_, recorded) = run_with_journal(base_scenario());
+    let (_, recorded) = run_with_journal(base_scenario(), 1);
     let a = derive_fault_plan(&recorded, &base_scenario(), &ReplayOptions::default())
         .expect("derive a");
     let b = derive_fault_plan(&recorded, &base_scenario(), &ReplayOptions::default())

@@ -92,14 +92,15 @@ proptest! {
         };
         let scalar = Simulation::new(build(&case).with_force_scalar(true)).run();
         let want = report_digest(&scalar);
-        for threads in [1usize, 2, 4] {
+        // Forced widths: these clusters are below the nodes-per-shard grain.
+        for width in [1usize, 2, 4] {
             let batched =
-                Simulation::new(build(&case).with_threads(threads)).run();
+                Simulation::try_with_width(build(&case), width).expect("valid case").run();
             prop_assert_eq!(
                 &report_digest(&batched),
                 &want,
-                "batched run diverged from scalar at {} threads for {:?}",
-                threads,
+                "batched run diverged from scalar {} wide for {:?}",
+                width,
                 case
             );
         }
