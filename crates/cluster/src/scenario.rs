@@ -164,6 +164,12 @@ fn default_threads() -> usize {
     1
 }
 
+/// The most records a scenario may make any per-node buffer pre-reserve:
+/// the recorder series (see [`Scenario::expected_samples`]) and the event
+/// ring. Every node reserves its buffers at build time, so an unbounded
+/// request would abort the process on allocation instead of failing.
+const MAX_RESERVED_RECORDS: usize = 65_536;
+
 /// A complete experiment description.
 ///
 /// Serializable: scenario JSON files (see `examples/scenarios/`) only need
@@ -241,7 +247,7 @@ pub struct Scenario {
     /// Capacity of each node's observability event ring (most recent
     /// control-plane events kept for the report). 0 disables event
     /// retention — counters are still maintained — which makes it the
-    /// sink-off arm of an overhead comparison.
+    /// sink-off arm of an overhead comparison. At most 65,536.
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
     /// Upper bound on worker threads for the intra-run tick loop. 1 — the
@@ -384,7 +390,8 @@ impl Scenario {
         self
     }
 
-    /// Builder: per-node event-ring capacity (0 disables event retention).
+    /// Builder: per-node event-ring capacity (0 disables event retention;
+    /// at most 65,536).
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity;
         self
@@ -449,9 +456,10 @@ impl Scenario {
 
     /// Validates the scenario, returning a description of the first
     /// problem found: zero nodes, non-positive times, a sampling period not
-    /// a whole number of ticks, references to out-of-range nodes, a
-    /// hardware ([`NodeConfig`]) or rack config outside its physical range,
-    /// or a control scheme whose controller tuning is unusable.
+    /// a whole number of ticks, an event ring above 65,536 records,
+    /// references to out-of-range nodes, a hardware ([`NodeConfig`]) or
+    /// rack config outside its physical range, or a control scheme whose
+    /// controller tuning is unusable.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         fn check(ok: bool, message: impl Into<String>) -> Result<(), ScenarioError> {
             if ok {
@@ -469,6 +477,13 @@ impl Scenario {
         check(
             (ratio - ratio.round()).abs() < 1e-9,
             "sample period must be a whole number of ticks",
+        )?;
+        check(
+            self.event_capacity <= MAX_RESERVED_RECORDS,
+            format!(
+                "event_capacity must be at most {MAX_RESERVED_RECORDS} records (got {})",
+                self.event_capacity
+            ),
         )?;
         for (node, _) in &self.faults {
             check(*node < self.nodes, format!("fault plan for nonexistent node {node}"))?;
@@ -509,9 +524,9 @@ impl Scenario {
         }
         let n = (self.max_time_s / self.sample_period_s).ceil() + 1.0;
         if n.is_finite() {
-            (n as usize).min(65_536)
+            (n as usize).min(MAX_RESERVED_RECORDS)
         } else {
-            65_536
+            MAX_RESERVED_RECORDS
         }
     }
 
@@ -644,6 +659,14 @@ mod tests {
             .with_tick_faults(3, TickFaultSchedule::none())
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn event_capacity_is_capped() {
+        let at_cap = Scenario::new("x").with_event_capacity(MAX_RESERVED_RECORDS);
+        at_cap.validate().unwrap();
+        let err = at_cap.with_event_capacity(MAX_RESERVED_RECORDS + 1).validate().unwrap_err();
+        assert_eq!(err.message(), "event_capacity must be at most 65536 records (got 65537)");
     }
 
     #[test]

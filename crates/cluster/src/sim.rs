@@ -13,7 +13,7 @@
 //! throttled or down-scaled CPU therefore delays the whole job — the
 //! mechanism behind the paper's execution-time results.
 
-use unitherm_obs::{EventSink, VecSink};
+use unitherm_obs::{EventSink, RingSink, VecSink};
 use unitherm_simnode::PhysicsBatch;
 use unitherm_workload::WorkState;
 
@@ -91,8 +91,14 @@ impl Simulation {
 
     /// Builds a validated scenario on `shards` shards (1 = the serial loop).
     fn build(scenario: Scenario, shards: usize) -> Self {
+        // Every node's hot state first, then every 10 kB event ring: the
+        // passes walk each node's hot state per tick, and a ring built
+        // between two nodes would put each visit on a fresh page.
         let mut nodes: Vec<NodeSim> =
-            (0..scenario.nodes).map(|i| NodeSim::build(&scenario, i)).collect();
+            (0..scenario.nodes).map(|i| NodeSim::build_hot(&scenario, i)).collect();
+        for ns in &mut nodes {
+            ns.events = RingSink::with_capacity(scenario.event_capacity);
+        }
         let ticks_per_sample = (scenario.sample_period_s / scenario.dt_s).round() as u64;
         // validate() rejects sample_period_s < dt_s, so this cannot be 0 —
         // a 0 here would make `is_multiple_of` false forever and silently

@@ -193,7 +193,13 @@ fn rejections_are_named_and_slots_recycle() {
         "\"rack\": {\"air_capacity_j_per_k\": 800.0, \"supply_air_c\": 18.0, \
          \"crac_conductance_w_per_k\": 10.0, \"recirculation_fraction\": 1.5}",
     );
-    for (body, named) in [(zero_capacity, "die capacity"), (bad_rack, "recirculation fraction")] {
+    // An event ring too large to allocate → 400, not an aborted process.
+    let big_ring = full.replace("\"event_capacity\": 256", "\"event_capacity\": 100000000000000");
+    for (body, named) in [
+        (zero_capacity, "die capacity"),
+        (bad_rack, "recirculation fraction"),
+        (big_ring, "event_capacity"),
+    ] {
         assert_ne!(body, full, "the mutation must hit the scenario");
         let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&body));
         let text = String::from_utf8_lossy(&reply);

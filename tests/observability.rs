@@ -139,3 +139,43 @@ proptest! {
         }
     }
 }
+
+/// A small ring keeps exactly the newest records of its node's stream and
+/// counts the rest as dropped, on the serial loop and on the worker pool.
+#[test]
+fn event_ring_keeps_the_newest_records_and_counts_the_rest() {
+    const CAPACITY: usize = 4;
+    let scenario = Scenario::new("obs-ring")
+        .with_nodes(4)
+        .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+        .with_workload(WorkloadSpec::CpuBurn)
+        .with_event_capacity(CAPACITY)
+        .with_max_time(120.0);
+    for width in [1, 2] {
+        let journal = SharedSink::default();
+        let mut sim = Simulation::try_with_width(scenario.clone(), width).expect("valid scenario");
+        assert_eq!(sim.width(), width);
+        sim.attach_journal(Box::new(journal.clone()));
+        let report = sim.run();
+        let events = journal.0.borrow();
+        for (node, nr) in report.nodes.iter().enumerate() {
+            let stream: Vec<EventRecord> =
+                events.iter().filter(|r| r.node as usize == node).copied().collect();
+            assert!(
+                stream.len() > CAPACITY,
+                "width {width} node {node}: only {} events, the ring never wrapped",
+                stream.len()
+            );
+            assert_eq!(
+                nr.events[..],
+                stream[stream.len() - CAPACITY..],
+                "width {width} node {node}: ring is not the journal's newest records"
+            );
+            assert_eq!(
+                nr.events_dropped,
+                nr.counters.events_emitted - nr.events.len() as u64,
+                "width {width} node {node}: dropped count"
+            );
+        }
+    }
+}

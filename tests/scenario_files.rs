@@ -73,7 +73,9 @@ fn scenario_files_round_trip_through_to_json() {
 #[test]
 fn out_of_range_hardware_and_rack_configs_are_named_errors() {
     // Values a scenario file can carry that the physics cannot run with
-    // must come back as a validation error naming the block, not a panic.
+    // must come back as a validation error naming the block, not a panic;
+    // an event ring too large to pre-reserve, naming the field, not an
+    // aborted process.
     let burn = scenario_file::load(repo_path("examples/scenarios/protected_burn.json")).unwrap();
     let json = scenario_file::to_json(&burn);
     let zero_capacity =
@@ -85,9 +87,16 @@ fn out_of_range_hardware_and_rack_configs_are_named_errors() {
         rack.replace("\"recirculation_fraction\": 0.25", "\"recirculation_fraction\": 1.5");
     assert_ne!(bad_rack, rack, "the mutation must hit the rack block");
 
+    let big_ring =
+        r#"{"name":"big-ring","nodes":1,"max_time_s":5,"event_capacity":100000000000000}"#;
+
     for (text, expected) in [
         (zero_capacity, "node_config: die capacity must be positive"),
         (bad_rack, "rack: recirculation fraction must be in [0, 1]"),
+        (
+            big_ring.to_string(),
+            "event_capacity must be at most 65536 records (got 100000000000000)",
+        ),
     ] {
         match scenario_file::parse(&text) {
             Err(scenario_file::ScenarioFileError::Invalid(e)) => {
