@@ -327,15 +327,28 @@ impl ChaosCorpus {
 
 /// FNV-1a 64 digest of a serialized report, rendered `fnv1a64:<16 hex>` —
 /// the determinism fingerprint used by the tests, the benchmark and chaos
-/// corpora.
+/// corpora. The report's compact JSON is hashed as it streams out, never
+/// held as a string.
 pub fn report_digest(report: &RunReport) -> String {
-    let json = serde_json::to_string(report).expect("reports always serialize");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in json.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a64(0xcbf2_9ce4_8422_2325);
+    serde_json::to_writer(&mut hash, report).expect("reports always serialize");
+    format!("fnv1a64:{:016x}", hash.0)
+}
+
+/// An FNV-1a 64 state that absorbs whatever is written to it.
+struct Fnv1a64(u64);
+
+impl std::io::Write for Fnv1a64 {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(bytes.len())
     }
-    format!("fnv1a64:{hash:016x}")
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// A thread-safe sink handing the baseline run's journal back to the

@@ -1,6 +1,6 @@
 //! Summary statistics and streaming (Welford) accumulators.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 
 /// Summary statistics of a finite sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,17 +49,16 @@ impl Summary {
 // series, so the empty sentinels are *omitted* on the wire and restored on
 // deserialization.
 impl Serialize for Summary {
-    fn serialize(&self) -> Value {
-        let mut map = vec![
-            ("count".to_string(), Value::U64(self.count as u64)),
-            ("mean".to_string(), Value::F64(self.mean)),
-        ];
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.begin_map()?;
+        s.entry("count", &self.count)?;
+        s.entry("mean", &self.mean)?;
         if self.count > 0 {
-            map.push(("min".to_string(), Value::F64(self.min)));
-            map.push(("max".to_string(), Value::F64(self.max)));
+            s.entry("min", &self.min)?;
+            s.entry("max", &self.max)?;
         }
-        map.push(("std_dev".to_string(), Value::F64(self.std_dev)));
-        Value::Map(map)
+        s.entry("std_dev", &self.std_dev)?;
+        s.end_map()
     }
 }
 

@@ -49,21 +49,24 @@ impl std::fmt::Display for JournalFormat {
 
 /// Streams every recorded event to a writer as one JSON object per line.
 ///
-/// This is the offline sink: serialization allocates, so keep it off the
+/// This is the offline sink: each record is encoded into a reused line
+/// buffer and reaches the writer as one `write_all`, so keep it off the
 /// allocation-free hot path (the cluster tees into it only at sample
 /// boundaries when a journal is attached). Write errors are latched into
 /// [`JournalWriter::io_error`] rather than panicking mid-simulation.
 pub struct JournalWriter<W: Write> {
     out: W,
+    /// The record being written, newline included.
+    line: Vec<u8>,
     written: u64,
     io_error: Option<io::Error>,
 }
 
 impl<W: Write> JournalWriter<W> {
-    /// Wraps a writer. Callers wanting buffering should pass a
-    /// `BufWriter` themselves.
+    /// Wraps a writer. Callers wanting fewer writes than one per record
+    /// should pass a `BufWriter` themselves.
     pub fn new(out: W) -> Self {
-        Self { out, written: 0, io_error: None }
+        Self { out, line: Vec::with_capacity(256), written: 0, io_error: None }
     }
 
     /// Records successfully written so far.
@@ -91,14 +94,10 @@ impl<W: Write> EventSink for JournalWriter<W> {
         if self.io_error.is_some() {
             return;
         }
-        let line = match serde_json::to_string(rec) {
-            Ok(line) => line,
-            Err(err) => {
-                self.io_error = Some(io::Error::new(io::ErrorKind::InvalidData, err.to_string()));
-                return;
-            }
-        };
-        match self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n")) {
+        self.line.clear();
+        serde_json::to_writer(&mut self.line, rec).expect("records serialize into memory");
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => self.written += 1,
             Err(err) => self.io_error = Some(err),
         }

@@ -50,4 +50,4 @@ pub use event::{
 pub use journal::{read_journal, record_tick, JournalCursor, JournalFormat, JournalWriter};
 pub use ring::RingSink;
 pub use sink::{EventSink, NullSink, Observer, TeeSink, VecSink};
-pub use sse::{sse_frame, sse_journal_frame};
+pub use sse::{sse_journal_frame, write_sse_frame};

@@ -5,52 +5,52 @@
 //! framing rules live here, next to the event vocabulary, so every server
 //! and test agrees on the bytes:
 //!
-//! * each frame carries an `id:` (the record's 0-based sequence number in
-//!   the journal), an `event:` name, and one `data:` line per line of
-//!   payload;
+//! * each frame carries an optional `id:` (a journal record's 0-based
+//!   sequence number in the journal), an `event:` name, and one `data:`
+//!   line holding a compact JSON document;
 //! * journal frames use `event: journal` and carry **exactly the JSONL
 //!   encoding** of the [`EventRecord`] (`docs/FORMATS.md` §2) as their
 //!   payload — stripping the SSE framing off a complete stream reproduces
 //!   the journal file byte for byte.
 
+use serde::Serialize;
+
 use crate::event::EventRecord;
 
-/// Renders one SSE frame: optional `id:` and `event:` fields followed by
-/// one `data:` line per line of `data`, terminated by the blank line that
-/// ends an SSE frame.
-///
-/// Multi-line payloads are split across `data:` lines per the SSE spec (the
-/// receiver rejoins them with `\n`); a trailing newline in `data` is not
-/// preserved by that round trip, so keep payloads newline-free when byte
-/// identity matters (JSONL journal lines are).
+/// Appends one SSE frame to `out`: an optional `id:` field, the `event:`
+/// name, and `data` as compact JSON on a single `data:` line, terminated
+/// by the blank line that ends an SSE frame. Compact JSON escapes every
+/// newline, so the payload never splits across `data:` lines and the
+/// receiver gets the JSON bytes back unchanged. The document is encoded
+/// in place: a server fills one buffer with a batch of frames and sends it
+/// as one write.
 ///
 /// # Example
 ///
 /// ```
-/// use unitherm_obs::sse_frame;
+/// use unitherm_obs::write_sse_frame;
 ///
-/// let frame = sse_frame(Some(7), Some("journal"), "{\"time_s\":1.0}");
-/// assert_eq!(frame, "id: 7\nevent: journal\ndata: {\"time_s\":1.0}\n\n");
+/// let mut out = Vec::new();
+/// write_sse_frame(&mut out, Some(7), "journal", &vec![1.0, 2.5]);
+/// write_sse_frame(&mut out, None, "done", &"ok");
+/// assert_eq!(out, b"id: 7\nevent: journal\ndata: [1.0,2.5]\n\nevent: done\ndata: \"ok\"\n\n");
 /// ```
-pub fn sse_frame(id: Option<u64>, event: Option<&str>, data: &str) -> String {
-    let mut out = String::with_capacity(data.len() + 32);
+pub fn write_sse_frame<T: Serialize + ?Sized>(
+    out: &mut Vec<u8>,
+    id: Option<u64>,
+    event: &str,
+    data: &T,
+) {
     if let Some(id) = id {
-        out.push_str("id: ");
-        out.push_str(&id.to_string());
-        out.push('\n');
+        out.extend_from_slice(b"id: ");
+        serde_json::to_writer(&mut *out, &id).expect("integers serialize into memory");
+        out.push(b'\n');
     }
-    if let Some(event) = event {
-        out.push_str("event: ");
-        out.push_str(event);
-        out.push('\n');
-    }
-    for line in data.split('\n') {
-        out.push_str("data: ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
+    out.extend_from_slice(b"event: ");
+    out.extend_from_slice(event.as_bytes());
+    out.extend_from_slice(b"\ndata: ");
+    serde_json::to_writer(&mut *out, data).expect("documents serialize into memory");
+    out.extend_from_slice(b"\n\n");
 }
 
 /// Renders one journal record as its SSE frame: `id:` is `seq` (the
@@ -69,8 +69,9 @@ pub fn sse_frame(id: Option<u64>, event: Option<&str>, data: &str) -> String {
 /// assert!(frame.ends_with("}\n\n"));
 /// ```
 pub fn sse_journal_frame(seq: u64, rec: &EventRecord) -> String {
-    let line = serde_json::to_string(rec).expect("event records always serialize");
-    sse_frame(Some(seq), Some("journal"), &line)
+    let mut out = Vec::with_capacity(160);
+    write_sse_frame(&mut out, Some(seq), "journal", rec);
+    String::from_utf8(out).expect("JSON is UTF-8")
 }
 
 #[cfg(test)]
@@ -110,10 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_line_payloads_split_into_data_lines() {
-        let frame = sse_frame(None, Some("done"), "line1\nline2");
-        assert_eq!(frame, "event: done\ndata: line1\ndata: line2\n\n");
-        let bare = sse_frame(None, None, "x");
-        assert_eq!(bare, "data: x\n\n");
+    fn multi_line_payloads_stay_on_one_data_line() {
+        // A newline inside the document is escaped by compact JSON, so the
+        // frame keeps a single `data:` line and the receiver gets the JSON
+        // bytes back unchanged.
+        let mut out = Vec::new();
+        write_sse_frame(&mut out, None, "done", &"line1\nline2");
+        assert_eq!(String::from_utf8(out).unwrap(), "event: done\ndata: \"line1\\nline2\"\n\n");
     }
 }

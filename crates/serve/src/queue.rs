@@ -23,7 +23,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use unitherm_cluster::{report_digest, RunReport, Scenario};
@@ -125,8 +125,8 @@ pub struct JobSnapshot {
     pub status: JobStatus,
     /// FNV-1a digest of the report JSON, once `Done`.
     pub digest: Option<String>,
-    /// The finished report, once `Done`.
-    pub report: Option<RunReport>,
+    /// The finished report, once `Done` (shared, so snapshots stay cheap).
+    pub report: Option<Arc<RunReport>>,
     /// The failure reason, once `Failed`.
     pub error: Option<String>,
     /// Journal events captured so far.
@@ -141,7 +141,7 @@ struct Job {
     /// Present while Queued; taken by the claiming runner.
     scenario: Option<Scenario>,
     status: JobStatus,
-    report: Option<RunReport>,
+    report: Option<Arc<RunReport>>,
     digest: Option<String>,
     error: Option<String>,
     events: Vec<EventRecord>,
@@ -292,22 +292,27 @@ impl JobQueue {
         Some((id, scenario))
     }
 
-    /// Appends one journal event to a running job (the runner's
-    /// `EventSink` tee lands here).
-    pub fn append_event(&self, id: JobId, rec: EventRecord) {
-        let mut state = self.lock();
+    /// Appends a batch of journal events to a running job, in order, and
+    /// wakes its streams once (the runner's [`crate::QueueSink`] lands here).
+    pub fn append_events(&self, id: JobId, recs: &[EventRecord]) {
+        // The sink also flushes here while a panicking run unwinds, where a
+        // second panic on a poisoned lock would abort the process.
+        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
-            job.events.push(rec);
+            job.events.extend_from_slice(recs);
         }
         self.inner.progress.notify_all();
     }
 
-    /// Marks a job `Done`, storing its report and FNV digest.
+    /// Marks a job `Done`, storing its report and FNV digest. The digest
+    /// serializes the whole report, so it is computed before the lock is
+    /// taken: every other queue user would otherwise wait behind it.
     pub fn complete(&self, id: JobId, report: RunReport) {
+        let digest = report_digest(&report);
         let mut state = self.lock();
         if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
-            job.digest = Some(report_digest(&report));
-            job.report = Some(report);
+            job.digest = Some(digest);
+            job.report = Some(Arc::new(report));
             job.status = JobStatus::Done;
             job.events_done = true;
             state.completed += 1;
@@ -538,16 +543,7 @@ mod tests {
             })
         };
         let mut sim = unitherm_cluster::Simulation::try_new(scenario).expect("valid");
-        struct Tee {
-            queue: JobQueue,
-            id: JobId,
-        }
-        impl unitherm_obs::EventSink for Tee {
-            fn record(&mut self, rec: &EventRecord) {
-                self.queue.append_event(self.id, *rec);
-            }
-        }
-        sim.attach_journal(Box::new(Tee { queue: queue.clone(), id: claimed }));
+        sim.attach_journal(Box::new(crate::QueueSink::new(queue.clone(), claimed)));
         let report = sim.run();
         queue.complete(claimed, report);
 

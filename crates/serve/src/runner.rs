@@ -26,23 +26,53 @@ use unitherm_obs::{EventRecord, EventSink};
 
 use crate::queue::{JobId, JobQueue};
 
-/// An [`EventSink`] that forwards every record into the queue's per-job
-/// event log (the service-side analogue of a `JournalWriter`).
+/// Records a [`QueueSink`] holds before handing them to the queue in one
+/// [`JobQueue::append_events`]: one lock and one wake-up per batch instead
+/// of per event.
+const EVENT_BATCH: usize = 64;
+
+/// An [`EventSink`] that forwards records into the queue's per-job event
+/// log in batches of [`EVENT_BATCH`] (the service-side analogue of a
+/// `JournalWriter`). The first record goes out alone, so a subscriber sees
+/// the job's first event without waiting for a full batch. The tail is
+/// flushed on drop, which [`Simulation::run`] reaches before the runner
+/// completes the job, so a finished job always holds its whole journal;
+/// a panicking run drops the sink while it unwinds, so a failed job keeps
+/// every event up to the panic.
 pub struct QueueSink {
     queue: JobQueue,
     id: JobId,
+    batch: Vec<EventRecord>,
+    started: bool,
 }
 
 impl QueueSink {
     /// A sink feeding job `id` on `queue`.
     pub fn new(queue: JobQueue, id: JobId) -> Self {
-        Self { queue, id }
+        Self { queue, id, batch: Vec::with_capacity(EVENT_BATCH), started: false }
+    }
+
+    fn flush(&mut self) {
+        if !self.batch.is_empty() {
+            self.queue.append_events(self.id, &self.batch);
+            self.batch.clear();
+        }
     }
 }
 
 impl EventSink for QueueSink {
     fn record(&mut self, rec: &EventRecord) {
-        self.queue.append_event(self.id, *rec);
+        self.batch.push(*rec);
+        if self.batch.len() == EVENT_BATCH || !self.started {
+            self.started = true;
+            self.flush();
+        }
+    }
+}
+
+impl Drop for QueueSink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -142,6 +172,52 @@ mod tests {
             .with_max_time(5.0)
             .with_nodes(1)
             .with_fan(unitherm_cluster::FanScheme::dynamic(Policy::MODERATE, 100))
+    }
+
+    fn record(sink: &mut QueueSink, n: usize) {
+        use unitherm_obs::Event;
+        for i in 0..n {
+            sink.record(&EventRecord { time_s: i as f64, node: 0, event: Event::FailsafeRelease });
+        }
+    }
+
+    #[test]
+    fn sink_hands_over_the_first_record_full_batches_and_the_tail() {
+        let queue = JobQueue::new(QueueConfig::default());
+        let id = queue.submit("t", tiny()).expect("submit");
+        let (claimed, _) = queue.try_claim().expect("claim");
+        let captured = || queue.events(id).expect("job exists").len();
+
+        let mut sink = QueueSink::new(queue.clone(), claimed);
+        record(&mut sink, 1);
+        assert_eq!(captured(), 1, "the first record is not held back");
+        record(&mut sink, EVENT_BATCH - 1);
+        assert_eq!(captured(), 1, "a partial batch stays in the sink");
+        record(&mut sink, 1);
+        assert_eq!(captured(), 1 + EVENT_BATCH, "a full batch goes out at once");
+        record(&mut sink, 5);
+        drop(sink);
+        assert_eq!(captured(), 1 + EVENT_BATCH + 5, "the tail flushes on drop");
+    }
+
+    #[test]
+    fn panicking_run_keeps_its_journal_up_to_the_panic() {
+        // The sink lives inside the simulation, so a panicking run drops it
+        // while unwinding under `run_one`'s catch; the tail must still land.
+        let queue = JobQueue::new(QueueConfig::default());
+        let id = queue.submit("t", tiny()).expect("submit");
+        let (claimed, _) = queue.try_claim().expect("claim");
+        let recorded = 2 * EVENT_BATCH + 10;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut sink = QueueSink::new(queue.clone(), claimed);
+            record(&mut sink, recorded);
+            panic!("simulated failure");
+        }));
+        assert!(outcome.is_err());
+        queue.fail(claimed, "simulation panicked: simulated failure".to_string());
+        let snap = queue.snapshot(id).expect("job exists");
+        assert_eq!(snap.status, JobStatus::Failed);
+        assert_eq!(snap.events_len, recorded, "every event up to the panic is kept");
     }
 
     #[test]

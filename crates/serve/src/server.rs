@@ -14,9 +14,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use unitherm_cluster::ThreadPermits;
+use serde::Serialize;
+use unitherm_cluster::{RunReport, ThreadPermits};
 use unitherm_experiments::scenario_file;
-use unitherm_obs::{prometheus_text, records_to_bjl, sse_frame, sse_journal_frame};
+use unitherm_obs::{prometheus_text, records_to_bjl, write_sse_frame, EventSink, JournalWriter};
 
 use crate::http::{parse_request, render_response, HttpError, Limits, Method, Request};
 use crate::queue::{JobId, JobQueue, JobSnapshot, SubmitError};
@@ -93,55 +94,67 @@ impl Server {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The job-status document (`docs/FORMATS.md` §6); absent fields are
+/// left out, not written as `null`.
+#[derive(Serialize)]
+struct JobStatusDoc<'a> {
+    id: JobId,
+    tenant: &'a str,
+    name: &'a str,
+    status: &'static str,
+    events: usize,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    digest: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    error: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    report: Option<&'a RunReport>,
 }
 
-/// Renders the job-status JSON document (`docs/FORMATS.md` §6).
-fn job_status_json(snap: &JobSnapshot) -> String {
-    let mut out = format!(
-        "{{\"id\":{},\"tenant\":\"{}\",\"name\":\"{}\",\"status\":\"{}\",\"events\":{}",
-        snap.id,
-        json_escape(&snap.tenant),
-        json_escape(&snap.name),
-        snap.status.as_str(),
-        snap.events_len
-    );
-    if let Some(digest) = &snap.digest {
-        out.push_str(&format!(",\"digest\":\"{}\"", json_escape(digest)));
-    }
-    if let Some(error) = &snap.error {
-        out.push_str(&format!(",\"error\":\"{}\"", json_escape(error)));
-    }
-    if let Some(report) = &snap.report {
-        match serde_json::to_string(report) {
-            Ok(json) => out.push_str(&format!(",\"report\":{json}")),
-            Err(e) => out.push_str(&format!(
-                ",\"error\":\"report serialization: {}\"",
-                json_escape(&e.to_string())
-            )),
+impl<'a> From<&'a JobSnapshot> for JobStatusDoc<'a> {
+    fn from(snap: &'a JobSnapshot) -> Self {
+        JobStatusDoc {
+            id: snap.id,
+            tenant: &snap.tenant,
+            name: &snap.name,
+            status: snap.status.as_str(),
+            events: snap.events_len,
+            digest: snap.digest.as_deref(),
+            error: snap.error.as_deref(),
+            report: snap.report.as_deref(),
         }
     }
-    out.push('}');
+}
+
+/// `GET /jobs`.
+#[derive(Serialize)]
+struct JobListDoc<'a> {
+    jobs: Vec<JobStatusDoc<'a>>,
+}
+
+/// `POST /jobs` accepted.
+#[derive(Serialize)]
+struct AcceptedDoc<'a> {
+    id: JobId,
+    status: &'static str,
+    tenant: &'a str,
+}
+
+/// Every error body.
+#[derive(Serialize)]
+struct ErrorDoc<'a> {
+    error: &'a str,
+    detail: &'a str,
+}
+
+fn json<T: Serialize>(doc: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    serde_json::to_writer(&mut out, doc).expect("documents serialize into memory");
     out
 }
 
 fn error_json(error: &str, detail: &str) -> Vec<u8> {
-    format!("{{\"error\":\"{}\",\"detail\":\"{}\"}}", json_escape(error), json_escape(detail))
-        .into_bytes()
+    json(&ErrorDoc { error, detail })
 }
 
 fn write_all(stream: &mut TcpStream, bytes: &[u8]) {
@@ -249,10 +262,7 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
     };
     match queue.submit(&tenant, scenario) {
         Ok(id) => {
-            let body = format!(
-                "{{\"id\":{id},\"status\":\"queued\",\"tenant\":\"{}\"}}",
-                json_escape(&tenant)
-            );
+            let body = json(&AcceptedDoc { id, status: "queued", tenant: &tenant });
             write_all(
                 stream,
                 &render_response(
@@ -260,7 +270,7 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
                     "Accepted",
                     "application/json",
                     &[&format!("Location: /jobs/{id}")],
-                    body.as_bytes(),
+                    &body,
                 ),
             );
         }
@@ -294,19 +304,16 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
 }
 
 fn serve_job_list(stream: &mut TcpStream, queue: &JobQueue) {
-    let docs: Vec<String> = queue.snapshots().iter().map(job_status_json).collect();
-    let body = format!("{{\"jobs\":[{}]}}", docs.join(","));
-    write_all(stream, &render_response(200, "OK", "application/json", &[], body.as_bytes()));
+    let snaps = queue.snapshots();
+    let body = json(&JobListDoc { jobs: snaps.iter().map(JobStatusDoc::from).collect() });
+    write_all(stream, &render_response(200, "OK", "application/json", &[], &body));
 }
 
 fn serve_job_status(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
     match queue.snapshot(id) {
         Some(snap) => {
-            let body = job_status_json(&snap);
-            write_all(
-                stream,
-                &render_response(200, "OK", "application/json", &[], body.as_bytes()),
-            );
+            let body = json(&JobStatusDoc::from(&snap));
+            write_all(stream, &render_response(200, "OK", "application/json", &[], &body));
         }
         None => {
             let body = error_json("Not Found", &format!("no job {id}"));
@@ -343,17 +350,12 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
             // the complete journal, not a racing prefix.
             let _ = queue.wait_done(id);
             let events = queue.events(id).unwrap_or_default();
-            let mut body = String::new();
+            let mut journal = JournalWriter::new(Vec::with_capacity(events.len() * 128));
             for rec in &events {
-                if let Ok(line) = serde_json::to_string(rec) {
-                    body.push_str(&line);
-                    body.push('\n');
-                }
+                journal.record(rec);
             }
-            write_all(
-                stream,
-                &render_response(200, "OK", "application/x-ndjson", &[], body.as_bytes()),
-            );
+            let body = journal.finish().expect("an in-memory journal cannot fail");
+            write_all(stream, &render_response(200, "OK", "application/x-ndjson", &[], &body));
         }
         "bjl" => {
             let _ = queue.wait_done(id);
@@ -376,41 +378,40 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
 /// Streams a job's journal as SSE: one `event: journal` frame per record
 /// (whose `data:` payload is the exact JSONL line), keep-alive comments
 /// while idle, and a final `event: done` frame carrying the job-status
-/// document.
+/// document. Each batch [`JobQueue::wait_events`] returns is encoded into
+/// one buffer and sent as one write.
 fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
         return;
     }
+    let mut out = Vec::with_capacity(16 * 1024);
     let mut seq: u64 = 0;
     loop {
         let Some((fresh, done)) = queue.wait_events(id, seq as usize, Duration::from_secs(1))
         else {
             return;
         };
+        out.clear();
         for rec in &fresh {
-            let frame = sse_journal_frame(seq, rec);
-            if stream.write_all(frame.as_bytes()).is_err() {
-                return;
-            }
+            write_sse_frame(&mut out, Some(seq), "journal", rec);
             seq += 1;
         }
         if done {
-            let status = queue
-                .snapshot(id)
-                .map(|snap| job_status_json(&snap))
-                .unwrap_or_else(|| format!("{{\"id\":{id}}}"));
-            let _ = stream.write_all(sse_frame(None, Some("done"), &status).as_bytes());
-            let _ = stream.flush();
+            // Jobs are never removed, so the snapshot exists.
+            if let Some(snap) = queue.snapshot(id) {
+                write_sse_frame(&mut out, None, "done", &JobStatusDoc::from(&snap));
+            }
+            write_all(stream, &out);
             return;
         }
         if fresh.is_empty() {
             // SSE comment line as a keep-alive so proxies don't cut us off.
-            if stream.write_all(b": keep-alive\n\n").is_err() {
-                return;
-            }
+            out.extend_from_slice(b": keep-alive\n\n");
         }
-        let _ = stream.flush();
+        if stream.write_all(&out).is_err() {
+            return;
+        }
     }
 }
 
@@ -476,4 +477,74 @@ fn serve_metrics(stream: &mut TcpStream, queue: &JobQueue, permits: &ThreadPermi
             body.as_bytes(),
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::JobStatus;
+    use std::sync::Arc;
+
+    fn text(bytes: Vec<u8>) -> String {
+        String::from_utf8(bytes).expect("JSON is UTF-8")
+    }
+
+    fn snapshot(status: JobStatus) -> JobSnapshot {
+        JobSnapshot {
+            id: 7,
+            tenant: "acme".into(),
+            name: "we\"ird\\name\u{1}\té".into(),
+            status,
+            digest: None,
+            report: None,
+            error: None,
+            events_len: 3,
+        }
+    }
+
+    /// The documents' bytes as FORMATS.md §6 fixes them (they were
+    /// hand-formatted before the shim wrote them).
+    #[test]
+    fn documents_keep_their_wire_bytes() {
+        let queued = snapshot(JobStatus::Queued);
+        let queued_doc = r#"{"id":7,"tenant":"acme","name":"we\"ird\\name\u0001\té","status":"queued","events":3}"#;
+        assert_eq!(text(json(&JobStatusDoc::from(&queued))), queued_doc);
+
+        let failed =
+            JobSnapshot { error: Some("bad \"x\"\n".into()), ..snapshot(JobStatus::Failed) };
+        assert_eq!(
+            text(json(&JobStatusDoc::from(&failed))),
+            r#"{"id":7,"tenant":"acme","name":"we\"ird\\name\u0001\té","status":"failed","events":3,"error":"bad \"x\"\n"}"#
+        );
+
+        let report = unitherm_cluster::Simulation::try_new(
+            unitherm_cluster::Scenario::new("doc").with_max_time(1.0).with_recording(false),
+        )
+        .expect("valid")
+        .run();
+        let done = JobSnapshot {
+            digest: Some("fnv1a64:0123456789abcdef".into()),
+            report: Some(Arc::new(report.clone())),
+            ..snapshot(JobStatus::Done)
+        };
+        assert_eq!(
+            text(json(&JobStatusDoc::from(&done))),
+            format!(
+                r#"{{"id":7,"tenant":"acme","name":"we\"ird\\name\u0001\té","status":"done","events":3,"digest":"fnv1a64:0123456789abcdef","report":{}}}"#,
+                serde_json::to_string(&report).unwrap()
+            )
+        );
+
+        let list = JobListDoc { jobs: vec![(&queued).into(), (&queued).into()] };
+        assert_eq!(text(json(&list)), format!(r#"{{"jobs":[{queued_doc},{queued_doc}]}}"#));
+        assert_eq!(text(json(&JobListDoc { jobs: Vec::new() })), r#"{"jobs":[]}"#);
+        assert_eq!(
+            text(json(&AcceptedDoc { id: 3, status: "queued", tenant: "t-1" })),
+            r#"{"id":3,"status":"queued","tenant":"t-1"}"#
+        );
+        assert_eq!(
+            text(error_json("Bad Request", "unknown format \"x\" (sse, jsonl, bjl)")),
+            r#"{"error":"Bad Request","detail":"unknown format \"x\" (sse, jsonl, bjl)"}"#
+        );
+    }
 }

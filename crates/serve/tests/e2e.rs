@@ -11,7 +11,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use unitherm_cluster::{report_digest, Simulation};
+use unitherm_cluster::{report_digest, RunReport, Simulation};
 use unitherm_experiments::scenario_file;
 use unitherm_obs::{records_to_bjl, EventRecord, EventSink, JournalWriter};
 use unitherm_serve::{JobStatus, Limits, QueueConfig, ServeConfig, Server};
@@ -85,15 +85,10 @@ fn json_field(doc: &str, name: &str) -> Option<String> {
     Some(rest[..end].trim().to_string())
 }
 
-#[test]
-fn submitted_job_matches_direct_run_bit_for_bit() {
-    let addr = start_server();
-    let json = scenario_json();
-
-    // Direct run of the same scenario, journal captured through the same
-    // EventSink seam the service uses.
-    let scenario = unitherm_experiments::scenario_file::parse(&json).expect("scenario parses");
-    let dt_s = scenario.dt_s;
+/// Runs `json` directly, capturing its journal through the same
+/// `EventSink` seam the service uses; returns the report, the records and
+/// their JSONL journal.
+fn direct_run(json: &str) -> (RunReport, Vec<EventRecord>, String) {
     #[derive(Default, Clone)]
     struct Capture(std::sync::Arc<std::sync::Mutex<Vec<EventRecord>>>);
     impl EventSink for Capture {
@@ -101,11 +96,27 @@ fn submitted_job_matches_direct_run_bit_for_bit() {
             self.0.lock().unwrap().push(*rec);
         }
     }
+    let scenario = scenario_file::parse(json).expect("scenario parses");
     let capture = Capture::default();
     let mut direct = Simulation::try_new(scenario).expect("scenario valid");
     direct.attach_journal(Box::new(capture.clone()));
-    let direct_report = direct.run();
-    let direct_events = capture.0.lock().unwrap().clone();
+    let report = direct.run();
+    let events = capture.0.lock().unwrap().clone();
+    let mut writer = JournalWriter::new(Vec::new());
+    for rec in &events {
+        writer.record(rec);
+    }
+    let jsonl = String::from_utf8(writer.finish().expect("in memory")).expect("journal is UTF-8");
+    (report, events, jsonl)
+}
+
+#[test]
+fn submitted_job_matches_direct_run_bit_for_bit() {
+    let addr = start_server();
+    let json = scenario_json();
+
+    let (direct_report, direct_events, direct_jsonl) = direct_run(&json);
+    let dt_s = scenario_file::parse(&json).expect("scenario parses").dt_s;
     assert!(!direct_events.is_empty(), "protected burn emits journal events");
 
     // Submit the identical JSON over the wire.
@@ -130,13 +141,6 @@ fn submitted_job_matches_direct_run_bit_for_bit() {
         .take_while(|l| !l.starts_with("event: done"))
         .filter_map(|l| l.strip_prefix("data: ").map(str::to_string))
         .collect();
-    let mut direct_jsonl = Vec::new();
-    let mut writer = JournalWriter::new(&mut direct_jsonl);
-    for rec in &direct_events {
-        writer.record(rec);
-    }
-    drop(writer);
-    let direct_jsonl = String::from_utf8(direct_jsonl).expect("journal is UTF-8");
     assert_eq!(
         streamed.join("\n") + "\n",
         direct_jsonl,
@@ -165,6 +169,53 @@ fn submitted_job_matches_direct_run_bit_for_bit() {
     let (status, _, bjl) = request(&addr, "GET", &format!("/jobs/{id}/events?format=bjl"), None);
     assert_eq!(status, 200);
     assert_eq!(bjl, records_to_bjl(&direct_events, dt_s), "bjl download is byte-identical");
+}
+
+#[test]
+fn batched_event_stream_is_contiguous_and_complete() {
+    // The full-length example emits the sink's lone first record, several
+    // full 64-record batches and a partial tail, so every flush path
+    // (first record, full batch, drop) reaches the stream.
+    let json = scenario_json().replace("\"max_time_s\": 20.0", "\"max_time_s\": 180.0");
+    let (_, direct_events, direct_jsonl) = direct_run(&json);
+    assert!(direct_events.len() > 1 + 2 * 64, "{} events", direct_events.len());
+    assert_ne!((direct_events.len() - 1) % 64, 0, "the run ends on a partial batch");
+
+    let addr = start_server();
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    assert_eq!(status, 202);
+    let id = json_field(&String::from_utf8_lossy(&body), "id").expect("job id");
+    let (status, _, sse) = request(&addr, "GET", &format!("/jobs/{id}/events"), None);
+    assert_eq!(status, 200);
+    let sse = String::from_utf8(sse).expect("SSE is UTF-8");
+
+    // Frames are separated by a blank line; keep-alive comments carry no
+    // fields.
+    let frames: Vec<&str> =
+        sse.split("\n\n").filter(|f| !f.is_empty() && !f.starts_with(':')).collect();
+    let (done, journal) = frames.split_last().expect("at least the done frame");
+    assert!(done.starts_with("event: done\ndata: {"), "the done frame is last: {done}");
+    assert_eq!(sse.matches("event: done").count(), 1, "exactly one done frame");
+    assert_eq!(journal.len(), direct_events.len(), "one frame per journal record");
+
+    let mut data = String::new();
+    for (seq, frame) in journal.iter().enumerate() {
+        let mut lines = frame.lines();
+        assert_eq!(lines.next(), Some(format!("id: {seq}").as_str()), "ids are contiguous");
+        assert_eq!(lines.next(), Some("event: journal"));
+        data.push_str(lines.next().and_then(|l| l.strip_prefix("data: ")).expect("data line"));
+        data.push('\n');
+        assert_eq!(lines.next(), None, "one data line per journal frame");
+    }
+    for (got, want) in data.lines().zip(direct_jsonl.lines()) {
+        assert_eq!(got, want, "SSE data lines equal the direct journal line for line");
+    }
+    assert_eq!(data, direct_jsonl);
+
+    let (status, _, jsonl) =
+        request(&addr, "GET", &format!("/jobs/{id}/events?format=jsonl"), None);
+    assert_eq!(status, 200);
+    assert_eq!(jsonl, direct_jsonl.as_bytes(), "jsonl download is byte-identical");
 }
 
 #[test]

@@ -1,17 +1,19 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no crates.io access, so this workspace vendors a
-//! minimal serde-compatible surface: a self-describing [`Value`] tree, the
-//! [`Serialize`]/[`Deserialize`] traits expressed against it, and re-exported
-//! derive macros (see the sibling `serde_derive` shim). The supported feature
+//! minimal serde-compatible surface: a streaming [`Serialize`] that drives a
+//! format's [`Serializer`] sink in one pass, a [`Deserialize`] that reads the
+//! self-describing [`Value`] tree a parser builds, and re-exported derive
+//! macros (see the sibling `serde_derive` shim). The supported feature
 //! set is exactly what this repository uses: named/tuple/generic structs,
-//! externally tagged enums, and the `default`, `default = "path"`, and `skip`
-//! field attributes.
+//! externally tagged enums, and the `default`, `default = "path"`, `skip` and
+//! `skip_serializing_if = "path"` field attributes.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing data value — the meeting point between `Serialize`
-/// and data formats (the `serde_json` shim parses/prints this tree).
+/// A self-describing data value: what a parser builds and [`Deserialize`]
+/// reads (the `serde_json` shim parses into this tree). Serializing never
+/// builds one; a `Value` serializes by walking itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -119,13 +121,64 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can render itself as a [`Value`] tree.
-pub trait Serialize {
-    /// Serializes `self` into a value tree.
-    fn serialize(&self) -> Value;
+/// The sink a [`Serialize`] impl drives: one call per scalar, and
+/// bracketing calls around every sequence and map. A data format
+/// implements this trait to write its encoding in one pass, without an
+/// intermediate [`Value`] tree (the `serde_json` shim writes JSON bytes).
+///
+/// Elements and entries are announced before their value:
+/// `begin_seq`, then `seq_element` + value per element, then `end_seq`;
+/// `begin_map`, then `map_key` + value per entry, then `end_map`. The
+/// [`Serializer::element`] and [`Serializer::entry`] helpers pair the two.
+pub trait Serializer: Sized {
+    /// What a failed write reports.
+    type Error;
+
+    /// Writes `null` (also `None` and unit structs).
+    fn serialize_null(&mut self) -> Result<(), Self::Error>;
+    /// Writes a boolean.
+    fn serialize_bool(&mut self, v: bool) -> Result<(), Self::Error>;
+    /// Writes a signed integer.
+    fn serialize_i64(&mut self, v: i64) -> Result<(), Self::Error>;
+    /// Writes an unsigned integer.
+    fn serialize_u64(&mut self, v: u64) -> Result<(), Self::Error>;
+    /// Writes a float.
+    fn serialize_f64(&mut self, v: f64) -> Result<(), Self::Error>;
+    /// Writes a string.
+    fn serialize_str(&mut self, v: &str) -> Result<(), Self::Error>;
+    /// Opens a sequence.
+    fn begin_seq(&mut self) -> Result<(), Self::Error>;
+    /// Announces the next element of the open sequence.
+    fn seq_element(&mut self) -> Result<(), Self::Error>;
+    /// Closes the open sequence.
+    fn end_seq(&mut self) -> Result<(), Self::Error>;
+    /// Opens a map.
+    fn begin_map(&mut self) -> Result<(), Self::Error>;
+    /// Writes the key of the next entry of the open map.
+    fn map_key(&mut self, key: &str) -> Result<(), Self::Error>;
+    /// Closes the open map.
+    fn end_map(&mut self) -> Result<(), Self::Error>;
+
+    /// Writes one sequence element.
+    fn element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error> {
+        self.seq_element()?;
+        value.serialize(self)
+    }
+
+    /// Writes one map entry.
+    fn entry<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), Self::Error> {
+        self.map_key(key)?;
+        value.serialize(self)
+    }
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
+/// A type that can write itself into a [`Serializer`].
+pub trait Serialize {
+    /// Drives `serializer` through `self`'s shape.
+    fn serialize<S: Serializer>(&self, serializer: &mut S) -> Result<(), S::Error>;
+}
+
+/// A type that can be reconstructed from a parsed [`Value`] tree.
 pub trait Deserialize: Sized {
     /// Deserializes an instance from a value tree.
     fn deserialize(value: &Value) -> Result<Self, Error>;
@@ -134,7 +187,9 @@ pub trait Deserialize: Sized {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value { Value::I64(*self as i64) }
+            fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+                s.serialize_i64(*self as i64)
+            }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -148,12 +203,8 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as u64;
-                match i64::try_from(v) {
-                    Ok(i) => Value::I64(i),
-                    Err(_) => Value::U64(v),
-                }
+            fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+                s.serialize_u64(*self as u64)
             }
         }
         impl Deserialize for $t {
@@ -169,8 +220,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.serialize_f64(*self)
     }
 }
 impl Deserialize for f64 {
@@ -180,8 +231,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self as f64)
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.serialize_f64(*self as f64)
     }
 }
 impl Deserialize for f32 {
@@ -191,8 +242,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.serialize_bool(*self)
     }
 }
 impl Deserialize for bool {
@@ -204,9 +255,15 @@ impl Deserialize for bool {
     }
 }
 
+impl Serialize for str {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.serialize_str(self)
+    }
+}
+
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.serialize_str(self)
     }
 }
 impl Deserialize for String {
@@ -218,15 +275,25 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for &str {
-    fn serialize(&self) -> Value {
-        Value::Str((*self).to_string())
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        (**self).serialize(s)
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        s.begin_seq()?;
+        for item in self {
+            s.element(item)?;
+        }
+        s.end_seq()
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        self.as_slice().serialize(s)
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -239,10 +306,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
         match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.serialize_null(),
         }
     }
 }
@@ -255,9 +322,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        (**self).serialize(s)
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -269,8 +336,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+);)*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
+            fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+                s.begin_seq()?;
+                $(s.element(&self.$idx)?;)+
+                s.end_seq()
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -294,9 +363,25 @@ impl_tuple! {
     (A: 0, B: 1, C: 2, D: 3);
 }
 
+/// A parsed tree serializes by walking it.
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        match self {
+            Value::Null => s.serialize_null(),
+            Value::Bool(b) => s.serialize_bool(*b),
+            Value::I64(i) => s.serialize_i64(*i),
+            Value::U64(u) => s.serialize_u64(*u),
+            Value::F64(f) => s.serialize_f64(*f),
+            Value::Str(v) => s.serialize_str(v),
+            Value::Seq(items) => items.serialize(s),
+            Value::Map(entries) => {
+                s.begin_map()?;
+                for (key, value) in entries {
+                    s.entry(key, value)?;
+                }
+                s.end_map()
+            }
+        }
     }
 }
 impl Deserialize for Value {

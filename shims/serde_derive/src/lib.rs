@@ -1,13 +1,15 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against the
-//! value-tree model in the sibling `serde` shim, without depending on
-//! `syn`/`quote` (the build environment has no registry access). The parser
-//! walks the raw `proc_macro::TokenStream` and supports the shapes this
-//! workspace actually uses: named/tuple/unit structs (optionally generic),
-//! externally tagged enums with unit/newtype/tuple/struct variants, and the
-//! field attributes `#[serde(default)]`, `#[serde(default = "path")]`, and
-//! `#[serde(skip)]`.
+//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
+//! sibling `serde` shim, without depending on `syn`/`quote` (the build
+//! environment has no registry access). A derived `Serialize` emits one
+//! `Serializer` call per field, with no intermediate value tree; a derived
+//! `Deserialize` reads the parsed `Value` tree. The parser walks the raw
+//! `proc_macro::TokenStream` and supports the shapes this workspace actually
+//! uses: named/tuple/unit structs (optionally generic), externally tagged
+//! enums with unit/newtype/tuple/struct variants, and the field attributes
+//! `#[serde(default)]`, `#[serde(default = "path")]`, `#[serde(skip)]` and
+//! `#[serde(skip_serializing_if = "path")]`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -28,6 +30,8 @@ enum DefaultKind {
 struct SerdeAttrs {
     skip: bool,
     default: DefaultKind,
+    /// A `fn(&T) -> bool` path; the field is left out when it returns true.
+    skip_serializing_if: Option<String>,
 }
 
 struct Field {
@@ -55,12 +59,14 @@ enum Body {
 
 struct Input {
     name: String,
+    /// Lifetime (with their `'`) and type parameters, in order.
     generics: Vec<String>,
     body: Body,
 }
 
 fn take_attrs(it: &mut Iter) -> SerdeAttrs {
-    let mut attrs = SerdeAttrs { skip: false, default: DefaultKind::None };
+    let mut attrs =
+        SerdeAttrs { skip: false, default: DefaultKind::None, skip_serializing_if: None };
     loop {
         match it.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
@@ -91,21 +97,27 @@ fn parse_attr_group(ts: TokenStream, attrs: &mut SerdeAttrs) {
             match id.to_string().as_str() {
                 "skip" => attrs.skip = true,
                 "default" => {
-                    let has_eq =
-                        matches!(it.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '=');
-                    if has_eq {
-                        it.next();
-                        if let Some(TokenTree::Literal(lit)) = it.next() {
-                            let s = lit.to_string();
-                            attrs.default = DefaultKind::Path(s.trim_matches('"').to_string());
-                        }
-                    } else {
-                        attrs.default = DefaultKind::Std;
+                    attrs.default = match path_value(&mut it) {
+                        Some(path) => DefaultKind::Path(path),
+                        None => DefaultKind::Std,
                     }
                 }
+                "skip_serializing_if" => attrs.skip_serializing_if = path_value(&mut it),
                 _ => {}
             }
         }
+    }
+}
+
+/// Consumes `= "path"` if it follows, returning the path.
+fn path_value(it: &mut Iter) -> Option<String> {
+    if !matches!(it.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
+        return None;
+    }
+    it.next();
+    match it.next() {
+        Some(TokenTree::Literal(lit)) => Some(lit.to_string().trim_matches('"').to_string()),
+        _ => None,
     }
 }
 
@@ -132,7 +144,7 @@ fn parse_generics(it: &mut Iter) -> Vec<String> {
     it.next();
     let mut depth = 1usize;
     let mut expecting_name = true;
-    let mut skip_lifetime_ident = false;
+    let mut lifetime_next = false;
     for tt in it.by_ref() {
         match &tt {
             TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
@@ -143,12 +155,16 @@ fn parse_generics(it: &mut Iter) -> Vec<String> {
                 }
             }
             TokenTree::Punct(p) if p.as_char() == '\'' && depth == 1 => {
-                skip_lifetime_ident = true;
+                lifetime_next = true;
             }
             TokenTree::Punct(p) if p.as_char() == ',' && depth == 1 => expecting_name = true,
             TokenTree::Ident(id) if depth == 1 => {
-                if skip_lifetime_ident {
-                    skip_lifetime_ident = false;
+                if lifetime_next {
+                    lifetime_next = false;
+                    if expecting_name {
+                        params.push(format!("'{id}"));
+                        expecting_name = false;
+                    }
                 } else if expecting_name {
                     let s = id.to_string();
                     if s != "const" {
@@ -341,8 +357,17 @@ fn impl_header(trait_name: &str, input: &Input) -> String {
     if input.generics.is_empty() {
         format!("impl ::serde::{trait_name} for {} ", input.name)
     } else {
-        let bounded: Vec<String> =
-            input.generics.iter().map(|g| format!("{g}: ::serde::{trait_name}")).collect();
+        let bounded: Vec<String> = input
+            .generics
+            .iter()
+            .map(|g| {
+                if g.starts_with('\'') {
+                    g.clone()
+                } else {
+                    format!("{g}: ::serde::{trait_name}")
+                }
+            })
+            .collect();
         format!(
             "impl<{}> ::serde::{trait_name} for {}<{}> ",
             bounded.join(", "),
@@ -352,21 +377,40 @@ fn impl_header(trait_name: &str, input: &Input) -> String {
     }
 }
 
-fn serialize_named_fields(fields: &[Field], access: &str) -> String {
-    let mut out = String::from(
-        "{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-    );
-    for f in fields {
-        if f.attrs.skip {
-            continue;
+/// Statements writing `fields` as the entries of an open map; `access`
+/// turns a field name into an expression of reference type.
+fn serialize_entries(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut out = String::new();
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
+        let value = access(&f.name);
+        let entry = format!("::serde::Serializer::entry(__s, \"{}\", {value})?;\n", f.name);
+        match &f.attrs.skip_serializing_if {
+            Some(path) => out.push_str(&format!("if !{path}({value}) {{ {entry} }}\n")),
+            None => out.push_str(&entry),
         }
-        out.push_str(&format!(
-            "__fields.push((\"{0}\".to_string(), ::serde::Serialize::serialize({1}{0})));\n",
-            f.name, access
-        ));
     }
-    out.push_str("::serde::Value::Map(__fields) }");
     out
+}
+
+/// Statements writing `items` as the elements of a new sequence.
+fn serialize_seq(items: &[String]) -> String {
+    let mut out = String::from("::serde::Serializer::begin_seq(__s)?;\n");
+    for item in items {
+        out.push_str(&format!("::serde::Serializer::element(__s, {item})?;\n"));
+    }
+    out.push_str("::serde::Serializer::end_seq(__s)?;\n");
+    out
+}
+
+/// Wraps `body` (statements writing one value) as the single entry
+/// `variant` of a map: the externally tagged enum encoding.
+fn tagged(variant: &str, body: &str) -> String {
+    format!(
+        "::serde::Serializer::begin_map(__s)?;\n\
+         ::serde::Serializer::map_key(__s, \"{variant}\")?;\n\
+         {body}\
+         ::serde::Serializer::end_map(__s)"
+    )
 }
 
 fn deserialize_named_fields(fields: &[Field], ty_label: &str, source: &str) -> String {
@@ -397,61 +441,64 @@ fn deserialize_named_fields(fields: &[Field], ty_label: &str, source: &str) -> S
 fn gen_serialize(input: &Input) -> String {
     let header = impl_header("Serialize", input);
     let body = match &input.body {
-        Body::NamedStruct(fields) => serialize_named_fields(fields, "&self."),
-        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
+        Body::NamedStruct(fields) => format!(
+            "::serde::Serializer::begin_map(__s)?;\n{}::serde::Serializer::end_map(__s)",
+            serialize_entries(fields, |name| format!("&self.{name}"))
+        ),
+        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __s)".to_string(),
         Body::TupleStruct(n) => {
-            let items: Vec<String> =
-                (0..*n).map(|i| format!("::serde::Serialize::serialize(&self.{i})")).collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
+            let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            format!("{}::std::result::Result::Ok(())", serialize_seq(&items))
         }
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
+        Body::UnitStruct => "::serde::Serializer::serialize_null(__s)".to_string(),
         Body::Enum(variants) => {
+            let ty = &input.name;
             let mut arms = String::new();
             for v in variants {
-                let ty = &input.name;
                 let vn = &v.name;
-                match &v.body {
-                    VariantBody::Unit => arms.push_str(&format!(
-                        "{ty}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
-                    )),
-                    VariantBody::Tuple(1) => arms.push_str(&format!(
-                        "{ty}::{vn}(__f0) => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Serialize::serialize(__f0))]),\n"
-                    )),
+                let arm = match &v.body {
+                    VariantBody::Unit => {
+                        format!(
+                            "{ty}::{vn} => ::serde::Serializer::serialize_str(__s, \"{vn}\"),\n"
+                        )
+                    }
+                    VariantBody::Tuple(1) => format!(
+                        "{ty}::{vn}(__f0) => {{ {} }}\n",
+                        tagged(vn, "::serde::Serialize::serialize(__f0, __s)?;\n")
+                    ),
                     VariantBody::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::serialize(__f{i})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{ty}::{vn}({}) => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Seq(vec![{}]))]),\n",
+                        format!(
+                            "{ty}::{vn}({}) => {{ {} }}\n",
                             binders.join(", "),
-                            items.join(", ")
-                        ));
+                            tagged(vn, &serialize_seq(&binders))
+                        )
                     }
                     VariantBody::Named(fields) => {
-                        let binders: Vec<String> = fields
+                        let binders: Vec<&str> = fields
                             .iter()
                             .filter(|f| !f.attrs.skip)
-                            .map(|f| f.name.clone())
+                            .map(|f| f.name.as_str())
                             .collect();
-                        let mut map_items = String::new();
-                        for f in fields.iter().filter(|f| !f.attrs.skip) {
-                            map_items.push_str(&format!(
-                                "(\"{0}\".to_string(), ::serde::Serialize::serialize({0})),",
-                                f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{ty}::{vn} {{ {}, .. }} => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Map(vec![{map_items}]))]),\n",
-                            binders.join(", ")
-                        ));
+                        let inner = format!(
+                            "::serde::Serializer::begin_map(__s)?;\n{}::serde::Serializer::end_map(__s)?;\n",
+                            serialize_entries(fields, str::to_string)
+                        );
+                        format!(
+                            "{ty}::{vn} {{ {}, .. }} => {{ {} }}\n",
+                            binders.join(", "),
+                            tagged(vn, &inner)
+                        )
                     }
-                }
+                };
+                arms.push_str(&arm);
             }
             format!("match self {{\n{arms}}}")
         }
     };
-    format!("{header}{{ fn serialize(&self) -> ::serde::Value {{ {body} }} }}")
+    format!(
+        "{header}{{ fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) -> ::std::result::Result<(), __S::Error> {{ {body} }} }}"
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {

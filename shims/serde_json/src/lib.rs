@@ -1,8 +1,11 @@
-//! Offline stand-in for `serde_json`: parses and pretty-prints JSON against
-//! the value-tree model of the `serde` shim. Supports the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers with exponents, booleans,
-//! null) plus the two entry points this workspace uses: [`from_str`] and
-//! [`to_string_pretty`].
+//! Offline stand-in for `serde_json`. Parsing builds the `serde` shim's
+//! [`Value`] tree and deserializes from it; it supports the full JSON
+//! grammar (objects, arrays, strings with escapes, numbers with exponents,
+//! booleans, null). Writing is one pass: [`to_writer`], [`to_string`] and
+//! [`to_string_pretty`] drive the type's `Serialize` impl straight into the
+//! output bytes, with no intermediate tree.
+
+use std::io;
 
 pub use serde::Value;
 
@@ -281,131 +284,187 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     T::deserialize(&value).map_err(|e| Error::new(e.to_string(), 0, 0))
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The JSON [`serde::Serializer`]: writes each token straight to `out`,
+/// compact or 2-space indented. Pass a buffered writer; every token is
+/// one `write_all`.
+struct Writer<W> {
+    out: W,
+    pretty: bool,
+    /// Open sequences and maps.
+    depth: usize,
+    /// No element or entry written yet in the innermost open container.
+    first: bool,
 }
 
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e16 {
-            // Match serde_json: integral floats keep a trailing `.0`.
-            out.push_str(&format!("{v:.1}"));
+impl<W: io::Write> Writer<W> {
+    fn new(out: W, pretty: bool) -> Self {
+        Writer { out, pretty, depth: 0, first: true }
+    }
+
+    fn put(&mut self, s: &str) -> io::Result<()> {
+        self.out.write_all(s.as_bytes())
+    }
+
+    /// Starts the next element or entry of the open container.
+    fn next_item(&mut self) -> io::Result<()> {
+        if !self.first {
+            self.put(",")?;
+        }
+        self.first = false;
+        if self.pretty {
+            self.newline()?;
+        }
+        Ok(())
+    }
+
+    fn newline(&mut self) -> io::Result<()> {
+        self.put("\n")?;
+        for _ in 0..self.depth {
+            self.put("  ")?;
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: &str) -> io::Result<()> {
+        self.depth += 1;
+        self.first = true;
+        self.put(bracket)
+    }
+
+    fn close(&mut self, bracket: &str) -> io::Result<()> {
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline()?;
+        }
+        // The enclosing container now holds this one.
+        self.first = false;
+        self.put(bracket)
+    }
+
+    /// Writes `s` as a quoted JSON string, copying unescaped runs whole.
+    fn quoted(&mut self, s: &str) -> io::Result<()> {
+        self.put("\"")?;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `run..i` ends on a char boundary.
+            self.put(&s[run..i])?;
+            if escape.is_empty() {
+                write!(self.out, "\\u{b:04x}")?;
+            } else {
+                self.put(escape)?;
+            }
+            run = i + 1;
+        }
+        self.put(&s[run..])?;
+        self.put("\"")
+    }
+}
+
+impl<W: io::Write> serde::Serializer for Writer<W> {
+    type Error = io::Error;
+
+    fn serialize_null(&mut self) -> io::Result<()> {
+        self.put("null")
+    }
+
+    fn serialize_bool(&mut self, v: bool) -> io::Result<()> {
+        self.put(if v { "true" } else { "false" })
+    }
+
+    fn serialize_i64(&mut self, v: i64) -> io::Result<()> {
+        write!(self.out, "{v}")
+    }
+
+    fn serialize_u64(&mut self, v: u64) -> io::Result<()> {
+        write!(self.out, "{v}")
+    }
+
+    fn serialize_f64(&mut self, v: f64) -> io::Result<()> {
+        if !v.is_finite() {
+            // serde_json emits null for non-finite floats.
+            self.put("null")
+        } else if v == v.trunc() && v.abs() < 1e16 {
+            // Match serde_json: integral floats keep a trailing `.0`. Below
+            // 1e16 the shortest form of an integral float is its exact
+            // integer digits (sign of zero included), the same bytes as
+            // `{v:.1}` without the exact-precision formatter's cost.
+            write!(self.out, "{v}.0")
         } else {
-            out.push_str(&format!("{v}"));
+            write!(self.out, "{v}")
         }
-    } else {
-        // serde_json emits null for non-finite floats.
-        out.push_str("null");
+    }
+
+    fn serialize_str(&mut self, v: &str) -> io::Result<()> {
+        self.quoted(v)
+    }
+
+    fn begin_seq(&mut self) -> io::Result<()> {
+        self.open("[")
+    }
+
+    fn seq_element(&mut self) -> io::Result<()> {
+        self.next_item()
+    }
+
+    fn end_seq(&mut self) -> io::Result<()> {
+        self.close("]")
+    }
+
+    fn begin_map(&mut self) -> io::Result<()> {
+        self.open("{")
+    }
+
+    fn map_key(&mut self, key: &str) -> io::Result<()> {
+        self.next_item()?;
+        self.quoted(key)?;
+        self.put(if self.pretty { ": " } else { ":" })
+    }
+
+    fn end_map(&mut self) -> io::Result<()> {
+        self.close("}")
     }
 }
 
-fn write_pretty(out: &mut String, v: &Value, indent: usize) {
-    const PAD: &str = "  ";
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(i) => out.push_str(&i.to_string()),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent + 1));
-                write_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent + 1));
-                escape_into(out, k);
-                out.push_str(": ");
-                write_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push('}');
-        }
-    }
+fn write_json<W: io::Write, T: serde::Serialize + ?Sized>(
+    out: W,
+    value: &T,
+    pretty: bool,
+) -> Result<()> {
+    value.serialize(&mut Writer::new(out, pretty)).map_err(|e| Error::new(e.to_string(), 0, 0))
 }
 
-fn write_compact(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(i) => out.push_str(&i.to_string()),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, k);
-                out.push(':');
-                write_compact(out, item);
-            }
-            out.push('}');
-        }
-    }
+/// Serializes `value` as compact JSON into `out`, in one pass. `out`
+/// receives one small write per token, so pass a buffered writer (or a
+/// `Vec<u8>`).
+pub fn to_writer<W: io::Write, T: serde::Serialize + ?Sized>(out: W, value: &T) -> Result<()> {
+    write_json(out, value, false)
+}
+
+fn into_string(bytes: Vec<u8>) -> Result<String> {
+    String::from_utf8(bytes).map_err(|e| Error::new(e.to_string(), 0, 0))
 }
 
 /// Serializes `value` as a pretty-printed (2-space indented) JSON string.
-pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_pretty(&mut out, &value.serialize(), 0);
-    Ok(out)
+pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
+    let mut out = Vec::new();
+    write_json(&mut out, value, true)?;
+    into_string(out)
 }
 
 /// Serializes `value` as a compact JSON string.
-pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_compact(&mut out, &value.serialize());
-    Ok(out)
+pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    into_string(out)
 }
 
 #[cfg(test)]
@@ -425,19 +484,13 @@ mod tests {
     fn roundtrip_nested() {
         let src = "{\"a\": [1, 2.5, {\"b\": \"x\"}], \"c\": null}";
         let v = parse_value(src).unwrap();
-        let pretty = {
-            let mut s = String::new();
-            write_pretty(&mut s, &v, 0);
-            s
-        };
-        assert_eq!(parse_value(&pretty).unwrap(), v);
+        assert_eq!(parse_value(&to_string_pretty(&v).unwrap()).unwrap(), v);
+        assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v);
     }
 
     #[test]
     fn integral_float_keeps_point() {
-        let mut s = String::new();
-        write_f64(&mut s, 300.0);
-        assert_eq!(s, "300.0");
+        assert_eq!(to_string(&300.0).unwrap(), "300.0");
     }
 
     #[test]
