@@ -500,6 +500,49 @@ impl Simulation {
 // so the two paths cannot drift apart. `nodes` and `batch` are index-aligned:
 // slot `i` of the batch mirrors `nodes[i]`.
 
+/// How many nodes ahead of the one being processed a node pass
+/// prefetches. Measured on the 10k-node fleet against 1, 2, 3 and 8
+/// (DESIGN §14).
+const PREFETCH_AHEAD: usize = 4;
+
+/// The fewest nodes a pass must walk to prefetch at all. Measured on a
+/// 2-vCPU x86-64 host with a 2 MB L2 (DESIGN §14): walks of 2,048 nodes
+/// and more saved 10–19 % of a sample period, while walks of 256 to 1,024
+/// nodes lost 4–9 %.
+const PREFETCH_MIN_NODES: usize = 2048;
+
+/// The node [`PREFETCH_AHEAD`] places after `i`, when `nodes` is long
+/// enough for prefetching it to pay.
+#[inline(always)]
+fn node_ahead(nodes: &[NodeSim], i: usize) -> Option<&NodeSim> {
+    if nodes.len() < PREFETCH_MIN_NODES {
+        return None;
+    }
+    nodes.get(i + PREFETCH_AHEAD)
+}
+
+/// Asks the CPU to start loading every cache line of `value`, so a node
+/// pass finds the state of the nodes ahead already in cache instead of
+/// stalling on each one in turn. A hint with no semantic effect; it
+/// compiles to nothing on targets other than x86_64.
+#[inline(always)]
+fn prefetch<T: ?Sized>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = (value as *const T).cast::<i8>();
+        let lead = start as usize % 64;
+        let first = start.wrapping_sub(lead);
+        for offset in (0..lead + std::mem::size_of_val(value)).step_by(64) {
+            // SAFETY: a prefetch only hints the cache; it never faults,
+            // reads into a register or writes, whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
 /// Pass A: advance every rank's workload and fold the barrier flags into
 /// `out`. Fast (non-passthrough) ranks read their execution speed from and
 /// write their load into the lanes; passthrough ranks use the scalar node.
@@ -511,7 +554,12 @@ pub(crate) fn workload_pass(
 ) {
     out.unfinished_parked = true;
     out.any_parked = false;
-    for (i, ns) in nodes.iter_mut().enumerate() {
+    for i in 0..nodes.len() {
+        if let Some(ahead) = node_ahead(nodes, i) {
+            prefetch(&ahead.passthrough);
+            prefetch(&*ahead.workload);
+        }
+        let ns = &mut nodes[i];
         if !ns.passthrough {
             let speed = batch.speed_factor(i);
             let w = ns.workload.advance(dt_s, speed);
@@ -541,12 +589,16 @@ pub(crate) fn workload_pass(
 /// fast ranks, the scalar tick for passthrough ranks), per-node heat
 /// capture, finish detection.
 ///
-/// When the whole range is batchable the pass takes the pure-lane route:
-/// barrier release and finish detection touch only workload state — disjoint
-/// from the physics lanes — so they hoist into their own ascending-index
-/// loops around `tick_all` without perturbing per-node evaluation order.
-/// Fast ranks emit no per-tick journal events (no tick daemons, no fault
-/// sources), so the journal stream is unaffected.
+/// Barrier release and finish detection touch only workload state, and a
+/// lane tick reads no workload state, so the fast ranks' lane ticks hoist
+/// out of the per-node loop without perturbing any node's evaluation. When
+/// the whole range is batchable the pass takes the staged pure-lane route
+/// (`tick_all`, with release and finish detection in their own
+/// ascending-index loops); a mixed range ticks its fast slots in one pinned
+/// walk (`tick_fast`), then runs release, the scalar tick of passthrough
+/// ranks, heat capture and finish detection per node. Fast ranks emit no
+/// per-tick journal events (no tick daemons, no fault sources), so the
+/// journal stream is unaffected either way.
 #[allow(clippy::too_many_arguments)] // mirrors PassKind::Hardware exactly
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
@@ -581,14 +633,13 @@ pub(crate) fn hardware_pass(
         }
         return;
     }
+    batch.tick_fast(dt_s);
     for (i, ns) in nodes.iter_mut().enumerate() {
         if release {
             ns.workload.release_barrier();
         }
         if ns.passthrough {
             ns.tick_hardware(dt_s, now_s, journal.as_deref_mut());
-        } else {
-            batch.tick_node(i, dt_s);
         }
         if let Some(heat) = heat.as_deref_mut() {
             heat[i] = if ns.passthrough { ns.node.heat_output_w() } else { batch.heat_output_w(i) };
@@ -612,7 +663,11 @@ pub(crate) fn sample_pass(
     now_s: f64,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
 ) {
-    for (i, ns) in nodes.iter_mut().enumerate() {
+    for i in 0..nodes.len() {
+        if let Some(ahead) = node_ahead(nodes, i) {
+            prefetch(ahead);
+        }
+        let ns = &mut nodes[i];
         if ns.passthrough {
             ns.on_sample(now_s, journal.as_deref_mut());
         } else {

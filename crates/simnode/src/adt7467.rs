@@ -13,8 +13,6 @@
 //! encoding (0x00–0xFF) and the same behavioural split between automatic and
 //! manual control.
 
-use std::any::Any;
-
 use crate::i2c::{DeviceError, SmbusDevice};
 use crate::units::DutyCycle;
 
@@ -225,14 +223,6 @@ impl SmbusDevice for Adt7467 {
             }
             other => Err(DeviceError::InvalidRegister(other)),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

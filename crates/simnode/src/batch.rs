@@ -12,7 +12,7 @@
 //!
 //! # Bit-identical by construction
 //!
-//! Every arithmetic step in [`tick_node`] delegates to the same
+//! Every arithmetic step of a lane tick delegates to the same
 //! `pub(crate)` raw functions the scalar path uses ([`thermal::step_raw`],
 //! [`cpu::power_raw`], [`fan::step_raw`], [`power::observe_raw`],
 //! [`adt7467::static_curve_duty_raw`]) with operands in the same order, and
@@ -26,12 +26,15 @@
 //! Nodes whose semantics the lanes cannot replicate — active fault sources,
 //! per-tick control daemons — are flagged *passthrough*: the batch carries
 //! their slot but never ticks it, and the owner keeps driving the scalar
-//! [`Node`] for them. [`all_fast`] lets the owner take a pure-lane route
-//! when a whole shard is batchable.
+//! [`Node`] for them. [`all_fast`] lets the owner take the staged pure-lane
+//! route ([`tick_all`]) when a whole shard is batchable; a mixed shard ticks
+//! its fast slots in one walk ([`tick_fast`]) and the rest on the scalar
+//! path.
 //!
 //! [`load`]: PhysicsBatch::load
 //! [`store`]: PhysicsBatch::store
-//! [`tick_node`]: PhysicsBatch::tick_node
+//! [`tick_all`]: PhysicsBatch::tick_all
+//! [`tick_fast`]: PhysicsBatch::tick_fast
 //! [`all_fast`]: PhysicsBatch::all_fast
 //! [`Node::tick`]: crate::node::Node::tick
 //! [`thermal::step_raw`]: crate::thermal
@@ -42,10 +45,10 @@
 
 use unitherm_metrics::RunningStats;
 
-use crate::adt7467::{self, Adt7467, PwmMode};
+use crate::adt7467::{self, PwmMode};
 use crate::cpu::{self, ThermalCondition};
 use crate::fan;
-use crate::node::{Node, ADT7467_ADDR};
+use crate::node::Node;
 use crate::power;
 use crate::thermal;
 use crate::units::DutyCycle;
@@ -132,6 +135,10 @@ pub struct PhysicsBatch {
     sleep_gate: Vec<f64>,
     top_v: Vec<f64>,
     top_f: Vec<f64>,
+    /// Index into the node's P-state table of the requested P-state that
+    /// `req_v`/`req_f` hold, so a sample reload reads the table only when a
+    /// daemon changed the request.
+    req_idx: Vec<usize>,
     req_v: Vec<f64>,
     req_f: Vec<f64>,
     min_v: Vec<f64>,
@@ -223,6 +230,7 @@ impl PhysicsBatch {
         self.sleep_gate.push(1.0);
         self.top_v.push(0.0);
         self.top_f.push(0.0);
+        self.req_idx.push(0);
         self.req_v.push(0.0);
         self.req_f.push(0.0);
         self.min_v.push(0.0);
@@ -279,11 +287,6 @@ impl PhysicsBatch {
         }
     }
 
-    /// True when slot `i` is passthrough.
-    pub fn is_passthrough(&self, i: usize) -> bool {
-        self.passthrough[i]
-    }
-
     /// True when no slot is passthrough (pure-lane fast route is valid).
     pub fn all_fast(&self) -> bool {
         self.passthrough_count == 0
@@ -317,8 +320,7 @@ impl PhysicsBatch {
         self.fan_max_w[i] = f.cfg.max_power_w;
         self.fan_lag_cache[i] = f.lag_cache;
 
-        let chip: &Adt7467 =
-            node.bus.device(ADT7467_ADDR).expect("node carries an ADT7467 at its fixed address");
+        let chip = node.bus.device();
         self.chip_auto[i] = chip.mode == PwmMode::Automatic;
         self.chip_measured[i] = chip.measured_temp_c;
         self.chip_pwm[i] = chip.pwm_current;
@@ -338,6 +340,7 @@ impl PhysicsBatch {
         let min = *c.cfg.pstates.last().expect("non-empty pstates");
         self.top_v[i] = top.voltage_v;
         self.top_f[i] = f64::from(top.freq_mhz);
+        self.req_idx[i] = c.requested;
         self.req_v[i] = req.voltage_v;
         self.req_f[i] = f64::from(req.freq_mhz);
         self.min_v[i] = min.voltage_v;
@@ -385,10 +388,7 @@ impl PhysicsBatch {
         f.rpm = self.fan_rpm[i];
         f.lag_cache = self.fan_lag_cache[i];
 
-        let chip: &mut Adt7467 = node
-            .bus
-            .device_mut(ADT7467_ADDR)
-            .expect("node carries an ADT7467 at its fixed address");
+        let chip = node.bus.device_mut();
         chip.measured_temp_c = self.chip_measured[i];
         chip.pwm_current = self.chip_pwm[i];
 
@@ -409,22 +409,22 @@ impl PhysicsBatch {
 
     /// Re-syncs slot `i` from `node` after a control-plane decision point,
     /// copying only the lanes an actuator can write: fan duty and fault
-    /// latches, the ADT7467 registers and mode, the CPU's requested P-state,
-    /// thermal condition, sleep gate, and load. Cheaper than a full
-    /// [`PhysicsBatch::load`] at every sample tick; all other lanes are
-    /// already bit-exact because [`PhysicsBatch::store`] just wrote them and
-    /// sampling cannot touch them. Debug builds verify that claim against
-    /// the full node state, so a future actuator that grows new side
-    /// effects fails loudly under `cargo test` instead of silently
-    /// diverging in release.
+    /// latches, the ADT7467 registers and mode, the CPU's requested P-state
+    /// (its voltage and frequency re-read from the P-state table only when
+    /// the request changed), thermal condition, sleep gate, and load.
+    /// Cheaper than a full [`PhysicsBatch::load`] at every sample tick; all
+    /// other lanes are already bit-exact because [`PhysicsBatch::store`]
+    /// just wrote them and sampling cannot touch them. Debug builds verify
+    /// that claim against the full node state, so a future actuator that
+    /// grows new side effects fails loudly under `cargo test` instead of
+    /// silently diverging in release.
     pub fn reload_control(&mut self, i: usize, node: &Node) {
         let f = &node.fan;
         self.fan_duty_pct[i] = f.duty.percent();
         self.fan_failed[i] = f.failed;
         self.fan_stuck[i] = f.pwm_stuck;
 
-        let chip: &Adt7467 =
-            node.bus.device(ADT7467_ADDR).expect("node carries an ADT7467 at its fixed address");
+        let chip = node.bus.device();
         self.chip_auto[i] = chip.mode == PwmMode::Automatic;
         self.chip_pwm[i] = chip.pwm_current;
         self.chip_pwm_min[i] = chip.pwm_min;
@@ -437,9 +437,12 @@ impl PhysicsBatch {
         self.sleep_gate[i] = c.sleep_gate;
         self.util[i] = c.utilization;
         self.activity[i] = c.activity;
-        let req = c.cfg.pstates[c.requested];
-        self.req_v[i] = req.voltage_v;
-        self.req_f[i] = f64::from(req.freq_mhz);
+        if self.req_idx[i] != c.requested {
+            let req = c.cfg.pstates[c.requested];
+            self.req_idx[i] = c.requested;
+            self.req_v[i] = req.voltage_v;
+            self.req_f[i] = f64::from(req.freq_mhz);
+        }
 
         #[cfg(debug_assertions)]
         self.assert_slot_in_sync(i, node);
@@ -447,7 +450,8 @@ impl PhysicsBatch {
 
     /// Debug-build check backing [`PhysicsBatch::reload_control`]: every
     /// lane that method does *not* copy must already match `node` bit for
-    /// bit. Comparisons go through `to_bits` because memo caches idle at
+    /// bit, and so must the requested-P-state lanes it copies only on a
+    /// change. Comparisons go through `to_bits` because memo caches idle at
     /// NaN sentinels.
     #[cfg(debug_assertions)]
     fn assert_slot_in_sync(&self, i: usize, node: &Node) {
@@ -490,12 +494,15 @@ impl PhysicsBatch {
             "fan lag cache lane out of sync"
         );
 
-        let chip: &Adt7467 =
-            node.bus.device(ADT7467_ADDR).expect("node carries an ADT7467 at its fixed address");
+        let chip = node.bus.device();
         assert!(eq(self.chip_measured[i], chip.measured_temp_c), "chip measured lane out of sync");
 
         let c = &node.cpu;
         assert_eq!(self.throttle_events[i], c.throttle_events, "throttle events lane out of sync");
+        let req = c.cfg.pstates[c.requested];
+        assert_eq!(self.req_idx[i], c.requested, "requested P-state lane out of sync");
+        assert!(eq(self.req_v[i], req.voltage_v), "requested voltage lane out of sync");
+        assert!(eq(self.req_f[i], f64::from(req.freq_mhz)), "requested freq lane out of sync");
         let top = c.cfg.pstates[0];
         let min = *c.cfg.pstates.last().expect("non-empty pstates");
         assert!(eq(self.top_v[i], top.voltage_v), "top voltage lane out of sync");
@@ -538,7 +545,7 @@ impl PhysicsBatch {
     }
 
     /// Advances the lockstep tick/time counters — call exactly once per
-    /// simulation tick, before [`PhysicsBatch::tick_node`] /
+    /// simulation tick, before [`PhysicsBatch::tick_fast`] /
     /// [`PhysicsBatch::tick_all`]. Mirrors the `ticks += 1; time_s += dt`
     /// prologue of `Node::tick` so stored-back nodes agree with scalar ones.
     pub fn begin_tick(&mut self, dt_s: f64) {
@@ -586,6 +593,7 @@ impl PhysicsBatch {
     /// the batch's throughput comes from.
     fn hot(&mut self) -> HotLanes<'_> {
         HotLanes {
+            passthrough: &self.passthrough,
             skipped: &mut self.skipped,
             die_c: &mut self.die_c,
             sink_c: &mut self.sink_c,
@@ -643,17 +651,23 @@ impl PhysicsBatch {
         }
     }
 
-    /// One batched physics tick for slot `i` — the exact `Node::tick` chain
+    /// One batched physics tick for every fast slot, in slot order, over
+    /// lanes pinned once for the whole walk — the exact `Node::tick` chain
     /// (chip remote diode → fan → CPU power → RC thermal → thermal monitor →
-    /// meter) via the shared raw functions. The caller must have called
-    /// [`PhysicsBatch::begin_tick`] for this tick, and must only tick
-    /// non-passthrough slots (fast slots have no fault sources by
-    /// construction, so the fault-delivery prologue of `Node::tick` is a
-    /// no-op for them).
-    #[inline]
-    pub fn tick_node(&mut self, i: usize, dt_s: f64) {
-        debug_assert!(!self.passthrough[i], "passthrough slots tick on the scalar path");
-        tick_slot(&mut self.hot(), i, dt_s);
+    /// meter) via the shared raw functions. Passthrough slots are left to
+    /// the scalar path (fast slots have no fault sources by construction,
+    /// so the fault-delivery prologue of `Node::tick` is a no-op for them).
+    /// The caller must have called [`PhysicsBatch::begin_tick`].
+    ///
+    /// This is the route for a shard that mixes fast and passthrough
+    /// nodes; a fully batchable shard takes [`PhysicsBatch::tick_all`].
+    pub fn tick_fast(&mut self, dt_s: f64) {
+        let mut lanes = self.hot();
+        for i in 0..lanes.passthrough.len() {
+            if !lanes.passthrough[i] {
+                tick_slot(&mut lanes, i, dt_s);
+            }
+        }
     }
 
     /// Pure-lane tick over every slot — only valid when [`all_fast`] holds.
@@ -956,8 +970,8 @@ impl PhysicsBatch {
         }
     }
 
-    /// Drains the batched-tick counter for slot `i`: the number of
-    /// `tick_node` calls since the last drain. The owner folds this into the
+    /// Drains the batched-tick counter for slot `i`: the number of lane
+    /// ticks since the last drain. The owner folds this into the
     /// node's `ticks_skipped` counter at sync points — each batched tick is
     /// exactly one control-plane tick that observed nothing, matching the
     /// scalar path's per-tick early-out accounting.
@@ -969,6 +983,7 @@ impl PhysicsBatch {
 /// The lanes [`tick_slot`] touches, borrowed out of the batch as plain
 /// slices (see [`PhysicsBatch::hot`] for why this exists).
 struct HotLanes<'a> {
+    passthrough: &'a [bool],
     skipped: &'a mut [u64],
     die_c: &'a mut [f64],
     sink_c: &'a mut [f64],
@@ -1025,9 +1040,9 @@ struct HotLanes<'a> {
     m_last: &'a mut [Option<f64>],
 }
 
-/// The per-slot tick body shared by [`PhysicsBatch::tick_node`] and
-/// [`PhysicsBatch::tick_all`] — the exact `Node::tick` operation order over
-/// lanes.
+/// The per-slot tick body of [`PhysicsBatch::tick_fast`] — the exact
+/// `Node::tick` operation order over lanes, which [`PhysicsBatch::tick_all`]
+/// splits into one loop per stage.
 #[inline]
 fn tick_slot(l: &mut HotLanes<'_>, i: usize, dt_s: f64) {
     l.skipped[i] += 1;
@@ -1127,31 +1142,40 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
 
-    /// Drives a scalar node and a 1-slot batch through the same tick
-    /// sequence and asserts bit-identical state after store-back.
+    /// Drives a scalar node and two 1-slot batches — one per lane route —
+    /// through the same tick sequence and asserts bit-identical state after
+    /// store-back.
     fn assert_lockstep(mut cfg_mutate: impl FnMut(&mut NodeConfig), util: f64, ticks: u32) {
         let mut cfg = NodeConfig::default();
         cfg_mutate(&mut cfg);
         let mut scalar = Node::new(cfg.clone(), 42);
-        let mut batched = Node::new(cfg, 42);
         scalar.set_utilization(util);
-        batched.set_utilization(util);
+        let mut staged = Node::new(cfg.clone(), 42);
+        staged.set_utilization(util);
+        let mut walked = Node::new(cfg, 42);
+        walked.set_utilization(util);
 
-        let mut batch = PhysicsBatch::from_nodes([&batched]);
+        let mut staged_batch = PhysicsBatch::from_nodes([&staged]);
+        let mut walked_batch = PhysicsBatch::from_nodes([&walked]);
         let dt = 0.05;
         for _ in 0..ticks {
             scalar.tick(dt);
-            batch.begin_tick(dt);
-            batch.tick_node(0, dt);
+            staged_batch.begin_tick(dt);
+            staged_batch.tick_all(dt);
+            walked_batch.begin_tick(dt);
+            walked_batch.tick_fast(dt);
         }
-        batch.store(0, &mut batched);
+        staged_batch.store(0, &mut staged);
+        walked_batch.store(0, &mut walked);
 
-        assert_eq!(scalar.state(), batched.state());
-        assert_eq!(scalar.ticks(), batched.ticks());
-        assert_eq!(scalar.time_s().to_bits(), batched.time_s().to_bits());
-        assert_eq!(scalar.meter().energy_j().to_bits(), batched.meter().energy_j().to_bits());
-        assert_eq!(scalar.heat_output_w().to_bits(), batched.heat_output_w().to_bits());
-        assert_eq!(batch.take_skipped(0), u64::from(ticks));
+        for (batch, batched) in [(&mut staged_batch, &staged), (&mut walked_batch, &walked)] {
+            assert_eq!(scalar.state(), batched.state());
+            assert_eq!(scalar.ticks(), batched.ticks());
+            assert_eq!(scalar.time_s().to_bits(), batched.time_s().to_bits());
+            assert_eq!(scalar.meter().energy_j().to_bits(), batched.meter().energy_j().to_bits());
+            assert_eq!(scalar.heat_output_w().to_bits(), batched.heat_output_w().to_bits());
+            assert_eq!(batch.take_skipped(0), u64::from(ticks));
+        }
     }
 
     #[test]
@@ -1186,13 +1210,87 @@ mod tests {
     #[test]
     fn passthrough_bookkeeping() {
         let node = Node::new(NodeConfig::default(), 7);
-        let mut batch = PhysicsBatch::from_nodes([&node]);
+        let mut batch = PhysicsBatch::from_nodes([&node, &node]);
         assert!(batch.all_fast());
         batch.set_passthrough(0, true);
         batch.set_passthrough(0, true); // idempotent
-        assert!(batch.is_passthrough(0));
         assert!(!batch.all_fast());
+        batch.set_passthrough(1, true);
         batch.set_passthrough(0, false);
+        assert!(!batch.all_fast(), "slot 1 is still passthrough");
+        batch.set_passthrough(1, false);
         assert!(batch.all_fast());
+    }
+
+    #[test]
+    fn mixed_walk_ticks_only_fast_slots() {
+        let mut scalar = Node::new(NodeConfig::default(), 9);
+        scalar.set_utilization(1.0);
+        let mut nodes = [Node::new(NodeConfig::default(), 8), Node::new(NodeConfig::default(), 9)];
+        nodes[1].set_utilization(1.0);
+        let mut batch = PhysicsBatch::from_nodes(nodes.iter());
+        batch.set_passthrough(0, true);
+        let dt = 0.05;
+        for _ in 0..200 {
+            scalar.tick(dt);
+            batch.begin_tick(dt);
+            batch.tick_fast(dt);
+        }
+        let before = nodes[0].state();
+        batch.store(1, &mut nodes[1]);
+        assert_eq!(batch.take_skipped(0), 0, "the passthrough slot never ticked");
+        assert_eq!(batch.take_skipped(1), 200);
+        assert_eq!(scalar.state(), nodes[1].state());
+        batch.store(0, &mut nodes[0]);
+        assert_eq!(nodes[0].die_temp_c().to_bits(), before.die_temp_c.to_bits());
+    }
+
+    /// The requested-P-state lanes of slot `i`, as bits.
+    fn req_lanes(batch: &PhysicsBatch, i: usize) -> (usize, u64, u64) {
+        (batch.req_idx[i], batch.req_v[i].to_bits(), batch.req_f[i].to_bits())
+    }
+
+    #[test]
+    fn reload_carries_a_dvfs_change_and_nothing_else() {
+        let dt = 0.05;
+        let mut scalar = Node::new(NodeConfig::default(), 11);
+        let mut batched = Node::new(NodeConfig::default(), 11);
+        scalar.set_utilization(1.0);
+        batched.set_utilization(1.0);
+        let mut batch = PhysicsBatch::from_nodes([&batched]);
+        let run = |scalar: &mut Node, batch: &mut PhysicsBatch| {
+            for _ in 0..5 {
+                scalar.tick(dt);
+                batch.begin_tick(dt);
+                batch.tick_all(dt);
+            }
+        };
+
+        // A sample with no DVFS change leaves the lanes as they were.
+        run(&mut scalar, &mut batch);
+        batch.store(0, &mut batched);
+        let unchanged = req_lanes(&batch, 0);
+        batch.reload_control(0, &batched);
+        assert_eq!(req_lanes(&batch, 0), unchanged);
+
+        // A daemon steps the P-state down between two samples: the reload
+        // carries it into the lanes bit for bit.
+        run(&mut scalar, &mut batch);
+        batch.store(0, &mut batched);
+        assert!(scalar.set_frequency_khz(1_800_000).unwrap());
+        assert!(batched.set_frequency_khz(1_800_000).unwrap());
+        batch.reload_control(0, &batched);
+        let req = batched.cpu().requested_pstate();
+        assert_eq!(
+            req_lanes(&batch, 0),
+            (3, req.voltage_v.to_bits(), f64::from(req.freq_mhz).to_bits())
+        );
+        assert_ne!(req_lanes(&batch, 0), unchanged);
+
+        // The lanes then tick exactly like the scalar node at the new state.
+        run(&mut scalar, &mut batch);
+        batch.store(0, &mut batched);
+        assert_eq!(scalar.state(), batched.state());
+        assert_eq!(batch.speed_factor(0).to_bits(), scalar.speed_factor().to_bits());
     }
 }

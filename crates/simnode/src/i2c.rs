@@ -3,11 +3,9 @@
 //! The paper's fan driver talks to the ADT7467 through the i2c protocol; we
 //! reproduce that control path so the "driver" layer (`unitherm-hwmon`)
 //! exercises real addressed register transactions instead of poking the fan
-//! model directly. The bus supports multiple attached devices, transaction
-//! accounting, and NACK fault injection.
-
-use std::any::Any;
-use std::collections::BTreeMap;
+//! model directly. A bus carries one device at a fixed 7-bit address, held
+//! by value so the simulator reaches it without a lookup; it keeps
+//! transaction accounting and supports NACK fault injection.
 
 /// Error raised by a device while handling a register access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,10 +68,6 @@ pub trait SmbusDevice: Send {
     fn read_byte(&mut self, reg: u8) -> Result<u8, DeviceError>;
     /// Writes one register byte.
     fn write_byte(&mut self, reg: u8, value: u8) -> Result<(), DeviceError>;
-    /// Upcast for typed access from the simulator tick loop.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable upcast for typed access from the simulator tick loop.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Counters describing bus traffic.
@@ -87,114 +81,73 @@ pub struct BusStats {
     pub errors: u64,
 }
 
-/// An i2c bus with addressed SMBus devices.
-#[derive(Default)]
-pub struct I2cBus {
-    devices: BTreeMap<u8, Box<dyn SmbusDevice>>,
-    nacking: Vec<u8>,
+/// An i2c bus with one SMBus device at a fixed address.
+#[derive(Debug)]
+pub struct I2cBus<D> {
+    addr: u8,
+    nacking: bool,
     stats: BusStats,
+    device: D,
 }
 
-impl std::fmt::Debug for I2cBus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("I2cBus")
-            .field("addresses", &self.devices.keys().collect::<Vec<_>>())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl I2cBus {
-    /// Creates an empty bus.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a device at a 7-bit address.
+impl<D: SmbusDevice> I2cBus<D> {
+    /// Wires `device` to the bus at a 7-bit address.
     ///
     /// # Panics
-    /// Panics if the address is already occupied or outside the 7-bit range —
-    /// both are wiring bugs, not runtime conditions.
-    pub fn attach(&mut self, addr: u8, device: Box<dyn SmbusDevice>) {
+    /// Panics if the address is outside the 7-bit range — a wiring bug, not
+    /// a runtime condition.
+    pub fn new(addr: u8, device: D) -> Self {
         assert!(addr <= 0x7F, "i2c addresses are 7-bit, got 0x{addr:02x}");
-        assert!(!self.devices.contains_key(&addr), "i2c address 0x{addr:02x} already occupied");
-        self.devices.insert(addr, device);
+        Self { addr, nacking: false, stats: BusStats::default(), device }
     }
 
-    /// Addresses of all attached devices.
-    pub fn addresses(&self) -> impl Iterator<Item = u8> + '_ {
-        self.devices.keys().copied()
+    /// Routes one transaction to the device, or fails it as a missing
+    /// address or an injected NACK.
+    fn transact<T>(
+        &mut self,
+        addr: u8,
+        op: impl FnOnce(&mut D) -> Result<T, DeviceError>,
+    ) -> Result<T, I2cError> {
+        let result = if addr != self.addr {
+            Err(I2cError::NoDevice { addr })
+        } else if self.nacking {
+            Err(I2cError::Nack { addr })
+        } else {
+            op(&mut self.device).map_err(I2cError::from)
+        };
+        if result.is_err() {
+            self.stats.errors += 1;
+        }
+        result
     }
 
     /// Reads one register byte from the device at `addr`.
     pub fn read_byte(&mut self, addr: u8, reg: u8) -> Result<u8, I2cError> {
-        if self.nacking.contains(&addr) {
-            self.stats.errors += 1;
-            return Err(I2cError::Nack { addr });
-        }
-        let dev = match self.devices.get_mut(&addr) {
-            Some(d) => d,
-            None => {
-                self.stats.errors += 1;
-                return Err(I2cError::NoDevice { addr });
-            }
-        };
-        match dev.read_byte(reg) {
-            Ok(v) => {
-                self.stats.reads += 1;
-                Ok(v)
-            }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e.into())
-            }
-        }
+        let v = self.transact(addr, |d| d.read_byte(reg))?;
+        self.stats.reads += 1;
+        Ok(v)
     }
 
     /// Writes one register byte to the device at `addr`.
     pub fn write_byte(&mut self, addr: u8, reg: u8, value: u8) -> Result<(), I2cError> {
-        if self.nacking.contains(&addr) {
-            self.stats.errors += 1;
-            return Err(I2cError::Nack { addr });
-        }
-        let dev = match self.devices.get_mut(&addr) {
-            Some(d) => d,
-            None => {
-                self.stats.errors += 1;
-                return Err(I2cError::NoDevice { addr });
-            }
-        };
-        match dev.write_byte(reg, value) {
-            Ok(()) => {
-                self.stats.writes += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e.into())
-            }
-        }
+        self.transact(addr, |d| d.write_byte(reg, value))?;
+        self.stats.writes += 1;
+        Ok(())
     }
 
-    /// Typed immutable access to an attached device (simulator internal use).
-    pub fn device<T: 'static>(&self, addr: u8) -> Option<&T> {
-        self.devices.get(&addr).and_then(|d| d.as_any().downcast_ref())
+    /// The attached device (simulator internal use).
+    pub fn device(&self) -> &D {
+        &self.device
     }
 
-    /// Typed mutable access to an attached device (simulator internal use).
-    pub fn device_mut<T: 'static>(&mut self, addr: u8) -> Option<&mut T> {
-        self.devices.get_mut(&addr).and_then(|d| d.as_any_mut().downcast_mut())
+    /// The attached device, mutably (simulator internal use).
+    pub fn device_mut(&mut self) -> &mut D {
+        &mut self.device
     }
 
-    /// Enables or disables NACK injection for an address.
-    pub fn inject_nack(&mut self, addr: u8, enabled: bool) {
-        if enabled {
-            if !self.nacking.contains(&addr) {
-                self.nacking.push(addr);
-            }
-        } else {
-            self.nacking.retain(|&a| a != addr);
-        }
+    /// Enables or disables NACK injection for the device.
+    pub fn inject_nack(&mut self, enabled: bool) {
+        self.nacking = enabled;
     }
 
     /// Transaction counters.
@@ -208,6 +161,7 @@ mod tests {
     use super::*;
 
     /// Trivial 4-register RAM device for bus tests.
+    #[derive(Debug)]
     struct RamDevice {
         regs: [u8; 4],
     }
@@ -223,18 +177,10 @@ mod tests {
             *self.regs.get_mut(reg as usize).ok_or(DeviceError::InvalidRegister(reg))? = value;
             Ok(())
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
-    fn bus_with_ram() -> I2cBus {
-        let mut bus = I2cBus::new();
-        bus.attach(0x2E, Box::new(RamDevice { regs: [0; 4] }));
-        bus
+    fn bus_with_ram() -> I2cBus<RamDevice> {
+        I2cBus::new(0x2E, RamDevice { regs: [0; 4] })
     }
 
     #[test]
@@ -242,6 +188,7 @@ mod tests {
         let mut bus = bus_with_ram();
         bus.write_byte(0x2E, 1, 0xAB).unwrap();
         assert_eq!(bus.read_byte(0x2E, 1), Ok(0xAB));
+        assert_eq!(bus.device().regs[1], 0xAB);
         assert_eq!(bus.stats(), BusStats { reads: 1, writes: 1, errors: 0 });
     }
 
@@ -249,7 +196,8 @@ mod tests {
     fn missing_device_errors() {
         let mut bus = bus_with_ram();
         assert_eq!(bus.read_byte(0x10, 0), Err(I2cError::NoDevice { addr: 0x10 }));
-        assert_eq!(bus.stats().errors, 1);
+        assert_eq!(bus.write_byte(0x10, 0, 1), Err(I2cError::NoDevice { addr: 0x10 }));
+        assert_eq!(bus.stats(), BusStats { reads: 0, writes: 0, errors: 2 });
     }
 
     #[test]
@@ -263,47 +211,27 @@ mod tests {
             bus.write_byte(0x2E, 3, 1),
             Err(I2cError::Device(DeviceError::ReadOnlyRegister(3)))
         );
+        assert_eq!(bus.stats().errors, 2);
     }
 
     #[test]
     fn nack_injection_blocks_and_recovers() {
         let mut bus = bus_with_ram();
-        bus.inject_nack(0x2E, true);
+        bus.inject_nack(true);
         assert_eq!(bus.read_byte(0x2E, 0), Err(I2cError::Nack { addr: 0x2E }));
         assert_eq!(bus.write_byte(0x2E, 0, 1), Err(I2cError::Nack { addr: 0x2E }));
-        bus.inject_nack(0x2E, false);
+        assert_eq!(
+            bus.read_byte(0x10, 0),
+            Err(I2cError::NoDevice { addr: 0x10 }),
+            "a NACKing device does not answer for other addresses"
+        );
+        bus.inject_nack(false);
         assert!(bus.read_byte(0x2E, 0).is_ok());
-    }
-
-    #[test]
-    fn typed_access_downcasts() {
-        let mut bus = bus_with_ram();
-        bus.write_byte(0x2E, 2, 7).unwrap();
-        let dev: &RamDevice = bus.device(0x2E).unwrap();
-        assert_eq!(dev.regs[2], 7);
-        let dev: &mut RamDevice = bus.device_mut(0x2E).unwrap();
-        dev.regs[2] = 9;
-        assert_eq!(bus.read_byte(0x2E, 2), Ok(9));
-        assert!(bus.device::<I2cBus>(0x2E).is_none(), "wrong type downcast fails");
-    }
-
-    #[test]
-    #[should_panic(expected = "already occupied")]
-    fn double_attach_panics() {
-        let mut bus = bus_with_ram();
-        bus.attach(0x2E, Box::new(RamDevice { regs: [0; 4] }));
     }
 
     #[test]
     #[should_panic(expected = "7-bit")]
     fn eight_bit_address_panics() {
-        let mut bus = I2cBus::new();
-        bus.attach(0x80, Box::new(RamDevice { regs: [0; 4] }));
-    }
-
-    #[test]
-    fn addresses_lists_attached() {
-        let bus = bus_with_ram();
-        assert_eq!(bus.addresses().collect::<Vec<_>>(), vec![0x2E]);
+        let _ = I2cBus::new(0x80, RamDevice { regs: [0; 4] });
     }
 }

@@ -69,7 +69,9 @@ pub struct Node {
     /// One DTS per core (index 0 is the coolest spot, the last the
     /// hottest); the paper's platform has exactly one.
     sensors: Vec<ThermalSensor>,
-    pub(crate) bus: I2cBus,
+    /// The ADT7467 on its i2c bus, held by value: the tick loop and the
+    /// physics lanes reach the chip with no lookup or pointer chase.
+    pub(crate) bus: I2cBus<Adt7467>,
     pub(crate) meter: PowerMeter,
     faults: FaultPlan,
     /// Tick-addressed faults (deterministic replay); delivered before the
@@ -119,8 +121,7 @@ impl Node {
         let mut chip = chip;
         chip.set_measured_temp_c(die);
 
-        let mut bus = I2cBus::new();
-        bus.attach(ADT7467_ADDR, Box::new(chip));
+        let bus = I2cBus::new(ADT7467_ADDR, chip);
 
         let sensors = (0..cfg.sensor.count)
             .map(|i| {
@@ -215,10 +216,9 @@ impl Node {
 
         // The chip's remote diode tracks the die continuously.
         let die = self.thermal.die_temp_c();
-        if let Some(chip) = self.bus.device_mut::<Adt7467>(ADT7467_ADDR) {
-            chip.set_measured_temp_c(die);
-            self.fan.set_duty(chip.commanded_duty());
-        }
+        let chip = self.bus.device_mut();
+        chip.set_measured_temp_c(die);
+        self.fan.set_duty(chip.commanded_duty());
         self.fan.step(dt_s);
 
         let cpu_power = self.cpu.power_w(die);
@@ -238,8 +238,8 @@ impl Node {
             // which takes every DTS with it.
             FaultEvent::SensorDropout => self.sensors.iter_mut().for_each(|s| s.drop_out()),
             FaultEvent::SensorRestore => self.sensors.iter_mut().for_each(|s| s.restore()),
-            FaultEvent::I2cFailure => self.bus.inject_nack(ADT7467_ADDR, true),
-            FaultEvent::I2cRecovery => self.bus.inject_nack(ADT7467_ADDR, false),
+            FaultEvent::I2cFailure => self.bus.inject_nack(true),
+            FaultEvent::I2cRecovery => self.bus.inject_nack(false),
             FaultEvent::AmbientStep(t) => self.thermal.set_ambient_c(t),
             FaultEvent::PwmStuck => self.fan.stick_pwm(),
             FaultEvent::PwmRelease => self.fan.release_pwm(),
@@ -739,6 +739,20 @@ mod tests {
     fn sensor_index_out_of_range_panics() {
         let mut n = node();
         let _ = n.read_sensor_at(5);
+    }
+
+    #[test]
+    fn adt7467_lives_inside_the_node() {
+        // The tick loop and the physics lanes reach the chip at every tick;
+        // held by value it shares the node's cache lines instead of sitting
+        // behind a map leaf and a box on the heap.
+        let n = node();
+        let start = &n as *const Node as usize;
+        let chip = n.bus.device() as *const Adt7467 as usize;
+        assert!(
+            (start..start + std::mem::size_of::<Node>()).contains(&chip),
+            "the ADT7467 must sit inside the Node value"
+        );
     }
 
     #[test]
