@@ -104,11 +104,10 @@ pub struct NodeSim {
     /// Watermark into `Node::fault_log`: entries before it have already
     /// been emitted as `FaultInjected` events.
     fault_log_seen: usize,
-    /// True when this node must take the scalar tick path every tick: its
-    /// control plane runs per-tick daemons, it has fault sources, or the
-    /// scenario forces scalar. False means the node's physics runs on the
-    /// structure-of-arrays lanes between samples (see `crate::sim`).
-    pub(crate) passthrough: bool,
+    /// True when the control plane runs a per-tick daemon (CPUSPEED). A
+    /// simulation hooks the node on every tick to run it, and does not
+    /// count the node's lane ticks as skipped control-plane ticks.
+    pub(crate) tick_daemon: bool,
     /// True when the workload reports `Running` forever (never parks,
     /// never finishes) — lets the fleet skip its per-tick state poll.
     pub(crate) endless: bool,
@@ -161,10 +160,7 @@ impl NodeSim {
             &mut PlatformActuators { node: &mut node, binding: &mut binding },
         );
 
-        // Per-tick daemons (e.g. CPUSPEED) and fault sources need the full
-        // scalar tick every tick; everything else can ride the batch lanes
-        // between samples.
-        let passthrough = plane.wants_tick() || node.has_fault_sources() || scenario.force_scalar;
+        let tick_daemon = plane.wants_tick();
         let endless = workload.is_endless();
 
         Self {
@@ -179,7 +175,7 @@ impl NodeSim {
             events: RingSink::with_capacity(0),
             counters: Counters::default(),
             fault_log_seen: 0,
-            passthrough,
+            tick_daemon,
             endless,
         }
     }
@@ -194,77 +190,104 @@ impl NodeSim {
     }
 
     /// Advances the physics and per-tick daemons (CPUSPEED observes
-    /// utilization every tick). `journal` additionally receives any events
-    /// the per-tick daemons emit (None on the allocation-free default path).
+    /// utilization every tick) on the scalar node: the single-node form of
+    /// what a simulation does with its lanes and a per-tick hook.
+    /// `journal` additionally receives any events the per-tick daemons emit
+    /// (None on the allocation-free default path).
     pub fn tick_hardware(
         &mut self,
         dt_s: f64,
         now_s: f64,
         mut journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
+        self.run_tick_daemons(dt_s, now_s, journal.as_deref_mut());
+        self.node.tick(dt_s);
+        self.emit_fault_events(now_s, journal);
+    }
+
+    /// The per-tick work the physics lanes cannot do, run on a node whose
+    /// lanes were just stored back into `self.node` and whose clock reads
+    /// the tick about to be simulated: the per-tick daemons, then due
+    /// faults, then their `FaultInjected` events — the order
+    /// [`NodeSim::tick_hardware`] runs them in. Returns true when a fault
+    /// landed, so the caller reloads every lane rather than only the
+    /// control lanes.
+    pub(crate) fn on_tick_hook(
+        &mut self,
+        dt_s: f64,
+        now_s: f64,
+        mut journal: Option<&mut (dyn EventSink + 'static)>,
+    ) -> bool {
+        // A plane without per-tick daemons would only count a skipped
+        // tick here; the lane tick already counts it.
+        if self.tick_daemon {
+            self.run_tick_daemons(dt_s, now_s, journal.as_deref_mut());
+        }
+        let landed = self.node.deliver_due_faults();
+        self.emit_fault_events(now_s, journal);
+        landed
+    }
+
+    /// Hands one tick to the control plane's per-tick daemons and records
+    /// a frequency they applied.
+    fn run_tick_daemons(
+        &mut self,
+        dt_s: f64,
+        now_s: f64,
+        journal: Option<&mut (dyn EventSink + 'static)>,
+    ) {
         let util = self.node.utilization();
-        let applied = match journal.as_deref_mut() {
-            None => {
-                let mut obs =
-                    Observer::new(&mut self.events, &mut self.counters, self.index, now_s);
-                self.plane.on_tick_observed(
-                    dt_s,
-                    util,
-                    &mut PlatformActuators { node: &mut self.node, binding: &mut self.binding },
-                    &mut obs,
-                )
-            }
-            Some(journal) => {
-                let mut tee = TeeSink::new(&mut self.events, journal);
-                let mut obs = Observer::new(&mut tee, &mut self.counters, self.index, now_s);
-                self.plane.on_tick_observed(
-                    dt_s,
-                    util,
-                    &mut PlatformActuators { node: &mut self.node, binding: &mut self.binding },
-                    &mut obs,
-                )
-            }
-        };
+        let applied = self.observed(now_s, journal, |plane, act, obs| {
+            plane.on_tick_observed(dt_s, util, act, obs)
+        });
         if let Some(mhz) = applied {
             if self.rec.enabled {
                 self.rec.freq_events.push((now_s, mhz));
             }
         }
-        self.node.tick(dt_s);
-        self.emit_fault_events(now_s, journal);
     }
 
-    /// Emits a `FaultInjected` event for every fault the node's plans
-    /// delivered during the tick that just ran. Runs on both the serial and
-    /// sharded paths (the sharded journal scratch drains in node order), so
-    /// the journal stream stays thread-count invariant. No-op — and
-    /// allocation-free — on fault-free ticks.
+    /// Emits a `FaultInjected` event for every fault the node delivered
+    /// since the last call. Runs on both the serial and sharded paths (the
+    /// sharded journal scratch drains in node order), so the journal stream
+    /// stays thread-count invariant. No-op — and allocation-free — on
+    /// fault-free ticks.
     fn emit_fault_events(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
-        let log = self.node.fault_log();
-        if self.fault_log_seen >= log.len() {
+        let start = self.fault_log_seen;
+        let end = self.node.fault_log().len();
+        if start >= end {
             return;
         }
-        let start = self.fault_log_seen;
-        self.fault_log_seen = log.len();
-        // The log slice borrows `self.node`; the observer borrows the
-        // disjoint `events`/`counters` fields, so both can be live at once.
-        let log = self.node.fault_log();
+        self.fault_log_seen = end;
+        self.observed(now_s, journal, |_, act, obs| {
+            for &(_, ev) in &act.node.fault_log()[start..] {
+                let (kind, magnitude) = classify_fault(ev);
+                obs.fault_injected(kind, magnitude);
+            }
+        });
+    }
+
+    /// Runs `f` on the control plane and actuators with an observer over
+    /// this node's event ring and counters, teed into `journal` when one
+    /// is attached.
+    #[inline]
+    fn observed<R>(
+        &mut self,
+        now_s: f64,
+        journal: Option<&mut (dyn EventSink + 'static)>,
+        f: impl FnOnce(&mut ControlPlane, &mut PlatformActuators<'_>, &mut Observer<'_>) -> R,
+    ) -> R {
+        let mut act = PlatformActuators { node: &mut self.node, binding: &mut self.binding };
         match journal {
             None => {
                 let mut obs =
                     Observer::new(&mut self.events, &mut self.counters, self.index, now_s);
-                for &(_, ev) in &log[start..] {
-                    let (kind, magnitude) = classify_fault(ev);
-                    obs.fault_injected(kind, magnitude);
-                }
+                f(&mut self.plane, &mut act, &mut obs)
             }
             Some(journal) => {
                 let mut tee = TeeSink::new(&mut self.events, journal);
                 let mut obs = Observer::new(&mut tee, &mut self.counters, self.index, now_s);
-                for &(_, ev) in &log[start..] {
-                    let (kind, magnitude) = classify_fault(ev);
-                    obs.fault_injected(kind, magnitude);
-                }
+                f(&mut self.plane, &mut act, &mut obs)
             }
         }
     }
@@ -287,26 +310,9 @@ impl NodeSim {
             utilization: self.node.utilization(),
             die_temp_c: self.node.die_temp_c(),
         };
-        let out = match journal {
-            None => {
-                let mut obs =
-                    Observer::new(&mut self.events, &mut self.counters, self.index, now_s);
-                self.plane.on_sample_observed(
-                    &sample,
-                    &mut PlatformActuators { node: &mut self.node, binding: &mut self.binding },
-                    &mut obs,
-                )
-            }
-            Some(journal) => {
-                let mut tee = TeeSink::new(&mut self.events, journal);
-                let mut obs = Observer::new(&mut tee, &mut self.counters, self.index, now_s);
-                self.plane.on_sample_observed(
-                    &sample,
-                    &mut PlatformActuators { node: &mut self.node, binding: &mut self.binding },
-                    &mut obs,
-                )
-            }
-        };
+        let out = self.observed(now_s, journal, |plane, act, obs| {
+            plane.on_sample_observed(&sample, act, obs)
+        });
         // Daemon-confirmed frequency changes are trace events; frequencies
         // forced by a failsafe engagement are not (they bypass the driver).
         if let Some(mhz) = out.freq_mhz {

@@ -48,10 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
-use unitherm_obs::{EventSink, VecSink};
-use unitherm_simnode::PhysicsBatch;
-
 use crate::node_sim::NodeSim;
+use crate::sim::Shard;
+use unitherm_obs::{EventSink, VecSink};
 
 /// The fewest nodes a shard may hold. Measured on a dynamic-fan burn with
 /// recording off, two shards reliably beat one only once each holds about
@@ -87,8 +86,9 @@ pub(crate) enum PassKind {
         /// Physics tick, seconds.
         dt_s: f64,
     },
-    /// Pass B: optional barrier release, per-tick daemons + physics,
-    /// per-node heat capture, finish detection.
+    /// Pass B: hooks (per-tick daemons, due faults), optional barrier
+    /// release, the lane physics tick, per-node heat capture, finish
+    /// detection.
     Hardware {
         /// Physics tick, seconds.
         dt_s: f64,
@@ -98,8 +98,8 @@ pub(crate) enum PassKind {
         release: bool,
         /// Whether to capture per-node heat for the rack reduction.
         couple_rack: bool,
-        /// Whether the workload can finish on its own (gates the pure-lane
-        /// route in `sim::hardware_pass`).
+        /// Whether the workload can finish on its own (gates finish
+        /// detection in `sim::hardware_pass`).
         finite: bool,
     },
     /// The 4 Hz sampling pass: sensor read, control plane, recorders.
@@ -130,9 +130,9 @@ pub(crate) struct ShardOut {
 #[derive(Clone, Copy)]
 struct Job {
     nodes: *mut NodeSim,
-    /// Per-shard physics batches (`shards` entries); slot `s` mirrors the
-    /// node range of shard `s`.
-    batches: *mut PhysicsBatch,
+    /// Per-shard physics lanes and hooked nodes (`shards` entries); entry
+    /// `s` mirrors the node range of shard `s`.
+    physics: *mut Shard,
     len: usize,
     shards: usize,
     kind: PassKind,
@@ -237,13 +237,13 @@ impl WorkerPool {
     pub fn run(
         &self,
         nodes: &mut [NodeSim],
-        batches: &mut [PhysicsBatch],
+        physics: &mut [Shard],
         kind: PassKind,
         heat: Option<&mut [f64]>,
         outs: &mut [ShardOut],
         scratch: Option<&mut [VecSink]>,
     ) {
-        assert_eq!(batches.len(), self.shards, "one physics batch per shard");
+        assert_eq!(physics.len(), self.shards, "one physics entry per shard");
         assert_eq!(outs.len(), self.shards, "one reduction slot per shard");
         if let Some(heat) = &heat {
             assert_eq!(heat.len(), nodes.len(), "one heat slot per node");
@@ -253,7 +253,7 @@ impl WorkerPool {
         }
         let job = Job {
             nodes: nodes.as_mut_ptr(),
-            batches: batches.as_mut_ptr(),
+            physics: physics.as_mut_ptr(),
             len: nodes.len(),
             shards: self.shards,
             kind,
@@ -347,7 +347,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
 }
 
 /// Processes shard `s` of the published job. Caller guarantees exclusive
-/// access to the shard's node range, its physics batch, and slot `s` of
+/// access to the shard's node range, its physics entry, and slot `s` of
 /// `outs` / `scratch` (plus the shard's rows of `heat`).
 ///
 /// The pass bodies are the shared `crate::sim` functions the serial loop
@@ -355,7 +355,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
 unsafe fn exec_shard(job: &Job, s: usize) {
     let range = shard_range(job.len, job.shards, s);
     let nodes = std::slice::from_raw_parts_mut(job.nodes.add(range.start), range.len());
-    let batch = &mut *job.batches.add(s);
+    let shard = &mut *job.physics.add(s);
     let out = &mut *job.outs.add(s);
     *out = ShardOut { unfinished_parked: true, any_parked: false, finished_delta: 0 };
     let journal = (!job.scratch.is_null())
@@ -363,17 +363,17 @@ unsafe fn exec_shard(job: &Job, s: usize) {
 
     match job.kind {
         PassKind::Workload { dt_s } => {
-            crate::sim::workload_pass(nodes, batch, dt_s, out);
+            crate::sim::workload_pass(nodes, &mut shard.lanes, dt_s, out);
         }
         PassKind::Hardware { dt_s, now_s, release, couple_rack, finite } => {
             let heat = couple_rack
                 .then(|| std::slice::from_raw_parts_mut(job.heat.add(range.start), range.len()));
             crate::sim::hardware_pass(
-                nodes, batch, dt_s, now_s, release, finite, heat, journal, out,
+                nodes, shard, dt_s, now_s, release, finite, heat, journal, out,
             );
         }
         PassKind::Sample { now_s } => {
-            crate::sim::sample_pass(nodes, batch, now_s, journal);
+            crate::sim::sample_pass(nodes, &mut shard.lanes, now_s, journal);
         }
     }
 }

@@ -259,12 +259,6 @@ pub struct Scenario {
     /// sweeping many scenarios at once.
     #[serde(default = "default_threads")]
     pub threads: usize,
-    /// Force every node onto the scalar per-struct tick path, bypassing the
-    /// structure-of-arrays [`unitherm_simnode::PhysicsBatch`] fast lanes.
-    /// The two paths are bit-identical (pinned by the equivalence tests);
-    /// this switch exists so tests and benchmarks can compare them.
-    #[serde(default)]
-    pub force_scalar: bool,
 }
 
 impl Scenario {
@@ -293,7 +287,6 @@ impl Scenario {
             node_config_overrides: Vec::new(),
             event_capacity: default_event_capacity(),
             threads: 1,
-            force_scalar: false,
         }
     }
 
@@ -402,14 +395,6 @@ impl Scenario {
     /// [`crate::pool_width`] wide, bit-identically).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder: force the scalar per-struct tick path (disables the
-    /// structure-of-arrays physics lanes; for equivalence tests and
-    /// benchmarks).
-    pub fn with_force_scalar(mut self, force: bool) -> Self {
-        self.force_scalar = force;
         self
     }
 

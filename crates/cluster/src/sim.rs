@@ -4,9 +4,15 @@
 //!
 //! ```text
 //!   every dt (50 ms):   workload advance → BSP barrier release →
-//!                       per-tick daemons (CPUSPEED) → physics tick
+//!                       hooks (CPUSPEED, due faults) → physics lane tick
 //!   every 250 ms:       sensor sample → fan/tDVFS daemons → recorders
 //! ```
+//!
+//! Every node's physics runs on the structure-of-arrays lanes of its
+//! shard's [`PhysicsBatch`]. What the lanes cannot do runs on the node's
+//! scalar `Node` at a sync point: the sampling path for every node at
+//! 4 Hz, and a per-tick hook for the few nodes with a per-tick daemon or
+//! a fault source (see `hardware_pass`).
 //!
 //! Barrier release is all-or-nothing: a rank that reaches a barrier parks
 //! (near-zero utilization) until every unfinished rank arrives. A rank on a
@@ -43,16 +49,9 @@ pub struct Simulation {
     /// teed into it on top of the per-node rings (e.g. a JSONL
     /// [`unitherm_obs::JournalWriter`] behind `repro run-scenario --journal`).
     journal: Option<Box<dyn EventSink>>,
-    /// Structure-of-arrays lanes over the hot physics state, one batch per
-    /// shard (exactly one on the serial path). Nodes whose semantics the
-    /// lanes cannot replicate (per-tick daemons, fault sources,
-    /// `Scenario::force_scalar`) are flagged passthrough and keep ticking
-    /// through their scalar [`unitherm_simnode::Node`]; everyone else ticks
-    /// on the lanes and syncs back at every sample (see `sample_pass`).
-    batches: Vec<PhysicsBatch>,
-    /// Node indices of the passthrough nodes (scalar-authoritative), so the
-    /// rack ambient fan-out does not scan 100k `NodeSim` structs per tick.
-    passthrough_idx: Vec<usize>,
+    /// The physics lanes and hooked nodes of each shard (exactly one shard
+    /// on the serial path).
+    shards: Vec<Shard>,
     /// Per-shard reduction slots for the parallel passes (one slot on the
     /// serial path).
     shard_outs: Vec<ShardOut>,
@@ -118,19 +117,17 @@ impl Simulation {
         let shard_outs = vec![ShardOut::default(); shards];
         // One physics batch per shard, loaded from the post-attach (and
         // post-rack-ambient) node state so the lanes resume bit-exactly.
-        let batches: Vec<PhysicsBatch> = (0..shards)
+        let shards: Vec<Shard> = (0..shards)
             .map(|s| {
-                let range = shard_range(nodes.len(), shards, s);
-                let mut batch =
-                    PhysicsBatch::from_nodes(nodes[range.clone()].iter().map(|ns| &ns.node));
-                for (j, ns) in nodes[range].iter().enumerate() {
-                    batch.set_passthrough(j, ns.passthrough);
+                let nodes = &nodes[shard_range(nodes.len(), shards, s)];
+                Shard {
+                    lanes: PhysicsBatch::from_nodes(nodes.iter().map(|ns| &ns.node)),
+                    hooked: (0..nodes.len())
+                        .filter(|&j| nodes[j].tick_daemon || nodes[j].node.has_fault_sources())
+                        .collect(),
                 }
-                batch
             })
             .collect();
-        let passthrough_idx =
-            nodes.iter().enumerate().filter(|(_, ns)| ns.passthrough).map(|(i, _)| i).collect();
         Self {
             pool,
             scenario,
@@ -142,8 +139,7 @@ impl Simulation {
             ticks_per_sample,
             finished_nodes: 0,
             journal: None,
-            batches,
-            passthrough_idx,
+            shards,
             shard_outs,
             heat_scratch,
             event_scratch: Vec::new(),
@@ -198,7 +194,7 @@ impl Simulation {
     /// How many shards the nodes are split into: the worker-pool width
     /// (1 = the serial loop). Never enters the report or the journal.
     pub fn width(&self) -> usize {
-        self.batches.len()
+        self.shards.len()
     }
 
     /// Current simulated time.
@@ -208,9 +204,9 @@ impl Simulation {
 
     /// Immutable access to the nodes (diagnostics, tests).
     ///
-    /// Between samples the hot physics state of non-passthrough nodes lives
-    /// in the structure-of-arrays lanes, so the scalar `Node` structs seen
-    /// here can lag by up to one sample period; [`Simulation::nodes_synced`]
+    /// Between samples the hot physics state lives in the
+    /// structure-of-arrays lanes, so the scalar `Node` structs seen here can
+    /// lag by up to one sample period; [`Simulation::nodes_synced`]
     /// stores the lanes back first.
     pub fn nodes(&self) -> &[NodeSim] {
         &self.nodes
@@ -251,16 +247,16 @@ impl Simulation {
         // Pass A — workloads advance; the barrier reduction folds in.
         // Release is all-or-nothing, so the decision needs every rank's
         // post-advance state and cannot merge with pass B.
-        let batch = &mut self.batches[0];
+        let shard = &mut self.shards[0];
         let out = &mut self.shard_outs[0];
-        workload_pass(&mut self.nodes, batch, dt, out);
+        workload_pass(&mut self.nodes, &mut shard.lanes, dt, out);
         let release = out.unfinished_parked && out.any_parked;
 
-        // Pass B — per-tick daemons + physics (lanes for fast nodes), rack
-        // heat capture, and finish times.
+        // Pass B — hooks, the lane physics tick, rack heat capture, and
+        // finish times.
         hardware_pass(
             &mut self.nodes,
-            batch,
+            shard,
             dt,
             self.time_s,
             release,
@@ -278,7 +274,7 @@ impl Simulation {
         if self.ticks.is_multiple_of(self.ticks_per_sample) {
             sample_pass(
                 &mut self.nodes,
-                &mut self.batches[0],
+                &mut self.shards[0].lanes,
                 self.time_s,
                 self.journal.as_deref_mut(),
             );
@@ -288,18 +284,14 @@ impl Simulation {
 
     /// Rack air coupling: folds the per-node heat slots in node order (the
     /// exact historical `heat += …` summation), steps the shared intake-air
-    /// volume, and fans the new ambient out — to every batch lane, and to
-    /// the scalar nodes of the passthrough set.
+    /// volume, and fans the new ambient out to every lane.
     fn step_rack(&mut self, dt: f64) {
         let Some(rack) = &mut self.rack else { return };
         let heat = self.heat_scratch.iter().fold(0.0f64, |acc, h| acc + h);
         rack.step(dt, heat);
         let air = rack.air_c();
-        for batch in &mut self.batches {
-            batch.set_ambient_all(air);
-        }
-        for &i in &self.passthrough_idx {
-            self.nodes[i].node.set_ambient_c(air);
+        for shard in &mut self.shards {
+            shard.lanes.set_ambient_all(air);
         }
     }
 
@@ -332,7 +324,7 @@ impl Simulation {
         // folds per shard, then across shards (order-free booleans).
         pool.run(
             &mut self.nodes,
-            &mut self.batches,
+            &mut self.shards,
             PassKind::Workload { dt_s: dt },
             None,
             &mut self.shard_outs,
@@ -352,7 +344,7 @@ impl Simulation {
         }
         pool.run(
             &mut self.nodes,
-            &mut self.batches,
+            &mut self.shards,
             PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, couple_rack, finite },
             couple_rack.then_some(&mut self.heat_scratch[..]),
             &mut self.shard_outs,
@@ -380,7 +372,7 @@ impl Simulation {
             let pool = self.pool.as_ref().expect("tick_sharded requires a pool");
             pool.run(
                 &mut self.nodes,
-                &mut self.batches,
+                &mut self.shards,
                 PassKind::Sample { now_s: self.time_s },
                 None,
                 &mut self.shard_outs,
@@ -422,20 +414,17 @@ impl Simulation {
         self.into_report()
     }
 
-    /// Stores every non-passthrough node's physics lanes back into its
-    /// scalar `Node` and flushes the batched-tick counters. Idempotent —
-    /// a second call with no ticks in between stores the same bits and
-    /// drains zero skipped ticks.
+    /// Stores every node's physics lanes back into its scalar `Node` and
+    /// flushes the batched-tick counters. Idempotent — a second call with
+    /// no ticks in between stores the same bits and drains zero skipped
+    /// ticks.
     fn sync_batches(&mut self) {
-        let shards = self.batches.len();
+        let shards = self.shards.len();
         let len = self.nodes.len();
-        for (s, batch) in self.batches.iter_mut().enumerate() {
+        for (s, shard) in self.shards.iter_mut().enumerate() {
             let range = shard_range(len, shards, s);
             for (j, ns) in self.nodes[range].iter_mut().enumerate() {
-                if !ns.passthrough {
-                    batch.store(j, &mut ns.node);
-                    ns.counters.ticks_skipped += batch.take_skipped(j);
-                }
+                store_node(&mut shard.lanes, j, ns);
             }
         }
     }
@@ -496,9 +485,32 @@ impl Simulation {
 // --- Shared per-shard pass bodies -----------------------------------------
 //
 // The serial loop and the worker pool's `exec_shard` both run these exact
-// functions over (their slice of) the nodes plus the matching physics batch,
-// so the two paths cannot drift apart. `nodes` and `batch` are index-aligned:
-// slot `i` of the batch mirrors `nodes[i]`.
+// functions over (their slice of) the nodes plus the matching shard, so the
+// two paths cannot drift apart. `nodes` and the shard's lanes are
+// index-aligned: slot `i` of the batch mirrors `nodes[i]`.
+
+/// One shard's physics: the lanes of its nodes, and which of them the
+/// hardware pass hooks.
+pub(crate) struct Shard {
+    /// Structure-of-arrays physics state, slot `i` mirroring node `i` of
+    /// the shard.
+    pub(crate) lanes: PhysicsBatch,
+    /// Shard-local indices, ascending, of the nodes with a per-tick daemon
+    /// or a fault source, so the hardware pass visits only those.
+    pub(crate) hooked: Vec<usize>,
+}
+
+/// Stores slot `i` of `lanes` back into `ns` and folds its lane ticks into
+/// the node's `ticks_skipped`: each is one control-plane tick that observed
+/// nothing. A per-tick daemon observes every tick, so its node counts none.
+#[inline]
+fn store_node(lanes: &mut PhysicsBatch, i: usize, ns: &mut NodeSim) {
+    lanes.store(i, &mut ns.node);
+    let skipped = lanes.take_skipped(i);
+    if !ns.tick_daemon {
+        ns.counters.ticks_skipped += skipped;
+    }
+}
 
 /// How many nodes ahead of the one being processed a node pass
 /// prefetches. Measured on the 10k-node fleet against 1, 2, 3 and 8
@@ -544,8 +556,8 @@ fn prefetch<T: ?Sized>(value: &T) {
 }
 
 /// Pass A: advance every rank's workload and fold the barrier flags into
-/// `out`. Fast (non-passthrough) ranks read their execution speed from and
-/// write their load into the lanes; passthrough ranks use the scalar node.
+/// `out`. Ranks read their execution speed from and write their load into
+/// the lanes.
 pub(crate) fn workload_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
@@ -556,28 +568,20 @@ pub(crate) fn workload_pass(
     out.any_parked = false;
     for i in 0..nodes.len() {
         if let Some(ahead) = node_ahead(nodes, i) {
-            prefetch(&ahead.passthrough);
+            prefetch(&ahead.endless);
             prefetch(&*ahead.workload);
         }
         let ns = &mut nodes[i];
-        if !ns.passthrough {
-            let speed = batch.speed_factor(i);
-            let w = ns.workload.advance(dt_s, speed);
-            batch.set_load(i, w.utilization, w.activity);
-            // Endless workloads are `Running` by contract — skip the
-            // second virtual dispatch on the hot path.
-            if ns.endless {
-                out.unfinished_parked = false;
-                continue;
-            }
-            match ns.workload.state() {
-                WorkState::AtBarrier(_) => out.any_parked = true,
-                WorkState::Finished => {}
-                _ => out.unfinished_parked = false,
-            }
+        let speed = batch.speed_factor(i);
+        let w = ns.workload.advance(dt_s, speed);
+        batch.set_load(i, w.utilization, w.activity);
+        // Endless workloads are `Running` by contract — skip the second
+        // virtual dispatch on the hot path.
+        if ns.endless {
+            out.unfinished_parked = false;
             continue;
         }
-        match ns.tick_workload(dt_s) {
+        match ns.workload.state() {
             WorkState::AtBarrier(_) => out.any_parked = true,
             WorkState::Finished => {}
             _ => out.unfinished_parked = false,
@@ -585,78 +589,70 @@ pub(crate) fn workload_pass(
     }
 }
 
-/// Pass B: optional barrier release, per-tick daemons + physics (lanes for
-/// fast ranks, the scalar tick for passthrough ranks), per-node heat
-/// capture, finish detection.
+/// Pass B: the hooks, optional barrier release, the lane physics tick,
+/// per-node heat capture, finish detection.
 ///
-/// Barrier release and finish detection touch only workload state, and a
-/// lane tick reads no workload state, so the fast ranks' lane ticks hoist
-/// out of the per-node loop without perturbing any node's evaluation. When
-/// the whole range is batchable the pass takes the staged pure-lane route
-/// (`tick_all`, with release and finish detection in their own
-/// ascending-index loops); a mixed range ticks its fast slots in one pinned
-/// walk (`tick_fast`), then runs release, the scalar tick of passthrough
-/// ranks, heat capture and finish detection per node. Fast ranks emit no
-/// per-tick journal events (no tick daemons, no fault sources), so the
-/// journal stream is unaffected either way.
+/// A hooked node with work this tick — a per-tick daemon, which has work
+/// every tick, or a fault that is due — has its lanes stored into its
+/// scalar node, runs [`NodeSim::on_tick_hook`] (daemons, then faults, then
+/// their events), and is reloaded: every lane after a fault, the control
+/// lanes otherwise. This keeps the scalar tick's daemon → faults → physics
+/// order, and the hooks run in ascending node order, so the journal sees
+/// each node's events in the order the scalar tick emitted them. Barrier
+/// release and finish detection touch only workload state, which neither
+/// a hook nor a lane tick reads, so they run in their own loops.
 #[allow(clippy::too_many_arguments)] // mirrors PassKind::Hardware exactly
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
-    batch: &mut PhysicsBatch,
+    shard: &mut Shard,
     dt_s: f64,
     now_s: f64,
     release: bool,
     finite: bool,
-    mut heat: Option<&mut [f64]>,
+    heat: Option<&mut [f64]>,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
     out: &mut ShardOut,
 ) {
     out.finished_delta = 0;
+    let batch = &mut shard.lanes;
     batch.begin_tick(dt_s);
-    if batch.all_fast() {
-        if release {
-            for ns in nodes.iter_mut() {
-                ns.workload.release_barrier();
-            }
+    for &i in &shard.hooked {
+        let ns = &mut nodes[i];
+        if !ns.tick_daemon && !ns.node.fault_due(batch.ticks(), batch.time_s()) {
+            continue;
         }
-        batch.tick_all(dt_s);
-        if let Some(heat) = heat {
-            batch.write_heat(heat);
+        batch.store(i, &mut ns.node);
+        if ns.on_tick_hook(dt_s, now_s, journal.as_deref_mut()) {
+            batch.load(i, &ns.node);
+        } else {
+            batch.reload_control(i, &ns.node);
         }
-        if finite {
-            for ns in nodes.iter_mut() {
-                if ns.finish_time_s.is_none() && ns.workload.is_finished() {
-                    ns.finish_time_s = Some(now_s);
-                    out.finished_delta += 1;
-                }
-            }
-        }
-        return;
     }
-    batch.tick_fast(dt_s);
-    for (i, ns) in nodes.iter_mut().enumerate() {
-        if release {
+    if release {
+        for ns in nodes.iter_mut() {
             ns.workload.release_barrier();
         }
-        if ns.passthrough {
-            ns.tick_hardware(dt_s, now_s, journal.as_deref_mut());
-        }
-        if let Some(heat) = heat.as_deref_mut() {
-            heat[i] = if ns.passthrough { ns.node.heat_output_w() } else { batch.heat_output_w(i) };
-        }
-        if ns.finish_time_s.is_none() && ns.workload.is_finished() {
-            ns.finish_time_s = Some(now_s);
-            out.finished_delta += 1;
+    }
+    batch.tick_all(dt_s);
+    if let Some(heat) = heat {
+        batch.write_heat(heat);
+    }
+    if finite {
+        for ns in nodes.iter_mut() {
+            if ns.finish_time_s.is_none() && ns.workload.is_finished() {
+                ns.finish_time_s = Some(now_s);
+                out.finished_delta += 1;
+            }
         }
     }
 }
 
-/// The 4 Hz sampling pass: for each fast rank, store the lanes back into
-/// the scalar node, run the sampling path (sensor read, control plane,
+/// The 4 Hz sampling pass: for each rank, store the lanes back into the
+/// scalar node, run the sampling path (sensor read, control plane,
 /// recorders), and reload the lanes from the possibly-actuated node — fused
 /// per node so each node's cache lines are touched once per sample.
-/// Batched ticks flush into the node's `ticks_skipped` counter here, exactly
-/// matching the scalar path's per-tick early-out accounting.
+/// Batched ticks flush into the node's `ticks_skipped` counter here (see
+/// [`store_node`]).
 pub(crate) fn sample_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
@@ -668,14 +664,9 @@ pub(crate) fn sample_pass(
             prefetch(ahead);
         }
         let ns = &mut nodes[i];
-        if ns.passthrough {
-            ns.on_sample(now_s, journal.as_deref_mut());
-        } else {
-            batch.store(i, &mut ns.node);
-            ns.counters.ticks_skipped += batch.take_skipped(i);
-            ns.on_sample(now_s, journal.as_deref_mut());
-            batch.reload_control(i, &ns.node);
-        }
+        store_node(batch, i, ns);
+        ns.on_sample(now_s, journal.as_deref_mut());
+        batch.reload_control(i, &ns.node);
     }
 }
 

@@ -83,18 +83,22 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Drains all events due at or before `now_s`, in schedule order.
-    pub fn due(&mut self, now_s: f64) -> Vec<FaultEvent> {
-        let mut out = Vec::new();
-        while let Some(&(t, ev)) = self.events.get(self.cursor) {
-            if t <= now_s {
-                out.push(ev);
-                self.cursor += 1;
-            } else {
-                break;
-            }
-        }
-        out
+    /// Pops the next event due at or before `now_s`, if any. Call in a
+    /// loop to drain a tick's events in schedule order without allocating.
+    pub fn pop_due(&mut self, now_s: f64) -> Option<FaultEvent> {
+        let ev = self.next_due(now_s)?;
+        self.cursor += 1;
+        Some(ev)
+    }
+
+    /// True when [`FaultPlan::pop_due`] would deliver an event at `now_s`.
+    pub fn has_due(&self, now_s: f64) -> bool {
+        self.next_due(now_s).is_some()
+    }
+
+    fn next_due(&self, now_s: f64) -> Option<FaultEvent> {
+        let &(t, ev) = self.events.get(self.cursor)?;
+        (t <= now_s).then_some(ev)
     }
 
     /// Remaining undelivered events.
@@ -168,13 +172,20 @@ impl TickFaultSchedule {
     /// Pops the next event due at or before `tick`, if any. Call in a loop
     /// to drain a tick's events without allocating.
     pub fn pop_due(&mut self, tick: u64) -> Option<FaultEvent> {
+        let ev = self.next_due(tick)?;
+        self.cursor += 1;
+        Some(ev)
+    }
+
+    /// True when [`TickFaultSchedule::pop_due`] would deliver an event at
+    /// `tick`.
+    pub fn has_due(&self, tick: u64) -> bool {
+        self.next_due(tick).is_some()
+    }
+
+    fn next_due(&self, tick: u64) -> Option<FaultEvent> {
         let &(t, ev) = self.events.get(self.cursor)?;
-        if t <= tick {
-            self.cursor += 1;
-            Some(ev)
-        } else {
-            None
-        }
+        (t <= tick).then_some(ev)
     }
 
     /// Remaining undelivered events.
@@ -222,6 +233,11 @@ impl TickFaultSchedule {
 mod tests {
     use super::*;
 
+    /// Drains every event `plan` delivers at `now_s`.
+    fn drain(plan: &mut FaultPlan, now_s: f64) -> Vec<FaultEvent> {
+        std::iter::from_fn(|| plan.pop_due(now_s)).collect()
+    }
+
     #[test]
     fn delivers_in_time_order() {
         let mut plan = FaultPlan::none()
@@ -229,34 +245,46 @@ mod tests {
             .at(5.0, FaultEvent::AmbientStep(30.0))
             .at(20.0, FaultEvent::FanRepair);
         assert_eq!(plan.len(), 3);
-        assert_eq!(plan.due(4.9), vec![]);
-        assert_eq!(plan.due(5.0), vec![FaultEvent::AmbientStep(30.0)]);
-        assert_eq!(plan.due(15.0), vec![FaultEvent::FanFailure]);
+        assert_eq!(drain(&mut plan, 4.9), vec![]);
+        assert_eq!(drain(&mut plan, 5.0), vec![FaultEvent::AmbientStep(30.0)]);
+        assert_eq!(drain(&mut plan, 15.0), vec![FaultEvent::FanFailure]);
         assert_eq!(plan.pending(), 1);
-        assert_eq!(plan.due(100.0), vec![FaultEvent::FanRepair]);
+        assert_eq!(drain(&mut plan, 100.0), vec![FaultEvent::FanRepair]);
         assert_eq!(plan.pending(), 0);
-        assert_eq!(plan.due(200.0), vec![]);
+        assert_eq!(drain(&mut plan, 200.0), vec![]);
     }
 
     #[test]
     fn simultaneous_events_keep_insertion_order() {
         let mut plan =
             FaultPlan::none().at(5.0, FaultEvent::FanFailure).at(5.0, FaultEvent::SensorDropout);
-        assert_eq!(plan.due(5.0), vec![FaultEvent::FanFailure, FaultEvent::SensorDropout]);
+        assert_eq!(drain(&mut plan, 5.0), vec![FaultEvent::FanFailure, FaultEvent::SensorDropout]);
     }
 
     #[test]
     fn empty_plan() {
         let mut plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert_eq!(plan.due(1e9), vec![]);
+        assert!(!plan.has_due(1e9), "nothing pending");
+        assert_eq!(plan.pop_due(1e9), None);
+    }
+
+    #[test]
+    fn plan_peek_matches_delivery() {
+        let mut plan = FaultPlan::none().at(2.5, FaultEvent::PwmStuck);
+        assert!(!plan.has_due(2.499));
+        // Due exactly at the boundary, like `pop_due`.
+        assert!(plan.has_due(2.5));
+        assert!(plan.has_due(2.5), "peeking consumes nothing");
+        assert_eq!(plan.pop_due(2.5), Some(FaultEvent::PwmStuck));
+        assert!(!plan.has_due(1e9), "nothing left after the drain");
     }
 
     #[test]
     #[should_panic(expected = "after delivery started")]
     fn cannot_extend_after_delivery() {
         let mut plan = FaultPlan::none().at(1.0, FaultEvent::FanFailure);
-        let _ = plan.due(2.0);
+        let _ = plan.pop_due(2.0);
         let _ = plan.at(3.0, FaultEvent::FanRepair);
     }
 
@@ -281,6 +309,18 @@ mod tests {
         assert_eq!(sched.pop_due(1000), Some(FaultEvent::PwmRelease));
         assert_eq!(sched.pop_due(1000), None);
         assert_eq!(sched.pending(), 0);
+    }
+
+    #[test]
+    fn tick_schedule_peek_matches_delivery() {
+        let mut sched = TickFaultSchedule::none().at_tick(12, FaultEvent::I2cFailure);
+        assert!(!sched.has_due(11));
+        // Due exactly at its tick, like `pop_due`.
+        assert!(sched.has_due(12));
+        assert!(sched.has_due(12), "peeking consumes nothing");
+        assert_eq!(sched.pop_due(12), Some(FaultEvent::I2cFailure));
+        assert!(!sched.has_due(u64::MAX), "nothing left after the drain");
+        assert!(!TickFaultSchedule::none().has_due(u64::MAX), "nothing pending");
     }
 
     #[test]

@@ -185,10 +185,34 @@ impl Node {
     }
 
     /// True when this node has any scheduled fault sources (time- or
-    /// tick-addressed). Such nodes must take the scalar tick path in batched
-    /// simulations so fault delivery and logging semantics stay unchanged.
+    /// tick-addressed). A batched simulation hooks such nodes so it can
+    /// deliver their faults between lane ticks.
     pub fn has_fault_sources(&self) -> bool {
         !self.faults.is_empty() || !self.tick_faults.is_empty()
+    }
+
+    /// True when a fault is due at tick `tick` and time `time_s`: what
+    /// [`Node::deliver_due_faults`] would deliver once the node's clock
+    /// reads them. A batched simulation, whose lanes hold the clock, peeks
+    /// with its own tick and time before syncing the node.
+    pub fn fault_due(&self, tick: u64, time_s: f64) -> bool {
+        self.tick_faults.has_due(tick) || self.faults.has_due(time_s)
+    }
+
+    /// Delivers every fault due at the node's current tick and time:
+    /// tick-addressed ones first, then time-addressed ones, each logged.
+    /// Returns true when any fault landed. [`Node::tick`] calls this after
+    /// advancing the clock; a batched simulation calls it between lane
+    /// ticks.
+    pub fn deliver_due_faults(&mut self) -> bool {
+        let before = self.fault_log.len();
+        while let Some(ev) = self.tick_faults.pop_due(self.ticks) {
+            self.apply_fault(ev);
+        }
+        while let Some(ev) = self.faults.pop_due(self.time_s) {
+            self.apply_fault(ev);
+        }
+        self.fault_log.len() > before
     }
 
     /// Configuration the node was built from.
@@ -207,12 +231,7 @@ impl Node {
         self.ticks += 1;
         self.time_s += dt_s;
 
-        while let Some(ev) = self.tick_faults.pop_due(self.ticks) {
-            self.apply_fault(ev);
-        }
-        for ev in self.faults.due(self.time_s) {
-            self.apply_fault(ev);
-        }
+        self.deliver_due_faults();
 
         // The chip's remote diode tracks the die continuously.
         let die = self.thermal.die_temp_c();
