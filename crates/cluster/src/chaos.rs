@@ -330,24 +330,43 @@ impl ChaosCorpus {
 /// corpora. The report's compact JSON is hashed as it streams out, never
 /// held as a string.
 pub fn report_digest(report: &RunReport) -> String {
-    let mut hash = Fnv1a64(0xcbf2_9ce4_8422_2325);
-    serde_json::to_writer(&mut hash, report).expect("reports always serialize");
-    format!("fnv1a64:{:016x}", hash.0)
+    digest_json(report, std::io::sink())
 }
 
-/// An FNV-1a 64 state that absorbs whatever is written to it.
-struct Fnv1a64(u64);
+/// The report's compact JSON together with its [`report_digest`], from one
+/// encoding: the bytes are hashed as they are written, so a caller that
+/// serves the JSON does not encode the report a second time.
+pub fn report_json_and_digest(report: &RunReport) -> (Vec<u8>, String) {
+    let mut json = Vec::new();
+    let digest = digest_json(report, &mut json);
+    (json, digest)
+}
 
-impl std::io::Write for Fnv1a64 {
+/// Streams `report`'s compact JSON into `out`, hashing every byte on the
+/// way, and renders the hash: the one definition of the report digest.
+fn digest_json<W: std::io::Write>(report: &RunReport, out: W) -> String {
+    let mut tee = Fnv1a64 { hash: 0xcbf2_9ce4_8422_2325, out };
+    serde_json::to_writer(&mut tee, report).expect("reports always serialize");
+    format!("fnv1a64:{:016x}", tee.hash)
+}
+
+/// An FNV-1a 64 state that absorbs whatever is written through it to `out`.
+struct Fnv1a64<W> {
+    hash: u64,
+    out: W,
+}
+
+impl<W: std::io::Write> std::io::Write for Fnv1a64<W> {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.out.write_all(bytes)?;
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
         Ok(bytes.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
+        self.out.flush()
     }
 }
 
@@ -847,6 +866,16 @@ mod tests {
         node.temp_summary.max = max_t;
         r.nodes.push(node);
         r
+    }
+
+    #[test]
+    fn one_encoding_gives_the_report_json_and_its_digest() {
+        let report = report_with(1, true, 50.0, 48.0);
+        let (json, digest) = report_json_and_digest(&report);
+        assert_eq!(json, serde_json::to_string(&report).expect("serialize").into_bytes());
+        assert_eq!(digest, report_digest(&report));
+        assert_eq!(digest, report_digest(&report_with(1, true, 50.0, 48.0)), "deterministic");
+        assert_ne!(digest, report_digest(&report_with(2, true, 50.0, 48.0)));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod sim;
 pub mod sweep;
 
 pub use chaos::{
-    chaos_search, report_digest, AttackKind, ChaosConfig, ChaosCorpus, ChaosError, Counterexample,
-    FaultWindow, OutcomePredicate, OutcomeSummary, CHAOS_SCHEMA,
+    chaos_search, report_digest, report_json_and_digest, AttackKind, ChaosConfig, ChaosCorpus,
+    ChaosError, Counterexample, FaultWindow, OutcomePredicate, OutcomeSummary, CHAOS_SCHEMA,
 };
 pub use pool::{pool_width, MIN_NODES_PER_SHARD};
 pub use rack::{RackConfig, RackModel};

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use unitherm_cluster::{report_digest, RunReport, Scenario};
+use unitherm_cluster::{report_json_and_digest, RunReport, Scenario};
 use unitherm_obs::{Counters, EventRecord};
 
 /// Identifier assigned to each accepted job, monotonically increasing from 1.
@@ -127,6 +127,9 @@ pub struct JobSnapshot {
     pub digest: Option<String>,
     /// The finished report, once `Done` (shared, so snapshots stay cheap).
     pub report: Option<Arc<RunReport>>,
+    /// The report's compact JSON from the encoding that made `digest`.
+    /// Only [`JobQueue::take_snapshot`] fills it, and only once per job.
+    pub report_json: Option<Arc<[u8]>>,
     /// The failure reason, once `Failed`.
     pub error: Option<String>,
     /// Journal events captured so far.
@@ -149,16 +152,60 @@ struct Job {
     events_done: bool,
 }
 
+impl Job {
+    fn snapshot(&self) -> JobSnapshot {
+        JobSnapshot {
+            id: self.id,
+            tenant: self.tenant.clone(),
+            name: self.name.clone(),
+            status: self.status,
+            digest: self.digest.clone(),
+            report: self.report.clone(),
+            report_json: None,
+            error: self.error.clone(),
+            events_len: self.events.len(),
+        }
+    }
+}
+
 #[derive(Default)]
 struct State {
-    jobs: Vec<Job>,
+    /// Every job in id order: `jobs[k]` has id `first_id + k`.
+    jobs: VecDeque<Job>,
+    first_id: JobId,
+    /// Ids of the open (queued or running) jobs; at most `capacity`.
+    open: Vec<JobId>,
     /// Ids of jobs awaiting a runner, FIFO.
     pending: VecDeque<JobId>,
-    next_id: JobId,
+    /// The report JSON `complete` encoded for each of the last `capacity`
+    /// jobs to complete, oldest first, until a status document takes it.
+    encoded: VecDeque<(JobId, Arc<[u8]>)>,
+    /// The control-plane counters of every finished report, summed.
+    counters: Counters,
     submitted: u64,
     rejected: u64,
     completed: u64,
     failed: u64,
+}
+
+impl State {
+    fn job(&self, id: JobId) -> Option<&Job> {
+        self.jobs.get(usize::try_from(id.checked_sub(self.first_id)?).ok()?)
+    }
+
+    fn job_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        self.jobs.get_mut(usize::try_from(id.checked_sub(self.first_id)?).ok()?)
+    }
+
+    /// Closes running job `id` for a final status; `None` (no change) when
+    /// the job is unknown, still queued or already finished.
+    fn finish(&mut self, id: JobId) -> Option<&mut Job> {
+        if self.job(id)?.status != JobStatus::Running {
+            return None;
+        }
+        self.open.retain(|&open| open != id);
+        self.job_mut(id)
+    }
 }
 
 struct Inner {
@@ -203,7 +250,7 @@ impl JobQueue {
         };
         Self {
             inner: Arc::new(Inner {
-                state: Mutex::new(State::default()),
+                state: Mutex::new(State { first_id: 1, ..State::default() }),
                 work: Condvar::new(),
                 progress: Condvar::new(),
                 cfg,
@@ -220,21 +267,15 @@ impl JobQueue {
     /// error when the queue or the tenant's quota is full.
     pub fn submit(&self, tenant: &str, scenario: Scenario) -> Result<JobId, SubmitError> {
         let mut state = self.lock();
-        let open = state
-            .jobs
-            .iter()
-            .filter(|j| matches!(j.status, JobStatus::Queued | JobStatus::Running))
-            .count();
+        let open = state.open.len();
         if open >= self.inner.cfg.capacity {
             state.rejected += 1;
             return Err(SubmitError::QueueFull { capacity: self.inner.cfg.capacity, open });
         }
         let tenant_open = state
-            .jobs
+            .open
             .iter()
-            .filter(|j| {
-                j.tenant == tenant && matches!(j.status, JobStatus::Queued | JobStatus::Running)
-            })
+            .filter(|&&id| state.job(id).is_some_and(|j| j.tenant == tenant))
             .count();
         if tenant_open >= self.inner.cfg.tenant_quota {
             state.rejected += 1;
@@ -244,9 +285,8 @@ impl JobQueue {
                 open: tenant_open,
             });
         }
-        state.next_id += 1;
-        let id = state.next_id;
-        state.jobs.push(Job {
+        let id = state.first_id + state.jobs.len() as JobId;
+        state.jobs.push_back(Job {
             id,
             tenant: tenant.to_string(),
             name: scenario.name.clone(),
@@ -259,6 +299,7 @@ impl JobQueue {
             events: Vec::new(),
             events_done: false,
         });
+        state.open.push(id);
         state.pending.push_back(id);
         state.submitted += 1;
         self.inner.work.notify_one();
@@ -271,7 +312,7 @@ impl JobQueue {
         let mut state = self.lock();
         loop {
             if let Some(id) = state.pending.pop_front() {
-                let job = state.jobs.iter_mut().find(|j| j.id == id).expect("pending job exists");
+                let job = state.job_mut(id).expect("pending job exists");
                 job.status = JobStatus::Running;
                 let scenario = job.scenario.take().expect("queued job holds its scenario");
                 self.inner.progress.notify_all();
@@ -285,7 +326,7 @@ impl JobQueue {
     pub fn try_claim(&self) -> Option<(JobId, Scenario)> {
         let mut state = self.lock();
         let id = state.pending.pop_front()?;
-        let job = state.jobs.iter_mut().find(|j| j.id == id).expect("pending job exists");
+        let job = state.job_mut(id).expect("pending job exists");
         job.status = JobStatus::Running;
         let scenario = job.scenario.take().expect("queued job holds its scenario");
         self.inner.progress.notify_all();
@@ -298,32 +339,46 @@ impl JobQueue {
         // The sink also flushes here while a panicking run unwinds, where a
         // second panic on a poisoned lock would abort the process.
         let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
+        if let Some(job) = state.job_mut(id) {
             job.events.extend_from_slice(recs);
         }
         self.inner.progress.notify_all();
     }
 
-    /// Marks a job `Done`, storing its report and FNV digest. The digest
-    /// serializes the whole report, so it is computed before the lock is
-    /// taken: every other queue user would otherwise wait behind it.
+    /// Marks a running job `Done`, storing its report, FNV digest and the report's
+    /// compact JSON, all from one encoding. The encoding is done before the
+    /// lock is taken: every other queue user would otherwise wait behind it.
+    /// The JSON is kept for the job's first status document; only the last
+    /// `capacity` jobs to complete hold it, so it stays bounded however
+    /// many jobs nobody reads.
     pub fn complete(&self, id: JobId, report: RunReport) {
-        let digest = report_digest(&report);
+        let (json, digest) = report_json_and_digest(&report);
+        let json = Arc::<[u8]>::from(json);
+        let counters = report.counters_total();
         let mut state = self.lock();
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
+        let mut expired = None;
+        if let Some(job) = state.finish(id) {
             job.digest = Some(digest);
             job.report = Some(Arc::new(report));
             job.status = JobStatus::Done;
             job.events_done = true;
             state.completed += 1;
+            state.counters.merge(&counters);
+            state.encoded.push_back((id, json));
+            if state.encoded.len() > self.inner.cfg.capacity {
+                expired = state.encoded.pop_front();
+            }
         }
         self.inner.progress.notify_all();
+        // Free the expired bytes after the lock, not under it.
+        drop(state);
+        drop(expired);
     }
 
-    /// Marks a job `Failed` with a named reason.
+    /// Marks a running job `Failed` with a named reason.
     pub fn fail(&self, id: JobId, error: String) {
         let mut state = self.lock();
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
+        if let Some(job) = state.finish(id) {
             job.error = Some(error);
             job.status = JobStatus::Failed;
             job.events_done = true;
@@ -334,48 +389,34 @@ impl JobQueue {
 
     /// Public snapshot of one job; `None` for unknown ids.
     pub fn snapshot(&self, id: JobId) -> Option<JobSnapshot> {
-        let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|job| JobSnapshot {
-            id: job.id,
-            tenant: job.tenant.clone(),
-            name: job.name.clone(),
-            status: job.status,
-            digest: job.digest.clone(),
-            report: job.report.clone(),
-            error: job.error.clone(),
-            events_len: job.events.len(),
-        })
+        self.lock().job(id).map(Job::snapshot)
+    }
+
+    /// [`JobQueue::snapshot`] for a response that embeds the report: it
+    /// also moves the report's encoded JSON out of the job, when the job
+    /// still holds it, into `report_json`. The first such read of a job
+    /// gets the bytes and releases them; later reads encode the report.
+    pub fn take_snapshot(&self, id: JobId) -> Option<JobSnapshot> {
+        let mut state = self.lock();
+        let snap = state.job(id)?.snapshot();
+        let held = state.encoded.iter().position(|&(done, _)| done == id);
+        let report_json = held.and_then(|k| state.encoded.remove(k)).map(|(_, json)| json);
+        Some(JobSnapshot { report_json, ..snap })
     }
 
     /// Snapshots of every job, in submission order.
     pub fn snapshots(&self) -> Vec<JobSnapshot> {
-        let state = self.lock();
-        state
-            .jobs
-            .iter()
-            .map(|job| JobSnapshot {
-                id: job.id,
-                tenant: job.tenant.clone(),
-                name: job.name.clone(),
-                status: job.status,
-                digest: job.digest.clone(),
-                report: job.report.clone(),
-                error: job.error.clone(),
-                events_len: job.events.len(),
-            })
-            .collect()
+        self.lock().jobs.iter().map(Job::snapshot).collect()
     }
 
     /// The scenario timestep of a job (needed to render its bjl journal).
     pub fn dt_s(&self, id: JobId) -> Option<f64> {
-        let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|j| j.dt_s)
+        self.lock().job(id).map(|j| j.dt_s)
     }
 
     /// All journal events captured for a job so far.
     pub fn events(&self, id: JobId) -> Option<Vec<EventRecord>> {
-        let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|j| j.events.clone())
+        self.lock().job(id).map(|j| j.events.clone())
     }
 
     /// Waits up to `timeout` for events past index `from`, returning the
@@ -391,7 +432,7 @@ impl JobQueue {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.lock();
         loop {
-            let job = state.jobs.iter().find(|j| j.id == id)?;
+            let job = state.job(id)?;
             if job.events.len() > from || job.events_done {
                 let fresh = job.events.get(from..).unwrap_or(&[]).to_vec();
                 return Some((fresh, job.events_done));
@@ -407,7 +448,7 @@ impl JobQueue {
                 .expect("queue lock poisoned");
             state = next;
             if timed_out.timed_out() {
-                let job = state.jobs.iter().find(|j| j.id == id)?;
+                let job = state.job(id)?;
                 let fresh = if job.events.len() > from {
                     job.events.get(from..).unwrap_or(&[]).to_vec()
                 } else {
@@ -424,7 +465,7 @@ impl JobQueue {
         let mut state = self.lock();
         loop {
             let finished = {
-                let job = state.jobs.iter().find(|j| j.id == id)?;
+                let job = state.job(id)?;
                 matches!(job.status, JobStatus::Done | JobStatus::Failed)
             };
             if finished {
@@ -443,22 +484,15 @@ impl JobQueue {
             rejected: state.rejected,
             completed: state.completed,
             failed: state.failed,
-            queued: state.jobs.iter().filter(|j| j.status == JobStatus::Queued).count(),
-            running: state.jobs.iter().filter(|j| j.status == JobStatus::Running).count(),
+            queued: state.pending.len(),
+            running: state.open.len() - state.pending.len(),
         }
     }
 
     /// Sum of the control-plane [`Counters`] over all finished reports —
-    /// the simulator-level half of `/metrics`.
+    /// the simulator-level half of `/metrics`, kept as jobs complete.
     pub fn counters_total(&self) -> Counters {
-        let state = self.lock();
-        let mut total = Counters::default();
-        for job in &state.jobs {
-            if let Some(report) = &job.report {
-                total.merge(&report.counters_total());
-            }
-        }
-        total
+        self.lock().counters
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -556,15 +590,91 @@ mod tests {
         assert!(done, "completed job reports events_done");
     }
 
+    /// Submits, claims and completes one `tiny()` job; returns its id and
+    /// a copy of its report.
+    fn run_tiny(queue: &JobQueue) -> (JobId, RunReport) {
+        let id = queue.submit("t", tiny()).expect("submit");
+        let (claimed, scenario) = queue.try_claim().expect("claim");
+        assert_eq!(claimed, id);
+        let report = unitherm_cluster::Simulation::try_new(scenario).expect("valid").run();
+        queue.complete(id, report.clone());
+        (id, report)
+    }
+
+    #[test]
+    fn first_status_read_takes_the_encoded_report() {
+        let queue = JobQueue::new(QueueConfig::default());
+        let (id, report) = run_tiny(&queue);
+        assert!(
+            queue.snapshot(id).unwrap().report_json.is_none(),
+            "plain snapshots never carry it"
+        );
+        let first = queue.take_snapshot(id).unwrap();
+        let json = first.report_json.as_deref().expect("the first status read gets the bytes");
+        assert_eq!(json, serde_json::to_string(&report).unwrap().as_bytes());
+        assert_eq!(first.digest, Some(unitherm_cluster::report_digest(&report)));
+        assert!(queue.take_snapshot(id).unwrap().report_json.is_none(), "released after use");
+        assert!(queue.take_snapshot(id).unwrap().report.is_some(), "the report itself stays");
+    }
+
+    #[test]
+    fn unread_encodings_expire_after_capacity_completions() {
+        let capacity = 3;
+        let queue = JobQueue::new(QueueConfig { capacity, tenant_quota: capacity });
+        let ids: Vec<JobId> = (0..2 * capacity).map(|_| run_tiny(&queue).0).collect();
+        let failed = queue.submit("t", tiny()).expect("submit");
+        queue.try_claim().expect("claim");
+        queue.fail(failed, "synthetic failure".to_string());
+        // Only the last `capacity` completions still hold their bytes; a
+        // failure has none and evicts nothing.
+        let held: Vec<bool> =
+            ids.iter().map(|&id| queue.take_snapshot(id).unwrap().report_json.is_some()).collect();
+        assert_eq!(held, [false, false, false, true, true, true]);
+        assert!(queue.take_snapshot(failed).unwrap().report_json.is_none());
+    }
+
+    #[test]
+    fn lookup_is_by_dense_id() {
+        let queue = JobQueue::new(QueueConfig { capacity: 8, tenant_quota: 8 });
+        let ids: Vec<JobId> = (0..5).map(|_| queue.submit("t", tiny()).expect("submit")).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5]);
+        for id in ids {
+            assert_eq!(queue.snapshot(id).unwrap().id, id);
+            assert_eq!(queue.dt_s(id), Some(tiny().dt_s));
+        }
+        for unknown in [0, 6, JobId::MAX] {
+            assert!(queue.snapshot(unknown).is_none(), "id {unknown}");
+            assert!(queue.take_snapshot(unknown).is_none(), "id {unknown}");
+            assert!(queue.events(unknown).is_none(), "id {unknown}");
+            assert!(queue.wait_events(unknown, 0, Duration::ZERO).is_none(), "id {unknown}");
+            assert!(queue.wait_done(unknown).is_none(), "id {unknown}");
+        }
+        let stats = queue.stats();
+        assert_eq!((stats.queued, stats.running), (5, 0));
+    }
+
+    #[test]
+    fn only_running_jobs_finish() {
+        let queue = JobQueue::new(QueueConfig::default());
+        let (id, report) = run_tiny(&queue);
+        let samples = queue.counters_total().samples;
+        queue.complete(id, report.clone());
+        queue.fail(id, "late failure".to_string());
+        let queued = queue.submit("t", tiny()).expect("submit");
+        queue.complete(queued, report);
+        queue.fail(queued, "unclaimed failure".to_string());
+        let stats = queue.stats();
+        assert_eq!((stats.completed, stats.failed, stats.queued, stats.running), (1, 0, 1, 0));
+        assert_eq!(queue.counters_total().samples, samples);
+        assert_eq!(queue.snapshot(id).unwrap().status, JobStatus::Done);
+        assert_eq!(queue.snapshot(queued).unwrap().status, JobStatus::Queued);
+    }
+
     #[test]
     fn metrics_aggregate_across_done_jobs() {
         let queue = JobQueue::new(QueueConfig::default());
         for _ in 0..2 {
-            let id = queue.submit("t", tiny()).expect("submit");
-            let (claimed, scenario) = queue.try_claim().expect("claim");
-            assert_eq!(claimed, id);
-            let report = unitherm_cluster::Simulation::try_new(scenario).expect("valid").run();
-            queue.complete(claimed, report);
+            run_tiny(&queue);
         }
         let total = queue.counters_total();
         assert!(total.samples >= 2, "two finished runs contribute samples: {total:?}");

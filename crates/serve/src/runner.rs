@@ -32,7 +32,7 @@ use crate::queue::{JobId, JobQueue};
 const EVENT_BATCH: usize = 64;
 
 /// An [`EventSink`] that forwards records into the queue's per-job event
-/// log in batches of [`EVENT_BATCH`] (the service-side analogue of a
+/// log in batches of `EVENT_BATCH` (64; the service-side analogue of a
 /// `JournalWriter`). The first record goes out alone, so a subscriber sees
 /// the job's first event without waiting for a full batch. The tail is
 /// flushed on drop, which [`Simulation::run`] reaches before the runner

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use serde::Serialize;
+use serde::{Serialize, Serializer};
+use serde_json::RawJson;
 use unitherm_cluster::{RunReport, ThreadPermits};
 use unitherm_experiments::scenario_file;
 use unitherm_obs::{prometheus_text, records_to_bjl, write_sse_frame, EventSink, JournalWriter};
@@ -108,7 +109,24 @@ struct JobStatusDoc<'a> {
     #[serde(skip_serializing_if = "Option::is_none")]
     error: Option<&'a str>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    report: Option<&'a RunReport>,
+    report: Option<ReportField<'a>>,
+}
+
+/// A status document's report: the bytes `JobQueue::complete` encoded, when
+/// this read took them (`JobQueue::take_snapshot`), else the report itself.
+/// Both write the same JSON.
+enum ReportField<'a> {
+    Encoded(RawJson<'a>),
+    Report(&'a RunReport),
+}
+
+impl Serialize for ReportField<'_> {
+    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
+        match self {
+            ReportField::Encoded(json) => json.serialize(s),
+            ReportField::Report(report) => report.serialize(s),
+        }
+    }
 }
 
 impl<'a> From<&'a JobSnapshot> for JobStatusDoc<'a> {
@@ -121,7 +139,10 @@ impl<'a> From<&'a JobSnapshot> for JobStatusDoc<'a> {
             events: snap.events_len,
             digest: snap.digest.as_deref(),
             error: snap.error.as_deref(),
-            report: snap.report.as_deref(),
+            report: match &snap.report_json {
+                Some(json) => Some(ReportField::Encoded(RawJson::new(json))),
+                None => snap.report.as_deref().map(ReportField::Report),
+            },
         }
     }
 }
@@ -310,7 +331,7 @@ fn serve_job_list(stream: &mut TcpStream, queue: &JobQueue) {
 }
 
 fn serve_job_status(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
-    match queue.snapshot(id) {
+    match queue.take_snapshot(id) {
         Some(snap) => {
             let body = json(&JobStatusDoc::from(&snap));
             write_all(stream, &render_response(200, "OK", "application/json", &[], &body));
@@ -377,9 +398,10 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
 
 /// Streams a job's journal as SSE: one `event: journal` frame per record
 /// (whose `data:` payload is the exact JSONL line), keep-alive comments
-/// while idle, and a final `event: done` frame carrying the job-status
-/// document. Each batch [`JobQueue::wait_events`] returns is encoded into
-/// one buffer and sent as one write.
+/// while idle, and a final `event: done` frame whose payload is the
+/// job-status document, the same bytes as `GET /jobs/{id}`. Each batch
+/// [`JobQueue::wait_events`] returns is encoded into one buffer and sent
+/// as one write.
 fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -398,8 +420,10 @@ fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
             seq += 1;
         }
         if done {
-            // Jobs are never removed, so the snapshot exists.
-            if let Some(snap) = queue.snapshot(id) {
+            // Jobs are never removed, so the snapshot exists. It carries
+            // the report's encoded JSON if this is the job's first status
+            // read, and drops it before the write.
+            if let Some(snap) = queue.take_snapshot(id) {
                 write_sse_frame(&mut out, None, "done", &JobStatusDoc::from(&snap));
             }
             write_all(stream, &out);
@@ -482,8 +506,11 @@ fn serve_metrics(stream: &mut TcpStream, queue: &JobQueue, permits: &ThreadPermi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::JobStatus;
+    use crate::queue::{JobStatus, QueueConfig};
+    use std::io::Read;
     use std::sync::Arc;
+    use unitherm_cluster::{report_digest, Scenario};
+    use unitherm_obs::Counters;
 
     fn text(bytes: Vec<u8>) -> String {
         String::from_utf8(bytes).expect("JSON is UTF-8")
@@ -497,6 +524,7 @@ mod tests {
             status,
             digest: None,
             report: None,
+            report_json: None,
             error: None,
             events_len: 3,
         }
@@ -546,5 +574,166 @@ mod tests {
             text(error_json("Bad Request", "unknown format \"x\" (sse, jsonl, bjl)")),
             r#"{"error":"Bad Request","detail":"unknown format \"x\" (sse, jsonl, bjl)"}"#
         );
+    }
+
+    /// Everything a route writes to one end of a loopback connection, read
+    /// from the other end until the route closes it.
+    fn response(serve: impl FnOnce(&mut TcpStream)) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let reader = thread::spawn(move || {
+            let mut bytes = Vec::new();
+            (&client).read_to_end(&mut bytes).expect("read response");
+            bytes
+        });
+        let (mut server, _) = listener.accept().expect("accept");
+        serve(&mut server);
+        drop(server);
+        reader.join().expect("reader")
+    }
+
+    fn body(response: &[u8]) -> &[u8] {
+        let split = response.windows(4).position(|w| w == b"\r\n\r\n").expect("head ends");
+        &response[split + 4..]
+    }
+
+    fn status_body(queue: &JobQueue, id: JobId) -> Vec<u8> {
+        body(&response(|s| serve_job_status(s, queue, id))).to_vec()
+    }
+
+    /// The `data:` payload of the SSE stream's `done` frame.
+    fn done_payload(queue: &JobQueue, id: JobId) -> Vec<u8> {
+        let sse = response(|s| stream_sse(s, queue, id));
+        let text = String::from_utf8(body(&sse).to_vec()).expect("SSE is UTF-8");
+        let frame = text.rsplit_once("event: done\ndata: ").expect("a done frame").1;
+        frame.strip_suffix("\n\n").expect("the done frame ends the stream").as_bytes().to_vec()
+    }
+
+    /// A scenario short enough for a debug build that still emits events.
+    fn eventful(name: &str) -> Scenario {
+        use unitherm_core::control_array::Policy;
+        Scenario::new(name)
+            .with_max_time(5.0)
+            .with_nodes(1)
+            .with_recording(false)
+            .with_fan(unitherm_cluster::FanScheme::dynamic(Policy::MODERATE, 100))
+    }
+
+    /// Claims job `id` and runs it to completion through the runner.
+    fn run(queue: &JobQueue, id: JobId) {
+        let (claimed, scenario) = queue.try_claim().expect("claim");
+        assert_eq!(claimed, id);
+        crate::run_one(queue, &ThreadPermits::new(1), claimed, scenario);
+    }
+
+    /// The status document with the report encoded in full, and, spelled
+    /// out, the bytes FORMATS.md §6 gives it.
+    fn encoded_in_full(queue: &JobQueue, id: JobId) -> Vec<u8> {
+        let snap = queue.snapshot(id).expect("job exists");
+        assert!(snap.report_json.is_none());
+        let doc = json(&JobStatusDoc::from(&snap));
+        let report = snap.report.as_deref().map(|r| serde_json::to_string(r).unwrap());
+        let spelled = match (snap.status, report) {
+            (JobStatus::Done, Some(report)) => format!(
+                r#"{{"id":{id},"tenant":"acme","name":"{}","status":"done","events":{},"digest":"{}","report":{report}}}"#,
+                snap.name,
+                snap.events_len,
+                report_digest(snap.report.as_deref().unwrap()),
+            ),
+            (JobStatus::Failed, None) => format!(
+                r#"{{"id":{id},"tenant":"acme","name":"{}","status":"failed","events":{},"error":"{}"}}"#,
+                snap.name,
+                snap.events_len,
+                snap.error.as_deref().unwrap(),
+            ),
+            other => panic!("unexpected final state {other:?}"),
+        };
+        assert_eq!(text(doc.clone()), spelled);
+        doc
+    }
+
+    #[test]
+    fn spliced_report_keeps_the_status_bytes() {
+        let queue = JobQueue::new(QueueConfig::default());
+        let streamed = queue.submit("acme", eventful("streamed")).expect("submit");
+        let polled = queue.submit("acme", eventful("polled")).expect("submit");
+        let failed = queue.submit("acme", eventful("failed")).expect("submit");
+        run(&queue, streamed);
+        run(&queue, polled);
+        queue.try_claim().expect("claim");
+        queue.fail(failed, "simulation panicked: synthetic".to_string());
+
+        // The first `done` frame splices the encoded report and releases
+        // it; a second subscriber and a status read encode it again.
+        let want = encoded_in_full(&queue, streamed);
+        assert!(queue.snapshot(streamed).unwrap().events_len > 0, "the run emits events");
+        assert_eq!(text(done_payload(&queue, streamed)), text(want.clone()));
+        assert!(queue.take_snapshot(streamed).unwrap().report_json.is_none(), "released");
+        assert_eq!(text(done_payload(&queue, streamed)), text(want.clone()));
+        assert_eq!(text(status_body(&queue, streamed)), text(want));
+
+        // A status read can be the first use as well.
+        let want = encoded_in_full(&queue, polled);
+        assert_eq!(text(status_body(&queue, polled)), text(want.clone()));
+        assert!(queue.take_snapshot(polled).unwrap().report_json.is_none(), "released");
+        assert_eq!(text(status_body(&queue, polled)), text(want.clone()));
+        assert_eq!(text(done_payload(&queue, polled)), text(want));
+
+        let want = encoded_in_full(&queue, failed);
+        assert_eq!(text(done_payload(&queue, failed)), text(want.clone()));
+        assert_eq!(text(status_body(&queue, failed)), text(want));
+    }
+
+    #[test]
+    fn metrics_sum_every_finished_job() {
+        let queue = JobQueue::new(QueueConfig { capacity: 6, tenant_quota: 6 });
+        let ids: Vec<JobId> = (0..6)
+            .map(|k| queue.submit("acme", eventful(&format!("m{k}"))).expect("submit"))
+            .collect();
+        for &id in &ids[..3] {
+            run(&queue, id);
+        }
+        queue.try_claim().expect("claim");
+        queue.fail(ids[3], "synthetic".to_string());
+        queue.try_claim().expect("claim");
+        // Left: ids[4] running, ids[5] queued.
+
+        let mut counters = Counters::default();
+        for snap in queue.snapshots() {
+            if let Some(report) = &snap.report {
+                counters.merge(&report.counters_total());
+            }
+        }
+        assert!(counters.samples > 0 && counters.events_emitted > 0, "{counters:?}");
+        let permits = ThreadPermits::new(3);
+        let want = format!(
+            "# HELP unitherm_serve_jobs_submitted_total Jobs accepted since start.\n\
+             # TYPE unitherm_serve_jobs_submitted_total counter\n\
+             unitherm_serve_jobs_submitted_total 6\n\
+             # HELP unitherm_serve_jobs_rejected_total Submissions rejected (queue full or tenant quota).\n\
+             # TYPE unitherm_serve_jobs_rejected_total counter\n\
+             unitherm_serve_jobs_rejected_total 0\n\
+             # HELP unitherm_serve_jobs_completed_total Jobs finished successfully.\n\
+             # TYPE unitherm_serve_jobs_completed_total counter\n\
+             unitherm_serve_jobs_completed_total 3\n\
+             # HELP unitherm_serve_jobs_failed_total Jobs that failed.\n\
+             # TYPE unitherm_serve_jobs_failed_total counter\n\
+             unitherm_serve_jobs_failed_total 1\n\
+             # HELP unitherm_serve_jobs_queued Jobs currently waiting for a runner.\n\
+             # TYPE unitherm_serve_jobs_queued gauge\n\
+             unitherm_serve_jobs_queued 1\n\
+             # HELP unitherm_serve_jobs_running Jobs currently executing.\n\
+             # TYPE unitherm_serve_jobs_running gauge\n\
+             unitherm_serve_jobs_running 1\n\
+             # HELP unitherm_serve_thread_permits_total Total simulation-thread budget.\n\
+             # TYPE unitherm_serve_thread_permits_total gauge\n\
+             unitherm_serve_thread_permits_total 3\n\
+             # HELP unitherm_serve_thread_permits_available Simulation-thread permits not currently held by a run.\n\
+             # TYPE unitherm_serve_thread_permits_available gauge\n\
+             unitherm_serve_thread_permits_available 3\n{}",
+            prometheus_text(&counters, "")
+        );
+        let got = response(|s| serve_metrics(s, &queue, &permits));
+        assert_eq!(text(body(&got).to_vec()), want);
     }
 }

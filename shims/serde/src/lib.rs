@@ -158,6 +158,11 @@ pub trait Serializer: Sized {
     fn map_key(&mut self, key: &str) -> Result<(), Self::Error>;
     /// Closes the open map.
     fn end_map(&mut self) -> Result<(), Self::Error>;
+    /// Splices `json`, one complete compact JSON value this format wrote
+    /// earlier, verbatim in value position (`serde_json::RawJson`). A
+    /// format or mode that cannot take compact JSON bytes as they stand
+    /// fails here.
+    fn serialize_raw_json(&mut self, json: &[u8]) -> Result<(), Self::Error>;
 
     /// Writes one sequence element.
     fn element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error> {

@@ -3,7 +3,8 @@
 //! grammar (objects, arrays, strings with escapes, numbers with exponents,
 //! booleans, null). Writing is one pass: [`to_writer`], [`to_string`] and
 //! [`to_string_pretty`] drive the type's `Serialize` impl straight into the
-//! output bytes, with no intermediate tree.
+//! output bytes, with no intermediate tree. A [`RawJson`] splices bytes the
+//! compact writer produced earlier into a larger document verbatim.
 
 use std::io;
 
@@ -431,6 +432,54 @@ impl<W: io::Write> serde::Serializer for Writer<W> {
 
     fn end_map(&mut self) -> io::Result<()> {
         self.close("}")
+    }
+
+    fn serialize_raw_json(&mut self, json: &[u8]) -> io::Result<()> {
+        if self.pretty {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "raw JSON splices into compact output only",
+            ));
+        }
+        self.out.write_all(json)
+    }
+}
+
+/// One compact JSON value, already encoded, that serializes as its bytes
+/// verbatim: a document can embed a value [`to_writer`] wrote earlier
+/// without encoding it again. Only the compact writer accepts it;
+/// [`to_string_pretty`] fails on it, since the bytes carry no indentation.
+///
+/// ```
+/// #[derive(serde::Serialize)]
+/// struct Doc<'a> {
+///     id: u32,
+///     body: serde_json::RawJson<'a>,
+/// }
+///
+/// let body = serde_json::to_string(&vec![1.5, 2.0]).unwrap();
+/// let doc = Doc { id: 7, body: serde_json::RawJson::new(body.as_bytes()) };
+/// assert_eq!(serde_json::to_string(&doc).unwrap(), r#"{"id":7,"body":[1.5,2.0]}"#);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RawJson<'a>(&'a [u8]);
+
+impl<'a> RawJson<'a> {
+    /// Wraps `json`, which must be exactly one value as the compact writer
+    /// encodes it; debug builds check that it parses. The bytes are written
+    /// as they stand, never re-encoded.
+    pub fn new(json: &'a [u8]) -> Self {
+        debug_assert!(
+            std::str::from_utf8(json).is_ok_and(|text| parse_value(text).is_ok()),
+            "RawJson holds one JSON value"
+        );
+        RawJson(json)
+    }
+}
+
+impl serde::Serialize for RawJson<'_> {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) -> std::result::Result<(), S::Error> {
+        s.serialize_raw_json(self.0)
     }
 }
 

@@ -315,3 +315,44 @@ fn to_writer_matches_to_string() {
         assert_eq!(String::from_utf8(out).unwrap(), serde_json::to_string(&rec).unwrap());
     }
 }
+
+/// A document with a value in the middle, held either as itself or as the
+/// bytes the compact writer encoded for it.
+#[derive(Serialize)]
+struct Holder<'a, T> {
+    id: u32,
+    label: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    body: Option<T>,
+    tail: Vec<T>,
+}
+
+#[test]
+fn raw_json_writes_the_bytes_of_the_value_it_holds() {
+    fn check<T: Serialize>(value: T) {
+        let encoded = serde_json::to_string(&value).unwrap();
+        let raw = serde_json::RawJson::new(encoded.as_bytes());
+        let held = Holder { id: 7, label: "x\"y", body: Some(&value), tail: vec![&value, &value] };
+        let spliced = Holder { id: 7, label: "x\"y", body: Some(raw), tail: vec![raw, raw] };
+        assert_eq!(serde_json::to_string(&spliced).unwrap(), serde_json::to_string(&held).unwrap());
+        let mut out = Vec::new();
+        serde_json::to_writer(&mut out, &spliced).unwrap();
+        assert_eq!(out, serde_json::to_string(&held).unwrap().into_bytes());
+    }
+    check(nested());
+    check(value_tree());
+    check(events());
+    check(summaries());
+    check(shapes());
+    check(Value::Map(vec![]));
+    check("plain");
+    check(-0.0);
+}
+
+#[test]
+fn raw_json_is_compact_only() {
+    let raw = serde_json::RawJson::new(b"[1,2]");
+    assert_eq!(serde_json::to_string(&raw).unwrap(), "[1,2]");
+    let err = serde_json::to_string_pretty(&vec![raw]).unwrap_err();
+    assert!(err.to_string().contains("compact output only"), "{err}");
+}
