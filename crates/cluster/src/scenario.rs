@@ -455,7 +455,13 @@ impl Scenario {
         }
         check(self.nodes >= 1, "need at least one node")?;
         check(self.threads >= 1, "need at least one worker thread")?;
-        check(self.max_time_s > 0.0, "time limit must be positive")?;
+        // An infinite limit would let an endless workload hold its thread
+        // (and a service job its permits) forever.
+        check(
+            self.max_time_s.is_finite() && self.max_time_s > 0.0,
+            "time limit must be finite and positive",
+        )?;
+        check(self.cooldown_s.is_finite(), "cooldown must be finite")?;
         check(self.dt_s > 0.0, "tick must be positive")?;
         check(self.sample_period_s >= self.dt_s, "sampling cannot outpace the tick")?;
         let ratio = self.sample_period_s / self.dt_s;

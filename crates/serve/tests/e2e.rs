@@ -246,10 +246,17 @@ fn rejections_are_named_and_slots_recycle() {
     );
     // An event ring too large to allocate → 400, not an aborted process.
     let big_ring = full.replace("\"event_capacity\": 256", "\"event_capacity\": 100000000000000");
+    // `1e999` parses to infinity: a job that would panic mid-run, and one
+    // that would hold its permits forever → 400.
+    let infinite_airflow = full
+        .replace("\"airflow_conductance_w_per_k\": 2.38", "\"airflow_conductance_w_per_k\": 1e999");
+    let endless = full.replace("\"max_time_s\": 20.0", "\"max_time_s\": 1e999");
     for (body, named) in [
         (zero_capacity, "die capacity"),
         (bad_rack, "recirculation fraction"),
         (big_ring, "event_capacity"),
+        (infinite_airflow, "airflow conductance must be finite"),
+        (endless, "time limit must be finite"),
     ] {
         assert_ne!(body, full, "the mutation must hit the scenario");
         let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&body));

@@ -13,14 +13,16 @@
 //! # Bit-identical by construction
 //!
 //! Every arithmetic step of a lane tick delegates to the same
-//! `pub(crate)` raw functions the scalar path uses ([`thermal::step_raw`],
+//! `pub(crate)` raw functions the scalar path uses ([`thermal::euler_raw`],
 //! [`cpu::power_raw`], [`fan::step_raw`], [`power::observe_raw`],
-//! [`adt7467::static_curve_duty_raw`]) with operands in the same order, and
-//! [`load`]/[`store`] copy the memo caches (conductance, sub-step, fan lag)
-//! bit-exactly. A batched tick therefore produces *the same f64 bits* as
-//! [`Node::tick`] on every lane — pinned by this module's tests against
-//! [`Node::tick`] and by the cluster's report digests recorded from the
-//! scalar tick.
+//! [`adt7467::static_curve_duty_raw`]) with operands in the same order.
+//! What depends only on the step and a slot's configuration — the rotor-lag
+//! coefficient and, for every slot that is not stiff, the RC sub-step split
+//! ([`thermal::fixed_substeps_raw`] proves it constant) — is derived once
+//! per step length and slot instead of once per tick. A batched tick
+//! therefore produces *the same f64 bits* as [`Node::tick`] on every lane —
+//! pinned by this module's tests against [`Node::tick`] and by the
+//! cluster's report digests recorded from the scalar tick.
 //!
 //! # Hooked nodes
 //!
@@ -37,7 +39,8 @@
 //! [`tick_all`]: PhysicsBatch::tick_all
 //! [`reload_control`]: PhysicsBatch::reload_control
 //! [`Node::tick`]: crate::node::Node::tick
-//! [`thermal::step_raw`]: crate::thermal
+//! [`thermal::euler_raw`]: crate::thermal
+//! [`thermal::fixed_substeps_raw`]: crate::thermal
 //! [`cpu::power_raw`]: crate::cpu
 //! [`fan::step_raw`]: crate::fan
 //! [`power::observe_raw`]: crate::power
@@ -88,10 +91,13 @@ pub struct PhysicsBatch {
     ticks: u64,
     /// Simulation time — accumulates `+= dt` exactly like each `Node`.
     time_s: f64,
+    /// The step the per-step constants (`fan_alpha`, `sub_n`, `sub_h`) were
+    /// derived for; 0 until the first tick.
+    dt_s: f64,
     /// Batched ticks not yet flushed into per-node skip counters.
     skipped: Vec<u64>,
 
-    // --- thermal lanes (state + config + memo caches) ---
+    // --- thermal lanes (state + config + per-step constants) ---
     die_c: Vec<f64>,
     sink_c: Vec<f64>,
     ambient_c: Vec<f64>,
@@ -101,8 +107,11 @@ pub struct PhysicsBatch {
     g_nat: Vec<f64>,
     g_air: Vec<f64>,
     k_exp: Vec<f64>,
-    cond_cache: Vec<(f64, f64)>,
-    substep_cache: Vec<(f64, f64, usize, f64)>,
+    /// Sub-steps per tick, or 0 for a slot whose split is re-derived every
+    /// tick (stiff, or more sub-steps than a `u32` holds).
+    sub_n: Vec<u32>,
+    /// Sub-step length in seconds where `sub_n` is not 0.
+    sub_h: Vec<f64>,
 
     // --- fan lanes ---
     fan_duty_pct: Vec<u8>,
@@ -113,7 +122,7 @@ pub struct PhysicsBatch {
     fan_stall: Vec<f64>,
     fan_tau: Vec<f64>,
     fan_max_w: Vec<f64>,
-    fan_lag_cache: Vec<(f64, f64)>,
+    fan_alpha: Vec<f64>,
 
     // --- ADT7467 lanes ---
     chip_auto: Vec<bool>,
@@ -163,6 +172,9 @@ pub struct PhysicsBatch {
     /// CPU pass of [`PhysicsBatch::tick_all`] and consumed by the thermal
     /// and meter passes. Not part of any node's state.
     cpu_power: Vec<f64>,
+    /// Scratch lane: per-slot sink-to-ambient conductance for the current
+    /// tick, written and read by the thermal pass.
+    g_sa: Vec<f64>,
 }
 
 impl PhysicsBatch {
@@ -201,8 +213,8 @@ impl PhysicsBatch {
         self.g_nat.push(0.0);
         self.g_air.push(0.0);
         self.k_exp.push(0.0);
-        self.cond_cache.push((f64::NAN, 0.0));
-        self.substep_cache.push((f64::NAN, f64::NAN, 0, 0.0));
+        self.sub_n.push(0);
+        self.sub_h.push(0.0);
         self.fan_duty_pct.push(0);
         self.fan_rpm.push(0.0);
         self.fan_failed.push(false);
@@ -211,7 +223,7 @@ impl PhysicsBatch {
         self.fan_stall.push(0.0);
         self.fan_tau.push(0.0);
         self.fan_max_w.push(0.0);
-        self.fan_lag_cache.push((f64::NAN, 0.0));
+        self.fan_alpha.push(0.0);
         self.chip_auto.push(false);
         self.chip_measured.push(0.0);
         self.chip_pwm.push(0);
@@ -248,6 +260,7 @@ impl PhysicsBatch {
         self.m_stats.push(RunningStats::default());
         self.m_last.push(None);
         self.cpu_power.push(0.0);
+        self.g_sa.push(0.0);
     }
 
     /// Number of slots.
@@ -270,9 +283,10 @@ impl PhysicsBatch {
         self.time_s
     }
 
-    /// Copies all hot state from `node` into slot `i` (bit-exact, including
-    /// memo caches). Call after any scalar-side mutation — daemon actuation,
-    /// sampling — so the lanes resume from exactly the scalar state.
+    /// Copies all hot state from `node` into slot `i` (bit-exact) and
+    /// re-derives the slot's per-step constants. Call after any scalar-side
+    /// mutation — daemon actuation, sampling — so the lanes resume from
+    /// exactly the scalar state.
     pub fn load(&mut self, i: usize, node: &Node) {
         let t = &node.thermal;
         self.die_c[i] = t.die_c;
@@ -284,8 +298,6 @@ impl PhysicsBatch {
         self.g_nat[i] = t.cfg.natural_conductance_w_per_k;
         self.g_air[i] = t.cfg.airflow_conductance_w_per_k;
         self.k_exp[i] = t.cfg.airflow_exponent;
-        self.cond_cache[i] = t.conductance_cache;
-        self.substep_cache[i] = t.substep_cache;
 
         let f = &node.fan;
         self.fan_duty_pct[i] = f.duty.percent();
@@ -296,7 +308,6 @@ impl PhysicsBatch {
         self.fan_stall[i] = f.cfg.stall_fraction;
         self.fan_tau[i] = f.cfg.time_constant_s;
         self.fan_max_w[i] = f.cfg.max_power_w;
-        self.fan_lag_cache[i] = f.lag_cache;
 
         let chip = node.bus.device();
         self.chip_auto[i] = chip.mode == PwmMode::Automatic;
@@ -341,10 +352,33 @@ impl PhysicsBatch {
         self.m_total_t[i] = m.total_time_s;
         self.m_stats[i] = m.stats;
         self.m_last[i] = m.last_sample_w;
+
+        if self.dt_s > 0.0 {
+            self.derive_step_constants(i);
+        }
+    }
+
+    /// Derives slot `i`'s per-step constants for the batch's step: the
+    /// rotor-lag coefficient, and the RC sub-step split unless the slot is
+    /// stiff.
+    fn derive_step_constants(&mut self, i: usize) {
+        let dt_s = self.dt_s;
+        self.fan_alpha[i] = fan::lag_alpha_raw(dt_s, self.fan_tau[i]);
+        let (n, h) = thermal::fixed_substeps_raw(
+            dt_s,
+            self.c_die[i],
+            self.c_sink[i],
+            self.g_ds[i],
+            self.g_nat[i],
+            self.g_air[i],
+        )
+        .unwrap_or((0, 0.0));
+        self.sub_n[i] = u32::try_from(n).unwrap_or(0);
+        self.sub_h[i] = h;
     }
 
     /// Writes slot `i`'s mutable state back into `node` (bit-exact,
-    /// including memo caches and the lockstep tick/time counters). Call
+    /// including the lockstep tick/time counters). Call
     /// before any scalar-side read or mutation — sampling, reporting.
     ///
     /// Configuration lanes and states the batch never changes (fan
@@ -358,13 +392,10 @@ impl PhysicsBatch {
         t.die_c = self.die_c[i];
         t.sink_c = self.sink_c[i];
         t.cfg.ambient_c = self.ambient_c[i];
-        t.conductance_cache = self.cond_cache[i];
-        t.substep_cache = self.substep_cache[i];
 
         let f = &mut node.fan;
         f.duty = DutyCycle::new(self.fan_duty_pct[i]);
         f.rpm = self.fan_rpm[i];
-        f.lag_cache = self.fan_lag_cache[i];
 
         let chip = node.bus.device_mut();
         chip.measured_temp_c = self.chip_measured[i];
@@ -429,8 +460,7 @@ impl PhysicsBatch {
     /// Debug-build check backing [`PhysicsBatch::reload_control`]: every
     /// lane that method does *not* copy must already match `node` bit for
     /// bit, and so must the requested-P-state lanes it copies only on a
-    /// change. Comparisons go through `to_bits` because memo caches idle at
-    /// NaN sentinels.
+    /// change. Comparisons go through `to_bits`, so a NaN matches itself.
     #[cfg(debug_assertions)]
     fn assert_slot_in_sync(&self, i: usize, node: &Node) {
         fn eq(a: f64, b: f64) -> bool {
@@ -446,19 +476,6 @@ impl PhysicsBatch {
         assert!(eq(self.g_nat[i], t.cfg.natural_conductance_w_per_k), "g_nat lane out of sync");
         assert!(eq(self.g_air[i], t.cfg.airflow_conductance_w_per_k), "g_air lane out of sync");
         assert!(eq(self.k_exp[i], t.cfg.airflow_exponent), "k_exp lane out of sync");
-        assert!(
-            eq(self.cond_cache[i].0, t.conductance_cache.0)
-                && eq(self.cond_cache[i].1, t.conductance_cache.1),
-            "conductance cache lane out of sync"
-        );
-        let s = &self.substep_cache[i];
-        assert!(
-            eq(s.0, t.substep_cache.0)
-                && eq(s.1, t.substep_cache.1)
-                && s.2 == t.substep_cache.2
-                && eq(s.3, t.substep_cache.3),
-            "substep cache lane out of sync"
-        );
 
         let f = &node.fan;
         assert!(eq(self.fan_rpm[i], f.rpm), "fan rpm lane out of sync");
@@ -466,11 +483,6 @@ impl PhysicsBatch {
         assert!(eq(self.fan_stall[i], f.cfg.stall_fraction), "fan stall lane out of sync");
         assert!(eq(self.fan_tau[i], f.cfg.time_constant_s), "fan tau lane out of sync");
         assert!(eq(self.fan_max_w[i], f.cfg.max_power_w), "fan max power lane out of sync");
-        assert!(
-            eq(self.fan_lag_cache[i].0, f.lag_cache.0)
-                && eq(self.fan_lag_cache[i].1, f.lag_cache.1),
-            "fan lag cache lane out of sync"
-        );
 
         let chip = node.bus.device();
         assert!(eq(self.chip_measured[i], chip.measured_temp_c), "chip measured lane out of sync");
@@ -563,6 +575,13 @@ impl PhysicsBatch {
     /// The caller must have called [`PhysicsBatch::begin_tick`].
     pub fn tick_all(&mut self, dt_s: f64) {
         let len = self.len;
+        assert!(dt_s > 0.0, "time step must be positive");
+        if dt_s.to_bits() != self.dt_s.to_bits() {
+            self.dt_s = dt_s;
+            for i in 0..len {
+                self.derive_step_constants(i);
+            }
+        }
         // The `Node::tick` operation order, restructured into one loop per
         // physics stage. Nodes are independent within a tick, so
         // interleaving stage N of node A with stage M of node B cannot
@@ -627,8 +646,7 @@ impl PhysicsBatch {
             let fan_stall = &self.fan_stall[..len];
             let fan_max_rpm = &self.fan_max_rpm[..len];
             let fan_rpm = &mut self.fan_rpm[..len];
-            let fan_tau = &self.fan_tau[..len];
-            let fan_lag_cache = &mut self.fan_lag_cache[..len];
+            let fan_alpha = &self.fan_alpha[..len];
             // Tabulated `DutyCycle::new(p).fraction()` — bit-identical,
             // skips the per-slot divide.
             let frac_lut = DutyCycle::percent_fraction_lut();
@@ -639,7 +657,7 @@ impl PhysicsBatch {
                     fan_stall[i],
                     fan_max_rpm[i],
                 );
-                fan::step_raw(&mut fan_rpm[i], target, dt_s, fan_tau[i], &mut fan_lag_cache[i]);
+                fan::step_raw(&mut fan_rpm[i], target, fan_alpha[i]);
             }
         }
 
@@ -681,39 +699,51 @@ impl PhysicsBatch {
             }
         }
 
-        // Stage 4: RC-thermal step under the new airflow.
+        // Stage 4: RC-thermal step under the new airflow, in two loops: the
+        // conductance `powf` of every slot into a scratch lane, then the
+        // Euler sub-steps at the slot's constant split, re-derived here only
+        // for a stiff slot (`sub_n == 0`).
         {
             let fan_rpm = &self.fan_rpm[..len];
             let fan_max_rpm = &self.fan_max_rpm[..len];
+            let g_nat = &self.g_nat[..len];
+            let g_air = &self.g_air[..len];
+            let k_exp = &self.k_exp[..len];
+            let g_sa = &mut self.g_sa[..len];
+            for i in 0..len {
+                let airflow = (fan_rpm[i] / fan_max_rpm[i]).clamp(0.0, 1.0);
+                g_sa[i] = thermal::sink_conductance_raw(g_nat[i], g_air[i], k_exp[i], airflow);
+            }
+        }
+        {
+            let cpu_power = &self.cpu_power[..len];
+            for &power in cpu_power {
+                assert!(power >= 0.0, "CPU power cannot be negative");
+            }
             let die_c = &mut self.die_c[..len];
             let sink_c = &mut self.sink_c[..len];
             let ambient_c = &self.ambient_c[..len];
             let g_ds = &self.g_ds[..len];
             let c_die = &self.c_die[..len];
             let c_sink = &self.c_sink[..len];
-            let g_nat = &self.g_nat[..len];
-            let g_air = &self.g_air[..len];
-            let k_exp = &self.k_exp[..len];
-            let cond_cache = &mut self.cond_cache[..len];
-            let substep_cache = &mut self.substep_cache[..len];
-            let cpu_power = &self.cpu_power[..len];
+            let g_sa = &self.g_sa[..len];
+            let sub_n = &self.sub_n[..len];
+            let sub_h = &self.sub_h[..len];
             for i in 0..len {
-                let airflow = (fan_rpm[i] / fan_max_rpm[i]).clamp(0.0, 1.0);
-                thermal::step_raw(
+                let split = match sub_n[i] {
+                    0 => thermal::substeps_raw(dt_s, c_die[i], c_sink[i], g_ds[i], g_sa[i]),
+                    n => (n as usize, sub_h[i]),
+                };
+                thermal::euler_raw(
                     &mut die_c[i],
                     &mut sink_c[i],
                     ambient_c[i],
                     g_ds[i],
                     c_die[i],
                     c_sink[i],
-                    g_nat[i],
-                    g_air[i],
-                    k_exp[i],
-                    &mut cond_cache[i],
-                    &mut substep_cache[i],
-                    dt_s,
+                    g_sa[i],
                     cpu_power[i],
-                    airflow,
+                    split,
                 );
             }
         }
@@ -838,8 +868,9 @@ mod tests {
     use crate::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 
     /// Drives a scalar node and a 1-slot batch through the same tick
-    /// sequence and asserts bit-identical state after store-back.
-    fn assert_lockstep(mut cfg_mutate: impl FnMut(&mut NodeConfig), util: f64, ticks: u32) {
+    /// sequence and asserts bit-identical state after store-back. Returns
+    /// the slot's constant sub-step count (0: split re-derived per tick).
+    fn assert_lockstep(mut cfg_mutate: impl FnMut(&mut NodeConfig), util: f64, ticks: u32) -> u32 {
         let mut cfg = NodeConfig::default();
         cfg_mutate(&mut cfg);
         let mut scalar = Node::new(cfg.clone(), 42);
@@ -864,11 +895,29 @@ mod tests {
         batch.write_heat(&mut heat);
         assert_eq!(scalar.heat_output_w().to_bits(), heat[0].to_bits());
         assert_eq!(batch.take_skipped(0), u64::from(ticks));
+        batch.sub_n[0]
     }
 
     #[test]
     fn idle_node_is_bit_identical() {
-        assert_lockstep(|_| {}, 0.0, 500);
+        assert_eq!(assert_lockstep(|_| {}, 0.0, 500), 1);
+    }
+
+    #[test]
+    fn many_substep_node_is_bit_identical() {
+        // A die this small takes dozens of sub-steps per tick, still at a
+        // split fixed for every airflow.
+        let n = assert_lockstep(|cfg| cfg.thermal.die_capacity_j_per_k = 0.05, 1.0, 2_000);
+        assert!(n > 1, "sub-steps per tick: {n}");
+    }
+
+    #[test]
+    fn stiff_node_is_bit_identical() {
+        // A sink this small is the faster lump at high airflow, so the
+        // split follows the fan: 2 sub-steps per tick at low airflow, 3 at
+        // full. The lanes re-derive it every tick, like `Node::tick`.
+        let n = assert_lockstep(|cfg| cfg.thermal.sink_capacity_j_per_k = 1.0, 1.0, 2_000);
+        assert_eq!(n, 0, "a stiff slot has no constant split");
     }
 
     #[test]
@@ -886,6 +935,25 @@ mod tests {
             1.0,
             5_000,
         );
+    }
+
+    #[test]
+    fn a_new_step_length_re_derives_the_step_constants() {
+        let mut scalar = Node::new(NodeConfig::default(), 3);
+        let mut batched = Node::new(NodeConfig::default(), 3);
+        scalar.set_utilization(1.0);
+        batched.set_utilization(1.0);
+        let mut batch = PhysicsBatch::from_nodes([&batched]);
+        for dt in [0.05, 0.25, 1.0, 0.05] {
+            for _ in 0..50 {
+                scalar.tick(dt);
+                batch.begin_tick(dt);
+                batch.tick_all(dt);
+            }
+        }
+        batch.store(0, &mut batched);
+        assert_eq!(scalar.state(), batched.state());
+        assert_eq!(scalar.meter().energy_j().to_bits(), batched.meter().energy_j().to_bits());
     }
 
     #[test]

@@ -186,7 +186,10 @@ impl NodeConfig {
     /// inconsistency. Scenario files carry whole node configs, so a bad
     /// value is a data error for the caller to name; [`crate::Node`]
     /// construction panics on the same error, which keeps the simulation
-    /// loop free of defensive checks.
+    /// loop free of defensive checks. Every value must be finite: an
+    /// infinite one passes a sign check but breaks the physics mid-run, and
+    /// the lanes' constant sub-step split (`thermal::fixed_substeps_raw`)
+    /// relies on it.
     pub fn validate(&self) -> Result<(), &'static str> {
         fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
             if ok {
@@ -195,7 +198,19 @@ impl NodeConfig {
                 Err(message)
             }
         }
+        fn finite(values: &[(f64, &'static str)]) -> Result<(), &'static str> {
+            values.iter().find(|(v, _)| !v.is_finite()).map_or(Ok(()), |&(_, m)| Err(m))
+        }
         let t = &self.thermal;
+        finite(&[
+            (t.die_capacity_j_per_k, "die capacity must be finite"),
+            (t.sink_capacity_j_per_k, "sink capacity must be finite"),
+            (t.die_sink_conductance_w_per_k, "die-sink conductance must be finite"),
+            (t.natural_conductance_w_per_k, "natural conductance must be finite"),
+            (t.airflow_conductance_w_per_k, "airflow conductance must be finite"),
+            (t.airflow_exponent, "airflow exponent must be finite"),
+            (t.ambient_c, "ambient temperature must be finite"),
+        ])?;
         check(t.die_capacity_j_per_k > 0.0, "die capacity must be positive")?;
         check(t.sink_capacity_j_per_k > 0.0, "sink capacity must be positive")?;
         check(t.die_sink_conductance_w_per_k > 0.0, "die-sink conductance must be positive")?;
@@ -204,6 +219,16 @@ impl NodeConfig {
         check(t.airflow_exponent > 0.0, "airflow exponent must be positive")?;
 
         let c = &self.cpu;
+        check(c.pstates.iter().all(|p| p.voltage_v.is_finite()), "P-state voltage must be finite")?;
+        finite(&[
+            (c.dynamic_power_max_w, "dynamic power must be finite"),
+            (c.leakage_power_ref_w, "leakage power must be finite"),
+            (c.leakage_ref_temp_c, "leakage reference temperature must be finite"),
+            (c.leakage_temp_coeff_per_k, "leakage temperature coefficient must be finite"),
+            (c.emergency_throttle_c, "throttle threshold must be finite"),
+            (c.emergency_shutdown_c, "shutdown threshold must be finite"),
+            (c.emergency_hysteresis_c, "hysteresis must be finite"),
+        ])?;
         check(!c.pstates.is_empty(), "at least one P-state required")?;
         check(
             c.pstates.windows(2).all(|w| w[0].freq_mhz > w[1].freq_mhz),
@@ -218,18 +243,34 @@ impl NodeConfig {
         check(c.emergency_hysteresis_c >= 0.0, "hysteresis must be non-negative")?;
 
         let f = &self.fan;
+        finite(&[
+            (f.max_rpm, "fan max RPM must be finite"),
+            (f.time_constant_s, "fan time constant must be finite"),
+            (f.max_power_w, "fan power must be finite"),
+            (f.stall_fraction, "stall fraction must be finite"),
+        ])?;
         check(f.max_rpm > 0.0, "fan max RPM must be positive")?;
         check(f.time_constant_s > 0.0, "fan time constant must be positive")?;
         check(f.max_power_w >= 0.0, "fan power must be non-negative")?;
         check((0.0..1.0).contains(&f.stall_fraction), "stall fraction must be in [0,1)")?;
 
         let s = &self.sensor;
+        finite(&[
+            (s.noise_std_c, "sensor noise must be finite"),
+            (s.quantization_c, "sensor quantization must be finite"),
+            (s.offset_c, "sensor offset must be finite"),
+            (s.core_spread_c, "core spread must be finite"),
+        ])?;
         check(s.noise_std_c >= 0.0, "sensor noise must be non-negative")?;
         check(s.quantization_c >= 0.0, "sensor quantization must be non-negative")?;
         check(s.count >= 1, "need at least one thermal sensor")?;
         check(s.core_spread_c >= 0.0, "core spread must be non-negative")?;
 
         let b = &self.board;
+        finite(&[
+            (b.base_power_w, "base power must be finite"),
+            (b.psu_efficiency, "PSU efficiency must be finite"),
+        ])?;
         check(b.base_power_w >= 0.0, "base power must be non-negative")?;
         check(
             (0.0..=1.0).contains(&b.psu_efficiency) && b.psu_efficiency > 0.0,
@@ -268,6 +309,45 @@ mod tests {
         let mut c = NodeConfig::default();
         c.thermal.die_capacity_j_per_k = 0.0;
         assert!(c.validate().is_err_and(|e| e.contains("die capacity")));
+    }
+
+    #[test]
+    fn rejects_every_non_finite_value_by_name() {
+        type Field = fn(&mut NodeConfig) -> &mut f64;
+        let fields: [(Field, &str); 25] = [
+            (|c| &mut c.thermal.die_capacity_j_per_k, "die capacity"),
+            (|c| &mut c.thermal.sink_capacity_j_per_k, "sink capacity"),
+            (|c| &mut c.thermal.die_sink_conductance_w_per_k, "die-sink conductance"),
+            (|c| &mut c.thermal.natural_conductance_w_per_k, "natural conductance"),
+            (|c| &mut c.thermal.airflow_conductance_w_per_k, "airflow conductance"),
+            (|c| &mut c.thermal.airflow_exponent, "airflow exponent"),
+            (|c| &mut c.thermal.ambient_c, "ambient temperature"),
+            (|c| &mut c.cpu.pstates[2].voltage_v, "P-state voltage"),
+            (|c| &mut c.cpu.dynamic_power_max_w, "dynamic power"),
+            (|c| &mut c.cpu.leakage_power_ref_w, "leakage power"),
+            (|c| &mut c.cpu.leakage_ref_temp_c, "leakage reference temperature"),
+            (|c| &mut c.cpu.leakage_temp_coeff_per_k, "leakage temperature coefficient"),
+            (|c| &mut c.cpu.emergency_throttle_c, "throttle threshold"),
+            (|c| &mut c.cpu.emergency_shutdown_c, "shutdown threshold"),
+            (|c| &mut c.cpu.emergency_hysteresis_c, "hysteresis"),
+            (|c| &mut c.fan.max_rpm, "fan max RPM"),
+            (|c| &mut c.fan.time_constant_s, "fan time constant"),
+            (|c| &mut c.fan.max_power_w, "fan power"),
+            (|c| &mut c.fan.stall_fraction, "stall fraction"),
+            (|c| &mut c.sensor.noise_std_c, "sensor noise"),
+            (|c| &mut c.sensor.quantization_c, "sensor quantization"),
+            (|c| &mut c.sensor.offset_c, "sensor offset"),
+            (|c| &mut c.sensor.core_spread_c, "core spread"),
+            (|c| &mut c.board.base_power_w, "base power"),
+            (|c| &mut c.board.psu_efficiency, "PSU efficiency"),
+        ];
+        for (field, name) in fields {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut c = NodeConfig::default();
+                *field(&mut c) = bad;
+                assert_eq!(c.validate(), Err(format!("{name} must be finite").as_str()), "{bad}");
+            }
+        }
     }
 
     #[test]

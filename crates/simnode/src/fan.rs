@@ -30,23 +30,19 @@ pub(crate) fn target_rpm_raw(
     max_rpm * duty_fraction
 }
 
-/// Raw first-order rotor lag, shared verbatim by [`Fan::step`] and the SoA
-/// batch path. `lag_cache` memoizes `(dt_s, alpha)` keyed on the exact bits
-/// of `dt_s` so the `exp()` only runs when `dt` changes.
+/// Per-step coefficient of the first-order rotor lag: the exact solution
+/// over `dt_s` (stable for any `dt_s`). Shared verbatim by [`Fan::step`]
+/// and the SoA batch path, which evaluates it only when `dt_s` changes.
 #[inline]
-pub(crate) fn step_raw(
-    rpm: &mut f64,
-    target: f64,
-    dt_s: f64,
-    time_constant_s: f64,
-    lag_cache: &mut (f64, f64),
-) {
-    assert!(dt_s > 0.0, "time step must be positive");
-    // Exact solution of the first-order lag over dt (stable for any dt).
-    if lag_cache.0.to_bits() != dt_s.to_bits() {
-        *lag_cache = (dt_s, 1.0 - (-dt_s / time_constant_s).exp());
-    }
-    let alpha = lag_cache.1;
+pub(crate) fn lag_alpha_raw(dt_s: f64, time_constant_s: f64) -> f64 {
+    1.0 - (-dt_s / time_constant_s).exp()
+}
+
+/// Raw first-order rotor lag with coefficient `alpha` from
+/// [`lag_alpha_raw`], shared verbatim by [`Fan::step`] and the SoA batch
+/// path.
+#[inline]
+pub(crate) fn step_raw(rpm: &mut f64, target: f64, alpha: f64) {
     *rpm += (target - *rpm) * alpha;
     if *rpm < 1.0 && target == 0.0 {
         *rpm = 0.0;
@@ -69,23 +65,12 @@ pub struct Fan {
     pub(crate) rpm: f64,
     pub(crate) failed: bool,
     pub(crate) pwm_stuck: bool,
-    /// Memoized `(dt_s, alpha)` for the lag update below. The simulator calls
-    /// `step` with a fixed `dt`, so the `exp()` only runs when `dt` changes;
-    /// the exact-match key keeps results bit-identical to the uncached path.
-    pub(crate) lag_cache: (f64, f64),
 }
 
 impl Fan {
     /// Creates a fan at rest with 0 % duty.
     pub fn new(cfg: FanConfig) -> Self {
-        Self {
-            cfg,
-            duty: DutyCycle::OFF,
-            rpm: 0.0,
-            failed: false,
-            pwm_stuck: false,
-            lag_cache: (f64::NAN, 0.0),
-        }
+        Self { cfg, duty: DutyCycle::OFF, rpm: 0.0, failed: false, pwm_stuck: false }
     }
 
     /// Creates a fan already spinning at the equilibrium speed for `duty`.
@@ -171,8 +156,9 @@ impl Fan {
 
     /// Advances rotor dynamics by `dt_s` seconds.
     pub fn step(&mut self, dt_s: f64) {
+        assert!(dt_s > 0.0, "time step must be positive");
         let target = self.target_rpm();
-        step_raw(&mut self.rpm, target, dt_s, self.cfg.time_constant_s, &mut self.lag_cache);
+        step_raw(&mut self.rpm, target, lag_alpha_raw(dt_s, self.cfg.time_constant_s));
     }
 }
 

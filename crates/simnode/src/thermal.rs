@@ -33,47 +33,76 @@ pub(crate) fn sink_conductance_raw(g_nat: f64, g_air: f64, exponent: f64, airflo
     g_nat + g_air * a.powf(exponent)
 }
 
+/// The sub-step split of a `dt_s` step at sink conductance `g_sa`: `n`
+/// explicit Euler sub-steps of `h` seconds, so that the update stays well
+/// inside the stability region (`h` at most a quarter of the fastest
+/// lump's time constant).
+#[inline]
+pub(crate) fn substeps_raw(
+    dt_s: f64,
+    die_capacity: f64,
+    sink_capacity: f64,
+    g_ds: f64,
+    g_sa: f64,
+) -> (usize, f64) {
+    let tau_die = die_capacity / g_ds;
+    let tau_sink = sink_capacity / (g_ds + g_sa);
+    let max_sub = (tau_die.min(tau_sink) * 0.25).max(1e-4);
+    let n = (dt_s / max_sub).ceil() as usize;
+    (n, dt_s / n as f64)
+}
+
+/// The split of a `dt_s` step when it is the same at every airflow, or
+/// `None` for a stiff configuration whose sink lump can be the faster one.
+///
+/// `Some((n, h))` equals [`substeps_raw`] bit for bit at every `g_sa` that
+/// [`sink_conductance_raw`] returns, given what `NodeConfig::validate`
+/// guarantees (every value finite, `g_ds` and the capacities positive,
+/// `g_nat` and `g_air` non-negative, `k` positive):
+///
+/// 1. `a = airflow.clamp(0, 1)` lies in `[0, 1]`, so `a^k` does too: the
+///    exact power is at most 1, `pow(1, k)` is exactly 1, and a `powf`
+///    accurate to within one ulp cannot round a value below 1 up past it
+///    (the next `f64` above 1 is two ulps of `[0.5, 1)` away).
+/// 2. IEEE rounding is monotone and `g_air · 1` is exact, so
+///    `g_air · a^k ≤ g_air`, then `g_sa = g_nat + g_air · a^k ≤ g_nat +
+///    g_air`, then `g_ds + g_sa ≤ g_ds + (g_nat + g_air)`, and dividing the
+///    positive `sink_capacity` by the smaller positive sum gives the larger
+///    quotient: `tau_sink(g_sa) ≥ tau_sink(g_nat + g_air)`.
+/// 3. The test below is `tau_sink(g_nat + g_air) ≥ tau_die`, so
+///    `tau_die.min(tau_sink)` is `tau_die` at every airflow (a NaN
+///    `tau_sink` from a NaN airflow also yields `tau_die`), and `n` and `h`
+///    depend on `dt_s`, `die_capacity` and `g_ds` alone.
+#[inline]
+pub(crate) fn fixed_substeps_raw(
+    dt_s: f64,
+    die_capacity: f64,
+    sink_capacity: f64,
+    g_ds: f64,
+    g_nat: f64,
+    g_air: f64,
+) -> Option<(usize, f64)> {
+    let g_max = g_nat + g_air;
+    (sink_capacity / (g_ds + g_max) >= die_capacity / g_ds)
+        .then(|| substeps_raw(dt_s, die_capacity, sink_capacity, g_ds, g_max))
+}
+
 /// The raw RC update shared verbatim by [`ThermalModel::step`] and the SoA
-/// batch path. Operates on caller-owned state so the batch can run it over
-/// contiguous lanes; the expression order is the determinism contract.
+/// batch path: `n` explicit Euler sub-steps of `h` seconds on caller-owned
+/// state. The expression order is the determinism contract.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_raw(
+pub(crate) fn euler_raw(
     die_c: &mut f64,
     sink_c: &mut f64,
     ambient_c: f64,
     g_ds: f64,
     die_capacity: f64,
     sink_capacity: f64,
-    g_nat: f64,
-    g_air: f64,
-    exponent: f64,
-    conductance_cache: &mut (f64, f64),
-    substep_cache: &mut (f64, f64, usize, f64),
-    dt_s: f64,
+    g_sa: f64,
     power_w: f64,
-    airflow: f64,
+    (n, h): (usize, f64),
 ) {
-    assert!(dt_s > 0.0, "time step must be positive");
-    assert!(power_w >= 0.0, "CPU power cannot be negative");
-
-    if conductance_cache.0.to_bits() != airflow.to_bits() {
-        *conductance_cache = (airflow, sink_conductance_raw(g_nat, g_air, exponent, airflow));
-    }
-    let g_sa = conductance_cache.1;
-
-    // Sub-step so that the explicit update stays well inside the
-    // stability region: dt_sub << C/G for the fastest lump.
-    if substep_cache.0.to_bits() != dt_s.to_bits() || substep_cache.1.to_bits() != g_sa.to_bits() {
-        let tau_die = die_capacity / g_ds;
-        let tau_sink = sink_capacity / (g_ds + g_sa);
-        let max_sub = (tau_die.min(tau_sink) * 0.25).max(1e-4);
-        let n = (dt_s / max_sub).ceil() as usize;
-        let h = dt_s / n as f64;
-        *substep_cache = (dt_s, g_sa, n, h);
-    }
-    let (n, h) = (substep_cache.2, substep_cache.3);
-
     for _ in 0..n {
         let flow_ds = g_ds * (*die_c - *sink_c);
         let flow_sa = g_sa * (*sink_c - ambient_c);
@@ -88,25 +117,13 @@ pub struct ThermalModel {
     pub(crate) cfg: ThermalConfig,
     pub(crate) die_c: f64,
     pub(crate) sink_c: f64,
-    /// Memoized `(airflow, G_sa)` for `step`. Fan speed settles to an exact
-    /// f64 fixed point, so after spin-up the `powf` in `sink_conductance`
-    /// never re-runs; the exact-match key keeps results bit-identical.
-    pub(crate) conductance_cache: (f64, f64),
-    /// Memoized `(dt_s, g_sa) → (n, h)` sub-step split for `step`.
-    pub(crate) substep_cache: (f64, f64, usize, f64),
 }
 
 impl ThermalModel {
     /// Creates the model with both lumps equilibrated to ambient.
     pub fn new(cfg: ThermalConfig) -> Self {
         let ambient = cfg.ambient_c;
-        Self {
-            cfg,
-            die_c: ambient,
-            sink_c: ambient,
-            conductance_cache: (f64::NAN, 0.0),
-            substep_cache: (f64::NAN, f64::NAN, 0, 0.0),
-        }
+        Self { cfg, die_c: ambient, sink_c: ambient }
     }
 
     /// Creates the model pre-warmed to the steady state for the given heat
@@ -161,23 +178,26 @@ impl ThermalModel {
     }
 
     /// Advances the network by `dt_s` seconds with the given CPU power (W)
-    /// and fan airflow fraction.
+    /// and fan airflow fraction. Evaluates the conductance and the sub-step
+    /// split on every call: under hybrid control the fan duty keeps moving,
+    /// so the airflow rarely repeats from one tick to the next.
     pub fn step(&mut self, dt_s: f64, power_w: f64, airflow: f64) {
-        step_raw(
+        assert!(dt_s > 0.0, "time step must be positive");
+        assert!(power_w >= 0.0, "CPU power cannot be negative");
+        let c = &self.cfg;
+        let g_sa = self.sink_conductance(airflow);
+        let (g_ds, c_die, c_sink) =
+            (c.die_sink_conductance_w_per_k, c.die_capacity_j_per_k, c.sink_capacity_j_per_k);
+        euler_raw(
             &mut self.die_c,
             &mut self.sink_c,
-            self.cfg.ambient_c,
-            self.cfg.die_sink_conductance_w_per_k,
-            self.cfg.die_capacity_j_per_k,
-            self.cfg.sink_capacity_j_per_k,
-            self.cfg.natural_conductance_w_per_k,
-            self.cfg.airflow_conductance_w_per_k,
-            self.cfg.airflow_exponent,
-            &mut self.conductance_cache,
-            &mut self.substep_cache,
-            dt_s,
+            c.ambient_c,
+            g_ds,
+            c_die,
+            c_sink,
+            g_sa,
             power_w,
-            airflow,
+            substeps_raw(dt_s, c_die, c_sink, g_ds, g_sa),
         );
     }
 }
@@ -337,6 +357,58 @@ mod tests {
             assert!(m.die_temp_c().is_finite());
             assert!(m.die_temp_c() < 500.0);
         }
+    }
+
+    /// Checks `fixed_substeps_raw` against the per-tick split at both ends
+    /// of the conductance range and at `powf` samples between; returns
+    /// whether the configuration had a fixed split.
+    fn check_fixed_split(c: &ThermalConfig, dt_s: f64, airflows: &[f64]) -> bool {
+        let (g_ds, c_die, c_sink) =
+            (c.die_sink_conductance_w_per_k, c.die_capacity_j_per_k, c.sink_capacity_j_per_k);
+        let (g_nat, g_air) = (c.natural_conductance_w_per_k, c.airflow_conductance_w_per_k);
+        let Some((n, h)) = fixed_substeps_raw(dt_s, c_die, c_sink, g_ds, g_nat, g_air) else {
+            return false;
+        };
+        let ends = [g_nat, g_nat + g_air];
+        let samples =
+            airflows.iter().map(|&a| sink_conductance_raw(g_nat, g_air, c.airflow_exponent, a));
+        for g_sa in ends.into_iter().chain(samples) {
+            let (tick_n, tick_h) = substeps_raw(dt_s, c_die, c_sink, g_ds, g_sa);
+            assert_eq!((tick_n, tick_h.to_bits()), (n, h.to_bits()), "{c:?} dt {dt_s} g_sa {g_sa}");
+        }
+        true
+    }
+
+    #[test]
+    fn fixed_split_equals_the_per_tick_split_at_every_airflow() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x5B_5711);
+        let mut airflows = vec![0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
+        airflows.extend((0..200).map(|_| rng.gen::<f64>()));
+        for dt_s in [0.05, 0.25, 1.0] {
+            assert!(check_fixed_split(&ThermalConfig::default(), dt_s, &airflows));
+        }
+        let (mut fixed, mut stiff) = (0, 0);
+        for _ in 0..2_000 {
+            let c = ThermalConfig {
+                die_capacity_j_per_k: rng.gen_range(0.01..100.0),
+                sink_capacity_j_per_k: rng.gen_range(0.5..1_000.0),
+                die_sink_conductance_w_per_k: rng.gen_range(0.1..20.0),
+                natural_conductance_w_per_k: rng.gen_range(0.0..2.0),
+                airflow_conductance_w_per_k: rng.gen_range(0.0..20.0),
+                airflow_exponent: rng.gen_range(0.05..3.0),
+                ambient_c: 22.0,
+            };
+            let dt_s = rng.gen_range(0.001..2.0);
+            if check_fixed_split(&c, dt_s, &airflows[..24]) {
+                fixed += 1;
+            } else {
+                stiff += 1;
+            }
+        }
+        assert!(fixed > 500 && stiff > 100, "both kinds drawn: {fixed} fixed, {stiff} stiff");
     }
 
     #[test]

@@ -90,14 +90,38 @@ fn out_of_range_hardware_and_rack_configs_are_named_errors() {
     let big_ring =
         r#"{"name":"big-ring","nodes":1,"max_time_s":5,"event_capacity":100000000000000}"#;
 
-    for (text, expected) in [
-        (zero_capacity, "node_config: die capacity must be positive"),
-        (bad_rack, "rack: recirculation fraction must be in [0, 1]"),
+    let mut cases = vec![
+        (zero_capacity, "node_config: die capacity must be positive".to_string()),
+        (bad_rack, "rack: recirculation fraction must be in [0, 1]".to_string()),
         (
             big_ring.to_string(),
-            "event_capacity must be at most 65536 records (got 100000000000000)",
+            "event_capacity must be at most 65536 records (got 100000000000000)".to_string(),
         ),
+    ];
+    // `1e999` parses to infinity. A thermal value that large used to pass
+    // validation and panic mid-run (or inside `Simulation::try_new`), and
+    // an infinite time limit let an endless workload run forever.
+    for (key, name) in [
+        ("die_capacity_j_per_k", "die capacity"),
+        ("sink_capacity_j_per_k", "sink capacity"),
+        ("die_sink_conductance_w_per_k", "die-sink conductance"),
+        ("natural_conductance_w_per_k", "natural conductance"),
+        ("airflow_conductance_w_per_k", "airflow conductance"),
+        ("airflow_exponent", "airflow exponent"),
+        ("ambient_c", "ambient temperature"),
     ] {
+        let expected = format!("node_config: {name} must be finite");
+        cases.push((with_value(&json, key, "1e999"), expected));
+    }
+    for (key, value, expected) in [
+        ("max_time_s", "1e999", "time limit must be finite and positive"),
+        ("cooldown_s", "1e999", "cooldown must be finite"),
+        ("cooldown_s", "-1e999", "cooldown must be finite"),
+    ] {
+        cases.push((with_value(&json, key, value), expected.to_string()));
+    }
+
+    for (text, expected) in cases {
         match scenario_file::parse(&text) {
             Err(scenario_file::ScenarioFileError::Invalid(e)) => {
                 assert_eq!(e.message(), expected);
@@ -105,4 +129,13 @@ fn out_of_range_hardware_and_rack_configs_are_named_errors() {
             other => panic!("expected a validation error naming {expected:?}, got {other:?}"),
         }
     }
+}
+
+/// `json` with the number after the first `"key": ` replaced by `value`.
+fn with_value(json: &str, key: &str, value: &str) -> String {
+    let field = format!("\"{key}\": ");
+    let start =
+        json.find(&field).unwrap_or_else(|| panic!("{key} not in the document")) + field.len();
+    let end = start + json[start..].find([',', '\n', '}']).expect("the number ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
 }
