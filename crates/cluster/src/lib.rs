@@ -57,10 +57,7 @@ pub use chaos::{
 };
 pub use pool::{pool_width, MIN_NODES_PER_SHARD};
 pub use rack::{RackConfig, RackModel};
-pub use replay::{
-    derive_fault_plan, derive_fault_plan_from_cursor, DerivedFault, ReplayError, ReplayOptions,
-    ReplayPlan,
-};
+pub use replay::{derive_fault_plan, DerivedFault, ReplayError, ReplayOptions, ReplayPlan};
 pub use report::{NodeReport, RunReport};
 pub use scenario::{Scenario, ScenarioError, WorkloadSpec};
 pub use scheme::{DvfsScheme, FanScheme, SchemeSpec};

@@ -53,8 +53,8 @@ impl RackConfig {
     }
 
     /// Validates the configuration, returning a description of the first
-    /// problem: non-positive capacity/conductance or a recirculation
-    /// fraction outside `[0, 1]`.
+    /// problem: a non-finite value, non-positive capacity/conductance or a
+    /// recirculation fraction outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), &'static str> {
         fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
             if ok {
@@ -63,6 +63,9 @@ impl RackConfig {
                 Err(message)
             }
         }
+        check(self.air_capacity_j_per_k.is_finite(), "air capacity must be finite")?;
+        check(self.supply_air_c.is_finite(), "supply air temperature must be finite")?;
+        check(self.crac_conductance_w_per_k.is_finite(), "CRAC conductance must be finite")?;
         check(self.air_capacity_j_per_k > 0.0, "air capacity must be positive")?;
         check(self.crac_conductance_w_per_k > 0.0, "CRAC conductance must be positive")?;
         check(

@@ -9,10 +9,12 @@
 //! decision exercises the recovery paths a random fault time usually
 //! misses.
 //!
-//! [`derive_fault_plan`] closes that loop: it walks a journal with a
-//! [`JournalCursor`] and pins faults to the *exact ticks* of the recorded
-//! decisions (`tick = round(time_s / dt_s)`; the simulation stamps events
-//! with `now_s = tick · dt_s`, so the mapping is exact):
+//! [`derive_fault_plan`] closes that loop: it walks a journal's decoded
+//! records (from either encoding — `unitherm_obs::read_journal` for
+//! JSONL, `unitherm_obs::bjl_to_records` for `unitherm-bjl/v1`) and pins
+//! faults to the *exact ticks* of the recorded decisions
+//! (`tick = round(time_s / dt_s)`; the simulation stamps events with
+//! `now_s = tick · dt_s`, so the mapping is exact):
 //!
 //! * a `ModeChange` gets a [`FaultEvent::SensorJitter`] burst — the
 //!   controller must re-make the decision through a degraded sensing path;
@@ -27,7 +29,7 @@
 //! state only — so the replay inherits the sharded tick loop's bit-identical
 //! guarantee at any `threads` count (see `DESIGN.md` §12).
 
-use unitherm_obs::{record_tick, Event, EventRecord, InjectedFault, JournalCursor};
+use unitherm_obs::{record_tick, Event, EventRecord, InjectedFault};
 use unitherm_simnode::faults::{FaultEvent, TickFaultSchedule};
 
 use crate::scenario::Scenario;
@@ -175,6 +177,13 @@ pub enum ReplayError {
         /// The scenario's fleet size; valid nodes are `0..nodes`.
         nodes: usize,
     },
+    /// A record's `time_s` is earlier than the record before it. Journals
+    /// are tick-ordered (`docs/FORMATS.md` §2); out of order, records
+    /// past the horizon could hide earlier decisions behind them.
+    NonMonotonicTime {
+        /// Zero-based index of the record whose time went backwards.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -189,6 +198,10 @@ impl std::fmt::Display for ReplayError {
                 f,
                 "journal record {index}: node {node} is outside the scenario's fleet \
                  (valid nodes are 0..{nodes})"
+            ),
+            ReplayError::NonMonotonicTime { index } => write!(
+                f,
+                "journal record {index}: time_s went backwards (journals are tick-ordered)"
             ),
         }
     }
@@ -213,43 +226,25 @@ struct NodeWindows {
 
 /// Derives a tick-addressed fault plan from a recorded journal.
 ///
+/// `records` is the decoded journal, from either encoding; the same
+/// journal yields the same [`ReplayPlan`] whichever it was stored in.
 /// `scenario` supplies the geometry the journal is replayed against: the
 /// tick width (`dt_s`, for the time → tick mapping), the node count and the
 /// run length (`max_time_s`; windows that would open after the end are
-/// skipped). Overlapping windows of the same kind on the same node are
-/// coalesced into the first one, so a recovery event can never cancel a
-/// later injection.
+/// skipped). Every record's time is checked; tick-0 records (which can
+/// never open a window) and records past the horizon are then skipped
+/// before their node is. Overlapping windows of the same kind on the same
+/// node are coalesced into the first one, so a recovery event can never
+/// cancel a later injection.
 ///
 /// # Errors
 /// Returns a [`ReplayError`] identifying the offending record when the
-/// journal is corrupt: a non-finite or negative `time_s`, or a `node` the
-/// scenario does not have. A corrupt journal is a corrupt *recording* — the
-/// derivation refuses to guess which faults it meant.
+/// journal is corrupt: a non-finite or negative `time_s`, a `time_s`
+/// earlier than the one before it, or a `node` the scenario does not
+/// have. A corrupt journal is a corrupt *recording* — the derivation
+/// refuses to guess which faults it meant.
 pub fn derive_fault_plan(
     records: &[EventRecord],
-    scenario: &Scenario,
-    opts: &ReplayOptions,
-) -> Result<ReplayPlan, ReplayError> {
-    derive_fault_plan_from_cursor(JournalCursor::new(records), scenario, opts)
-}
-
-/// [`derive_fault_plan`] over any journal encoding: the cursor abstracts
-/// whether records come from parsed JSONL or a `unitherm-bjl/v1`
-/// [`unitherm_obs::BinaryJournalReader`]
-/// (via [`JournalCursor::from_binary`]), and the derivation is identical —
-/// the same journal in either encoding yields the same [`ReplayPlan`].
-///
-/// The walk exploits the journal ordering contract (`time_s` never
-/// decreases — `docs/FORMATS.md` §2): it opens by seeking to tick 1, which
-/// on a binary source is an `O(log n)` search instead of a scan, and stops
-/// at the first record past the scenario horizon rather than draining the
-/// tail.
-///
-/// # Errors
-/// See [`derive_fault_plan`]. Record indices in errors are positions
-/// within the whole journal, not relative to the seek.
-pub fn derive_fault_plan_from_cursor(
-    mut cursor: JournalCursor<'_>,
     scenario: &Scenario,
     opts: &ReplayOptions,
 ) -> Result<ReplayPlan, ReplayError> {
@@ -258,35 +253,25 @@ pub fn derive_fault_plan_from_cursor(
     let mut schedules: Vec<TickFaultSchedule> = vec![TickFaultSchedule::none(); scenario.nodes];
     let mut derived = Vec::new();
 
-    // Tick-0 records can never open a window; skipping them by tick is the
-    // seekable-format fast path. Records with invalid timestamps have no
-    // tick and are never skipped, so the validation below still sees them.
-    cursor.seek_tick(1, scenario.dt_s);
-    loop {
-        let rec_index = cursor.position();
-        let Some(rec) = cursor.next() else { break };
+    let mut prev_time_s = 0.0f64;
+    for (index, rec) in records.iter().enumerate() {
         let Some(tick) = record_tick(rec.time_s, scenario.dt_s) else {
-            return Err(ReplayError::InvalidTime {
-                index: rec_index,
-                node: rec.node,
-                time_s: rec.time_s,
-            });
+            return Err(ReplayError::InvalidTime { index, node: rec.node, time_s: rec.time_s });
         };
-        if tick > last_tick {
-            // Journals are tick-ordered; everything after this record is
-            // past the scenario horizon too.
-            break;
+        if rec.time_s < prev_time_s {
+            return Err(ReplayError::NonMonotonicTime { index });
+        }
+        prev_time_s = rec.time_s;
+        if tick == 0 || tick > last_tick {
+            continue;
         }
         let node = rec.node as usize;
         if node >= scenario.nodes {
             return Err(ReplayError::NodeOutOfRange {
-                index: rec_index,
+                index,
                 node: rec.node,
                 nodes: scenario.nodes,
             });
-        }
-        if tick == 0 {
-            continue;
         }
         let w = &mut windows[node];
         if w.windows >= opts.max_faults_per_node {
@@ -394,13 +379,18 @@ mod tests {
     fn foreign_node_is_a_named_error() {
         // Regression: a record for a node outside the fleet used to be
         // silently dropped, masking journals recorded against a different
-        // scenario geometry.
-        let records = vec![rec(1.0, 0, mode_change()), rec(3.0, 9, mode_change())];
+        // scenario geometry. A tick-0 record is skipped before its node is
+        // checked, and the index is the record's position in the journal.
+        let records = vec![
+            rec(0.0, 9, mode_change()),
+            rec(1.0, 0, mode_change()),
+            rec(3.0, 9, mode_change()),
+        ];
         let err = derive_fault_plan(&records, &scenario(), &ReplayOptions::default())
             .expect_err("node 9 does not exist in a 2-node scenario");
-        assert_eq!(err, ReplayError::NodeOutOfRange { index: 1, node: 9, nodes: 2 });
+        assert_eq!(err, ReplayError::NodeOutOfRange { index: 2, node: 9, nodes: 2 });
         let msg = err.to_string();
-        assert!(msg.contains("record 1") && msg.contains("node 9"), "{msg}");
+        assert!(msg.contains("record 2") && msg.contains("node 9"), "{msg}");
         let io: std::io::Error = err.into();
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
     }
@@ -456,7 +446,7 @@ mod tests {
     #[test]
     fn both_encodings_derive_identical_plans() {
         let records = vec![
-            rec(0.0, 0, mode_change()), // tick 0: seeked past in both
+            rec(0.0, 0, mode_change()), // tick 0: skipped
             rec(5.0, 0, mode_change()),
             rec(5.5, 0, mode_change()), // coalesces into the t=5 window
             rec(10.0, 1, Event::TdvfsEngage { from_mhz: 2400, to_mhz: 2200 }),
@@ -466,35 +456,32 @@ mod tests {
         let from_jsonl = derive_fault_plan(&records, &scenario, &ReplayOptions::default())
             .expect("jsonl derives");
         let bytes = unitherm_obs::records_to_bjl(&records, scenario.dt_s);
-        let reader = unitherm_obs::BinaryJournalReader::new(&bytes).expect("open");
-        let from_bjl = derive_fault_plan_from_cursor(
-            JournalCursor::from_binary(&reader),
-            &scenario,
-            &ReplayOptions::default(),
-        )
-        .expect("bjl derives");
+        let decoded = unitherm_obs::bjl_to_records(&bytes).expect("decode");
+        let from_bjl =
+            derive_fault_plan(&decoded, &scenario, &ReplayOptions::default()).expect("bjl derives");
         assert_eq!(from_jsonl, from_bjl);
         assert_eq!(from_jsonl.len(), 3);
     }
 
     #[test]
-    fn binary_cursor_reports_absolute_record_indices_in_errors() {
-        // The foreign-node record sits after the seek point; its index must
-        // still be its position within the whole journal.
+    fn time_going_backwards_is_a_named_error_in_both_encodings() {
+        // Regression: the 500 s record is past the 300 s horizon, and the
+        // walk used to stop there, silently dropping the 10 s engagement
+        // behind it, while the same records as bjl failed to decode.
         let records = vec![
-            rec(0.0, 0, mode_change()),
-            rec(1.0, 0, mode_change()),
-            rec(3.0, 9, mode_change()),
+            rec(5.0, 0, mode_change()),
+            rec(500.0, 0, mode_change()),
+            rec(10.0, 1, Event::TdvfsEngage { from_mhz: 2400, to_mhz: 2200 }),
         ];
+        let err = derive_fault_plan(&records, &scenario(), &ReplayOptions::default())
+            .expect_err("out-of-order journal must not derive");
+        assert_eq!(err, ReplayError::NonMonotonicTime { index: 2 });
+        assert!(err.to_string().contains("record 2"), "{err}");
         let bytes = unitherm_obs::records_to_bjl(&records, scenario().dt_s);
-        let reader = unitherm_obs::BinaryJournalReader::new(&bytes).expect("open");
-        let err = derive_fault_plan_from_cursor(
-            JournalCursor::from_binary(&reader),
-            &scenario(),
-            &ReplayOptions::default(),
-        )
-        .expect_err("node 9 does not exist");
-        assert_eq!(err, ReplayError::NodeOutOfRange { index: 2, node: 9, nodes: 2 });
+        assert_eq!(
+            unitherm_obs::bjl_to_records(&bytes),
+            Err(unitherm_obs::BinaryJournalError::NonMonotonicTime { frame: 2 })
+        );
     }
 
     #[test]

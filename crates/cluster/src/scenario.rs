@@ -442,7 +442,8 @@ impl Scenario {
     /// Validates the scenario, returning a description of the first
     /// problem found: zero nodes, non-positive times, a sampling period not
     /// a whole number of ticks, an event ring above 65,536 records,
-    /// references to out-of-range nodes, a hardware ([`NodeConfig`]) or
+    /// references to out-of-range nodes, a fault plan or tick-fault
+    /// schedule its builder would refuse, a hardware ([`NodeConfig`]) or
     /// rack config outside its physical range, or a control scheme whose
     /// controller tuning is unusable.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -476,11 +477,17 @@ impl Scenario {
                 self.event_capacity
             ),
         )?;
-        for (node, _) in &self.faults {
+        // Deserialized schedules skip their builders' checks.
+        for (node, plan) in &self.faults {
             check(*node < self.nodes, format!("fault plan for nonexistent node {node}"))?;
+            plan.validate()
+                .map_err(|e| ScenarioError::new(format!("fault plan (node {node}): {e}")))?;
         }
-        for (node, _) in &self.tick_faults {
+        for (node, sched) in &self.tick_faults {
             check(*node < self.nodes, format!("tick-fault schedule for nonexistent node {node}"))?;
+            sched.validate().map_err(|e| {
+                ScenarioError::new(format!("tick-fault schedule (node {node}): {e}"))
+            })?;
         }
         for (node, _) in &self.fan_overrides {
             check(*node < self.nodes, format!("fan override for nonexistent node {node}"))?;

@@ -182,9 +182,9 @@ impl Simulation {
     }
 
     /// Attaches a cluster-wide `unitherm-bjl/v1` binary event journal (see
-    /// `docs/FORMATS.md` §5): the compact, seekable sibling of the JSONL
+    /// `docs/FORMATS.md` §5): the compact, fixed-width sibling of the JSONL
     /// [`Simulation::attach_journal`] path. The header is stamped with the
-    /// scenario's tick width, so replay tooling can seek the file by tick.
+    /// scenario's tick width, so any reader can recover each record's tick.
     /// Callers wanting buffering should pass a `BufWriter`.
     pub fn attach_binary_journal<W: std::io::Write + 'static>(&mut self, out: W) {
         let dt_s = self.scenario.dt_s;
@@ -206,16 +206,8 @@ impl Simulation {
     ///
     /// Between samples the hot physics state lives in the
     /// structure-of-arrays lanes, so the scalar `Node` structs seen here can
-    /// lag by up to one sample period; [`Simulation::nodes_synced`]
-    /// stores the lanes back first.
+    /// lag by up to one sample period.
     pub fn nodes(&self) -> &[NodeSim] {
-        &self.nodes
-    }
-
-    /// Like [`Simulation::nodes`], but stores the physics lanes back into
-    /// the scalar nodes first, so every `Node` reflects the current tick.
-    pub fn nodes_synced(&mut self) -> &[NodeSim] {
-        self.sync_batches();
         &self.nodes
     }
 
@@ -414,24 +406,16 @@ impl Simulation {
         self.into_report()
     }
 
-    /// Stores every node's physics lanes back into its scalar `Node` and
-    /// flushes the batched-tick counters. Idempotent — a second call with
-    /// no ticks in between stores the same bits and drains zero skipped
-    /// ticks.
-    fn sync_batches(&mut self) {
-        let shards = self.shards.len();
-        let len = self.nodes.len();
+    /// Finalizes the report from the current state.
+    pub fn into_report(mut self) -> RunReport {
+        // Store every node's physics lanes back into its scalar `Node` and
+        // flush the batched-tick counters.
+        let (shards, len) = (self.shards.len(), self.nodes.len());
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let range = shard_range(len, shards, s);
-            for (j, ns) in self.nodes[range].iter_mut().enumerate() {
+            for (j, ns) in self.nodes[shard_range(len, shards, s)].iter_mut().enumerate() {
                 store_node(&mut shard.lanes, j, ns);
             }
         }
-    }
-
-    /// Finalizes the report from the current state.
-    pub fn into_report(mut self) -> RunReport {
-        self.sync_batches();
         let completed = self.nodes.iter().all(|ns| ns.finish_time_s.is_some());
         let exec_time_s = if completed {
             self.nodes.iter().filter_map(|ns| ns.finish_time_s).fold(0.0f64, f64::max)

@@ -244,13 +244,6 @@ fn sweep_workers(scenarios: &[Scenario], max_threads: usize) -> usize {
     thread_budget(max_threads, scenarios.len(), per_job)
 }
 
-/// Runs every scenario with one worker per available CPU (capped at the
-/// scenario count).
-pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunReport> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    run_scenarios_parallel(scenarios, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

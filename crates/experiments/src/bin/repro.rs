@@ -17,7 +17,7 @@
 //! `run-scenario` executes a JSON scenario file (see examples/scenarios/)
 //! and prints its report. `--journal OUT` streams every control-plane
 //! event to a journal as the run executes — JSONL by default,
-//! `--journal-format bjl` for the compact seekable `unitherm-bjl/v1`
+//! `--journal-format bjl` for the compact fixed-width `unitherm-bjl/v1`
 //! binary encoding; `--replay-faults IN` reads either a journal recorded by
 //! an earlier run in either encoding, sniffed from the file (faults land at
 //! the exact ticks where that run made interesting decisions), or a

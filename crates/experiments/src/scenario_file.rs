@@ -8,14 +8,13 @@
 
 use std::path::Path;
 
-use unitherm_cluster::derive_fault_plan_from_cursor;
 use unitherm_cluster::{
     derive_fault_plan, ChaosCorpus, ReplayError, ReplayOptions, RunReport, Scenario, ScenarioError,
     Simulation, CHAOS_SCHEMA,
 };
 use unitherm_metrics::AsciiPlot;
 use unitherm_obs::{
-    read_journal, records_to_bjl, BinaryJournalReader, EventRecord, JournalCursor, JournalFormat,
+    bjl_to_records, read_journal, records_to_bjl, EventRecord, EventSink, JournalFormat,
     JournalWriter,
 };
 
@@ -80,59 +79,37 @@ pub fn to_json(scenario: &Scenario) -> String {
 
 /// Reads an event journal in either encoding, sniffing the format from the
 /// file's first bytes (`unitherm-bjl` opens with the `UBJL` magic, JSONL
-/// with `{`). Returns the records and the detected format.
+/// with `{`), and decodes it in full: this is the one place a journal on
+/// disk becomes records. Returns the records and the detected format.
 pub fn read_any_journal(
     path: impl AsRef<Path>,
 ) -> Result<(Vec<EventRecord>, JournalFormat), ScenarioFileError> {
     let bytes = std::fs::read(path).map_err(ScenarioFileError::Journal)?;
-    match JournalFormat::sniff(&bytes) {
-        JournalFormat::Bjl => {
-            let records = unitherm_obs::bjl_to_records(&bytes)
-                .map_err(|e| ScenarioFileError::Journal(e.into()))?;
-            Ok((records, JournalFormat::Bjl))
-        }
-        JournalFormat::Jsonl => {
-            let records = read_journal(bytes.as_slice()).map_err(ScenarioFileError::Journal)?;
-            Ok((records, JournalFormat::Jsonl))
-        }
+    let format = JournalFormat::sniff(&bytes);
+    let records = match format {
+        JournalFormat::Bjl => bjl_to_records(&bytes).map_err(std::io::Error::from),
+        JournalFormat::Jsonl => read_journal(bytes.as_slice()),
     }
+    .map_err(ScenarioFileError::Journal)?;
+    Ok((records, format))
 }
 
 /// Reads an event journal (JSONL or `unitherm-bjl/v1`, sniffed from the
 /// file) and derives a tick-addressed fault plan for `scenario` (see
 /// `unitherm_cluster::replay`), returning the faulted scenario and a
-/// one-line-per-window description of the derived plan. The binary path
-/// seeks the journal by tick instead of scanning it; both encodings of the
-/// same journal derive the identical plan.
+/// one-line-per-window description of the derived plan. Both encodings of
+/// the same journal derive the identical plan.
 pub fn apply_replay(
     scenario: Scenario,
     journal_path: impl AsRef<Path>,
 ) -> Result<(Scenario, String), ScenarioFileError> {
-    let bytes = std::fs::read(journal_path).map_err(ScenarioFileError::Journal)?;
-    let opts = ReplayOptions::default();
-    let (plan, events, format) = match JournalFormat::sniff(&bytes) {
-        JournalFormat::Bjl => {
-            let reader = BinaryJournalReader::new(&bytes)
-                .map_err(|e| ScenarioFileError::Journal(e.into()))?;
-            let plan = derive_fault_plan_from_cursor(
-                JournalCursor::from_binary(&reader),
-                &scenario,
-                &opts,
-            )
-            .map_err(ScenarioFileError::Replay)?;
-            (plan, reader.len(), JournalFormat::Bjl)
-        }
-        JournalFormat::Jsonl => {
-            let records = read_journal(bytes.as_slice()).map_err(ScenarioFileError::Journal)?;
-            let plan =
-                derive_fault_plan(&records, &scenario, &opts).map_err(ScenarioFileError::Replay)?;
-            (plan, records.len(), JournalFormat::Jsonl)
-        }
-    };
+    let (records, format) = read_any_journal(journal_path)?;
+    let plan = derive_fault_plan(&records, &scenario, &ReplayOptions::default())
+        .map_err(ScenarioFileError::Replay)?;
     let mut desc = format!(
         "derived {} fault window(s) from {} journal event(s) ({format}):\n",
         plan.len(),
-        events
+        records.len()
     );
     for d in &plan.derived {
         desc.push_str(&format!(
@@ -156,26 +133,21 @@ pub fn convert_journal(
     output: impl AsRef<Path>,
     dt_s: f64,
 ) -> Result<String, ScenarioFileError> {
-    let bytes = std::fs::read(&input).map_err(ScenarioFileError::Journal)?;
-    match JournalFormat::sniff(&bytes) {
+    let (records, format) = read_any_journal(input)?;
+    let (bytes, direction) = match format {
         JournalFormat::Bjl => {
-            let records = unitherm_obs::bjl_to_records(&bytes)
-                .map_err(|e| ScenarioFileError::Journal(e.into()))?;
             let mut writer = JournalWriter::new(Vec::new());
             for rec in &records {
-                unitherm_obs::EventSink::record(&mut writer, rec);
+                writer.record(rec);
             }
-            let out = writer.finish().map_err(ScenarioFileError::Journal)?;
-            std::fs::write(&output, out).map_err(ScenarioFileError::Journal)?;
-            Ok(format!("converted {} event(s): bjl -> jsonl\n", records.len()))
+            (writer.finish().map_err(ScenarioFileError::Journal)?, "bjl -> jsonl".to_string())
         }
         JournalFormat::Jsonl => {
-            let records = read_journal(bytes.as_slice()).map_err(ScenarioFileError::Journal)?;
-            std::fs::write(&output, records_to_bjl(&records, dt_s))
-                .map_err(ScenarioFileError::Journal)?;
-            Ok(format!("converted {} event(s): jsonl -> bjl (dt_s = {dt_s})\n", records.len()))
+            (records_to_bjl(&records, dt_s), format!("jsonl -> bjl (dt_s = {dt_s})"))
         }
-    }
+    };
+    std::fs::write(output, bytes).map_err(ScenarioFileError::Journal)?;
+    Ok(format!("converted {} event(s): {direction}\n", records.len()))
 }
 
 /// True when the file at `path` looks like a chaos counterexample corpus
@@ -406,6 +378,42 @@ mod tests {
         assert_eq!(s1.tick_faults, s2.tick_faults, "both encodings derive the same plan");
         assert!(d1.contains("(jsonl)"), "{d1}");
         assert!(d2.contains("(bjl)"), "{d2}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn apply_replay_names_a_record_whose_time_goes_backwards() {
+        use unitherm_obs::{ActuatorKind, Event, WindowLevel};
+        let dir = std::env::temp_dir().join("unitherm_scn_replay_order");
+        std::fs::create_dir_all(&dir).unwrap();
+        let jsonl = dir.join("backwards.jsonl");
+        let bjl = dir.join("backwards.bjl");
+        let mode_change = Event::ModeChange {
+            actuator: ActuatorKind::Fan,
+            from: 20,
+            to: 40,
+            window_level: WindowLevel::L1,
+        };
+        let mut writer = JournalWriter::new(Vec::new());
+        for (time_s, node, event) in [
+            (5.0, 0, mode_change),
+            (500.0, 0, mode_change),
+            (10.0, 1, Event::TdvfsEngage { from_mhz: 2400, to_mhz: 2200 }),
+        ] {
+            writer.record(&EventRecord { time_s, node, event });
+        }
+        std::fs::write(&jsonl, writer.finish().unwrap()).unwrap();
+        convert_journal(&jsonl, &bjl, 0.05).expect("convert");
+
+        let scenario = Scenario::new("replay-order").with_nodes(2).with_max_time(300.0);
+        let err = apply_replay(scenario.clone(), &jsonl).expect_err("out-of-order journal");
+        assert!(matches!(
+            err,
+            ScenarioFileError::Replay(ReplayError::NonMonotonicTime { index: 2 })
+        ));
+        assert!(err.to_string().contains("journal record 2: time_s went backwards"), "{err}");
+        let err = apply_replay(scenario, &bjl).expect_err("out-of-order journal");
+        assert!(err.to_string().contains("frame 2: time_s went backwards"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,8 +15,10 @@
 //!   performs **zero heap allocations** (enforced by the counting-allocator
 //!   test in `unitherm-cluster`). [`JournalWriter`] streams records as JSONL
 //!   for offline analysis; [`BinaryJournalWriter`] streams the same records
-//!   as compact seekable `unitherm-bjl/v1` frames (see [`binary`]);
-//!   [`TeeSink`] fans one stream out to both.
+//!   as compact fixed-width `unitherm-bjl/v1` frames (see [`binary`]);
+//!   [`TeeSink`] fans one stream out to both. Reading either encoding
+//!   decodes it once, at the edge, into a `Vec<EventRecord>`
+//!   ([`read_journal`], [`bjl_to_records`]);
 //! * [`Observer`] — the per-sample emission context threaded through
 //!   `unitherm-core::control_plane`: a sink plus the [`Counters`] block and
 //!   the record metadata (node id, timestamp);
@@ -39,15 +41,15 @@ pub mod sink;
 pub mod sse;
 
 pub use binary::{
-    bjl_to_records, is_bjl, records_to_bjl, BinaryJournalError, BinaryJournalReader,
-    BinaryJournalWriter, BJL_FRAME_LEN, BJL_HEADER_LEN, BJL_MAGIC, BJL_VERSION,
+    bjl_to_records, records_to_bjl, BinaryJournalError, BinaryJournalWriter, BJL_FRAME_LEN,
+    BJL_HEADER_LEN, BJL_MAGIC, BJL_VERSION,
 };
 pub use counters::{prometheus_text, Counters};
 pub use event::{
     ActuatorKind, CrossDirection, Event, EventRecord, InjectedFault, SearchPhase, TripCause,
     WindowLevel,
 };
-pub use journal::{read_journal, record_tick, JournalCursor, JournalFormat, JournalWriter};
+pub use journal::{read_journal, record_tick, JournalFormat, JournalWriter};
 pub use ring::RingSink;
 pub use sink::{EventSink, NullSink, Observer, TeeSink, VecSink};
 pub use sse::{sse_journal_frame, write_sse_frame};

@@ -251,12 +251,17 @@ fn rejections_are_named_and_slots_recycle() {
     let infinite_airflow = full
         .replace("\"airflow_conductance_w_per_k\": 2.38", "\"airflow_conductance_w_per_k\": 1e999");
     let endless = full.replace("\"max_time_s\": 20.0", "\"max_time_s\": 1e999");
+    let infinite_step = full.replace(
+        "\"faults\": []",
+        r#""faults": [[0, {"events": [[1.0, {"AmbientStep": 1e999}]]}]]"#,
+    );
     for (body, named) in [
         (zero_capacity, "die capacity"),
         (bad_rack, "recirculation fraction"),
         (big_ring, "event_capacity"),
         (infinite_airflow, "airflow conductance must be finite"),
         (endless, "time limit must be finite"),
+        (infinite_step, "ambient step must be finite"),
     ] {
         assert_ne!(body, full, "the mutation must hit the scenario");
         let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&body));

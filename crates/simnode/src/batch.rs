@@ -181,86 +181,91 @@ impl PhysicsBatch {
     /// Builds a batch mirroring `nodes`, loading every slot.
     ///
     /// All nodes must share the same tick count and simulation time (the
-    /// fleet advances in lockstep); the batch adopts them.
+    /// fleet advances in lockstep); the batch adopts them. The node count
+    /// is known up front, so every lane is allocated once at its final
+    /// length.
     pub fn from_nodes<'a, I>(nodes: I) -> Self
     where
         I: IntoIterator<Item = &'a Node>,
+        I::IntoIter: ExactSizeIterator,
     {
+        let nodes = nodes.into_iter();
         let mut b = Self::default();
-        for node in nodes {
-            if b.len == 0 {
+        b.resize(nodes.len());
+        for (i, node) in nodes.enumerate() {
+            if i == 0 {
                 b.ticks = node.ticks;
                 b.time_s = node.time_s;
             } else {
                 debug_assert_eq!(b.ticks, node.ticks, "batch nodes must be in lockstep");
             }
-            b.push_slot();
-            b.load(b.len - 1, node);
+            b.load(i, node);
         }
         b
     }
 
-    /// Appends one zeroed slot to every lane.
-    fn push_slot(&mut self) {
-        self.len += 1;
-        self.skipped.push(0);
-        self.die_c.push(0.0);
-        self.sink_c.push(0.0);
-        self.ambient_c.push(0.0);
-        self.g_ds.push(0.0);
-        self.c_die.push(0.0);
-        self.c_sink.push(0.0);
-        self.g_nat.push(0.0);
-        self.g_air.push(0.0);
-        self.k_exp.push(0.0);
-        self.sub_n.push(0);
-        self.sub_h.push(0.0);
-        self.fan_duty_pct.push(0);
-        self.fan_rpm.push(0.0);
-        self.fan_failed.push(false);
-        self.fan_stuck.push(false);
-        self.fan_max_rpm.push(0.0);
-        self.fan_stall.push(0.0);
-        self.fan_tau.push(0.0);
-        self.fan_max_w.push(0.0);
-        self.fan_alpha.push(0.0);
-        self.chip_auto.push(false);
-        self.chip_measured.push(0.0);
-        self.chip_pwm.push(0);
-        self.chip_pwm_min.push(0);
-        self.chip_pwm_max.push(0);
-        self.chip_tmin.push(0);
-        self.chip_tmax.push(0);
-        self.cpu_cond.push(COND_NOMINAL);
-        self.throttle_events.push(0);
-        self.util.push(0.0);
-        self.activity.push(0.0);
-        self.sleep_gate.push(1.0);
-        self.top_v.push(0.0);
-        self.top_f.push(0.0);
-        self.req_idx.push(0);
-        self.req_v.push(0.0);
-        self.req_f.push(0.0);
-        self.min_v.push(0.0);
-        self.min_f.push(0.0);
-        self.leak_ref_w.push(0.0);
-        self.leak_coeff.push(0.0);
-        self.leak_tref.push(0.0);
-        self.dyn_max_w.push(0.0);
-        self.mon_throttle_c.push(0.0);
-        self.mon_shutdown_c.push(0.0);
-        self.mon_hyst_c.push(0.0);
-        self.psu_eff.push(1.0);
-        self.base_w.push(0.0);
-        self.m_period.push(1.0);
-        self.m_since.push(0.0);
-        self.m_window.push(0.0);
-        self.m_total_e.push(0.0);
-        self.m_total_t.push(0.0);
-        self.m_stats.push(RunningStats::default());
-        self.m_last.push(None);
-        self.cpu_power.push(0.0);
-        self.g_sa.push(0.0);
+    /// Sizes every lane to `len` zeroed slots. On an empty batch each lane
+    /// allocates its `len` slots at once, with no growth slack.
+    fn resize(&mut self, len: usize) {
+        self.len = len;
+        self.skipped.resize(len, 0);
+        self.die_c.resize(len, 0.0);
+        self.sink_c.resize(len, 0.0);
+        self.ambient_c.resize(len, 0.0);
+        self.g_ds.resize(len, 0.0);
+        self.c_die.resize(len, 0.0);
+        self.c_sink.resize(len, 0.0);
+        self.g_nat.resize(len, 0.0);
+        self.g_air.resize(len, 0.0);
+        self.k_exp.resize(len, 0.0);
+        self.sub_n.resize(len, 0);
+        self.sub_h.resize(len, 0.0);
+        self.fan_duty_pct.resize(len, 0);
+        self.fan_rpm.resize(len, 0.0);
+        self.fan_failed.resize(len, false);
+        self.fan_stuck.resize(len, false);
+        self.fan_max_rpm.resize(len, 0.0);
+        self.fan_stall.resize(len, 0.0);
+        self.fan_tau.resize(len, 0.0);
+        self.fan_max_w.resize(len, 0.0);
+        self.fan_alpha.resize(len, 0.0);
+        self.chip_auto.resize(len, false);
+        self.chip_measured.resize(len, 0.0);
+        self.chip_pwm.resize(len, 0);
+        self.chip_pwm_min.resize(len, 0);
+        self.chip_pwm_max.resize(len, 0);
+        self.chip_tmin.resize(len, 0);
+        self.chip_tmax.resize(len, 0);
+        self.cpu_cond.resize(len, COND_NOMINAL);
+        self.throttle_events.resize(len, 0);
+        self.util.resize(len, 0.0);
+        self.activity.resize(len, 0.0);
+        self.sleep_gate.resize(len, 1.0);
+        self.top_v.resize(len, 0.0);
+        self.top_f.resize(len, 0.0);
+        self.req_idx.resize(len, 0);
+        self.req_v.resize(len, 0.0);
+        self.req_f.resize(len, 0.0);
+        self.min_v.resize(len, 0.0);
+        self.min_f.resize(len, 0.0);
+        self.leak_ref_w.resize(len, 0.0);
+        self.leak_coeff.resize(len, 0.0);
+        self.leak_tref.resize(len, 0.0);
+        self.dyn_max_w.resize(len, 0.0);
+        self.mon_throttle_c.resize(len, 0.0);
+        self.mon_shutdown_c.resize(len, 0.0);
+        self.mon_hyst_c.resize(len, 0.0);
+        self.psu_eff.resize(len, 1.0);
+        self.base_w.resize(len, 0.0);
+        self.m_period.resize(len, 1.0);
+        self.m_since.resize(len, 0.0);
+        self.m_window.resize(len, 0.0);
+        self.m_total_e.resize(len, 0.0);
+        self.m_total_t.resize(len, 0.0);
+        self.m_stats.resize(len, RunningStats::default());
+        self.m_last.resize(len, None);
+        self.cpu_power.resize(len, 0.0);
+        self.g_sa.resize(len, 0.0);
     }
 
     /// Number of slots.

@@ -44,6 +44,20 @@ pub enum FaultEvent {
     SensorJitter(f64),
 }
 
+impl FaultEvent {
+    /// Checks the event's magnitude: the node asserts on a non-finite
+    /// ambient step and on a negative or non-finite jitter.
+    fn validate(self) -> Result<(), &'static str> {
+        match self {
+            FaultEvent::AmbientStep(c) if !c.is_finite() => Err("ambient step must be finite"),
+            FaultEvent::SensorJitter(std) if !(std.is_finite() && std >= 0.0) => {
+                Err("sensor jitter must be finite and non-negative")
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A time-ordered script of fault events.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -71,6 +85,24 @@ impl FaultPlan {
         let idx = self.events.partition_point(|(t, _)| *t <= time_s);
         self.events.insert(idx, (time_s, event));
         self
+    }
+
+    /// Checks what [`FaultPlan::at`] enforces, for a plan that arrived
+    /// deserialized: times finite, non-negative and in order, and every
+    /// event usable by the node.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let mut prev = 0.0;
+        for &(time_s, event) in &self.events {
+            if !(time_s.is_finite() && time_s >= 0.0) {
+                return Err("event time must be finite and non-negative");
+            }
+            if time_s < prev {
+                return Err("event times must be in order");
+            }
+            prev = time_s;
+            event.validate()?;
+        }
+        Ok(())
     }
 
     /// Number of scheduled events (delivered or not).
@@ -152,6 +184,24 @@ impl TickFaultSchedule {
         assert_eq!(self.cursor, 0, "cannot extend a fault schedule after delivery started");
         let idx = self.events.partition_point(|(t, _)| *t <= tick);
         self.events.insert(idx, (tick, event));
+    }
+
+    /// Checks what [`TickFaultSchedule::schedule`] enforces, for a
+    /// schedule that arrived deserialized: ticks at least 1 and in order,
+    /// and every event usable by the node.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let mut prev = 1;
+        for &(tick, event) in &self.events {
+            if tick < 1 {
+                return Err("tick faults are 1-based (delivered at the start of that tick)");
+            }
+            if tick < prev {
+                return Err("event ticks must be in order");
+            }
+            prev = tick;
+            event.validate()?;
+        }
+        Ok(())
     }
 
     /// Number of scheduled events (delivered or not).

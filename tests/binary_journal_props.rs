@@ -1,16 +1,13 @@
 //! Property tests over the `unitherm-bjl/v1` binary journal codec
 //! (`docs/FORMATS.md` §5): arbitrary event sequences must survive the
 //! encode → decode round trip bit-for-bit, corrupt streams must be
-//! rejected with named errors rather than garbage records, and
-//! `seek_tick` must land on the first frame at-or-after the requested
-//! tick for every journal shape.
+//! rejected with named errors rather than garbage records.
 
 use proptest::prelude::*;
 
 use unitherm::obs::{
-    bjl_to_records, records_to_bjl, ActuatorKind, BinaryJournalError, BinaryJournalReader,
-    CrossDirection, Event, EventRecord, InjectedFault, SearchPhase, TripCause, WindowLevel,
-    BJL_FRAME_LEN, BJL_HEADER_LEN,
+    bjl_to_records, records_to_bjl, ActuatorKind, BinaryJournalError, CrossDirection, Event,
+    EventRecord, InjectedFault, SearchPhase, TripCause, WindowLevel, BJL_FRAME_LEN, BJL_HEADER_LEN,
 };
 
 const DT_S: f64 = 0.05;
@@ -93,7 +90,7 @@ fn event() -> impl Strategy<Value = Event> {
 }
 
 /// A journal-shaped record stream: tick-stamped times that never decrease
-/// (the §2 ordering contract the reader validates at open).
+/// (the §2 ordering contract the decoder validates).
 fn records() -> impl Strategy<Value = Vec<EventRecord>> {
     prop::collection::vec((0u64..4, 0u32..64, event()), 0..80).prop_map(|steps| {
         let mut tick = 0u64;
@@ -117,14 +114,7 @@ proptest! {
         let bytes = records_to_bjl(&records, DT_S);
         prop_assert_eq!(bytes.len(), BJL_HEADER_LEN + records.len() * BJL_FRAME_LEN);
         let decoded = bjl_to_records(&bytes).expect("self-produced journal decodes");
-        prop_assert_eq!(decoded, records.clone());
-
-        let reader = BinaryJournalReader::new(&bytes).expect("self-produced journal opens");
-        prop_assert_eq!(reader.len(), records.len());
-        prop_assert_eq!(reader.dt_s(), DT_S);
-        for (i, rec) in records.iter().enumerate() {
-            prop_assert_eq!(&reader.get(i), rec);
-        }
+        prop_assert_eq!(decoded, records);
     }
 
     /// Cutting the stream anywhere off a frame boundary is rejected with a
@@ -134,13 +124,13 @@ proptest! {
     fn truncation_is_detected_or_yields_a_prefix(records in records(), cut_frac in 0.0f64..=1.0) {
         let bytes = records_to_bjl(&records, DT_S);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        match BinaryJournalReader::new(&bytes[..cut]) {
-            Ok(reader) => {
-                // Only a whole header plus whole frames may open.
+        match bjl_to_records(&bytes[..cut]) {
+            Ok(decoded) => {
+                // Only a whole header plus whole frames may decode.
                 prop_assert!(cut >= BJL_HEADER_LEN);
                 prop_assert!((cut - BJL_HEADER_LEN).is_multiple_of(BJL_FRAME_LEN));
                 let kept = (cut - BJL_HEADER_LEN) / BJL_FRAME_LEN;
-                prop_assert_eq!(reader.to_records(), records[..kept].to_vec());
+                prop_assert_eq!(decoded, records[..kept].to_vec());
             }
             Err(BinaryJournalError::TruncatedHeader { len }) => {
                 prop_assert!(cut < BJL_HEADER_LEN);
@@ -161,7 +151,7 @@ proptest! {
     fn corrupt_header_is_rejected_by_name(records in records(), byte in 0usize..6, flip in 1u8..=255) {
         let mut bytes = records_to_bjl(&records, DT_S);
         bytes[byte] ^= flip;
-        match BinaryJournalReader::new(&bytes) {
+        match bjl_to_records(&bytes) {
             Err(BinaryJournalError::BadMagic { .. }) => prop_assert!(byte < 4),
             Err(BinaryJournalError::UnsupportedVersion { found }) => {
                 prop_assert!(byte >= 4);
@@ -169,23 +159,6 @@ proptest! {
             }
             Ok(_) => prop_assert!(false, "corrupt header byte {byte} accepted"),
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
-        }
-    }
-
-    /// `seek_tick` returns the index of the first frame stamped at or after
-    /// the requested tick — the binary search agrees with a linear scan.
-    #[test]
-    fn seek_tick_finds_first_frame_at_or_after(records in records(), tick in 0u64..400) {
-        let bytes = records_to_bjl(&records, DT_S);
-        let reader = BinaryJournalReader::new(&bytes).expect("self-produced journal opens");
-        let pos = reader.seek_tick(tick);
-        for i in 0..pos {
-            prop_assert!(reader.tick(i) < tick, "frame {i} before seek point is >= tick {tick}");
-        }
-        if pos < reader.len() {
-            prop_assert!(reader.tick(pos) >= tick);
-        } else {
-            prop_assert_eq!(pos, records.len());
         }
     }
 }

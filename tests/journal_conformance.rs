@@ -7,12 +7,10 @@
 //! `journal-conformance` job runs this file plus the same round trip
 //! through the `repro journal convert` CLI.
 
-use unitherm::cluster::replay::derive_fault_plan_from_cursor;
 use unitherm::cluster::{derive_fault_plan, ReplayOptions, Scenario, Simulation};
 use unitherm::experiments::scenario_file;
 use unitherm::obs::{
-    bjl_to_records, read_journal, records_to_bjl, BinaryJournalReader, EventRecord, EventSink,
-    JournalCursor, JournalWriter,
+    bjl_to_records, read_journal, records_to_bjl, EventRecord, EventSink, JournalWriter,
 };
 
 fn repo_path(rel: &str) -> std::path::PathBuf {
@@ -101,10 +99,8 @@ fn both_encodings_derive_identical_replay_plans() {
 
     let from_jsonl = derive_fault_plan(&records, &scenario, &opts).expect("jsonl plan derives");
     let bjl = records_to_bjl(&records, scenario.dt_s);
-    let reader = BinaryJournalReader::new(&bjl).expect("own bjl opens");
-    let from_bjl =
-        derive_fault_plan_from_cursor(JournalCursor::from_binary(&reader), &scenario, &opts)
-            .expect("bjl plan derives");
+    let decoded = bjl_to_records(&bjl).expect("own bjl decodes");
+    let from_bjl = derive_fault_plan(&decoded, &scenario, &opts).expect("bjl plan derives");
 
     assert!(!from_jsonl.derived.is_empty(), "committed journal must derive a non-trivial plan");
     assert_eq!(from_jsonl, from_bjl, "the two encodings derived different plans");

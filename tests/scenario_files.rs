@@ -121,6 +121,49 @@ fn out_of_range_hardware_and_rack_configs_are_named_errors() {
         cases.push((with_value(&json, key, value), expected.to_string()));
     }
 
+    // Fault schedules and rack values from JSON skip the checks their
+    // builders make: an out-of-order plan was delivered late, a tick-0
+    // fault a tick late, and an infinite ambient panicked mid-run.
+    for (from, to, expected) in [
+        (
+            "\"faults\": []",
+            r#""faults": [[0, {"events": [[10.0, "FanFailure"], [1.0, {"AmbientStep": 40.0}]]}]]"#,
+            "fault plan (node 0): event times must be in order",
+        ),
+        (
+            "\"faults\": []",
+            r#""faults": [[0, {"events": [[1.0, {"AmbientStep": 1e999}]]}]]"#,
+            "fault plan (node 0): ambient step must be finite",
+        ),
+        (
+            "\"faults\": []",
+            r#""faults": [[1, {"events": [[1.0, {"SensorJitter": -1.0}]]}]]"#,
+            "fault plan (node 1): sensor jitter must be finite and non-negative",
+        ),
+        (
+            "\"tick_faults\": []",
+            r#""tick_faults": [[0, {"events": [[0, "PwmStuck"]]}]]"#,
+            "tick-fault schedule (node 0): tick faults are 1-based (delivered at the start of \
+             that tick)",
+        ),
+        (
+            "\"tick_faults\": []",
+            r#""tick_faults": [[0, {"events": [[9, "PwmStuck"], [3, "PwmRelease"]]}]]"#,
+            "tick-fault schedule (node 0): event ticks must be in order",
+        ),
+    ] {
+        let text = json.replacen(from, to, 1);
+        assert_ne!(text, json, "the mutation must hit {from}");
+        cases.push((text, expected.to_string()));
+    }
+    for (key, name) in [
+        ("air_capacity_j_per_k", "air capacity"),
+        ("supply_air_c", "supply air temperature"),
+        ("crac_conductance_w_per_k", "CRAC conductance"),
+    ] {
+        cases.push((with_value(&rack, key, "1e999"), format!("rack: {name} must be finite")));
+    }
+
     for (text, expected) in cases {
         match scenario_file::parse(&text) {
             Err(scenario_file::ScenarioFileError::Invalid(e)) => {
