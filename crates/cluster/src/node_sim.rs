@@ -1,12 +1,14 @@
 //! Per-node simulation state: hardware, platform binding, control plane,
 //! recorders.
 //!
-//! The daemon wiring that used to live here as ad-hoc enums is gone: a
-//! node's control scheme is described by a
+//! A node's control scheme is described by a
 //! [`SchemeSpec`](unitherm_core::control_plane::SchemeSpec), turned into a
 //! daemon pipeline by its single `build()` factory, and run by the core
-//! [`ControlPlane`] against the node's probed [`PlatformBinding`] — the
-//! same path the hwmon `ControlStack` uses.
+//! [`ControlPlane`] against the node's probed [`PlatformBinding`].
+//! [`NodeSim`] is the only code in the workspace that hosts a
+//! `ControlPlane`: every run — a figure, a sweep, a fleet, a service job —
+//! drives its nodes' control loops through here, and a single node is a
+//! 1-node `Scenario`.
 
 use unitherm_core::actuator::FreqMhz;
 use unitherm_core::control_plane::{BuildContext, ControlPlane, SensorSample};

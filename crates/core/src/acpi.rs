@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::control_array::Policy;
-use crate::controller::{ControllerConfig, Decision, UnifiedController};
+use crate::controller::{ControllerConfig, UnifiedController};
 
 /// An ACPI processor idle (C-)state. Deeper states save more power / heat
 /// but cost more wake-up latency, so deeper = more effective thermal mode.
@@ -71,9 +71,6 @@ pub type SleepStateController = UnifiedController<SleepState>;
 pub fn sleep_state_controller(policy: Policy, cfg: ControllerConfig) -> SleepStateController {
     UnifiedController::new(&SleepState::ALL, policy, cfg)
 }
-
-/// Convenience: a decision over sleep states.
-pub type SleepDecision = Decision<SleepState>;
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
-//! Actuator abstraction: how mode decisions reach physical mechanisms.
+//! Mode tokens and mode sets: what mode decisions are made over.
 //!
 //! The paper's point is that one controller design drives *diverse physical
 //! mechanisms* — "changing CPU frequencies or controlling fan speeds" —
-//! through the common thermal-control-array representation. The [`Actuator`]
-//! trait is that seam: a controller computes a target mode and an actuator
-//! applies it to whatever hardware (or simulated hardware) backs it.
+//! through the common thermal-control-array representation. This module
+//! names each mechanism's mode token and builds its effectiveness-ordered
+//! mode set; the daemons apply the chosen mode through
+//! [`crate::control_plane::Actuators`].
 
 /// A mode token for out-of-band fan control: a PWM duty cycle in percent
 /// (`1..=100`). Higher duty = more effective cooling.
@@ -13,22 +14,6 @@ pub type FanDuty = u8;
 /// A mode token for in-band DVFS control: a core frequency in MHz.
 /// Lower frequency = more effective cooling.
 pub type FreqMhz = u32;
-
-/// Something that can apply a thermal-control mode to a physical mechanism.
-pub trait Actuator {
-    /// The mode token this actuator understands.
-    type Mode: Copy + PartialEq + std::fmt::Debug;
-    /// The error the underlying mechanism can raise (i2c NACK, invalid
-    /// frequency, …).
-    type Error: std::error::Error;
-
-    /// Applies a mode. Implementations should be idempotent: re-applying
-    /// the current mode must be harmless.
-    fn apply(&mut self, mode: Self::Mode) -> Result<(), Self::Error>;
-
-    /// The mode the actuator believes is currently applied.
-    fn current(&self) -> Self::Mode;
-}
 
 /// The full fan mode set: duty cycles from 1 % to `max` percent, ascending
 /// effectiveness. This is the paper's discretization of continuous fan speed

@@ -1,6 +1,6 @@
-//! Baseline fan-control policies the paper compares against (§4.1, §4.2,
-//! Figure 6): the traditional static temperature→PWM map and constant-speed
-//! control.
+//! The baseline fan-control policy the paper compares against (§4.1, §4.2,
+//! Figure 6): the traditional static temperature→PWM map. Constant-speed
+//! control is `control_plane::ConstantFanDaemon`.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,26 +50,6 @@ impl StaticFanCurve {
     }
 }
 
-/// Constant-speed fan control (Figure 6's third arm: duty pinned at 75 %).
-/// Maintains the lowest temperatures but burns the most fan power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConstantFan {
-    /// The pinned duty, percent.
-    pub duty: FanDuty,
-}
-
-impl ConstantFan {
-    /// Creates a constant-speed policy (duty clamped to `1..=100`).
-    pub fn new(duty: FanDuty) -> Self {
-        Self { duty: duty.clamp(1, 100) }
-    }
-
-    /// The duty, independent of temperature.
-    pub fn duty_for(&self, _temp_c: f64) -> FanDuty {
-        self.duty
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,18 +92,5 @@ mod tests {
         // Pathological config: min is clamped down to max.
         assert_eq!(c.duty_for(30.0), 20);
         assert_eq!(c.duty_for(90.0), 20);
-    }
-
-    #[test]
-    fn constant_fan_ignores_temperature() {
-        let c = ConstantFan::new(75);
-        assert_eq!(c.duty_for(20.0), 75);
-        assert_eq!(c.duty_for(90.0), 75);
-    }
-
-    #[test]
-    fn constant_fan_clamps() {
-        assert_eq!(ConstantFan::new(0).duty, 1);
-        assert_eq!(ConstantFan::new(200).duty, 100);
     }
 }

@@ -118,7 +118,6 @@ impl std::fmt::Display for Policy {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThermalControlArray<M> {
     cells: Vec<M>,
-    policy: Policy,
     n_p: usize,
 }
 
@@ -162,7 +161,7 @@ impl<M: Copy + PartialEq> ThermalControlArray<M> {
         // Cells [n_p, N]: the most effective mode.
         cells.resize(n, most);
 
-        Self { cells, policy, n_p }
+        Self { cells, n_p }
     }
 
     /// Builds with the default length of 100.
@@ -178,11 +177,6 @@ impl<M: Copy + PartialEq> ThermalControlArray<M> {
     /// Always false: arrays have at least one cell.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The policy the array was built under.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// The special index `n_p` (1-based) from Eq. (1).
@@ -217,11 +211,6 @@ impl<M: Copy + PartialEq> ThermalControlArray<M> {
     /// Clamps a signed 1-based index into `[1, N]`.
     pub fn clamp_index(&self, i: i64) -> usize {
         i.clamp(1, self.cells.len() as i64) as usize
-    }
-
-    /// The smallest 1-based index whose cell equals `mode`, if present.
-    pub fn index_of(&self, mode: M) -> Option<usize> {
-        self.cells.iter().position(|&m| m == mode).map(|p| p + 1)
     }
 }
 
@@ -283,7 +272,7 @@ mod tests {
         assert_eq!(arr.mode_at(100), 1000);
         // All five frequencies appear.
         for f in FREQS {
-            assert!(arr.index_of(f).is_some(), "{f} missing");
+            assert!(arr.cells().contains(&f), "{f} missing");
         }
     }
 
@@ -383,14 +372,6 @@ mod tests {
         assert_eq!(arr.clamp_index(0), 1);
         assert_eq!(arr.clamp_index(42), 42);
         assert_eq!(arr.clamp_index(1000), 100);
-    }
-
-    #[test]
-    fn index_of_finds_first_occurrence() {
-        let arr = ThermalControlArray::with_default_len(&FREQS, Policy::MODERATE);
-        assert_eq!(arr.index_of(2400), Some(1));
-        assert_eq!(arr.index_of(1000), Some(arr.n_p()));
-        assert_eq!(arr.index_of(9999), None);
     }
 
     #[test]

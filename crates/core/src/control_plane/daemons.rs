@@ -3,8 +3,6 @@
 //! Each daemon wraps one of the policy controllers from this crate and
 //! adapts it to the [`ControlDaemon`] pipeline shape: sampling cadence,
 //! attach/reapply paths, and actuation through the [`Actuators`] trait.
-//! Daemons keep their build parameters so [`ControlDaemon::reset`] can
-//! rebuild the controller from scratch.
 
 use super::{window_level, Actuators, ControlDaemon, DaemonEvent, SensorSample};
 use crate::acpi::{sleep_state_controller, SleepState, SleepStateController};
@@ -35,8 +33,6 @@ impl ControlDaemon for ChipAutoFan {
     fn label(&self) -> String {
         "chip-auto-fan".to_string()
     }
-
-    fn reset(&mut self) {}
 
     fn on_sample(
         &mut self,
@@ -69,19 +65,12 @@ impl StaticCurveFan {
     pub fn new(curve: StaticFanCurve) -> Self {
         Self { curve }
     }
-
-    /// The curve in force.
-    pub fn curve(&self) -> &StaticFanCurve {
-        &self.curve
-    }
 }
 
 impl ControlDaemon for StaticCurveFan {
     fn label(&self) -> String {
         "static-curve-fan".to_string()
     }
-
-    fn reset(&mut self) {}
 
     fn attach(&mut self, sample: &SensorSample, act: &mut dyn Actuators) {
         let _ = act.set_fan_duty(self.curve.duty_for(sample.die_temp_c));
@@ -123,19 +112,12 @@ impl ConstantFanDaemon {
     pub fn new(duty: FanDuty) -> Self {
         Self { duty: duty.clamp(1, 100) }
     }
-
-    /// The pinned duty.
-    pub fn duty(&self) -> FanDuty {
-        self.duty
-    }
 }
 
 impl ControlDaemon for ConstantFanDaemon {
     fn label(&self) -> String {
         "constant-fan".to_string()
     }
-
-    fn reset(&mut self) {}
 
     fn attach(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
         let _ = act.set_fan_duty(self.duty);
@@ -164,30 +146,19 @@ impl ControlDaemon for ConstantFanDaemon {
 #[derive(Debug)]
 pub struct DynamicFan {
     ctl: DynamicFanController,
-    policy: Policy,
-    max_duty: FanDuty,
     cfg: ControllerConfig,
 }
 
 impl DynamicFan {
     /// Creates the daemon.
     pub fn new(policy: Policy, max_duty: FanDuty, cfg: ControllerConfig) -> Self {
-        Self { ctl: DynamicFanController::new(policy, max_duty, cfg), policy, max_duty, cfg }
-    }
-
-    /// The wrapped controller (stats, ablations).
-    pub fn controller(&self) -> &DynamicFanController {
-        &self.ctl
+        Self { ctl: DynamicFanController::new(policy, max_duty, cfg), cfg }
     }
 }
 
 impl ControlDaemon for DynamicFan {
     fn label(&self) -> String {
         "dynamic-fan".to_string()
-    }
-
-    fn reset(&mut self) {
-        self.ctl = DynamicFanController::new(self.policy, self.max_duty, self.cfg);
     }
 
     fn attach(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
@@ -234,10 +205,7 @@ impl ControlDaemon for DynamicFan {
 #[derive(Debug)]
 pub struct FeedforwardFan {
     ctl: FeedforwardFanController,
-    policy: Policy,
-    max_duty: FanDuty,
     cfg: ControllerConfig,
-    ff_cfg: FeedforwardConfig,
 }
 
 impl FeedforwardFan {
@@ -248,28 +216,13 @@ impl FeedforwardFan {
         cfg: ControllerConfig,
         ff_cfg: FeedforwardConfig,
     ) -> Self {
-        Self {
-            ctl: FeedforwardFanController::new(policy, max_duty, cfg, ff_cfg),
-            policy,
-            max_duty,
-            cfg,
-            ff_cfg,
-        }
-    }
-
-    /// The wrapped controller (decision counters, inner access).
-    pub fn controller(&self) -> &FeedforwardFanController {
-        &self.ctl
+        Self { ctl: FeedforwardFanController::new(policy, max_duty, cfg, ff_cfg), cfg }
     }
 }
 
 impl ControlDaemon for FeedforwardFan {
     fn label(&self) -> String {
         "feedforward-fan".to_string()
-    }
-
-    fn reset(&mut self) {
-        self.ctl = FeedforwardFanController::new(self.policy, self.max_duty, self.cfg, self.ff_cfg);
     }
 
     fn attach(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
@@ -323,8 +276,6 @@ impl ControlDaemon for FeedforwardFan {
 #[derive(Debug)]
 pub struct TdvfsDaemon {
     tdvfs: Tdvfs,
-    freqs: Vec<FreqMhz>,
-    policy: Policy,
     cfg: TdvfsConfig,
     /// Last observed side of the trigger threshold (None before the first
     /// temperature sample), for threshold-cross event edges.
@@ -335,29 +286,13 @@ impl TdvfsDaemon {
     /// Creates the daemon over the platform's available frequencies
     /// (descending MHz).
     pub fn new(frequencies_desc_mhz: &[FreqMhz], policy: Policy, cfg: TdvfsConfig) -> Self {
-        Self {
-            tdvfs: Tdvfs::new(frequencies_desc_mhz, policy, cfg),
-            freqs: frequencies_desc_mhz.to_vec(),
-            policy,
-            cfg,
-            last_above: None,
-        }
-    }
-
-    /// The wrapped tDVFS controller (counters, current frequency).
-    pub fn inner(&self) -> &Tdvfs {
-        &self.tdvfs
+        Self { tdvfs: Tdvfs::new(frequencies_desc_mhz, policy, cfg), cfg, last_above: None }
     }
 }
 
 impl ControlDaemon for TdvfsDaemon {
     fn label(&self) -> String {
         "tdvfs".to_string()
-    }
-
-    fn reset(&mut self) {
-        self.tdvfs = Tdvfs::new(&self.freqs, self.policy, self.cfg);
-        self.last_above = None;
     }
 
     fn on_sample(
@@ -411,34 +346,19 @@ impl ControlDaemon for TdvfsDaemon {
 #[derive(Debug)]
 pub struct CpuSpeedDaemon {
     gov: CpuSpeedGovernor,
-    freqs: Vec<FreqMhz>,
-    cfg: CpuSpeedConfig,
 }
 
 impl CpuSpeedDaemon {
     /// Creates the daemon over the platform's available frequencies
     /// (descending MHz).
     pub fn new(frequencies_desc_mhz: &[FreqMhz], cfg: CpuSpeedConfig) -> Self {
-        Self {
-            gov: CpuSpeedGovernor::new(frequencies_desc_mhz, cfg),
-            freqs: frequencies_desc_mhz.to_vec(),
-            cfg,
-        }
-    }
-
-    /// The wrapped governor.
-    pub fn governor(&self) -> &CpuSpeedGovernor {
-        &self.gov
+        Self { gov: CpuSpeedGovernor::new(frequencies_desc_mhz, cfg) }
     }
 }
 
 impl ControlDaemon for CpuSpeedDaemon {
     fn label(&self) -> String {
         "cpuspeed".to_string()
-    }
-
-    fn reset(&mut self) {
-        self.gov = CpuSpeedGovernor::new(&self.freqs, self.cfg);
     }
 
     fn on_sample(
@@ -489,14 +409,13 @@ impl ControlDaemon for CpuSpeedDaemon {
 #[derive(Debug)]
 pub struct AcpiSleepDaemon {
     ctl: SleepStateController,
-    policy: Policy,
     cfg: ControllerConfig,
 }
 
 impl AcpiSleepDaemon {
     /// Creates the daemon.
     pub fn new(policy: Policy, cfg: ControllerConfig) -> Self {
-        Self { ctl: sleep_state_controller(policy, cfg), policy, cfg }
+        Self { ctl: sleep_state_controller(policy, cfg), cfg }
     }
 
     /// The sleep state the controller currently commands.
@@ -513,10 +432,6 @@ impl AcpiSleepDaemon {
 impl ControlDaemon for AcpiSleepDaemon {
     fn label(&self) -> String {
         "acpi-sleep".to_string()
-    }
-
-    fn reset(&mut self) {
-        self.ctl = sleep_state_controller(self.policy, self.cfg);
     }
 
     fn on_sample(

@@ -145,10 +145,6 @@ pub trait ControlDaemon: Send {
     /// Short human-readable label (diagnostics).
     fn label(&self) -> String;
 
-    /// Resets the daemon to its just-built state (controllers rebuilt,
-    /// history cleared).
-    fn reset(&mut self);
-
     /// One-time initialization after the platform binding is probed:
     /// applies the daemon's initial actuation (e.g. the starting duty).
     fn attach(&mut self, _sample: &SensorSample, _act: &mut dyn Actuators) {}
@@ -474,27 +470,9 @@ impl ControlPlane {
         applied
     }
 
-    /// [`ControlPlane::on_tick_observed`] with observability discarded.
-    pub fn on_tick(
-        &mut self,
-        dt_s: f64,
-        utilization: f64,
-        act: &mut dyn Actuators,
-    ) -> Option<FreqMhz> {
-        let mut sink = NullSink;
-        let mut counters = Counters::default();
-        let mut obs = Observer::new(&mut sink, &mut counters, 0, 0.0);
-        self.on_tick_observed(dt_s, utilization, act, &mut obs)
-    }
-
     /// True while the failsafe owns the actuators.
     pub fn is_failsafe_engaged(&self) -> bool {
         self.failsafe.as_ref().is_some_and(Failsafe::is_engaged)
-    }
-
-    /// The failsafe watchdog, if attached.
-    pub fn failsafe(&self) -> Option<&Failsafe> {
-        self.failsafe.as_ref()
     }
 
     /// Total failsafe engagements (0 when no failsafe is attached).
@@ -508,21 +486,9 @@ impl ControlPlane {
         self.daemons.iter().find_map(|d| d.as_any().downcast_ref::<T>())
     }
 
-    /// True when some daemon in the pipeline owns the CPU frequency.
-    pub fn controls_frequency(&self) -> bool {
-        self.daemons.iter().any(|d| d.controls_frequency())
-    }
-
     /// The pipeline's daemon labels, in order.
     pub fn labels(&self) -> Vec<String> {
         self.daemons.iter().map(|d| d.label()).collect()
-    }
-
-    /// Resets every daemon to its just-built state.
-    pub fn reset(&mut self) {
-        for d in &mut self.daemons {
-            d.reset();
-        }
     }
 }
 
@@ -607,7 +573,6 @@ mod tests {
         assert_eq!(labels.len(), 2);
         assert!(labels[0].contains("fan"), "fan first: {labels:?}");
         assert!(labels[1].contains("tdvfs"), "dvfs second: {labels:?}");
-        assert!(plane.controls_frequency());
     }
 
     #[test]
@@ -660,24 +625,47 @@ mod tests {
         assert_eq!(act.fan_writes, writes_before, "no writes while engaged");
     }
 
+    /// A §4.4 hybrid plane over the test ladder, with the CPU starting at
+    /// its top frequency.
+    fn hybrid_plane(max_duty: FanDuty) -> (ControlPlane, TestActuators) {
+        let spec = SchemeSpec::hybrid(Policy::MODERATE, max_duty);
+        let ctx = BuildContext { available_mhz: vec![2400, 2200, 2000, 1800, 1000] };
+        let mut plane = ControlPlane::new(spec.build(&ctx), None);
+        let mut act = TestActuators { freq: 2400, ..TestActuators::default() };
+        plane.attach(&sample(Some(42.0)), &mut act);
+        (plane, act)
+    }
+
+    #[test]
+    fn hybrid_heating_engages_fan_before_dvfs() {
+        let (mut plane, mut act) = hybrid_plane(100);
+        // Ramp toward 50 °C (below the 51 °C trigger): the fan reacts,
+        // DVFS must not.
+        for i in 0..240 {
+            let t = (42.0 + 0.1 * f64::from(i)).min(50.0);
+            let _ = plane.on_sample(&sample(Some(t)), &mut act);
+        }
+        assert!(act.duty > 1, "fan engaged");
+        assert_eq!(act.freq, 2400, "DVFS untouched below threshold");
+        assert_eq!(act.freq_writes, 0);
+    }
+
+    #[test]
+    fn hybrid_sustained_heat_with_capped_fan_engages_dvfs() {
+        let (mut plane, mut act) = hybrid_plane(25);
+        // 60 s of 58 °C at 4 Hz: a fan capped at 25 % cannot hold it, so
+        // tDVFS must scale the CPU down.
+        for _ in 0..240 {
+            let _ = plane.on_sample(&sample(Some(58.0)), &mut act);
+        }
+        assert!(act.duty <= 25, "fan mode set capped at 25 %: {}", act.duty);
+        assert!(act.freq < 2400, "capped fan cannot hold 58 °C; DVFS must act");
+    }
+
     #[test]
     fn downcast_accessor_finds_daemons() {
         let plane = dynamic_plane(None);
         assert!(plane.daemon::<DynamicFan>().is_some());
         assert!(plane.daemon::<TdvfsDaemon>().is_none());
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut plane = dynamic_plane(None);
-        let mut act = TestActuators::default();
-        for t in [45.0, 45.0, 51.0, 51.0] {
-            let _ = plane.on_sample(&sample(Some(t)), &mut act);
-        }
-        let fan = plane.daemon::<DynamicFan>().unwrap();
-        assert!(fan.controller().current_duty() > 1);
-        plane.reset();
-        let fan = plane.daemon::<DynamicFan>().unwrap();
-        assert_eq!(fan.controller().current_duty(), 1);
     }
 }

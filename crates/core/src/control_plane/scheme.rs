@@ -7,7 +7,9 @@
 //! (`Split`), as the paper's §4.4 coordinated hybrid, or with the ACPI
 //! sleep-state daemon (§3.2.2) — and its [`SchemeSpec::build`] factory is
 //! the **only** place in the workspace where a scheme description becomes
-//! a daemon pipeline.
+//! a daemon pipeline. The §4.4 rule (one `P_p` shared by the fan
+//! controller and tDVFS, the fan ordered first) is stated once, in the
+//! `Hybrid` arm of that factory.
 
 use serde::{Deserialize, Serialize};
 
@@ -253,9 +255,9 @@ pub struct BuildContext {
 
 /// A complete, serializable control scheme for one node.
 ///
-/// `build()` is the single point where a scheme becomes daemons: both the
-/// hwmon control stack and the cluster node simulator instantiate their
-/// pipelines through it.
+/// `build()` is the single point where a scheme becomes daemons: the
+/// cluster node simulator, the one host of a `ControlPlane`, instantiates
+/// every node's pipeline through it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchemeSpec {
     /// Independent fan and DVFS arms (every pre-existing experiment).

@@ -162,24 +162,9 @@ impl<M: Copy + PartialEq + std::fmt::Debug> UnifiedController<M> {
         self
     }
 
-    /// Runtime switch for the level-one response (ablations).
-    pub fn set_level1_enabled(&mut self, enabled: bool) {
-        self.use_level1 = enabled;
-    }
-
-    /// Runtime switch for the level-two fallback (ablations).
-    pub fn set_level2_enabled(&mut self, enabled: bool) {
-        self.use_level2 = enabled;
-    }
-
     /// The controller configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
-    }
-
-    /// The filled thermal control array.
-    pub fn array(&self) -> &ThermalControlArray<M> {
-        &self.array
     }
 
     /// Current 1-based index.
@@ -197,8 +182,8 @@ impl<M: Copy + PartialEq + std::fmt::Debug> UnifiedController<M> {
         self.stats
     }
 
-    /// Forces the index (used when an external event — e.g. a hybrid
-    /// coordinator — re-positions the controller). Clamped to `[1, N]`.
+    /// Forces the index (used when an external event — e.g. a feedforward
+    /// prediction — re-positions the controller). Clamped to `[1, N]`.
     pub fn force_index(&mut self, index: i64) {
         self.index = self.array.clamp_index(index);
     }
@@ -245,13 +230,6 @@ impl<M: Copy + PartialEq + std::fmt::Debug> UnifiedController<M> {
             }
         }
         None
-    }
-
-    /// Rebuilds the array under a new policy (and/or mode set), preserving
-    /// the current index position (clamped) and window history.
-    pub fn set_policy(&mut self, modes: &[M], policy: Policy) {
-        self.array = ThermalControlArray::build(modes, policy, self.cfg.array_len);
-        self.index = self.array.clamp_index(self.index as i64);
     }
 }
 
@@ -313,7 +291,7 @@ mod tests {
         assert_eq!(d.delta_c, 12.0);
         // Index moved by round(c·12) = round(2.25·12) = 27.
         assert_eq!(d.index, 1 + 27);
-        assert_eq!(c.current_mode(), c.array().mode_at(28));
+        assert_eq!(c.current_mode(), c.array.mode_at(28));
     }
 
     #[test]
@@ -444,16 +422,6 @@ mod tests {
         }
         let s = c.stats();
         assert_eq!(s.level1, 0);
-    }
-
-    #[test]
-    fn set_policy_rebuilds_but_keeps_position() {
-        let mut c = controller(75);
-        c.force_index(40);
-        let weak_mode = c.current_mode();
-        c.set_policy(&duties(), Policy::AGGRESSIVE);
-        assert_eq!(c.current_index(), 40);
-        assert!(c.current_mode() >= weak_mode);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Failsafe {
         self.engaged.is_some()
     }
 
-    /// The reason for the current engagement, if any.
-    pub fn engaged_reason(&self) -> Option<FailsafeReason> {
-        self.engaged
-    }
-
     /// Number of engagements so far.
     pub fn engagement_count(&self) -> u64 {
         self.engagements
@@ -188,7 +183,7 @@ mod tests {
         }
         assert_eq!(f.observe(None), Some(FailsafeAction::Engage(FailsafeReason::StaleSensor)));
         assert!(f.is_engaged());
-        assert_eq!(f.engaged_reason(), Some(FailsafeReason::StaleSensor));
+        assert_eq!(f.engaged, Some(FailsafeReason::StaleSensor));
         // No duplicate engage actions while still stale.
         assert_eq!(f.observe(None), None);
     }

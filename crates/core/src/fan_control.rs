@@ -26,36 +26,19 @@ use crate::controller::{ControllerConfig, Decision, UnifiedController};
 #[derive(Debug, Clone)]
 pub struct DynamicFanController {
     inner: UnifiedController<FanDuty>,
-    max_duty: FanDuty,
-    policy: Policy,
 }
 
 impl DynamicFanController {
     /// Creates a fan controller with the given policy and maximum allowed
     /// duty (100 for an uncapped fan).
     pub fn new(policy: Policy, max_duty: FanDuty, cfg: ControllerConfig) -> Self {
-        let modes = fan_mode_set(max_duty);
-        Self {
-            inner: UnifiedController::new(&modes, policy, cfg),
-            max_duty: *modes.last().expect("non-empty"),
-            policy,
-        }
+        Self { inner: UnifiedController::new(&fan_mode_set(max_duty), policy, cfg) }
     }
 
     /// Creates a controller with the default configuration (N = 100,
     /// t ∈ [38, 82] °C, 4/5 window).
     pub fn with_defaults(policy: Policy, max_duty: FanDuty) -> Self {
         Self::new(policy, max_duty, ControllerConfig::default())
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// The maximum allowed duty cycle.
-    pub fn max_duty(&self) -> FanDuty {
-        self.max_duty
     }
 
     /// The duty the controller currently commands.
@@ -69,19 +52,8 @@ impl DynamicFanController {
         self.inner.observe(temp_c)
     }
 
-    /// Changes the policy at runtime (rebuilds the control array in place).
-    pub fn set_policy(&mut self, policy: Policy) {
-        let modes = fan_mode_set(self.max_duty);
-        self.inner.set_policy(&modes, policy);
-        self.policy = policy;
-    }
-
-    /// Access to the generic controller (ablations, stats).
-    pub fn controller(&self) -> &UnifiedController<FanDuty> {
-        &self.inner
-    }
-
-    /// Mutable access to the generic controller (ablations).
+    /// Mutable access to the generic controller (feedforward
+    /// re-positioning).
     pub fn controller_mut(&mut self) -> &mut UnifiedController<FanDuty> {
         &mut self.inner
     }
@@ -126,7 +98,6 @@ mod tests {
         let mut ctl = DynamicFanController::with_defaults(Policy::AGGRESSIVE, 25);
         let final_duty = drive_heating(&mut ctl);
         assert!(final_duty <= 25);
-        assert_eq!(ctl.max_duty(), 25);
     }
 
     #[test]
@@ -136,16 +107,6 @@ mod tests {
         let da = drive_heating(&mut agg);
         let dw = drive_heating(&mut weak);
         assert!(da >= dw, "aggressive duty {da} vs weak {dw}");
-    }
-
-    #[test]
-    fn set_policy_switches_array() {
-        let mut ctl = DynamicFanController::with_defaults(Policy::WEAK, 100);
-        let _ = drive_heating(&mut ctl);
-        let weak_duty = ctl.current_duty();
-        ctl.set_policy(Policy::AGGRESSIVE);
-        assert_eq!(ctl.policy(), Policy::AGGRESSIVE);
-        assert!(ctl.current_duty() >= weak_duty, "same index, hotter array");
     }
 
     #[test]

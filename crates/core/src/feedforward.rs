@@ -74,19 +74,13 @@ pub struct UtilizationFeedforward {
     cfg: FeedforwardConfig,
     buf: Vec<f64>,
     last_round_avg: Option<f64>,
-    predictions: u64,
 }
 
 impl UtilizationFeedforward {
     /// Creates the predictor.
     pub fn new(cfg: FeedforwardConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        Self {
-            cfg,
-            buf: Vec::with_capacity(cfg.samples_per_round),
-            last_round_avg: None,
-            predictions: 0,
-        }
+        Self { cfg, buf: Vec::with_capacity(cfg.samples_per_round), last_round_avg: None }
     }
 
     /// Feeds one utilization sample; at each completed round, returns the
@@ -104,13 +98,7 @@ impl UtilizationFeedforward {
         if delta_u.abs() < self.cfg.deadband_util {
             return None;
         }
-        self.predictions += 1;
         Some(delta_u * self.cfg.gain_c_per_util)
-    }
-
-    /// Number of predictions emitted.
-    pub fn prediction_count(&self) -> u64 {
-        self.predictions
     }
 }
 
@@ -119,7 +107,6 @@ impl UtilizationFeedforward {
 pub struct FeedforwardFanController {
     inner: DynamicFanController,
     predictor: UtilizationFeedforward,
-    ff_decisions: u64,
 }
 
 impl FeedforwardFanController {
@@ -133,7 +120,6 @@ impl FeedforwardFanController {
         Self {
             inner: DynamicFanController::new(policy, max_duty, controller_cfg),
             predictor: UtilizationFeedforward::new(ff_cfg),
-            ff_decisions: 0,
         }
     }
 
@@ -145,16 +131,6 @@ impl FeedforwardFanController {
     /// The duty the controller currently commands.
     pub fn current_duty(&self) -> FanDuty {
         self.inner.current_duty()
-    }
-
-    /// Decisions that came from the feedforward path.
-    pub fn feedforward_decision_count(&self) -> u64 {
-        self.ff_decisions
-    }
-
-    /// The underlying reactive controller.
-    pub fn inner(&self) -> &DynamicFanController {
-        &self.inner
     }
 
     /// Feeds one (temperature, utilization) sample pair. The reactive
@@ -180,7 +156,6 @@ impl FeedforwardFanController {
         if index == before {
             return None;
         }
-        self.ff_decisions += 1;
         Some(Decision {
             index,
             mode: ctl.current_mode(),
@@ -206,7 +181,6 @@ mod tests {
         assert_eq!(p.observe(0.1), None);
         let delta = p.observe(1.0).expect("step must be predicted");
         assert!((delta - 0.9 * 5.8).abs() < 1e-9, "predicted {delta}");
-        assert_eq!(p.prediction_count(), 1);
     }
 
     #[test]
@@ -261,7 +235,6 @@ mod tests {
         let d = decision.expect("feedforward decision");
         assert_eq!(d.level, DecisionLevel::Feedforward);
         assert!(ctl.current_duty() > 1, "fan pre-spun to {}%", ctl.current_duty());
-        assert_eq!(ctl.feedforward_decision_count(), 1);
     }
 
     #[test]
@@ -275,7 +248,6 @@ mod tests {
         let _ = ctl.observe(51.0, 0.1);
         let d = ctl.observe(51.0, 1.0).expect("window round fires");
         assert_eq!(d.level, DecisionLevel::Level1);
-        assert_eq!(ctl.feedforward_decision_count(), 0);
     }
 
     #[test]
@@ -306,7 +278,6 @@ mod tests {
         for _ in 0..8 {
             assert!(ctl.observe(45.0, 1.0).is_none());
         }
-        assert_eq!(ctl.feedforward_decision_count(), 0);
     }
 
     #[test]

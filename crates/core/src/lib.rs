@@ -19,11 +19,9 @@
 //!   gradual / jitter);
 //! * [`fan_control`] — the dynamic out-of-band fan controller (§4.2);
 //! * [`tdvfs`] — the threshold-triggered in-band tDVFS daemon (§4.3);
-//! * [`hybrid`] — the coordinated fan + DVFS controller (§4.4);
 //! * [`governor`] — the CPUSPEED utilization governor the paper compares
 //!   against;
-//! * [`baseline`] — traditional static fan-curve control (Figure 1) and
-//!   constant-speed control;
+//! * [`baseline`] — traditional static fan-curve control (Figure 1);
 //! * [`acpi`] — ACPI sleep states as a third control technique, showing the
 //!   control array generalizes beyond fans and DVFS (§3.2.2 mentions sleep
 //!   states explicitly);
@@ -35,11 +33,14 @@
 //! * [`control_plane`] — the unified daemon pipeline: every technique above
 //!   wrapped as a [`control_plane::ControlDaemon`], ordered per §4.4's
 //!   coordination and supervised by the failsafe, built from a serializable
-//!   [`control_plane::SchemeSpec`] by its single `build()` factory;
+//!   [`control_plane::SchemeSpec`] by its single `build()` factory. The
+//!   §4.4 hybrid — one `P_p` shared by the fan controller and tDVFS, fan
+//!   first — is `SchemeSpec::hybrid`;
 //! * [`config`] — the shared configuration-validation error type.
 //!
 //! The crate is hardware-agnostic: controllers consume temperature samples
-//! and emit mode decisions through the [`actuator`] traits. Bindings to the
+//! and emit mode decisions over the [`actuator`] mode sets, which the daemons
+//! apply through the [`control_plane::Actuators`] trait. Bindings to the
 //! simulated platform live in `unitherm-hwmon`; nothing here depends on the
 //! simulator.
 
@@ -55,11 +56,10 @@ pub mod failsafe;
 pub mod fan_control;
 pub mod feedforward;
 pub mod governor;
-pub mod hybrid;
 pub mod tdvfs;
 pub mod window;
 
-pub use actuator::{Actuator, FanDuty, FreqMhz};
+pub use actuator::{FanDuty, FreqMhz};
 pub use classify::{BehaviorClassifier, ThermalBehavior};
 pub use config::ConfigError;
 pub use control_array::{Policy, PolicyError, ThermalControlArray};
@@ -72,6 +72,5 @@ pub use failsafe::{Failsafe, FailsafeAction, FailsafeConfig, FailsafeReason};
 pub use fan_control::DynamicFanController;
 pub use feedforward::{FeedforwardConfig, FeedforwardFanController, UtilizationFeedforward};
 pub use governor::{CpuSpeedConfig, CpuSpeedGovernor};
-pub use hybrid::{HybridController, HybridDecision};
 pub use tdvfs::{Tdvfs, TdvfsConfig, TdvfsEvent};
 pub use window::{TwoLevelWindow, WindowConfig, WindowUpdate};

@@ -154,7 +154,6 @@ pub struct Tdvfs {
     /// Rounds elapsed since the last emitted frequency change.
     rounds_since_event: usize,
     scale_downs: u64,
-    restores: u64,
 }
 
 impl Tdvfs {
@@ -174,7 +173,6 @@ impl Tdvfs {
             below_rounds: 0,
             rounds_since_event: cfg.settle_rounds, // first action needs no settling
             scale_downs: 0,
-            restores: 0,
         }
     }
 
@@ -183,29 +181,14 @@ impl Tdvfs {
         Self::new(frequencies_desc_mhz, policy, TdvfsConfig::default())
     }
 
-    /// The daemon configuration.
-    pub fn config(&self) -> &TdvfsConfig {
-        &self.cfg
-    }
-
     /// The frequency currently requested by the daemon.
     pub fn current_frequency_mhz(&self) -> FreqMhz {
         self.array.mode_at(self.index)
     }
 
-    /// The original (highest) frequency.
-    pub fn original_frequency_mhz(&self) -> FreqMhz {
-        self.array.least_effective()
-    }
-
     /// Number of scale-down events issued.
     pub fn scale_down_count(&self) -> u64 {
         self.scale_downs
-    }
-
-    /// Number of restore events issued.
-    pub fn restore_count(&self) -> u64 {
-        self.restores
     }
 
     /// Feeds one temperature sample; may emit a frequency-change event when
@@ -295,7 +278,6 @@ impl Tdvfs {
         self.index = 1;
         let after = self.current_frequency_mhz();
         if after != before {
-            self.restores += 1;
             self.rounds_since_event = 0;
             Some(TdvfsEvent::Restore(after))
         } else {
@@ -317,7 +299,7 @@ mod tests {
     /// Feeds `rounds` rounds of a constant temperature; returns emitted events.
     fn feed(d: &mut Tdvfs, temp: f64, rounds: usize) -> Vec<TdvfsEvent> {
         let mut out = Vec::new();
-        for _ in 0..rounds * d.config().samples_per_round {
+        for _ in 0..rounds * d.cfg.samples_per_round {
             if let Some(e) = d.observe(temp) {
                 out.push(e);
             }
@@ -329,7 +311,6 @@ mod tests {
     fn starts_at_original_frequency() {
         let d = daemon(50);
         assert_eq!(d.current_frequency_mhz(), 2400);
-        assert_eq!(d.original_frequency_mhz(), 2400);
     }
 
     #[test]
@@ -409,7 +390,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0], TdvfsEvent::Restore(2400), "direct jump to original");
         assert_eq!(d.current_frequency_mhz(), 2400);
-        assert_eq!(d.restore_count(), 1);
     }
 
     #[test]
@@ -464,7 +444,6 @@ mod tests {
         let mut d = daemon(50);
         let events = feed(&mut d, 40.0, 50);
         assert!(events.is_empty());
-        assert_eq!(d.restore_count(), 0);
     }
 
     #[test]
@@ -492,7 +471,7 @@ mod tests {
             };
             events.extend(feed(&mut d, temp, 1));
         }
-        let total = d.scale_down_count() + d.restore_count();
+        let total = events.len();
         assert!(
             (2..=6).contains(&total),
             "expected a handful of transitions, got {total}: {events:?}"

@@ -95,7 +95,6 @@ pub struct TwoLevelWindow {
     cfg: WindowConfig,
     l1: Vec<f64>,
     l2: VecDeque<f64>,
-    rounds: u64,
 }
 
 impl Default for TwoLevelWindow {
@@ -108,32 +107,7 @@ impl TwoLevelWindow {
     /// Creates an empty window.
     pub fn new(cfg: WindowConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        Self {
-            cfg,
-            l1: Vec::with_capacity(cfg.l1_len),
-            l2: VecDeque::with_capacity(cfg.l2_len),
-            rounds: 0,
-        }
-    }
-
-    /// Geometry of this window.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
-    }
-
-    /// Number of completed level-one rounds.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Number of samples currently buffered in level one.
-    pub fn l1_fill(&self) -> usize {
-        self.l1.len()
-    }
-
-    /// Current level-two contents, oldest first.
-    pub fn l2_contents(&self) -> impl Iterator<Item = f64> + '_ {
-        self.l2.iter().copied()
+        Self { cfg, l1: Vec::with_capacity(cfg.l1_len), l2: VecDeque::with_capacity(cfg.l2_len) }
     }
 
     /// Pushes one temperature sample. Returns a [`WindowUpdate`] when the
@@ -164,15 +138,7 @@ impl TwoLevelWindow {
         };
 
         self.l1.clear();
-        self.rounds += 1;
         Some(WindowUpdate { l1_delta, l2_delta, l1_average })
-    }
-
-    /// Clears both levels (used when a controller is re-targeted).
-    pub fn reset(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.rounds = 0;
     }
 }
 
@@ -191,12 +157,11 @@ mod tests {
         assert!(w.push(40.0).is_none());
         assert!(w.push(40.0).is_none());
         assert!(w.push(40.0).is_none());
-        assert_eq!(w.l1_fill(), 3);
+        assert_eq!(w.l1.len(), 3);
         let u = w.push(40.0).expect("fourth sample completes the round");
         assert_eq!(u.l1_average, 40.0);
         assert_eq!(u.l1_delta, 0.0);
-        assert_eq!(w.l1_fill(), 0, "level one cleared after the round");
-        assert_eq!(w.rounds(), 1);
+        assert!(w.l1.is_empty(), "level one cleared after the round");
     }
 
     #[test]
@@ -254,19 +219,9 @@ mod tests {
         for v in 1..=6 {
             let _ = feed(&mut w, &[f64::from(v); 4]);
         }
-        assert_eq!(w.l2_contents().collect::<Vec<_>>(), vec![2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(w.l2, [2.0, 3.0, 4.0, 5.0, 6.0]);
         let u = feed(&mut w, &[7.0; 4]);
         assert_eq!(u[0].l2_delta, Some(7.0 - 3.0));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut w = TwoLevelWindow::default();
-        let _ = feed(&mut w, &[40.0; 10]);
-        w.reset();
-        assert_eq!(w.rounds(), 0);
-        assert_eq!(w.l1_fill(), 0);
-        assert_eq!(w.l2_contents().count(), 0);
     }
 
     #[test]
@@ -301,7 +256,7 @@ mod tests {
     #[test]
     fn default_matches_paper_sizes() {
         let w = TwoLevelWindow::default();
-        assert_eq!(w.config().l1_len, 4);
-        assert_eq!(w.config().l2_len, 5);
+        assert_eq!(w.cfg.l1_len, 4);
+        assert_eq!(w.cfg.l2_len, 5);
     }
 }

@@ -128,6 +128,11 @@ pub fn apply_replay(
 /// description of what was converted. The conversion is lossless: `time_s`
 /// round-trips through raw IEEE-754 bits, so converting back reproduces a
 /// `JournalWriter`-produced JSONL file byte for byte.
+///
+/// A JSONL journal that no bjl reader would accept (a non-finite or
+/// backwards `time_s`, a bad `dt_s`) is refused with the decoder's named
+/// error, and no output file is written: the encoded bytes go through
+/// [`bjl_to_records`] before they reach the disk.
 pub fn convert_journal(
     input: impl AsRef<Path>,
     output: impl AsRef<Path>,
@@ -143,7 +148,9 @@ pub fn convert_journal(
             (writer.finish().map_err(ScenarioFileError::Journal)?, "bjl -> jsonl".to_string())
         }
         JournalFormat::Jsonl => {
-            (records_to_bjl(&records, dt_s), format!("jsonl -> bjl (dt_s = {dt_s})"))
+            let bytes = records_to_bjl(&records, dt_s);
+            bjl_to_records(&bytes).map_err(|e| ScenarioFileError::Journal(e.into()))?;
+            (bytes, format!("jsonl -> bjl (dt_s = {dt_s})"))
         }
     };
     std::fs::write(output, bytes).map_err(ScenarioFileError::Journal)?;
@@ -394,16 +401,19 @@ mod tests {
             to: 40,
             window_level: WindowLevel::L1,
         };
-        let mut writer = JournalWriter::new(Vec::new());
-        for (time_s, node, event) in [
+        let records = [
             (5.0, 0, mode_change),
             (500.0, 0, mode_change),
             (10.0, 1, Event::TdvfsEngage { from_mhz: 2400, to_mhz: 2200 }),
-        ] {
-            writer.record(&EventRecord { time_s, node, event });
+        ]
+        .map(|(time_s, node, event)| EventRecord { time_s, node, event });
+        let mut writer = JournalWriter::new(Vec::new());
+        for rec in &records {
+            writer.record(rec);
         }
         std::fs::write(&jsonl, writer.finish().unwrap()).unwrap();
-        convert_journal(&jsonl, &bjl, 0.05).expect("convert");
+        // The encoder writes whatever it is given; only readers check order.
+        std::fs::write(&bjl, records_to_bjl(&records, 0.05)).unwrap();
 
         let scenario = Scenario::new("replay-order").with_nodes(2).with_max_time(300.0);
         let err = apply_replay(scenario.clone(), &jsonl).expect_err("out-of-order journal");
@@ -414,6 +424,14 @@ mod tests {
         assert!(err.to_string().contains("journal record 2: time_s went backwards"), "{err}");
         let err = apply_replay(scenario, &bjl).expect_err("out-of-order journal");
         assert!(err.to_string().contains("frame 2: time_s went backwards"), "{err}");
+
+        // Conversion refuses to write a bjl file no reader accepts.
+        let converted = dir.join("converted.bjl");
+        let _ = std::fs::remove_file(&converted);
+        let err = convert_journal(&jsonl, &converted, 0.05).expect_err("out-of-order journal");
+        assert!(matches!(err, ScenarioFileError::Journal(_)), "{err}");
+        assert!(err.to_string().contains("frame 2: time_s went backwards"), "{err}");
+        assert!(!converted.exists(), "no output file on a refused conversion");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,27 +27,18 @@ pub struct PlatformBinding {
     /// Manual-mode fan driver; `None` for chip-automatic schemes (the chip
     /// runs its own curve and software stays out of the way).
     fan_driver: Option<FanDriver>,
-    /// cpufreq driver; `None` when the scheme never scales frequency or
-    /// when frequency requests should go straight to the node.
+    /// cpufreq driver; `None` when the scheme never scales frequency, so
+    /// frequency requests go straight to the node.
     cpufreq: Option<CpufreqDriver>,
 }
 
 impl PlatformBinding {
     /// Probes the hardware a scheme needs: the fan path per
-    /// [`SchemeSpec::fan_binding`], and a cpufreq driver when the scheme
-    /// wants one (frequency transitions are then counted by the driver).
+    /// [`SchemeSpec::fan_binding`], and the cpufreq driver when the scheme
+    /// wants it (a request then reports whether it changed the operating
+    /// point). Without it, frequency requests go straight to the node: a
+    /// direct request is "accepted" even when it is a no-op.
     pub fn probe(node: &mut Node, spec: &SchemeSpec) -> Result<Self, HwmonError> {
-        let mut binding = Self::probe_direct_freq(node, spec)?;
-        if spec.wants_cpufreq() {
-            binding.cpufreq = Some(CpufreqDriver::probe(node));
-        }
-        Ok(binding)
-    }
-
-    /// Probes the fan path only; frequency requests bypass cpufreq and go
-    /// straight to the node (a direct request is "accepted" even when it is
-    /// a no-op, and no transition accounting happens).
-    pub fn probe_direct_freq(node: &mut Node, spec: &SchemeSpec) -> Result<Self, HwmonError> {
         let fan_driver = match spec.fan_binding() {
             FanBinding::ChipAuto { cap } => {
                 // Cap the automatic curve in hardware; the chip keeps
@@ -59,7 +50,8 @@ impl PlatformBinding {
                 Some(FanDriver::probe_at(node, ADT7467_ADDR, max_duty)?)
             }
         };
-        Ok(Self { fan_driver, cpufreq: None })
+        let cpufreq = spec.wants_cpufreq().then_some(CpufreqDriver);
+        Ok(Self { fan_driver, cpufreq })
     }
 
     /// The node's frequency ladder in descending MHz (the
@@ -71,11 +63,6 @@ impl PlatformBinding {
     /// The manual-mode fan driver, if this binding took the fan over.
     pub fn fan_driver(&self) -> Option<&FanDriver> {
         self.fan_driver.as_ref()
-    }
-
-    /// The cpufreq driver, if bound.
-    pub fn cpufreq(&self) -> Option<&CpufreqDriver> {
-        self.cpufreq.as_ref()
     }
 }
 
@@ -109,7 +96,7 @@ impl Actuators for PlatformActuators<'_> {
     }
 
     fn set_frequency_mhz(&mut self, mhz: FreqMhz) -> bool {
-        match self.binding.cpufreq.as_mut() {
+        match self.binding.cpufreq {
             // Through cpufreq: true means the request *changed* the state
             // (and was counted as a transition).
             Some(drv) => drv.set_mhz(self.node, mhz).unwrap_or(false),
@@ -170,7 +157,7 @@ mod tests {
         let spec = SchemeSpec::split(FanScheme::ChipAutomatic { max_duty: 60 }, DvfsScheme::None);
         let binding = PlatformBinding::probe(&mut n, &spec).unwrap();
         assert!(binding.fan_driver().is_none());
-        assert!(binding.cpufreq().is_none());
+        assert!(binding.cpufreq.is_none());
         // The hardware cap was written: even a hot die cannot exceed 60 %.
         n.set_utilization(1.0);
         for _ in 0..4000 {
@@ -184,9 +171,12 @@ mod tests {
         let mut n = node();
         let spec =
             SchemeSpec::split(FanScheme::dynamic(Policy::MODERATE, 80), DvfsScheme::cpuspeed());
-        let binding = PlatformBinding::probe(&mut n, &spec).unwrap();
-        assert_eq!(binding.fan_driver().unwrap().max_duty(), 80);
-        assert!(binding.cpufreq().is_some());
+        let mut binding = PlatformBinding::probe(&mut n, &spec).unwrap();
+        assert!(binding.fan_driver().is_some());
+        assert!(binding.cpufreq.is_some());
+        // The driver clamps to the scheme's cap.
+        let mut act = PlatformActuators { node: &mut n, binding: &mut binding };
+        assert_eq!(act.force_max_cooling().0, 80);
     }
 
     #[test]

@@ -1,68 +1,24 @@
 //! The cpufreq interface: in-band DVFS control in Linux units (kHz).
 //!
 //! Mirrors the userspace-governor control path the paper's tDVFS daemon
-//! uses: read `scaling_available_frequencies`, write `scaling_setspeed`.
+//! uses: write `scaling_setspeed`. The ladder it picks from is read once,
+//! at build time, through [`crate::PlatformBinding::available_mhz`].
 
 use unitherm_core::actuator::FreqMhz;
 use unitherm_simnode::node::Node;
 
 use crate::error::HwmonError;
 
-/// Driver state for the CPU's frequency-scaling interface.
-#[derive(Debug, Clone)]
-pub struct CpufreqDriver {
-    available_mhz: Vec<FreqMhz>,
-    transitions_requested: u64,
-}
+/// The CPU's frequency-scaling interface, bound when a scheme scales
+/// frequency.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CpufreqDriver;
 
 impl CpufreqDriver {
-    /// Probes the available frequency ladder.
-    pub fn probe(node: &Node) -> Self {
-        let available_mhz =
-            node.available_frequencies_khz().into_iter().map(|khz| khz / 1000).collect();
-        Self { available_mhz, transitions_requested: 0 }
-    }
-
-    /// Available frequencies in MHz, descending.
-    pub fn available_mhz(&self) -> &[FreqMhz] {
-        &self.available_mhz
-    }
-
-    /// The currently requested frequency in MHz.
-    pub fn current_mhz(&self, node: &Node) -> FreqMhz {
-        node.requested_frequency_khz() / 1000
-    }
-
     /// Requests a frequency in MHz. Returns `true` when the request changed
     /// the operating point.
-    pub fn set_mhz(&mut self, node: &mut Node, mhz: FreqMhz) -> Result<bool, HwmonError> {
-        let changed = node.set_frequency_khz(mhz * 1000)?;
-        if changed {
-            self.transitions_requested += 1;
-        }
-        Ok(changed)
-    }
-
-    /// Snaps an arbitrary frequency to the nearest available one and
-    /// requests it (governors produced by the control array always emit
-    /// exact ladder values, but tooling may not).
-    pub fn set_nearest_mhz(
-        &mut self,
-        node: &mut Node,
-        mhz: FreqMhz,
-    ) -> Result<FreqMhz, HwmonError> {
-        let nearest = *self
-            .available_mhz
-            .iter()
-            .min_by_key(|&&f| f.abs_diff(mhz))
-            .expect("ladder is non-empty");
-        self.set_mhz(node, nearest)?;
-        Ok(nearest)
-    }
-
-    /// Number of accepted transition requests through this driver.
-    pub fn transitions_requested(&self) -> u64 {
-        self.transitions_requested
+    pub fn set_mhz(self, node: &mut Node, mhz: FreqMhz) -> Result<bool, HwmonError> {
+        Ok(node.set_frequency_khz(mhz * 1000)?)
     }
 }
 
@@ -76,38 +32,18 @@ mod tests {
     }
 
     #[test]
-    fn probe_reads_ladder_in_mhz() {
-        let n = node();
-        let d = CpufreqDriver::probe(&n);
-        assert_eq!(d.available_mhz(), &[2400, 2200, 2000, 1800, 1000]);
-        assert_eq!(d.current_mhz(&n), 2400);
-    }
-
-    #[test]
     fn set_mhz_roundtrip() {
         let mut n = node();
-        let mut d = CpufreqDriver::probe(&n);
-        assert_eq!(d.set_mhz(&mut n, 2000), Ok(true));
-        assert_eq!(d.current_mhz(&n), 2000);
-        assert_eq!(d.set_mhz(&mut n, 2000), Ok(false), "no-op request");
-        assert_eq!(d.transitions_requested(), 1);
+        assert_eq!(CpufreqDriver.set_mhz(&mut n, 2000), Ok(true));
+        assert_eq!(n.requested_frequency_khz(), 2_000_000);
+        assert_eq!(CpufreqDriver.set_mhz(&mut n, 2000), Ok(false), "no-op request");
     }
 
     #[test]
     fn invalid_frequency_rejected() {
         let mut n = node();
-        let mut d = CpufreqDriver::probe(&n);
-        let err = d.set_mhz(&mut n, 2300).unwrap_err();
+        let err = CpufreqDriver.set_mhz(&mut n, 2300).unwrap_err();
         assert!(matches!(err, HwmonError::Frequency(_)), "{err}");
-        assert_eq!(d.transitions_requested(), 0);
-    }
-
-    #[test]
-    fn nearest_snaps() {
-        let mut n = node();
-        let mut d = CpufreqDriver::probe(&n);
-        assert_eq!(d.set_nearest_mhz(&mut n, 2300).unwrap(), 2400); // tie-break toward first (2400 vs 2200 both 100 off → min_by_key keeps first)
-        assert_eq!(d.set_nearest_mhz(&mut n, 1100).unwrap(), 1000);
-        assert_eq!(d.set_nearest_mhz(&mut n, 1999).unwrap(), 2000);
+        assert_eq!(n.requested_frequency_khz(), 2_400_000);
     }
 }

@@ -7,14 +7,13 @@
 //! from duty cycle of 1 % to 100 %."
 //!
 //! The driver here does the same against the simulated chip: it probes the
-//! device ID over i2c, takes the PWM channel into manual mode, clamps every
-//! command to a configurable maximum-allowed duty (how the paper emulates
-//! less-capable fans), and exposes a release path that returns the chip to
-//! its automatic (traditional static) mode.
+//! device ID over i2c, takes the PWM channel into manual mode, and clamps
+//! every command to a configurable maximum-allowed duty (how the paper
+//! emulates less-capable fans).
 
 use unitherm_core::actuator::FanDuty;
 use unitherm_simnode::adt7467::{regs, DEVICE_ID};
-use unitherm_simnode::node::{Node, ADT7467_ADDR};
+use unitherm_simnode::node::Node;
 use unitherm_simnode::units::DutyCycle;
 
 use crate::error::HwmonError;
@@ -25,17 +24,12 @@ pub struct FanDriver {
     addr: u8,
     max_duty: FanDuty,
     last_commanded: FanDuty,
-    writes: u64,
 }
 
 impl FanDriver {
-    /// Probes the chip at the standard address, verifies its device ID, and
-    /// switches the PWM channel to manual mode at the minimum running duty.
-    pub fn probe(node: &mut Node) -> Result<Self, HwmonError> {
-        Self::probe_at(node, ADT7467_ADDR, 100)
-    }
-
-    /// Probes with an explicit address and maximum allowed duty.
+    /// Probes the chip at `addr`, verifies its device ID, caps the channel
+    /// at `max_duty` and switches it to manual mode at the minimum running
+    /// duty.
     pub fn probe_at(node: &mut Node, addr: u8, max_duty: FanDuty) -> Result<Self, HwmonError> {
         let id = node.smbus_read(addr, regs::DEVICE_ID)?;
         if id != DEVICE_ID {
@@ -49,14 +43,9 @@ impl FanDriver {
         // Cap the channel in hardware too, then take manual control.
         node.smbus_write(addr, regs::PWM_MAX, DutyCycle::new(max_duty).to_register())?;
         node.smbus_write(addr, regs::PWM_CONFIG, 1)?;
-        let mut driver = Self { addr, max_duty, last_commanded: 1, writes: 0 };
+        let mut driver = Self { addr, max_duty, last_commanded: 1 };
         driver.set_duty(node, 1)?;
         Ok(driver)
-    }
-
-    /// The maximum allowed duty cycle.
-    pub fn max_duty(&self) -> FanDuty {
-        self.max_duty
     }
 
     /// The last successfully commanded duty.
@@ -64,31 +53,11 @@ impl FanDriver {
         self.last_commanded
     }
 
-    /// Number of successful duty writes.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
     /// Commands a duty cycle, clamped to `[1, max_duty]`.
     pub fn set_duty(&mut self, node: &mut Node, duty: FanDuty) -> Result<(), HwmonError> {
         let duty = duty.clamp(1, self.max_duty);
         node.smbus_write(self.addr, regs::PWM_CURRENT, DutyCycle::new(duty).to_register())?;
         self.last_commanded = duty;
-        self.writes += 1;
-        Ok(())
-    }
-
-    /// Reads the duty currently programmed in the chip.
-    pub fn read_duty(&self, node: &mut Node) -> Result<FanDuty, HwmonError> {
-        let raw = node.smbus_read(self.addr, regs::PWM_CURRENT)?;
-        Ok(DutyCycle::from_register(raw).percent())
-    }
-
-    /// Releases the channel back to the chip's automatic (traditional
-    /// static) control and removes the hardware duty cap.
-    pub fn release(self, node: &mut Node) -> Result<(), HwmonError> {
-        node.smbus_write(self.addr, regs::PWM_MAX, DutyCycle::MAX.to_register())?;
-        node.smbus_write(self.addr, regs::PWM_CONFIG, 0)?;
         Ok(())
     }
 }
@@ -96,17 +65,27 @@ impl FanDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unitherm_simnode::node::ADT7467_ADDR;
     use unitherm_simnode::NodeConfig;
 
     fn node() -> Node {
         Node::new(NodeConfig::default(), 11)
     }
 
+    fn probe(n: &mut Node) -> FanDriver {
+        FanDriver::probe_at(n, ADT7467_ADDR, 100).expect("probe")
+    }
+
+    /// The duty currently programmed in the chip.
+    fn chip_duty(n: &mut Node) -> FanDuty {
+        DutyCycle::from_register(n.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT).unwrap()).percent()
+    }
+
     #[test]
     fn probe_succeeds_on_real_chip() {
         let mut n = node();
-        let d = FanDriver::probe(&mut n).expect("probe");
-        assert_eq!(d.max_duty(), 100);
+        let d = probe(&mut n);
+        assert_eq!(d.max_duty, 100);
         assert_eq!(d.last_commanded(), 1);
         // Chip is now in manual mode.
         assert_eq!(n.smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap(), 1);
@@ -122,13 +101,12 @@ mod tests {
     #[test]
     fn set_and_read_duty_roundtrip() {
         let mut n = node();
-        let mut d = FanDriver::probe(&mut n).unwrap();
+        let mut d = probe(&mut n);
         for duty in [1u8, 25, 50, 75, 100] {
             d.set_duty(&mut n, duty).unwrap();
-            assert_eq!(d.read_duty(&mut n).unwrap(), duty);
+            assert_eq!(chip_duty(&mut n), duty);
             assert_eq!(d.last_commanded(), duty);
         }
-        assert_eq!(d.write_count(), 6); // probe writes 1 % once, then 5 more
     }
 
     #[test]
@@ -137,13 +115,13 @@ mod tests {
         let mut d = FanDriver::probe_at(&mut n, ADT7467_ADDR, 25).unwrap();
         d.set_duty(&mut n, 80).unwrap();
         assert_eq!(d.last_commanded(), 25);
-        assert_eq!(d.read_duty(&mut n).unwrap(), 25);
+        assert_eq!(chip_duty(&mut n), 25);
     }
 
     #[test]
     fn zero_duty_clamps_to_one() {
         let mut n = node();
-        let mut d = FanDriver::probe(&mut n).unwrap();
+        let mut d = probe(&mut n);
         d.set_duty(&mut n, 0).unwrap();
         assert_eq!(d.last_commanded(), 1);
     }
@@ -151,7 +129,7 @@ mod tests {
     #[test]
     fn driver_actually_moves_the_fan() {
         let mut n = node();
-        let mut d = FanDriver::probe(&mut n).unwrap();
+        let mut d = probe(&mut n);
         d.set_duty(&mut n, 80).unwrap();
         for _ in 0..200 {
             n.tick(0.05);
@@ -161,33 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn release_returns_chip_to_automatic() {
-        let mut n = node();
-        let d = FanDriver::probe_at(&mut n, ADT7467_ADDR, 30).unwrap();
-        d.release(&mut n).unwrap();
-        assert_eq!(n.smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap(), 0);
-        // The hardware duty cap is lifted back to 100 %.
-        assert_eq!(n.smbus_read(ADT7467_ADDR, regs::PWM_MAX).unwrap(), 0xFF);
-        // And the automatic curve drives the fan past the old 30 % cap
-        // under load (the auto-controlled burn settles with ~40 % duty).
-        n.set_utilization(1.0);
-        for _ in 0..20_000 {
-            n.tick(0.05);
-        }
-        assert!(
-            n.state().fan_duty.percent() > 30,
-            "auto curve past the old cap: {}",
-            n.state().fan_duty
-        );
-    }
-
-    #[test]
     fn max_duty_clamped_to_valid_range() {
         let mut n = node();
         let d = FanDriver::probe_at(&mut n, ADT7467_ADDR, 0).unwrap();
-        assert_eq!(d.max_duty(), 1);
+        assert_eq!(d.max_duty, 1);
         let mut n2 = node();
         let d2 = FanDriver::probe_at(&mut n2, ADT7467_ADDR, 255).unwrap();
-        assert_eq!(d2.max_duty(), 100);
+        assert_eq!(d2.max_duty, 100);
     }
 }

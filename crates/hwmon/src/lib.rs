@@ -23,10 +23,8 @@
 //!   conventions (millidegrees, 0–255 PWM, kHz), for tooling and tests;
 //! * [`binding`] — the platform binding: probes the hardware seams a
 //!   `SchemeSpec` needs and adapts them to the control plane's
-//!   hardware-agnostic `Actuators` trait;
-//! * [`stack`] — the assembled per-node control stack (sensor poller +
-//!   platform binding + control-plane daemon pipeline) behind one
-//!   `sample()` call;
+//!   hardware-agnostic `Actuators` trait (the cluster's `NodeSim` is the
+//!   one host that drives a `ControlPlane` through it);
 //! * [`error`] — the unified driver error type.
 //!
 //! Controllers never touch simulator internals: everything flows through
@@ -38,7 +36,6 @@ pub mod cpufreq;
 pub mod error;
 pub mod fan_driver;
 pub mod lm_sensors;
-pub mod stack;
 pub mod sysfs;
 
 pub use binding::{PlatformActuators, PlatformBinding};
@@ -46,5 +43,4 @@ pub use cpufreq::CpufreqDriver;
 pub use error::HwmonError;
 pub use fan_driver::FanDriver;
 pub use lm_sensors::LmSensors;
-pub use stack::{ControlStack, SampleOutcome};
 pub use sysfs::SysfsTree;

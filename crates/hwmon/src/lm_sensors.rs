@@ -2,26 +2,18 @@
 //!
 //! The paper samples the processor's on-die digital thermal sensor through
 //! lm-sensors at four samples per second. This driver wraps the sensor read
-//! with the same conventions: millidegree integer readings, a cached last
-//! good value for transient dropouts, and a read counter for diagnostics.
+//! with the same conventions: millidegree integer readings and a cached
+//! last good value for transient dropouts.
 
 use unitherm_simnode::node::Node;
 use unitherm_simnode::units::MilliCelsius;
 
 use crate::error::HwmonError;
 
-/// The paper's sampling rate: 4 samples per second.
-pub const SAMPLE_RATE_HZ: f64 = 4.0;
-
-/// The sampling period implied by [`SAMPLE_RATE_HZ`].
-pub const SAMPLE_PERIOD_S: f64 = 1.0 / SAMPLE_RATE_HZ;
-
 /// lm-sensors-style sensor access.
 #[derive(Debug, Clone, Default)]
 pub struct LmSensors {
     last_good: Option<MilliCelsius>,
-    reads: u64,
-    dropouts: u64,
 }
 
 impl LmSensors {
@@ -32,78 +24,24 @@ impl LmSensors {
 
     /// Reads the CPU temperature in millidegrees.
     pub fn read_millic(&mut self, node: &mut Node) -> Result<MilliCelsius, HwmonError> {
-        match node.read_sensor() {
-            Ok(m) => {
-                self.last_good = Some(m);
-                self.reads += 1;
-                Ok(m)
-            }
-            Err(e) => {
-                self.dropouts += 1;
-                Err(e.into())
-            }
-        }
+        let m = node.read_sensor()?;
+        self.last_good = Some(m);
+        Ok(m)
     }
 
-    /// Reads the CPU temperature in °C.
-    pub fn read_celsius(&mut self, node: &mut Node) -> Result<f64, HwmonError> {
-        self.read_millic(node).map(MilliCelsius::to_celsius)
-    }
-
-    /// Reads with dropout tolerance: on failure, falls back to the last good
-    /// reading (what a daemon does when one poll fails), or propagates the
-    /// error if no reading ever succeeded.
-    pub fn read_celsius_or_last(&mut self, node: &mut Node) -> Result<f64, HwmonError> {
-        match self.read_celsius(node) {
-            Ok(t) => Ok(t),
-            Err(e) => self.last_good.map(MilliCelsius::to_celsius).ok_or(e),
-        }
-    }
-
-    /// Reads every on-die sensor and returns the hottest reading — the
-    /// aggregation thermal control should act on for multi-core parts
+    /// Reads every on-die sensor and returns the hottest reading, in °C —
+    /// the aggregation thermal control should act on for multi-core parts
     /// (protecting the hottest core protects them all). Fails only when no
     /// sensor responds.
-    pub fn read_hottest_millic(&mut self, node: &mut Node) -> Result<MilliCelsius, HwmonError> {
-        match node.read_hottest_sensor() {
-            Ok(m) => {
-                self.last_good = Some(m);
-                self.reads += 1;
-                Ok(m)
-            }
-            Err(e) => {
-                self.dropouts += 1;
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Hottest-sensor read in °C.
     pub fn read_hottest_celsius(&mut self, node: &mut Node) -> Result<f64, HwmonError> {
-        self.read_hottest_millic(node).map(MilliCelsius::to_celsius)
-    }
-
-    /// Hottest-sensor read with last-good fallback.
-    pub fn read_hottest_or_last(&mut self, node: &mut Node) -> Result<f64, HwmonError> {
-        match self.read_hottest_celsius(node) {
-            Ok(t) => Ok(t),
-            Err(e) => self.last_good.map(MilliCelsius::to_celsius).ok_or(e),
-        }
+        let m = node.read_hottest_sensor()?;
+        self.last_good = Some(m);
+        Ok(m.to_celsius())
     }
 
     /// The last successful reading.
     pub fn last_good(&self) -> Option<MilliCelsius> {
         self.last_good
-    }
-
-    /// Successful read count.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Failed read count.
-    pub fn dropout_count(&self) -> u64 {
-        self.dropouts
     }
 }
 
@@ -117,9 +55,9 @@ mod tests {
     fn reads_track_die_temperature() {
         let mut node = Node::new(NodeConfig::default(), 17);
         let mut lm = LmSensors::new();
-        let t = lm.read_celsius(&mut node).unwrap();
+        let t = lm.read_hottest_celsius(&mut node).unwrap();
         assert!((t - node.die_temp_c()).abs() < 2.5, "reading {t} vs die {}", node.die_temp_c());
-        assert_eq!(lm.read_count(), 1);
+        assert_eq!(lm.last_good(), Some(MilliCelsius::from_celsius(t)));
     }
 
     #[test]
@@ -132,32 +70,25 @@ mod tests {
     }
 
     #[test]
-    fn dropout_fallback_returns_last_good() {
+    fn dropout_keeps_the_last_good_reading() {
         let faults = FaultPlan::none().at(1.0, FaultEvent::SensorDropout);
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         let mut lm = LmSensors::new();
-        let before = lm.read_celsius_or_last(&mut node).unwrap();
+        let before = lm.read_hottest_celsius(&mut node).unwrap();
         for _ in 0..40 {
             node.tick(0.05);
         }
-        let after = lm.read_celsius_or_last(&mut node).unwrap();
-        assert_eq!(before, after, "falls back to cached value");
-        assert_eq!(lm.dropout_count(), 1);
+        assert!(lm.read_hottest_celsius(&mut node).is_err(), "sensor is dark");
         assert_eq!(lm.last_good(), Some(MilliCelsius::from_celsius(before)));
     }
 
     #[test]
-    fn dropout_without_history_propagates() {
+    fn dropout_without_history_has_no_last_good() {
         let faults = FaultPlan::none().at(0.01, FaultEvent::SensorDropout);
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         node.tick(0.05);
         let mut lm = LmSensors::new();
-        assert!(lm.read_celsius_or_last(&mut node).is_err());
-    }
-
-    #[test]
-    fn constants_match_paper() {
-        assert_eq!(SAMPLE_RATE_HZ, 4.0);
-        assert_eq!(SAMPLE_PERIOD_S, 0.25);
+        assert!(lm.read_hottest_celsius(&mut node).is_err());
+        assert_eq!(lm.last_good(), None);
     }
 }

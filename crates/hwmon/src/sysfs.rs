@@ -35,19 +35,6 @@ impl SysfsTree {
         Self::default()
     }
 
-    /// All attribute paths this tree serves.
-    pub fn paths(&self) -> &'static [&'static str] {
-        &[
-            "hwmon0/temp1_input",
-            "hwmon0/pwm1",
-            "hwmon0/pwm1_enable",
-            "hwmon0/fan1_input",
-            "cpufreq/scaling_cur_freq",
-            "cpufreq/scaling_setspeed",
-            "cpufreq/scaling_available_frequencies",
-        ]
-    }
-
     /// Reads an attribute as its string representation.
     pub fn read(&mut self, node: &mut Node, path: &str) -> Result<String, HwmonError> {
         // `hwmon0/tempN_input` for N ≥ 2 maps to per-core sensors on
@@ -147,14 +134,6 @@ impl SysfsTree {
             other => Err(HwmonError::NoSuchAttribute { path: other.to_string() }),
         }
     }
-
-    /// Convenience: reads the PWM duty as a percent, converting from the
-    /// 0–255 register encoding.
-    pub fn read_pwm_percent(&mut self, node: &mut Node) -> Result<u8, HwmonError> {
-        let raw: u8 =
-            self.read(node, "hwmon0/pwm1")?.parse().expect("pwm1 read produces a valid u8");
-        Ok(DutyCycle::from_register(raw).percent())
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +159,7 @@ mod tests {
         t.write(&mut n, "hwmon0/pwm1_enable", "1").unwrap();
         t.write(&mut n, "hwmon0/pwm1", "128").unwrap();
         assert_eq!(t.read(&mut n, "hwmon0/pwm1").unwrap(), "128");
-        assert_eq!(t.read_pwm_percent(&mut n).unwrap(), 50);
+        assert_eq!(DutyCycle::from_register(128).percent(), 50);
     }
 
     #[test]
@@ -271,7 +250,7 @@ mod tests {
         t.write(&mut n, "hwmon0/pwm1_enable", "0").unwrap();
         // Linux "0" = full speed: manual mode at maximum duty.
         assert_eq!(t.read(&mut n, "hwmon0/pwm1_enable").unwrap(), "1");
-        assert_eq!(t.read_pwm_percent(&mut n).unwrap(), 100);
+        assert_eq!(t.read(&mut n, "hwmon0/pwm1").unwrap(), "255");
     }
 
     #[test]
@@ -308,16 +287,5 @@ mod tests {
             t.read(&mut n, "hwmon0/temp2_input"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
-    }
-
-    #[test]
-    fn paths_listing_matches_served_attributes() {
-        let (mut n, mut t) = setup();
-        for p in t.paths().to_vec() {
-            if p == "cpufreq/scaling_setspeed" {
-                continue; // write-only
-            }
-            assert!(t.read(&mut n, p).is_ok(), "{p} should read");
-        }
     }
 }

@@ -13,14 +13,12 @@
 //! without pulling in simulation machinery.
 
 pub mod csv;
-pub mod histogram;
 pub mod plot;
 pub mod series;
 pub mod stats;
 pub mod table;
 
 pub use csv::CsvWriter;
-pub use histogram::Histogram;
 pub use plot::AsciiPlot;
 pub use series::{Sample, TimeSeries};
 pub use stats::{RunningStats, Summary};

@@ -30,7 +30,7 @@
 //!
 //! The crate is deliberately at the bottom of the dependency graph (only
 //! `serde` for the journal schema) so `unitherm-core`, the cluster
-//! simulator, the hwmon stack and the benchmark can all share it.
+//! simulator, the service and the benchmark can all share it.
 
 pub mod binary;
 pub mod counters;

@@ -1,8 +1,7 @@
 //! Refactor-parity regression for the control plane.
 //!
-//! Every pre-existing `FanScheme`/`DvfsScheme` arm — plus the hwmon
-//! `ControlStack` — is locked to a golden trace snapshot captured from the
-//! original per-arm daemon wiring. The traces are compared bit-for-bit
+//! Every pre-existing `FanScheme`/`DvfsScheme` arm is locked to a golden
+//! trace snapshot captured from the original per-arm daemon wiring. The traces are compared bit-for-bit
 //! (f64s via their raw bit patterns), so any behavioural drift in the
 //! scheme → daemon pipeline fails these tests even when summary statistics
 //! round the same.
@@ -24,10 +23,8 @@ use unitherm::cluster::{DvfsScheme, FanScheme, RunReport, Scenario, Simulation, 
 use unitherm::core::baseline::StaticFanCurve;
 use unitherm::core::control_array::Policy;
 use unitherm::core::failsafe::FailsafeConfig;
-use unitherm::hwmon::stack::ControlStack;
 use unitherm::metrics::TimeSeries;
 use unitherm::simnode::faults::{FaultEvent, FaultPlan};
-use unitherm::simnode::{Node, NodeConfig};
 
 fn hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -218,40 +215,4 @@ fn failsafe_engagement_trace_is_stable() {
             .with_failsafe(FailsafeConfig::default())
             .with_fault(0, plan),
     );
-}
-
-#[test]
-fn hwmon_control_stack_trace_is_stable() {
-    // The single-node platform binding, driven the way the stack docs
-    // describe: 20 Hz physics, 4 Hz control, a square-wave utilization
-    // pattern exercising ramp-up, tDVFS escalation and recovery.
-    let mut node = Node::new(NodeConfig::default(), 7);
-    let mut stack = ControlStack::builder(Policy::MODERATE)
-        .max_fan_duty(60)
-        .with_feedforward()
-        .with_tdvfs()
-        .with_failsafe()
-        .probe(&mut node)
-        .expect("hardware reachable");
-
-    let mut out = String::new();
-    for tick in 0..2400u32 {
-        let phase = (tick / 400) % 2;
-        node.set_utilization(if phase == 0 { 1.0 } else { 0.2 });
-        node.tick(0.05);
-        if (tick + 1) % 5 == 0 {
-            let outcome = stack.sample(&mut node);
-            writeln!(
-                out,
-                "tick={} temp={} duty={:?} freq={:?} failsafe={}",
-                tick + 1,
-                outcome.temp_c.map(hex).unwrap_or_else(|| "none".into()),
-                outcome.fan_duty,
-                outcome.freq_mhz,
-                outcome.failsafe_engaged
-            )
-            .unwrap();
-        }
-    }
-    assert_matches_golden("hwmon-stack", &out);
 }
