@@ -24,9 +24,9 @@
 //!   schemes, faults, duration, seed);
 //! * [`node_sim`] — one node's simulation state: hardware + platform
 //!   binding + control plane + recorders;
-//! * [`sim`] — the cluster tick loop with barrier release; with
-//!   a [`pool_width`] above 1 the per-node passes run shard-parallel on a
-//!   persistent worker pool with bit-identical results;
+//! * [`sim`] — the cluster tick loop with barrier release; the per-node
+//!   passes run on a worker pool [`pool_width`] shards wide (inline for
+//!   one shard, shard-parallel above that) with bit-identical results;
 //! * [`report`] — structured run results (traces + the summary numbers the
 //!   paper's tables report);
 //! * [`replay`] — journal-driven fault injection: derive a tick-addressed

@@ -250,9 +250,9 @@ impl NodeSim {
     }
 
     /// Emits a `FaultInjected` event for every fault the node delivered
-    /// since the last call. Runs on both the serial and sharded paths (the
-    /// sharded journal scratch drains in node order), so the journal stream
-    /// stays thread-count invariant. No-op — and allocation-free — on
+    /// since the last call. Runs in pass B at every pool width (shard 0
+    /// tees directly, the other shards' scratch drains in node order), so
+    /// the journal stream stays thread-count invariant. No-op — and allocation-free — on
     /// fault-free ticks.
     fn emit_fault_events(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
         let start = self.fault_log_seen;

@@ -1,12 +1,13 @@
 //! The persistent node-parallel worker pool behind [`crate::sim::Simulation`].
 //!
-//! A simulation whose [`pool_width`] is above 1 shards its nodes into
-//! contiguous ranges and runs the per-node halves of every tick — workload
-//! advance (pass A), daemons + physics (pass B), and the 4 Hz sampling
-//! pass — shard-parallel on this pool. The pool is created once per
-//! simulation and persists across ticks: at a 50 ms simulated dt a tick is
-//! microseconds of work, so spawn-per-tick (or even scope-per-tick) would
-//! dominate the run.
+//! Every simulation ticks on this pool. It shards the nodes into
+//! [`pool_width`] contiguous ranges and runs the per-node halves of every
+//! tick — workload advance (pass A), daemons + physics (pass B), and the
+//! 4 Hz sampling pass — over the shards. A one-shard pool spawns no thread
+//! and runs each pass inline on the calling thread. A wider pool is
+//! created once per simulation and persists across ticks: at a 50 ms
+//! simulated dt a tick is microseconds of work, so spawn-per-tick (or even
+//! scope-per-tick) would dominate the run.
 //!
 //! # Width
 //!
@@ -18,19 +19,20 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical to the serial loop at every thread count:
+//! Results are bit-identical to a one-shard pool at every width:
 //!
 //! * per-node work is shared-nothing — a node's tick depends only on its
 //!   own state plus tick-global inputs (the barrier-release decision, the
 //!   rack air temperature) that are fixed before the pass starts;
 //! * the two cross-node reductions are exact: the barrier flags are
 //!   booleans (order-free), and rack heat is written **per node** into a
-//!   scratch slot and folded by the coordinator in node order — the same
-//!   left-to-right f64 summation the serial loop performs, independent of
-//!   the shard layout;
-//! * journal tees buffer per-shard in pre-reserved scratch and are drained
-//!   into the sink in shard (= node) order after the pass, preserving the
-//!   "tick order, node order within a tick" contract byte-for-byte.
+//!   scratch slot and folded by the coordinator in node order — one
+//!   left-to-right f64 summation, independent of the shard layout;
+//! * shard 0 runs on the coordinator and tees its events straight into the
+//!   journal; shards 1, 2, … buffer theirs in pre-reserved scratch, which
+//!   the coordinator drains in shard (= node) order after the pass,
+//!   preserving the "tick order, node order within a tick" contract
+//!   byte-for-byte.
 //!
 //! # Synchronization
 //!
@@ -50,7 +52,7 @@ use std::thread::{JoinHandle, Thread};
 
 use crate::node_sim::NodeSim;
 use crate::sim::Shard;
-use unitherm_obs::{EventSink, VecSink};
+use unitherm_obs::EventSink;
 
 /// The fewest nodes a shard may hold. Measured on a dynamic-fan burn with
 /// recording off, two shards reliably beat one only once each holds about
@@ -87,8 +89,8 @@ pub(crate) enum PassKind {
         dt_s: f64,
     },
     /// Pass B: hooks (per-tick daemons, due faults), optional barrier
-    /// release, the lane physics tick, per-node heat capture, finish
-    /// detection.
+    /// release, the lane physics tick, per-node heat capture (when the
+    /// pass is given heat slots), finish detection.
     Hardware {
         /// Physics tick, seconds.
         dt_s: f64,
@@ -96,8 +98,6 @@ pub(crate) enum PassKind {
         now_s: f64,
         /// Whether the barrier released this tick (decided from pass A).
         release: bool,
-        /// Whether to capture per-node heat for the rack reduction.
-        couple_rack: bool,
         /// Whether the workload can finish on its own (gates finish
         /// detection in `sim::hardware_pass`).
         finite: bool,
@@ -109,9 +109,9 @@ pub(crate) enum PassKind {
     },
 }
 
-/// Per-shard reduction outputs, written by exactly one worker per pass and
-/// read by the coordinator after the completion barrier.
-#[derive(Clone, Copy, Default)]
+/// Per-shard reduction outputs of the last pass, written by the one thread
+/// that ran the shard and read by the coordinator after the pass.
+#[derive(Default)]
 pub(crate) struct ShardOut {
     /// Pass A: every non-finished rank in the shard is parked at a barrier.
     pub unfinished_parked: bool,
@@ -121,7 +121,7 @@ pub(crate) struct ShardOut {
     pub finished_delta: usize,
 }
 
-/// One parallel section: everything a worker needs to process its shard.
+/// One pass: everything a worker needs to process its shard.
 ///
 /// Raw pointers stand in for the `&mut` borrows the coordinator holds; the
 /// run protocol guarantees workers only dereference them between the epoch
@@ -130,20 +130,18 @@ pub(crate) struct ShardOut {
 #[derive(Clone, Copy)]
 struct Job {
     nodes: *mut NodeSim,
-    /// Per-shard physics lanes and hooked nodes (`shards` entries); entry
-    /// `s` mirrors the node range of shard `s`.
-    physics: *mut Shard,
+    /// Per-shard state (`width` entries); entry `s` mirrors the node range
+    /// of shard `s`.
+    shards: *mut Shard,
     len: usize,
-    shards: usize,
+    width: usize,
     kind: PassKind,
     /// Per-node heat slots (`len` entries) or null when the pass does not
     /// capture heat.
     heat: *mut f64,
-    /// Per-shard reduction slots (`shards` entries).
-    outs: *mut ShardOut,
-    /// Per-shard journal scratch (`shards` entries) or null when no
-    /// journal is attached.
-    scratch: *mut VecSink,
+    /// Whether a journal is attached, so shards 1, 2, … buffer their
+    /// events in their scratch.
+    teeing: bool,
 }
 
 // SAFETY: the pointers are only dereferenced under the run protocol above,
@@ -175,13 +173,13 @@ unsafe impl Sync for Shared {}
 /// scheduler quickly instead of burning the very cycles the shards need.
 const SPIN_LIMIT: u32 = 512;
 
-/// The persistent pool: `shards - 1` spawned workers plus the calling
+/// The persistent pool: `width - 1` spawned workers plus the calling
 /// thread, which always executes shard 0 itself.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<Thread>,
     handles: Vec<JoinHandle<()>>,
-    shards: usize,
+    width: usize,
 }
 
 /// The contiguous node range of shard `s` out of `shards` over `len` nodes.
@@ -190,12 +188,9 @@ pub(crate) fn shard_range(len: usize, shards: usize, s: usize) -> std::ops::Rang
 }
 
 impl WorkerPool {
-    /// Spawns `shards - 1` workers (the coordinator is shard 0).
-    ///
-    /// # Panics
-    /// `shards` must be at least 2 — a 1-shard pool is the serial loop.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 2, "a pool needs at least two shards");
+    /// Spawns `width - 1` workers (the coordinator is shard 0), so a
+    /// one-shard pool spawns none.
+    pub fn new(width: usize) -> Self {
         let shared = Arc::new(Shared {
             epoch: AtomicUsize::new(0),
             job: UnsafeCell::new(None),
@@ -205,7 +200,7 @@ impl WorkerPool {
             panic: Mutex::new(None),
         });
         let (tx, rx) = std::sync::mpsc::channel();
-        let handles: Vec<JoinHandle<()>> = (1..shards)
+        let handles: Vec<JoinHandle<()>> = (1..width)
             .map(|shard| {
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
@@ -220,51 +215,48 @@ impl WorkerPool {
             })
             .collect();
         drop(tx);
-        let workers: Vec<Thread> = rx.iter().take(shards - 1).collect();
-        Self { shared, workers, handles, shards }
+        let workers: Vec<Thread> = rx.iter().take(width - 1).collect();
+        Self { shared, workers, handles, width }
     }
 
-    /// Total shards (spawned workers + the coordinator).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Runs one pass over `nodes`, shard-parallel, returning when every
-    /// shard (including the coordinator's own shard 0) has finished.
+    /// Runs one pass over `nodes`, returning when every shard (including
+    /// the coordinator's own shard 0) has finished. A one-shard pool runs
+    /// it inline, with nothing to publish or wait for.
     ///
-    /// `outs` must hold one slot per shard; `heat`, when given, one slot
-    /// per node; `scratch`, when given, one pre-reserved sink per shard.
+    /// `shards` must hold one entry per shard; `heat`, when given, one slot
+    /// per node. Shard 0 tees its events into `journal`; when a journal is
+    /// given, every other shard buffers its events in its scratch for the
+    /// caller to drain.
     pub fn run(
         &self,
         nodes: &mut [NodeSim],
-        physics: &mut [Shard],
+        shards: &mut [Shard],
         kind: PassKind,
         heat: Option<&mut [f64]>,
-        outs: &mut [ShardOut],
-        scratch: Option<&mut [VecSink]>,
+        journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        assert_eq!(physics.len(), self.shards, "one physics entry per shard");
-        assert_eq!(outs.len(), self.shards, "one reduction slot per shard");
+        assert_eq!(shards.len(), self.width, "one entry per shard");
         if let Some(heat) = &heat {
             assert_eq!(heat.len(), nodes.len(), "one heat slot per node");
         }
-        if let Some(scratch) = &scratch {
-            assert_eq!(scratch.len(), self.shards, "one journal scratch per shard");
-        }
         let job = Job {
             nodes: nodes.as_mut_ptr(),
-            physics: physics.as_mut_ptr(),
+            shards: shards.as_mut_ptr(),
             len: nodes.len(),
-            shards: self.shards,
+            width: self.width,
             kind,
             heat: heat.map_or(std::ptr::null_mut(), |h| h.as_mut_ptr()),
-            outs: outs.as_mut_ptr(),
-            scratch: scratch.map_or(std::ptr::null_mut(), |s| s.as_mut_ptr()),
+            teeing: journal.is_some(),
         };
+        if self.workers.is_empty() {
+            // SAFETY: the one shard is ours alone.
+            unsafe { exec_shard(&job, 0, journal) };
+            return;
+        }
 
         // Publish: countdown first, then the job, then the epoch (release)
         // so an acquiring worker sees both.
-        self.shared.remaining.store(self.shards - 1, Ordering::Relaxed);
+        self.shared.remaining.store(self.width - 1, Ordering::Relaxed);
         // SAFETY: workers only read `job` after the epoch bump below; no
         // other writer exists.
         unsafe { *self.shared.job.get() = Some(job) };
@@ -275,7 +267,7 @@ impl WorkerPool {
 
         // The coordinator is shard 0.
         // SAFETY: shard ranges are disjoint; shard 0 is ours alone.
-        unsafe { exec_shard(&job, 0) };
+        unsafe { exec_shard(&job, 0, journal) };
 
         // Wait for the workers, spinning briefly before parking; the last
         // worker unparks us.
@@ -335,7 +327,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
         let job = unsafe { (*shared.job.get()).expect("epoch bump publishes a job") };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // SAFETY: disjoint shard ranges; this shard is ours alone.
-            unsafe { exec_shard(&job, shard) };
+            unsafe { exec_shard(&job, shard, None) };
         }));
         if let Err(payload) = result {
             shared.panic.lock().expect("panic slot").get_or_insert(payload);
@@ -346,36 +338,36 @@ fn worker_loop(shared: &Shared, shard: usize) {
     }
 }
 
-/// Processes shard `s` of the published job. Caller guarantees exclusive
-/// access to the shard's node range, its physics entry, and slot `s` of
-/// `outs` / `scratch` (plus the shard's rows of `heat`).
+/// Processes shard `s` of the published job and leaves its reduction in
+/// the shard's `out`. Events go to `journal` when given (shard 0, on the
+/// coordinator), else to the shard's scratch when the job tees. The pass
+/// bodies are the `crate::sim` functions, run over the shard's slice.
 ///
-/// The pass bodies are the shared `crate::sim` functions the serial loop
-/// runs — same code over the shard's slice, so the two paths cannot drift.
-unsafe fn exec_shard(job: &Job, s: usize) {
-    let range = shard_range(job.len, job.shards, s);
+/// # Safety
+/// The job's pointers must be live, and the caller must have exclusive
+/// access to shard `s`'s node range, its entry of `shards` and its rows
+/// of `heat` for the duration of the call.
+unsafe fn exec_shard(job: &Job, s: usize, journal: Option<&mut (dyn EventSink + 'static)>) {
+    let range = shard_range(job.len, job.width, s);
     let nodes = std::slice::from_raw_parts_mut(job.nodes.add(range.start), range.len());
-    let shard = &mut *job.physics.add(s);
-    let out = &mut *job.outs.add(s);
-    *out = ShardOut { unfinished_parked: true, any_parked: false, finished_delta: 0 };
-    let journal = (!job.scratch.is_null())
-        .then(|| &mut *job.scratch.add(s) as &mut (dyn EventSink + 'static));
+    let Shard { lanes, hooked, out, events } = &mut *job.shards.add(s);
+    let journal = journal.or_else(|| job.teeing.then_some(events as &mut dyn EventSink));
 
-    match job.kind {
-        PassKind::Workload { dt_s } => {
-            crate::sim::workload_pass(nodes, &mut shard.lanes, dt_s, out);
-        }
-        PassKind::Hardware { dt_s, now_s, release, couple_rack, finite } => {
-            let heat = couple_rack
+    *out = match job.kind {
+        PassKind::Workload { dt_s } => crate::sim::workload_pass(nodes, lanes, dt_s),
+        PassKind::Hardware { dt_s, now_s, release, finite } => {
+            let heat = (!job.heat.is_null())
                 .then(|| std::slice::from_raw_parts_mut(job.heat.add(range.start), range.len()));
-            crate::sim::hardware_pass(
-                nodes, shard, dt_s, now_s, release, finite, heat, journal, out,
+            let finished_delta = crate::sim::hardware_pass(
+                nodes, lanes, hooked, dt_s, now_s, release, finite, heat, journal,
             );
+            ShardOut { finished_delta, ..ShardOut::default() }
         }
         PassKind::Sample { now_s } => {
-            crate::sim::sample_pass(nodes, &mut shard.lanes, now_s, journal);
+            crate::sim::sample_pass(nodes, lanes, now_s, journal);
+            ShardOut::default()
         }
-    }
+    };
 }
 
 #[cfg(test)]
@@ -429,6 +421,38 @@ mod tests {
                 assert_eq!(covered, len);
             }
         }
+    }
+
+    #[test]
+    fn one_shard_pool_spawns_nothing_and_runs_on_the_caller() {
+        use crate::scenario::{Scenario, WorkloadSpec};
+        use unitherm_obs::EventRecord;
+        use unitherm_simnode::faults::{FaultEvent, FaultPlan};
+
+        /// Notes the thread each event was recorded on.
+        struct ThreadSink(Vec<std::thread::ThreadId>);
+        impl EventSink for ThreadSink {
+            fn record(&mut self, _: &EventRecord) {
+                self.0.push(std::thread::current().id());
+            }
+        }
+
+        let pool = WorkerPool::new(1);
+        assert!(pool.handles.is_empty() && pool.workers.is_empty(), "no worker thread");
+        let scenario = Scenario::new("inline")
+            .with_nodes(2)
+            .with_workload(WorkloadSpec::CpuBurn)
+            .with_fault(1, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
+        let mut nodes: Vec<NodeSim> = (0..2).map(|i| NodeSim::build(&scenario, i)).collect();
+        let mut shards = vec![Shard::new(&nodes)];
+        let mut sink = ThreadSink(Vec::new());
+        for tick in 1..=4 {
+            let now_s = tick as f64 * 0.05;
+            let kind = PassKind::Hardware { dt_s: 0.05, now_s, release: false, finite: false };
+            pool.run(&mut nodes, &mut shards, kind, None, Some(&mut sink));
+        }
+        assert!(!sink.0.is_empty(), "the fault's event reached the journal");
+        assert!(sink.0.iter().all(|&id| id == std::thread::current().id()), "ran inline");
     }
 
     #[test]

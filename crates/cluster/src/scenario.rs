@@ -251,10 +251,10 @@ pub struct Scenario {
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
     /// Upper bound on worker threads for the intra-run tick loop. 1 — the
-    /// default — runs the serial tick path unchanged; larger values shard
-    /// the nodes across a persistent worker pool [`crate::pool_width`]
-    /// wide (clamped to the host's cores and the nodes-per-shard grain),
-    /// with bit-identical results. Coordinate with
+    /// default — gives a one-shard pool that runs every pass inline on the
+    /// calling thread; larger values shard the nodes across a persistent
+    /// worker pool [`crate::pool_width`] wide (clamped to the host's cores
+    /// and the nodes-per-shard grain), with bit-identical results. Coordinate with
     /// [`crate::sweep::run_scenarios_parallel`]'s thread budget when
     /// sweeping many scenarios at once.
     #[serde(default = "default_threads")]
@@ -390,8 +390,8 @@ impl Scenario {
         self
     }
 
-    /// Builder: at most `threads` intra-run worker threads (1 = serial tick
-    /// loop; more shard the nodes across a persistent pool
+    /// Builder: at most `threads` intra-run worker threads (1 = a one-shard
+    /// pool that runs inline; more shard the nodes across a persistent pool
     /// [`crate::pool_width`] wide, bit-identically).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

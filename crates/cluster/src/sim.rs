@@ -8,11 +8,14 @@
 //!   every 250 ms:       sensor sample → fan/tDVFS daemons → recorders
 //! ```
 //!
-//! Every node's physics runs on the structure-of-arrays lanes of its
-//! shard's [`PhysicsBatch`]. What the lanes cannot do runs on the node's
-//! scalar `Node` at a sync point: the sampling path for every node at
-//! 4 Hz, and a per-tick hook for the few nodes with a per-tick daemon or
-//! a fault source (see `hardware_pass`).
+//! Every tick runs on the simulation's worker pool (`crate::pool`), one
+//! shard wide unless the run is large enough to split; a one-shard pool
+//! runs each pass inline on the calling thread. Every node's physics runs
+//! on the structure-of-arrays lanes of its shard's [`PhysicsBatch`]. What
+//! the lanes cannot do runs on the node's scalar `Node` at a sync point:
+//! the sampling path for every node at 4 Hz, and a per-tick hook for the
+//! few nodes with a per-tick daemon or a fault source (see
+//! `hardware_pass`).
 //!
 //! Barrier release is all-or-nothing: a rank that reaches a barrier parks
 //! (near-zero utilization) until every unfinished rank arrives. A rank on a
@@ -30,11 +33,11 @@ use crate::scenario::{Scenario, ScenarioError};
 
 /// A runnable cluster simulation.
 pub struct Simulation {
-    /// The intra-run worker pool (width > 1). Declared first:
-    /// fields drop in declaration order, and the pool's `Drop` joins its
-    /// workers — which may still hold shard pointers into `nodes` if a
-    /// coordinator-side panic is unwinding — before `nodes` is freed.
-    pool: Option<WorkerPool>,
+    /// The worker pool every pass runs on. Declared first: fields drop in
+    /// declaration order, and the pool's `Drop` joins its workers — which
+    /// may still hold shard pointers into `nodes` if a coordinator-side
+    /// panic is unwinding — before `nodes` is freed.
+    pool: WorkerPool,
     scenario: Scenario,
     nodes: Vec<NodeSim>,
     rack: Option<crate::rack::RackModel>,
@@ -49,20 +52,13 @@ pub struct Simulation {
     /// teed into it on top of the per-node rings (e.g. a JSONL
     /// [`unitherm_obs::JournalWriter`] behind `repro run-scenario --journal`).
     journal: Option<Box<dyn EventSink>>,
-    /// The physics lanes and hooked nodes of each shard (exactly one shard
-    /// on the serial path).
+    /// Each shard's physics lanes, hooked nodes, reduction slot and
+    /// journal scratch, one entry per pool shard.
     shards: Vec<Shard>,
-    /// Per-shard reduction slots for the parallel passes (one slot on the
-    /// serial path).
-    shard_outs: Vec<ShardOut>,
     /// Per-node heat slots for the rack reduction: each pass fills its
     /// shard's rows, the coordinator folds them in node order so the f64
-    /// summation order matches the historical serial loop exactly.
+    /// summation order is the same at every width.
     heat_scratch: Vec<f64>,
-    /// Per-shard journal scratch: parallel passes tee events here and the
-    /// coordinator drains shard 0, 1, … — i.e. node order — into the
-    /// journal after each pass. Pre-reserved in `attach_journal`.
-    event_scratch: Vec<VecSink>,
 }
 
 impl Simulation {
@@ -88,7 +84,7 @@ impl Simulation {
         Ok(Self::build(scenario, width))
     }
 
-    /// Builds a validated scenario on `shards` shards (1 = the serial loop).
+    /// Builds a validated scenario on a pool `shards` shards wide.
     fn build(scenario: Scenario, shards: usize) -> Self {
         // Every node's hot state first, then every 10 kB event ring: the
         // passes walk each node's hot state per tick, and a ring built
@@ -112,22 +108,12 @@ impl Simulation {
             }
             model
         });
-        let pool = (shards > 1).then(|| WorkerPool::new(shards));
+        let pool = WorkerPool::new(shards);
         let heat_scratch = if rack.is_some() { vec![0.0; nodes.len()] } else { Vec::new() };
-        let shard_outs = vec![ShardOut::default(); shards];
         // One physics batch per shard, loaded from the post-attach (and
         // post-rack-ambient) node state so the lanes resume bit-exactly.
-        let shards: Vec<Shard> = (0..shards)
-            .map(|s| {
-                let nodes = &nodes[shard_range(nodes.len(), shards, s)];
-                Shard {
-                    lanes: PhysicsBatch::from_nodes(nodes.iter().map(|ns| &ns.node)),
-                    hooked: (0..nodes.len())
-                        .filter(|&j| nodes[j].tick_daemon || nodes[j].node.has_fault_sources())
-                        .collect(),
-                }
-            })
-            .collect();
+        let shards: Vec<Shard> =
+            (0..shards).map(|s| Shard::new(&nodes[shard_range(nodes.len(), shards, s)])).collect();
         Self {
             pool,
             scenario,
@@ -140,9 +126,7 @@ impl Simulation {
             finished_nodes: 0,
             journal: None,
             shards,
-            shard_outs,
             heat_scratch,
-            event_scratch: Vec::new(),
         }
     }
 
@@ -165,19 +149,14 @@ impl Simulation {
         // `RunReport::journal_warning` so a truncated journal is visible in
         // the report instead of only on `finish()`.
         self.journal = Some(sink);
-        if let Some(pool) = &self.pool {
-            // One pre-reserved scratch per shard; a tick rarely emits more
-            // than a few events per node, so the reserve makes the buffer
-            // effectively fixed-capacity (growth stays possible but is
-            // amortized away and never affects determinism).
-            self.event_scratch = (0..pool.shards())
-                .map(|s| {
-                    let mut sink = VecSink::default();
-                    let shard_nodes = shard_range(self.nodes.len(), pool.shards(), s).len();
-                    sink.records.reserve(32 * shard_nodes.max(1));
-                    sink
-                })
-                .collect();
+        // Shard 0 tees into the journal directly; every other shard gets a
+        // pre-reserved scratch. A tick rarely emits more than a few events
+        // per node, so the reserve makes the buffer effectively
+        // fixed-capacity (growth stays possible but is amortized away and
+        // never affects determinism).
+        let (width, len) = (self.shards.len(), self.nodes.len());
+        for (s, shard) in self.shards.iter_mut().enumerate().skip(1) {
+            shard.events.records.reserve(32 * shard_range(len, width, s).len().max(1));
         }
     }
 
@@ -191,8 +170,8 @@ impl Simulation {
         self.attach_journal(Box::new(unitherm_obs::BinaryJournalWriter::new(out, dt_s)));
     }
 
-    /// How many shards the nodes are split into: the worker-pool width
-    /// (1 = the serial loop). Never enters the report or the journal.
+    /// How many shards the nodes are split into: the worker-pool width.
+    /// Never enters the report or the journal.
     pub fn width(&self) -> usize {
         self.shards.len()
     }
@@ -217,66 +196,70 @@ impl Simulation {
     /// sampling work that genuinely needs a completed pass) and performs no
     /// heap allocation in steady state — the barrier reduction folds into
     /// pass A instead of collecting per-rank states into a scratch `Vec`.
-    /// At a width above 1 both passes (and the sampling pass) run
-    /// shard-parallel on the persistent `pool::WorkerPool` with
-    /// bit-identical results; the default runs the serial loop unchanged.
+    /// Every pass runs on the pool, shard-parallel when it is wider than
+    /// one, with bit-identical results at every width.
+    ///
+    /// Determinism: the barrier decision folds exact booleans; rack heat is
+    /// captured per node and folded here in node order; journal events
+    /// reach the sink in node order (shard 0 directly, then the buffered
+    /// shards 1, 2, … after each pass). See `crate::pool` for the full
+    /// argument.
     pub fn tick(&mut self) {
-        if self.pool.is_some() {
-            self.tick_sharded();
-        } else {
-            self.tick_serial();
-        }
-    }
-
-    /// The single-threaded tick loop (width 1): the shared pass
-    /// functions over the lone shard.
-    fn tick_serial(&mut self) {
         let dt = self.scenario.dt_s;
         self.ticks += 1;
         self.time_s += dt;
         let finite = self.scenario.workload.is_finite();
 
-        // Pass A — workloads advance; the barrier reduction folds in.
-        // Release is all-or-nothing, so the decision needs every rank's
-        // post-advance state and cannot merge with pass B.
-        let shard = &mut self.shards[0];
-        let out = &mut self.shard_outs[0];
-        workload_pass(&mut self.nodes, &mut shard.lanes, dt, out);
-        let release = out.unfinished_parked && out.any_parked;
+        // Pass A — workloads advance; the barrier reduction folds per shard,
+        // then across shards (order-free booleans). Release is
+        // all-or-nothing, so the decision needs every rank's post-advance
+        // state and cannot merge with pass B.
+        let kind = PassKind::Workload { dt_s: dt };
+        self.pool.run(&mut self.nodes, &mut self.shards, kind, None, None);
+        let release = self.shards.iter().all(|s| s.out.unfinished_parked)
+            && self.shards.iter().any(|s| s.out.any_parked);
 
-        // Pass B — hooks, the lane physics tick, rack heat capture, and
-        // finish times.
-        hardware_pass(
-            &mut self.nodes,
-            shard,
-            dt,
-            self.time_s,
-            release,
-            finite,
-            self.rack.is_some().then_some(&mut self.heat_scratch[..]),
-            self.journal.as_deref_mut(),
-            out,
-        );
-        self.finished_nodes += out.finished_delta;
+        // Pass B — hooks, the lane physics tick, per-node rack heat capture,
+        // and finish times.
+        let kind = PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, finite };
+        let heat = self.rack.is_some().then_some(&mut self.heat_scratch[..]);
+        self.pool.run(&mut self.nodes, &mut self.shards, kind, heat, self.journal.as_deref_mut());
+        self.finished_nodes += self.shards.iter().map(|s| s.out.finished_delta).sum::<usize>();
+        self.drain_events();
 
         self.step_rack(dt);
 
         // Sampling path at 4 Hz: lanes store back, daemons run, lanes
         // reload — fused per node so each cache line is touched once.
         if self.ticks.is_multiple_of(self.ticks_per_sample) {
-            sample_pass(
+            let kind = PassKind::Sample { now_s: self.time_s };
+            self.pool.run(
                 &mut self.nodes,
-                &mut self.shards[0].lanes,
-                self.time_s,
+                &mut self.shards,
+                kind,
+                None,
                 self.journal.as_deref_mut(),
             );
+            self.drain_events();
             self.record_rack_air();
         }
     }
 
-    /// Rack air coupling: folds the per-node heat slots in node order (the
-    /// exact historical `heat += …` summation), steps the shared intake-air
-    /// volume, and fans the new ambient out to every lane.
+    /// Moves the events shards 1, 2, … buffered during the last pass into
+    /// the journal, in shard (= node) order. Shard 0 tees directly.
+    fn drain_events(&mut self) {
+        let Some(journal) = &mut self.journal else { return };
+        for shard in &mut self.shards[1..] {
+            for rec in &shard.events.records {
+                journal.record(rec);
+            }
+            shard.events.records.clear();
+        }
+    }
+
+    /// Rack air coupling: folds the per-node heat slots in node order (one
+    /// fixed `heat += …` summation), steps the shared intake-air volume,
+    /// and fans the new ambient out to every lane.
     fn step_rack(&mut self, dt: f64) {
         let Some(rack) = &mut self.rack else { return };
         let heat = self.heat_scratch.iter().fold(0.0f64, |acc, h| acc + h);
@@ -294,90 +277,6 @@ impl Simulation {
             if self.scenario.record_series {
                 self.rack_air.push(self.time_s, rack.air_c());
             }
-        }
-    }
-
-    /// The node-parallel tick loop (width > 1): the same passes as
-    /// [`Self::tick_serial`], shard-parallel on the worker pool.
-    ///
-    /// Determinism: the barrier decision folds exact booleans; rack heat is
-    /// captured per node and folded here in node order (the serial
-    /// summation order); journal events drain shard 0, 1, … — node order —
-    /// after each pass. See `crate::pool` for the full argument.
-    fn tick_sharded(&mut self) {
-        let dt = self.scenario.dt_s;
-        self.ticks += 1;
-        self.time_s += dt;
-        let pool = self.pool.as_ref().expect("tick_sharded requires a pool");
-        let teeing = self.journal.is_some();
-        let finite = self.scenario.workload.is_finite();
-
-        // Pass A — workloads advance shard-parallel; the barrier reduction
-        // folds per shard, then across shards (order-free booleans).
-        pool.run(
-            &mut self.nodes,
-            &mut self.shards,
-            PassKind::Workload { dt_s: dt },
-            None,
-            &mut self.shard_outs,
-            None,
-        );
-        let unfinished_parked = self.shard_outs.iter().all(|o| o.unfinished_parked);
-        let any_parked = self.shard_outs.iter().any(|o| o.any_parked);
-        let release = unfinished_parked && any_parked;
-
-        // Pass B — barrier release + per-tick daemons + physics; workers
-        // capture per-node heat and buffer journal events per shard.
-        let couple_rack = self.rack.is_some();
-        if teeing {
-            for scratch in &mut self.event_scratch {
-                scratch.records.clear();
-            }
-        }
-        pool.run(
-            &mut self.nodes,
-            &mut self.shards,
-            PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, couple_rack, finite },
-            couple_rack.then_some(&mut self.heat_scratch[..]),
-            &mut self.shard_outs,
-            teeing.then_some(&mut self.event_scratch[..]),
-        );
-        self.finished_nodes += self.shard_outs.iter().map(|o| o.finished_delta).sum::<usize>();
-        if let Some(journal) = &mut self.journal {
-            for scratch in &self.event_scratch {
-                for rec in &scratch.records {
-                    journal.record(rec);
-                }
-            }
-        }
-
-        self.step_rack(dt);
-
-        // Sampling path at 4 Hz, shard-parallel with the same journal
-        // buffering.
-        if self.ticks.is_multiple_of(self.ticks_per_sample) {
-            if teeing {
-                for scratch in &mut self.event_scratch {
-                    scratch.records.clear();
-                }
-            }
-            let pool = self.pool.as_ref().expect("tick_sharded requires a pool");
-            pool.run(
-                &mut self.nodes,
-                &mut self.shards,
-                PassKind::Sample { now_s: self.time_s },
-                None,
-                &mut self.shard_outs,
-                teeing.then_some(&mut self.event_scratch[..]),
-            );
-            if let Some(journal) = &mut self.journal {
-                for scratch in &self.event_scratch {
-                    for rec in &scratch.records {
-                        journal.record(rec);
-                    }
-                }
-            }
-            self.record_rack_air();
         }
     }
 
@@ -466,15 +365,14 @@ impl Simulation {
     }
 }
 
-// --- Shared per-shard pass bodies -----------------------------------------
+// --- Per-shard pass bodies -----------------------------------------------
 //
-// The serial loop and the worker pool's `exec_shard` both run these exact
-// functions over (their slice of) the nodes plus the matching shard, so the
-// two paths cannot drift apart. `nodes` and the shard's lanes are
+// The worker pool's `exec_shard` runs these functions over a shard's slice
+// of the nodes plus the matching shard. `nodes` and the shard's lanes are
 // index-aligned: slot `i` of the batch mirrors `nodes[i]`.
 
-/// One shard's physics: the lanes of its nodes, and which of them the
-/// hardware pass hooks.
+/// One shard: the physics lanes of its nodes, which of them the hardware
+/// pass hooks, its reduction slot and its journal scratch.
 pub(crate) struct Shard {
     /// Structure-of-arrays physics state, slot `i` mirroring node `i` of
     /// the shard.
@@ -482,6 +380,25 @@ pub(crate) struct Shard {
     /// Shard-local indices, ascending, of the nodes with a per-tick daemon
     /// or a fault source, so the hardware pass visits only those.
     pub(crate) hooked: Vec<usize>,
+    /// The reduction outputs of the last pass over the shard.
+    pub(crate) out: ShardOut,
+    /// Events the shard buffered in the last pass when it does not run on
+    /// the coordinator (shards 1, 2, …), drained by `drain_events`.
+    pub(crate) events: VecSink,
+}
+
+impl Shard {
+    /// The shard over `nodes`, its lanes loaded from their current state.
+    pub(crate) fn new(nodes: &[NodeSim]) -> Self {
+        Self {
+            lanes: PhysicsBatch::from_nodes(nodes.iter().map(|ns| &ns.node)),
+            hooked: (0..nodes.len())
+                .filter(|&j| nodes[j].tick_daemon || nodes[j].node.has_fault_sources())
+                .collect(),
+            out: ShardOut::default(),
+            events: VecSink::default(),
+        }
+    }
 }
 
 /// Stores slot `i` of `lanes` back into `ns` and folds its lane ticks into
@@ -539,17 +456,15 @@ fn prefetch<T: ?Sized>(value: &T) {
     let _ = value;
 }
 
-/// Pass A: advance every rank's workload and fold the barrier flags into
-/// `out`. Ranks read their execution speed from and write their load into
+/// Pass A: advance every rank's workload and return the shard's barrier
+/// flags. Ranks read their execution speed from and write their load into
 /// the lanes.
 pub(crate) fn workload_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
     dt_s: f64,
-    out: &mut ShardOut,
-) {
-    out.unfinished_parked = true;
-    out.any_parked = false;
+) -> ShardOut {
+    let mut out = ShardOut { unfinished_parked: true, ..ShardOut::default() };
     for i in 0..nodes.len() {
         if let Some(ahead) = node_ahead(nodes, i) {
             prefetch(&ahead.endless);
@@ -571,10 +486,12 @@ pub(crate) fn workload_pass(
             _ => out.unfinished_parked = false,
         }
     }
+    out
 }
 
 /// Pass B: the hooks, optional barrier release, the lane physics tick,
-/// per-node heat capture, finish detection.
+/// per-node heat capture, finish detection. Returns how many ranks
+/// finished on this tick.
 ///
 /// A hooked node with work this tick — a per-tick daemon, which has work
 /// every tick, or a fault that is due — has its lanes stored into its
@@ -585,22 +502,20 @@ pub(crate) fn workload_pass(
 /// each node's events in the order the scalar tick emitted them. Barrier
 /// release and finish detection touch only workload state, which neither
 /// a hook nor a lane tick reads, so they run in their own loops.
-#[allow(clippy::too_many_arguments)] // mirrors PassKind::Hardware exactly
+#[allow(clippy::too_many_arguments)] // PassKind::Hardware plus the shard's parts
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
-    shard: &mut Shard,
+    batch: &mut PhysicsBatch,
+    hooked: &[usize],
     dt_s: f64,
     now_s: f64,
     release: bool,
     finite: bool,
     heat: Option<&mut [f64]>,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
-    out: &mut ShardOut,
-) {
-    out.finished_delta = 0;
-    let batch = &mut shard.lanes;
+) -> usize {
     batch.begin_tick(dt_s);
-    for &i in &shard.hooked {
+    for &i in hooked {
         let ns = &mut nodes[i];
         if !ns.tick_daemon && !ns.node.fault_due(batch.ticks(), batch.time_s()) {
             continue;
@@ -621,14 +536,16 @@ pub(crate) fn hardware_pass(
     if let Some(heat) = heat {
         batch.write_heat(heat);
     }
+    let mut finished = 0;
     if finite {
         for ns in nodes.iter_mut() {
             if ns.finish_time_s.is_none() && ns.workload.is_finished() {
                 ns.finish_time_s = Some(now_s);
-                out.finished_delta += 1;
+                finished += 1;
             }
         }
     }
+    finished
 }
 
 /// The 4 Hz sampling pass: for each rank, store the lanes back into the

@@ -8,18 +8,22 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
 use unitherm_cluster::sim::Simulation;
 use unitherm_core::control_array::Policy;
+use unitherm_obs::{EventRecord, EventSink};
 
 /// Counts every allocation and reallocation going through the global
 /// allocator (deallocations are free to happen — dropping a pre-reserved
 /// buffer is not a hot-path cost), per thread: the test harness runs
 /// tests and prints results on other threads at the same time. Every
-/// scenario here runs on one thread (`threads = 1`), so all of the
-/// simulation's allocations land on the measuring thread's count.
+/// scenario here but the 2-wide journaled one runs on a one-shard pool,
+/// so all of the simulation's allocations land on the measuring thread's
+/// count; the 2-wide run counts its coordinating thread.
 struct CountingAllocator;
 
 thread_local! {
@@ -58,7 +62,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 }
 
 fn warmed(scenario: Scenario) -> Simulation {
-    let mut sim = Simulation::new(scenario);
+    warm(Simulation::new(scenario))
+}
+
+fn warm(mut sim: Simulation) -> Simulation {
     // Past the spin-up transient and through many sampling ticks, so every
     // lazily-initialized path (sensor caches, controller windows) has run.
     for _ in 0..500 {
@@ -144,4 +151,43 @@ fn disabled_recording_skips_recorder_allocations_at_build() {
         "recording-on build must reserve recorder buffers that the \
          recording-off build skips (enabled {enabled}, disabled {disabled})"
     );
+}
+
+/// A journal that only counts the records it receives, so it allocates
+/// nothing itself.
+struct CountingSink(Arc<AtomicU64>);
+
+impl EventSink for CountingSink {
+    fn record(&mut self, _: &EventRecord) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn journaled_tick_is_allocation_free_at_width_one_and_two() {
+    // Shard 0 tees into the journal directly and shard 1 buffers into its
+    // pre-reserved scratch, drained after each pass: neither route may
+    // allocate on the coordinating thread.
+    for width in [1, 2] {
+        let scenario = Scenario::new("alloc-journal")
+            .with_nodes(4)
+            .with_workload(WorkloadSpec::CpuBurn)
+            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+            .with_recording(false)
+            .with_max_time(1e9);
+        let mut sim = Simulation::try_with_width(scenario, width).expect("valid scenario");
+        assert_eq!(sim.width(), width);
+        let events = Arc::new(AtomicU64::new(0));
+        sim.attach_journal(Box::new(CountingSink(Arc::clone(&events))));
+        let mut sim = warm(sim);
+        let before = events.load(Ordering::Relaxed);
+        let n = allocations_during(|| {
+            for _ in 0..1000 {
+                sim.tick();
+            }
+        });
+        assert_eq!(n, 0, "{width}-wide journaled tick allocated {n} times over 1000 ticks");
+        let received = events.load(Ordering::Relaxed) - before;
+        assert!(received > 0, "{width}-wide: the journal received no events in the window");
+    }
 }

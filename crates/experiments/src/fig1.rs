@@ -11,7 +11,6 @@ use std::path::Path;
 use unitherm_core::baseline::StaticFanCurve;
 use unitherm_metrics::{AsciiPlot, CsvWriter, TimeSeries};
 use unitherm_simnode::adt7467::Adt7467;
-use unitherm_simnode::units::DutyCycle;
 
 use crate::{Experiment, Scale};
 
@@ -119,11 +118,6 @@ impl Experiment for Fig1Result {
     }
 }
 
-/// The midpoint duty the paper's parameters imply (10 + 90·(60−38)/44 = 55).
-pub fn midpoint_duty() -> DutyCycle {
-    DutyCycle::new(StaticFanCurve::default().duty_for(60.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +139,8 @@ mod tests {
 
     #[test]
     fn midpoint() {
-        assert_eq!(midpoint_duty().percent(), 55);
+        // The midpoint duty the paper's parameters imply: 10 + 90·(60−38)/44 = 55.
+        assert_eq!(StaticFanCurve::default().duty_for(60.0), 55);
     }
 
     #[test]

@@ -27,11 +27,20 @@ pub enum ScenarioFileError {
     Parse(serde_json::Error),
     /// The scenario parsed but cannot be run as described.
     Invalid(ScenarioError),
-    /// An event journal could not be read or written.
-    Journal(std::io::Error),
+    /// An event journal file could not be read.
+    JournalRead(std::io::Error),
+    /// An event journal file could not be written.
+    JournalWrite(std::io::Error),
+    /// An event journal was read but its content was refused: a bad JSONL
+    /// line, a corrupt or truncated bjl frame, a time that goes backwards.
+    JournalInvalid(std::io::Error),
     /// The journal read cleanly but cannot be replayed against the
     /// scenario (corrupt timestamp or out-of-range node).
     Replay(ReplayError),
+    /// A chaos counterexample corpus file could not be read.
+    CorpusRead(std::io::Error),
+    /// A chaos counterexample corpus file did not parse as a corpus.
+    CorpusParse(serde_json::Error),
     /// A chaos counterexample corpus could not be used as requested
     /// (wrong schema tag, or a counterexample index out of range).
     Corpus(String),
@@ -43,8 +52,12 @@ impl std::fmt::Display for ScenarioFileError {
             ScenarioFileError::Io(e) => write!(f, "cannot read scenario file: {e}"),
             ScenarioFileError::Parse(e) => write!(f, "invalid scenario JSON: {e}"),
             ScenarioFileError::Invalid(e) => write!(f, "unusable scenario: {e}"),
-            ScenarioFileError::Journal(e) => write!(f, "cannot access event journal: {e}"),
+            ScenarioFileError::JournalRead(e) => write!(f, "cannot read event journal: {e}"),
+            ScenarioFileError::JournalWrite(e) => write!(f, "cannot write event journal: {e}"),
+            ScenarioFileError::JournalInvalid(e) => write!(f, "invalid event journal: {e}"),
             ScenarioFileError::Replay(e) => write!(f, "cannot replay event journal: {e}"),
+            ScenarioFileError::CorpusRead(e) => write!(f, "cannot read chaos corpus: {e}"),
+            ScenarioFileError::CorpusParse(e) => write!(f, "invalid chaos corpus JSON: {e}"),
             ScenarioFileError::Corpus(msg) => write!(f, "cannot use chaos corpus: {msg}"),
         }
     }
@@ -84,13 +97,13 @@ pub fn to_json(scenario: &Scenario) -> String {
 pub fn read_any_journal(
     path: impl AsRef<Path>,
 ) -> Result<(Vec<EventRecord>, JournalFormat), ScenarioFileError> {
-    let bytes = std::fs::read(path).map_err(ScenarioFileError::Journal)?;
+    let bytes = std::fs::read(path).map_err(ScenarioFileError::JournalRead)?;
     let format = JournalFormat::sniff(&bytes);
     let records = match format {
         JournalFormat::Bjl => bjl_to_records(&bytes).map_err(std::io::Error::from),
         JournalFormat::Jsonl => read_journal(bytes.as_slice()),
     }
-    .map_err(ScenarioFileError::Journal)?;
+    .map_err(ScenarioFileError::JournalInvalid)?;
     Ok((records, format))
 }
 
@@ -145,15 +158,15 @@ pub fn convert_journal(
             for rec in &records {
                 writer.record(rec);
             }
-            (writer.finish().map_err(ScenarioFileError::Journal)?, "bjl -> jsonl".to_string())
+            (writer.finish().map_err(ScenarioFileError::JournalWrite)?, "bjl -> jsonl".to_string())
         }
         JournalFormat::Jsonl => {
             let bytes = records_to_bjl(&records, dt_s);
-            bjl_to_records(&bytes).map_err(|e| ScenarioFileError::Journal(e.into()))?;
+            bjl_to_records(&bytes).map_err(|e| ScenarioFileError::JournalInvalid(e.into()))?;
             (bytes, format!("jsonl -> bjl (dt_s = {dt_s})"))
         }
     };
-    std::fs::write(output, bytes).map_err(ScenarioFileError::Journal)?;
+    std::fs::write(output, bytes).map_err(ScenarioFileError::JournalWrite)?;
     Ok(format!("converted {} event(s): {direction}\n", records.len()))
 }
 
@@ -175,8 +188,9 @@ pub fn is_chaos_corpus(path: impl AsRef<Path>) -> bool {
 
 /// Loads a chaos counterexample corpus from JSON and checks its schema tag.
 pub fn load_corpus(path: impl AsRef<Path>) -> Result<ChaosCorpus, ScenarioFileError> {
-    let text = std::fs::read_to_string(path).map_err(ScenarioFileError::Io)?;
-    let corpus: ChaosCorpus = serde_json::from_str(&text).map_err(ScenarioFileError::Parse)?;
+    let text = std::fs::read_to_string(path).map_err(ScenarioFileError::CorpusRead)?;
+    let corpus: ChaosCorpus =
+        serde_json::from_str(&text).map_err(ScenarioFileError::CorpusParse)?;
     if corpus.schema != CHAOS_SCHEMA {
         return Err(ScenarioFileError::Corpus(format!(
             "unknown schema {:?} (expected {CHAOS_SCHEMA:?})",
@@ -235,7 +249,7 @@ pub fn run_and_render_with_journal(
 ) -> Result<(RunReport, String), ScenarioFileError> {
     let mut sim = Simulation::new(scenario);
     if let Some(path) = journal_out {
-        let file = std::fs::File::create(path).map_err(ScenarioFileError::Journal)?;
+        let file = std::fs::File::create(path).map_err(ScenarioFileError::JournalWrite)?;
         let buffered = std::io::BufWriter::new(file);
         match format {
             JournalFormat::Jsonl => sim.attach_journal(Box::new(JournalWriter::new(buffered))),
@@ -429,8 +443,8 @@ mod tests {
         let converted = dir.join("converted.bjl");
         let _ = std::fs::remove_file(&converted);
         let err = convert_journal(&jsonl, &converted, 0.05).expect_err("out-of-order journal");
-        assert!(matches!(err, ScenarioFileError::Journal(_)), "{err}");
-        assert!(err.to_string().contains("frame 2: time_s went backwards"), "{err}");
+        assert!(matches!(err, ScenarioFileError::JournalInvalid(_)), "{err}");
+        assert!(err.to_string().starts_with("invalid event journal: frame 2: time_s"), "{err}");
         assert!(!converted.exists(), "no output file on a refused conversion");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -440,6 +454,50 @@ mod tests {
         let err = load("/nonexistent/scenario.json").unwrap_err();
         assert!(matches!(err, ScenarioFileError::Io(_)));
         assert!(err.to_string().contains("cannot read"));
+    }
+
+    #[test]
+    fn journal_errors_name_what_failed() {
+        let dir = std::env::temp_dir().join("unitherm_scn_journal_errors");
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.jsonl");
+        let err = read_any_journal(&missing).unwrap_err();
+        assert!(matches!(err, ScenarioFileError::JournalRead(_)), "{err}");
+        assert!(err.to_string().starts_with("cannot read event journal: "), "{err}");
+
+        let truncated = dir.join("truncated.bjl");
+        std::fs::write(&truncated, b"UBJL").unwrap();
+        let err = read_any_journal(&truncated).unwrap_err();
+        assert!(matches!(err, ScenarioFileError::JournalInvalid(_)), "{err}");
+        assert!(err.to_string().starts_with("invalid event journal: "), "{err}");
+
+        let garbled = dir.join("garbled.jsonl");
+        std::fs::write(&garbled, "{ not a record\n").unwrap();
+        let err = read_any_journal(&garbled).unwrap_err();
+        assert!(err.to_string().starts_with("invalid event journal: "), "{err}");
+
+        let empty = dir.join("empty.jsonl");
+        std::fs::write(&empty, "").unwrap();
+        let err = convert_journal(&empty, dir.join("no/such/dir.bjl"), 0.05).unwrap_err();
+        assert!(matches!(err, ScenarioFileError::JournalWrite(_)), "{err}");
+        assert!(err.to_string().starts_with("cannot write event journal: "), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corpus_errors_name_the_corpus() {
+        let dir = std::env::temp_dir().join("unitherm_scn_corpus_errors");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = load_corpus(dir.join("missing.json")).unwrap_err();
+        assert!(matches!(err, ScenarioFileError::CorpusRead(_)), "{err}");
+        assert!(err.to_string().starts_with("cannot read chaos corpus: "), "{err}");
+
+        let garbled = dir.join("garbled.json");
+        std::fs::write(&garbled, "{ \"schema\": ").unwrap();
+        let err = load_corpus(&garbled).unwrap_err();
+        assert!(matches!(err, ScenarioFileError::CorpusParse(_)), "{err}");
+        assert!(err.to_string().starts_with("invalid chaos corpus JSON: "), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -153,69 +153,11 @@ impl TimeSeries {
         self.samples.iter().find(|s| s.value >= threshold).map(|s| s.time_s)
     }
 
-    /// Stabilization time: the earliest time `t` such that every later sample
-    /// stays within `band` of the mean of the samples after `t`.
-    ///
-    /// This is the metric behind the paper's Figure 6 claim that the
-    /// proactive controller "stabilizes temperature in a shorter time at a
-    /// lower degree". Returns `None` if the series never settles.
-    pub fn stabilization_time(&self, band: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        // Walk backwards maintaining min/max of the suffix; the settle point
-        // is the first index (from the front) whose suffix spread fits in the
-        // band around the suffix mean.
-        let n = self.samples.len();
-        let mut suffix_min = vec![0.0f64; n];
-        let mut suffix_max = vec![0.0f64; n];
-        let mut suffix_sum = vec![0.0f64; n];
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for i in (0..n).rev() {
-            let v = self.samples[i].value;
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-            suffix_min[i] = min;
-            suffix_max[i] = max;
-            suffix_sum[i] = sum;
-        }
-        for i in 0..n {
-            let cnt = (n - i) as f64;
-            let mean = suffix_sum[i] / cnt;
-            if suffix_max[i] <= mean + band && suffix_min[i] >= mean - band {
-                return Some(self.samples[i].time_s);
-            }
-        }
-        None
-    }
-
     /// Counts transitions where consecutive values differ by more than `eps`.
     ///
     /// Used to count DVFS frequency changes for Table 1.
     pub fn transition_count(&self, eps: f64) -> usize {
         self.samples.windows(2).filter(|w| (w[1].value - w[0].value).abs() > eps).count()
-    }
-
-    /// Downsamples by averaging consecutive groups of `factor` samples.
-    ///
-    /// The timestamp of each output sample is the timestamp of the last input
-    /// sample in the group, matching how the paper's level-two window treats
-    /// level-one averages.
-    pub fn downsample_mean(&self, factor: usize) -> TimeSeries {
-        assert!(factor > 0, "downsample factor must be positive");
-        let mut out = TimeSeries::with_capacity(
-            self.name.clone(),
-            self.unit.clone(),
-            self.samples.len() / factor + 1,
-        );
-        for chunk in self.samples.chunks(factor) {
-            let mean = chunk.iter().map(|s| s.value).sum::<f64>() / chunk.len() as f64;
-            out.push(chunk.last().expect("chunks are non-empty").time_s, mean);
-        }
-        out
     }
 
     /// The q-th percentile of the sample values (nearest-rank method),
@@ -346,45 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn stabilization_time_finds_settle_point() {
-        // Ramps for 5 samples then flat.
-        let mut ts = TimeSeries::new("t", "u");
-        for i in 0..5 {
-            ts.push(i as f64, i as f64 * 10.0);
-        }
-        for i in 5..20 {
-            ts.push(i as f64, 50.0);
-        }
-        let t = ts.stabilization_time(0.5).unwrap();
-        assert!((4.0..=5.0).contains(&t), "settle at {t}");
-    }
-
-    #[test]
-    fn stabilization_never_settles() {
-        let mut ts = TimeSeries::new("t", "u");
-        for i in 0..10 {
-            ts.push(i as f64, if i % 2 == 0 { 0.0 } else { 100.0 });
-        }
-        // Only the final single sample trivially settles; the API returns its
-        // timestamp, which callers treat as "settled at the very end".
-        let t = ts.stabilization_time(1.0).unwrap();
-        assert_eq!(t, 9.0);
-    }
-
-    #[test]
     fn transition_count_counts_changes() {
         let ts = series(&[(0.0, 2.4), (1.0, 2.4), (2.0, 2.2), (3.0, 2.2), (4.0, 2.4)]);
         assert_eq!(ts.transition_count(0.01), 2);
-    }
-
-    #[test]
-    fn downsample_mean_averages_groups() {
-        let ts = series(&[(0.0, 1.0), (1.0, 3.0), (2.0, 5.0), (3.0, 7.0), (4.0, 9.0)]);
-        let d = ts.downsample_mean(2);
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.samples()[0], Sample { time_s: 1.0, value: 2.0 });
-        assert_eq!(d.samples()[1], Sample { time_s: 3.0, value: 6.0 });
-        assert_eq!(d.samples()[2], Sample { time_s: 4.0, value: 9.0 });
     }
 
     #[test]

@@ -170,19 +170,6 @@ impl RunningStats {
     }
 }
 
-/// Relative difference `|a - b| / max(|a|, |b|)`, 0 when both are 0.
-///
-/// Used by experiment shape checks ("50 % and 75 % max PWM are not
-/// significantly different").
-pub fn relative_difference(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / denom
-    }
-}
-
 /// Power-delay product, the paper's combined power/performance metric
 /// (Table 1): average power in watts times execution time in seconds.
 pub fn power_delay_product(avg_power_w: f64, exec_time_s: f64) -> f64 {
@@ -263,13 +250,6 @@ mod tests {
         right.merge(&a);
         assert_eq!(right.count(), 1);
         assert_eq!(right.mean(), 5.0);
-    }
-
-    #[test]
-    fn relative_difference_basics() {
-        assert_eq!(relative_difference(0.0, 0.0), 0.0);
-        assert!((relative_difference(100.0, 90.0) - 0.1).abs() < 1e-12);
-        assert_eq!(relative_difference(-2.0, 2.0), 2.0);
     }
 
     #[test]

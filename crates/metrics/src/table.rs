@@ -36,17 +36,6 @@ impl TextTable {
         self
     }
 
-    /// Convenience for rows of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -107,7 +96,7 @@ mod tests {
         assert!(s.contains("Table 1"));
         assert!(s.contains("| policy   | power (W) |"));
         assert!(s.contains("| tDVFS    | 94.19     |"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
@@ -115,15 +104,6 @@ mod tests {
     fn rejects_mismatched_row() {
         let mut t = TextTable::new("t", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_accepts_mixed_types() {
-        let mut t = TextTable::new("", &["n", "x"]);
-        t.row_display(&[&42usize, &1.5f64]);
-        let s = t.render();
-        assert!(s.contains("42"));
-        assert!(s.contains("1.5"));
     }
 
     #[test]

@@ -292,13 +292,6 @@ impl Cpu {
             self.cfg.emergency_hysteresis_c,
         );
     }
-
-    /// Clears a latched shutdown (models a power cycle) and returns to the
-    /// highest P-state.
-    pub fn reset_after_shutdown(&mut self) {
-        self.condition = ThermalCondition::Nominal;
-        self.requested = 0;
-    }
 }
 
 /// Error returned for a frequency not in the P-state table.
@@ -440,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_latches_until_reset() {
+    fn shutdown_latches() {
         let mut c = cpu();
         c.set_utilization(1.0);
         c.update_thermal_monitor(85.0);
@@ -450,9 +443,6 @@ mod tests {
         assert_eq!(c.effective_freq_mhz(), 0);
         c.update_thermal_monitor(30.0); // cooling off does not restart it
         assert!(c.is_shut_down());
-        c.reset_after_shutdown();
-        assert!(!c.is_shut_down());
-        assert_eq!(c.requested_pstate().freq_mhz, 2400);
     }
 
     #[test]

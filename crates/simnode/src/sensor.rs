@@ -33,7 +33,6 @@ pub struct ThermalSensor {
     rng: SmallRng,
     dropped_out: bool,
     last_reading: Option<MilliCelsius>,
-    reads: u64,
     /// Extra noise std-dev injected by fault plans (`SensorJitter`), °C.
     extra_jitter_std_c: f64,
 }
@@ -46,7 +45,6 @@ impl ThermalSensor {
             rng: SmallRng::seed_from_u64(seed),
             dropped_out: false,
             last_reading: None,
-            reads: 0,
             extra_jitter_std_c: 0.0,
         }
     }
@@ -59,7 +57,6 @@ impl ThermalSensor {
         if self.dropped_out {
             return Err(SensorDropout);
         }
-        self.reads += 1;
         // The injected jitter shares the per-read gaussian draw, so turning
         // it on or off never changes how many variates a read consumes —
         // the PRNG stream structure stays identical across fault schedules.
@@ -80,11 +77,6 @@ impl ThermalSensor {
         self.last_reading
     }
 
-    /// Total successful reads.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
     /// Starts a dropout: subsequent reads fail until [`Self::restore`].
     pub fn drop_out(&mut self) {
         self.dropped_out = true;
@@ -95,22 +87,12 @@ impl ThermalSensor {
         self.dropped_out = false;
     }
 
-    /// True while the sensor is failed.
-    pub fn is_dropped_out(&self) -> bool {
-        self.dropped_out
-    }
-
     /// Sets the extra gaussian noise std-dev (°C) added on top of the
     /// configured `noise_std_c`; `0.0` clears it. Driven by the
     /// `SensorJitter` fault.
     pub fn set_extra_jitter(&mut self, std_c: f64) {
         assert!(std_c.is_finite() && std_c >= 0.0, "jitter std must be finite and non-negative");
         self.extra_jitter_std_c = std_c;
-    }
-
-    /// The currently injected extra noise std-dev, °C.
-    pub fn extra_jitter(&self) -> f64 {
-        self.extra_jitter_std_c
     }
 
     /// Standard normal variate via Box–Muller (two uniforms per call keeps
@@ -183,12 +165,10 @@ mod tests {
         let mut s = sensor(4);
         let first = s.read(50.0).unwrap();
         s.drop_out();
-        assert!(s.is_dropped_out());
         assert_eq!(s.read(50.0), Err(SensorDropout));
         assert_eq!(s.last_reading(), Some(first), "last good value retained");
         s.restore();
         assert!(s.read(50.0).is_ok());
-        assert_eq!(s.read_count(), 2);
     }
 
     #[test]
@@ -199,7 +179,6 @@ mod tests {
         let mut clean = sensor(9);
         let mut jittered = sensor(9);
         jittered.set_extra_jitter(2.0);
-        assert_eq!(jittered.extra_jitter(), 2.0);
         let mut diverged = false;
         for _ in 0..50 {
             if clean.read(50.0) != jittered.read(50.0) {

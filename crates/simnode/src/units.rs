@@ -55,11 +55,6 @@ impl DutyCycle {
         Self(((u16::from(raw) * 100 + 127) / 255) as u8)
     }
 
-    /// Saturating clamp against an upper duty limit.
-    pub fn clamp_max(self, max: DutyCycle) -> Self {
-        Self(self.0.min(max.0))
-    }
-
     /// `DutyCycle::from_register(r).fraction()` for every register value,
     /// tabulated through those exact functions — entries are bit-identical
     /// to the computed path, they just skip the per-call `f64` divide on
@@ -194,12 +189,6 @@ mod tests {
         }
         assert_eq!(DutyCycle::MAX.to_register(), 0xFF);
         assert_eq!(DutyCycle::OFF.to_register(), 0x00);
-    }
-
-    #[test]
-    fn duty_clamp_max() {
-        assert_eq!(DutyCycle::new(80).clamp_max(DutyCycle::new(75)).percent(), 75);
-        assert_eq!(DutyCycle::new(30).clamp_max(DutyCycle::new(75)).percent(), 30);
     }
 
     #[test]

@@ -45,18 +45,12 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 impl TraceWorkload {
-    /// Builds a trace from `(time_s, utilization)` points (activity =
-    /// utilization).
+    /// Builds a trace from `(time_s, utilization, activity)` points.
     ///
     /// # Panics
     /// Panics on an empty trace, non-monotone timestamps, or out-of-range
     /// utilizations — recorded traces with those defects need cleaning, not
     /// silent repair.
-    pub fn from_points(points: &[(f64, f64)]) -> Self {
-        Self::from_points_with_activity(&points.iter().map(|&(t, u)| (t, u, u)).collect::<Vec<_>>())
-    }
-
-    /// Builds a trace from `(time_s, utilization, activity)` points.
     pub fn from_points_with_activity(points: &[(f64, f64, f64)]) -> Self {
         assert!(!points.is_empty(), "trace must not be empty");
         let mut rows = Vec::with_capacity(points.len());
@@ -198,7 +192,11 @@ mod tests {
 
     #[test]
     fn replays_zero_order_hold() {
-        let mut w = TraceWorkload::from_points(&[(0.0, 0.2), (1.0, 0.8), (2.0, 0.5)]);
+        let mut w = TraceWorkload::from_points_with_activity(&[
+            (0.0, 0.2, 0.2),
+            (1.0, 0.8, 0.8),
+            (2.0, 0.5, 0.5),
+        ]);
         assert_eq!(w.advance(0.5, 1.0).utilization, 0.2); // t = 0.5
         assert_eq!(w.advance(0.75, 1.0).utilization, 0.8); // t = 1.25
         assert_eq!(w.advance(0.75, 1.0).utilization, 0.5); // t = 2.0 (last row)
@@ -217,7 +215,12 @@ mod tests {
 
     #[test]
     fn looped_trace_never_finishes() {
-        let mut w = TraceWorkload::from_points(&[(0.0, 0.1), (1.0, 0.9), (2.0, 0.1)]).looped();
+        let mut w = TraceWorkload::from_points_with_activity(&[
+            (0.0, 0.1, 0.1),
+            (1.0, 0.9, 0.9),
+            (2.0, 0.1, 0.1),
+        ])
+        .looped();
         for _ in 0..100 {
             let _ = w.advance(0.3, 1.0);
             assert_eq!(w.state(), WorkState::Running);
@@ -270,6 +273,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_points_rejected() {
-        let _ = TraceWorkload::from_points(&[(1.0, 0.5), (0.5, 0.5)]);
+        let _ = TraceWorkload::from_points_with_activity(&[(1.0, 0.5, 0.5), (0.5, 0.5, 0.5)]);
     }
 }

@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// Numeric view as `i64` (floats must be integral).
-    pub fn as_i64(&self) -> Option<i64> {
+    fn as_i64(&self) -> Option<i64> {
         match *self {
             Value::I64(v) => Some(v),
             Value::U64(v) => i64::try_from(v).ok(),
@@ -74,7 +74,7 @@ impl Value {
     }
 
     /// A short name for the value's shape, used in error messages.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",

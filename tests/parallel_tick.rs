@@ -4,13 +4,13 @@
 //! persistent worker pool; these tests pin the contract that sharding is
 //! *unobservable* in the results: the full `RunReport` — every f64 trace
 //! sample, every counter, every retained event record — is identical to
-//! the serial run at every thread count, including odd shard sizes,
+//! the one-shard pool's run at every thread count, including odd shard sizes,
 //! rack-coupled scenarios, and runs with a cluster-wide journal attached
 //! (whose "tick order, node order within a tick" stream must also not
 //! move).
 //!
 //! These clusters are far below the nodes-per-shard grain, where
-//! `Simulation::try_new` would run them serially, so the tests force the
+//! `Simulation::try_new` would give them a one-shard pool, so the tests force the
 //! pool width with `Simulation::try_with_width` and assert it was built.
 
 use std::sync::{Arc, Mutex};
