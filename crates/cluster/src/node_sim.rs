@@ -9,6 +9,12 @@
 //! `ControlPlane`: every run — a figure, a sweep, a fleet, a service job —
 //! drives its nodes' control loops through here, and a single node is a
 //! 1-node `Scenario`.
+//!
+//! A node's plant lives in a physics-batch slot: its shard's batch in a
+//! simulation, or a one-slot batch the node owns when built standalone
+//! with [`NodeSim::build`]. The sample pass and the per-tick hook reach it
+//! through the node's `NodeView` and act on the slot in place; nothing is
+//! copied back and forth.
 
 use unitherm_core::actuator::FreqMhz;
 use unitherm_core::control_plane::{BuildContext, ControlPlane, SensorSample};
@@ -16,7 +22,7 @@ use unitherm_hwmon::{LmSensors, PlatformActuators, PlatformBinding};
 use unitherm_metrics::{RunningStats, TimeSeries};
 use unitherm_obs::{Counters, EventSink, Observer, RingSink, TeeSink};
 use unitherm_simnode::faults::FaultPlan;
-use unitherm_simnode::Node;
+use unitherm_simnode::{Node, NodeView, PhysicsBatch};
 use unitherm_workload::{WorkState, Workload};
 
 use crate::replay::classify_fault;
@@ -80,9 +86,44 @@ impl NodeRecorder {
     }
 }
 
+/// Where a node's plant lives for one call: its own one-slot batch
+/// (`None`, a node from [`NodeSim::build`]) or a slot of its shard's
+/// batch.
+pub(crate) type PlantAt<'a> = Option<(&'a mut PhysicsBatch, usize)>;
+
+/// The view of `node` with its plant at `at`.
+fn view<'a>(node: &'a mut Node, at: PlantAt<'a>) -> NodeView<'a> {
+    match at {
+        Some((lanes, slot)) => node.view_in(lanes, slot),
+        None => node.view(),
+    }
+}
+
+/// Runs `f` with an observer over a node's event ring and counters, teed
+/// into `journal` when one is attached.
+#[inline]
+fn observed<R>(
+    events: &mut RingSink,
+    counters: &mut Counters,
+    index: u32,
+    now_s: f64,
+    journal: Option<&mut (dyn EventSink + 'static)>,
+    f: impl FnOnce(&mut Observer<'_>) -> R,
+) -> R {
+    match journal {
+        None => f(&mut Observer::new(events, counters, index, now_s)),
+        Some(journal) => {
+            let mut tee = TeeSink::new(events, journal);
+            f(&mut Observer::new(&mut tee, counters, index, now_s))
+        }
+    }
+}
+
 /// One node's full simulation state.
 pub struct NodeSim {
-    /// The simulated hardware.
+    /// The simulated hardware's cold parts; built by [`NodeSim::build`] it
+    /// also owns its one-slot plant, while a simulation keeps every plant
+    /// in its shards' batches.
     pub node: Node,
     /// The rank's workload.
     pub workload: Box<dyn Workload>,
@@ -107,8 +148,8 @@ pub struct NodeSim {
     /// been emitted as `FaultInjected` events.
     fault_log_seen: usize,
     /// True when the control plane runs a per-tick daemon (CPUSPEED). A
-    /// simulation hooks the node on every tick to run it, and does not
-    /// count the node's lane ticks as skipped control-plane ticks.
+    /// simulation hooks the node on every tick to run it; every other
+    /// node's lane ticks are control-plane ticks that observed nothing.
     pub(crate) tick_daemon: bool,
     /// True when the workload reports `Running` forever (never parks,
     /// never finishes) — lets the fleet skip its per-tick state poll.
@@ -116,22 +157,24 @@ pub struct NodeSim {
 }
 
 impl NodeSim {
-    /// Builds one node per the scenario: probe the binding the scheme
-    /// needs, build the daemon pipeline through the scheme factory, attach.
+    /// Builds one standalone node per the scenario, with its own one-slot
+    /// plant: probe the binding the scheme needs, build the daemon pipeline
+    /// through the scheme factory, attach.
     pub fn build(scenario: &Scenario, node_idx: usize) -> Self {
-        let mut ns = Self::build_hot(scenario, node_idx);
+        let mut ns = Self::build_hot(scenario, node_idx, None);
         ns.events = RingSink::with_capacity(scenario.event_capacity);
         ns
     }
 
-    /// [`Self::build`] without the event ring: every hot heap object
-    /// (workload, sensor and bus state, daemons, binding) but a
-    /// zero-capacity, unallocated ring that holds no records, since
-    /// building emits no events. `Simulation::build` builds every node
-    /// this way first and allocates the rings in a second pass, so
-    /// consecutive nodes' hot state sits ~1 kB apart instead of one
-    /// 10 kB ring apart (DESIGN §14).
-    pub(crate) fn build_hot(scenario: &Scenario, node_idx: usize) -> Self {
+    /// [`Self::build`] with the plant at `at`, and without the event ring:
+    /// every hot heap object (workload, sensor and bus state, daemons,
+    /// binding) but a zero-capacity, unallocated ring that holds no
+    /// records, since building emits no events. `Simulation::build` builds
+    /// every node this way first, each plant straight into its shard's
+    /// batch, and allocates the rings in a second pass, so consecutive
+    /// nodes' hot state sits ~1 kB apart instead of one 10 kB ring apart
+    /// (DESIGN §14).
+    pub(crate) fn build_hot(scenario: &Scenario, node_idx: usize, mut at: PlantAt<'_>) -> Self {
         let seed = scenario.node_seed(node_idx);
         let faults = scenario
             .faults
@@ -139,28 +182,30 @@ impl NodeSim {
             .find(|(n, _)| *n == node_idx)
             .map(|(_, p)| p.clone())
             .unwrap_or_else(FaultPlan::none);
-        let mut node = Node::with_faults(scenario.node_config_for(node_idx).clone(), seed, faults);
+        let cfg = scenario.node_config_for(node_idx).clone();
+        let mut node = match &mut at {
+            Some((lanes, slot)) => Node::in_slot(cfg, seed, faults, lanes, *slot),
+            None => Node::with_faults(cfg, seed, faults),
+        };
         if let Some((_, schedule)) = scenario.tick_faults.iter().find(|(n, _)| *n == node_idx) {
             node.set_tick_faults(schedule.clone());
         }
         let workload = scenario.workload.instantiate(node_idx, scenario.seed);
 
         let spec = scenario.effective_scheme(node_idx);
+        let mut plant = view(&mut node, at);
         let mut binding =
-            PlatformBinding::probe(&mut node, &spec).expect("chip reachable at build time");
-        let ctx = BuildContext { available_mhz: PlatformBinding::available_mhz(&node) };
+            PlatformBinding::probe(&mut plant, &spec).expect("chip reachable at build time");
+        let ctx = BuildContext { available_mhz: PlatformBinding::available_mhz(&plant) };
         let mut plane = ControlPlane::new(spec.build(&ctx), scenario.failsafe);
         let attach_sample = SensorSample {
             now_s: 0.0,
             fresh_temp_c: None,
             temp_c: None,
-            utilization: node.utilization(),
-            die_temp_c: node.die_temp_c(),
+            utilization: plant.utilization(),
+            die_temp_c: plant.die_temp_c(),
         };
-        plane.attach(
-            &attach_sample,
-            &mut PlatformActuators { node: &mut node, binding: &mut binding },
-        );
+        plane.attach(&attach_sample, &mut PlatformActuators { node: plant, binding: &mut binding });
 
         let tick_daemon = plane.wants_tick();
         let endless = workload.is_endless();
@@ -183,68 +228,70 @@ impl NodeSim {
     }
 
     /// Advances the workload by one tick and applies its utilization to the
-    /// CPU. Returns the rank's state after the tick.
+    /// CPU of a node from [`NodeSim::build`]. Returns the rank's state
+    /// after the tick.
     pub fn tick_workload(&mut self, dt_s: f64) -> WorkState {
-        let speed = self.node.speed_factor();
-        let out = self.workload.advance(dt_s, speed);
-        self.node.set_load(out.utilization, out.activity);
+        let mut plant = self.node.view();
+        let out = self.workload.advance(dt_s, plant.speed_factor());
+        plant.set_load(out.utilization, out.activity);
         self.workload.state()
     }
 
-    /// Advances the physics and per-tick daemons (CPUSPEED observes
-    /// utilization every tick) on the scalar node: the single-node form of
-    /// what a simulation does with its lanes and a per-tick hook.
-    /// `journal` additionally receives any events the per-tick daemons emit
-    /// (None on the allocation-free default path).
+    /// Advances a node from [`NodeSim::build`] by one tick: the per-tick
+    /// daemons (CPUSPEED observes utilization every tick), then its
+    /// one-slot batch (due faults, then the lane physics). `journal`
+    /// additionally receives any events the per-tick daemons emit (None on
+    /// the allocation-free default path).
     pub fn tick_hardware(
         &mut self,
         dt_s: f64,
         now_s: f64,
         mut journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        self.run_tick_daemons(dt_s, now_s, journal.as_deref_mut());
+        self.run_tick_daemons(None, dt_s, now_s, journal.as_deref_mut());
         self.node.tick(dt_s);
         self.emit_fault_events(now_s, journal);
     }
 
-    /// The per-tick work the physics lanes cannot do, run on a node whose
-    /// lanes were just stored back into `self.node` and whose clock reads
-    /// the tick about to be simulated: the per-tick daemons, then due
-    /// faults, then their `FaultInjected` events — the order
-    /// [`NodeSim::tick_hardware`] runs them in. Returns true when a fault
-    /// landed, so the caller reloads every lane rather than only the
-    /// control lanes.
+    /// The per-tick work the lane tick does not do, run on slot `slot` of
+    /// `lanes` after the batch's `begin_tick` and before its `tick_all`:
+    /// the per-tick daemons, then due faults, then their `FaultInjected`
+    /// events — the order [`NodeSim::tick_hardware`] runs them in.
     pub(crate) fn on_tick_hook(
         &mut self,
+        lanes: &mut PhysicsBatch,
+        slot: usize,
         dt_s: f64,
         now_s: f64,
         mut journal: Option<&mut (dyn EventSink + 'static)>,
-    ) -> bool {
+    ) {
         // A plane without per-tick daemons would only count a skipped
-        // tick here; the lane tick already counts it.
+        // tick here; the report counts those from the tick count.
         if self.tick_daemon {
-            self.run_tick_daemons(dt_s, now_s, journal.as_deref_mut());
+            self.run_tick_daemons(Some((&mut *lanes, slot)), dt_s, now_s, journal.as_deref_mut());
         }
-        let landed = self.node.deliver_due_faults();
+        self.node.view_in(lanes, slot).deliver_due_faults();
         self.emit_fault_events(now_s, journal);
-        landed
     }
 
     /// Hands one tick to the control plane's per-tick daemons and records
     /// a frequency they applied.
     fn run_tick_daemons(
         &mut self,
+        at: PlantAt<'_>,
         dt_s: f64,
         now_s: f64,
         journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        let util = self.node.utilization();
-        let applied = self.observed(now_s, journal, |plane, act, obs| {
-            plane.on_tick_observed(dt_s, util, act, obs)
+        let Self { node, plane, binding, rec, events, counters, index, .. } = self;
+        let mut act = PlatformActuators { node: view(node, at), binding };
+        let util = act.node.utilization();
+        let applied = observed(events, counters, *index, now_s, journal, |obs| {
+            plane.on_tick_observed(dt_s, util, &mut act, obs)
         });
         if let Some(mhz) = applied {
-            if self.rec.enabled {
-                self.rec.freq_events.push((now_s, mhz));
+            if rec.enabled {
+                rec.freq_events.push((now_s, mhz));
             }
         }
     }
@@ -252,8 +299,8 @@ impl NodeSim {
     /// Emits a `FaultInjected` event for every fault the node delivered
     /// since the last call. Runs in pass B at every pool width (shard 0
     /// tees directly, the other shards' scratch drains in node order), so
-    /// the journal stream stays thread-count invariant. No-op — and allocation-free — on
-    /// fault-free ticks.
+    /// the journal stream stays thread-count invariant. No-op — and
+    /// allocation-free — on fault-free ticks.
     fn emit_fault_events(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
         let start = self.fault_log_seen;
         let end = self.node.fault_log().len();
@@ -261,92 +308,75 @@ impl NodeSim {
             return;
         }
         self.fault_log_seen = end;
-        self.observed(now_s, journal, |_, act, obs| {
-            for &(_, ev) in &act.node.fault_log()[start..] {
+        let Self { node, events, counters, index, .. } = self;
+        observed(events, counters, *index, now_s, journal, |obs| {
+            for &(_, ev) in &node.fault_log()[start..] {
                 let (kind, magnitude) = classify_fault(ev);
                 obs.fault_injected(kind, magnitude);
             }
         });
     }
 
-    /// Runs `f` on the control plane and actuators with an observer over
-    /// this node's event ring and counters, teed into `journal` when one
-    /// is attached.
-    #[inline]
-    fn observed<R>(
-        &mut self,
-        now_s: f64,
-        journal: Option<&mut (dyn EventSink + 'static)>,
-        f: impl FnOnce(&mut ControlPlane, &mut PlatformActuators<'_>, &mut Observer<'_>) -> R,
-    ) -> R {
-        let mut act = PlatformActuators { node: &mut self.node, binding: &mut self.binding };
-        match journal {
-            None => {
-                let mut obs =
-                    Observer::new(&mut self.events, &mut self.counters, self.index, now_s);
-                f(&mut self.plane, &mut act, &mut obs)
-            }
-            Some(journal) => {
-                let mut tee = TeeSink::new(&mut self.events, journal);
-                let mut obs = Observer::new(&mut tee, &mut self.counters, self.index, now_s);
-                f(&mut self.plane, &mut act, &mut obs)
-            }
-        }
+    /// Runs the 4 Hz sampling path of a node from [`NodeSim::build`]: read
+    /// the sensor, hand the sample to the control plane (failsafe
+    /// supervision + daemon pipeline), record traces. Emitted events land
+    /// in this node's ring (and `journal`, when one is attached).
+    pub fn on_sample(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
+        self.sample(None, now_s, journal);
     }
 
-    /// Runs the 4 Hz sampling path: read the sensor, hand the sample to the
-    /// control plane (failsafe supervision + daemon pipeline), record
-    /// traces. Emitted events land in this node's ring (and `journal`, when
-    /// one is attached).
-    pub fn on_sample(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
+    /// [`NodeSim::on_sample`] with the plant at `at`.
+    pub(crate) fn sample(
+        &mut self,
+        at: PlantAt<'_>,
+        now_s: f64,
+        journal: Option<&mut (dyn EventSink + 'static)>,
+    ) {
+        let Self { node, lm, plane, binding, rec, events, counters, index, .. } = self;
+        let mut plant = view(node, at);
         // Hottest-sensor read. `fresh` distinguishes a live reading from
         // the stale fallback the controllers tolerate — the failsafe cares
         // about the difference.
-        let fresh = self.lm.read_hottest_celsius(&mut self.node).ok();
-        let temp = fresh
-            .or_else(|| self.lm.last_good().map(unitherm_simnode::units::MilliCelsius::to_celsius));
+        let fresh = lm.read_hottest_celsius(&mut plant).ok();
+        let temp =
+            fresh.or_else(|| lm.last_good().map(unitherm_simnode::units::MilliCelsius::to_celsius));
         let sample = SensorSample {
             now_s,
             fresh_temp_c: fresh,
             temp_c: temp,
-            utilization: self.node.utilization(),
-            die_temp_c: self.node.die_temp_c(),
+            utilization: plant.utilization(),
+            die_temp_c: plant.die_temp_c(),
         };
-        let out = self.observed(now_s, journal, |plane, act, obs| {
-            plane.on_sample_observed(&sample, act, obs)
+        let mut act = PlatformActuators { node: plant, binding };
+        let out = observed(events, counters, *index, now_s, journal, |obs| {
+            plane.on_sample_observed(&sample, &mut act, obs)
         });
+        let plant = act.node;
         // Daemon-confirmed frequency changes are trace events; frequencies
         // forced by a failsafe engagement are not (they bypass the driver).
         if let Some(mhz) = out.freq_mhz {
-            if self.rec.enabled {
-                self.rec.freq_events.push((now_s, mhz));
+            if rec.enabled {
+                rec.freq_events.push((now_s, mhz));
             }
         }
 
-        // Read the two summary inputs directly; a full `node.state()`
-        // snapshot recomputes the wall-power law per sample, which the
+        // Read the two summary inputs directly; a full state snapshot
+        // recomputes the wall-power law per sample, which the
         // recording-off fast path never uses.
-        let duty = f64::from(self.node.fan().duty().percent());
+        let duty = f64::from(plant.fan_duty().percent());
         if let Some(t) = temp {
-            self.rec.temp_stats.push(t);
+            rec.temp_stats.push(t);
         }
-        self.rec.duty_stats.push(duty);
-        if self.rec.enabled {
+        rec.duty_stats.push(duty);
+        if rec.enabled {
             if let Some(t) = temp {
-                self.rec.temp.push(now_s, t);
+                rec.temp.push(now_s, t);
             }
-            self.rec.duty.push(now_s, duty);
-            self.rec.freq.push(now_s, f64::from(self.node.requested_frequency_khz() / 1000));
-            self.rec.power.push(now_s, self.node.wall_power_w());
-            self.rec.util.push(now_s, self.node.utilization());
+            rec.duty.push(now_s, duty);
+            rec.freq.push(now_s, f64::from(plant.requested_frequency_khz() / 1000));
+            rec.power.push(now_s, plant.wall_power_w());
+            rec.util.push(now_s, plant.utilization());
         }
-    }
-
-    /// The duty the fan daemon currently commands (for diagnostics).
-    pub fn commanded_duty(&self) -> u8 {
-        self.binding
-            .fan_driver()
-            .map_or_else(|| self.node.state().fan_duty.percent(), |d| d.last_commanded())
     }
 }
 
@@ -363,6 +393,11 @@ mod tests {
             .with_fan(fan)
             .with_dvfs(dvfs)
             .with_workload(WorkloadSpec::CpuBurn)
+    }
+
+    /// The duty the node's fan driver last commanded.
+    fn commanded_duty(ns: &NodeSim) -> u8 {
+        ns.binding.fan_driver().expect("software fan scheme").last_commanded()
     }
 
     /// Drives a lone node for `seconds`.
@@ -387,7 +422,7 @@ mod tests {
         run(&mut ns, 120.0);
         // Burn heats the node; the chip's auto curve raises duty but never
         // past the hardware cap.
-        let duty = ns.node.state().fan_duty.percent();
+        let duty = ns.node.view().state().fan_duty.percent();
         assert!(duty > 10, "auto curve responded: {duty}");
         assert!(duty <= 75);
     }
@@ -397,8 +432,8 @@ mod tests {
         let sc = scenario_with(FanScheme::Constant { duty: 75 }, DvfsScheme::None);
         let mut ns = NodeSim::build(&sc, 0);
         run(&mut ns, 60.0);
-        assert_eq!(ns.node.state().fan_duty.percent(), 75);
-        assert_eq!(ns.commanded_duty(), 75);
+        assert_eq!(ns.node.view().state().fan_duty.percent(), 75);
+        assert_eq!(commanded_duty(&ns), 75);
     }
 
     #[test]
@@ -407,9 +442,9 @@ mod tests {
         let mut ns = NodeSim::build(&sc, 0);
         run(&mut ns, 200.0);
         assert!(
-            ns.commanded_duty() > 20,
+            commanded_duty(&ns) > 20,
             "dynamic controller should have engaged: {}",
-            ns.commanded_duty()
+            commanded_duty(&ns)
         );
     }
 
@@ -423,9 +458,9 @@ mod tests {
         );
         let mut ns = NodeSim::build(&sc, 0);
         run(&mut ns, 200.0);
-        let temp = ns.node.die_temp_c();
+        let temp = ns.node.view().die_temp_c();
         let expected = unitherm_core::baseline::StaticFanCurve::with_max(75).duty_for(temp);
-        let actual = ns.commanded_duty();
+        let actual = commanded_duty(&ns);
         assert!(
             (i32::from(actual) - i32::from(expected)).abs() <= 6,
             "static daemon tracks the curve: {actual} vs {expected} at {temp}°C"
@@ -439,7 +474,7 @@ mod tests {
         run(&mut ns, 250.0);
         // Burn alternates bursts and gaps; the governor must have reacted.
         assert!(
-            ns.node.cpu().freq_transition_count() > 0,
+            ns.node.view().freq_transition_count() > 0,
             "CPUSPEED should transition on burn gaps"
         );
         assert!(!ns.rec.freq_events.is_empty());
@@ -456,7 +491,7 @@ mod tests {
         // A 20 %-capped fan cannot hold burn below 51 °C, so tDVFS must have
         // scaled down at least once (it may legitimately have restored the
         // original frequency during a burn gap by the end of the run).
-        assert!(ns.node.cpu().freq_transition_count() > 0, "tDVFS never engaged");
+        assert!(ns.node.view().freq_transition_count() > 0, "tDVFS never engaged");
         assert!(
             ns.rec.freq_events.iter().any(|&(_, f)| f < 2400),
             "no scale-down recorded: {:?}",
@@ -472,7 +507,7 @@ mod tests {
         assert_eq!(ns.plane.labels(), vec!["dynamic-fan", "tdvfs"]);
         run(&mut ns, 280.0);
         // The capped hybrid fan saturates; coordination hands off to tDVFS.
-        assert!(ns.commanded_duty() >= 15, "fan arm engaged: {}", ns.commanded_duty());
+        assert!(commanded_duty(&ns) >= 15, "fan arm engaged: {}", commanded_duty(&ns));
         assert!(
             ns.rec.freq_events.iter().any(|&(_, f)| f < 2400),
             "hybrid tDVFS arm never scaled down: {:?}",
@@ -498,7 +533,7 @@ mod tests {
             .expect("sleep daemon attached");
         assert!(daemon.controller().stats().rounds > 0, "controller observed samples");
         assert!(
-            ns.node.cpu().sleep_gate() < 1.0
+            ns.node.view().sleep_gate() < 1.0
                 || daemon.current_state() != unitherm_core::acpi::SleepState::C0,
             "sleep controller never left C0 under a starved fan"
         );

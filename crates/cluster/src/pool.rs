@@ -443,8 +443,10 @@ mod tests {
             .with_nodes(2)
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fault(1, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
-        let mut nodes: Vec<NodeSim> = (0..2).map(|i| NodeSim::build(&scenario, i)).collect();
-        let mut shards = vec![Shard::new(&nodes)];
+        let mut lanes = unitherm_simnode::PhysicsBatch::with_len(2);
+        let mut nodes: Vec<NodeSim> =
+            (0..2).map(|i| NodeSim::build_hot(&scenario, i, Some((&mut lanes, i)))).collect();
+        let mut shards = vec![Shard::new(lanes, &nodes)];
         let mut sink = ThreadSink(Vec::new());
         for tick in 1..=4 {
             let now_s = tick as f64 * 0.05;

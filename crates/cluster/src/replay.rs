@@ -25,9 +25,10 @@
 //!
 //! The derived [`ReplayPlan`] applies as `Scenario::tick_faults`, which
 //! [`crate::node_sim::NodeSim::build`] attaches to each node's
-//! `TickFaultSchedule`. Delivery happens inside `Node::tick` — per-node
-//! state only — so the replay inherits the sharded tick loop's bit-identical
-//! guarantee at any `threads` count (see `DESIGN.md` §12).
+//! `TickFaultSchedule`. Delivery happens in the node's per-tick hook of
+//! the hardware pass, before the lane tick — per-node state only — so the
+//! replay inherits the sharded tick loop's bit-identical guarantee at any
+//! `threads` count (see `DESIGN.md` §12).
 
 use unitherm_obs::{record_tick, Event, EventRecord, InjectedFault};
 use unitherm_simnode::faults::{FaultEvent, TickFaultSchedule};

@@ -10,11 +10,12 @@
 //!
 //! Every tick runs on the simulation's worker pool (`crate::pool`), one
 //! shard wide unless the run is large enough to split; a one-shard pool
-//! runs each pass inline on the calling thread. Every node's physics runs
-//! on the structure-of-arrays lanes of its shard's [`PhysicsBatch`]. What
-//! the lanes cannot do runs on the node's scalar `Node` at a sync point:
-//! the sampling path for every node at 4 Hz, and a per-tick hook for the
-//! few nodes with a per-tick daemon or a fault source (see
+//! runs each pass inline on the calling thread. Every node's plant lives in
+//! a slot of its shard's structure-of-arrays [`PhysicsBatch`], built there
+//! at construction; the node itself keeps only the cold parts. What the
+//! lanes do not model acts on the slot in place through the node's
+//! `NodeView`: the sampling path for every node at 4 Hz, and a per-tick
+//! hook for the few nodes with a per-tick daemon or a fault source (see
 //! `hardware_pass`).
 //!
 //! Barrier release is all-or-nothing: a rank that reaches a barrier parks
@@ -86,11 +87,20 @@ impl Simulation {
 
     /// Builds a validated scenario on a pool `shards` shards wide.
     fn build(scenario: Scenario, shards: usize) -> Self {
-        // Every node's hot state first, then every 10 kB event ring: the
-        // passes walk each node's hot state per tick, and a ring built
-        // between two nodes would put each visit on a fresh page.
-        let mut nodes: Vec<NodeSim> =
-            (0..scenario.nodes).map(|i| NodeSim::build_hot(&scenario, i)).collect();
+        // Each shard's lanes, then every node's hot state with its plant
+        // built straight into its shard's slot, then every 10 kB event
+        // ring: the passes walk each node's hot state per tick, and a ring
+        // built between two nodes would put each visit on a fresh page.
+        let width = shards;
+        let mut lanes: Vec<PhysicsBatch> = (0..width)
+            .map(|s| PhysicsBatch::with_len(shard_range(scenario.nodes, width, s).len()))
+            .collect();
+        let mut nodes: Vec<NodeSim> = Vec::with_capacity(scenario.nodes);
+        for (s, batch) in lanes.iter_mut().enumerate() {
+            for (j, i) in shard_range(scenario.nodes, width, s).enumerate() {
+                nodes.push(NodeSim::build_hot(&scenario, i, Some((&mut *batch, j))));
+            }
+        }
         for ns in &mut nodes {
             ns.events = RingSink::with_capacity(scenario.event_capacity);
         }
@@ -99,21 +109,25 @@ impl Simulation {
         // a 0 here would make `is_multiple_of` false forever and silently
         // disable the whole sampling path (sensors, fan/tDVFS daemons).
         assert!(ticks_per_sample >= 1, "sampling period shorter than the tick");
+        let mut heat_scratch = Vec::new();
         let rack = scenario.rack.map(|cfg| {
-            let idle_heat: f64 = nodes.iter().map(|ns| ns.node.heat_output_w()).sum();
-            let model = crate::rack::RackModel::new(cfg, idle_heat);
+            heat_scratch = vec![0.0; nodes.len()];
+            for (s, batch) in lanes.iter().enumerate() {
+                batch.write_heat(&mut heat_scratch[shard_range(nodes.len(), width, s)]);
+            }
+            let model = crate::rack::RackModel::new(cfg, heat_scratch.iter().sum());
             // Nodes breathe the rack air from t = 0.
-            for ns in &mut nodes {
-                ns.node.set_ambient_c(model.air_c());
+            for batch in &mut lanes {
+                batch.set_ambient_all(model.air_c());
             }
             model
         });
-        let pool = WorkerPool::new(shards);
-        let heat_scratch = if rack.is_some() { vec![0.0; nodes.len()] } else { Vec::new() };
-        // One physics batch per shard, loaded from the post-attach (and
-        // post-rack-ambient) node state so the lanes resume bit-exactly.
-        let shards: Vec<Shard> =
-            (0..shards).map(|s| Shard::new(&nodes[shard_range(nodes.len(), shards, s)])).collect();
+        let pool = WorkerPool::new(width);
+        let shards: Vec<Shard> = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(s, lanes)| Shard::new(lanes, &nodes[shard_range(nodes.len(), width, s)]))
+            .collect();
         Self {
             pool,
             scenario,
@@ -183,9 +197,8 @@ impl Simulation {
 
     /// Immutable access to the nodes (diagnostics, tests).
     ///
-    /// Between samples the hot physics state lives in the
-    /// structure-of-arrays lanes, so the scalar `Node` structs seen here can
-    /// lag by up to one sample period.
+    /// Each node's plant lives in its shard's physics batch, not in the
+    /// `Node` seen here, which holds only the node's cold parts.
     pub fn nodes(&self) -> &[NodeSim] {
         &self.nodes
     }
@@ -229,8 +242,8 @@ impl Simulation {
 
         self.step_rack(dt);
 
-        // Sampling path at 4 Hz: lanes store back, daemons run, lanes
-        // reload — fused per node so each cache line is touched once.
+        // Sampling path at 4 Hz: sensors, daemons and recorders on each
+        // node's slot in place.
         if self.ticks.is_multiple_of(self.ticks_per_sample) {
             let kind = PassKind::Sample { now_s: self.time_s };
             self.pool.run(
@@ -307,14 +320,6 @@ impl Simulation {
 
     /// Finalizes the report from the current state.
     pub fn into_report(mut self) -> RunReport {
-        // Store every node's physics lanes back into its scalar `Node` and
-        // flush the batched-tick counters.
-        let (shards, len) = (self.shards.len(), self.nodes.len());
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            for (j, ns) in self.nodes[shard_range(len, shards, s)].iter_mut().enumerate() {
-                store_node(&mut shard.lanes, j, ns);
-            }
-        }
         let completed = self.nodes.iter().all(|ns| ns.finish_time_s.is_some());
         let exec_time_s = if completed {
             self.nodes.iter().filter_map(|ns| ns.finish_time_s).fold(0.0f64, f64::max)
@@ -324,29 +329,43 @@ impl Simulation {
 
         let journal_warning = self.journal.as_ref().and_then(|j| j.sink_error());
 
+        let (width, len, ticks) = (self.shards.len(), self.nodes.len(), self.ticks);
+        let slots =
+            (0..width).flat_map(|s| (0..shard_range(len, width, s).len()).map(move |j| (s, j)));
         let nodes = self
             .nodes
             .into_iter()
-            .map(|ns| NodeReport {
-                temp: ns.rec.temp,
-                duty: ns.rec.duty,
-                freq: ns.rec.freq,
-                power: ns.rec.power,
-                util: ns.rec.util,
-                freq_events: ns.rec.freq_events,
-                freq_transitions: ns.node.cpu().freq_transition_count(),
-                throttle_events: ns.node.cpu().throttle_event_count(),
-                failsafe_engagements: ns.plane.failsafe_engagement_count(),
-                shut_down: ns.node.cpu().is_shut_down(),
-                avg_wall_power_w: ns.node.meter().average_power_w(),
-                energy_j: ns.node.meter().energy_j(),
-                temp_summary: ns.rec.temp_stats.summary(),
-                duty_summary: ns.rec.duty_stats.summary(),
-                finish_time_s: ns.finish_time_s,
-                counters: ns.counters,
-                events_dropped: ns.events.dropped(),
-                events: ns.events.to_vec(),
-                faults_applied: ns.node.fault_log().to_vec(),
+            .zip(slots)
+            .map(|(mut ns, (s, j))| {
+                let faults_applied = ns.node.fault_log().to_vec();
+                let plant = ns.node.view_in(&mut self.shards[s].lanes, j);
+                // Every lane tick of a node without a per-tick daemon is a
+                // control-plane tick that observed nothing.
+                let mut counters = ns.counters;
+                if !ns.tick_daemon {
+                    counters.ticks_skipped += ticks;
+                }
+                NodeReport {
+                    freq_transitions: plant.freq_transition_count(),
+                    throttle_events: plant.throttle_event_count(),
+                    shut_down: plant.is_shut_down(),
+                    avg_wall_power_w: plant.average_power_w(),
+                    energy_j: plant.energy_j(),
+                    faults_applied,
+                    temp: ns.rec.temp,
+                    duty: ns.rec.duty,
+                    freq: ns.rec.freq,
+                    power: ns.rec.power,
+                    util: ns.rec.util,
+                    freq_events: ns.rec.freq_events,
+                    failsafe_engagements: ns.plane.failsafe_engagement_count(),
+                    temp_summary: ns.rec.temp_stats.summary(),
+                    duty_summary: ns.rec.duty_stats.summary(),
+                    finish_time_s: ns.finish_time_s,
+                    counters,
+                    events_dropped: ns.events.dropped(),
+                    events: ns.events.to_vec(),
+                }
             })
             .collect();
 
@@ -369,13 +388,13 @@ impl Simulation {
 //
 // The worker pool's `exec_shard` runs these functions over a shard's slice
 // of the nodes plus the matching shard. `nodes` and the shard's lanes are
-// index-aligned: slot `i` of the batch mirrors `nodes[i]`.
+// index-aligned: slot `i` of the batch is the plant of `nodes[i]`.
 
-/// One shard: the physics lanes of its nodes, which of them the hardware
-/// pass hooks, its reduction slot and its journal scratch.
+/// One shard: the plants of its nodes, which of them the hardware pass
+/// hooks, its reduction slot and its journal scratch.
 pub(crate) struct Shard {
-    /// Structure-of-arrays physics state, slot `i` mirroring node `i` of
-    /// the shard.
+    /// Structure-of-arrays plant state, slot `i` holding node `i` of the
+    /// shard.
     pub(crate) lanes: PhysicsBatch,
     /// Shard-local indices, ascending, of the nodes with a per-tick daemon
     /// or a fault source, so the hardware pass visits only those.
@@ -388,28 +407,16 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// The shard over `nodes`, its lanes loaded from their current state.
-    pub(crate) fn new(nodes: &[NodeSim]) -> Self {
+    /// The shard over `nodes`, whose plants `lanes` holds.
+    pub(crate) fn new(lanes: PhysicsBatch, nodes: &[NodeSim]) -> Self {
         Self {
-            lanes: PhysicsBatch::from_nodes(nodes.iter().map(|ns| &ns.node)),
+            lanes,
             hooked: (0..nodes.len())
                 .filter(|&j| nodes[j].tick_daemon || nodes[j].node.has_fault_sources())
                 .collect(),
             out: ShardOut::default(),
             events: VecSink::default(),
         }
-    }
-}
-
-/// Stores slot `i` of `lanes` back into `ns` and folds its lane ticks into
-/// the node's `ticks_skipped`: each is one control-plane tick that observed
-/// nothing. A per-tick daemon observes every tick, so its node counts none.
-#[inline]
-fn store_node(lanes: &mut PhysicsBatch, i: usize, ns: &mut NodeSim) {
-    lanes.store(i, &mut ns.node);
-    let skipped = lanes.take_skipped(i);
-    if !ns.tick_daemon {
-        ns.counters.ticks_skipped += skipped;
     }
 }
 
@@ -494,14 +501,13 @@ pub(crate) fn workload_pass(
 /// finished on this tick.
 ///
 /// A hooked node with work this tick — a per-tick daemon, which has work
-/// every tick, or a fault that is due — has its lanes stored into its
-/// scalar node, runs [`NodeSim::on_tick_hook`] (daemons, then faults, then
-/// their events), and is reloaded: every lane after a fault, the control
-/// lanes otherwise. This keeps the scalar tick's daemon → faults → physics
-/// order, and the hooks run in ascending node order, so the journal sees
-/// each node's events in the order the scalar tick emitted them. Barrier
-/// release and finish detection touch only workload state, which neither
-/// a hook nor a lane tick reads, so they run in their own loops.
+/// every tick, or a fault that is due — runs [`NodeSim::on_tick_hook`]
+/// (daemons, then faults, then their events) on its slot in place before
+/// the lane tick: the daemon → faults → physics order of a standalone
+/// node's tick. The hooks run in ascending node order, so the journal sees
+/// each node's events in that order. Barrier release and finish detection
+/// touch only workload state, which neither a hook nor a lane tick reads,
+/// so they run in their own loops.
 #[allow(clippy::too_many_arguments)] // PassKind::Hardware plus the shard's parts
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
@@ -520,12 +526,7 @@ pub(crate) fn hardware_pass(
         if !ns.tick_daemon && !ns.node.fault_due(batch.ticks(), batch.time_s()) {
             continue;
         }
-        batch.store(i, &mut ns.node);
-        if ns.on_tick_hook(dt_s, now_s, journal.as_deref_mut()) {
-            batch.load(i, &ns.node);
-        } else {
-            batch.reload_control(i, &ns.node);
-        }
+        ns.on_tick_hook(batch, i, dt_s, now_s, journal.as_deref_mut());
     }
     if release {
         for ns in nodes.iter_mut() {
@@ -548,12 +549,8 @@ pub(crate) fn hardware_pass(
     finished
 }
 
-/// The 4 Hz sampling pass: for each rank, store the lanes back into the
-/// scalar node, run the sampling path (sensor read, control plane,
-/// recorders), and reload the lanes from the possibly-actuated node — fused
-/// per node so each node's cache lines are touched once per sample.
-/// Batched ticks flush into the node's `ticks_skipped` counter here (see
-/// [`store_node`]).
+/// The 4 Hz sampling pass: for each rank, the sampling path (sensor read,
+/// control plane, recorders) on its slot in place.
 pub(crate) fn sample_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
@@ -564,10 +561,7 @@ pub(crate) fn sample_pass(
         if let Some(ahead) = node_ahead(nodes, i) {
             prefetch(ahead);
         }
-        let ns = &mut nodes[i];
-        store_node(batch, i, ns);
-        ns.on_sample(now_s, journal.as_deref_mut());
-        batch.reload_control(i, &ns.node);
+        nodes[i].sample(Some((&mut *batch, i)), now_s, journal.as_deref_mut());
     }
 }
 

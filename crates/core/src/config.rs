@@ -24,6 +24,17 @@ impl ConfigError {
     pub fn message(&self) -> &str {
         &self.message
     }
+
+    /// Fails unless the size knob `field` is at most `max`. Constructors
+    /// allocate by these sizes, so an unbounded one would abort the process
+    /// on allocation instead of failing.
+    pub(crate) fn at_most(field: &str, value: usize, max: usize) -> Result<(), Self> {
+        if value <= max {
+            Ok(())
+        } else {
+            Err(Self::new(format!("{field} must be at most {max} (got {value})")))
+        }
+    }
 }
 
 impl std::fmt::Display for ConfigError {
@@ -37,6 +48,13 @@ impl std::error::Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn at_most_names_the_field_and_both_sizes() {
+        assert_eq!(ConfigError::at_most("l1_len", 8, 8), Ok(()));
+        let e = ConfigError::at_most("l1_len", 9, 8).unwrap_err();
+        assert_eq!(e.message(), "l1_len must be at most 8 (got 9)");
+    }
 
     #[test]
     fn displays_message() {

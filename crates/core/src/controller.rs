@@ -24,6 +24,10 @@ use serde::{Deserialize, Serialize};
 use crate::control_array::{Policy, ThermalControlArray};
 use crate::window::{TwoLevelWindow, WindowConfig};
 
+/// The largest thermal control array a [`ControllerConfig`] may ask for
+/// (the paper's is 100 entries).
+pub const MAX_ARRAY_LEN: usize = 4_096;
+
 /// Controller tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
@@ -69,6 +73,7 @@ impl ControllerConfig {
         if self.array_len < 1 {
             return Err(crate::config::ConfigError::new("array length must be at least 1"));
         }
+        crate::config::ConfigError::at_most("array_len", self.array_len, MAX_ARRAY_LEN)?;
         if self.t_max_c <= self.t_min_c {
             return Err(crate::config::ConfigError::new(format!(
                 "temperature range must be positive ({} .. {})",

@@ -24,6 +24,7 @@ use crate::actuator::FanDuty;
 use crate::control_array::Policy;
 use crate::controller::{ControllerConfig, Decision, DecisionLevel};
 use crate::fan_control::DynamicFanController;
+use crate::tdvfs::MAX_ROUND_LEN;
 
 /// Feedforward predictor tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,6 +59,7 @@ impl FeedforwardConfig {
         if self.samples_per_round < 1 {
             return Err(ConfigError::new("need at least one sample per round"));
         }
+        ConfigError::at_most("samples_per_round", self.samples_per_round, MAX_ROUND_LEN)?;
         if self.gain_c_per_util < 0.0 {
             return Err(ConfigError::new("gain must be non-negative"));
         }
@@ -278,6 +280,12 @@ mod tests {
         for _ in 0..8 {
             assert!(ctl.observe(45.0, 1.0).is_none());
         }
+    }
+
+    #[test]
+    fn a_round_above_the_cap_is_a_named_error() {
+        let cfg = FeedforwardConfig { samples_per_round: MAX_ROUND_LEN + 1, ..Default::default() };
+        assert!(cfg.validate().unwrap_err().message().starts_with("samples_per_round must be"));
     }
 
     #[test]

@@ -26,6 +26,10 @@ use crate::actuator::FreqMhz;
 use crate::control_array::{Policy, ThermalControlArray};
 use crate::controller::ControllerConfig;
 
+/// The most samples per round and confirmation rounds a [`TdvfsConfig`]
+/// may ask for (the paper's are 4 and 8).
+pub const MAX_ROUND_LEN: usize = 4_096;
+
 /// tDVFS daemon parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TdvfsConfig {
@@ -90,6 +94,8 @@ impl TdvfsConfig {
         if self.consecutive_rounds < 1 {
             return Err(ConfigError::new("need at least one confirmation round"));
         }
+        ConfigError::at_most("samples_per_round", self.samples_per_round, MAX_ROUND_LEN)?;
+        ConfigError::at_most("consecutive_rounds", self.consecutive_rounds, MAX_ROUND_LEN)?;
         if self.hysteresis_c < 0.0 {
             return Err(ConfigError::new("hysteresis must be non-negative"));
         }
@@ -477,6 +483,20 @@ mod tests {
             "expected a handful of transitions, got {total}: {events:?}"
         );
         assert_eq!(d.current_frequency_mhz(), 2400, "restored by the end");
+    }
+
+    #[test]
+    fn sizes_above_the_cap_are_named_errors() {
+        let cfg = TdvfsConfig { samples_per_round: MAX_ROUND_LEN + 1, ..Default::default() };
+        assert!(cfg.validate().unwrap_err().message().starts_with("samples_per_round must be"));
+        let cfg = TdvfsConfig { consecutive_rounds: 1 << 32, ..Default::default() };
+        assert!(cfg.validate().unwrap_err().message().starts_with("consecutive_rounds must be"));
+        let controller = ControllerConfig {
+            array_len: crate::controller::MAX_ARRAY_LEN + 1,
+            ..Default::default()
+        };
+        let cfg = TdvfsConfig { controller, ..Default::default() };
+        assert!(cfg.validate().unwrap_err().message().starts_with("array_len must be"));
     }
 
     #[test]

@@ -20,6 +20,10 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// The longest level-one array or level-two FIFO a [`WindowConfig`] may
+/// ask for (the paper's are 4 and 5 entries).
+pub const MAX_WINDOW_LEN: usize = 4_096;
+
 /// Window geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowConfig {
@@ -56,7 +60,8 @@ impl WindowConfig {
                 "level-two window needs at least 2 entries",
             ));
         }
-        Ok(())
+        crate::config::ConfigError::at_most("l1_len", self.l1_len, MAX_WINDOW_LEN)?;
+        crate::config::ConfigError::at_most("l2_len", self.l2_len, MAX_WINDOW_LEN)
     }
 }
 
@@ -232,6 +237,16 @@ mod tests {
         // halves: sum(0..4)=6, sum(4..8)=22 ⇒ Δ=16.
         assert_eq!(u[0].l1_delta, 16.0);
         assert_eq!(u[0].l1_average, 3.5);
+    }
+
+    #[test]
+    fn lengths_above_the_cap_are_named_errors() {
+        let at_cap = WindowConfig { l1_len: MAX_WINDOW_LEN, l2_len: MAX_WINDOW_LEN };
+        assert_eq!(at_cap.validate(), Ok(()));
+        let l1 = WindowConfig { l1_len: 1 << 32, l2_len: 5 }.validate().unwrap_err();
+        assert!(l1.message().starts_with("l1_len must be at most"), "{l1}");
+        let l2 = WindowConfig { l1_len: 4, l2_len: MAX_WINDOW_LEN + 1 }.validate().unwrap_err();
+        assert!(l2.message().starts_with("l2_len must be at most"), "{l2}");
     }
 
     #[test]

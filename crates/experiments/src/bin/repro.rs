@@ -51,37 +51,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use unitherm_cluster::chaos::{chaos_search, report_digest, ChaosConfig, OutcomePredicate};
-use unitherm_experiments::{
-    ablations, fig1, fig10, fig2, fig5, fig6, fig7, fig8, fig9, rack, scaling, scenario_file,
-    straggler, table1, Experiment, Scale,
-};
+use unitherm_experiments::{scenario_file, Scale, EXPERIMENTS};
 use unitherm_obs::{Event, EventRecord, EventSink};
-
-const ALL: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "table1",
-    "ablate-window",
-    "ablate-l1size",
-    "ablate-fill",
-    "ablate-hybrid",
-    "ablate-hysteresis",
-    "feedforward",
-    "rack",
-    "straggler",
-    "scaling",
-];
 
 fn usage() -> String {
     format!(
         "usage: repro <experiment> [--fast] [--csv DIR]\n       repro run-scenario <file.json> [--journal OUT] [--journal-format jsonl|bjl] [--replay-faults IN.jsonl|IN.bjl|CORPUS.json] [--digest]\n       repro journal convert <IN> <OUT> [--dt S]\n       repro chaos-search <file.json> [--out CORPUS.json] [--seed N] [--budget N] [--batch N] [--threads N] [--predicate failsafe-trip|thermal-limit:<C>|shutdown|completion-miss|sla-miss:<S>]\n       experiments: {} all",
-        ALL.join(" ")
+        EXPERIMENTS.iter().map(|(id, _)| *id).collect::<Vec<_>>().join(" ")
     )
 }
 
@@ -270,30 +246,6 @@ fn chaos_search_mode(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_one(id: &str, scale: Scale) -> Option<Box<dyn Experiment>> {
-    match id {
-        "fig1" => Some(Box::new(fig1::run(scale))),
-        "fig2" => Some(Box::new(fig2::run(scale))),
-        "fig5" => Some(Box::new(fig5::run(scale))),
-        "fig6" => Some(Box::new(fig6::run(scale))),
-        "fig7" => Some(Box::new(fig7::run(scale))),
-        "fig8" => Some(Box::new(fig8::run(scale))),
-        "fig9" => Some(Box::new(fig9::run(scale))),
-        "fig10" => Some(Box::new(fig10::run(scale))),
-        "table1" => Some(Box::new(table1::run(scale))),
-        "ablate-window" => Some(Box::new(ablations::window_levels(scale))),
-        "ablate-l1size" => Some(Box::new(ablations::l1_size(scale))),
-        "ablate-fill" => Some(Box::new(ablations::fill_rule(scale))),
-        "ablate-hybrid" => Some(Box::new(ablations::hybrid_isolation(scale))),
-        "ablate-hysteresis" => Some(Box::new(ablations::tdvfs_hysteresis(scale))),
-        "feedforward" => Some(Box::new(ablations::feedforward(scale))),
-        "rack" => Some(Box::new(rack::run(scale))),
-        "straggler" => Some(Box::new(straggler::run(scale))),
-        "scaling" => Some(Box::new(scaling::run(scale))),
-        _ => None,
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `chaos-search <file>` is its own mode.
@@ -467,19 +419,19 @@ fn main() -> ExitCode {
         }
     };
     let scale = Scale::from_fast_flag(fast);
-    let ids: Vec<&str> = if target == "all" {
-        ALL.to_vec()
-    } else if let Some(&id) = ALL.iter().find(|&&s| s == target) {
-        vec![id]
+    let runs = if target == "all" {
+        EXPERIMENTS
+    } else if let Some(i) = EXPERIMENTS.iter().position(|(id, _)| *id == target) {
+        &EXPERIMENTS[i..=i]
     } else {
         eprintln!("unknown experiment {target:?}\n{}", usage());
         return ExitCode::FAILURE;
     };
 
     let mut failures = 0usize;
-    for id in ids {
+    for &(id, run) in runs {
         eprintln!("== running {id} ({scale:?}) ==");
-        let result = run_one(id, scale).expect("id validated against ALL");
+        let result = run(scale);
         println!("{}", result.render());
         if let Some(dir) = &csv_dir {
             match result.write_csv(dir) {

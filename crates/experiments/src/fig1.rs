@@ -10,7 +10,7 @@ use std::path::Path;
 
 use unitherm_core::baseline::StaticFanCurve;
 use unitherm_metrics::{AsciiPlot, CsvWriter, TimeSeries};
-use unitherm_simnode::adt7467::Adt7467;
+use unitherm_simnode::{Node, NodeConfig};
 
 use crate::{Experiment, Scale};
 
@@ -30,7 +30,9 @@ pub struct Fig1Result {
 /// Regenerates Figure 1 (scale-independent; the sweep is analytic).
 pub fn run(_scale: Scale) -> Fig1Result {
     let curve = StaticFanCurve::default();
-    let mut chip = Adt7467::new();
+    let mut node = Node::new(NodeConfig::default(), 0);
+    let mut plant = node.view();
+    let mut chip = plant.chip();
     let temps_c: Vec<f64> = (200..=1000).map(|t| f64::from(t) / 10.0).collect();
     let software_duty = temps_c.iter().map(|&t| curve.duty_for(t)).collect();
     let chip_duty = temps_c

@@ -50,3 +50,28 @@ pub trait Experiment {
     /// Writes raw traces as CSV under `dir`.
     fn write_csv(&self, dir: &std::path::Path) -> std::io::Result<()>;
 }
+
+/// Runs one experiment at a scale.
+pub type Runner = fn(Scale) -> Box<dyn Experiment>;
+
+/// Every experiment, by id, in the order `repro all` runs them.
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("fig1", |s| Box::new(fig1::run(s))),
+    ("fig2", |s| Box::new(fig2::run(s))),
+    ("fig5", |s| Box::new(fig5::run(s))),
+    ("fig6", |s| Box::new(fig6::run(s))),
+    ("fig7", |s| Box::new(fig7::run(s))),
+    ("fig8", |s| Box::new(fig8::run(s))),
+    ("fig9", |s| Box::new(fig9::run(s))),
+    ("fig10", |s| Box::new(fig10::run(s))),
+    ("table1", |s| Box::new(table1::run(s))),
+    ("ablate-window", |s| Box::new(ablations::window_levels(s))),
+    ("ablate-l1size", |s| Box::new(ablations::l1_size(s))),
+    ("ablate-fill", |s| Box::new(ablations::fill_rule(s))),
+    ("ablate-hybrid", |s| Box::new(ablations::hybrid_isolation(s))),
+    ("ablate-hysteresis", |s| Box::new(ablations::tdvfs_hysteresis(s))),
+    ("feedforward", |s| Box::new(ablations::feedforward(s))),
+    ("rack", |s| Box::new(rack::run(s))),
+    ("straggler", |s| Box::new(straggler::run(s))),
+    ("scaling", |s| Box::new(scaling::run(s))),
+];

@@ -6,15 +6,15 @@
 //! needs — writing the ADT7467's `PWM_MAX` cap for chip-automatic schemes,
 //! probing the manual-mode fan driver for software-controlled ones, and
 //! binding the cpufreq driver when the scheme scales frequency — and then
-//! [`PlatformActuators`] adapts `(Node, PlatformBinding)` to the
-//! hardware-agnostic [`Actuators`] trait so core daemons never see driver
-//! types.
+//! [`PlatformActuators`] adapts a node's [`NodeView`] and its binding to
+//! the hardware-agnostic [`Actuators`] trait so core daemons never see
+//! driver types.
 
 use unitherm_core::acpi::SleepState;
 use unitherm_core::actuator::{FanDuty, FreqMhz};
 use unitherm_core::control_plane::{Actuators, FanBinding, SchemeSpec};
 use unitherm_simnode::adt7467::regs;
-use unitherm_simnode::node::{Node, ADT7467_ADDR};
+use unitherm_simnode::node::{NodeView, ADT7467_ADDR};
 use unitherm_simnode::units::DutyCycle;
 
 use crate::cpufreq::CpufreqDriver;
@@ -38,7 +38,7 @@ impl PlatformBinding {
     /// wants it (a request then reports whether it changed the operating
     /// point). Without it, frequency requests go straight to the node: a
     /// direct request is "accepted" even when it is a no-op.
-    pub fn probe(node: &mut Node, spec: &SchemeSpec) -> Result<Self, HwmonError> {
+    pub fn probe(node: &mut NodeView<'_>, spec: &SchemeSpec) -> Result<Self, HwmonError> {
         let fan_driver = match spec.fan_binding() {
             FanBinding::ChipAuto { cap } => {
                 // Cap the automatic curve in hardware; the chip keeps
@@ -56,7 +56,7 @@ impl PlatformBinding {
 
     /// The node's frequency ladder in descending MHz (the
     /// [`unitherm_core::control_plane::BuildContext`] input).
-    pub fn available_mhz(node: &Node) -> Vec<FreqMhz> {
+    pub fn available_mhz(node: &NodeView<'_>) -> Vec<FreqMhz> {
         node.available_frequencies_khz().iter().map(|khz| khz / 1000).collect()
     }
 
@@ -71,7 +71,7 @@ impl PlatformBinding {
 #[derive(Debug)]
 pub struct PlatformActuators<'a> {
     /// The node being actuated.
-    pub node: &'a mut Node,
+    pub node: NodeView<'a>,
     /// The probed hardware seams.
     pub binding: &'a mut PlatformBinding,
 }
@@ -79,7 +79,7 @@ pub struct PlatformActuators<'a> {
 impl Actuators for PlatformActuators<'_> {
     fn set_fan_duty(&mut self, duty: FanDuty) -> bool {
         match self.binding.fan_driver.as_mut() {
-            Some(drv) => drv.set_duty(self.node, duty).is_ok(),
+            Some(drv) => drv.set_duty(&mut self.node, duty).is_ok(),
             None => false,
         }
     }
@@ -88,7 +88,7 @@ impl Actuators for PlatformActuators<'_> {
         self.binding
             .fan_driver
             .as_ref()
-            .map_or_else(|| self.node.state().fan_duty.percent(), FanDriver::last_commanded)
+            .map_or_else(|| self.node.fan_duty().percent(), FanDriver::last_commanded)
     }
 
     fn restore_fan_auto(&mut self) -> bool {
@@ -99,7 +99,7 @@ impl Actuators for PlatformActuators<'_> {
         match self.binding.cpufreq {
             // Through cpufreq: true means the request *changed* the state
             // (and was counted as a transition).
-            Some(drv) => drv.set_mhz(self.node, mhz).unwrap_or(false),
+            Some(drv) => drv.set_mhz(&mut self.node, mhz).unwrap_or(false),
             // Direct: true means the request was *accepted*, no-op or not.
             None => self.node.set_frequency_khz(mhz * 1000).is_ok(),
         }
@@ -119,14 +119,14 @@ impl Actuators for PlatformActuators<'_> {
             Some(drv) => {
                 // The driver clamps to its max-allowed duty: a capped fan
                 // can only be forced to its cap.
-                let _ = drv.set_duty(self.node, 100);
+                let _ = drv.set_duty(&mut self.node, 100);
                 drv.last_commanded()
             }
             None => {
                 // Chip-automatic scheme: seize the channel and floor it.
                 let _ = self.node.smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1);
                 let _ = self.node.smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, 0xFF);
-                self.node.state().fan_duty.percent()
+                self.node.fan_duty().percent()
             }
         };
         let lowest = *self.node.available_frequencies_khz().last().expect("non-empty ladder");
@@ -145,6 +145,7 @@ mod tests {
     use super::*;
     use unitherm_core::control_array::Policy;
     use unitherm_core::control_plane::{DvfsScheme, FanScheme};
+    use unitherm_simnode::node::Node;
     use unitherm_simnode::NodeConfig;
 
     fn node() -> Node {
@@ -155,15 +156,16 @@ mod tests {
     fn chip_auto_scheme_probes_without_a_driver() {
         let mut n = node();
         let spec = SchemeSpec::split(FanScheme::ChipAutomatic { max_duty: 60 }, DvfsScheme::None);
-        let binding = PlatformBinding::probe(&mut n, &spec).unwrap();
+        let binding = PlatformBinding::probe(&mut n.view(), &spec).unwrap();
         assert!(binding.fan_driver().is_none());
         assert!(binding.cpufreq.is_none());
         // The hardware cap was written: even a hot die cannot exceed 60 %.
-        n.set_utilization(1.0);
+        n.view().set_utilization(1.0);
         for _ in 0..4000 {
             n.tick(0.05);
         }
-        assert!(n.state().fan_duty.percent() <= 60, "{}", n.state().fan_duty.percent());
+        let duty = n.view().fan_duty().percent();
+        assert!(duty <= 60, "{duty}");
     }
 
     #[test]
@@ -171,11 +173,11 @@ mod tests {
         let mut n = node();
         let spec =
             SchemeSpec::split(FanScheme::dynamic(Policy::MODERATE, 80), DvfsScheme::cpuspeed());
-        let mut binding = PlatformBinding::probe(&mut n, &spec).unwrap();
+        let mut binding = PlatformBinding::probe(&mut n.view(), &spec).unwrap();
         assert!(binding.fan_driver().is_some());
         assert!(binding.cpufreq.is_some());
         // The driver clamps to the scheme's cap.
-        let mut act = PlatformActuators { node: &mut n, binding: &mut binding };
+        let mut act = PlatformActuators { node: n.view(), binding: &mut binding };
         assert_eq!(act.force_max_cooling().0, 80);
     }
 
@@ -183,9 +185,9 @@ mod tests {
     fn actuators_route_through_the_binding() {
         let mut n = node();
         let spec = SchemeSpec::split(FanScheme::dynamic(Policy::MODERATE, 50), DvfsScheme::None);
-        let mut binding = PlatformBinding::probe(&mut n, &spec).unwrap();
+        let mut binding = PlatformBinding::probe(&mut n.view(), &spec).unwrap();
         {
-            let mut act = PlatformActuators { node: &mut n, binding: &mut binding };
+            let mut act = PlatformActuators { node: n.view(), binding: &mut binding };
             assert!(act.set_fan_duty(40));
             assert_eq!(act.last_commanded_duty(), 40);
             // Driver clamp: forcing max cooling on a 50 %-capped driver
@@ -197,23 +199,23 @@ mod tests {
             assert!(act.set_frequency_mhz(1000));
             assert!(act.restore_max_frequency());
         }
-        assert_eq!(n.requested_frequency_khz(), 2_400_000);
+        assert_eq!(n.view().requested_frequency_khz(), 2_400_000);
     }
 
     #[test]
     fn sleep_state_actuation_gates_the_cpu() {
         let mut n = node();
         let spec = SchemeSpec::acpi_sleep(Policy::MODERATE, FanScheme::Constant { duty: 40 });
-        let mut binding = PlatformBinding::probe(&mut n, &spec).unwrap();
+        let mut binding = PlatformBinding::probe(&mut n.view(), &spec).unwrap();
         {
-            let mut act = PlatformActuators { node: &mut n, binding: &mut binding };
+            let mut act = PlatformActuators { node: n.view(), binding: &mut binding };
             assert!(act.set_sleep_state(SleepState::C2));
         }
-        assert!((n.cpu().sleep_gate() - SleepState::C2.power_fraction()).abs() < 1e-12);
+        assert!((n.view().sleep_gate() - SleepState::C2.power_fraction()).abs() < 1e-12);
         {
-            let mut act = PlatformActuators { node: &mut n, binding: &mut binding };
+            let mut act = PlatformActuators { node: n.view(), binding: &mut binding };
             assert!(act.set_sleep_state(SleepState::C0));
         }
-        assert_eq!(n.cpu().sleep_gate(), 1.0);
+        assert_eq!(n.view().sleep_gate(), 1.0);
     }
 }

@@ -13,7 +13,7 @@
 
 use unitherm_core::actuator::FanDuty;
 use unitherm_simnode::adt7467::{regs, DEVICE_ID};
-use unitherm_simnode::node::Node;
+use unitherm_simnode::node::NodeView;
 use unitherm_simnode::units::DutyCycle;
 
 use crate::error::HwmonError;
@@ -30,7 +30,11 @@ impl FanDriver {
     /// Probes the chip at `addr`, verifies its device ID, caps the channel
     /// at `max_duty` and switches it to manual mode at the minimum running
     /// duty.
-    pub fn probe_at(node: &mut Node, addr: u8, max_duty: FanDuty) -> Result<Self, HwmonError> {
+    pub fn probe_at(
+        node: &mut NodeView<'_>,
+        addr: u8,
+        max_duty: FanDuty,
+    ) -> Result<Self, HwmonError> {
         let id = node.smbus_read(addr, regs::DEVICE_ID)?;
         if id != DEVICE_ID {
             return Err(HwmonError::ProbeFailed {
@@ -54,7 +58,7 @@ impl FanDriver {
     }
 
     /// Commands a duty cycle, clamped to `[1, max_duty]`.
-    pub fn set_duty(&mut self, node: &mut Node, duty: FanDuty) -> Result<(), HwmonError> {
+    pub fn set_duty(&mut self, node: &mut NodeView<'_>, duty: FanDuty) -> Result<(), HwmonError> {
         let duty = duty.clamp(1, self.max_duty);
         node.smbus_write(self.addr, regs::PWM_CURRENT, DutyCycle::new(duty).to_register())?;
         self.last_commanded = duty;
@@ -65,7 +69,7 @@ impl FanDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unitherm_simnode::node::ADT7467_ADDR;
+    use unitherm_simnode::node::{Node, ADT7467_ADDR};
     use unitherm_simnode::NodeConfig;
 
     fn node() -> Node {
@@ -73,12 +77,13 @@ mod tests {
     }
 
     fn probe(n: &mut Node) -> FanDriver {
-        FanDriver::probe_at(n, ADT7467_ADDR, 100).expect("probe")
+        FanDriver::probe_at(&mut n.view(), ADT7467_ADDR, 100).expect("probe")
     }
 
     /// The duty currently programmed in the chip.
     fn chip_duty(n: &mut Node) -> FanDuty {
-        DutyCycle::from_register(n.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT).unwrap()).percent()
+        DutyCycle::from_register(n.view().smbus_read(ADT7467_ADDR, regs::PWM_CURRENT).unwrap())
+            .percent()
     }
 
     #[test]
@@ -88,13 +93,13 @@ mod tests {
         assert_eq!(d.max_duty, 100);
         assert_eq!(d.last_commanded(), 1);
         // Chip is now in manual mode.
-        assert_eq!(n.smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap(), 1);
+        assert_eq!(n.view().smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap(), 1);
     }
 
     #[test]
     fn probe_fails_on_missing_device() {
         let mut n = node();
-        let err = FanDriver::probe_at(&mut n, 0x10, 100).unwrap_err();
+        let err = FanDriver::probe_at(&mut n.view(), 0x10, 100).unwrap_err();
         assert!(matches!(err, HwmonError::I2c(_)), "{err}");
     }
 
@@ -103,7 +108,7 @@ mod tests {
         let mut n = node();
         let mut d = probe(&mut n);
         for duty in [1u8, 25, 50, 75, 100] {
-            d.set_duty(&mut n, duty).unwrap();
+            d.set_duty(&mut n.view(), duty).unwrap();
             assert_eq!(chip_duty(&mut n), duty);
             assert_eq!(d.last_commanded(), duty);
         }
@@ -112,8 +117,8 @@ mod tests {
     #[test]
     fn duty_clamps_to_max() {
         let mut n = node();
-        let mut d = FanDriver::probe_at(&mut n, ADT7467_ADDR, 25).unwrap();
-        d.set_duty(&mut n, 80).unwrap();
+        let mut d = FanDriver::probe_at(&mut n.view(), ADT7467_ADDR, 25).unwrap();
+        d.set_duty(&mut n.view(), 80).unwrap();
         assert_eq!(d.last_commanded(), 25);
         assert_eq!(chip_duty(&mut n), 25);
     }
@@ -122,7 +127,7 @@ mod tests {
     fn zero_duty_clamps_to_one() {
         let mut n = node();
         let mut d = probe(&mut n);
-        d.set_duty(&mut n, 0).unwrap();
+        d.set_duty(&mut n.view(), 0).unwrap();
         assert_eq!(d.last_commanded(), 1);
     }
 
@@ -130,21 +135,21 @@ mod tests {
     fn driver_actually_moves_the_fan() {
         let mut n = node();
         let mut d = probe(&mut n);
-        d.set_duty(&mut n, 80).unwrap();
+        d.set_duty(&mut n.view(), 80).unwrap();
         for _ in 0..200 {
             n.tick(0.05);
         }
-        let rpm = n.state().fan_rpm;
+        let rpm = n.view().state().fan_rpm;
         assert!((rpm - 0.8 * 4300.0).abs() < 60.0, "rpm {rpm}");
     }
 
     #[test]
     fn max_duty_clamped_to_valid_range() {
         let mut n = node();
-        let d = FanDriver::probe_at(&mut n, ADT7467_ADDR, 0).unwrap();
+        let d = FanDriver::probe_at(&mut n.view(), ADT7467_ADDR, 0).unwrap();
         assert_eq!(d.max_duty, 1);
         let mut n2 = node();
-        let d2 = FanDriver::probe_at(&mut n2, ADT7467_ADDR, 255).unwrap();
+        let d2 = FanDriver::probe_at(&mut n2.view(), ADT7467_ADDR, 255).unwrap();
         assert_eq!(d2.max_duty, 100);
     }
 }

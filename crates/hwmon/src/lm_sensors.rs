@@ -5,7 +5,7 @@
 //! with the same conventions: millidegree integer readings and a cached
 //! last good value for transient dropouts.
 
-use unitherm_simnode::node::Node;
+use unitherm_simnode::node::NodeView;
 use unitherm_simnode::units::MilliCelsius;
 
 use crate::error::HwmonError;
@@ -23,7 +23,7 @@ impl LmSensors {
     }
 
     /// Reads the CPU temperature in millidegrees.
-    pub fn read_millic(&mut self, node: &mut Node) -> Result<MilliCelsius, HwmonError> {
+    pub fn read_millic(&mut self, node: &mut NodeView<'_>) -> Result<MilliCelsius, HwmonError> {
         let m = node.read_sensor()?;
         self.last_good = Some(m);
         Ok(m)
@@ -33,7 +33,7 @@ impl LmSensors {
     /// the aggregation thermal control should act on for multi-core parts
     /// (protecting the hottest core protects them all). Fails only when no
     /// sensor responds.
-    pub fn read_hottest_celsius(&mut self, node: &mut Node) -> Result<f64, HwmonError> {
+    pub fn read_hottest_celsius(&mut self, node: &mut NodeView<'_>) -> Result<f64, HwmonError> {
         let m = node.read_hottest_sensor()?;
         self.last_good = Some(m);
         Ok(m.to_celsius())
@@ -49,14 +49,19 @@ impl LmSensors {
 mod tests {
     use super::*;
     use unitherm_simnode::faults::{FaultEvent, FaultPlan};
+    use unitherm_simnode::node::Node;
     use unitherm_simnode::NodeConfig;
 
     #[test]
     fn reads_track_die_temperature() {
         let mut node = Node::new(NodeConfig::default(), 17);
         let mut lm = LmSensors::new();
-        let t = lm.read_hottest_celsius(&mut node).unwrap();
-        assert!((t - node.die_temp_c()).abs() < 2.5, "reading {t} vs die {}", node.die_temp_c());
+        let t = lm.read_hottest_celsius(&mut node.view()).unwrap();
+        assert!(
+            (t - node.view().die_temp_c()).abs() < 2.5,
+            "reading {t} vs die {}",
+            node.view().die_temp_c()
+        );
         assert_eq!(lm.last_good(), Some(MilliCelsius::from_celsius(t)));
     }
 
@@ -64,7 +69,7 @@ mod tests {
     fn millic_units_are_integers_of_quantized_celsius() {
         let mut node = Node::new(NodeConfig::default(), 17);
         let mut lm = LmSensors::new();
-        let m = lm.read_millic(&mut node).unwrap();
+        let m = lm.read_millic(&mut node.view()).unwrap();
         // 0.25 °C quantization ⇒ millidegrees divisible by 250.
         assert_eq!(m.0 % 250, 0, "reading {m}");
     }
@@ -74,11 +79,11 @@ mod tests {
         let faults = FaultPlan::none().at(1.0, FaultEvent::SensorDropout);
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         let mut lm = LmSensors::new();
-        let before = lm.read_hottest_celsius(&mut node).unwrap();
+        let before = lm.read_hottest_celsius(&mut node.view()).unwrap();
         for _ in 0..40 {
             node.tick(0.05);
         }
-        assert!(lm.read_hottest_celsius(&mut node).is_err(), "sensor is dark");
+        assert!(lm.read_hottest_celsius(&mut node.view()).is_err(), "sensor is dark");
         assert_eq!(lm.last_good(), Some(MilliCelsius::from_celsius(before)));
     }
 
@@ -88,7 +93,7 @@ mod tests {
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         node.tick(0.05);
         let mut lm = LmSensors::new();
-        assert!(lm.read_hottest_celsius(&mut node).is_err());
+        assert!(lm.read_hottest_celsius(&mut node.view()).is_err());
         assert_eq!(lm.last_good(), None);
     }
 }

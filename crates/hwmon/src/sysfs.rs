@@ -17,7 +17,7 @@
 //! classic source of driver bugs; the tests here pin each one.
 
 use unitherm_simnode::adt7467::regs;
-use unitherm_simnode::node::{Node, ADT7467_ADDR};
+use unitherm_simnode::node::{NodeView, ADT7467_ADDR};
 use unitherm_simnode::units::DutyCycle;
 
 use crate::error::HwmonError;
@@ -36,7 +36,7 @@ impl SysfsTree {
     }
 
     /// Reads an attribute as its string representation.
-    pub fn read(&mut self, node: &mut Node, path: &str) -> Result<String, HwmonError> {
+    pub fn read(&mut self, node: &mut NodeView<'_>, path: &str) -> Result<String, HwmonError> {
         // `hwmon0/tempN_input` for N ≥ 2 maps to per-core sensors on
         // multi-sensor parts (temp1 stays the primary path below).
         if let Some(rest) = path.strip_prefix("hwmon0/temp") {
@@ -79,7 +79,12 @@ impl SysfsTree {
     }
 
     /// Writes an attribute from its string representation.
-    pub fn write(&mut self, node: &mut Node, path: &str, value: &str) -> Result<(), HwmonError> {
+    pub fn write(
+        &mut self,
+        node: &mut NodeView<'_>,
+        path: &str,
+        value: &str,
+    ) -> Result<(), HwmonError> {
         let value = value.trim();
         match path {
             "hwmon0/pwm1" => {
@@ -139,6 +144,7 @@ impl SysfsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unitherm_simnode::node::Node;
     use unitherm_simnode::NodeConfig;
 
     fn setup() -> (Node, SysfsTree) {
@@ -148,57 +154,64 @@ mod tests {
     #[test]
     fn temp1_input_is_millidegrees() {
         let (mut n, mut t) = setup();
-        let v: i64 = t.read(&mut n, "hwmon0/temp1_input").unwrap().parse().unwrap();
-        let die = n.die_temp_c();
+        let v: i64 = t.read(&mut n.view(), "hwmon0/temp1_input").unwrap().parse().unwrap();
+        let die = n.view().die_temp_c();
         assert!((v as f64 / 1000.0 - die).abs() < 2.5, "{v} m°C vs die {die}");
     }
 
     #[test]
     fn pwm1_roundtrip_in_register_units() {
         let (mut n, mut t) = setup();
-        t.write(&mut n, "hwmon0/pwm1_enable", "1").unwrap();
-        t.write(&mut n, "hwmon0/pwm1", "128").unwrap();
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1").unwrap(), "128");
+        t.write(&mut n.view(), "hwmon0/pwm1_enable", "1").unwrap();
+        t.write(&mut n.view(), "hwmon0/pwm1", "128").unwrap();
+        assert_eq!(t.read(&mut n.view(), "hwmon0/pwm1").unwrap(), "128");
         assert_eq!(DutyCycle::from_register(128).percent(), 50);
     }
 
     #[test]
     fn pwm1_enable_uses_linux_convention() {
         let (mut n, mut t) = setup();
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1_enable").unwrap(), "2", "chip boots automatic");
-        t.write(&mut n, "hwmon0/pwm1_enable", "1").unwrap();
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1_enable").unwrap(), "1");
-        t.write(&mut n, "hwmon0/pwm1_enable", "2").unwrap();
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1_enable").unwrap(), "2");
+        assert_eq!(
+            t.read(&mut n.view(), "hwmon0/pwm1_enable").unwrap(),
+            "2",
+            "chip boots automatic"
+        );
+        t.write(&mut n.view(), "hwmon0/pwm1_enable", "1").unwrap();
+        assert_eq!(t.read(&mut n.view(), "hwmon0/pwm1_enable").unwrap(), "1");
+        t.write(&mut n.view(), "hwmon0/pwm1_enable", "2").unwrap();
+        assert_eq!(t.read(&mut n.view(), "hwmon0/pwm1_enable").unwrap(), "2");
     }
 
     #[test]
     fn scaling_setspeed_takes_khz() {
         let (mut n, mut t) = setup();
-        t.write(&mut n, "cpufreq/scaling_setspeed", "2000000").unwrap();
-        assert_eq!(t.read(&mut n, "cpufreq/scaling_cur_freq").unwrap(), "2000000");
-        assert_eq!(n.requested_frequency_khz(), 2_000_000);
+        t.write(&mut n.view(), "cpufreq/scaling_setspeed", "2000000").unwrap();
+        assert_eq!(t.read(&mut n.view(), "cpufreq/scaling_cur_freq").unwrap(), "2000000");
+        assert_eq!(n.view().requested_frequency_khz(), 2_000_000);
     }
 
     #[test]
     fn available_frequencies_listed_in_khz() {
         let (mut n, mut t) = setup();
-        let s = t.read(&mut n, "cpufreq/scaling_available_frequencies").unwrap();
+        let s = t.read(&mut n.view(), "cpufreq/scaling_available_frequencies").unwrap();
         assert_eq!(s, "2400000 2200000 2000000 1800000 1000000");
     }
 
     #[test]
     fn fan1_input_reports_rpm() {
         let (mut n, mut t) = setup();
-        let rpm: f64 = t.read(&mut n, "hwmon0/fan1_input").unwrap().parse().unwrap();
-        assert!((rpm - n.state().fan_rpm).abs() < 1.0);
+        let rpm: f64 = t.read(&mut n.view(), "hwmon0/fan1_input").unwrap().parse().unwrap();
+        assert!((rpm - n.view().state().fan_rpm).abs() < 1.0);
     }
 
     #[test]
     fn read_only_attributes_reject_writes() {
         let (mut n, mut t) = setup();
         for p in ["hwmon0/temp1_input", "hwmon0/fan1_input", "cpufreq/scaling_cur_freq"] {
-            assert!(matches!(t.write(&mut n, p, "1"), Err(HwmonError::ReadOnlyAttribute { .. })));
+            assert!(matches!(
+                t.write(&mut n.view(), p, "1"),
+                Err(HwmonError::ReadOnlyAttribute { .. })
+            ));
         }
     }
 
@@ -206,11 +219,11 @@ mod tests {
     fn unknown_path_rejected() {
         let (mut n, mut t) = setup();
         assert!(matches!(
-            t.read(&mut n, "hwmon0/nonsense"),
+            t.read(&mut n.view(), "hwmon0/nonsense"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
         assert!(matches!(
-            t.write(&mut n, "hwmon0/nonsense", "1"),
+            t.write(&mut n.view(), "hwmon0/nonsense", "1"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
     }
@@ -219,20 +232,20 @@ mod tests {
     fn bad_values_rejected() {
         let (mut n, mut t) = setup();
         assert!(matches!(
-            t.write(&mut n, "hwmon0/pwm1", "not-a-number"),
+            t.write(&mut n.view(), "hwmon0/pwm1", "not-a-number"),
             Err(HwmonError::InvalidValue { .. })
         ));
         assert!(matches!(
-            t.write(&mut n, "hwmon0/pwm1_enable", "7"),
+            t.write(&mut n.view(), "hwmon0/pwm1_enable", "7"),
             Err(HwmonError::InvalidValue { .. })
         ));
         assert!(matches!(
-            t.write(&mut n, "cpufreq/scaling_setspeed", "fast"),
+            t.write(&mut n.view(), "cpufreq/scaling_setspeed", "fast"),
             Err(HwmonError::InvalidValue { .. })
         ));
         // Valid number, invalid frequency.
         assert!(matches!(
-            t.write(&mut n, "cpufreq/scaling_setspeed", "1234567"),
+            t.write(&mut n.view(), "cpufreq/scaling_setspeed", "1234567"),
             Err(HwmonError::Frequency(_))
         ));
     }
@@ -240,17 +253,17 @@ mod tests {
     #[test]
     fn whitespace_in_writes_tolerated() {
         let (mut n, mut t) = setup();
-        t.write(&mut n, "cpufreq/scaling_setspeed", " 1800000\n").unwrap();
-        assert_eq!(n.requested_frequency_khz(), 1_800_000);
+        t.write(&mut n.view(), "cpufreq/scaling_setspeed", " 1800000\n").unwrap();
+        assert_eq!(n.view().requested_frequency_khz(), 1_800_000);
     }
 
     #[test]
     fn pwm1_enable_zero_means_full_speed() {
         let (mut n, mut t) = setup();
-        t.write(&mut n, "hwmon0/pwm1_enable", "0").unwrap();
+        t.write(&mut n.view(), "hwmon0/pwm1_enable", "0").unwrap();
         // Linux "0" = full speed: manual mode at maximum duty.
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1_enable").unwrap(), "1");
-        assert_eq!(t.read(&mut n, "hwmon0/pwm1").unwrap(), "255");
+        assert_eq!(t.read(&mut n.view(), "hwmon0/pwm1_enable").unwrap(), "1");
+        assert_eq!(t.read(&mut n.view(), "hwmon0/pwm1").unwrap(), "255");
     }
 
     #[test]
@@ -261,21 +274,21 @@ mod tests {
         let mut n = Node::new(cfg, 31);
         let mut t = SysfsTree::new();
         // temp1..temp3 all readable, monotone in the per-core offsets.
-        let v1: i64 = t.read(&mut n, "hwmon0/temp1_input").unwrap().parse().unwrap();
-        let v2: i64 = t.read(&mut n, "hwmon0/temp2_input").unwrap().parse().unwrap();
-        let v3: i64 = t.read(&mut n, "hwmon0/temp3_input").unwrap().parse().unwrap();
+        let v1: i64 = t.read(&mut n.view(), "hwmon0/temp1_input").unwrap().parse().unwrap();
+        let v2: i64 = t.read(&mut n.view(), "hwmon0/temp2_input").unwrap().parse().unwrap();
+        let v3: i64 = t.read(&mut n.view(), "hwmon0/temp3_input").unwrap().parse().unwrap();
         assert!(v1 < v2 && v2 < v3, "per-core offsets: {v1} {v2} {v3}");
         // Out-of-range and malformed indices rejected.
         assert!(matches!(
-            t.read(&mut n, "hwmon0/temp4_input"),
+            t.read(&mut n.view(), "hwmon0/temp4_input"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
         assert!(matches!(
-            t.read(&mut n, "hwmon0/temp0_input"),
+            t.read(&mut n.view(), "hwmon0/temp0_input"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
         assert!(matches!(
-            t.read(&mut n, "hwmon0/tempX_input"),
+            t.read(&mut n.view(), "hwmon0/tempX_input"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
     }
@@ -284,7 +297,7 @@ mod tests {
     fn single_sensor_has_no_temp2() {
         let (mut n, mut t) = setup();
         assert!(matches!(
-            t.read(&mut n, "hwmon0/temp2_input"),
+            t.read(&mut n.view(), "hwmon0/temp2_input"),
             Err(HwmonError::NoSuchAttribute { .. })
         ));
     }

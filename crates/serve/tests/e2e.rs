@@ -327,3 +327,35 @@ fn tenant_quota_rejects_with_429_and_metrics_count_it() {
     assert!(text.contains("unitherm_serve_jobs_rejected_total 2"), "{text}");
     assert!(text.contains("unitherm_serve_thread_permits_total 1"), "{text}");
 }
+
+#[test]
+fn an_unallocatable_window_is_a_400_and_the_server_keeps_serving() {
+    let addr = start_server();
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/scenarios/hybrid_burn.json"),
+    )
+    .expect("committed example scenario exists");
+    let json = text.replace("\"max_time_s\": 300.0", "\"max_time_s\": 20.0");
+
+    // A level-one window of 2^32 entries used to abort the whole process
+    // on allocation in `TwoLevelWindow::new`, taking every job with it.
+    let huge = json.replace("\"l1_len\": 4,", "\"l1_len\": 4294967296,");
+    assert_ne!(huge, json, "the mutation must hit the scenario");
+    let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&huge));
+    let reply = String::from_utf8_lossy(&reply).into_owned();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("l1_len"), "validation failure names the field: {reply}");
+
+    // The next job is accepted and runs to its done frame.
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(status, 202, "{body}");
+    let id = json_field(&body, "id").expect("submit response carries the job id");
+    let (status, _, sse) = request(&addr, "GET", &format!("/jobs/{id}/events"), None);
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&sse).contains("event: done"), "the job completed");
+    let (_, _, doc) = request(&addr, "GET", &format!("/jobs/{id}"), None);
+    let doc = String::from_utf8_lossy(&doc).into_owned();
+    assert_eq!(json_field(&doc, "status").as_deref(), Some(JobStatus::Done.as_str()), "{doc}");
+}

@@ -13,6 +13,7 @@
 //! encoding (0x00–0xFF) and the same behavioural split between automatic and
 //! manual control.
 
+use crate::batch::PhysicsBatch;
 use crate::i2c::{DeviceError, SmbusDevice};
 use crate::units::DutyCycle;
 
@@ -50,7 +51,7 @@ pub enum PwmMode {
 }
 
 /// Raw Figure-1 static curve, shared verbatim by
-/// [`Adt7467::static_curve_duty`] and the SoA batch path (`crate::batch`) so
+/// [`Adt7467::static_curve_duty`] and the lane tick (`crate::batch`) so
 /// both evaluate the exact same expressions.
 #[inline]
 pub(crate) fn static_curve_duty_raw(
@@ -80,149 +81,145 @@ pub(crate) fn static_curve_duty_raw(
     DutyCycle::from_fraction(frac.clamp(0.0, 1.0))
 }
 
-/// The ADT7467 model.
-#[derive(Debug, Clone)]
-pub struct Adt7467 {
-    pub(crate) measured_temp_c: f64,
-    pub(crate) mode: PwmMode,
-    pub(crate) pwm_current: u8,
-    pub(crate) pwm_min: u8,
-    pub(crate) pwm_max: u8,
-    pub(crate) tmin_c: u8,
-    pub(crate) tmax_c: u8,
+/// The ADT7467 register file of one physics-batch slot: the SMBus device
+/// on a node's i2c bus.
+///
+/// The registers live in the slot's chip lanes and nowhere else, so a
+/// register write is seen by the next lane tick with no copy. The lane tick
+/// feeds the remote diode every tick and, in automatic mode, re-evaluates
+/// the static curve.
+#[derive(Debug)]
+pub struct Adt7467<'a> {
+    lanes: &'a mut PhysicsBatch,
+    slot: usize,
 }
 
-impl Default for Adt7467 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Adt7467 {
-    /// Creates the chip with the paper platform's defaults: automatic mode,
-    /// PWMmin = 10 %, Tmin = 38 °C, Tmax = 82 °C, PWMmax = 100 %.
-    pub fn new() -> Self {
-        let mut chip = Self {
-            measured_temp_c: 25.0,
-            mode: PwmMode::Automatic,
-            pwm_current: DutyCycle::new(10).to_register(),
-            pwm_min: DutyCycle::new(10).to_register(),
-            pwm_max: DutyCycle::MAX.to_register(),
-            tmin_c: 38,
-            tmax_c: 82,
-        };
-        chip.apply_automatic_curve();
-        chip
+impl<'a> Adt7467<'a> {
+    /// The chip in slot `slot` of `lanes`.
+    pub(crate) fn new(lanes: &'a mut PhysicsBatch, slot: usize) -> Self {
+        Self { lanes, slot }
     }
 
-    /// Feeds the chip a new remote-diode temperature (the simulator calls
-    /// this each tick with the die temperature) and, in automatic mode,
-    /// re-evaluates the static curve.
+    /// Resets the registers to the paper platform's power-on state:
+    /// automatic mode, PWMmin = 10 %, Tmin = 38 °C, Tmax = 82 °C,
+    /// PWMmax = 100 %, a 25 °C diode reading and the curve's duty for it.
+    pub(crate) fn power_on(&mut self) {
+        let (l, i) = (&mut *self.lanes, self.slot);
+        l.chip_measured[i] = 25.0;
+        l.chip_auto[i] = true;
+        l.chip_pwm_min[i] = DutyCycle::new(10).to_register();
+        l.chip_pwm_max[i] = DutyCycle::MAX.to_register();
+        l.chip_tmin[i] = 38;
+        l.chip_tmax[i] = 82;
+        self.apply_automatic_curve();
+    }
+
+    /// Feeds the chip a new remote-diode temperature and, in automatic
+    /// mode, re-evaluates the static curve (the lane tick does the same
+    /// for every slot each tick).
     pub fn set_measured_temp_c(&mut self, temp_c: f64) {
         assert!(temp_c.is_finite(), "measured temperature must be finite");
-        self.measured_temp_c = temp_c;
-        if self.mode == PwmMode::Automatic {
+        self.lanes.chip_measured[self.slot] = temp_c;
+        if self.mode() == PwmMode::Automatic {
             self.apply_automatic_curve();
         }
     }
 
     /// Current PWM mode.
     pub fn mode(&self) -> PwmMode {
-        self.mode
+        if self.lanes.chip_auto[self.slot] {
+            PwmMode::Automatic
+        } else {
+            PwmMode::Manual
+        }
     }
 
     /// The duty cycle the chip is currently commanding.
     pub fn commanded_duty(&self) -> DutyCycle {
-        DutyCycle::from_register(self.pwm_current)
+        DutyCycle::from_register(self.lanes.chip_pwm[self.slot])
     }
 
     /// The Figure-1 static curve evaluated at `temp_c` with the chip's
     /// current Tmin/Tmax/PWMmin/PWMmax registers.
     pub fn static_curve_duty(&self, temp_c: f64) -> DutyCycle {
-        static_curve_duty_raw(self.pwm_min, self.pwm_max, self.tmin_c, self.tmax_c, temp_c)
+        let (l, i) = (&*self.lanes, self.slot);
+        static_curve_duty_raw(
+            l.chip_pwm_min[i],
+            l.chip_pwm_max[i],
+            l.chip_tmin[i],
+            l.chip_tmax[i],
+            temp_c,
+        )
     }
 
     fn apply_automatic_curve(&mut self) {
-        self.pwm_current = self.static_curve_duty(self.measured_temp_c).to_register();
+        let duty = self.static_curve_duty(self.lanes.chip_measured[self.slot]);
+        self.lanes.chip_pwm[self.slot] = duty.to_register();
     }
 
     /// Clamps the current PWM into the [PWMmin-independent] PWMmax bound.
     fn clamp_pwm(&mut self) {
-        if self.pwm_current > self.pwm_max {
-            self.pwm_current = self.pwm_max;
-        }
+        let (l, i) = (&mut *self.lanes, self.slot);
+        l.chip_pwm[i] = l.chip_pwm[i].min(l.chip_pwm_max[i]);
     }
 }
 
-impl SmbusDevice for Adt7467 {
+impl SmbusDevice for Adt7467<'_> {
     fn read_byte(&mut self, reg: u8) -> Result<u8, DeviceError> {
+        let (l, i) = (&*self.lanes, self.slot);
         match reg {
-            regs::TEMP_REMOTE => Ok(self.measured_temp_c.round().clamp(0.0, 255.0) as u8),
-            regs::PWM_CURRENT => Ok(self.pwm_current),
-            regs::PWM_MAX => Ok(self.pwm_max),
+            regs::TEMP_REMOTE => Ok(l.chip_measured[i].round().clamp(0.0, 255.0) as u8),
+            regs::PWM_CURRENT => Ok(l.chip_pwm[i]),
+            regs::PWM_MAX => Ok(l.chip_pwm_max[i]),
             regs::DEVICE_ID => Ok(DEVICE_ID),
-            regs::PWM_CONFIG => Ok(match self.mode {
-                PwmMode::Automatic => 0,
-                PwmMode::Manual => 1,
-            }),
-            regs::PWM_MIN => Ok(self.pwm_min),
-            regs::TMIN => Ok(self.tmin_c),
-            regs::TMAX => Ok(self.tmax_c),
+            regs::PWM_CONFIG => Ok(u8::from(!l.chip_auto[i])),
+            regs::PWM_MIN => Ok(l.chip_pwm_min[i]),
+            regs::TMIN => Ok(l.chip_tmin[i]),
+            regs::TMAX => Ok(l.chip_tmax[i]),
             other => Err(DeviceError::InvalidRegister(other)),
         }
     }
 
     fn write_byte(&mut self, reg: u8, value: u8) -> Result<(), DeviceError> {
+        let i = self.slot;
         match reg {
-            regs::TEMP_REMOTE | regs::DEVICE_ID => Err(DeviceError::ReadOnlyRegister(reg)),
+            regs::TEMP_REMOTE | regs::DEVICE_ID => return Err(DeviceError::ReadOnlyRegister(reg)),
             regs::PWM_CURRENT => {
-                if self.mode == PwmMode::Automatic {
+                if self.mode() == PwmMode::Automatic {
                     // The real chip ignores manual duty writes while the
                     // automatic loop owns the output; we mirror that.
                     return Ok(());
                 }
-                self.pwm_current = value;
+                self.lanes.chip_pwm[i] = value;
                 self.clamp_pwm();
-                Ok(())
             }
             regs::PWM_MAX => {
-                self.pwm_max = value;
-                match self.mode {
+                self.lanes.chip_pwm_max[i] = value;
+                match self.mode() {
                     PwmMode::Automatic => self.apply_automatic_curve(),
                     PwmMode::Manual => self.clamp_pwm(),
                 }
-                Ok(())
             }
             regs::PWM_CONFIG => {
-                self.mode = if value == 0 { PwmMode::Automatic } else { PwmMode::Manual };
-                if self.mode == PwmMode::Automatic {
+                self.lanes.chip_auto[i] = value == 0;
+                if value == 0 {
                     self.apply_automatic_curve();
                 }
-                Ok(())
             }
-            regs::PWM_MIN => {
-                self.pwm_min = value;
-                if self.mode == PwmMode::Automatic {
+            regs::PWM_MIN | regs::TMIN | regs::TMAX => {
+                let lane = match reg {
+                    regs::PWM_MIN => &mut self.lanes.chip_pwm_min,
+                    regs::TMIN => &mut self.lanes.chip_tmin,
+                    _ => &mut self.lanes.chip_tmax,
+                };
+                lane[i] = value;
+                if self.mode() == PwmMode::Automatic {
                     self.apply_automatic_curve();
                 }
-                Ok(())
             }
-            regs::TMIN => {
-                self.tmin_c = value;
-                if self.mode == PwmMode::Automatic {
-                    self.apply_automatic_curve();
-                }
-                Ok(())
-            }
-            regs::TMAX => {
-                self.tmax_c = value;
-                if self.mode == PwmMode::Automatic {
-                    self.apply_automatic_curve();
-                }
-                Ok(())
-            }
-            other => Err(DeviceError::InvalidRegister(other)),
+            other => return Err(DeviceError::InvalidRegister(other)),
         }
+        Ok(())
     }
 }
 
@@ -230,9 +227,17 @@ impl SmbusDevice for Adt7467 {
 mod tests {
     use super::*;
 
+    /// A power-on chip in a one-slot batch.
+    fn power_on(lanes: &mut PhysicsBatch) -> Adt7467<'_> {
+        let mut chip = Adt7467::new(lanes, 0);
+        chip.power_on();
+        chip
+    }
+
     #[test]
     fn defaults_match_paper_platform() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         assert_eq!(chip.mode(), PwmMode::Automatic);
         assert_eq!(chip.read_byte(regs::TMIN), Ok(38));
         assert_eq!(chip.read_byte(regs::TMAX), Ok(82));
@@ -242,7 +247,8 @@ mod tests {
 
     #[test]
     fn figure1_curve_shape() {
-        let chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let chip = power_on(&mut lanes);
         // Below Tmin: PWMmin.
         assert_eq!(chip.static_curve_duty(25.0).percent(), 10);
         assert_eq!(chip.static_curve_duty(38.0).percent(), 10);
@@ -263,7 +269,8 @@ mod tests {
 
     #[test]
     fn automatic_mode_tracks_temperature() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.set_measured_temp_c(38.0);
         assert_eq!(chip.commanded_duty().percent(), 10);
         chip.set_measured_temp_c(82.0);
@@ -275,7 +282,8 @@ mod tests {
 
     #[test]
     fn manual_mode_obeys_writes() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.write_byte(regs::PWM_CONFIG, 1).unwrap();
         assert_eq!(chip.mode(), PwmMode::Manual);
         chip.write_byte(regs::PWM_CURRENT, DutyCycle::new(63).to_register()).unwrap();
@@ -287,7 +295,8 @@ mod tests {
 
     #[test]
     fn automatic_mode_ignores_duty_writes() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.set_measured_temp_c(50.0);
         let before = chip.commanded_duty();
         chip.write_byte(regs::PWM_CURRENT, 0xFF).unwrap();
@@ -296,7 +305,8 @@ mod tests {
 
     #[test]
     fn pwm_max_caps_both_modes() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         // Cap at 75 % as the paper does for Figure 6.
         chip.write_byte(regs::PWM_MAX, DutyCycle::new(75).to_register()).unwrap();
         chip.set_measured_temp_c(90.0);
@@ -309,7 +319,8 @@ mod tests {
 
     #[test]
     fn lowering_pwm_max_reclamps_current() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.write_byte(regs::PWM_CONFIG, 1).unwrap();
         chip.write_byte(regs::PWM_CURRENT, DutyCycle::new(90).to_register()).unwrap();
         chip.write_byte(regs::PWM_MAX, DutyCycle::new(50).to_register()).unwrap();
@@ -318,7 +329,8 @@ mod tests {
 
     #[test]
     fn switching_back_to_auto_reapplies_curve() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.write_byte(regs::PWM_CONFIG, 1).unwrap();
         chip.write_byte(regs::PWM_CURRENT, 0).unwrap();
         chip.set_measured_temp_c(82.0);
@@ -328,7 +340,8 @@ mod tests {
 
     #[test]
     fn temp_register_reads_rounded_reading() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         chip.set_measured_temp_c(51.6);
         assert_eq!(chip.read_byte(regs::TEMP_REMOTE), Ok(52));
         chip.set_measured_temp_c(-5.0);
@@ -337,7 +350,8 @@ mod tests {
 
     #[test]
     fn read_only_and_invalid_registers() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         assert_eq!(
             chip.write_byte(regs::TEMP_REMOTE, 1),
             Err(DeviceError::ReadOnlyRegister(regs::TEMP_REMOTE))
@@ -348,7 +362,8 @@ mod tests {
 
     #[test]
     fn custom_curve_degenerate_range() {
-        let mut chip = Adt7467::new();
+        let mut lanes = PhysicsBatch::with_len(1);
+        let mut chip = power_on(&mut lanes);
         // Tmax == Tmin: curve collapses to PWMmin (no division by zero).
         chip.write_byte(regs::TMAX, 38).unwrap();
         assert_eq!(chip.static_curve_duty(60.0).percent(), 10);

@@ -116,6 +116,10 @@ impl Default for FanConfig {
     }
 }
 
+/// The most on-die thermal sensors a [`SensorConfig`] may ask for; every
+/// node allocates one sensor, with its own noise stream, per count.
+pub const MAX_SENSORS: usize = 256;
+
 /// Thermal sensor parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorConfig {
@@ -264,6 +268,7 @@ impl NodeConfig {
         check(s.noise_std_c >= 0.0, "sensor noise must be non-negative")?;
         check(s.quantization_c >= 0.0, "sensor quantization must be non-negative")?;
         check(s.count >= 1, "need at least one thermal sensor")?;
+        check(s.count <= MAX_SENSORS, "sensor count must be at most 256")?;
         check(s.core_spread_c >= 0.0, "core spread must be non-negative")?;
 
         let b = &self.board;
@@ -348,6 +353,15 @@ mod tests {
                 assert_eq!(c.validate(), Err(format!("{name} must be finite").as_str()), "{bad}");
             }
         }
+    }
+
+    #[test]
+    fn rejects_a_sensor_count_above_the_cap() {
+        let mut c = NodeConfig::default();
+        c.sensor.count = MAX_SENSORS;
+        assert_eq!(c.validate(), Ok(()));
+        c.sensor.count = MAX_SENSORS + 1;
+        assert_eq!(c.validate(), Err("sensor count must be at most 256"));
     }
 
     #[test]

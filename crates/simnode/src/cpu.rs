@@ -16,11 +16,12 @@
 //! die cools below the hysteresis band, and above `emergency_shutdown_c` the
 //! node powers off. These are the "thermal emergencies, which further trigger
 //! system slowdowns or shutdowns" the paper's controllers exist to avoid.
+//!
+//! The CPU's state (requested P-state, load, sleep gate, condition and
+//! counters) lives in its node's physics-batch slot; this module holds the
+//! laws the lane tick applies to it.
 
 use serde::{Deserialize, Serialize};
-
-use crate::config::CpuConfig;
-use crate::units::PState;
 
 /// Reasons the effective frequency can differ from the requested one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,8 +34,7 @@ pub enum ThermalCondition {
     ShutDown,
 }
 
-/// Raw load clamp shared verbatim by [`Cpu::set_load`] and the SoA batch
-/// path (`crate::batch`).
+/// Raw load clamp: utilization and switching activity, each into `[0, 1]`.
 #[inline]
 pub(crate) fn clamp_load(utilization: f64, activity: f64) -> (f64, f64) {
     assert!(utilization.is_finite(), "utilization must be finite");
@@ -42,9 +42,8 @@ pub(crate) fn clamp_load(utilization: f64, activity: f64) -> (f64, f64) {
     (utilization.clamp(0.0, 1.0), activity.clamp(0.0, 1.0))
 }
 
-/// Raw CMOS power law shared verbatim by [`Cpu::power_w`] and the SoA batch
-/// path. Frequencies arrive pre-widened to `f64` (`f64::from(freq_mhz)` at
-/// the call site) so both paths feed the multiply identical operands.
+/// Raw CMOS power law. Frequencies arrive pre-widened to `f64`
+/// (`f64::from(freq_mhz)`, held so in the lanes).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn power_raw(
@@ -77,8 +76,8 @@ pub(crate) fn power_raw(
     (leakage + dynamic) * sleep_gate
 }
 
-/// Raw thermal-monitor state machine shared verbatim by
-/// [`Cpu::update_thermal_monitor`] and the SoA batch path.
+/// Raw thermal-monitor state machine, run on the post-step die
+/// temperature every tick.
 #[inline]
 pub(crate) fn monitor_raw(
     condition: &mut ThermalCondition,
@@ -108,192 +107,6 @@ pub(crate) fn monitor_raw(
     }
 }
 
-/// A DVFS-capable CPU.
-#[derive(Debug, Clone)]
-pub struct Cpu {
-    pub(crate) cfg: CpuConfig,
-    /// Index into `cfg.pstates` of the software-requested P-state.
-    pub(crate) requested: usize,
-    pub(crate) utilization: f64,
-    pub(crate) activity: f64,
-    pub(crate) condition: ThermalCondition,
-    /// ACPI sleep-state power/speed gate in `[0, 1]`: 1.0 = C0 (fully
-    /// awake), lower values model the package-level savings of deeper
-    /// processor sleep states.
-    pub(crate) sleep_gate: f64,
-    pub(crate) freq_transitions: u64,
-    pub(crate) throttle_events: u64,
-}
-
-impl Cpu {
-    /// Creates a CPU in its highest P-state, idle.
-    pub fn new(cfg: CpuConfig) -> Self {
-        assert!(!cfg.pstates.is_empty(), "CPU needs at least one P-state");
-        Self {
-            cfg,
-            requested: 0,
-            utilization: 0.0,
-            activity: 0.0,
-            condition: ThermalCondition::Nominal,
-            sleep_gate: 1.0,
-            freq_transitions: 0,
-            throttle_events: 0,
-        }
-    }
-
-    /// All available P-states, descending frequency.
-    pub fn pstates(&self) -> &[PState] {
-        &self.cfg.pstates
-    }
-
-    /// The software-requested P-state.
-    pub fn requested_pstate(&self) -> PState {
-        self.cfg.pstates[self.requested]
-    }
-
-    /// The P-state the silicon actually runs: the requested one unless the
-    /// thermal monitor has engaged.
-    pub fn effective_pstate(&self) -> PState {
-        match self.condition {
-            ThermalCondition::Nominal => self.cfg.pstates[self.requested],
-            ThermalCondition::Throttled | ThermalCondition::ShutDown => {
-                *self.cfg.pstates.last().expect("non-empty pstates")
-            }
-        }
-    }
-
-    /// Effective core frequency in MHz (0 when shut down).
-    pub fn effective_freq_mhz(&self) -> u32 {
-        if self.condition == ThermalCondition::ShutDown {
-            0
-        } else {
-            self.effective_pstate().freq_mhz
-        }
-    }
-
-    /// Requests a P-state by exact frequency in MHz.
-    ///
-    /// Returns `true` when this changed the requested state (and counts a
-    /// frequency transition). Requests for unavailable frequencies are
-    /// rejected with `Err` carrying the list of valid frequencies.
-    pub fn set_frequency_mhz(&mut self, freq_mhz: u32) -> Result<bool, InvalidFrequency> {
-        let idx =
-            self.cfg.pstates.iter().position(|p| p.freq_mhz == freq_mhz).ok_or_else(|| {
-                InvalidFrequency {
-                    requested_mhz: freq_mhz,
-                    available_mhz: self.cfg.pstates.iter().map(|p| p.freq_mhz).collect(),
-                }
-            })?;
-        if idx == self.requested {
-            return Ok(false);
-        }
-        self.requested = idx;
-        self.freq_transitions += 1;
-        Ok(true)
-    }
-
-    /// Number of accepted frequency transitions since construction
-    /// (Table 1's "# freq changes" column).
-    pub fn freq_transition_count(&self) -> u64 {
-        self.freq_transitions
-    }
-
-    /// Number of times the hardware thermal monitor engaged.
-    pub fn throttle_event_count(&self) -> u64 {
-        self.throttle_events
-    }
-
-    /// Sets the current utilization in `[0, 1]` (clamped); the switching
-    /// activity is set to the same value (fully compute-bound load).
-    pub fn set_utilization(&mut self, u: f64) {
-        self.set_load(u, u);
-    }
-
-    /// Sets the OS-visible utilization and the switching-activity factor
-    /// separately (both clamped to `[0, 1]`). Utilization is what a
-    /// governor observes; activity is what scales dynamic power.
-    pub fn set_load(&mut self, utilization: f64, activity: f64) {
-        (self.utilization, self.activity) = clamp_load(utilization, activity);
-    }
-
-    /// Current utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        self.utilization
-    }
-
-    /// Current switching-activity factor in `[0, 1]`.
-    pub fn activity(&self) -> f64 {
-        self.activity
-    }
-
-    /// Sets the ACPI sleep-state gate: the fraction of nominal power (and
-    /// execution speed) the package retains, 1.0 for C0 down toward 0 for
-    /// deep sleep. Clamped to `[0, 1]`.
-    pub fn set_sleep_gate(&mut self, gate: f64) {
-        assert!(gate.is_finite(), "sleep gate must be finite");
-        self.sleep_gate = gate.clamp(0.0, 1.0);
-    }
-
-    /// Current ACPI sleep-state gate in `[0, 1]`.
-    pub fn sleep_gate(&self) -> f64 {
-        self.sleep_gate
-    }
-
-    /// Current thermal condition.
-    pub fn condition(&self) -> ThermalCondition {
-        self.condition
-    }
-
-    /// True once the die crossed the shutdown threshold.
-    pub fn is_shut_down(&self) -> bool {
-        self.condition == ThermalCondition::ShutDown
-    }
-
-    /// Relative execution speed of the effective state vs. the highest
-    /// P-state, in `[0, 1]` (0 when shut down). Workloads multiply their
-    /// compute-phase progress by this.
-    pub fn speed_factor(&self) -> f64 {
-        if self.condition == ThermalCondition::ShutDown {
-            return 0.0;
-        }
-        let top = self.cfg.pstates[0].freq_mhz;
-        f64::from(self.effective_pstate().freq_mhz) / f64::from(top) * self.sleep_gate
-    }
-
-    /// Electrical power draw in W at the given die temperature.
-    pub fn power_w(&self, die_temp_c: f64) -> f64 {
-        let top = self.cfg.pstates[0];
-        let eff = self.effective_pstate();
-        power_raw(
-            self.condition == ThermalCondition::ShutDown,
-            top.voltage_v,
-            f64::from(top.freq_mhz),
-            eff.voltage_v,
-            f64::from(eff.freq_mhz),
-            self.cfg.leakage_power_ref_w,
-            self.cfg.leakage_temp_coeff_per_k,
-            self.cfg.leakage_ref_temp_c,
-            self.cfg.dynamic_power_max_w,
-            self.activity,
-            self.sleep_gate,
-            die_temp_c,
-        )
-    }
-
-    /// Updates the thermal-monitor state machine for the current die
-    /// temperature. Call once per simulation tick.
-    pub fn update_thermal_monitor(&mut self, die_temp_c: f64) {
-        monitor_raw(
-            &mut self.condition,
-            &mut self.throttle_events,
-            die_temp_c,
-            self.cfg.emergency_throttle_c,
-            self.cfg.emergency_shutdown_c,
-            self.cfg.emergency_hysteresis_c,
-        );
-    }
-}
-
 /// Error returned for a frequency not in the P-state table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidFrequency {
@@ -318,25 +131,43 @@ impl std::error::Error for InvalidFrequency {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{COND_SHUTDOWN, COND_THROTTLED};
+    use crate::config::{CpuConfig, NodeConfig};
+    use crate::node::Node;
 
-    fn cpu() -> Cpu {
-        Cpu::new(CpuConfig::default())
+    fn node() -> Node {
+        Node::new(NodeConfig::default(), 1)
+    }
+
+    /// CPU power of the node's slot at die temperature `die_c`.
+    fn power(n: &Node, die_c: f64) -> f64 {
+        n.plant().cpu_power_w(0, die_c)
+    }
+
+    /// One thermal-monitor step at the default thresholds.
+    fn monitor(cond: &mut ThermalCondition, events: &mut u64, die_c: f64) {
+        let c = CpuConfig::default();
+        let (throttle, shutdown, hyst) =
+            (c.emergency_throttle_c, c.emergency_shutdown_c, c.emergency_hysteresis_c);
+        monitor_raw(cond, events, die_c, throttle, shutdown, hyst);
     }
 
     #[test]
     fn starts_at_top_pstate_idle() {
-        let c = cpu();
-        assert_eq!(c.requested_pstate().freq_mhz, 2400);
-        assert_eq!(c.utilization(), 0.0);
-        assert_eq!(c.condition(), ThermalCondition::Nominal);
+        let mut n = node();
+        let v = n.view();
+        assert_eq!(v.requested_frequency_khz(), 2_400_000);
+        assert_eq!(v.utilization(), 0.0);
+        assert_eq!(v.condition(), ThermalCondition::Nominal);
     }
 
     #[test]
     fn set_frequency_validates() {
-        let mut c = cpu();
-        assert_eq!(c.set_frequency_mhz(2200), Ok(true));
-        assert_eq!(c.requested_pstate().freq_mhz, 2200);
-        let err = c.set_frequency_mhz(2300).unwrap_err();
+        let mut n = node();
+        let mut v = n.view();
+        assert_eq!(v.set_frequency_khz(2_200_000), Ok(true));
+        assert_eq!(v.requested_frequency_khz(), 2_200_000);
+        let err = v.set_frequency_khz(2_300_000).unwrap_err();
         assert_eq!(err.requested_mhz, 2300);
         assert_eq!(err.available_mhz, vec![2400, 2200, 2000, 1800, 1000]);
         assert!(err.to_string().contains("2300"));
@@ -344,32 +175,33 @@ mod tests {
 
     #[test]
     fn transition_count_ignores_no_ops() {
-        let mut c = cpu();
-        assert_eq!(c.set_frequency_mhz(2400), Ok(false)); // already there
-        assert_eq!(c.freq_transition_count(), 0);
-        c.set_frequency_mhz(2200).unwrap();
-        c.set_frequency_mhz(2200).unwrap();
-        c.set_frequency_mhz(2400).unwrap();
-        assert_eq!(c.freq_transition_count(), 2);
+        let mut n = node();
+        let mut v = n.view();
+        assert_eq!(v.set_frequency_khz(2_400_000), Ok(false)); // already there
+        assert_eq!(v.freq_transition_count(), 0);
+        v.set_frequency_khz(2_200_000).unwrap();
+        v.set_frequency_khz(2_200_000).unwrap();
+        v.set_frequency_khz(2_400_000).unwrap();
+        assert_eq!(v.freq_transition_count(), 2);
     }
 
     #[test]
     fn power_increases_with_utilization() {
-        let mut c = cpu();
-        let idle = c.power_w(45.0);
-        c.set_utilization(1.0);
-        let busy = c.power_w(45.0);
+        let mut n = node();
+        let idle = power(&n, 45.0);
+        n.view().set_utilization(1.0);
+        let busy = power(&n, 45.0);
         assert!(busy > idle + 30.0, "idle {idle}, busy {busy}");
     }
 
     #[test]
     fn power_decreases_with_frequency() {
-        let mut c = cpu();
-        c.set_utilization(1.0);
+        let mut n = node();
+        n.view().set_utilization(1.0);
         let mut last = f64::INFINITY;
-        for &f in &[2400, 2200, 2000, 1800, 1000] {
-            c.set_frequency_mhz(f).unwrap();
-            let p = c.power_w(50.0);
+        for f in [2400, 2200, 2000, 1800, 1000] {
+            n.view().set_frequency_khz(f * 1000).unwrap();
+            let p = power(&n, 50.0);
             assert!(p < last, "{f} MHz power {p} not below {last}");
             last = p;
         }
@@ -377,11 +209,11 @@ mod tests {
 
     #[test]
     fn dynamic_power_scales_as_v2f() {
-        let mut c = cpu();
-        c.set_utilization(1.0);
-        let p_top = c.power_w(50.0);
-        c.set_frequency_mhz(1000).unwrap();
-        let p_low = c.power_w(50.0);
+        let mut n = node();
+        n.view().set_utilization(1.0);
+        let p_top = power(&n, 50.0);
+        n.view().set_frequency_khz(1_000_000).unwrap();
+        let p_low = power(&n, 50.0);
         // Dynamic parts: 48 W at (1.5 V, 2.4 GHz); at (1.1 V, 1.0 GHz):
         // 48 · (1.1²·1.0)/(1.5²·2.4) ≈ 10.76 W. Static at 50 °C:
         // 22 W at top; 22·(1.1/1.5) ≈ 16.13 W at bottom.
@@ -392,88 +224,101 @@ mod tests {
 
     #[test]
     fn leakage_grows_with_temperature() {
-        let c = cpu();
-        assert!(c.power_w(70.0) > c.power_w(40.0));
+        let n = node();
+        assert!(power(&n, 70.0) > power(&n, 40.0));
         // Linear coefficient: 0.8 %/K on the 22 W static power.
-        let diff = c.power_w(60.0) - c.power_w(50.0);
+        let diff = power(&n, 60.0) - power(&n, 50.0);
         assert!((diff - 22.0 * 0.008 * 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn leakage_never_negative() {
-        let c = cpu();
         // Absurdly cold die: the (1 + α·ΔT) factor clamps at zero.
-        assert!(c.power_w(-500.0) >= 0.0);
+        assert!(power(&node(), -500.0) >= 0.0);
     }
 
     #[test]
     fn speed_factor_tracks_effective_frequency() {
-        let mut c = cpu();
-        assert_eq!(c.speed_factor(), 1.0);
-        c.set_frequency_mhz(1800).unwrap();
-        assert!((c.speed_factor() - 0.75).abs() < 1e-12);
+        let mut n = node();
+        let mut v = n.view();
+        assert_eq!(v.speed_factor(), 1.0);
+        v.set_frequency_khz(1_800_000).unwrap();
+        assert!((v.speed_factor() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn thermal_monitor_throttles_and_recovers() {
-        let mut c = cpu();
-        c.update_thermal_monitor(69.9);
-        assert_eq!(c.condition(), ThermalCondition::Nominal);
-        c.update_thermal_monitor(70.0);
-        assert_eq!(c.condition(), ThermalCondition::Throttled);
-        assert_eq!(c.throttle_event_count(), 1);
-        assert_eq!(c.effective_pstate().freq_mhz, 1000);
-        assert_eq!(c.requested_pstate().freq_mhz, 2400, "software request unchanged");
+        let (mut cond, mut events) = (ThermalCondition::Nominal, 0);
+        monitor(&mut cond, &mut events, 69.9);
+        assert_eq!(cond, ThermalCondition::Nominal);
+        monitor(&mut cond, &mut events, 70.0);
+        assert_eq!(cond, ThermalCondition::Throttled);
+        assert_eq!(events, 1);
         // Must drop below 65 °C (70 − 5 hysteresis) to release.
-        c.update_thermal_monitor(66.0);
-        assert_eq!(c.condition(), ThermalCondition::Throttled);
-        c.update_thermal_monitor(64.9);
-        assert_eq!(c.condition(), ThermalCondition::Nominal);
-        assert_eq!(c.effective_pstate().freq_mhz, 2400);
+        monitor(&mut cond, &mut events, 66.0);
+        assert_eq!(cond, ThermalCondition::Throttled);
+        monitor(&mut cond, &mut events, 64.9);
+        assert_eq!(cond, ThermalCondition::Nominal);
+    }
+
+    #[test]
+    fn throttling_runs_the_lowest_pstate_without_touching_the_request() {
+        let mut n = node();
+        n.plant_mut().cpu_cond[0] = COND_THROTTLED;
+        let v = n.view();
+        assert_eq!(v.condition(), ThermalCondition::Throttled);
+        assert_eq!(v.state().freq_mhz, 1000);
+        assert_eq!(v.requested_frequency_khz(), 2_400_000, "software request unchanged");
     }
 
     #[test]
     fn shutdown_latches() {
-        let mut c = cpu();
-        c.set_utilization(1.0);
-        c.update_thermal_monitor(85.0);
-        assert!(c.is_shut_down());
-        assert_eq!(c.power_w(85.0), 0.0);
-        assert_eq!(c.speed_factor(), 0.0);
-        assert_eq!(c.effective_freq_mhz(), 0);
-        c.update_thermal_monitor(30.0); // cooling off does not restart it
-        assert!(c.is_shut_down());
+        let (mut cond, mut events) = (ThermalCondition::Nominal, 0);
+        monitor(&mut cond, &mut events, 85.0);
+        assert_eq!(cond, ThermalCondition::ShutDown);
+        monitor(&mut cond, &mut events, 30.0); // cooling off does not restart it
+        assert_eq!(cond, ThermalCondition::ShutDown);
+
+        let mut n = node();
+        n.view().set_utilization(1.0);
+        n.plant_mut().cpu_cond[0] = COND_SHUTDOWN;
+        assert_eq!(power(&n, 85.0), 0.0);
+        let v = n.view();
+        assert!(v.is_shut_down());
+        assert_eq!(v.speed_factor(), 0.0);
+        assert_eq!(v.state().freq_mhz, 0);
     }
 
     #[test]
     fn throttled_can_escalate_to_shutdown() {
-        let mut c = cpu();
-        c.update_thermal_monitor(72.0);
-        assert_eq!(c.condition(), ThermalCondition::Throttled);
-        c.update_thermal_monitor(86.0);
-        assert!(c.is_shut_down());
+        let (mut cond, mut events) = (ThermalCondition::Nominal, 0);
+        monitor(&mut cond, &mut events, 72.0);
+        assert_eq!(cond, ThermalCondition::Throttled);
+        monitor(&mut cond, &mut events, 86.0);
+        assert_eq!(cond, ThermalCondition::ShutDown);
     }
 
     #[test]
     fn sleep_gate_scales_power_and_speed() {
-        let mut c = cpu();
-        c.set_utilization(1.0);
-        assert_eq!(c.sleep_gate(), 1.0, "default gate is C0");
-        let awake_power = c.power_w(50.0);
-        let awake_speed = c.speed_factor();
-        c.set_sleep_gate(0.35); // C2's power fraction
-        assert!((c.power_w(50.0) - awake_power * 0.35).abs() < 1e-9);
-        assert!((c.speed_factor() - awake_speed * 0.35).abs() < 1e-12);
-        c.set_sleep_gate(2.0);
-        assert_eq!(c.sleep_gate(), 1.0, "gate clamps to [0, 1]");
+        let mut n = node();
+        n.view().set_utilization(1.0);
+        assert_eq!(n.view().sleep_gate(), 1.0, "default gate is C0");
+        let awake_power = power(&n, 50.0);
+        let awake_speed = n.view().speed_factor();
+        n.view().set_sleep_gate(0.35); // C2's power fraction
+        assert!((power(&n, 50.0) - awake_power * 0.35).abs() < 1e-9);
+        assert!((n.view().speed_factor() - awake_speed * 0.35).abs() < 1e-12);
+        n.view().set_sleep_gate(2.0);
+        assert_eq!(n.view().sleep_gate(), 1.0, "gate clamps to [0, 1]");
     }
 
     #[test]
     fn utilization_clamps() {
-        let mut c = cpu();
-        c.set_utilization(3.0);
-        assert_eq!(c.utilization(), 1.0);
-        c.set_utilization(-1.0);
-        assert_eq!(c.utilization(), 0.0);
+        let mut n = node();
+        let mut v = n.view();
+        v.set_utilization(3.0);
+        assert_eq!(v.utilization(), 1.0);
+        v.set_utilization(-1.0);
+        assert_eq!(v.utilization(), 0.0);
     }
 }

@@ -163,7 +163,7 @@ impl TickFaultSchedule {
     }
 
     /// Builder-style: schedules an event at tick `tick` (ticks are 1-based;
-    /// the first `Node::tick` call is tick 1).
+    /// a node's first tick is tick 1).
     ///
     /// Events may be added in any order; the schedule keeps them sorted.
     ///

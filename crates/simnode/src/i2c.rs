@@ -3,9 +3,10 @@
 //! The paper's fan driver talks to the ADT7467 through the i2c protocol; we
 //! reproduce that control path so the "driver" layer (`unitherm-hwmon`)
 //! exercises real addressed register transactions instead of poking the fan
-//! model directly. A bus carries one device at a fixed 7-bit address, held
-//! by value so the simulator reaches it without a lookup; it keeps
-//! transaction accounting and supports NACK fault injection.
+//! model directly. A bus carries one device at a fixed 7-bit address and
+//! keeps transaction accounting and NACK fault injection; the device's
+//! registers live elsewhere (the ADT7467's in its node's physics slot) and
+//! come with each transaction.
 
 /// Error raised by a device while handling a register access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +64,7 @@ impl From<DeviceError> for I2cError {
 }
 
 /// A device that speaks the SMBus byte-register protocol.
-pub trait SmbusDevice: Send {
+pub trait SmbusDevice {
     /// Reads one register byte.
     fn read_byte(&mut self, reg: u8) -> Result<u8, DeviceError>;
     /// Writes one register byte.
@@ -81,30 +82,32 @@ pub struct BusStats {
     pub errors: u64,
 }
 
-/// An i2c bus with one SMBus device at a fixed address.
+/// An i2c bus with one SMBus device at a fixed address: the address, the
+/// NACK latch and the traffic counters. Each transaction is handed the
+/// device it reaches.
 #[derive(Debug)]
-pub struct I2cBus<D> {
+pub struct I2cBus {
     addr: u8,
     nacking: bool,
     stats: BusStats,
-    device: D,
 }
 
-impl<D: SmbusDevice> I2cBus<D> {
-    /// Wires `device` to the bus at a 7-bit address.
+impl I2cBus {
+    /// A bus whose device answers at a 7-bit address.
     ///
     /// # Panics
     /// Panics if the address is outside the 7-bit range — a wiring bug, not
     /// a runtime condition.
-    pub fn new(addr: u8, device: D) -> Self {
+    pub fn new(addr: u8) -> Self {
         assert!(addr <= 0x7F, "i2c addresses are 7-bit, got 0x{addr:02x}");
-        Self { addr, nacking: false, stats: BusStats::default(), device }
+        Self { addr, nacking: false, stats: BusStats::default() }
     }
 
     /// Routes one transaction to the device, or fails it as a missing
     /// address or an injected NACK.
-    fn transact<T>(
+    fn transact<D: SmbusDevice, T>(
         &mut self,
+        device: &mut D,
         addr: u8,
         op: impl FnOnce(&mut D) -> Result<T, DeviceError>,
     ) -> Result<T, I2cError> {
@@ -113,7 +116,7 @@ impl<D: SmbusDevice> I2cBus<D> {
         } else if self.nacking {
             Err(I2cError::Nack { addr })
         } else {
-            op(&mut self.device).map_err(I2cError::from)
+            op(device).map_err(I2cError::from)
         };
         if result.is_err() {
             self.stats.errors += 1;
@@ -121,28 +124,29 @@ impl<D: SmbusDevice> I2cBus<D> {
         result
     }
 
-    /// Reads one register byte from the device at `addr`.
-    pub fn read_byte(&mut self, addr: u8, reg: u8) -> Result<u8, I2cError> {
-        let v = self.transact(addr, |d| d.read_byte(reg))?;
+    /// Reads one register byte from `device`, addressed at `addr`.
+    pub fn read_byte<D: SmbusDevice>(
+        &mut self,
+        device: &mut D,
+        addr: u8,
+        reg: u8,
+    ) -> Result<u8, I2cError> {
+        let v = self.transact(device, addr, |d| d.read_byte(reg))?;
         self.stats.reads += 1;
         Ok(v)
     }
 
-    /// Writes one register byte to the device at `addr`.
-    pub fn write_byte(&mut self, addr: u8, reg: u8, value: u8) -> Result<(), I2cError> {
-        self.transact(addr, |d| d.write_byte(reg, value))?;
+    /// Writes one register byte to `device`, addressed at `addr`.
+    pub fn write_byte<D: SmbusDevice>(
+        &mut self,
+        device: &mut D,
+        addr: u8,
+        reg: u8,
+        value: u8,
+    ) -> Result<(), I2cError> {
+        self.transact(device, addr, |d| d.write_byte(reg, value))?;
         self.stats.writes += 1;
         Ok(())
-    }
-
-    /// The attached device (simulator internal use).
-    pub fn device(&self) -> &D {
-        &self.device
-    }
-
-    /// The attached device, mutably (simulator internal use).
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
     }
 
     /// Enables or disables NACK injection for the device.
@@ -179,36 +183,36 @@ mod tests {
         }
     }
 
-    fn bus_with_ram() -> I2cBus<RamDevice> {
-        I2cBus::new(0x2E, RamDevice { regs: [0; 4] })
+    fn bus_with_ram() -> (I2cBus, RamDevice) {
+        (I2cBus::new(0x2E), RamDevice { regs: [0; 4] })
     }
 
     #[test]
     fn write_then_read_roundtrip() {
-        let mut bus = bus_with_ram();
-        bus.write_byte(0x2E, 1, 0xAB).unwrap();
-        assert_eq!(bus.read_byte(0x2E, 1), Ok(0xAB));
-        assert_eq!(bus.device().regs[1], 0xAB);
+        let (mut bus, mut ram) = bus_with_ram();
+        bus.write_byte(&mut ram, 0x2E, 1, 0xAB).unwrap();
+        assert_eq!(bus.read_byte(&mut ram, 0x2E, 1), Ok(0xAB));
+        assert_eq!(ram.regs[1], 0xAB);
         assert_eq!(bus.stats(), BusStats { reads: 1, writes: 1, errors: 0 });
     }
 
     #[test]
     fn missing_device_errors() {
-        let mut bus = bus_with_ram();
-        assert_eq!(bus.read_byte(0x10, 0), Err(I2cError::NoDevice { addr: 0x10 }));
-        assert_eq!(bus.write_byte(0x10, 0, 1), Err(I2cError::NoDevice { addr: 0x10 }));
+        let (mut bus, mut ram) = bus_with_ram();
+        assert_eq!(bus.read_byte(&mut ram, 0x10, 0), Err(I2cError::NoDevice { addr: 0x10 }));
+        assert_eq!(bus.write_byte(&mut ram, 0x10, 0, 1), Err(I2cError::NoDevice { addr: 0x10 }));
         assert_eq!(bus.stats(), BusStats { reads: 0, writes: 0, errors: 2 });
     }
 
     #[test]
     fn invalid_register_propagates() {
-        let mut bus = bus_with_ram();
+        let (mut bus, mut ram) = bus_with_ram();
         assert_eq!(
-            bus.read_byte(0x2E, 99),
+            bus.read_byte(&mut ram, 0x2E, 99),
             Err(I2cError::Device(DeviceError::InvalidRegister(99)))
         );
         assert_eq!(
-            bus.write_byte(0x2E, 3, 1),
+            bus.write_byte(&mut ram, 0x2E, 3, 1),
             Err(I2cError::Device(DeviceError::ReadOnlyRegister(3)))
         );
         assert_eq!(bus.stats().errors, 2);
@@ -216,22 +220,22 @@ mod tests {
 
     #[test]
     fn nack_injection_blocks_and_recovers() {
-        let mut bus = bus_with_ram();
+        let (mut bus, mut ram) = bus_with_ram();
         bus.inject_nack(true);
-        assert_eq!(bus.read_byte(0x2E, 0), Err(I2cError::Nack { addr: 0x2E }));
-        assert_eq!(bus.write_byte(0x2E, 0, 1), Err(I2cError::Nack { addr: 0x2E }));
+        assert_eq!(bus.read_byte(&mut ram, 0x2E, 0), Err(I2cError::Nack { addr: 0x2E }));
+        assert_eq!(bus.write_byte(&mut ram, 0x2E, 0, 1), Err(I2cError::Nack { addr: 0x2E }));
         assert_eq!(
-            bus.read_byte(0x10, 0),
+            bus.read_byte(&mut ram, 0x10, 0),
             Err(I2cError::NoDevice { addr: 0x10 }),
             "a NACKing device does not answer for other addresses"
         );
         bus.inject_nack(false);
-        assert!(bus.read_byte(0x2E, 0).is_ok());
+        assert!(bus.read_byte(&mut ram, 0x2E, 0).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "7-bit")]
     fn eight_bit_address_panics() {
-        let _ = I2cBus::new(0x80, RamDevice { regs: [0; 4] });
+        let _ = I2cBus::new(0x80);
     }
 }

@@ -23,10 +23,11 @@
 //! * [`i2c`] — an SMBus/i2c bus emulation the ADT7467 model sits behind,
 //! * [`sensor`] — a quantizing, noisy digital thermal sensor,
 //! * [`power`] — a sampling wall-power meter,
-//! * [`node`] — the assembled server node advanced by a fixed-step tick loop,
-//! * [`faults`] — fault injection (fan failure, sensor dropout, ambient steps),
-//! * [`batch`] — structure-of-arrays lanes over the hot per-node physics
-//!   state, bit-identical to the scalar tick for 100k-node fleets.
+//! * [`batch`] — structure-of-arrays lanes, the one home of every node's
+//!   plant state, ticked stage by stage for 100k-node fleets,
+//! * [`node`] — the assembled server node: its cold parts plus a batch
+//!   slot, reached through one view,
+//! * [`faults`] — fault injection (fan failure, sensor dropout, ambient steps).
 //!
 //! Everything is deterministic given the seed in [`config::NodeConfig`].
 
@@ -45,5 +46,5 @@ pub mod units;
 
 pub use batch::PhysicsBatch;
 pub use config::NodeConfig;
-pub use node::{Node, NodeState};
+pub use node::{Node, NodeState, NodeView};
 pub use units::{DutyCycle, MilliCelsius, PState};

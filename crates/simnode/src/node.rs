@@ -1,32 +1,40 @@
 //! The assembled server node.
 //!
-//! A [`Node`] wires together the CPU, fan, thermal network, ADT7467 fan
-//! controller (behind the i2c bus), thermal sensor, power meter and fault
-//! plan, and advances them in lockstep from a fixed-width tick loop.
+//! A [`Node`] is the cold half of a simulated server — its configuration,
+//! thermal sensors and their noise streams, fault schedules and log, and
+//! the i2c bus's NACK latch and counters. The plant itself (die and sink
+//! temperatures, fan, ADT7467 registers, CPU state, meter) lives in one
+//! slot of a [`PhysicsBatch`]: a standalone node owns a one-slot batch,
+//! and a cluster builds each node's plant straight into its shard's batch
+//! ([`Node::in_slot`]). A [`NodeView`] joins the two halves and is the only
+//! way to reach the plant, so every read and actuation acts on the slot in
+//! place.
 //!
-//! The node exposes exactly the two control paths the paper's software uses:
+//! The view exposes exactly the two control paths the paper's software
+//! uses:
 //!
 //! * **out-of-band**: SMBus register transactions to the ADT7467
-//!   ([`Node::smbus_read`] / [`Node::smbus_write`]) — the fan driver path,
+//!   ([`NodeView::smbus_read`] / [`NodeView::smbus_write`]) — the fan
+//!   driver path,
 //! * **in-band**: cpufreq-style frequency requests
-//!   ([`Node::set_frequency_khz`]) and the lm-sensors-style sensor read
-//!   ([`Node::read_sensor`]).
+//!   ([`NodeView::set_frequency_khz`]) and the lm-sensors-style sensor read
+//!   ([`NodeView::read_sensor`]).
 //!
 //! Everything else (die temperature, fan RPM, power draw) is physics that
 //! control software can only influence through those two paths, just like on
 //! the real machine.
 
 use serde::{Deserialize, Serialize};
+use unitherm_metrics::RunningStats;
 
 use crate::adt7467::Adt7467;
+use crate::batch::{PhysicsBatch, COND_SHUTDOWN};
 use crate::config::NodeConfig;
-use crate::cpu::{Cpu, InvalidFrequency, ThermalCondition};
-use crate::fan::Fan;
+use crate::cpu::{InvalidFrequency, ThermalCondition};
+use crate::fan;
 use crate::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 use crate::i2c::{I2cBus, I2cError};
-use crate::power::PowerMeter;
 use crate::sensor::{SensorDropout, ThermalSensor};
-use crate::thermal::ThermalModel;
 use crate::units::{DutyCycle, MilliCelsius};
 
 /// The 7-bit i2c address the ADT7467 occupies on the paper's motherboard
@@ -59,20 +67,15 @@ pub struct NodeState {
     pub condition: ThermalCondition,
 }
 
-/// A simulated server node.
+/// What a node holds besides its plant.
 #[derive(Debug)]
-pub struct Node {
-    pub(crate) cfg: NodeConfig,
-    pub(crate) cpu: Cpu,
-    pub(crate) fan: Fan,
-    pub(crate) thermal: ThermalModel,
+struct Cold {
+    cfg: NodeConfig,
     /// One DTS per core (index 0 is the coolest spot, the last the
     /// hottest); the paper's platform has exactly one.
     sensors: Vec<ThermalSensor>,
-    /// The ADT7467 on its i2c bus, held by value: the tick loop and the
-    /// physics lanes reach the chip with no lookup or pointer chase.
-    pub(crate) bus: I2cBus<Adt7467>,
-    pub(crate) meter: PowerMeter,
+    /// The bus to the ADT7467, whose registers sit in the plant's slot.
+    bus: I2cBus,
     faults: FaultPlan,
     /// Tick-addressed faults (deterministic replay); delivered before the
     /// time-addressed plan within a tick.
@@ -81,48 +84,52 @@ pub struct Node {
     /// Pre-reserved to the total scheduled count so steady-state ticks
     /// never allocate.
     fault_log: Vec<(u64, FaultEvent)>,
-    pub(crate) time_s: f64,
-    pub(crate) ticks: u64,
+}
+
+/// A simulated server node.
+#[derive(Debug)]
+pub struct Node {
+    cold: Cold,
+    /// The node's own one-slot plant; `None` when the plant lives in a
+    /// slot of a shared batch ([`Node::in_slot`]).
+    plant: Option<Box<PhysicsBatch>>,
 }
 
 impl Node {
-    /// Builds a node from the configuration, pre-warmed to its idle
-    /// operating point (CPU idle at top frequency, ADT7467 in automatic
-    /// mode, thermal network settled).
+    /// Builds a standalone node (with its own one-slot plant) from the
+    /// configuration, pre-warmed to its idle operating point (CPU idle at
+    /// top frequency, ADT7467 in automatic mode, thermal network settled).
     pub fn new(cfg: NodeConfig, seed: u64) -> Self {
         Self::with_faults(cfg, seed, FaultPlan::none())
     }
 
-    /// Builds a node with a fault-injection plan.
+    /// Builds a standalone node with a fault-injection plan.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`NodeConfig::validate`].
     pub fn with_faults(cfg: NodeConfig, seed: u64, faults: FaultPlan) -> Self {
+        let mut plant = Box::new(PhysicsBatch::with_len(1));
+        let node = Self::in_slot(cfg, seed, faults, &mut plant, 0);
+        Self { plant: Some(plant), ..node }
+    }
+
+    /// Builds a node whose plant lives in slot `slot` of `lanes`, pre-warmed
+    /// like [`Node::new`]; the returned node holds only the cold parts.
+    /// Reach the plant with [`Node::view_in`] on the same batch and slot.
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`NodeConfig::validate`].
+    pub fn in_slot(
+        cfg: NodeConfig,
+        seed: u64,
+        faults: FaultPlan,
+        lanes: &mut PhysicsBatch,
+        slot: usize,
+    ) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid node config: {e}");
         }
-        let cpu = Cpu::new(cfg.cpu.clone());
-        let chip = Adt7467::new();
-
-        // Find the idle fixed point of (temperature, auto-curve duty):
-        // iterate the steady-state map a few times; it is a contraction.
-        let idle_power = cpu.power_w(cfg.thermal.ambient_c + 15.0);
-        let mut duty = chip.commanded_duty();
-        let thermal_probe = ThermalModel::new(cfg.thermal.clone());
-        for _ in 0..8 {
-            let (die, _) = thermal_probe.steady_state(idle_power, duty.fraction());
-            duty = chip.static_curve_duty(die);
-        }
-        let (die, _) = thermal_probe.steady_state(idle_power, duty.fraction());
-
-        let thermal =
-            ThermalModel::new_at_steady_state(cfg.thermal.clone(), idle_power, duty.fraction());
-        let fan = Fan::new_at_duty(cfg.fan.clone(), duty);
-        let mut chip = chip;
-        chip.set_measured_temp_c(die);
-
-        let bus = I2cBus::new(ADT7467_ADDR, chip);
-
+        build_plant(lanes, slot, &cfg);
         let sensors = (0..cfg.sensor.count)
             .map(|i| {
                 let mut per_sensor = cfg.sensor.clone();
@@ -138,132 +145,209 @@ impl Node {
                 )
             })
             .collect();
-        let meter = PowerMeter::new(cfg.board.psu_efficiency, METER_PERIOD_S);
-
         let fault_log = Vec::with_capacity(faults.len());
-        Self {
+        let cold = Cold {
             cfg,
-            cpu,
-            fan,
-            thermal,
             sensors,
-            bus,
-            meter,
+            bus: I2cBus::new(ADT7467_ADDR),
             faults,
             tick_faults: TickFaultSchedule::none(),
             fault_log,
-            time_s: 0.0,
-            ticks: 0,
-        }
+        };
+        Self { cold, plant: None }
     }
 
     /// Attaches a tick-addressed fault schedule (deterministic replay).
     /// Within a tick these deliver before the time-addressed plan.
     ///
     /// # Panics
-    /// Panics if the node has already ticked — a schedule attached
-    /// mid-flight would not replay deterministically.
+    /// Panics if the node's own plant has already ticked — a schedule
+    /// attached mid-flight would not replay deterministically.
     pub fn set_tick_faults(&mut self, schedule: TickFaultSchedule) {
-        assert_eq!(self.ticks, 0, "tick faults must be attached before the first tick");
-        self.fault_log.reserve(schedule.len());
-        self.tick_faults = schedule;
-    }
-
-    /// Simulation time in seconds.
-    pub fn time_s(&self) -> f64 {
-        self.time_s
-    }
-
-    /// Ticks elapsed (the first [`Node::tick`] call is tick 1).
-    pub fn ticks(&self) -> u64 {
-        self.ticks
+        let ticks = self.plant.as_ref().map_or(0, |p| p.ticks);
+        assert_eq!(ticks, 0, "tick faults must be attached before the first tick");
+        self.cold.fault_log.reserve(schedule.len());
+        self.cold.tick_faults = schedule;
     }
 
     /// Every fault delivered so far, with the tick each landed on.
     pub fn fault_log(&self) -> &[(u64, FaultEvent)] {
-        &self.fault_log
+        &self.cold.fault_log
     }
 
     /// True when this node has any scheduled fault sources (time- or
     /// tick-addressed). A batched simulation hooks such nodes so it can
     /// deliver their faults between lane ticks.
     pub fn has_fault_sources(&self) -> bool {
-        !self.faults.is_empty() || !self.tick_faults.is_empty()
+        !self.cold.faults.is_empty() || !self.cold.tick_faults.is_empty()
     }
 
     /// True when a fault is due at tick `tick` and time `time_s`: what
-    /// [`Node::deliver_due_faults`] would deliver once the node's clock
-    /// reads them. A batched simulation, whose lanes hold the clock, peeks
-    /// with its own tick and time before syncing the node.
+    /// [`NodeView::deliver_due_faults`] would deliver on a plant whose
+    /// clock reads them.
     pub fn fault_due(&self, tick: u64, time_s: f64) -> bool {
-        self.tick_faults.has_due(tick) || self.faults.has_due(time_s)
+        self.cold.tick_faults.has_due(tick) || self.cold.faults.has_due(time_s)
     }
 
-    /// Delivers every fault due at the node's current tick and time:
-    /// tick-addressed ones first, then time-addressed ones, each logged.
-    /// Returns true when any fault landed. [`Node::tick`] calls this after
-    /// advancing the clock; a batched simulation calls it between lane
-    /// ticks.
-    pub fn deliver_due_faults(&mut self) -> bool {
-        let before = self.fault_log.len();
-        while let Some(ev) = self.tick_faults.pop_due(self.ticks) {
-            self.apply_fault(ev);
-        }
-        while let Some(ev) = self.faults.pop_due(self.time_s) {
-            self.apply_fault(ev);
-        }
-        self.fault_log.len() > before
-    }
-
-    /// Configuration the node was built from.
-    pub fn config(&self) -> &NodeConfig {
-        &self.cfg
-    }
-
-    /// Advances the node by `dt_s` seconds.
+    /// The view of a standalone node: its cold parts with its own plant.
     ///
-    /// Order per tick: deliver due faults → fan controller evaluates (the
-    /// chip sees the die temperature through its remote diode) → fan rotor
-    /// dynamics → CPU heat into the thermal network → hardware thermal
-    /// monitor → power metering.
+    /// # Panics
+    /// Panics on a node built with [`Node::in_slot`]; use
+    /// [`Node::view_in`] with its batch.
+    pub fn view(&mut self) -> NodeView<'_> {
+        let lanes = self.plant.as_deref_mut().expect("the node's plant lives in a shared batch");
+        NodeView { cold: &mut self.cold, lanes, slot: 0 }
+    }
+
+    /// The view of a node whose plant lives in slot `slot` of `lanes`.
+    pub fn view_in<'a>(&'a mut self, lanes: &'a mut PhysicsBatch, slot: usize) -> NodeView<'a> {
+        NodeView { cold: &mut self.cold, lanes, slot }
+    }
+
+    /// Advances a standalone node by `dt_s` seconds: deliver due faults,
+    /// then one tick of its one-slot batch (the fan controller evaluates —
+    /// the chip sees the die temperature through its remote diode — then
+    /// fan rotor dynamics, CPU heat into the thermal network, the hardware
+    /// thermal monitor and power metering).
     pub fn tick(&mut self, dt_s: f64) {
-        assert!(dt_s > 0.0, "time step must be positive");
-        self.ticks += 1;
-        self.time_s += dt_s;
+        let mut view = self.view();
+        view.lanes.begin_tick(dt_s);
+        view.deliver_due_faults();
+        view.lanes.tick_all(dt_s);
+    }
 
-        self.deliver_due_faults();
+    /// The node's own one-slot plant.
+    pub(crate) fn plant(&self) -> &PhysicsBatch {
+        self.plant.as_deref().expect("the node's plant lives in a shared batch")
+    }
 
-        // The chip's remote diode tracks the die continuously.
-        let die = self.thermal.die_temp_c();
-        let chip = self.bus.device_mut();
-        chip.set_measured_temp_c(die);
-        self.fan.set_duty(chip.commanded_duty());
-        self.fan.step(dt_s);
+    /// The node's own one-slot plant, mutably.
+    pub(crate) fn plant_mut(&mut self) -> &mut PhysicsBatch {
+        self.plant.as_deref_mut().expect("the node's plant lives in a shared batch")
+    }
+}
 
-        let cpu_power = self.cpu.power_w(die);
-        self.thermal.step(dt_s, cpu_power, self.fan.airflow());
-        self.cpu.update_thermal_monitor(self.thermal.die_temp_c());
+/// Builds a node's plant into slot `i` of `lanes` from `cfg`, pre-warmed to
+/// the idle fixed point of (temperature, automatic-curve duty).
+fn build_plant(lanes: &mut PhysicsBatch, i: usize, cfg: &NodeConfig) {
+    let t = &cfg.thermal;
+    lanes.ambient_c[i] = t.ambient_c;
+    lanes.g_ds[i] = t.die_sink_conductance_w_per_k;
+    lanes.c_die[i] = t.die_capacity_j_per_k;
+    lanes.c_sink[i] = t.sink_capacity_j_per_k;
+    lanes.g_nat[i] = t.natural_conductance_w_per_k;
+    lanes.g_air[i] = t.airflow_conductance_w_per_k;
+    lanes.k_exp[i] = t.airflow_exponent;
 
-        let dc_power = cpu_power + self.fan.power_w() + self.cfg.board.base_power_w;
-        self.meter.observe(dt_s, dc_power);
+    let f = &cfg.fan;
+    lanes.fan_max_rpm[i] = f.max_rpm;
+    lanes.fan_stall[i] = f.stall_fraction;
+    lanes.fan_tau[i] = f.time_constant_s;
+    lanes.fan_max_w[i] = f.max_power_w;
+
+    let c = &cfg.cpu;
+    let top = c.pstates[0];
+    let min = *c.pstates.last().expect("non-empty pstates");
+    lanes.top_v[i] = top.voltage_v;
+    lanes.top_f[i] = f64::from(top.freq_mhz);
+    lanes.req_idx[i] = 0;
+    lanes.req_v[i] = top.voltage_v;
+    lanes.req_f[i] = f64::from(top.freq_mhz);
+    lanes.min_v[i] = min.voltage_v;
+    lanes.min_f[i] = f64::from(min.freq_mhz);
+    lanes.leak_ref_w[i] = c.leakage_power_ref_w;
+    lanes.leak_coeff[i] = c.leakage_temp_coeff_per_k;
+    lanes.leak_tref[i] = c.leakage_ref_temp_c;
+    lanes.dyn_max_w[i] = c.dynamic_power_max_w;
+    lanes.mon_throttle_c[i] = c.emergency_throttle_c;
+    lanes.mon_shutdown_c[i] = c.emergency_shutdown_c;
+    lanes.mon_hyst_c[i] = c.emergency_hysteresis_c;
+
+    lanes.psu_eff[i] = cfg.board.psu_efficiency;
+    lanes.base_w[i] = cfg.board.base_power_w;
+    lanes.m_period[i] = METER_PERIOD_S;
+
+    // The idle fixed point of (temperature, auto-curve duty): iterate the
+    // steady-state map a few times; it is a contraction.
+    let idle_power = lanes.cpu_power_w(i, t.ambient_c + 15.0);
+    let mut chip = Adt7467::new(lanes, i);
+    chip.power_on();
+    let mut duty = chip.commanded_duty();
+    for _ in 0..8 {
+        let (die, _) = t.steady_state(idle_power, duty.fraction());
+        duty = chip.static_curve_duty(die);
+    }
+    let (die, sink) = t.steady_state(idle_power, duty.fraction());
+    chip.set_measured_temp_c(die);
+    lanes.die_c[i] = die;
+    lanes.sink_c[i] = sink;
+    lanes.fan_duty_pct[i] = duty.percent();
+    lanes.fan_rpm[i] = fan::target_rpm_raw(false, duty.fraction(), f.stall_fraction, f.max_rpm);
+}
+
+/// A node seen whole: its cold parts joined with its plant's batch slot.
+/// Every read of the plant and every actuation — sensor reads, SMBus
+/// register transactions, cpufreq and sleep-gate requests, fault delivery
+/// — goes through here and acts on the slot in place.
+#[derive(Debug)]
+pub struct NodeView<'a> {
+    cold: &'a mut Cold,
+    lanes: &'a mut PhysicsBatch,
+    slot: usize,
+}
+
+impl NodeView<'_> {
+    /// Simulation time in seconds.
+    pub fn time_s(&self) -> f64 {
+        self.lanes.time_s
+    }
+
+    /// Ticks elapsed (the first tick is tick 1).
+    pub fn ticks(&self) -> u64 {
+        self.lanes.ticks
+    }
+
+    /// Delivers every fault due at the plant's current tick and time:
+    /// tick-addressed ones first, then time-addressed ones, each logged.
+    /// Returns true when any fault landed. Call after the batch's
+    /// [`PhysicsBatch::begin_tick`] and before its
+    /// [`PhysicsBatch::tick_all`].
+    pub fn deliver_due_faults(&mut self) -> bool {
+        let before = self.cold.fault_log.len();
+        let (ticks, time_s) = (self.lanes.ticks, self.lanes.time_s);
+        while let Some(ev) = self.cold.tick_faults.pop_due(ticks) {
+            self.apply_fault(ev);
+        }
+        while let Some(ev) = self.cold.faults.pop_due(time_s) {
+            self.apply_fault(ev);
+        }
+        self.cold.fault_log.len() > before
     }
 
     fn apply_fault(&mut self, ev: FaultEvent) {
-        self.fault_log.push((self.ticks, ev));
+        let (cold, l, i) = (&mut *self.cold, &mut *self.lanes, self.slot);
+        cold.fault_log.push((l.ticks, ev));
         match ev {
-            FaultEvent::FanFailure => self.fan.fail(),
-            FaultEvent::FanRepair => self.fan.repair(),
+            FaultEvent::FanFailure => l.fan_failed[i] = true,
+            FaultEvent::FanRepair => l.fan_failed[i] = false,
             // Sensor dropouts model the polling path failing (bus or hub),
             // which takes every DTS with it.
-            FaultEvent::SensorDropout => self.sensors.iter_mut().for_each(|s| s.drop_out()),
-            FaultEvent::SensorRestore => self.sensors.iter_mut().for_each(|s| s.restore()),
-            FaultEvent::I2cFailure => self.bus.inject_nack(true),
-            FaultEvent::I2cRecovery => self.bus.inject_nack(false),
-            FaultEvent::AmbientStep(t) => self.thermal.set_ambient_c(t),
-            FaultEvent::PwmStuck => self.fan.stick_pwm(),
-            FaultEvent::PwmRelease => self.fan.release_pwm(),
+            FaultEvent::SensorDropout => cold.sensors.iter_mut().for_each(|s| s.drop_out()),
+            FaultEvent::SensorRestore => cold.sensors.iter_mut().for_each(|s| s.restore()),
+            FaultEvent::I2cFailure => cold.bus.inject_nack(true),
+            FaultEvent::I2cRecovery => cold.bus.inject_nack(false),
+            // An HVAC event or a hot spot forming in the rack.
+            FaultEvent::AmbientStep(t) => {
+                assert!(t.is_finite(), "ambient temperature must be finite");
+                l.ambient_c[i] = t;
+            }
+            // A wedged controller output stage: the rotor keeps spinning
+            // at the latched duty, and duty commands are ignored until the
+            // release.
+            FaultEvent::PwmStuck => l.fan_stuck[i] = true,
+            FaultEvent::PwmRelease => l.fan_stuck[i] = false,
             FaultEvent::SensorJitter(std) => {
-                self.sensors.iter_mut().for_each(|s| s.set_extra_jitter(std));
+                cold.sensors.iter_mut().for_each(|s| s.set_extra_jitter(std));
             }
         }
     }
@@ -278,18 +362,19 @@ impl Node {
 
     /// Number of on-die thermal sensors.
     pub fn sensor_count(&self) -> usize {
-        self.sensors.len()
+        self.cold.sensors.len()
     }
 
     /// Reads sensor `idx` (0-based).
     ///
     /// # Panics
     /// Panics if `idx` is out of range — enumerate with
-    /// [`Node::sensor_count`] first; a wrong index is a driver bug.
+    /// [`NodeView::sensor_count`] first; a wrong index is a driver bug.
     pub fn read_sensor_at(&mut self, idx: usize) -> Result<MilliCelsius, SensorDropout> {
-        let die = self.thermal.die_temp_c();
-        let n = self.sensors.len();
-        self.sensors
+        let die = self.die_temp_c();
+        let n = self.cold.sensors.len();
+        self.cold
+            .sensors
             .get_mut(idx)
             .unwrap_or_else(|| panic!("sensor index {idx} out of range (count {n})"))
             .read(die)
@@ -299,50 +384,85 @@ impl Node {
     /// thermal controllers should act on for multi-core parts. Fails only
     /// when *no* sensor responds.
     pub fn read_hottest_sensor(&mut self) -> Result<MilliCelsius, SensorDropout> {
-        let die = self.thermal.die_temp_c();
-        self.sensors.iter_mut().filter_map(|s| s.read(die).ok()).max().ok_or(SensorDropout)
+        let die = self.die_temp_c();
+        self.cold.sensors.iter_mut().filter_map(|s| s.read(die).ok()).max().ok_or(SensorDropout)
     }
 
     /// Available DVFS frequencies in kHz, descending (cpufreq
     /// `scaling_available_frequencies`).
     pub fn available_frequencies_khz(&self) -> Vec<u32> {
-        self.cpu.pstates().iter().map(|p| p.freq_khz()).collect()
+        self.cold.cfg.cpu.pstates.iter().map(|p| p.freq_khz()).collect()
     }
 
     /// Requests a DVFS frequency in kHz (cpufreq `scaling_setspeed`).
+    ///
+    /// Returns `true` when this changed the requested P-state (and counts a
+    /// frequency transition). Requests for unavailable frequencies are
+    /// rejected with `Err` carrying the list of valid frequencies.
     pub fn set_frequency_khz(&mut self, khz: u32) -> Result<bool, InvalidFrequency> {
-        self.cpu.set_frequency_mhz(khz / 1000)
-    }
-
-    /// Sets the CPU's ACPI sleep-state gate (1.0 = C0 fully awake; lower
-    /// models deeper processor sleep). The in-band path an ACPI sleep
-    /// daemon actuates through.
-    pub fn set_sleep_gate(&mut self, gate: f64) {
-        self.cpu.set_sleep_gate(gate);
+        let freq_mhz = khz / 1000;
+        let pstates = &self.cold.cfg.cpu.pstates;
+        let idx = pstates.iter().position(|p| p.freq_mhz == freq_mhz).ok_or_else(|| {
+            InvalidFrequency {
+                requested_mhz: freq_mhz,
+                available_mhz: pstates.iter().map(|p| p.freq_mhz).collect(),
+            }
+        })?;
+        let (l, i) = (&mut *self.lanes, self.slot);
+        if idx == l.req_idx[i] {
+            return Ok(false);
+        }
+        l.req_idx[i] = idx;
+        l.req_v[i] = pstates[idx].voltage_v;
+        l.req_f[i] = f64::from(pstates[idx].freq_mhz);
+        l.freq_transitions[i] += 1;
+        Ok(true)
     }
 
     /// Currently requested frequency in kHz (cpufreq `scaling_cur_freq`
     /// reports the governor request; hardware throttling is separate).
     pub fn requested_frequency_khz(&self) -> u32 {
-        self.cpu.requested_pstate().freq_khz()
+        self.cold.cfg.cpu.pstates[self.lanes.req_idx[self.slot]].freq_khz()
+    }
+
+    /// Sets the CPU's ACPI sleep-state gate: the fraction of nominal power
+    /// (and execution speed) the package retains, 1.0 for C0 down toward 0
+    /// for deep sleep, clamped to `[0, 1]`. The in-band path an ACPI sleep
+    /// daemon actuates through.
+    pub fn set_sleep_gate(&mut self, gate: f64) {
+        assert!(gate.is_finite(), "sleep gate must be finite");
+        self.lanes.sleep_gate[self.slot] = gate.clamp(0.0, 1.0);
+    }
+
+    /// Current ACPI sleep-state gate in `[0, 1]`.
+    pub fn sleep_gate(&self) -> f64 {
+        self.lanes.sleep_gate[self.slot]
     }
 
     /// CPU utilization over the last tick, `[0, 1]` — what a daemon would
     /// derive from `/proc/stat`.
     pub fn utilization(&self) -> f64 {
-        self.cpu.utilization()
+        self.lanes.util[self.slot]
     }
 
     // ---- out-of-band control path (i2c fan driver style) ----
 
     /// SMBus byte read from a device on the node's i2c bus.
     pub fn smbus_read(&mut self, addr: u8, reg: u8) -> Result<u8, I2cError> {
-        self.bus.read_byte(addr, reg)
+        let mut chip = Adt7467::new(self.lanes, self.slot);
+        self.cold.bus.read_byte(&mut chip, addr, reg)
     }
 
     /// SMBus byte write to a device on the node's i2c bus.
     pub fn smbus_write(&mut self, addr: u8, reg: u8, value: u8) -> Result<(), I2cError> {
-        self.bus.write_byte(addr, reg, value)
+        let mut chip = Adt7467::new(self.lanes, self.slot);
+        self.cold.bus.write_byte(&mut chip, addr, reg, value)
+    }
+
+    /// The ADT7467's register file, bypassing the bus (simulator internal
+    /// use: curve inspection and the Figure-1 sweep).
+    pub fn chip(&mut self) -> Adt7467<'_> {
+        Adt7467::new(self.lanes, self.slot)
     }
 
     // ---- workload / simulator-internal access ----
@@ -350,82 +470,114 @@ impl Node {
     /// Sets CPU utilization for the next tick (driven by the workload
     /// model); activity follows utilization.
     pub fn set_utilization(&mut self, u: f64) {
-        self.cpu.set_utilization(u);
+        self.set_load(u, u);
     }
 
-    /// Sets utilization and switching activity separately.
+    /// Sets the OS-visible utilization and the switching-activity factor
+    /// separately (both clamped to `[0, 1]`). Utilization is what a
+    /// governor observes; activity is what scales dynamic power.
     pub fn set_load(&mut self, utilization: f64, activity: f64) {
-        self.cpu.set_load(utilization, activity);
+        self.lanes.set_load(self.slot, utilization, activity);
     }
 
     /// Relative execution speed vs. the top P-state (workload progress
-    /// multiplier; 0 when shut down or 0 % utilization makes no progress
-    /// anyway).
+    /// multiplier; 0 when shut down).
     pub fn speed_factor(&self) -> f64 {
-        self.cpu.speed_factor()
-    }
-
-    /// Direct CPU access for metrics (transition counts, condition).
-    pub fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    /// Direct fan access for metrics (RPM, failure state).
-    pub fn fan(&self) -> &Fan {
-        &self.fan
-    }
-
-    /// Power meter access for Table-1 style reporting.
-    pub fn meter(&self) -> &PowerMeter {
-        &self.meter
+        self.lanes.speed_factor(self.slot)
     }
 
     /// Ground-truth die temperature (for plots; controllers must use
-    /// [`Node::read_sensor`]).
+    /// [`NodeView::read_sensor`]).
     pub fn die_temp_c(&self) -> f64 {
-        self.thermal.die_temp_c()
+        self.lanes.die_c[self.slot]
     }
 
-    /// Current intake-air (ambient) temperature, °C.
-    pub fn ambient_c(&self) -> f64 {
-        self.thermal.ambient_c()
+    /// Commanded fan duty cycle.
+    pub fn fan_duty(&self) -> DutyCycle {
+        DutyCycle::new(self.lanes.fan_duty_pct[self.slot])
     }
 
-    /// Sets the intake-air temperature — driven by rack-level air models
-    /// (recirculation coupling) or fault plans (HVAC events).
-    pub fn set_ambient_c(&mut self, ambient_c: f64) {
-        self.thermal.set_ambient_c(ambient_c);
+    /// True when the fan rotor has seized.
+    pub fn is_fan_failed(&self) -> bool {
+        self.lanes.fan_failed[self.slot]
+    }
+
+    /// True while the fan's PWM line is stuck.
+    pub fn is_pwm_stuck(&self) -> bool {
+        self.lanes.fan_stuck[self.slot]
+    }
+
+    /// Current thermal condition.
+    pub fn condition(&self) -> ThermalCondition {
+        self.lanes.condition(self.slot)
+    }
+
+    /// True once the die crossed the shutdown threshold.
+    pub fn is_shut_down(&self) -> bool {
+        self.lanes.cpu_cond[self.slot] == COND_SHUTDOWN
+    }
+
+    /// Number of accepted frequency transitions since construction
+    /// (Table 1's "# freq changes" column).
+    pub fn freq_transition_count(&self) -> u64 {
+        self.lanes.freq_transitions[self.slot]
+    }
+
+    /// Number of times the hardware thermal monitor engaged.
+    pub fn throttle_event_count(&self) -> u64 {
+        self.lanes.throttle_events[self.slot]
+    }
+
+    /// Total wall energy the meter observed, in joules.
+    pub fn energy_j(&self) -> f64 {
+        self.lanes.m_total_e[self.slot]
+    }
+
+    /// True average wall power over the whole observation, in watts.
+    pub fn average_power_w(&self) -> f64 {
+        let (e, t) = (self.lanes.m_total_e[self.slot], self.lanes.m_total_t[self.slot]);
+        if t > 0.0 {
+            e / t
+        } else {
+            0.0
+        }
+    }
+
+    /// Statistics over the meter's emitted 1 Hz samples.
+    pub fn meter_samples(&self) -> RunningStats {
+        self.lanes.m_stats[self.slot]
     }
 
     /// Heat currently dissipated into the air by this node, W (DC side:
     /// CPU + fan + board; PSU losses are dumped at the wall, outside the
     /// rack airflow model's control volume).
     pub fn heat_output_w(&self) -> f64 {
-        self.cpu.power_w(self.thermal.die_temp_c())
-            + self.fan.power_w()
-            + self.cfg.board.base_power_w
+        self.lanes.heat_w(self.slot)
     }
 
     /// Instantaneous wall power in W.
     pub fn wall_power_w(&self) -> f64 {
-        let dc = self.cpu.power_w(self.thermal.die_temp_c())
-            + self.fan.power_w()
-            + self.cfg.board.base_power_w;
-        dc / self.cfg.board.psu_efficiency
+        self.heat_output_w() / self.lanes.psu_eff[self.slot]
     }
 
     /// Full observable state snapshot.
     pub fn state(&self) -> NodeState {
+        let (l, i) = (&*self.lanes, self.slot);
+        let freq_mhz = match l.condition(i) {
+            ThermalCondition::ShutDown => 0.0,
+            ThermalCondition::Throttled => l.min_f[i],
+            ThermalCondition::Nominal => l.req_f[i],
+        };
         NodeState {
-            time_s: self.time_s,
-            die_temp_c: self.thermal.die_temp_c(),
-            sink_temp_c: self.thermal.sink_temp_c(),
-            fan_duty: self.fan.duty(),
-            fan_rpm: self.fan.rpm(),
-            freq_mhz: self.cpu.effective_freq_mhz(),
-            utilization: self.cpu.utilization(),
+            time_s: l.time_s,
+            die_temp_c: l.die_c[i],
+            sink_temp_c: l.sink_c[i],
+            fan_duty: self.fan_duty(),
+            fan_rpm: l.fan_rpm[i],
+            freq_mhz: freq_mhz as u32,
+            utilization: l.util[i],
             wall_power_w: self.wall_power_w(),
-            condition: self.cpu.condition(),
+            condition: l.condition(i),
         }
     }
 }
@@ -450,12 +602,12 @@ mod tests {
     #[test]
     fn starts_settled_at_idle() {
         let mut n = node();
-        let t0 = n.die_temp_c();
+        let t0 = n.view().die_temp_c();
         run(&mut n, 60.0);
         assert!(
-            (n.die_temp_c() - t0).abs() < 1.5,
+            (n.view().die_temp_c() - t0).abs() < 1.5,
             "idle node should stay settled: {t0} → {}",
-            n.die_temp_c()
+            n.view().die_temp_c()
         );
         assert!((30.0..45.0).contains(&t0), "idle operating point {t0}");
     }
@@ -463,10 +615,10 @@ mod tests {
     #[test]
     fn auto_fan_responds_to_load() {
         let mut n = node();
-        let duty0 = n.state().fan_duty;
-        n.set_utilization(1.0);
+        let duty0 = n.view().state().fan_duty;
+        n.view().set_utilization(1.0);
         run(&mut n, 300.0);
-        let s = n.state();
+        let s = n.view().state();
         assert!(s.die_temp_c > 45.0, "loaded die heats up: {}", s.die_temp_c);
         assert!(s.fan_duty > duty0, "auto mode speeds the fan up: {} → {}", duty0, s.fan_duty);
     }
@@ -476,10 +628,10 @@ mod tests {
         // The stock automatic curve must hold cpu-burn below the 70 °C
         // hardware throttle (it ramps to 100 % duty well before that).
         let mut n = node();
-        n.set_utilization(1.0);
+        n.view().set_utilization(1.0);
         run(&mut n, 600.0);
-        assert!(n.die_temp_c() < 70.0, "auto-controlled burn at {}", n.die_temp_c());
-        assert_eq!(n.cpu().throttle_event_count(), 0);
+        assert!(n.view().die_temp_c() < 70.0, "auto-controlled burn at {}", n.view().die_temp_c());
+        assert_eq!(n.view().throttle_event_count(), 0);
     }
 
     #[test]
@@ -491,71 +643,75 @@ mod tests {
         // the lowest P-state cannot dissipate the heat, so the node
         // ultimately shuts down. This is the "loss of availability" failure
         // mode the paper's introduction warns about.
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(2).to_register()).unwrap();
-        n.set_utilization(1.0);
+        n.view().smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
+        n.view()
+            .smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(2).to_register())
+            .unwrap();
+        n.view().set_utilization(1.0);
         run(&mut n, 900.0);
-        assert!(n.cpu().throttle_event_count() > 0, "expected a thermal emergency");
-        assert!(n.cpu().is_shut_down(), "dead fan under sustained burn is fatal");
-        assert_eq!(n.state().condition, ThermalCondition::ShutDown);
+        assert!(n.view().throttle_event_count() > 0, "expected a thermal emergency");
+        assert!(n.view().is_shut_down(), "dead fan under sustained burn is fatal");
+        assert_eq!(n.view().state().condition, ThermalCondition::ShutDown);
         // A shut-down node cools back toward ambient.
-        assert!(n.die_temp_c() < 70.0, "cooling after shutdown: {}", n.die_temp_c());
+        assert!(n.view().die_temp_c() < 70.0, "cooling after shutdown: {}", n.view().die_temp_c());
     }
 
     #[test]
     fn smbus_path_controls_fan() {
         let mut n = node();
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(80).to_register()).unwrap();
+        n.view().smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
+        n.view()
+            .smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(80).to_register())
+            .unwrap();
         run(&mut n, 10.0);
-        assert_eq!(n.state().fan_duty.percent(), 80);
-        assert!((n.state().fan_rpm - 0.8 * 4300.0).abs() < 50.0);
-        let mode = n.smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap();
+        assert_eq!(n.view().state().fan_duty.percent(), 80);
+        assert!((n.view().state().fan_rpm - 0.8 * 4300.0).abs() < 50.0);
+        let mode = n.view().smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap();
         assert_eq!(mode, 1);
-        let chip_duty = n.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT).unwrap();
+        let chip_duty = n.view().smbus_read(ADT7467_ADDR, regs::PWM_CURRENT).unwrap();
         assert_eq!(DutyCycle::from_register(chip_duty).percent(), 80);
     }
 
     #[test]
     fn cpufreq_path_scales_frequency_and_power() {
         let mut n = node();
-        n.set_utilization(1.0);
+        n.view().set_utilization(1.0);
         run(&mut n, 120.0);
-        let hot = n.wall_power_w();
+        let hot = n.view().wall_power_w();
         assert_eq!(
-            n.available_frequencies_khz(),
+            n.view().available_frequencies_khz(),
             vec![2_400_000, 2_200_000, 2_000_000, 1_800_000, 1_000_000]
         );
-        n.set_frequency_khz(1_000_000).unwrap();
-        assert_eq!(n.requested_frequency_khz(), 1_000_000);
+        n.view().set_frequency_khz(1_000_000).unwrap();
+        assert_eq!(n.view().requested_frequency_khz(), 1_000_000);
         run(&mut n, 120.0);
-        let cool = n.wall_power_w();
+        let cool = n.view().wall_power_w();
         assert!(cool < hot - 20.0, "downscaled power {cool} vs {hot}");
-        assert!((n.speed_factor() - 1.0 / 2.4).abs() < 1e-9);
-        assert!(n.set_frequency_khz(1_234_000).is_err());
+        assert!((n.view().speed_factor() - 1.0 / 2.4).abs() < 1e-9);
+        assert!(n.view().set_frequency_khz(1_234_000).is_err());
     }
 
     #[test]
     fn sensor_reads_track_die() {
         let mut n = node();
-        n.set_utilization(1.0);
+        n.view().set_utilization(1.0);
         run(&mut n, 200.0);
-        let reading = n.read_sensor().unwrap().to_celsius();
-        assert!((reading - n.die_temp_c()).abs() < 2.0);
+        let reading = n.view().read_sensor().unwrap().to_celsius();
+        assert!((reading - n.view().die_temp_c()).abs() < 2.0);
     }
 
     #[test]
     fn fan_failure_causes_runaway_and_throttle() {
         let faults = FaultPlan::none().at(10.0, FaultEvent::FanFailure);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
-        n.set_utilization(1.0);
+        n.view().set_utilization(1.0);
         run(&mut n, 600.0);
-        assert!(n.fan().is_failed());
-        assert_eq!(n.state().fan_rpm, 0.0);
+        assert!(n.view().is_fan_failed());
+        assert_eq!(n.view().state().fan_rpm, 0.0);
         assert!(
-            n.cpu().throttle_event_count() > 0,
+            n.view().throttle_event_count() > 0,
             "dead fan under burn must trigger the thermal monitor (T={})",
-            n.die_temp_c()
+            n.view().die_temp_c()
         );
     }
 
@@ -565,9 +721,9 @@ mod tests {
             FaultPlan::none().at(1.0, FaultEvent::SensorDropout).at(2.0, FaultEvent::SensorRestore);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         run(&mut n, 1.5);
-        assert!(n.read_sensor().is_err());
+        assert!(n.view().read_sensor().is_err());
         run(&mut n, 1.0);
-        assert!(n.read_sensor().is_ok());
+        assert!(n.view().read_sensor().is_ok());
     }
 
     #[test]
@@ -576,7 +732,7 @@ mod tests {
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         run(&mut n, 2.0);
         assert!(matches!(
-            n.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT),
+            n.view().smbus_read(ADT7467_ADDR, regs::PWM_CURRENT),
             Err(I2cError::Nack { .. })
         ));
     }
@@ -585,9 +741,9 @@ mod tests {
     fn ambient_step_heats_node() {
         let faults = FaultPlan::none().at(5.0, FaultEvent::AmbientStep(35.0));
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
-        let before = n.die_temp_c();
+        let before = n.view().die_temp_c();
         run(&mut n, 600.0);
-        assert!(n.die_temp_c() > before + 5.0, "{} → {}", before, n.die_temp_c());
+        assert!(n.view().die_temp_c() > before + 5.0, "{} → {}", before, n.view().die_temp_c());
     }
 
     #[test]
@@ -602,16 +758,16 @@ mod tests {
         for _ in 0..9 {
             n.tick(0.05);
         }
-        assert!(!n.fan().is_pwm_stuck(), "nothing delivered before tick 10");
+        assert!(!n.view().is_pwm_stuck(), "nothing delivered before tick 10");
         assert!(n.fault_log().is_empty());
         n.tick(0.05);
-        assert!(n.fan().is_pwm_stuck(), "PwmStuck delivered on tick 10 exactly");
+        assert!(n.view().is_pwm_stuck(), "PwmStuck delivered on tick 10 exactly");
         assert_eq!(n.fault_log(), &[(10, FaultEvent::PwmStuck)]);
         for _ in 0..20 {
             n.tick(0.05);
         }
-        assert!(!n.fan().is_pwm_stuck(), "released on tick 30");
-        assert_eq!(n.ticks(), 30);
+        assert!(!n.view().is_pwm_stuck(), "released on tick 30");
+        assert_eq!(n.view().ticks(), 30);
         assert_eq!(
             n.fault_log(),
             &[
@@ -656,7 +812,7 @@ mod tests {
         for _ in 0..49 {
             a.tick(0.05);
             b.tick(0.05);
-            if a.read_sensor() != b.read_sensor() {
+            if a.view().read_sensor() != b.view().read_sensor() {
                 diverged = true;
             }
         }
@@ -665,7 +821,7 @@ mod tests {
         b.tick(0.05);
         // Same seed, same draw count per read: once the jitter clears the
         // two nodes read identically again.
-        assert_eq!(a.read_sensor(), b.read_sensor());
+        assert_eq!(a.view().read_sensor(), b.view().read_sensor());
     }
 
     #[test]
@@ -673,33 +829,37 @@ mod tests {
         // Table 1 reports ≈ 93–101 W per node for BT; check cpu-burn with a
         // mid fan duty lands in that neighbourhood.
         let mut n = node();
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
-        n.smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(50).to_register()).unwrap();
-        n.set_utilization(1.0);
+        n.view().smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
+        n.view()
+            .smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(50).to_register())
+            .unwrap();
+        n.view().set_utilization(1.0);
         run(&mut n, 400.0);
-        let p = n.wall_power_w();
+        let p = n.view().wall_power_w();
         assert!((85.0..115.0).contains(&p), "loaded wall power {p}");
     }
 
     #[test]
     fn meter_average_accumulates() {
         let mut n = node();
-        n.set_utilization(0.5);
+        n.view().set_utilization(0.5);
         run(&mut n, 30.0);
-        let avg = n.meter().average_power_w();
+        let avg = n.view().average_power_w();
         assert!(avg > 40.0, "meter average {avg}");
-        assert!(n.meter().sample_stats().count() >= 29);
+        assert!(n.view().meter_samples().count() >= 29);
     }
 
     #[test]
     fn default_chip_mode_is_automatic() {
         let mut n = node();
-        let mode = n.smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap();
+        let mode = n.view().smbus_read(ADT7467_ADDR, regs::PWM_CONFIG).unwrap();
         assert_eq!(mode, 0, "chip boots in automatic mode");
         // The fan duty at boot reflects the automatic curve, not a manual
         // command — confirming PwmMode::Automatic semantics end to end.
-        let expected = Adt7467::new().static_curve_duty(n.die_temp_c());
-        let actual = n.state().fan_duty;
+        let die = n.view().die_temp_c();
+        assert_eq!(n.view().chip().mode(), PwmMode::Automatic);
+        let expected = n.view().chip().static_curve_duty(die);
+        let actual = n.view().state().fan_duty;
         assert!(
             (i32::from(actual.percent()) - i32::from(expected.percent())).abs() <= 2,
             "boot duty {actual} vs curve {expected} ({:?})",
@@ -715,14 +875,14 @@ mod tests {
         cfg.sensor.noise_std_c = 0.0;
         cfg.sensor.quantization_c = 0.0;
         let mut n = Node::new(cfg, 21);
-        assert_eq!(n.sensor_count(), 4);
-        let die = n.die_temp_c();
+        assert_eq!(n.view().sensor_count(), 4);
+        let die = n.view().die_temp_c();
         // Sensor offsets step 0, 1, 2, 3 °C above the lumped die temp.
         for i in 0..4 {
-            let r = n.read_sensor_at(i).unwrap().to_celsius();
+            let r = n.view().read_sensor_at(i).unwrap().to_celsius();
             assert!((r - (die + i as f64)).abs() < 1e-3, "sensor {i}: {r} vs die {die}");
         }
-        let hottest = n.read_hottest_sensor().unwrap().to_celsius();
+        let hottest = n.view().read_hottest_sensor().unwrap().to_celsius();
         assert!((hottest - (die + 3.0)).abs() < 1e-3, "hottest {hottest}");
     }
 
@@ -737,8 +897,8 @@ mod tests {
         let mut primary_sum = 0.0;
         for _ in 0..200 {
             n.tick(0.05);
-            hot_sum += n.read_hottest_sensor().unwrap().to_celsius();
-            primary_sum += n.read_sensor().unwrap().to_celsius();
+            hot_sum += n.view().read_hottest_sensor().unwrap().to_celsius();
+            primary_sum += n.view().read_sensor().unwrap().to_celsius();
         }
         assert!(hot_sum > primary_sum, "hottest aggregation must dominate");
     }
@@ -750,39 +910,56 @@ mod tests {
         let faults = FaultPlan::none().at(1.0, FaultEvent::SensorDropout);
         let mut n = Node::with_faults(cfg, 23, faults);
         run(&mut n, 2.0);
-        assert!(n.read_hottest_sensor().is_err(), "no sensor should respond");
+        assert!(n.view().read_hottest_sensor().is_err(), "no sensor should respond");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn sensor_index_out_of_range_panics() {
         let mut n = node();
-        let _ = n.read_sensor_at(5);
+        let _ = n.view().read_sensor_at(5);
     }
 
     #[test]
-    fn adt7467_lives_inside_the_node() {
-        // The tick loop and the physics lanes reach the chip at every tick;
-        // held by value it shares the node's cache lines instead of sitting
-        // behind a map leaf and a box on the heap.
-        let n = node();
-        let start = &n as *const Node as usize;
-        let chip = n.bus.device() as *const Adt7467 as usize;
-        assert!(
-            (start..start + std::mem::size_of::<Node>()).contains(&chip),
-            "the ADT7467 must sit inside the Node value"
+    fn stuck_pwm_freezes_duty_until_release() {
+        let mut n = node();
+        n.set_tick_faults(
+            TickFaultSchedule::none()
+                .at_tick(200, FaultEvent::PwmStuck)
+                .at_tick(401, FaultEvent::PwmRelease),
         );
+        let duty = |n: &mut Node, pct: u8| {
+            n.view().smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, DutyCycle::new(pct).to_register())
+        };
+        n.view().smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
+        duty(&mut n, 40).unwrap();
+        run(&mut n, 10.0);
+        assert!(n.view().is_pwm_stuck());
+        duty(&mut n, 100).unwrap();
+        run(&mut n, 10.0);
+        assert_eq!(n.view().state().fan_duty.percent(), 40, "stuck PWM ignores commands");
+        assert!((n.view().state().fan_rpm - 0.4 * 4300.0).abs() < 5.0, "rotor holds the duty");
+        run(&mut n, 20.0);
+        assert!(!n.view().is_pwm_stuck());
+        assert_eq!(n.view().state().fan_duty.percent(), 100, "released fan tracks commands");
+        assert!((n.view().state().fan_rpm - 4300.0).abs() < 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn rejects_zero_dt() {
+        node().tick(0.0);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let mut a = node();
         let mut b = node();
-        a.set_utilization(0.8);
-        b.set_utilization(0.8);
+        a.view().set_utilization(0.8);
+        b.view().set_utilization(0.8);
         run(&mut a, 50.0);
         run(&mut b, 50.0);
-        assert_eq!(a.state(), b.state());
-        assert_eq!(a.read_sensor(), b.read_sensor());
+        assert_eq!(a.view().state(), b.view().state());
+        assert_eq!(a.view().read_sensor(), b.view().read_sensor());
     }
 }

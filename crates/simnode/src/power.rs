@@ -3,13 +3,16 @@
 //! The paper measures whole-system power at the wall outlet. The meter model
 //! aggregates the DC loads (CPU + fan + board), divides by PSU efficiency to
 //! obtain AC wall power, integrates energy continuously, and produces
-//! 1 Hz-style sampled readings like the real instrument.
+//! 1 Hz-style sampled readings like the real instrument. The meter's
+//! accumulators live in its node's physics-batch slot; this module holds
+//! the law the lane tick applies to them.
 
 use unitherm_metrics::RunningStats;
 
-/// Raw meter accumulation, shared verbatim by [`PowerMeter::observe`] and
-/// the SoA batch path (`crate::batch`). Operates on caller-owned state so
-/// the batch can run it over contiguous lanes.
+/// Raw meter accumulation over caller-owned state, so the batch can run it
+/// over contiguous lanes: integrates `dt_s` seconds of the DC load
+/// `dc_power_w` at the wall and returns a new sample (average wall power
+/// over the sample window) each time a sampling period completes.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn observe_raw(
@@ -43,114 +46,75 @@ pub(crate) fn observe_raw(
     }
 }
 
-/// A sampling wall-power meter.
-#[derive(Debug, Clone)]
-pub struct PowerMeter {
-    pub(crate) psu_efficiency: f64,
-    pub(crate) sample_period_s: f64,
-    /// Time accumulated since the last emitted sample.
-    pub(crate) since_sample_s: f64,
-    /// Energy accumulated since the last emitted sample (J, wall side).
-    pub(crate) window_energy_j: f64,
-    /// Total wall energy in joules.
-    pub(crate) total_energy_j: f64,
-    /// Total observation time in seconds.
-    pub(crate) total_time_s: f64,
-    /// Statistics over emitted samples.
-    pub(crate) stats: RunningStats,
-    pub(crate) last_sample_w: Option<f64>,
-}
-
-impl PowerMeter {
-    /// Creates a meter with the given PSU efficiency and sampling period.
-    pub fn new(psu_efficiency: f64, sample_period_s: f64) -> Self {
-        assert!(psu_efficiency > 0.0 && psu_efficiency <= 1.0, "PSU efficiency must be in (0,1]");
-        assert!(sample_period_s > 0.0, "sample period must be positive");
-        Self {
-            psu_efficiency,
-            sample_period_s,
-            since_sample_s: 0.0,
-            window_energy_j: 0.0,
-            total_energy_j: 0.0,
-            total_time_s: 0.0,
-            stats: RunningStats::new(),
-            last_sample_w: None,
-        }
-    }
-
-    /// Accumulates `dt_s` seconds of the given DC load; returns a new sample
-    /// (average wall power over the sample window) each time a sampling
-    /// period completes.
-    pub fn observe(&mut self, dt_s: f64, dc_power_w: f64) -> Option<f64> {
-        observe_raw(
-            self.psu_efficiency,
-            self.sample_period_s,
-            &mut self.since_sample_s,
-            &mut self.window_energy_j,
-            &mut self.total_energy_j,
-            &mut self.total_time_s,
-            &mut self.stats,
-            &mut self.last_sample_w,
-            dt_s,
-            dc_power_w,
-        )
-    }
-
-    /// Total wall energy observed, in joules.
-    pub fn energy_j(&self) -> f64 {
-        self.total_energy_j
-    }
-
-    /// True average wall power over the whole observation, in watts.
-    pub fn average_power_w(&self) -> f64 {
-        if self.total_time_s > 0.0 {
-            self.total_energy_j / self.total_time_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The most recent emitted sample.
-    pub fn last_sample_w(&self) -> Option<f64> {
-        self.last_sample_w
-    }
-
-    /// Statistics over emitted samples.
-    pub fn sample_stats(&self) -> RunningStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NodeConfig;
+    use crate::node::Node;
+
+    /// A meter's accumulators, as its lanes hold them.
+    struct Meter {
+        psu_efficiency: f64,
+        period_s: f64,
+        since_s: f64,
+        window_j: f64,
+        total_j: f64,
+        total_s: f64,
+        stats: RunningStats,
+        last_w: Option<f64>,
+    }
+
+    impl Meter {
+        fn new(psu_efficiency: f64, period_s: f64) -> Self {
+            Self {
+                psu_efficiency,
+                period_s,
+                since_s: 0.0,
+                window_j: 0.0,
+                total_j: 0.0,
+                total_s: 0.0,
+                stats: RunningStats::new(),
+                last_w: None,
+            }
+        }
+
+        fn observe(&mut self, dt_s: f64, dc_power_w: f64) -> Option<f64> {
+            observe_raw(
+                self.psu_efficiency,
+                self.period_s,
+                &mut self.since_s,
+                &mut self.window_j,
+                &mut self.total_j,
+                &mut self.total_s,
+                &mut self.stats,
+                &mut self.last_w,
+                dt_s,
+                dc_power_w,
+            )
+        }
+    }
 
     #[test]
     fn integrates_energy_through_psu() {
-        let mut m = PowerMeter::new(0.8, 1.0);
+        let mut m = Meter::new(0.8, 1.0);
         for _ in 0..100 {
             m.observe(0.1, 80.0); // 80 W DC = 100 W wall
         }
-        assert!((m.energy_j() - 1000.0).abs() < 1e-6);
-        assert!((m.average_power_w() - 100.0).abs() < 1e-9);
+        assert!((m.total_j - 1000.0).abs() < 1e-6);
+        assert!((m.total_j / m.total_s - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn emits_samples_at_period() {
-        let mut m = PowerMeter::new(1.0, 1.0);
-        let mut samples = 0;
-        for _ in 0..25 {
-            if m.observe(0.25, 50.0).is_some() {
-                samples += 1;
-            }
-        }
+        let mut m = Meter::new(1.0, 1.0);
+        let samples = (0..25).filter(|_| m.observe(0.25, 50.0).is_some()).count();
         assert_eq!(samples, 6, "25 × 0.25 s = 6.25 s ⇒ 6 one-second samples");
-        assert_eq!(m.last_sample_w(), Some(50.0));
+        assert_eq!(m.last_w, Some(50.0));
     }
 
     #[test]
     fn sample_averages_window() {
-        let mut m = PowerMeter::new(1.0, 1.0);
+        let mut m = Meter::new(1.0, 1.0);
         // Half the window at 100 W, half at 0 W ⇒ 50 W sample.
         for _ in 0..5 {
             m.observe(0.1, 100.0);
@@ -165,33 +129,34 @@ mod tests {
 
     #[test]
     fn stats_track_samples() {
-        let mut m = PowerMeter::new(1.0, 0.5);
+        let mut m = Meter::new(1.0, 0.5);
         for i in 0..10 {
             m.observe(0.5, f64::from(i * 10));
         }
-        let s = m.sample_stats();
-        assert_eq!(s.count(), 10);
-        assert!((s.mean() - 45.0).abs() < 1e-9);
+        assert_eq!(m.stats.count(), 10);
+        assert!((m.stats.mean() - 45.0).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_meter_reports_zero() {
-        let m = PowerMeter::new(0.9, 1.0);
-        assert_eq!(m.average_power_w(), 0.0);
-        assert_eq!(m.energy_j(), 0.0);
-        assert_eq!(m.last_sample_w(), None);
+    fn a_fresh_node_reports_zero() {
+        let mut n = Node::new(NodeConfig::default(), 1);
+        let v = n.view();
+        assert_eq!(v.average_power_w(), 0.0);
+        assert_eq!(v.energy_j(), 0.0);
+        assert_eq!(v.meter_samples().count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "PSU efficiency")]
     fn rejects_bad_efficiency() {
-        let _ = PowerMeter::new(0.0, 1.0);
+        let mut cfg = NodeConfig::default();
+        cfg.board.psu_efficiency = 0.0;
+        let _ = Node::new(cfg, 1);
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn rejects_negative_power() {
-        let mut m = PowerMeter::new(1.0, 1.0);
-        m.observe(0.1, -5.0);
+        Meter::new(1.0, 1.0).observe(0.1, -5.0);
     }
 }

@@ -20,15 +20,17 @@
 //! (die: `C_die / (G_ds + …) ≈ 2.4 s`) is far slower than the 50 ms tick, and
 //! sub-steps keep the integration stable even for unusually stiff test
 //! configurations.
+//!
+//! The two lumps' temperatures live in their node's physics-batch slot;
+//! this module holds the laws the lane tick applies to them, public so that
+//! property tests can drive them with a fixed power and airflow.
 
 use crate::config::ThermalConfig;
 
-/// The raw conductance law, shared verbatim by
-/// [`ThermalModel::sink_conductance`] and the SoA batch path
-/// (`crate::batch`): both sides must evaluate the exact same expression for
-/// bit-identical results.
+/// The raw conductance law: sink-to-ambient conductance in W/K at an
+/// airflow fraction in `[0, 1]`.
 #[inline]
-pub(crate) fn sink_conductance_raw(g_nat: f64, g_air: f64, exponent: f64, airflow: f64) -> f64 {
+pub fn sink_conductance_raw(g_nat: f64, g_air: f64, exponent: f64, airflow: f64) -> f64 {
     let a = airflow.clamp(0.0, 1.0);
     g_nat + g_air * a.powf(exponent)
 }
@@ -38,7 +40,7 @@ pub(crate) fn sink_conductance_raw(g_nat: f64, g_air: f64, exponent: f64, airflo
 /// inside the stability region (`h` at most a quarter of the fastest
 /// lump's time constant).
 #[inline]
-pub(crate) fn substeps_raw(
+pub fn substeps_raw(
     dt_s: f64,
     die_capacity: f64,
     sink_capacity: f64,
@@ -87,12 +89,11 @@ pub(crate) fn fixed_substeps_raw(
         .then(|| substeps_raw(dt_s, die_capacity, sink_capacity, g_ds, g_max))
 }
 
-/// The raw RC update shared verbatim by [`ThermalModel::step`] and the SoA
-/// batch path: `n` explicit Euler sub-steps of `h` seconds on caller-owned
-/// state. The expression order is the determinism contract.
+/// The raw RC update: `n` explicit Euler sub-steps of `h` seconds on
+/// caller-owned state. The expression order is the determinism contract.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn euler_raw(
+pub fn euler_raw(
     die_c: &mut f64,
     sink_c: &mut f64,
     ambient_c: f64,
@@ -111,60 +112,13 @@ pub(crate) fn euler_raw(
     }
 }
 
-/// Two-lump die + heatsink thermal model.
-#[derive(Debug, Clone)]
-pub struct ThermalModel {
-    pub(crate) cfg: ThermalConfig,
-    pub(crate) die_c: f64,
-    pub(crate) sink_c: f64,
-}
-
-impl ThermalModel {
-    /// Creates the model with both lumps equilibrated to ambient.
-    pub fn new(cfg: ThermalConfig) -> Self {
-        let ambient = cfg.ambient_c;
-        Self { cfg, die_c: ambient, sink_c: ambient }
-    }
-
-    /// Creates the model pre-warmed to the steady state for the given heat
-    /// input and airflow, so experiments can start from a realistic idle
-    /// operating point instead of a cold machine.
-    pub fn new_at_steady_state(cfg: ThermalConfig, power_w: f64, airflow: f64) -> Self {
-        let mut m = Self::new(cfg);
-        let (die, sink) = m.steady_state(power_w, airflow);
-        m.die_c = die;
-        m.sink_c = sink;
-        m
-    }
-
-    /// Current die (junction) temperature in °C.
-    pub fn die_temp_c(&self) -> f64 {
-        self.die_c
-    }
-
-    /// Current heatsink temperature in °C.
-    pub fn sink_temp_c(&self) -> f64 {
-        self.sink_c
-    }
-
-    /// Ambient temperature in °C.
-    pub fn ambient_c(&self) -> f64 {
-        self.cfg.ambient_c
-    }
-
-    /// Changes the ambient (intake) temperature — used by fault plans to
-    /// model hot spots / HVAC events.
-    pub fn set_ambient_c(&mut self, ambient_c: f64) {
-        assert!(ambient_c.is_finite(), "ambient temperature must be finite");
-        self.cfg.ambient_c = ambient_c;
-    }
-
+impl ThermalConfig {
     /// Sink-to-ambient conductance for a given airflow fraction in `[0, 1]`.
     pub fn sink_conductance(&self, airflow: f64) -> f64 {
         sink_conductance_raw(
-            self.cfg.natural_conductance_w_per_k,
-            self.cfg.airflow_conductance_w_per_k,
-            self.cfg.airflow_exponent,
+            self.natural_conductance_w_per_k,
+            self.airflow_conductance_w_per_k,
+            self.airflow_exponent,
             airflow,
         )
     }
@@ -172,33 +126,9 @@ impl ThermalModel {
     /// Steady-state `(die, sink)` temperatures for constant power and airflow.
     pub fn steady_state(&self, power_w: f64, airflow: f64) -> (f64, f64) {
         let g_sa = self.sink_conductance(airflow);
-        let sink = self.cfg.ambient_c + power_w / g_sa;
-        let die = sink + power_w / self.cfg.die_sink_conductance_w_per_k;
+        let sink = self.ambient_c + power_w / g_sa;
+        let die = sink + power_w / self.die_sink_conductance_w_per_k;
         (die, sink)
-    }
-
-    /// Advances the network by `dt_s` seconds with the given CPU power (W)
-    /// and fan airflow fraction. Evaluates the conductance and the sub-step
-    /// split on every call: under hybrid control the fan duty keeps moving,
-    /// so the airflow rarely repeats from one tick to the next.
-    pub fn step(&mut self, dt_s: f64, power_w: f64, airflow: f64) {
-        assert!(dt_s > 0.0, "time step must be positive");
-        assert!(power_w >= 0.0, "CPU power cannot be negative");
-        let c = &self.cfg;
-        let g_sa = self.sink_conductance(airflow);
-        let (g_ds, c_die, c_sink) =
-            (c.die_sink_conductance_w_per_k, c.die_capacity_j_per_k, c.sink_capacity_j_per_k);
-        euler_raw(
-            &mut self.die_c,
-            &mut self.sink_c,
-            c.ambient_c,
-            g_ds,
-            c_die,
-            c_sink,
-            g_sa,
-            power_w,
-            substeps_raw(dt_s, c_die, c_sink, g_ds, g_sa),
-        );
     }
 }
 
@@ -206,39 +136,48 @@ impl ThermalModel {
 mod tests {
     use super::*;
 
-    fn model() -> ThermalModel {
-        ThermalModel::new(ThermalConfig::default())
+    fn model() -> ThermalConfig {
+        ThermalConfig::default()
     }
 
-    /// Runs the model to convergence and returns the die temperature.
-    fn settle(m: &mut ThermalModel, power: f64, airflow: f64) -> f64 {
+    /// `(die, sink)` temperatures, both lumps starting at ambient.
+    fn at_ambient(c: &ThermalConfig) -> (f64, f64) {
+        (c.ambient_c, c.ambient_c)
+    }
+
+    /// One `dt_s` step of the RC laws at a fixed power and airflow.
+    fn step(c: &ThermalConfig, (die, sink): &mut (f64, f64), dt_s: f64, power: f64, airflow: f64) {
+        let g_sa = c.sink_conductance(airflow);
+        let (g_ds, c_die, c_sink) =
+            (c.die_sink_conductance_w_per_k, c.die_capacity_j_per_k, c.sink_capacity_j_per_k);
+        let split = substeps_raw(dt_s, c_die, c_sink, g_ds, g_sa);
+        euler_raw(die, sink, c.ambient_c, g_ds, c_die, c_sink, g_sa, power, split);
+    }
+
+    /// Runs the laws to convergence and returns the die temperature.
+    fn settle(c: &ThermalConfig, t: &mut (f64, f64), power: f64, airflow: f64) -> f64 {
         for _ in 0..40_000 {
-            m.step(0.1, power, airflow);
+            step(c, t, 0.1, power, airflow);
         }
-        m.die_temp_c()
-    }
-
-    #[test]
-    fn starts_at_ambient() {
-        let m = model();
-        assert_eq!(m.die_temp_c(), 22.0);
-        assert_eq!(m.sink_temp_c(), 22.0);
+        t.0
     }
 
     #[test]
     fn steady_state_matches_settled_simulation() {
-        let mut m = model();
-        let settled = settle(&mut m, 60.0, 0.5);
+        let m = model();
+        let settled = settle(&m, &mut at_ambient(&m), 60.0, 0.5);
         let (die, _) = m.steady_state(60.0, 0.5);
         assert!((settled - die).abs() < 0.05, "settled {settled} vs analytic {die}");
     }
 
     #[test]
-    fn prewarmed_model_is_already_settled() {
-        let m = ThermalModel::new_at_steady_state(ThermalConfig::default(), 20.0, 0.10);
+    fn the_steady_state_is_a_fixed_point_of_the_step() {
+        let m = model();
+        let mut t = m.steady_state(20.0, 0.10);
+        step(&m, &mut t, 0.05, 20.0, 0.10);
         let (die, sink) = m.steady_state(20.0, 0.10);
-        assert!((m.die_temp_c() - die).abs() < 1e-9);
-        assert!((m.sink_temp_c() - sink).abs() < 1e-9);
+        assert!((t.0 - die).abs() < 1e-9);
+        assert!((t.1 - sink).abs() < 1e-9);
     }
 
     #[test]
@@ -311,30 +250,33 @@ mod tests {
 
     #[test]
     fn die_reacts_faster_than_sink() {
-        let mut m = model();
+        let m = model();
+        let mut t = at_ambient(&m);
         // Step load from idle; after 3 s the die has moved much more than the sink.
         for _ in 0..30 {
-            m.step(0.1, 80.0, 0.3);
+            step(&m, &mut t, 0.1, 80.0, 0.3);
         }
-        let die_rise = m.die_temp_c() - 22.0;
-        let sink_rise = m.sink_temp_c() - 22.0;
+        let die_rise = t.0 - 22.0;
+        let sink_rise = t.1 - 22.0;
         assert!(die_rise > 3.0 * sink_rise, "die {die_rise} vs sink {sink_rise}");
     }
 
     #[test]
     fn zero_power_decays_to_ambient() {
-        let mut m = model();
-        settle(&mut m, 60.0, 0.5);
-        let settled = settle(&mut m, 0.0, 0.5);
+        let m = model();
+        let mut t = at_ambient(&m);
+        settle(&m, &mut t, 60.0, 0.5);
+        let settled = settle(&m, &mut t, 0.0, 0.5);
         assert!((settled - 22.0).abs() < 0.05, "decayed to {settled}");
     }
 
     #[test]
     fn ambient_step_shifts_operating_point() {
         let mut m = model();
-        let before = settle(&mut m, 40.0, 0.5);
-        m.set_ambient_c(32.0);
-        let after = settle(&mut m, 40.0, 0.5);
+        let mut t = at_ambient(&m);
+        let before = settle(&m, &mut t, 40.0, 0.5);
+        m.ambient_c = 32.0;
+        let after = settle(&m, &mut t, 40.0, 0.5);
         assert!((after - before - 10.0).abs() < 0.1, "10 °C ambient step ⇒ 10 °C die shift");
     }
 
@@ -351,11 +293,12 @@ mod tests {
     #[test]
     fn stable_for_large_steps() {
         // A 1 s macro step must not oscillate or blow up thanks to sub-stepping.
-        let mut m = model();
+        let m = model();
+        let mut t = at_ambient(&m);
         for _ in 0..5_000 {
-            m.step(1.0, 80.0, 0.2);
-            assert!(m.die_temp_c().is_finite());
-            assert!(m.die_temp_c() < 500.0);
+            step(&m, &mut t, 1.0, 80.0, 0.2);
+            assert!(t.0.is_finite());
+            assert!(t.0 < 500.0);
         }
     }
 
@@ -409,17 +352,5 @@ mod tests {
             }
         }
         assert!(fixed > 500 && stiff > 100, "both kinds drawn: {fixed} fixed, {stiff} stiff");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_dt() {
-        model().step(0.0, 10.0, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative")]
-    fn rejects_negative_power() {
-        model().step(0.1, -1.0, 0.5);
     }
 }

@@ -19,23 +19,20 @@ const LADDER: [u32; 5] = [2400, 2200, 2000, 1800, 1000];
 /// voltage falls with frequency is super-linear (the cubic f·V(f)² law).
 #[test]
 fn claim_dvfs_reduces_power_superlinearly() {
-    use unitherm::simnode::config::CpuConfig;
-    use unitherm::simnode::cpu::Cpu;
-    let mut cpu = Cpu::new(CpuConfig::default());
-    cpu.set_utilization(1.0);
-    let static_w = {
-        // Isolate dynamic power by subtracting the zero-utilization draw.
-        let mut idle = Cpu::new(CpuConfig::default());
-        idle.set_utilization(0.0);
-        move |c: &mut Cpu, mhz: u32| {
-            c.set_frequency_mhz(mhz).unwrap();
-            idle.set_frequency_mhz(mhz).unwrap();
-            c.power_w(50.0) - idle.power_w(50.0)
-        }
+    use unitherm::simnode::{Node, NodeConfig};
+    // Isolate dynamic power: two fresh nodes at the same die temperature,
+    // one busy and one idle, differ only in it.
+    let mut busy = Node::new(NodeConfig::default(), 1);
+    let mut idle = Node::new(NodeConfig::default(), 1);
+    busy.view().set_utilization(1.0);
+    let mut dyn_at = |mhz: u32| {
+        let (mut b, mut i) = (busy.view(), idle.view());
+        b.set_frequency_khz(mhz * 1000).unwrap();
+        i.set_frequency_khz(mhz * 1000).unwrap();
+        b.heat_output_w() - i.heat_output_w()
     };
-    let mut dyn_at = static_w;
-    let p_top = dyn_at(&mut cpu, 2400);
-    let p_bottom = dyn_at(&mut cpu, 1000);
+    let p_top = dyn_at(2400);
+    let p_bottom = dyn_at(1000);
     let freq_ratio = 2400.0 / 1000.0;
     let power_ratio = p_top / p_bottom;
     assert!(

@@ -5,11 +5,11 @@ use proptest::prelude::*;
 
 use unitherm::core::failsafe::{Failsafe, FailsafeAction, FailsafeConfig};
 use unitherm::core::feedforward::{FeedforwardConfig, UtilizationFeedforward};
-use unitherm::simnode::adt7467::Adt7467;
-use unitherm::simnode::config::FanConfig;
-use unitherm::simnode::fan::Fan;
+use unitherm::simnode::adt7467::regs;
 use unitherm::simnode::i2c::SmbusDevice;
+use unitherm::simnode::node::ADT7467_ADDR;
 use unitherm::simnode::units::DutyCycle;
+use unitherm::simnode::{Node, NodeConfig};
 use unitherm::workload::{Phase, PhaseWorkload, WorkState, Workload};
 
 proptest! {
@@ -17,7 +17,9 @@ proptest! {
     /// sequence, and its commanded duty never exceeds the PWM_MAX register.
     #[test]
     fn adt7467_register_fuzz(ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..300)) {
-        let mut chip = Adt7467::new();
+        let mut node = Node::new(NodeConfig::default(), 1);
+        let mut plant = node.view();
+        let mut chip = plant.chip();
         for (reg, value, is_write) in ops {
             if is_write {
                 let _ = chip.write_byte(reg, value);
@@ -25,7 +27,7 @@ proptest! {
                 let _ = chip.read_byte(reg);
             }
             let max = DutyCycle::from_register(
-                chip.read_byte(unitherm::simnode::adt7467::regs::PWM_MAX).unwrap(),
+                chip.read_byte(regs::PWM_MAX).unwrap(),
             );
             prop_assert!(
                 chip.commanded_duty() <= max,
@@ -45,11 +47,13 @@ proptest! {
         tmin in 0u8..120,
         tmax in 0u8..120,
     ) {
-        let mut chip = Adt7467::new();
-        let _ = chip.write_byte(unitherm::simnode::adt7467::regs::PWM_MIN, pwm_min);
-        let _ = chip.write_byte(unitherm::simnode::adt7467::regs::PWM_MAX, pwm_max);
-        let _ = chip.write_byte(unitherm::simnode::adt7467::regs::TMIN, tmin);
-        let _ = chip.write_byte(unitherm::simnode::adt7467::regs::TMAX, tmax);
+        let mut node = Node::new(NodeConfig::default(), 1);
+        let mut plant = node.view();
+        let mut chip = plant.chip();
+        let _ = chip.write_byte(regs::PWM_MIN, pwm_min);
+        let _ = chip.write_byte(regs::PWM_MAX, pwm_max);
+        let _ = chip.write_byte(regs::TMIN, tmin);
+        let _ = chip.write_byte(regs::TMAX, tmax);
         let mut last = None;
         for t in 0..=130 {
             let d = chip.static_curve_duty(f64::from(t));
@@ -62,18 +66,19 @@ proptest! {
         }
     }
 
-    /// Fan dynamics: RPM stays within [0, max_rpm], converges toward the
-    /// duty target, and never goes negative for any command sequence.
+    /// Fan dynamics: RPM stays within [0, max_rpm] and never goes negative
+    /// for any sequence of duty commands over the SMBus and step lengths.
     #[test]
     fn fan_rpm_bounded(commands in prop::collection::vec((0u8..=100, 0.01f64..3.0), 1..100)) {
-        let mut fan = Fan::new(FanConfig::default());
+        let mut node = Node::new(NodeConfig::default(), 1);
+        node.view().smbus_write(ADT7467_ADDR, regs::PWM_CONFIG, 1).unwrap();
         for (duty, dt) in commands {
-            fan.set_duty(DutyCycle::new(duty));
-            fan.step(dt);
-            prop_assert!(fan.rpm() >= 0.0);
-            prop_assert!(fan.rpm() <= 4300.0 + 1e-9);
-            prop_assert!((0.0..=1.0).contains(&fan.airflow()));
-            prop_assert!(fan.power_w() >= 0.0 && fan.power_w() <= 4.8 + 1e-9);
+            let raw = DutyCycle::new(duty).to_register();
+            node.view().smbus_write(ADT7467_ADDR, regs::PWM_CURRENT, raw).unwrap();
+            node.tick(dt);
+            let rpm = node.view().state().fan_rpm;
+            prop_assert!(rpm >= 0.0);
+            prop_assert!(rpm <= 4300.0 + 1e-9);
         }
     }
 
