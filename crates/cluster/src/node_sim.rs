@@ -14,7 +14,15 @@
 //! simulation, or a one-slot batch the node owns when built standalone
 //! with [`NodeSim::build`]. The sample pass and the per-tick hook reach it
 //! through the node's `NodeView` and act on the slot in place; nothing is
-//! copied back and forth.
+//! copied back and forth. Its workload is kept the same way: a simulation
+//! keeps its ranks' workloads back to back in its shards, where pass A
+//! walks them without touching a `NodeSim`, and only a standalone node
+//! owns one ([`OwnWorkload`]).
+//!
+//! The 4 Hz sample pass reads every node's `NodeSim` and prefetches it
+//! whole, so recording-only state is one pointer here: the recorder's
+//! series ([`RecordedSeries`]) are allocated only when series recording
+//! is on.
 
 use unitherm_core::actuator::FreqMhz;
 use unitherm_core::control_plane::{BuildContext, ControlPlane, SensorSample};
@@ -30,6 +38,22 @@ use crate::scenario::Scenario;
 
 /// Recorded traces and counters for one node.
 pub struct NodeRecorder {
+    /// The recorded series; `None` when series recording is off, so a
+    /// recording-off node allocates none of them and carries one pointer
+    /// in their place.
+    pub series: Option<Box<RecordedSeries>>,
+    /// Streaming temperature statistics (kept even when series recording is
+    /// off, so benchmark-mode runs still report averages).
+    pub temp_stats: RunningStats,
+    /// Streaming commanded-duty statistics.
+    pub duty_stats: RunningStats,
+}
+
+/// The series a recording node keeps, one sample per 4 Hz sample. The
+/// default value is what a recording-off report carries: every series
+/// empty and unnamed.
+#[derive(Default)]
+pub struct RecordedSeries {
     /// Sensor temperature (°C) at each sample.
     pub temp: TimeSeries,
     /// Commanded fan duty (%) at each sample.
@@ -42,46 +66,39 @@ pub struct NodeRecorder {
     pub util: TimeSeries,
     /// Frequency-change events: `(time, new MHz)`.
     pub freq_events: Vec<(f64, FreqMhz)>,
-    /// Whether series recording is enabled.
-    pub enabled: bool,
-    /// Streaming temperature statistics (kept even when series recording is
-    /// off, so benchmark-mode runs still report averages).
-    pub temp_stats: RunningStats,
-    /// Streaming commanded-duty statistics.
-    pub duty_stats: RunningStats,
 }
 
 impl NodeRecorder {
     /// `expected_samples` pre-reserves the series so steady-state recording
-    /// appends without reallocating (0 when recording is disabled).
+    /// appends without reallocating.
     ///
-    /// A disabled recorder allocates nothing at all — no metric-name
-    /// strings, no series or event capacity — so fleet-scale benchmark runs
+    /// A disabled recorder allocates nothing at all — no series, no
+    /// metric-name strings, no capacity — so fleet-scale benchmark runs
     /// (100k nodes, recording off) pay zero heap for recorders.
     fn new(node_idx: usize, enabled: bool, expected_samples: usize) -> Self {
-        let n = |metric: &str| {
-            if enabled {
-                format!("node{node_idx}.{metric}")
-            } else {
-                String::new()
-            }
-        };
-        let u = |unit: &'static str| if enabled { unit } else { "" };
-        let cap = if enabled { expected_samples } else { 0 };
-        // Frequency events arrive at most once per sample; a quarter of the
-        // sample count absorbs even a thrashing governor without growth,
-        // while short scenarios stay at a small floor instead of a flat 64.
-        let event_cap = if enabled { (expected_samples / 4).clamp(8, 4096) } else { 0 };
-        Self {
-            temp: TimeSeries::with_capacity(n("temp"), u("°C"), cap),
-            duty: TimeSeries::with_capacity(n("duty"), u("%"), cap),
-            freq: TimeSeries::with_capacity(n("freq"), u("MHz"), cap),
-            power: TimeSeries::with_capacity(n("power"), u("W"), cap),
-            util: TimeSeries::with_capacity(n("util"), u(""), cap),
-            freq_events: Vec::with_capacity(event_cap),
-            enabled,
-            temp_stats: RunningStats::new(),
-            duty_stats: RunningStats::new(),
+        let series = enabled.then(|| {
+            let n = |metric: &str| format!("node{node_idx}.{metric}");
+            // Frequency events arrive at most once per sample; a quarter of
+            // the sample count absorbs even a thrashing governor without
+            // growth, while short scenarios stay at a small floor instead
+            // of a flat 64.
+            let event_cap = (expected_samples / 4).clamp(8, 4096);
+            Box::new(RecordedSeries {
+                temp: TimeSeries::with_capacity(n("temp"), "°C", expected_samples),
+                duty: TimeSeries::with_capacity(n("duty"), "%", expected_samples),
+                freq: TimeSeries::with_capacity(n("freq"), "MHz", expected_samples),
+                power: TimeSeries::with_capacity(n("power"), "W", expected_samples),
+                util: TimeSeries::with_capacity(n("util"), "", expected_samples),
+                freq_events: Vec::with_capacity(event_cap),
+            })
+        });
+        Self { series, temp_stats: RunningStats::new(), duty_stats: RunningStats::new() }
+    }
+
+    /// Records a frequency-change event when series recording is on.
+    fn freq_event(&mut self, now_s: f64, mhz: FreqMhz) {
+        if let Some(series) = &mut self.series {
+            series.freq_events.push((now_s, mhz));
         }
     }
 }
@@ -125,8 +142,9 @@ pub struct NodeSim {
     /// also owns its one-slot plant, while a simulation keeps every plant
     /// in its shards' batches.
     pub node: Node,
-    /// The rank's workload.
-    pub workload: Box<dyn Workload>,
+    /// The rank's workload, owned only by a node from [`NodeSim::build`]:
+    /// a simulation keeps its ranks' workloads in its shards.
+    pub workload: OwnWorkload,
     /// lm-sensors access.
     pub lm: LmSensors,
     /// The daemon pipeline (built by `SchemeSpec::build`) plus failsafe.
@@ -135,8 +153,6 @@ pub struct NodeSim {
     pub binding: PlatformBinding,
     /// Trace recorder.
     pub rec: NodeRecorder,
-    /// Wall-clock second at which this rank's workload finished.
-    pub finish_time_s: Option<f64>,
     /// This node's rank index (stamped into emitted event records).
     pub index: u32,
     /// Fixed-capacity ring of the most recent control-plane events
@@ -151,29 +167,49 @@ pub struct NodeSim {
     /// simulation hooks the node on every tick to run it; every other
     /// node's lane ticks are control-plane ticks that observed nothing.
     pub(crate) tick_daemon: bool,
-    /// True when the workload reports `Running` forever (never parks,
-    /// never finishes) — lets the fleet skip its per-tick state poll.
-    pub(crate) endless: bool,
+}
+
+/// The workload of a node from [`NodeSim::build`], which the node owns
+/// the way its `Node` owns a one-slot plant. A simulation's nodes own none
+/// (each shard keeps its ranks' workloads back to back, in pass order), so
+/// reaching through theirs panics.
+pub struct OwnWorkload(Option<Box<dyn Workload>>);
+
+impl std::ops::Deref for OwnWorkload {
+    type Target = dyn Workload;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().expect("a simulation keeps its workloads in its shards")
+    }
+}
+
+impl std::ops::DerefMut for OwnWorkload {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.0.as_deref_mut().expect("a simulation keeps its workloads in its shards")
+    }
 }
 
 impl NodeSim {
-    /// Builds one standalone node per the scenario, with its own one-slot
-    /// plant: probe the binding the scheme needs, build the daemon pipeline
-    /// through the scheme factory, attach.
+    /// Builds one standalone node per the scenario, with its own workload
+    /// and one-slot plant: probe the binding the scheme needs, build the
+    /// daemon pipeline through the scheme factory, attach.
     pub fn build(scenario: &Scenario, node_idx: usize) -> Self {
+        let workload = scenario.workload.instantiate(node_idx, scenario.seed);
         let mut ns = Self::build_hot(scenario, node_idx, None);
+        ns.workload = OwnWorkload(Some(workload));
         ns.events = RingSink::with_capacity(scenario.event_capacity);
         ns
     }
 
-    /// [`Self::build`] with the plant at `at`, and without the event ring:
-    /// every hot heap object (workload, sensor and bus state, daemons,
-    /// binding) but a zero-capacity, unallocated ring that holds no
-    /// records, since building emits no events. `Simulation::build` builds
-    /// every node this way first, each plant straight into its shard's
-    /// batch, and allocates the rings in a second pass, so consecutive
-    /// nodes' hot state sits ~1 kB apart instead of one 10 kB ring apart
-    /// (DESIGN §14).
+    /// [`Self::build`] with the plant at `at`, no workload and no event
+    /// ring: every hot heap object the sample pass reads (sensor and bus
+    /// state, daemons, binding) and a zero-capacity, unallocated ring,
+    /// since building emits no events. `Simulation::build` allocates
+    /// per-node state in pass order: every rank's workload into its shard,
+    /// then every node this way with its plant straight in its shard's
+    /// batch, then the rings. Consecutive workloads so sit back to back,
+    /// and consecutive nodes' hot state under 1 kB apart instead of one
+    /// 10 kB ring apart (DESIGN §14).
     pub(crate) fn build_hot(scenario: &Scenario, node_idx: usize, mut at: PlantAt<'_>) -> Self {
         let seed = scenario.node_seed(node_idx);
         let faults = scenario
@@ -190,8 +226,6 @@ impl NodeSim {
         if let Some((_, schedule)) = scenario.tick_faults.iter().find(|(n, _)| *n == node_idx) {
             node.set_tick_faults(schedule.clone());
         }
-        let workload = scenario.workload.instantiate(node_idx, scenario.seed);
-
         let spec = scenario.effective_scheme(node_idx);
         let mut plant = view(&mut node, at);
         let mut binding =
@@ -208,22 +242,19 @@ impl NodeSim {
         plane.attach(&attach_sample, &mut PlatformActuators { node: plant, binding: &mut binding });
 
         let tick_daemon = plane.wants_tick();
-        let endless = workload.is_endless();
 
         Self {
             node,
-            workload,
+            workload: OwnWorkload(None),
             lm: LmSensors::new(),
             plane,
             binding,
             rec: NodeRecorder::new(node_idx, scenario.record_series, scenario.expected_samples()),
-            finish_time_s: None,
             index: node_idx as u32,
             events: RingSink::with_capacity(0),
             counters: Counters::default(),
             fault_log_seen: 0,
             tick_daemon,
-            endless,
         }
     }
 
@@ -290,9 +321,7 @@ impl NodeSim {
             plane.on_tick_observed(dt_s, util, &mut act, obs)
         });
         if let Some(mhz) = applied {
-            if rec.enabled {
-                rec.freq_events.push((now_s, mhz));
-            }
+            rec.freq_event(now_s, mhz);
         }
     }
 
@@ -355,9 +384,7 @@ impl NodeSim {
         // Daemon-confirmed frequency changes are trace events; frequencies
         // forced by a failsafe engagement are not (they bypass the driver).
         if let Some(mhz) = out.freq_mhz {
-            if rec.enabled {
-                rec.freq_events.push((now_s, mhz));
-            }
+            rec.freq_event(now_s, mhz);
         }
 
         // Read the two summary inputs directly; a full state snapshot
@@ -368,14 +395,14 @@ impl NodeSim {
             rec.temp_stats.push(t);
         }
         rec.duty_stats.push(duty);
-        if rec.enabled {
+        if let Some(series) = &mut rec.series {
             if let Some(t) = temp {
-                rec.temp.push(now_s, t);
+                series.temp.push(now_s, t);
             }
-            rec.duty.push(now_s, duty);
-            rec.freq.push(now_s, f64::from(plant.requested_frequency_khz() / 1000));
-            rec.power.push(now_s, plant.wall_power_w());
-            rec.util.push(now_s, plant.utilization());
+            series.duty.push(now_s, duty);
+            series.freq.push(now_s, f64::from(plant.requested_frequency_khz() / 1000));
+            series.power.push(now_s, plant.wall_power_w());
+            series.util.push(now_s, plant.utilization());
         }
     }
 }
@@ -398,6 +425,11 @@ mod tests {
     /// The duty the node's fan driver last commanded.
     fn commanded_duty(ns: &NodeSim) -> u8 {
         ns.binding.fan_driver().expect("software fan scheme").last_commanded()
+    }
+
+    /// The series of a recording node.
+    fn series(ns: &NodeSim) -> &RecordedSeries {
+        ns.rec.series.as_deref().expect("recording is on")
     }
 
     /// Drives a lone node for `seconds`.
@@ -477,7 +509,7 @@ mod tests {
             ns.node.view().freq_transition_count() > 0,
             "CPUSPEED should transition on burn gaps"
         );
-        assert!(!ns.rec.freq_events.is_empty());
+        assert!(!series(&ns).freq_events.is_empty());
     }
 
     #[test]
@@ -493,9 +525,9 @@ mod tests {
         // original frequency during a burn gap by the end of the run).
         assert!(ns.node.view().freq_transition_count() > 0, "tDVFS never engaged");
         assert!(
-            ns.rec.freq_events.iter().any(|&(_, f)| f < 2400),
+            series(&ns).freq_events.iter().any(|&(_, f)| f < 2400),
             "no scale-down recorded: {:?}",
-            ns.rec.freq_events
+            series(&ns).freq_events
         );
     }
 
@@ -509,9 +541,9 @@ mod tests {
         // The capped hybrid fan saturates; coordination hands off to tDVFS.
         assert!(commanded_duty(&ns) >= 15, "fan arm engaged: {}", commanded_duty(&ns));
         assert!(
-            ns.rec.freq_events.iter().any(|&(_, f)| f < 2400),
+            series(&ns).freq_events.iter().any(|&(_, f)| f < 2400),
             "hybrid tDVFS arm never scaled down: {:?}",
-            ns.rec.freq_events
+            series(&ns).freq_events
         );
     }
 
@@ -544,11 +576,11 @@ mod tests {
         let sc = scenario_with(FanScheme::ChipAutomatic { max_duty: 100 }, DvfsScheme::None);
         let mut ns = NodeSim::build(&sc, 0);
         run(&mut ns, 10.0);
-        assert_eq!(ns.rec.temp.len(), 40);
-        assert_eq!(ns.rec.duty.len(), 40);
-        assert_eq!(ns.rec.freq.len(), 40);
-        assert_eq!(ns.rec.power.len(), 40);
-        assert_eq!(ns.rec.util.len(), 40);
+        assert_eq!(series(&ns).temp.len(), 40);
+        assert_eq!(series(&ns).duty.len(), 40);
+        assert_eq!(series(&ns).freq.len(), 40);
+        assert_eq!(series(&ns).power.len(), 40);
+        assert_eq!(series(&ns).util.len(), 40);
     }
 
     #[test]
@@ -590,6 +622,6 @@ mod tests {
             .with_recording(false);
         let mut ns = NodeSim::build(&sc, 0);
         run(&mut ns, 10.0);
-        assert!(ns.rec.temp.is_empty());
+        assert!(ns.rec.series.is_none(), "a recording-off node allocates no series");
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! Every simulation ticks on this pool. It shards the nodes into
 //! [`pool_width`] contiguous ranges and runs the per-node halves of every
-//! tick — workload advance (pass A), daemons + physics (pass B), and the
-//! 4 Hz sampling pass — over the shards. A one-shard pool spawns no thread
-//! and runs each pass inline on the calling thread. A wider pool is
-//! created once per simulation and persists across ticks: at a 50 ms
-//! simulated dt a tick is microseconds of work, so spawn-per-tick (or even
-//! scope-per-tick) would dominate the run.
+//! tick — workload advance (pass A), daemons + physics then barrier
+//! release and finish detection (pass B), and the 4 Hz sampling pass —
+//! over the shards. Each shard owns its nodes' plants and its ranks'
+//! workloads as dense arrays; only the hooks and the sampling pass read
+//! the nodes themselves. A one-shard pool spawns no thread and runs each
+//! pass inline on the calling thread. A wider pool is created once per
+//! simulation and persists across ticks: at a 50 ms simulated dt a tick
+//! is microseconds of work, so spawn-per-tick (or even scope-per-tick)
+//! would dominate the run.
 //!
 //! # Width
 //!
@@ -87,10 +90,13 @@ pub(crate) enum PassKind {
     Workload {
         /// Physics tick, seconds.
         dt_s: f64,
+        /// Whether every rank's workload runs forever (the simulation's
+        /// flag; skips the per-rank state poll).
+        endless: bool,
     },
-    /// Pass B: hooks (per-tick daemons, due faults), optional barrier
-    /// release, the lane physics tick, per-node heat capture (when the
-    /// pass is given heat slots), finish detection.
+    /// Pass B: hooks (per-tick daemons, due faults), the lane physics
+    /// tick, per-node heat capture (when the pass is given heat slots),
+    /// then optional barrier release and finish detection.
     Hardware {
         /// Physics tick, seconds.
         dt_s: f64,
@@ -99,7 +105,7 @@ pub(crate) enum PassKind {
         /// Whether the barrier released this tick (decided from pass A).
         release: bool,
         /// Whether the workload can finish on its own (gates finish
-        /// detection in `sim::hardware_pass`).
+        /// detection in `sim::rank_pass`).
         finite: bool,
     },
     /// The 4 Hz sampling pass: sensor read, control plane, recorders.
@@ -350,17 +356,19 @@ fn worker_loop(shared: &Shared, shard: usize) {
 unsafe fn exec_shard(job: &Job, s: usize, journal: Option<&mut (dyn EventSink + 'static)>) {
     let range = shard_range(job.len, job.width, s);
     let nodes = std::slice::from_raw_parts_mut(job.nodes.add(range.start), range.len());
-    let Shard { lanes, hooked, out, events } = &mut *job.shards.add(s);
+    let Shard { lanes, workloads, finish_time_s, hooked, out, events } = &mut *job.shards.add(s);
     let journal = journal.or_else(|| job.teeing.then_some(events as &mut dyn EventSink));
 
     *out = match job.kind {
-        PassKind::Workload { dt_s } => crate::sim::workload_pass(nodes, lanes, dt_s),
+        PassKind::Workload { dt_s, endless } => {
+            crate::sim::workload_pass(workloads, lanes, dt_s, endless)
+        }
         PassKind::Hardware { dt_s, now_s, release, finite } => {
             let heat = (!job.heat.is_null())
                 .then(|| std::slice::from_raw_parts_mut(job.heat.add(range.start), range.len()));
-            let finished_delta = crate::sim::hardware_pass(
-                nodes, lanes, hooked, dt_s, now_s, release, finite, heat, journal,
-            );
+            crate::sim::hardware_pass(nodes, lanes, hooked, dt_s, now_s, heat, journal);
+            let finished_delta =
+                crate::sim::rank_pass(workloads, finish_time_s, release, finite, now_s);
             ShardOut { finished_delta, ..ShardOut::default() }
         }
         PassKind::Sample { now_s } => {
@@ -444,9 +452,10 @@ mod tests {
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fault(1, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
         let mut lanes = unitherm_simnode::PhysicsBatch::with_len(2);
+        let workloads = (0..2).map(|i| scenario.workload.instantiate(i, scenario.seed)).collect();
         let mut nodes: Vec<NodeSim> =
             (0..2).map(|i| NodeSim::build_hot(&scenario, i, Some((&mut lanes, i)))).collect();
-        let mut shards = vec![Shard::new(lanes, &nodes)];
+        let mut shards = vec![Shard::new(lanes, workloads, &nodes)];
         let mut sink = ThreadSink(Vec::new());
         for tick in 1..=4 {
             let now_s = tick as f64 * 0.05;

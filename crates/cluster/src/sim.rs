@@ -18,6 +18,12 @@
 //! hook for the few nodes with a per-tick daemon or a fault source (see
 //! `hardware_pass`).
 //!
+//! Every rank's workload lives in its shard too, in one dense array: pass
+//! A, barrier release and finish detection walk that array and the lanes,
+//! never a `NodeSim`. `Simulation::build` allocates per-node state in the
+//! order the passes read it: each shard's workloads, then every node's hot
+//! state, then the event rings (DESIGN §14).
+//!
 //! Barrier release is all-or-nothing: a rank that reaches a barrier parks
 //! (near-zero utilization) until every unfinished rank arrives. A rank on a
 //! throttled or down-scaled CPU therefore delays the whole job — the
@@ -25,7 +31,7 @@
 
 use unitherm_obs::{EventSink, RingSink, VecSink};
 use unitherm_simnode::PhysicsBatch;
-use unitherm_workload::WorkState;
+use unitherm_workload::{WorkState, Workload};
 
 use crate::node_sim::NodeSim;
 use crate::pool::{pool_width, shard_range, PassKind, ShardOut, WorkerPool};
@@ -49,12 +55,17 @@ pub struct Simulation {
     /// Ranks whose workload has finished (kept incrementally so the run
     /// loop's completion check is O(1) instead of a per-tick scan).
     finished_nodes: usize,
+    /// True when every rank's workload reports `Running` forever (never
+    /// parks, never finishes), which lets pass A skip its per-rank state
+    /// poll. Every rank instantiates the same `WorkloadSpec`, so this is
+    /// one flag per simulation.
+    endless: bool,
     /// Optional cluster-wide event journal; every node's event stream is
     /// teed into it on top of the per-node rings (e.g. a JSONL
     /// [`unitherm_obs::JournalWriter`] behind `repro run-scenario --journal`).
     journal: Option<Box<dyn EventSink>>,
-    /// Each shard's physics lanes, hooked nodes, reduction slot and
-    /// journal scratch, one entry per pool shard.
+    /// Each shard's physics lanes, workloads, finish times, hooked nodes,
+    /// reduction slot and journal scratch, one entry per pool shard.
     shards: Vec<Shard>,
     /// Per-node heat slots for the rack reduction: each pass fills its
     /// shard's rows, the coordinator folds them in node order so the f64
@@ -87,14 +98,24 @@ impl Simulation {
 
     /// Builds a validated scenario on a pool `shards` shards wide.
     fn build(scenario: Scenario, shards: usize) -> Self {
-        // Each shard's lanes, then every node's hot state with its plant
-        // built straight into its shard's slot, then every 10 kB event
-        // ring: the passes walk each node's hot state per tick, and a ring
-        // built between two nodes would put each visit on a fresh page.
+        // Per-node state is allocated in pass order: each shard's lanes,
+        // then every rank's workload (pass A walks only these), then every
+        // node's hot state with its plant built straight into its shard's
+        // slot (the sample pass walks it), then every 10 kB event ring. A
+        // workload or a ring built between two nodes' hot state would
+        // spread each pass's walk over more lines and pages.
         let width = shards;
         let mut lanes: Vec<PhysicsBatch> = (0..width)
             .map(|s| PhysicsBatch::with_len(shard_range(scenario.nodes, width, s).len()))
             .collect();
+        let workloads: Vec<Vec<Box<dyn Workload>>> = (0..width)
+            .map(|s| {
+                shard_range(scenario.nodes, width, s)
+                    .map(|i| scenario.workload.instantiate(i, scenario.seed))
+                    .collect()
+            })
+            .collect();
+        let endless = workloads.iter().flatten().all(|w| w.is_endless());
         let mut nodes: Vec<NodeSim> = Vec::with_capacity(scenario.nodes);
         for (s, batch) in lanes.iter_mut().enumerate() {
             for (j, i) in shard_range(scenario.nodes, width, s).enumerate() {
@@ -125,8 +146,11 @@ impl Simulation {
         let pool = WorkerPool::new(width);
         let shards: Vec<Shard> = lanes
             .into_iter()
+            .zip(workloads)
             .enumerate()
-            .map(|(s, lanes)| Shard::new(lanes, &nodes[shard_range(nodes.len(), width, s)]))
+            .map(|(s, (lanes, workloads))| {
+                Shard::new(lanes, workloads, &nodes[shard_range(nodes.len(), width, s)])
+            })
             .collect();
         Self {
             pool,
@@ -138,6 +162,7 @@ impl Simulation {
             ticks: 0,
             ticks_per_sample,
             finished_nodes: 0,
+            endless,
             journal: None,
             shards,
             heat_scratch,
@@ -198,9 +223,17 @@ impl Simulation {
     /// Immutable access to the nodes (diagnostics, tests).
     ///
     /// Each node's plant lives in its shard's physics batch, not in the
-    /// `Node` seen here, which holds only the node's cold parts.
+    /// `Node` seen here, which holds only the node's cold parts, and its
+    /// workload in its shard's workloads, not in the `NodeSim`.
     pub fn nodes(&self) -> &[NodeSim] {
         &self.nodes
+    }
+
+    /// Each shard's ranks' workloads, in node order. For the layout test,
+    /// which checks that each shard's workloads sit back to back.
+    #[doc(hidden)]
+    pub fn shard_workloads(&self) -> impl Iterator<Item = &[Box<dyn Workload>]> {
+        self.shards.iter().map(|s| &s.workloads[..])
     }
 
     /// Advances the cluster one tick.
@@ -227,13 +260,13 @@ impl Simulation {
         // then across shards (order-free booleans). Release is
         // all-or-nothing, so the decision needs every rank's post-advance
         // state and cannot merge with pass B.
-        let kind = PassKind::Workload { dt_s: dt };
+        let kind = PassKind::Workload { dt_s: dt, endless: self.endless };
         self.pool.run(&mut self.nodes, &mut self.shards, kind, None, None);
         let release = self.shards.iter().all(|s| s.out.unfinished_parked)
             && self.shards.iter().any(|s| s.out.any_parked);
 
         // Pass B — hooks, the lane physics tick, per-node rack heat capture,
-        // and finish times.
+        // then barrier release and finish times.
         let kind = PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, finite };
         let heat = self.rack.is_some().then_some(&mut self.heat_scratch[..]);
         self.pool.run(&mut self.nodes, &mut self.shards, kind, heat, self.journal.as_deref_mut());
@@ -320,9 +353,11 @@ impl Simulation {
 
     /// Finalizes the report from the current state.
     pub fn into_report(mut self) -> RunReport {
-        let completed = self.nodes.iter().all(|ns| ns.finish_time_s.is_some());
+        let finish_times: Vec<Option<f64>> =
+            self.shards.iter().flat_map(|s| s.finish_time_s.iter().copied()).collect();
+        let completed = finish_times.iter().all(Option::is_some);
         let exec_time_s = if completed {
-            self.nodes.iter().filter_map(|ns| ns.finish_time_s).fold(0.0f64, f64::max)
+            finish_times.iter().flatten().copied().fold(0.0f64, f64::max)
         } else {
             self.time_s
         };
@@ -336,7 +371,8 @@ impl Simulation {
             .nodes
             .into_iter()
             .zip(slots)
-            .map(|(mut ns, (s, j))| {
+            .zip(finish_times)
+            .map(|((mut ns, (s, j)), finish_time_s)| {
                 let faults_applied = ns.node.fault_log().to_vec();
                 let plant = ns.node.view_in(&mut self.shards[s].lanes, j);
                 // Every lane tick of a node without a per-tick daemon is a
@@ -345,6 +381,7 @@ impl Simulation {
                 if !ns.tick_daemon {
                     counters.ticks_skipped += ticks;
                 }
+                let series = ns.rec.series.map_or_else(Default::default, |s| *s);
                 NodeReport {
                     freq_transitions: plant.freq_transition_count(),
                     throttle_events: plant.throttle_event_count(),
@@ -352,16 +389,16 @@ impl Simulation {
                     avg_wall_power_w: plant.average_power_w(),
                     energy_j: plant.energy_j(),
                     faults_applied,
-                    temp: ns.rec.temp,
-                    duty: ns.rec.duty,
-                    freq: ns.rec.freq,
-                    power: ns.rec.power,
-                    util: ns.rec.util,
-                    freq_events: ns.rec.freq_events,
+                    temp: series.temp,
+                    duty: series.duty,
+                    freq: series.freq,
+                    power: series.power,
+                    util: series.util,
+                    freq_events: series.freq_events,
                     failsafe_engagements: ns.plane.failsafe_engagement_count(),
                     temp_summary: ns.rec.temp_stats.summary(),
                     duty_summary: ns.rec.duty_stats.summary(),
-                    finish_time_s: ns.finish_time_s,
+                    finish_time_s,
                     counters,
                     events_dropped: ns.events.dropped(),
                     events: ns.events.to_vec(),
@@ -387,15 +424,23 @@ impl Simulation {
 // --- Per-shard pass bodies -----------------------------------------------
 //
 // The worker pool's `exec_shard` runs these functions over a shard's slice
-// of the nodes plus the matching shard. `nodes` and the shard's lanes are
-// index-aligned: slot `i` of the batch is the plant of `nodes[i]`.
+// of the nodes plus the matching shard. `nodes`, the shard's lanes, its
+// workloads and its finish times are index-aligned: slot `i` of each
+// belongs to `nodes[i]`.
 
-/// One shard: the plants of its nodes, which of them the hardware pass
-/// hooks, its reduction slot and its journal scratch.
+/// One shard: the plants and workloads of its nodes, their finish times,
+/// which nodes the hardware pass hooks, its reduction slot and its journal
+/// scratch.
 pub(crate) struct Shard {
     /// Structure-of-arrays plant state, slot `i` holding node `i` of the
     /// shard.
     pub(crate) lanes: PhysicsBatch,
+    /// The shard's ranks' workloads, built back to back before any node's
+    /// hot state, so pass A walks them densely without touching a
+    /// `NodeSim`.
+    pub(crate) workloads: Vec<Box<dyn Workload>>,
+    /// Wall-clock second at which each rank's workload finished.
+    pub(crate) finish_time_s: Vec<Option<f64>>,
     /// Shard-local indices, ascending, of the nodes with a per-tick daemon
     /// or a fault source, so the hardware pass visits only those.
     pub(crate) hooked: Vec<usize>,
@@ -407,10 +452,17 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// The shard over `nodes`, whose plants `lanes` holds.
-    pub(crate) fn new(lanes: PhysicsBatch, nodes: &[NodeSim]) -> Self {
+    /// The shard over `nodes`, whose plants `lanes` and whose workloads
+    /// `workloads` hold.
+    pub(crate) fn new(
+        lanes: PhysicsBatch,
+        workloads: Vec<Box<dyn Workload>>,
+        nodes: &[NodeSim],
+    ) -> Self {
         Self {
             lanes,
+            finish_time_s: vec![None; workloads.len()],
+            workloads,
             hooked: (0..nodes.len())
                 .filter(|&j| nodes[j].tick_daemon || nodes[j].node.has_fault_sources())
                 .collect(),
@@ -420,7 +472,7 @@ impl Shard {
     }
 }
 
-/// How many nodes ahead of the one being processed a node pass
+/// How many nodes ahead of the one being processed the sample pass
 /// prefetches. Measured on the 10k-node fleet against 1, 2, 3 and 8
 /// (DESIGN §14).
 const PREFETCH_AHEAD: usize = 4;
@@ -441,9 +493,9 @@ fn node_ahead(nodes: &[NodeSim], i: usize) -> Option<&NodeSim> {
     nodes.get(i + PREFETCH_AHEAD)
 }
 
-/// Asks the CPU to start loading every cache line of `value`, so a node
-/// pass finds the state of the nodes ahead already in cache instead of
-/// stalling on each one in turn. A hint with no semantic effect; it
+/// Asks the CPU to start loading every cache line of `value`, so the
+/// sample pass finds the state of the nodes ahead already in cache instead
+/// of stalling on each one in turn. A hint with no semantic effect; it
 /// compiles to nothing on targets other than x86_64.
 #[inline(always)]
 fn prefetch<T: ?Sized>(value: &T) {
@@ -465,29 +517,25 @@ fn prefetch<T: ?Sized>(value: &T) {
 
 /// Pass A: advance every rank's workload and return the shard's barrier
 /// flags. Ranks read their execution speed from and write their load into
-/// the lanes.
+/// the lanes. `endless` is the simulation's flag: every rank is `Running`
+/// by contract.
 pub(crate) fn workload_pass(
-    nodes: &mut [NodeSim],
+    workloads: &mut [Box<dyn Workload>],
     batch: &mut PhysicsBatch,
     dt_s: f64,
+    endless: bool,
 ) -> ShardOut {
     let mut out = ShardOut { unfinished_parked: true, ..ShardOut::default() };
-    for i in 0..nodes.len() {
-        if let Some(ahead) = node_ahead(nodes, i) {
-            prefetch(&ahead.endless);
-            prefetch(&*ahead.workload);
-        }
-        let ns = &mut nodes[i];
-        let speed = batch.speed_factor(i);
-        let w = ns.workload.advance(dt_s, speed);
+    for (i, workload) in workloads.iter_mut().enumerate() {
+        let w = workload.advance(dt_s, batch.speed_factor(i));
         batch.set_load(i, w.utilization, w.activity);
         // Endless workloads are `Running` by contract — skip the second
         // virtual dispatch on the hot path.
-        if ns.endless {
+        if endless {
             out.unfinished_parked = false;
             continue;
         }
-        match ns.workload.state() {
+        match workload.state() {
             WorkState::AtBarrier(_) => out.any_parked = true,
             WorkState::Finished => {}
             _ => out.unfinished_parked = false,
@@ -496,30 +544,24 @@ pub(crate) fn workload_pass(
     out
 }
 
-/// Pass B: the hooks, optional barrier release, the lane physics tick,
-/// per-node heat capture, finish detection. Returns how many ranks
-/// finished on this tick.
+/// Pass B's node half: the hooks, the lane physics tick and per-node heat
+/// capture.
 ///
 /// A hooked node with work this tick — a per-tick daemon, which has work
 /// every tick, or a fault that is due — runs [`NodeSim::on_tick_hook`]
 /// (daemons, then faults, then their events) on its slot in place before
 /// the lane tick: the daemon → faults → physics order of a standalone
 /// node's tick. The hooks run in ascending node order, so the journal sees
-/// each node's events in that order. Barrier release and finish detection
-/// touch only workload state, which neither a hook nor a lane tick reads,
-/// so they run in their own loops.
-#[allow(clippy::too_many_arguments)] // PassKind::Hardware plus the shard's parts
+/// each node's events in that order.
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
     hooked: &[usize],
     dt_s: f64,
     now_s: f64,
-    release: bool,
-    finite: bool,
     heat: Option<&mut [f64]>,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
-) -> usize {
+) {
     batch.begin_tick(dt_s);
     for &i in hooked {
         let ns = &mut nodes[i];
@@ -528,20 +570,34 @@ pub(crate) fn hardware_pass(
         }
         ns.on_tick_hook(batch, i, dt_s, now_s, journal.as_deref_mut());
     }
-    if release {
-        for ns in nodes.iter_mut() {
-            ns.workload.release_barrier();
-        }
-    }
     batch.tick_all(dt_s);
     if let Some(heat) = heat {
         batch.write_heat(heat);
     }
+}
+
+/// Pass B's rank half: optional barrier release, then finish detection
+/// when the workload can finish on its own. Returns how many ranks
+/// finished on this tick. It reads and writes only workload state, which
+/// no hook and no lane tick reads, so running it after [`hardware_pass`]
+/// gives the same results as interleaving the two per node.
+pub(crate) fn rank_pass(
+    workloads: &mut [Box<dyn Workload>],
+    finish_time_s: &mut [Option<f64>],
+    release: bool,
+    finite: bool,
+    now_s: f64,
+) -> usize {
+    if release {
+        for workload in workloads.iter_mut() {
+            workload.release_barrier();
+        }
+    }
     let mut finished = 0;
     if finite {
-        for ns in nodes.iter_mut() {
-            if ns.finish_time_s.is_none() && ns.workload.is_finished() {
-                ns.finish_time_s = Some(now_s);
+        for (workload, finish) in workloads.iter().zip(finish_time_s) {
+            if finish.is_none() && workload.is_finished() {
+                *finish = Some(now_s);
                 finished += 1;
             }
         }

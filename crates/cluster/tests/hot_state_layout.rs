@@ -1,40 +1,45 @@
-//! Layout regression test for the per-node hot state.
+//! Layout regression test for the per-node state the tick passes walk.
 //!
-//! The tick passes visit every node's `NodeSim` and workload box each tick,
-//! and the 4 Hz sample pass reads each node's whole hot state. Each node also
-//! owns an `event_capacity`-slot event ring (10 kB at the default 256 slots)
-//! that the passes touch only when an event fires. If a node's ring is
-//! allocated between its hot objects and the next node's, consecutive nodes'
-//! hot state lands a ring's width apart and every node visit costs a fresh
-//! page. `Simulation::build` therefore builds every node's hot state before
-//! any ring; this test pins the resulting layout.
+//! Pass A reads every rank's workload each tick, and the 4 Hz sample pass
+//! reads each node's whole hot state (its `NodeSim` and the heap objects it
+//! points to: sensor state, daemons, binding). Each node also owns an
+//! `event_capacity`-slot event ring (10 kB at the default 256 slots) that
+//! the passes touch only when an event fires. `Simulation::build` therefore
+//! allocates per-node state in pass order: each shard's workloads back to
+//! back, then every node's hot state, then the rings. This test pins the
+//! resulting layout:
 //!
-//! Like `alloc_free_tick.rs`, this is a contract on the system allocator's
-//! behaviour, not on the language: it assumes that allocations made back to
-//! back on one thread are placed close together, as glibc's malloc does for
-//! objects of this size. It runs as the only test in its binary so no other
-//! test's allocations interleave.
+//! * each shard's consecutive workload objects sit a median of 128 B apart
+//!   or less, so pass A walks them densely;
+//! * consecutive nodes' `DynamicFan` daemon boxes sit a median of under
+//!   2 kB apart, a fifth of one ring, so no ring is allocated between two
+//!   nodes' hot state;
+//! * a recording-off `NodeSim` is at most 768 B, so the sample pass's
+//!   per-node prefetch touches at most 13 cache lines.
+//!
+//! Like `alloc_free_tick.rs`, the first two are contracts on the system
+//! allocator's behaviour, not on the language: they assume that allocations
+//! made back to back on one thread are placed close together, as glibc's
+//! malloc does for objects of this size. It runs as the only test in its
+//! binary so no other test's allocations interleave.
 
+use unitherm_cluster::node_sim::NodeSim;
 use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
 use unitherm_cluster::sim::Simulation;
 use unitherm_core::control_array::Policy;
+use unitherm_core::control_plane::DynamicFan;
 use unitherm_obs::EventRecord;
 
-/// Median address distance between consecutive nodes' workload boxes.
-fn median_workload_stride(sim: &Simulation) -> usize {
-    let addrs: Vec<usize> = sim
-        .nodes()
-        .iter()
-        .map(|ns| (&*ns.workload as *const dyn unitherm_workload::Workload).cast::<u8>() as usize)
-        .collect();
+/// Median address distance between consecutive items of `addrs`.
+fn median_stride(addrs: &[usize]) -> usize {
     let mut strides: Vec<usize> = addrs.windows(2).map(|w| w[0].abs_diff(w[1])).collect();
     strides.sort_unstable();
     strides[strides.len() / 2]
 }
 
 #[test]
-fn consecutive_nodes_hot_state_is_closer_than_one_ring() {
+fn per_node_state_is_laid_out_in_pass_order() {
     let scenario = Scenario::new("hot-layout")
         .with_nodes(2048)
         .with_workload(WorkloadSpec::CpuBurn)
@@ -45,12 +50,37 @@ fn consecutive_nodes_hot_state_is_closer_than_one_ring() {
     for width in [1, 2] {
         let sim = Simulation::try_with_width(scenario.clone(), width).expect("valid scenario");
         assert_eq!(sim.width(), width);
-        let stride = median_workload_stride(&sim);
+
+        for (s, workloads) in sim.shard_workloads().enumerate() {
+            let addrs: Vec<usize> = workloads
+                .iter()
+                .map(|w| (&**w as *const dyn unitherm_workload::Workload).cast::<u8>() as usize)
+                .collect();
+            let stride = median_stride(&addrs);
+            assert!(
+                stride <= 128,
+                "width {width}, shard {s}: consecutive workloads sit a median {stride} B \
+                 apart, not 128 B or less: other per-node state is allocated between them"
+            );
+        }
+
+        let daemons: Vec<usize> = sim
+            .nodes()
+            .iter()
+            .map(|ns| {
+                let fan = ns.plane.daemon::<DynamicFan>().expect("dynamic fan scheme");
+                (fan as *const DynamicFan) as usize
+            })
+            .collect();
+        let stride = median_stride(&daemons);
         assert!(
-            stride < ring_bytes,
-            "width {width}: consecutive workloads sit a median {stride} B apart, \
-             not below one {ring_bytes} B event ring: a ring is allocated between \
-             two nodes' hot state"
+            stride < 2048,
+            "width {width}: consecutive nodes' fan daemons sit a median {stride} B apart, \
+             not under 2,048 B (one event ring is {ring_bytes} B): a ring or other cold \
+             per-node storage is allocated between two nodes' hot state"
         );
     }
+
+    let size = std::mem::size_of::<NodeSim>();
+    assert!(size <= 768, "NodeSim is {size} B inline, above 768 B");
 }

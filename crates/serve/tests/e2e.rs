@@ -359,3 +359,30 @@ fn an_unallocatable_window_is_a_400_and_the_server_keeps_serving() {
     let doc = String::from_utf8_lossy(&doc).into_owned();
     assert_eq!(json_field(&doc, "status").as_deref(), Some(JobStatus::Done.as_str()), "{doc}");
 }
+
+#[test]
+fn a_zero_pstate_voltage_is_a_400_and_the_next_job_completes() {
+    let addr = start_server();
+    let json = scenario_json();
+
+    // A top P-state at 0 V used to pass validation and then panic while
+    // building the first node (the power law's 0/0 reached the sensor).
+    let zero = json.replacen("\"voltage_v\": 1.5", "\"voltage_v\": 0.0", 1);
+    assert_ne!(zero, json, "the mutation must hit the scenario");
+    let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&zero));
+    let reply = String::from_utf8_lossy(&reply).into_owned();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("P-state voltage"), "validation failure names the field: {reply}");
+
+    // The next job is accepted and runs to its done frame.
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(status, 202, "{body}");
+    let id = json_field(&body, "id").expect("submit response carries the job id");
+    let (status, _, sse) = request(&addr, "GET", &format!("/jobs/{id}/events"), None);
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&sse).contains("event: done"), "the job completed");
+    let (_, _, doc) = request(&addr, "GET", &format!("/jobs/{id}"), None);
+    let doc = String::from_utf8_lossy(&doc).into_owned();
+    assert_eq!(json_field(&doc, "status").as_deref(), Some(JobStatus::Done.as_str()), "{doc}");
+}

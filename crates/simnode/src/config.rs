@@ -234,6 +234,11 @@ impl NodeConfig {
             (c.emergency_hysteresis_c, "hysteresis must be finite"),
         ])?;
         check(!c.pstates.is_empty(), "at least one P-state required")?;
+        // The power law divides by the top P-state's voltage: at 0 V it is
+        // 0/0, which drives the die temperature non-finite on the first
+        // tick. A negative voltage or a 0 MHz state is no P-state either.
+        check(c.pstates.iter().all(|p| p.voltage_v > 0.0), "P-state voltage must be positive")?;
+        check(c.pstates.iter().all(|p| p.freq_mhz > 0), "P-state frequency must be positive")?;
         check(
             c.pstates.windows(2).all(|w| w[0].freq_mhz > w[1].freq_mhz),
             "P-states must be in strictly descending frequency order",
@@ -307,6 +312,22 @@ mod tests {
         let mut c = NodeConfig::default();
         c.cpu.pstates.reverse();
         assert!(c.validate().is_err_and(|e| e.contains("descending frequency")));
+    }
+
+    #[test]
+    fn rejects_a_non_positive_pstate_voltage() {
+        for (idx, bad) in [(0, 0.0), (0, -1.0), (4, 0.0), (2, -0.5)] {
+            let mut c = NodeConfig::default();
+            c.cpu.pstates[idx].voltage_v = bad;
+            assert_eq!(c.validate(), Err("P-state voltage must be positive"), "[{idx}] = {bad}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_zero_pstate_frequency() {
+        let mut c = NodeConfig::default();
+        c.cpu.pstates.last_mut().expect("default P-states").freq_mhz = 0;
+        assert_eq!(c.validate(), Err("P-state frequency must be positive"));
     }
 
     #[test]
