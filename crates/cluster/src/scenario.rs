@@ -9,7 +9,8 @@ use unitherm_simnode::faults::{FaultPlan, TickFaultSchedule};
 use unitherm_simnode::NodeConfig;
 use unitherm_workload::burn::BurnConfig;
 use unitherm_workload::{
-    CpuBurn, NpbBenchmark, NpbClass, PhaseWorkload, ScriptWorkload, Segment, Workload,
+    CpuBurn, NpbBenchmark, NpbClass, PhaseWorkload, ScriptWorkload, Segment, TraceWorkload,
+    Workload,
 };
 
 use unitherm_core::config::ConfigError;
@@ -100,7 +101,7 @@ impl WorkloadSpec {
             WorkloadSpec::Npb { bench, class } => Box::new(bench.rank_program(*class, rank, seed)),
             WorkloadSpec::Script(segments) => Box::new(ScriptWorkload::new(segments.clone())),
             WorkloadSpec::Trace { points, looped } => {
-                let trace = unitherm_workload::TraceWorkload::from_points_with_activity(points);
+                let trace = TraceWorkload::from_points_with_activity(points);
                 Box::new(if *looped { trace.looped() } else { trace })
             }
             WorkloadSpec::Idle => {
@@ -121,6 +122,24 @@ impl WorkloadSpec {
             WorkloadSpec::Trace { .. } => "trace".to_string(),
             WorkloadSpec::Idle => "idle".to_string(),
         }
+    }
+
+    /// Checks what a scenario file can carry past the constructors: a
+    /// non-empty script of valid segments, valid trace points and a valid
+    /// cpu-burn tuning.
+    ///
+    /// # Errors
+    /// Names the workload field at fault.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let checked = match self {
+            WorkloadSpec::CpuBurnTuned(cfg) => cfg.validate(),
+            WorkloadSpec::Script(segments) => ScriptWorkload::validate(segments),
+            WorkloadSpec::Trace { points, .. } => {
+                TraceWorkload::validate_points(points).map_err(|e| e.to_string())
+            }
+            WorkloadSpec::CpuBurn | WorkloadSpec::Npb { .. } | WorkloadSpec::Idle => Ok(()),
+        };
+        checked.map_err(|e| ScenarioError::new(format!("workload: {e}")))
     }
 
     /// True when the workload completes on its own (vs. running until the
@@ -443,9 +462,10 @@ impl Scenario {
     /// problem found: zero nodes, non-positive times, a sampling period not
     /// a whole number of ticks, an event ring above 65,536 records,
     /// references to out-of-range nodes, a fault plan or tick-fault
-    /// schedule its builder would refuse, a hardware ([`NodeConfig`]) or
-    /// rack config outside its physical range, or a control scheme whose
-    /// controller tuning is unusable.
+    /// schedule its builder would refuse, a workload its constructor would
+    /// refuse, a hardware ([`NodeConfig`]) or rack config outside its
+    /// physical range, or a control scheme whose controller tuning is
+    /// unusable.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         fn check(ok: bool, message: impl Into<String>) -> Result<(), ScenarioError> {
             if ok {
@@ -477,6 +497,7 @@ impl Scenario {
                 self.event_capacity
             ),
         )?;
+        self.workload.validate()?;
         // Deserialized schedules skip their builders' checks.
         for (node, plan) in &self.faults {
             check(*node < self.nodes, format!("fault plan for nonexistent node {node}"))?;
@@ -507,8 +528,25 @@ impl Scenario {
         if let Some(fs) = &self.failsafe {
             fs.validate()?;
         }
-        for node in 0..self.nodes {
-            self.effective_scheme(node).validate()?;
+        // Each distinct scheme once, whatever the node count: the full
+        // scheme, or else the default fan (when some node uses it), the
+        // DVFS arm and each override in effect (the first for its node).
+        if let Some(scheme) = &self.scheme {
+            return scheme.validate().map_err(Into::into);
+        }
+        let mut overridden = std::collections::BTreeSet::new();
+        let overrides: Vec<&FanScheme> = self
+            .fan_overrides
+            .iter()
+            .filter(|(node, _)| overridden.insert(*node))
+            .map(|(_, fan)| fan)
+            .collect();
+        if overridden.len() < self.nodes {
+            self.fan.validate()?;
+        }
+        self.dvfs.validate()?;
+        for fan in overrides {
+            fan.validate()?;
         }
         Ok(())
     }

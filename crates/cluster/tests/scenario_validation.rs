@@ -138,3 +138,92 @@ fn bad_cpuspeed_governor_from_json_is_a_data_error() {
     .expect_err("inverted governor thresholds must be rejected");
     assert!(err.contains("down threshold must be below up threshold"), "{err}");
 }
+
+/// A one-node document with `workload` as its workload block.
+fn one_node_with(workload: &str) -> String {
+    format!(r#"{{"name": "bad-workload", "nodes": 1, "max_time_s": 5.0, "workload": {workload}}}"#)
+}
+
+#[test]
+fn bad_workloads_from_json_are_data_errors() {
+    // Each of these used to pass validation and then panic while the
+    // simulation built its workloads (or, for the negative segment, run
+    // and report a -inf maximum temperature).
+    let burn = |burst: &str| {
+        format!(
+            r#"{{"CpuBurnTuned": {{"burst_s": {burst}, "gap_s": [4.0, 12.0],
+                "burst_util": 1.0, "gap_util": 0.18, "jitter": 0.06}}}}"#
+        )
+    };
+    let cases = [
+        (r#"{"Script": []}"#.to_string(), "workload: script must not be empty"),
+        (
+            r#"{"Script": [{"duration_s": -1.0, "utilization": 0.5}]}"#.to_string(),
+            "workload: segment 0: duration_s must be positive",
+        ),
+        (
+            r#"{"Trace": {"points": [], "looped": false}}"#.to_string(),
+            "workload: trace must not be empty",
+        ),
+        (
+            r#"{"Trace": {"points": [[0.0, 2.0, 0.5]], "looped": false}}"#.to_string(),
+            "workload: trace point 0: utilization must be in [0,1]",
+        ),
+        (
+            r#"{"Trace": {"points": [[1.0, 0.5, 0.5], [0.5, 0.5, 0.5]], "looped": false}}"#
+                .to_string(),
+            "workload: trace point 1: timestamps must be strictly increasing",
+        ),
+        (burn("[0.0, 0.0]"), "workload: invalid burst range"),
+        (burn("[5.0, 1.0]"), "workload: invalid burst range"),
+    ];
+    for (workload, want) in cases {
+        let json = one_node_with(&workload);
+        let err = validate_json(&json).expect_err(&json);
+        assert!(err.contains(want), "{json}: {err}");
+        // The simulation refuses it by name instead of panicking.
+        let scenario: Scenario = serde_json::from_str(&json).expect("deserializes");
+        let err = unitherm_cluster::Simulation::try_new(scenario).err().expect("refused");
+        assert!(err.message().contains(want), "{err}");
+    }
+
+    // The valid forms of the same blocks still pass.
+    for workload in [
+        r#"{"Script": [{"duration_s": 1.0, "utilization": 0.5}]}"#.to_string(),
+        r#"{"Trace": {"points": [[0.0, 0.5, 0.5], [1.0, 0.9, 0.9]], "looped": true}}"#.to_string(),
+        burn("[5.0, 5.0]"),
+    ] {
+        validate_json(&one_node_with(&workload)).expect("valid workload");
+    }
+}
+
+#[test]
+fn control_schemes_validate_once_with_the_per_node_error_text() {
+    // A cluster of 100,000 nodes validates its schemes as fast as a
+    // 1-node one: each distinct scheme is checked once, not per node.
+    let err = validate_json(
+        r#"{"name": "wide", "nodes": 100000, "dvfs": {"CpuSpeed": {"config": {
+            "interval_s": 0.0, "up_threshold": 0.85, "down_threshold": 0.5}}}}"#,
+    )
+    .expect_err("the shared DVFS arm is still checked");
+    assert!(err.contains("interval must be positive"), "{err}");
+
+    // An override in effect is checked; the default fan is not when every
+    // node overrides it, nor is a later, shadowed override for a node.
+    let controller = serde_json::to_string(&unitherm_core::controller::ControllerConfig::default())
+        .expect("serialize controller config");
+    let bad_fan =
+        format!(r#"{{"Dynamic": {{"policy": 0, "max_duty": 100, "config": {controller}}}}}"#);
+    let bad_fan = bad_fan.as_str();
+    let good_fan = r#"{"Constant": {"duty": 50}}"#;
+    let doc = |fan: &str, overrides: &str| {
+        format!(r#"{{"name": "o", "nodes": 2, "fan": {fan}, "fan_overrides": {overrides}}}"#)
+    };
+    let err = validate_json(&doc(good_fan, &format!("[[1, {bad_fan}]]")))
+        .expect_err("an invalid override in effect is refused");
+    assert!(err.contains("policy"), "{err}");
+    validate_json(&doc(bad_fan, &format!("[[0, {good_fan}], [1, {good_fan}]]")))
+        .expect("a default fan no node uses is not checked");
+    validate_json(&doc(good_fan, &format!("[[1, {good_fan}], [1, {bad_fan}]]")))
+        .expect("a shadowed override is not checked");
+}

@@ -22,7 +22,7 @@ use unitherm_core::window::WindowConfig;
 use unitherm_metrics::{CsvWriter, TextTable, TimeSeries};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{Claim, Experiment, Scale};
 
 // ---------------------------------------------------------------- helpers
 
@@ -98,7 +98,7 @@ impl Experiment for WindowAblation {
         "ablate-window"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Ablation: two-level window vs single levels (synthetic trace)",
             &["variant", "decisions", "final duty (%)", "step response (samples)"],
@@ -114,34 +114,38 @@ impl Experiment for WindowAblation {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    fn claims(&self) -> Vec<Claim> {
         let get =
             |name: &str| self.rows.iter().find(|(n, ..)| *n == name).expect("variant present");
         let (_, _, two_duty, two_resp) = *get("two-level");
         let (_, _, l1_duty, l1_resp) = *get("level1-only");
         let (_, _, l2_duty, _) = *get("level2-only");
-
         // Two-level and level1-only both catch the sudden step fast.
-        for (name, resp) in [("two-level", two_resp), ("level1-only", l1_resp)] {
-            match resp {
-                Some(r) if r <= 8 => {}
-                other => v.push(format!("{name} step response {other:?}, expected ≤ 8 samples")),
-            }
-        }
-        // Level-1-only misses the slow ramp: its final duty falls short of
-        // the two-level controller's.
-        if l1_duty >= two_duty {
-            v.push(format!(
-                "level1-only final duty {l1_duty}% not below two-level {two_duty}% — ramp should be missed"
-            ));
-        }
-        // Level-2-only eventually reacts (non-trivial duty) but more
-        // sluggishly than the full controller responds to the step.
-        if l2_duty <= 1 {
-            v.push("level2-only never engaged".to_string());
-        }
-        v
+        let fast_step = |name: &str, resp: Option<usize>| {
+            let measured = resp.map_or("never".to_string(), |r| format!("{r} samples"));
+            Claim::new(
+                format!("{name} step response"),
+                measured,
+                "≤ 8 samples",
+                resp.is_some_and(|r| r <= 8),
+            )
+            .paper("catches sudden changes")
+        };
+        vec![
+            fast_step("two-level", two_resp),
+            fast_step("level1-only", l1_resp),
+            // Level-1-only misses the slow ramp: its final duty falls short
+            // of the two-level controller's.
+            Claim::new(
+                "final duty, level1-only vs two-level",
+                format!("{l1_duty} vs {two_duty} %"),
+                "level1-only < two-level",
+                l1_duty < two_duty,
+            )
+            .paper("level 2 catches gradual changes"),
+            // Level-2-only eventually reacts, more sluggishly.
+            Claim::new("level2-only final duty", format!("{l2_duty} %"), "> 1 %", l2_duty > 1),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -211,9 +215,9 @@ impl Experiment for L1SizeAblation {
         "ablate-l1size"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
-            "Ablation: level-one window length (paper picks 4)",
+            "Ablation: level-one window length",
             &["l1 length", "jitter decisions (of 400 samples)", "step response (samples)"],
         );
         for (len, jd, resp) in &self.rows {
@@ -226,27 +230,33 @@ impl Experiment for L1SizeAblation {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    fn claims(&self) -> Vec<Claim> {
         let get = |len: usize| self.rows.iter().find(|(l, ..)| *l == len).expect("row");
         let (_, j2, _) = *get(2);
         let (_, j4, r4) = *get(4);
         let (_, _, r16) = *get(16);
-        // A 2-entry window mistakes alternating jitter for sudden change
-        // (each window is [hi, lo] ⇒ a full-swing delta every round).
-        if j2 == 0 {
-            v.push("2-entry window did not react to jitter — expected it to".to_string());
-        }
-        // The paper's 4-entry window nullifies this jitter entirely.
-        if j4 > 0 {
-            v.push(format!("4-entry window made {j4} jitter decisions, expected 0"));
-        }
-        // Larger windows respond slower to a sudden step.
-        match (r4, r16) {
-            (Some(a), Some(b)) if b > a => {}
-            other => v.push(format!("16-entry window not slower than 4-entry: {other:?}")),
-        }
-        v
+        let samples = |r: Option<usize>| r.map_or("never".to_string(), |r| r.to_string());
+        vec![
+            // A 2-entry window mistakes alternating jitter for sudden change
+            // (each window is [hi, lo] ⇒ a full-swing delta every round).
+            Claim::new("2-entry window: jitter decisions", j2.to_string(), "≥ 1", j2 > 0),
+            // The paper's 4-entry window nullifies this jitter entirely.
+            Claim::new(
+                "4-entry window (the paper's): jitter decisions",
+                j4.to_string(),
+                "0",
+                j4 == 0,
+            )
+            .paper("jitter nullified"),
+            // Larger windows respond slower to a sudden step.
+            Claim::new(
+                "step response, 16 vs 4 entries (samples)",
+                format!("{} vs {}", samples(r16), samples(r4)),
+                "16 slower than 4",
+                matches!((r4, r16), (Some(a), Some(b)) if b > a),
+            )
+            .paper("4 catches sudden changes"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -297,7 +307,7 @@ impl Experiment for FillAblation {
         "ablate-fill"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Ablation: Eq.(1) fill (P_p = 25) vs linear fill",
             &["index", "Eq.(1) duty (%)", "linear duty (%)"],
@@ -308,27 +318,36 @@ impl Experiment for FillAblation {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    fn claims(&self) -> Vec<Claim> {
         // Eq.(1) at P25 commands at least as much duty at every index, and
         // strictly more in the interior.
-        let mut strictly = 0;
-        for ((i, e), l) in self.indices.iter().zip(&self.eq1_duties).zip(&self.linear_duties) {
-            if e < l {
-                v.push(format!("index {i}: Eq.(1) duty {e}% below linear {l}%"));
-            }
-            if e > l {
-                strictly += 1;
-            }
-        }
-        if strictly < 2 {
-            v.push("Eq.(1) fill not strictly more aggressive anywhere in the interior".into());
-        }
-        // Both pin the extremes identically.
-        if self.eq1_duties.last() != self.linear_duties.last() {
-            v.push("arrays disagree at g_N".into());
-        }
-        v
+        let pairs = || self.eq1_duties.iter().zip(&self.linear_duties);
+        let below = pairs().filter(|(e, l)| e < l).count();
+        let above = pairs().filter(|(e, l)| e > l).count();
+        let (e_n, l_n) = (self.eq1_duties.last(), self.linear_duties.last());
+        let duty = |d: Option<&u8>| d.map_or("—".to_string(), |d| format!("{d} %"));
+        vec![
+            Claim::new(
+                "probed indices where Eq.(1) duty < linear",
+                below.to_string(),
+                "0",
+                below == 0,
+            ),
+            Claim::new(
+                "probed indices where Eq.(1) duty > linear",
+                above.to_string(),
+                "≥ 2",
+                above >= 2,
+            )
+            .paper("smaller P_p more aggressive"),
+            // Both pin the extremes identically.
+            Claim::new(
+                "duty at g_N, Eq.(1) vs linear",
+                format!("{} vs {}", duty(e_n), duty(l_n)),
+                "equal",
+                e_n == l_n,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -410,7 +429,7 @@ impl Experiment for HybridAblation {
         "ablate-hybrid"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Ablation: coordinated control vs isolation (BT ×4, max duty 50 %)",
             &["arm", "settled temp (°C)", "time > 51°C (s)", "exec time (s)", "avg power (W)"],
@@ -427,24 +446,32 @@ impl Experiment for HybridAblation {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    fn claims(&self) -> Vec<Claim> {
         let get = |name: &str| *self.rows.iter().find(|(n, ..)| *n == name).expect("arm present");
         let (_, hybrid_temp, _, hybrid_exec, _) = get("hybrid");
         let (_, fan_temp, _, _, _) = get("fan-only");
         let (_, _, _, dvfs_exec, _) = get("dvfs-only");
-        // Hybrid settles cooler than fan-only (DVFS backs the capped fan up
-        // once the fan saturates); measured over the final quarter where
-        // fan-only keeps drifting toward its hotter asymptote.
-        if hybrid_temp >= fan_temp - 0.5 {
-            v.push(format!("hybrid settled {hybrid_temp:.2}°C not below fan-only {fan_temp:.2}°C"));
-        }
-        // Hybrid finishes no slower than DVFS-only (the fan absorbs load
-        // that would otherwise cost frequency).
-        if hybrid_exec > dvfs_exec + 0.5 {
-            v.push(format!("hybrid exec {hybrid_exec:.1}s slower than dvfs-only {dvfs_exec:.1}s"));
-        }
-        v
+        vec![
+            // Hybrid settles cooler than fan-only (DVFS backs the capped fan
+            // up once the fan saturates); measured over the final quarter
+            // where fan-only keeps drifting toward its hotter asymptote.
+            Claim::new(
+                "settled temp, hybrid vs fan-only",
+                format!("{hybrid_temp:.2} vs {fan_temp:.2} °C"),
+                "hybrid < fan-only − 0.5 °C",
+                hybrid_temp < fan_temp - 0.5,
+            )
+            .paper("coordination beats isolation"),
+            // Hybrid finishes no slower than DVFS-only (the fan absorbs load
+            // that would otherwise cost frequency).
+            Claim::new(
+                "exec time, hybrid vs dvfs-only",
+                format!("{hybrid_exec:.1} vs {dvfs_exec:.1} s"),
+                "hybrid ≤ dvfs-only + 0.5 s",
+                hybrid_exec <= dvfs_exec + 0.5,
+            )
+            .paper("coordination beats isolation"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -507,27 +534,24 @@ impl Experiment for HysteresisAblation {
         "ablate-hysteresis"
     }
 
-    fn render(&self) -> String {
-        format!(
-            "Ablation: tDVFS confirmation rule (cpu-burn, 25 %-capped fan)\n  \
-             confirmed (8 rounds + 1°C band): {} transitions\n  \
-             naive (instantaneous threshold): {} transitions\n",
-            self.confirmed_transitions, self.naive_transitions
-        )
+    fn figure(&self) -> String {
+        "Ablation: tDVFS confirmation rule (cpu-burn, 25 %-capped fan): confirmed (8 rounds + \
+         1°C band) vs naive (instantaneous threshold)\n"
+            .to_string()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.confirmed_transitions == 0 {
-            v.push("confirmed tDVFS never engaged".into());
-        }
-        if self.naive_transitions <= self.confirmed_transitions {
-            v.push(format!(
-                "naive threshold made {} transitions, not more than confirmed {}",
-                self.naive_transitions, self.confirmed_transitions
-            ));
-        }
-        v
+    fn claims(&self) -> Vec<Claim> {
+        let (confirmed, naive) = (self.confirmed_transitions, self.naive_transitions);
+        vec![
+            Claim::new("confirmed transitions", confirmed.to_string(), "≥ 1", confirmed > 0),
+            Claim::new(
+                "transitions, naive vs confirmed",
+                format!("{naive} vs {confirmed}"),
+                "naive > confirmed",
+                naive > confirmed,
+            )
+            .paper("consistently above/below"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -613,7 +637,7 @@ impl Experiment for FeedforwardStudy {
         "feedforward"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Future work (§5): utilization feedforward on an idle→burn step",
             &["arm", "post-step mean (°C)", "post-step peak (°C)", "duty +15 pts after (s)"],
@@ -634,35 +658,42 @@ impl Experiment for FeedforwardStudy {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        // The feedforward fan engages sooner...
-        match (self.feedforward_duty_lag_s, self.reactive_duty_lag_s) {
-            (Some(f), Some(r)) => {
-                if f >= r {
-                    v.push(format!("feedforward duty lag {f:.1}s not below reactive {r:.1}s"));
-                }
-            }
-            (None, _) => v.push("feedforward arm never engaged the fan".into()),
-            (Some(_), None) => {} // reactive never engaged: even stronger win
-        }
-        // ...and the post-step window is no hotter (usually slightly
-        // cooler; the earlier actuation mostly buys latency, not degrees,
-        // because the die's fast RC jump is fan-independent).
-        if self.feedforward_mean_c > self.reactive_mean_c + 0.05 {
-            v.push(format!(
-                "feedforward post-step mean {:.2}°C above reactive {:.2}°C",
-                self.feedforward_mean_c, self.reactive_mean_c
-            ));
-        }
-        // Peak never worse.
-        if self.feedforward_peak_c > self.reactive_peak_c + 0.3 {
-            v.push(format!(
-                "feedforward peak {:.2}°C above reactive {:.2}°C",
-                self.feedforward_peak_c, self.reactive_peak_c
-            ));
-        }
-        v
+    fn claims(&self) -> Vec<Claim> {
+        let lag = |l: Option<f64>| l.map_or("never".to_string(), |v| format!("{v:.1} s"));
+        // The feedforward fan engages sooner (the reactive arm never
+        // engaging is an even stronger win).
+        let sooner = match (self.feedforward_duty_lag_s, self.reactive_duty_lag_s) {
+            (Some(f), Some(r)) => f < r,
+            (None, _) => false,
+            (Some(_), None) => true,
+        };
+        vec![
+            Claim::new(
+                "duty +15 points after, feedforward vs reactive",
+                format!(
+                    "{} vs {}",
+                    lag(self.feedforward_duty_lag_s),
+                    lag(self.reactive_duty_lag_s)
+                ),
+                "feedforward sooner",
+                sooner,
+            ),
+            // ...and the post-step window is no hotter (usually slightly
+            // cooler; the earlier actuation mostly buys latency, not
+            // degrees, because the die's fast RC jump is fan-independent).
+            Claim::new(
+                "post-step mean, feedforward vs reactive",
+                format!("{:.2} vs {:.2} °C", self.feedforward_mean_c, self.reactive_mean_c),
+                "feedforward ≤ reactive + 0.05 °C",
+                self.feedforward_mean_c <= self.reactive_mean_c + 0.05,
+            ),
+            Claim::new(
+                "post-step peak, feedforward vs reactive",
+                format!("{:.2} vs {:.2} °C", self.feedforward_peak_c, self.reactive_peak_c),
+                "feedforward ≤ reactive + 0.3 °C",
+                self.feedforward_peak_c <= self.reactive_peak_c + 0.3,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {

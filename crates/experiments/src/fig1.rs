@@ -12,7 +12,7 @@ use unitherm_core::baseline::StaticFanCurve;
 use unitherm_metrics::{AsciiPlot, CsvWriter, TimeSeries};
 use unitherm_simnode::{Node, NodeConfig};
 
-use crate::{Experiment, Scale};
+use crate::{Claim, Experiment, Scale};
 
 /// Figure 1 result: the curve sampled from both implementations.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ impl Experiment for Fig1Result {
         "fig1"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Figure 1: traditional static fan control map (PWM duty vs temperature)\n",
         );
@@ -76,27 +76,18 @@ impl Experiment for Fig1Result {
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let curve = &self.curve;
-        // Flat at PWMmin below Tmin.
-        for (t, d) in self.temps_c.iter().zip(&self.software_duty) {
-            if *t <= curve.t_min_c && *d != curve.pwm_min {
-                v.push(format!("duty {d}% below Tmin at {t}°C (expected {}%)", curve.pwm_min));
-                break;
-            }
-        }
-        // Saturated at PWMmax at/above Tmax.
-        for (t, d) in self.temps_c.iter().zip(&self.software_duty) {
-            if *t >= curve.t_max_c && *d != curve.pwm_max {
-                v.push(format!("duty {d}% above Tmax at {t}°C (expected {}%)", curve.pwm_max));
-                break;
-            }
-        }
-        // Monotone non-decreasing.
-        if self.software_duty.windows(2).any(|w| w[1] < w[0]) {
-            v.push("software curve is not monotone".to_string());
-        }
+    fn claims(&self) -> Vec<Claim> {
+        let c = &self.curve;
+        // Pinned at `duty` over a temperature region: the first sample off
+        // it, if any.
+        let pinned = |region: String, duty: u8, inside: &dyn Fn(f64) -> bool| {
+            let mut samples = self.temps_c.iter().zip(&self.software_duty);
+            let off = samples.find(|(t, d)| inside(**t) && **d != duty);
+            let measured =
+                off.map_or(format!("{duty} % throughout"), |(t, d)| format!("{d} % at {t} °C"));
+            Claim::new(format!("duty {region}"), measured, format!("= {duty} %"), off.is_none())
+        };
+        let drops = self.software_duty.windows(2).filter(|w| w[1] < w[0]).count();
         // The chip's automatic mode implements the same map (±1 % for the
         // 0–255 register quantization).
         let max_dev = self
@@ -106,10 +97,25 @@ impl Experiment for Fig1Result {
             .map(|(a, b)| (i16::from(*a) - i16::from(*b)).unsigned_abs())
             .max()
             .unwrap_or(0);
-        if max_dev > 1 {
-            v.push(format!("chip vs software curve deviate by {max_dev}% (max allowed 1%)"));
-        }
-        v
+        vec![
+            pinned(format!("at or below Tmin = {} °C", c.t_min_c), c.pwm_min, &|t| t <= c.t_min_c)
+                .paper("PWMmin = 10 %"),
+            pinned(format!("at or above Tmax = {} °C", c.t_max_c), c.pwm_max, &|t| t >= c.t_max_c)
+                .paper("100 %"),
+            Claim::new(
+                "decreasing steps in the software curve",
+                drops.to_string(),
+                "0",
+                drops == 0,
+            )
+            .paper("linear in between"),
+            Claim::new(
+                "chip vs software curve, max deviation",
+                format!("{max_dev} %"),
+                "≤ 1 %",
+                max_dev <= 1,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {

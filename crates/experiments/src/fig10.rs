@@ -10,13 +10,13 @@
 use std::path::Path;
 
 use unitherm_cluster::{
-    run_scenarios_parallel, DvfsScheme, FanScheme, RunReport, Scenario, WorkloadSpec,
+    run_scenarios_parallel, DvfsScheme, FanScheme, NodeReport, RunReport, Scenario, WorkloadSpec,
 };
 use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// One policy arm of Figure 10.
 #[derive(Debug, Clone)]
@@ -59,65 +59,13 @@ pub fn run(scale: Scale) -> Fig10Result {
     }
 }
 
-impl Fig10Result {
-    /// The arm for a given policy value.
-    pub fn arm(&self, pp: u32) -> &Fig10Arm {
-        self.arms.iter().find(|a| a.pp == pp).expect("arm exists")
-    }
-
-    /// Average temperature per arm.
-    pub fn avg_temps(&self) -> Vec<f64> {
-        self.arms.iter().map(|a| a.report.avg_temp_c()).collect()
-    }
-
-    /// tDVFS trigger time per arm: the *mean* of per-node first-event times
-    /// (`None` if no node fired). The min across nodes is an extreme
-    /// statistic that per-node sensor noise dominates; the mean reflects
-    /// the coordination effect the paper describes.
-    pub fn trigger_times(&self) -> Vec<Option<f64>> {
-        self.arms
-            .iter()
-            .map(|a| {
-                let firsts: Vec<f64> = a
-                    .report
-                    .nodes
-                    .iter()
-                    .filter_map(|n| n.freq_events.first().map(|(t, _)| *t))
-                    .collect();
-                if firsts.is_empty() {
-                    None
-                } else {
-                    Some(firsts.iter().sum::<f64>() / firsts.len() as f64)
-                }
-            })
-            .collect()
-    }
-
-    /// Mean time at which node temperatures first crossed the threshold,
-    /// per arm (the cleaner signal behind the trigger ordering).
-    pub fn crossing_times(&self, threshold_c: f64) -> Vec<Option<f64>> {
-        self.arms
-            .iter()
-            .map(|a| {
-                let crossings: Vec<f64> = a
-                    .report
-                    .nodes
-                    .iter()
-                    .filter_map(|n| n.temp.first_crossing_above(threshold_c))
-                    .collect();
-                if crossings.is_empty() {
-                    None
-                } else {
-                    Some(crossings.iter().sum::<f64>() / crossings.len() as f64)
-                }
-            })
-            .collect()
-    }
-
-    /// Execution time per arm.
-    pub fn exec_times(&self) -> Vec<f64> {
-        self.arms.iter().map(|a| a.report.exec_time_s).collect()
-    }
+/// Mean over a run's nodes of a per-node time (`None` if no node has
+/// one). The min across nodes is an extreme statistic that per-node sensor
+/// noise dominates; the mean reflects the coordination effect the paper
+/// describes.
+fn node_mean(r: &RunReport, time: impl Fn(&NodeReport) -> Option<f64>) -> Option<f64> {
+    let times: Vec<f64> = r.nodes.iter().filter_map(time).collect();
+    (!times.is_empty()).then(|| times.iter().sum::<f64>() / times.len() as f64)
 }
 
 impl Experiment for Fig10Result {
@@ -125,116 +73,92 @@ impl Experiment for Fig10Result {
         "fig10"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Figure 10: hybrid fan + tDVFS, shared P_p ∈ {25, 50, 75} (BT ×4, max duty 50 %)\n",
         );
         let mut plot = AsciiPlot::new("  node-0 temperature (°C)").size(72, 16);
         for a in &self.arms {
-            let mut t = a.report.nodes[0].temp.clone();
-            t.name = format!("P_p={}", a.pp);
-            plot = plot.add(&t);
+            plot = plot.add(&renamed(&a.report.nodes[0].temp, format!("P_p={}", a.pp)));
         }
         out.push_str(&plot.render());
-        for a in &self.arms {
-            out.push_str(&format!(
-                "  P_p={:<3} avgT={:.2}°C  trigger={}  minFreq={}  exec={:.1}s\n",
-                a.pp,
-                a.report.avg_temp_c(),
-                a.report
-                    .first_dvfs_event_time_s()
-                    .map(|t| format!("{t:.0}s"))
-                    .unwrap_or_else(|| "never".into()),
-                a.report
-                    .min_commanded_freq_mhz()
-                    .map(|f| format!("{f} MHz"))
-                    .unwrap_or_else(|| "2400 MHz".into()),
-                a.report.exec_time_s,
-            ));
-        }
-        let e = self.exec_times();
-        let spread = (e.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            / e.iter().cloned().fold(f64::INFINITY, f64::min)
-            - 1.0)
-            * 100.0;
-        out.push_str(&format!("  exec-time spread {spread:.2}% (paper: 4.76%)\n"));
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let temps = self.avg_temps(); // [25, 50, 75]
-                                      // Smaller P_p controls temperature more effectively.
-        if !(temps[0] < temps[1] && temps[1] < temps[2]) {
-            v.push(format!(
-                "avg temps not ordered P25 < P50 < P75: {:.2}/{:.2}/{:.2}",
-                temps[0], temps[1], temps[2]
-            ));
-        }
+    fn claims(&self) -> Vec<Claim> {
+        let [p25, p50, p75] = [0, 1, 2].map(|i| &self.arms[i].report);
+        let [t25, t50, t75] = [p25, p50, p75].map(RunReport::avg_temp_c);
+        let secs = |t: Option<f64>| t.map_or("never".to_string(), |t| format!("{t:.1} s"));
         // Coordination: the more aggressive the fan, the later the
-        // threshold is reached and the later tDVFS fires (mean across
-        // nodes; a 2 s tolerance absorbs sensor-noise in the confirmation
-        // timing).
-        let crossings = self.crossing_times(51.0);
-        match (crossings[0], crossings[2]) {
-            (Some(c25), Some(c75)) => {
-                if c25 <= c75 {
-                    v.push(format!("P25 crossing {c25:.1}s not later than P75 crossing {c75:.1}s"));
-                }
-            }
-            (None, Some(_)) => {} // P25 held below threshold entirely: stronger form of "later"
-            (_, None) => v.push("P75 never crossed the threshold".to_string()),
-        }
-        let triggers = self.trigger_times();
-        match (triggers[0], triggers[2]) {
-            (Some(t25), Some(t75)) => {
-                if t25 <= t75 - 2.0 {
-                    v.push(format!(
-                        "P25 trigger {t25:.1}s clearly earlier than P75 trigger {t75:.1}s"
-                    ));
-                }
-            }
-            (None, Some(_)) => {
-                // P25's fan held the threshold entirely: an even stronger
-                // form of "later" — acceptable.
-            }
-            (_, None) => v.push("tDVFS never triggered under P75".to_string()),
-        }
-        // All arms complete, with a small execution-time spread (≤ 10 %).
-        for a in &self.arms {
-            if !a.report.completed {
-                v.push(format!("P{} run did not complete", a.pp));
-            }
-        }
-        let e = self.exec_times();
+        // threshold is reached (the cleaner signal) and the later tDVFS
+        // fires. P25 never getting there is the strongest form of "later".
+        let crossing = |r| node_mean(r, |n| n.temp.first_crossing_above(51.0));
+        let (c25, c75) = (crossing(p25), crossing(p75));
+        let crossing_later = match (c25, c75) {
+            (Some(c25), Some(c75)) => c25 > c75,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        // A 2 s tolerance absorbs sensor noise in the confirmation timing.
+        let trigger = |r| node_mean(r, |n| n.freq_events.first().map(|(t, _)| *t));
+        let (tr25, tr75) = (trigger(p25), trigger(p75));
+        let trigger_later = match (tr25, tr75) {
+            (Some(t25), Some(t75)) => t25 > t75 - 2.0,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let e = [p25, p50, p75].map(|r| r.exec_time_s);
         let spread = e.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             / e.iter().cloned().fold(f64::INFINITY, f64::min);
-        if spread > 1.10 {
-            v.push(format!("exec-time spread {:.2}% exceeds 10%", (spread - 1.0) * 100.0));
-        }
         // Every arm's DVFS engaged (the 50 %-capped fan cannot hold the
-        // threshold alone). Note: the *final* depth each arm reaches is
-        // dominated by how long its run spent above the threshold, not by
-        // the policy; the paper's per-step depth claim (aggressive arrays
-        // map one escalation to lower frequencies) is validated at the unit
-        // level and by `ablate-fill`.
-        for a in &self.arms {
-            if a.report.min_commanded_freq_mhz().is_none() {
-                v.push(format!("P{}: DVFS never engaged", a.pp));
-            }
-        }
-        v
+        // threshold alone). The *final* depth each arm reaches is dominated
+        // by how long its run spent above the threshold, not by the policy;
+        // the paper's per-step depth claim (aggressive arrays map one
+        // escalation to lower frequencies) is validated at the unit level
+        // and by `ablate-fill`.
+        let engaged =
+            [p25, p50, p75].iter().filter(|r| r.min_commanded_freq_mhz().is_some()).count();
+        vec![
+            // Smaller P_p controls temperature more effectively.
+            Claim::new(
+                "avg temp P25 / P50 / P75",
+                format!("{t25:.2} / {t50:.2} / {t75:.2} °C"),
+                "P25 < P50 < P75",
+                t25 < t50 && t50 < t75,
+            )
+            .paper("P25 < P50 < P75"),
+            Claim::new(
+                "mean threshold crossing P25 vs P75",
+                format!("{} vs {}", secs(c25), secs(c75)),
+                "P25 later (or never); P75 crosses",
+                crossing_later,
+            )
+            .paper("P25 later"),
+            Claim::new(
+                "mean tDVFS trigger P25 vs P75",
+                format!("{} vs {}", secs(tr25), secs(tr75)),
+                "P25 > P75 − 2 s (or never); P75 fires",
+                trigger_later,
+            )
+            .paper("P25 later"),
+            Claim::completed([p25, p50, p75]),
+            Claim::new(
+                "exec-time spread (max / min − 1)",
+                format!("{:.2} %", (spread - 1.0) * 100.0),
+                "≤ 10 %",
+                spread <= 1.10,
+            )
+            .paper("4.76 %"),
+            Claim::new("arms whose DVFS engaged", format!("{engaged} / 3"), "all", engaged == 3)
+                .paper("all"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
         for a in &self.arms {
-            let mut t = a.report.nodes[0].temp.clone();
-            t.name = format!("temp_p{}", a.pp);
-            let mut f = a.report.nodes[0].freq.clone();
-            f.name = format!("freq_p{}", a.pp);
-            w.add(t);
-            w.add(f);
+            w.add(renamed(&a.report.nodes[0].temp, format!("temp_p{}", a.pp)));
+            w.add(renamed(&a.report.nodes[0].freq, format!("freq_p{}", a.pp)));
         }
         w.write_to_file(dir.join("fig10.csv"))
     }

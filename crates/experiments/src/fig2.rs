@@ -14,7 +14,7 @@ use unitherm_core::classify::{BehaviorClassifier, ThermalBehavior};
 use unitherm_metrics::{AsciiPlot, CsvWriter, TimeSeries};
 use unitherm_workload::ScriptWorkload;
 
-use crate::{Experiment, Scale};
+use crate::{Claim, Experiment, Scale};
 
 /// Figure 2 result.
 #[derive(Debug, Clone)]
@@ -28,17 +28,15 @@ pub struct Fig2Result {
 }
 
 /// Regenerates Figure 2.
-pub fn run(scale: Scale) -> Fig2Result {
+pub fn run(_scale: Scale) -> Fig2Result {
     let profile = ScriptWorkload::figure2_profile();
     let segments = WorkloadSpec::Script(
         // Re-derive the segments by replaying the canonical profile is not
         // possible (the workload is consumed); build it again instead.
         figure2_segments(),
     );
-    let max_time = match scale {
-        Scale::Full => profile.total_duration_s() + 10.0,
-        Scale::Fast => profile.total_duration_s() + 10.0, // trace length defines the figure
-    };
+    // The trace length defines the figure at either scale.
+    let max_time = profile.total_duration_s() + 10.0;
     let report = Simulation::new(
         Scenario::new("fig2")
             .with_nodes(1)
@@ -84,37 +82,39 @@ impl Experiment for Fig2Result {
         "fig2"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out =
             String::from("Figure 2: CPU thermal profile with constant fan speed (4 samples/s)\n");
         out.push_str(&AsciiPlot::new("").size(72, 16).add(&self.temp).render());
-        out.push_str("  behaviour rounds: ");
-        for (k, v) in &self.histogram {
-            out.push_str(&format!("{k}={v} "));
-        }
-        out.push('\n');
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    fn claims(&self) -> Vec<Claim> {
         // All three paper behaviour types must be present.
-        for ty in ["sudden", "gradual", "jitter"] {
-            if self.histogram.get(ty).copied().unwrap_or(0) == 0 {
-                v.push(format!("no {ty} rounds detected"));
-            }
-        }
-        // The trace must span a meaningful range (the paper's spans ~25 °C).
-        let s = self.temp.summary();
-        if s.range() < 10.0 {
-            v.push(format!("temperature range only {:.1} °C", s.range()));
-        }
-        // Sampled at 4 Hz: ~4 samples per simulated second.
+        let mut claims: Vec<Claim> = ["sudden", "gradual", "jitter"]
+            .into_iter()
+            .map(|ty| {
+                let rounds = self.histogram.get(ty).copied().unwrap_or(0);
+                Claim::new(format!("{ty} rounds"), rounds.to_string(), "≥ 1", rounds > 0)
+                    .paper("present")
+            })
+            .collect();
+        let range = self.temp.summary().range();
+        claims.push(
+            Claim::new("temperature range", format!("{range:.1} °C"), "≥ 10 °C", range >= 10.0)
+                .paper("~25 °C"),
+        );
         let rate = self.temp.len() as f64 / self.temp.duration_s();
-        if (rate - 4.0).abs() > 0.2 {
-            v.push(format!("sample rate {rate:.2} Hz, expected 4 Hz"));
-        }
-        v
+        claims.push(
+            Claim::new(
+                "sample rate",
+                format!("{rate:.2} Hz"),
+                "4 ± 0.2 Hz",
+                (rate - 4.0).abs() <= 0.2,
+            )
+            .paper("4 Hz"),
+        );
+        claims
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {

@@ -15,7 +15,7 @@ use unitherm_cluster::{run_scenarios_parallel, FanScheme, RunReport, Scenario, W
 use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// One policy arm of Figure 5.
 #[derive(Debug, Clone)]
@@ -53,32 +53,17 @@ pub fn run(scale: Scale) -> Fig5Result {
     }
 }
 
-impl Fig5Result {
-    /// Average commanded duty per arm, ordered as `arms`.
-    pub fn avg_duties(&self) -> Vec<f64> {
-        self.arms.iter().map(|a| a.report.avg_duty_pct()).collect()
-    }
-
-    /// Average temperature per arm, ordered as `arms`.
-    pub fn avg_temps(&self) -> Vec<f64> {
-        self.arms.iter().map(|a| a.report.avg_temp_c()).collect()
-    }
-}
-
 impl Experiment for Fig5Result {
     fn id(&self) -> &'static str {
         "fig5"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out =
             String::from("Figure 5: dynamic fan control under P_p = 75 / 50 / 25 (cpu-burn)\n");
         for arm in &self.arms {
             let n = &arm.report.nodes[0];
-            out.push_str(&format!(
-                "\n-- P_p = {} --   avg duty {:.1}%   avg temp {:.2}°C\n",
-                arm.pp, n.duty_summary.mean, n.temp_summary.mean
-            ));
+            out.push_str(&format!("\n-- P_p = {} --\n", arm.pp));
             out.push_str(
                 &AsciiPlot::new("temperature (top) / fan duty (bottom)")
                     .size(72, 10)
@@ -87,50 +72,49 @@ impl Experiment for Fig5Result {
             );
             out.push_str(&AsciiPlot::new("").size(72, 8).y_range(0.0, 100.0).add(&n.duty).render());
         }
-        out.push_str(&format!(
-            "\npaper avg PWM duty: P75=36 P50=53 P25=70; reproduced: P75={:.0} P50={:.0} P25={:.0}\n",
-            self.avg_duties()[0], self.avg_duties()[1], self.avg_duties()[2]
-        ));
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let duties = self.avg_duties(); // [P75, P50, P25]
-        let temps = self.avg_temps();
-        if !(duties[2] > duties[1] && duties[1] > duties[0]) {
-            v.push(format!(
-                "avg duty not ordered P25 > P50 > P75: {:.1} / {:.1} / {:.1}",
-                duties[2], duties[1], duties[0]
-            ));
-        }
-        if !(temps[2] < temps[1] && temps[1] < temps[0]) {
-            v.push(format!(
-                "avg temp not ordered P25 < P50 < P75: {:.2} / {:.2} / {:.2}",
-                temps[2], temps[1], temps[0]
-            ));
-        }
+    fn claims(&self) -> Vec<Claim> {
+        let [p75, p50, p25] = [0, 1, 2].map(|i| &self.arms[i].report);
+        let [d75, d50, d25] = [p75, p50, p25].map(RunReport::avg_duty_pct);
+        let [t75, t50, t25] = [p75, p50, p25].map(RunReport::avg_temp_c);
+        let mut claims = vec![
+            Claim::new(
+                "avg duty P25 / P50 / P75",
+                format!("{d25:.1} / {d50:.1} / {d75:.1} %"),
+                "P25 > P50 > P75",
+                d25 > d50 && d50 > d75,
+            )
+            .paper("70 / 53 / 36 %"),
+            Claim::new(
+                "avg temp P25 / P50 / P75",
+                format!("{t25:.2} / {t50:.2} / {t75:.2} °C"),
+                "P25 < P50 < P75",
+                t25 < t50 && t50 < t75,
+            )
+            .paper("P25 < P50 < P75"),
+        ];
         // The controller must actually exercise the fan (respond to sudden
         // bursts): each arm's duty trace spans a wide range.
         for arm in &self.arms {
             let span = arm.report.nodes[0].duty_summary;
-            if span.max - span.min < 20.0 {
-                v.push(format!("P{} duty range only {:.0}–{:.0}%", arm.pp, span.min, span.max));
-            }
+            claims.push(Claim::new(
+                format!("P{} duty range", arm.pp),
+                format!("{:.0}–{:.0} %", span.min, span.max),
+                "≥ 20 points",
+                span.max - span.min >= 20.0,
+            ));
         }
-        v
+        claims
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
         for arm in &self.arms {
             let n = &arm.report.nodes[0];
-            let mut temp = n.temp.clone();
-            temp.name = format!("temp_p{}", arm.pp);
-            let mut duty = n.duty.clone();
-            duty.name = format!("duty_p{}", arm.pp);
-            w.add(temp);
-            w.add(duty);
+            w.add(renamed(&n.temp, format!("temp_p{}", arm.pp)));
+            w.add(renamed(&n.duty, format!("duty_p{}", arm.pp)));
         }
         w.write_to_file(dir.join("fig5.csv"))
     }
@@ -154,8 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn render_reports_paper_reference() {
-        let s = run(Scale::Fast).render();
-        assert!(s.contains("paper avg PWM duty"));
+    fn claims_carry_the_paper_duties() {
+        let claims = run(Scale::Fast).claims();
+        assert_eq!(claims[0].paper.as_deref(), Some("70 / 53 / 36 %"));
     }
 }

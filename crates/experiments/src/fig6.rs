@@ -15,7 +15,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// The three control arms of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,106 +73,80 @@ pub fn run(scale: Scale) -> Fig6Result {
     Fig6Result { reports: arms.into_iter().zip(reports).collect() }
 }
 
-impl Fig6Result {
-    fn report(&self, arm: Fig6Arm) -> &RunReport {
-        &self.reports.iter().find(|(a, _)| *a == arm).expect("arm present").1
-    }
-
-    /// Average temperature in the settled second half of the run.
-    fn settled_temp(&self, arm: Fig6Arm) -> f64 {
-        let r = self.report(arm);
-        let temp = &r.nodes[0].temp;
-        let half = r.exec_time_s / 2.0;
-        temp.summary_between(half, f64::INFINITY).mean
-    }
-}
-
 impl Experiment for Fig6Result {
     fn id(&self) -> &'static str {
         "fig6"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Figure 6: fan-control comparison on NPB BT ×4 nodes (max duty 75 %, P_p = 50)\n",
         );
         let mut temp_plot = AsciiPlot::new("  node-0 temperature (°C)").size(72, 14);
         let mut duty_plot = AsciiPlot::new("  node-0 fan duty (%)").size(72, 10);
         for (arm, r) in &self.reports {
-            let mut t = r.nodes[0].temp.clone();
-            t.name = arm.label().to_string();
-            let mut d = r.nodes[0].duty.clone();
-            d.name = arm.label().to_string();
-            temp_plot = temp_plot.add(&t);
-            duty_plot = duty_plot.add(&d);
+            temp_plot = temp_plot.add(&renamed(&r.nodes[0].temp, arm.label()));
+            duty_plot = duty_plot.add(&renamed(&r.nodes[0].duty, arm.label()));
         }
         out.push_str(&temp_plot.render());
         out.push_str(&duty_plot.render());
-        for (arm, r) in &self.reports {
-            out.push_str(&format!(
-                "  {:<13} settled temp {:.2}°C  max {:.2}°C  avg duty {:.1}%  avg power {:.2}W\n",
-                arm.label(),
-                self.settled_temp(*arm),
-                r.max_temp_c(),
-                r.avg_duty_pct(),
-                r.avg_node_power_w(),
-            ));
-        }
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let trad = self.settled_temp(Fig6Arm::Traditional);
-        let dyn_ = self.settled_temp(Fig6Arm::Dynamic);
-        let cons = self.settled_temp(Fig6Arm::ConstantMax);
-
-        // Dynamic stabilizes lower than traditional ("ours proactively
-        // scales up fan speed and effectively prevents temperature from
-        // increasing").
-        if dyn_ >= trad {
-            v.push(format!("dynamic settled {dyn_:.2}°C not below traditional {trad:.2}°C"));
-        }
-        // Constant-max keeps the lowest temperature...
-        if !(cons <= dyn_ && cons < trad) {
-            v.push(format!(
-                "constant-75% settled {cons:.2}°C not the coolest (dynamic {dyn_:.2}, traditional {trad:.2})"
-            ));
-        }
-        // ...but consumes the most fan power (highest average duty).
-        let trad_duty = self.report(Fig6Arm::Traditional).avg_duty_pct();
-        let dyn_duty = self.report(Fig6Arm::Dynamic).avg_duty_pct();
-        let cons_duty = self.report(Fig6Arm::ConstantMax).avg_duty_pct();
-        if !(cons_duty > dyn_duty && cons_duty > trad_duty) {
-            v.push(format!(
-                "constant-75% avg duty {cons_duty:.1}% not the highest (dynamic {dyn_duty:.1}, traditional {trad_duty:.1})"
-            ));
-        }
-        // Proactive: dynamic raises duty beyond what the static map commands
-        // at the same temperatures (paper: 45 % vs 32 %).
-        if dyn_duty <= trad_duty {
-            v.push(format!(
-                "dynamic avg duty {dyn_duty:.1}% not above traditional {trad_duty:.1}%"
-            ));
-        }
-        // All arms finished the job.
-        for (arm, r) in &self.reports {
-            if !r.completed {
-                v.push(format!("{} run did not complete", arm.label()));
-            }
-        }
-        v
+    fn claims(&self) -> Vec<Claim> {
+        let [trad, dyn_, cons] = [0, 1, 2].map(|i| &self.reports[i].1);
+        // Average temperature in the settled second half of the run.
+        let [trad_t, dyn_t, cons_t] = [trad, dyn_, cons]
+            .map(|r| r.nodes[0].temp.summary_between(r.exec_time_s / 2.0, f64::INFINITY).mean);
+        let settled = format!("{trad_t:.2} / {dyn_t:.2} / {cons_t:.2} °C");
+        let [trad_d, dyn_d, cons_d] = [trad, dyn_, cons].map(RunReport::avg_duty_pct);
+        let duties = format!("{trad_d:.1} / {dyn_d:.1} / {cons_d:.1} %");
+        const ARMS: &str = "traditional / dynamic / constant-75%";
+        vec![
+            // Dynamic stabilizes lower than traditional ("ours proactively
+            // scales up fan speed and effectively prevents temperature from
+            // increasing").
+            Claim::new(
+                format!("settled temp, {ARMS}"),
+                &settled,
+                "dynamic < traditional",
+                dyn_t < trad_t,
+            )
+            .paper("traditional latest and hottest"),
+            // Constant-max keeps the lowest temperature...
+            Claim::new(
+                format!("settled temp, {ARMS}"),
+                settled,
+                "constant ≤ dynamic, constant < traditional",
+                cons_t <= dyn_t && cons_t < trad_t,
+            )
+            .paper("constant lowest"),
+            // ...but consumes the most fan power (highest average duty).
+            Claim::new(
+                format!("avg duty, {ARMS}"),
+                &duties,
+                "constant highest",
+                cons_d > dyn_d && cons_d > trad_d,
+            )
+            .paper("constant highest"),
+            // Proactive: dynamic raises duty beyond what the static map
+            // commands at the same temperatures.
+            Claim::new(
+                format!("avg duty, {ARMS}"),
+                duties,
+                "dynamic > traditional",
+                dyn_d > trad_d,
+            )
+            .paper("32 / 45 / 75 %"),
+            Claim::completed([trad, dyn_, cons]),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
         for (arm, r) in &self.reports {
-            let mut t = r.nodes[0].temp.clone();
-            t.name = format!("temp_{}", arm.label());
-            let mut d = r.nodes[0].duty.clone();
-            d.name = format!("duty_{}", arm.label());
-            w.add(t);
-            w.add(d);
+            w.add(renamed(&r.nodes[0].temp, format!("temp_{}", arm.label())));
+            w.add(renamed(&r.nodes[0].duty, format!("duty_{}", arm.label())));
         }
         w.write_to_file(dir.join("fig6.csv"))
     }

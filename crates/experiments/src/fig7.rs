@@ -13,7 +13,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// Figure 7 result: one report per maximum duty.
 #[derive(Debug, Clone)]
@@ -43,82 +43,69 @@ pub fn run(scale: Scale) -> Fig7Result {
     Fig7Result { sweeps: caps.into_iter().zip(reports).collect() }
 }
 
-impl Fig7Result {
-    /// Settled (second-half) node-0 temperature per cap, ascending cap order.
-    pub fn settled_temps(&self) -> Vec<f64> {
-        self.sweeps
-            .iter()
-            .map(|(_, r)| r.nodes[0].temp.summary_between(r.exec_time_s / 2.0, f64::INFINITY).mean)
-            .collect()
-    }
-}
-
 impl Experiment for Fig7Result {
     fn id(&self) -> &'static str {
         "fig7"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Figure 7: temperature under various maximum PWM duty cycles (BT ×4, P_p = 50)\n",
         );
         let mut temp_plot = AsciiPlot::new("  node-0 temperature (°C)").size(72, 14);
         let mut duty_plot = AsciiPlot::new("  node-0 fan duty (%)").size(72, 10);
         for (cap, r) in &self.sweeps {
-            let mut t = r.nodes[0].temp.clone();
-            t.name = format!("{cap}% max");
-            let mut d = r.nodes[0].duty.clone();
-            d.name = format!("{cap}% max");
-            temp_plot = temp_plot.add(&t);
-            duty_plot = duty_plot.add(&d);
+            temp_plot = temp_plot.add(&renamed(&r.nodes[0].temp, format!("{cap}% max")));
+            duty_plot = duty_plot.add(&renamed(&r.nodes[0].duty, format!("{cap}% max")));
         }
         out.push_str(&temp_plot.render());
         out.push_str(&duty_plot.render());
-        let temps = self.settled_temps();
-        for ((cap, _), t) in self.sweeps.iter().zip(&temps) {
-            out.push_str(&format!("  max {cap:>3}%: settled temp {t:.2}°C\n"));
-        }
-        out.push_str(&format!(
-            "  spread 25%→100%: {:.1}°C (paper ≈ 8°C); 50% vs 75%: {:.1}°C\n",
-            temps[0] - temps[3],
-            (temps[1] - temps[2]).abs()
-        ));
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let temps = self.settled_temps(); // [25, 50, 75, 100]
-                                          // Larger cap ⇒ lower (or equal) settled temperature.
-        if !temps.windows(2).all(|w| w[1] <= w[0] + 0.3) {
-            v.push(format!("settled temps not monotone in cap: {temps:?}"));
-        }
-        // 25 % vs 100 % differ substantially (paper: ~8 °C).
+    fn claims(&self) -> Vec<Claim> {
+        // Settled (second-half) node-0 temperature per cap: 25, 50, 75, 100.
+        let temps: Vec<f64> = self
+            .sweeps
+            .iter()
+            .map(|(_, r)| r.nodes[0].temp.summary_between(r.exec_time_s / 2.0, f64::INFINITY).mean)
+            .collect();
+        let listed = temps.iter().map(|t| format!("{t:.2}")).collect::<Vec<_>>().join(" / ");
         let full_spread = temps[0] - temps[3];
-        if full_spread < 4.0 {
-            v.push(format!("25%→100% spread only {full_spread:.1}°C (expected ≥ 4°C)"));
-        }
         // 50 % vs 75 % differ much less than 25 % vs 50 % — the paper's
         // "less powerful fan delivers similar cooling" point.
         let gap_25_50 = temps[0] - temps[1];
         let gap_50_75 = temps[1] - temps[2];
-        if gap_50_75 >= gap_25_50 {
-            v.push(format!(
-                "50→75 gap {gap_50_75:.1}°C not smaller than 25→50 gap {gap_25_50:.1}°C"
-            ));
-        }
-        v
+        vec![
+            Claim::new(
+                "settled temp at max 25 / 50 / 75 / 100 %",
+                format!("{listed} °C"),
+                "non-increasing in the cap, 0.3 °C slack",
+                temps.windows(2).all(|w| w[1] <= w[0] + 0.3),
+            )
+            .paper("larger cap cooler"),
+            Claim::new(
+                "settled spread 25 % → 100 %",
+                format!("{full_spread:.1} °C"),
+                "≥ 4 °C",
+                full_spread >= 4.0,
+            )
+            .paper("≈ 8 °C"),
+            Claim::new(
+                "settled gap 50→75 % vs 25→50 %",
+                format!("{gap_50_75:.1} vs {gap_25_50:.1} °C"),
+                "50→75 < 25→50",
+                gap_50_75 < gap_25_50,
+            )
+            .paper("50 % ≈ 75 %"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
         for (cap, r) in &self.sweeps {
-            let mut t = r.nodes[0].temp.clone();
-            t.name = format!("temp_max{cap}");
-            let mut d = r.nodes[0].duty.clone();
-            d.name = format!("duty_max{cap}");
-            w.add(t);
-            w.add(d);
+            w.add(renamed(&r.nodes[0].temp, format!("temp_max{cap}")));
+            w.add(renamed(&r.nodes[0].duty, format!("duty_max{cap}")));
         }
         w.write_to_file(dir.join("fig7.csv"))
     }

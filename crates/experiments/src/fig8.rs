@@ -15,7 +15,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{Claim, Experiment, Scale};
 
 /// Figure 8 result.
 #[derive(Debug, Clone)]
@@ -44,32 +44,12 @@ pub fn run(scale: Scale) -> Fig8Result {
     Fig8Result { report, threshold_c: 51.0 }
 }
 
-impl Fig8Result {
-    /// All frequency events across nodes, time-ordered.
-    pub fn all_events(&self) -> Vec<(f64, u32)> {
-        let mut ev: Vec<(f64, u32)> =
-            self.report.nodes.iter().flat_map(|n| n.freq_events.iter().copied()).collect();
-        ev.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        ev
-    }
-
-    /// Scale-down events (frequency below 2400 MHz).
-    pub fn scale_downs(&self) -> usize {
-        self.all_events().iter().filter(|&&(_, f)| f < 2400).count()
-    }
-
-    /// Restore events (frequency back to 2400 MHz).
-    pub fn restores(&self) -> usize {
-        self.all_events().iter().filter(|&&(_, f)| f == 2400).count()
-    }
-}
-
 impl Experiment for Fig8Result {
     fn id(&self) -> &'static str {
         "fig8"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Figure 8: tDVFS + traditional static fan (max 25 %), NPB LU ×4, threshold 51 °C\n",
         );
@@ -86,61 +66,63 @@ impl Experiment for Fig8Result {
                 out.push_str(&format!("    node{i} t={t:.0}s → {f} MHz\n"));
             }
         }
-        out.push_str(&format!(
-            "  exec time {:.1}s; per-node freq transitions: {:?}\n",
-            self.report.exec_time_s,
-            self.report.nodes.iter().map(|n| n.freq_transitions).collect::<Vec<_>>()
-        ));
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if !self.report.completed {
-            v.push("LU did not complete".to_string());
-        }
-        // tDVFS must have scaled down: the 25 %-capped fan cannot hold LU
-        // under the threshold.
-        if self.scale_downs() == 0 {
-            v.push("no scale-down event".to_string());
-        }
-        // And must have restored the original frequency once cool
-        // (during the run or the cooldown window).
-        if self.restores() == 0 {
-            v.push("no restore-to-original event".to_string());
-        }
-        // Threshold-triggered, not utilization-thrash: a handful of events
-        // per node at most (the paper's trace shows 2).
-        for (i, n) in self.report.nodes.iter().enumerate() {
-            if n.freq_transitions > 8 {
-                v.push(format!(
-                    "node{i} made {} transitions — tDVFS should make only a few",
-                    n.freq_transitions
-                ));
-            }
-        }
+    fn claims(&self) -> Vec<Claim> {
+        let events = || self.report.nodes.iter().flat_map(|n| &n.freq_events);
+        let scale_downs = events().filter(|(_, f)| *f < 2400).count();
+        let restores = events().filter(|(_, f)| *f == 2400).count();
+        let most_transitions =
+            self.report.nodes.iter().map(|n| n.freq_transitions).max().unwrap_or(0);
         // The first scale-down must come after a sustained excess, not at
         // the first hot sample: later than the first threshold crossing by
-        // at least the confirmation time (8 rounds ≈ 8 s).
+        // at least the confirmation time (8 rounds ≈ 8 s), with slack.
         let first_cross = self.report.nodes[0].temp.first_crossing_above(self.threshold_c);
-        if let (Some(cross), Some(first_ev)) = (first_cross, self.report.first_dvfs_event_time_s())
-        {
-            if first_ev < cross + 4.0 {
-                v.push(format!(
-                    "tDVFS fired {first_ev:.1}s, too soon after first crossing {cross:.1}s"
-                ));
+        let (delay, delay_ok) = match (first_cross, self.report.first_dvfs_event_time_s()) {
+            (Some(cross), Some(first_ev)) => {
+                (format!("{:.1} s", first_ev - cross), first_ev >= cross + 4.0)
             }
-        }
+            _ => ("no crossing or no event".to_string(), true),
+        };
         // Temperature must be controlled: the settled mean stays within a
         // few degrees of the threshold instead of running away.
         let settled = self.report.nodes[0]
             .temp
             .summary_between(self.report.exec_time_s * 0.5, self.report.exec_time_s)
             .mean;
-        if settled > self.threshold_c + 6.0 {
-            v.push(format!("settled temp {settled:.1}°C runs away above threshold"));
-        }
-        v
+        let limit = self.threshold_c + 6.0;
+        vec![
+            Claim::completed([&self.report]),
+            // The 25 %-capped fan cannot hold LU under the threshold.
+            Claim::new("scale-down events", scale_downs.to_string(), "≥ 1", scale_downs > 0)
+                .paper("2.4 → 2.2 GHz"),
+            // Restored once cool (during the run or the cooldown window).
+            Claim::new("restore-to-2400 MHz events", restores.to_string(), "≥ 1", restores > 0)
+                .paper("2.2 → 2.4 GHz"),
+            // Threshold-triggered, not utilization-thrash.
+            Claim::new(
+                "most freq transitions on one node",
+                most_transitions.to_string(),
+                "≤ 8",
+                most_transitions <= 8,
+            )
+            .paper("2"),
+            Claim::new(
+                "first event after first crossing",
+                delay,
+                "≥ 4 s when both occur",
+                delay_ok,
+            )
+            .paper("sustained excess only"),
+            Claim::new(
+                "settled temp (second half)",
+                format!("{settled:.2} °C"),
+                format!("≤ {limit:.0} °C (threshold + 6)"),
+                settled <= limit,
+            )
+            .paper("~51–53 °C"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
@@ -161,12 +143,5 @@ mod tests {
     fn shape_holds() {
         let r = run(Scale::Fast);
         assert!(r.shape_violations().is_empty(), "{:?}", r.shape_violations());
-    }
-
-    #[test]
-    fn events_are_time_ordered() {
-        let r = run(Scale::Fast);
-        let ev = r.all_events();
-        assert!(ev.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 }

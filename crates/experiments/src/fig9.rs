@@ -15,7 +15,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// Figure 9 result.
 #[derive(Debug, Clone)]
@@ -48,109 +48,90 @@ pub fn run(scale: Scale) -> Fig9Result {
     Fig9Result { cpuspeed, tdvfs, threshold_c: 51.0 }
 }
 
-impl Fig9Result {
-    /// Mean node-0 temperature over the final quarter of each run.
-    pub fn final_temps(&self) -> (f64, f64) {
-        let tail = |r: &RunReport| {
-            r.nodes[0].temp.summary_between(r.exec_time_s * 0.75, f64::INFINITY).mean
-        };
-        (tail(&self.cpuspeed), tail(&self.tdvfs))
-    }
-
-    /// Late-run warming slope of the CPUSPEED arm, °C between the third and
-    /// fourth quarter means.
-    pub fn cpuspeed_late_rise(&self) -> f64 {
-        let t = &self.cpuspeed.nodes[0].temp;
-        let e = self.cpuspeed.exec_time_s;
-        t.summary_between(0.75 * e, e).mean - t.summary_between(0.5 * e, 0.75 * e).mean
-    }
-
-    /// The same slope for the tDVFS arm.
-    pub fn tdvfs_late_rise(&self) -> f64 {
-        let t = &self.tdvfs.nodes[0].temp;
-        let e = self.tdvfs.exec_time_s;
-        t.summary_between(0.75 * e, e).mean - t.summary_between(0.5 * e, 0.75 * e).mean
-    }
-}
-
 impl Experiment for Fig9Result {
     fn id(&self) -> &'static str {
         "fig9"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out =
             String::from("Figure 9: tDVFS vs CPUSPEED under a 25 %-capped dynamic fan (BT ×4)\n");
-        let mut cs = self.cpuspeed.nodes[0].temp.clone();
-        cs.name = "CPUSPEED".into();
-        let mut td = self.tdvfs.nodes[0].temp.clone();
-        td.name = "tDVFS".into();
+        let cs = renamed(&self.cpuspeed.nodes[0].temp, "CPUSPEED");
+        let td = renamed(&self.tdvfs.nodes[0].temp, "tDVFS");
         out.push_str(
             &AsciiPlot::new("  node-0 temperature (°C)").size(72, 16).add(&cs).add(&td).render(),
         );
-        let (c, t) = self.final_temps();
-        out.push_str(&format!(
-            "  final-quarter temp: CPUSPEED {c:.2}°C (late rise {:+.2}°C), tDVFS {t:.2}°C (late rise {:+.2}°C)\n",
-            self.cpuspeed_late_rise(),
-            self.tdvfs_late_rise()
-        ));
-        out.push_str(&format!(
-            "  freq transitions: CPUSPEED {} vs tDVFS {}\n",
-            self.cpuspeed.total_freq_transitions(),
-            self.tdvfs.total_freq_transitions()
-        ));
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let (cs_final, td_final) = self.final_temps();
-        // tDVFS ends cooler.
-        if td_final >= cs_final {
-            v.push(format!("tDVFS final {td_final:.2}°C not below CPUSPEED {cs_final:.2}°C"));
-        }
-        // tDVFS stabilizes near the threshold...
-        if td_final > self.threshold_c + 5.0 {
-            v.push(format!("tDVFS final {td_final:.2}°C far above threshold"));
-        }
-        // ...while CPUSPEED overshoots it.
-        if cs_final < self.threshold_c + 2.0 {
-            v.push(format!("CPUSPEED final {cs_final:.2}°C did not overshoot the threshold"));
-        }
-        // CPUSPEED still warming late in the run; tDVFS flat or cooling.
-        if self.tdvfs_late_rise() > 1.0 {
-            v.push(format!("tDVFS still rising late: {:+.2}°C", self.tdvfs_late_rise()));
-        }
-        if self.cpuspeed_late_rise() < self.tdvfs_late_rise() - 0.05 {
-            v.push(format!(
-                "CPUSPEED late rise {:+.2}°C not above tDVFS {:+.2}°C",
-                self.cpuspeed_late_rise(),
-                self.tdvfs_late_rise()
-            ));
-        }
-        // Transition counts: CPUSPEED thrashes, tDVFS does not.
+    fn claims(&self) -> Vec<Claim> {
+        // Mean node-0 temperature over the final quarter of a run, and its
+        // late warming: the third-to-fourth quarter change of the mean.
+        let quarters = |r: &RunReport| {
+            let (t, e) = (&r.nodes[0].temp, r.exec_time_s);
+            let third = t.summary_between(0.5 * e, 0.75 * e).mean;
+            let fourth = t.summary_between(0.75 * e, e).mean;
+            (t.summary_between(0.75 * e, f64::INFINITY).mean, fourth - third)
+        };
+        let ((cs_final, cs_rise), (td_final, td_rise)) =
+            (quarters(&self.cpuspeed), quarters(&self.tdvfs));
         let cs_tr = self.cpuspeed.total_freq_transitions();
         let td_tr = self.tdvfs.total_freq_transitions();
-        if td_tr * 5 > cs_tr {
-            v.push(format!("tDVFS transitions {td_tr} not ≪ CPUSPEED {cs_tr}"));
-        }
-        v
+        let thr = self.threshold_c;
+        vec![
+            Claim::new(
+                "final-quarter temp, tDVFS vs CPUSPEED",
+                format!("{td_final:.2} vs {cs_final:.2} °C"),
+                "tDVFS < CPUSPEED",
+                td_final < cs_final,
+            )
+            .paper("tDVFS stabilized, CPUSPEED rising"),
+            // tDVFS stabilizes near the threshold...
+            Claim::new(
+                "tDVFS final-quarter temp",
+                format!("{td_final:.2} °C"),
+                format!("≤ {:.0} °C (threshold + 5)", thr + 5.0),
+                td_final <= thr + 5.0,
+            )
+            .paper("stabilized"),
+            // ...while CPUSPEED overshoots it.
+            Claim::new(
+                "CPUSPEED final-quarter temp",
+                format!("{cs_final:.2} °C"),
+                format!("≥ {:.0} °C (threshold + 2)", thr + 2.0),
+                cs_final >= thr + 2.0,
+            )
+            .paper("keeps increasing, toward ~70 °C"),
+            // CPUSPEED still warming late in the run; tDVFS flat or cooling.
+            Claim::new(
+                "tDVFS late rise (3rd → 4th quarter)",
+                format!("{td_rise:+.2} °C"),
+                "≤ +1 °C",
+                td_rise <= 1.0,
+            ),
+            Claim::new(
+                "late rise, CPUSPEED vs tDVFS",
+                format!("{cs_rise:+.2} vs {td_rise:+.2} °C"),
+                "CPUSPEED ≥ tDVFS − 0.05 °C",
+                cs_rise >= td_rise - 0.05,
+            ),
+            // Transition counts: CPUSPEED thrashes, tDVFS does not.
+            Claim::new(
+                "freq transitions, tDVFS vs CPUSPEED",
+                format!("{td_tr} vs {cs_tr}"),
+                "tDVFS × 5 ≤ CPUSPEED",
+                td_tr * 5 <= cs_tr,
+            )
+            .paper("3 vs 139"),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
-        let mut cs = self.cpuspeed.nodes[0].temp.clone();
-        cs.name = "temp_cpuspeed".into();
-        let mut csf = self.cpuspeed.nodes[0].freq.clone();
-        csf.name = "freq_cpuspeed".into();
-        let mut td = self.tdvfs.nodes[0].temp.clone();
-        td.name = "temp_tdvfs".into();
-        let mut tdf = self.tdvfs.nodes[0].freq.clone();
-        tdf.name = "freq_tdvfs".into();
-        w.add(cs);
-        w.add(csf);
-        w.add(td);
-        w.add(tdf);
+        w.add(renamed(&self.cpuspeed.nodes[0].temp, "temp_cpuspeed"));
+        w.add(renamed(&self.cpuspeed.nodes[0].freq, "freq_cpuspeed"));
+        w.add(renamed(&self.tdvfs.nodes[0].temp, "temp_tdvfs"));
+        w.add(renamed(&self.tdvfs.nodes[0].freq, "freq_tdvfs"));
         w.write_to_file(dir.join("fig9.csv"))
     }
 }

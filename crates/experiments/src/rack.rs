@@ -20,7 +20,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{AsciiPlot, CsvWriter};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// Rack-study result.
 #[derive(Debug, Clone)]
@@ -71,81 +71,64 @@ impl Experiment for RackStudy {
         "rack"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut out = String::from(
             "Rack hot-pocket study: BT ×4 in a poorly ventilated rack (recirculating air)\n",
         );
         let mut air_plot = AsciiPlot::new("  rack intake-air temperature (°C)").size(72, 10);
-        let mut trad_air = self.traditional.rack_air.clone().expect("rack air");
-        trad_air.name = "traditional".into();
-        let mut coord_air = self.coordinated.rack_air.clone().expect("rack air");
-        coord_air.name = "coordinated".into();
-        air_plot = air_plot.add(&trad_air).add(&coord_air);
-        out.push_str(&air_plot.render());
         for (name, r) in [("traditional", &self.traditional), ("coordinated", &self.coordinated)] {
-            out.push_str(&format!(
-                "  {:<12} exec={:.1}s  maxT={:.2}°C  avgT={:.2}°C  air rise={:.2}°C  emergencies={}\n",
-                name,
-                r.exec_time_s,
-                r.max_temp_c(),
-                r.avg_temp_c(),
-                Self::air_rise(r),
-                r.total_throttle_events(),
-            ));
+            air_plot = air_plot.add(&renamed(r.rack_air.as_ref().expect("rack air"), name));
         }
+        out.push_str(&air_plot.render());
         out
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for (name, r) in [("traditional", &self.traditional), ("coordinated", &self.coordinated)] {
-            if !r.completed {
-                v.push(format!("{name} run did not complete"));
-            }
-        }
-        // The hot pocket is real: intake air rises materially under load.
-        let trad_rise = Self::air_rise(&self.traditional);
-        if trad_rise < 2.0 {
-            v.push(format!("rack air rose only {trad_rise:.2}°C — no hot pocket formed"));
-        }
-        // Coordination keeps the hottest die cooler than traditional
-        // control in the same rack.
-        if self.coordinated.max_temp_c() >= self.traditional.max_temp_c() {
-            v.push(format!(
-                "coordinated max {:.2}°C not below traditional {:.2}°C",
-                self.coordinated.max_temp_c(),
-                self.traditional.max_temp_c()
-            ));
-        }
-        // And keeps the rack air itself no hotter (cooler dies exhaust
-        // less leaked heat; DVFS reduces total dissipation).
-        let coord_rise = Self::air_rise(&self.coordinated);
-        if coord_rise > trad_rise + 0.2 {
-            v.push(format!(
-                "coordinated air rise {coord_rise:.2}°C above traditional {trad_rise:.2}°C"
-            ));
-        }
-        // Neither run may hit a hardware emergency.
-        if self.coordinated.total_throttle_events() > 0 {
-            v.push("coordinated run hit the hardware throttle".into());
-        }
-        v
+    fn claims(&self) -> Vec<Claim> {
+        let (trad, coord) = (&self.traditional, &self.coordinated);
+        let (trad_rise, coord_rise) = (Self::air_rise(trad), Self::air_rise(coord));
+        let (trad_max, coord_max) = (trad.max_temp_c(), coord.max_temp_c());
+        let emergencies = coord.total_throttle_events();
+        vec![
+            Claim::completed([trad, coord]),
+            // The hot pocket is real: intake air rises materially under load.
+            Claim::new(
+                "rack air rise, traditional",
+                format!("{trad_rise:.2} °C"),
+                "≥ 2 °C",
+                trad_rise >= 2.0,
+            ),
+            // Coordination keeps the hottest die cooler than traditional
+            // control in the same rack.
+            Claim::new(
+                "hottest die, coordinated vs traditional",
+                format!("{coord_max:.2} vs {trad_max:.2} °C"),
+                "coordinated < traditional",
+                coord_max < trad_max,
+            ),
+            // And keeps the rack air itself no hotter (cooler dies exhaust
+            // less leaked heat; DVFS reduces total dissipation).
+            Claim::new(
+                "rack air rise, coordinated vs traditional",
+                format!("{coord_rise:.2} vs {trad_rise:.2} °C"),
+                "coordinated ≤ traditional + 0.2 °C",
+                coord_rise <= trad_rise + 0.2,
+            ),
+            Claim::new(
+                "hardware emergencies, coordinated",
+                emergencies.to_string(),
+                "0",
+                emergencies == 0,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
-        let mut ta = self.traditional.rack_air.clone().expect("rack air");
-        ta.name = "air_traditional".into();
-        let mut ca = self.coordinated.rack_air.clone().expect("rack air");
-        ca.name = "air_coordinated".into();
-        let mut tt = self.traditional.nodes[0].temp.clone();
-        tt.name = "temp_traditional".into();
-        let mut ct = self.coordinated.nodes[0].temp.clone();
-        ct.name = "temp_coordinated".into();
-        w.add(ta);
-        w.add(ca);
-        w.add(tt);
-        w.add(ct);
+        for (name, r) in [("traditional", &self.traditional), ("coordinated", &self.coordinated)] {
+            w.add(renamed(r.rack_air.as_ref().expect("rack air"), format!("air_{name}")));
+        }
+        w.add(renamed(&self.traditional.nodes[0].temp, "temp_traditional"));
+        w.add(renamed(&self.coordinated.nodes[0].temp, "temp_coordinated"));
         w.write_to_file(dir.join("rack.csv"))
     }
 }

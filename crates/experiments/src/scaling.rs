@@ -15,7 +15,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{CsvWriter, TextTable, TimeSeries};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{Claim, Experiment, Scale};
 
 /// Scaling-study result.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ impl Experiment for ScalingResult {
         "scaling"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Scaling study: hybrid control, weak scaling over cluster size",
             &["nodes", "exec time (s)", "avg temp (°C)", "avg power/node (W)", "freq changes/node"],
@@ -69,29 +69,31 @@ impl Experiment for ScalingResult {
         t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for (n, r) in &self.runs {
-            if !r.completed {
-                v.push(format!("{n}-node run did not complete"));
-            }
-        }
+    fn claims(&self) -> Vec<Claim> {
         // Weak scaling: execution time flat within 10 % between 2 and 16
         // nodes (barriers add only the max of per-rank wobble).
         let t2 = self.runs.first().expect("runs").1.exec_time_s;
         let t16 = self.runs.last().expect("runs").1.exec_time_s;
-        if (t16 / t2 - 1.0).abs() > 0.10 {
-            v.push(format!("exec time not flat: {t2:.1}s at 2 nodes vs {t16:.1}s at 16"));
-        }
         // Controller effectiveness independent of size: avg temps within
         // 1.5 °C of each other.
         let temps: Vec<f64> = self.runs.iter().map(|(_, r)| r.avg_temp_c()).collect();
         let spread = temps.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - temps.iter().cloned().fold(f64::INFINITY, f64::min);
-        if spread > 1.5 {
-            v.push(format!("avg-temp spread across sizes {spread:.2}°C"));
-        }
-        v
+        vec![
+            Claim::completed(self.runs.iter().map(|(_, r)| r)),
+            Claim::new(
+                "exec time, 16 vs 2 nodes",
+                format!("{t16:.1} vs {t2:.1} s"),
+                "within 10 %",
+                (t16 / t2 - 1.0).abs() <= 0.10,
+            ),
+            Claim::new(
+                "avg-temp spread across sizes",
+                format!("{spread:.2} °C"),
+                "≤ 1.5 °C",
+                spread <= 1.5,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {

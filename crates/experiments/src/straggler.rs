@@ -29,7 +29,7 @@ use unitherm_core::control_array::Policy;
 use unitherm_metrics::{CsvWriter, TextTable, TimeSeries};
 use unitherm_workload::NpbBenchmark;
 
-use crate::{Experiment, Scale};
+use crate::{renamed, Claim, Experiment, Scale};
 
 /// Index of the handicapped node.
 pub const STRAGGLER: usize = 2;
@@ -75,7 +75,7 @@ impl Experiment for StragglerStudy {
         "straggler"
     }
 
-    fn render(&self) -> String {
+    fn figure(&self) -> String {
         let mut t = TextTable::new(
             "Straggler study: node 2's fan capped at 12 % duty (BT ×4, BSP-coupled)",
             &[
@@ -98,76 +98,72 @@ impl Experiment for StragglerStudy {
                 r.completed.to_string(),
             ]);
         }
-        let mut out = t.render();
-        out.push_str(
-            "the BSP barrier makes the whole job pay for node 2 either way; \n\
-             coordination trades a bounded slowdown for zero hardware emergencies\n\
-             and a straggler ~10°C cooler — reliability bought at a known price.\n",
-        );
-        out
+        t.render()
     }
 
-    fn shape_violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        // The handicap is real: the unmanaged straggler hits the hardware
-        // monitor.
-        let un = &self.unmanaged.nodes[STRAGGLER];
-        if un.throttle_events == 0 && !un.shut_down {
-            v.push("unmanaged straggler never hit a hardware emergency".into());
-        }
-        // Coordination prevents emergencies on the same node.
-        let co = &self.coordinated.nodes[STRAGGLER];
-        if co.throttle_events > 0 || co.shut_down {
-            v.push(format!("coordinated straggler still hit {} emergencies", co.throttle_events));
-        }
-        // Coordination runs the straggler materially cooler.
-        if co.temp_summary.max > un.temp_summary.max - 3.0 {
-            v.push(format!(
-                "coordinated straggler max {:.1}°C not clearly below unmanaged {:.1}°C",
-                co.temp_summary.max, un.temp_summary.max
-            ));
-        }
+    fn claims(&self) -> Vec<Claim> {
+        let (un, co) = (&self.unmanaged.nodes[STRAGGLER], &self.coordinated.nodes[STRAGGLER]);
+        let emergencies = |n: &unitherm_cluster::NodeReport| {
+            format!("{}{}", n.throttle_events, if n.shut_down { ", shut down" } else { "" })
+        };
         // The protection's cluster-wide performance cost is bounded.
-        if !self.coordinated.completed {
-            v.push("coordinated run did not complete".into());
-        }
-        if self.coordinated.completed && self.unmanaged.completed {
-            let penalty = self.coordinated.exec_time_s / self.unmanaged.exec_time_s;
-            if penalty > 1.15 {
-                v.push(format!(
-                    "coordination costs {:.1}% execution time (bound: 15%)",
-                    (penalty - 1.0) * 100.0
-                ));
-            }
-        }
+        let penalty = self.coordinated.exec_time_s / self.unmanaged.exec_time_s;
+        let both_completed = self.coordinated.completed && self.unmanaged.completed;
         // Healthy nodes never get hot enough to care in either arm.
-        for (name, r) in [("unmanaged", &self.unmanaged), ("coordinated", &self.coordinated)] {
-            for (i, n) in r.nodes.iter().enumerate() {
-                if i != STRAGGLER && n.throttle_events > 0 {
-                    v.push(format!("{name}: healthy node {i} hit the hardware throttle"));
-                }
-            }
-        }
-        v
+        let healthy_emergencies = [&self.unmanaged, &self.coordinated]
+            .iter()
+            .flat_map(|r| r.nodes.iter().enumerate())
+            .filter(|(i, n)| *i != STRAGGLER && n.throttle_events > 0)
+            .count();
+        vec![
+            // The handicap is real: the unmanaged straggler hits the
+            // hardware monitor.
+            Claim::new(
+                "unmanaged straggler emergencies",
+                emergencies(un),
+                "≥ 1 or shut down",
+                un.throttle_events > 0 || un.shut_down,
+            ),
+            // Coordination prevents emergencies on the same node.
+            Claim::new(
+                "coordinated straggler emergencies",
+                emergencies(co),
+                "0",
+                co.throttle_events == 0 && !co.shut_down,
+            ),
+            // Coordination runs the straggler materially cooler.
+            Claim::new(
+                "straggler max temp, coordinated vs unmanaged",
+                format!("{:.1} vs {:.1} °C", co.temp_summary.max, un.temp_summary.max),
+                "coordinated ≤ unmanaged − 3 °C",
+                co.temp_summary.max <= un.temp_summary.max - 3.0,
+            ),
+            Claim::completed([&self.coordinated]),
+            Claim::new(
+                "exec time, coordinated / unmanaged",
+                format!("{penalty:.3}"),
+                "≤ 1.15 when both complete",
+                !both_completed || penalty <= 1.15,
+            ),
+            Claim::new(
+                "healthy nodes that hit the throttle, both arms",
+                healthy_emergencies.to_string(),
+                "0",
+                healthy_emergencies == 0,
+            ),
+        ]
     }
 
     fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         let mut w = CsvWriter::new();
-        let mut ut = self.unmanaged.nodes[STRAGGLER].temp.clone();
-        ut.name = "straggler_temp_unmanaged".into();
-        let mut ct = self.coordinated.nodes[STRAGGLER].temp.clone();
-        ct.name = "straggler_temp_coordinated".into();
-        let mut uf = self.unmanaged.nodes[STRAGGLER].freq.clone();
-        uf.name = "straggler_freq_unmanaged".into();
-        let mut cf = self.coordinated.nodes[STRAGGLER].freq.clone();
-        cf.name = "straggler_freq_coordinated".into();
+        let (un, co) = (&self.unmanaged.nodes[STRAGGLER], &self.coordinated.nodes[STRAGGLER]);
+        w.add(renamed(&un.temp, "straggler_temp_unmanaged"));
+        w.add(renamed(&co.temp, "straggler_temp_coordinated"));
+        w.add(renamed(&un.freq, "straggler_freq_unmanaged"));
+        w.add(renamed(&co.freq, "straggler_freq_coordinated"));
         let mut exec = TimeSeries::new("exec_time", "s");
         exec.push(0.0, self.unmanaged.exec_time_s);
         exec.push(1.0, self.coordinated.exec_time_s);
-        w.add(ut);
-        w.add(ct);
-        w.add(uf);
-        w.add(cf);
         w.add(exec);
         w.write_to_file(dir.join("straggler.csv"))
     }

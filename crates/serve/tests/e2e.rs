@@ -361,6 +361,33 @@ fn an_unallocatable_window_is_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn an_empty_script_workload_is_a_400_and_the_next_job_completes() {
+    let addr = start_server();
+    let json = scenario_json();
+
+    // An empty script used to pass validation, be admitted, and then panic
+    // while the job built its workloads.
+    let empty = json.replacen("\"workload\": \"CpuBurn\"", "\"workload\": {\"Script\": []}", 1);
+    assert_ne!(empty, json, "the mutation must hit the scenario");
+    let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&empty));
+    let reply = String::from_utf8_lossy(&reply).into_owned();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("workload: script must not be empty"), "names the field: {reply}");
+
+    // The next job is accepted and runs to its done frame.
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    let body = String::from_utf8_lossy(&body).into_owned();
+    assert_eq!(status, 202, "{body}");
+    let id = json_field(&body, "id").expect("submit response carries the job id");
+    let (status, _, sse) = request(&addr, "GET", &format!("/jobs/{id}/events"), None);
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&sse).contains("event: done"), "the job completed");
+    let (_, _, doc) = request(&addr, "GET", &format!("/jobs/{id}"), None);
+    let doc = String::from_utf8_lossy(&doc).into_owned();
+    assert_eq!(json_field(&doc, "status").as_deref(), Some(JobStatus::Done.as_str()), "{doc}");
+}
+
+#[test]
 fn a_zero_pstate_voltage_is_a_400_and_the_next_job_completes() {
     let addr = start_server();
     let json = scenario_json();

@@ -43,6 +43,39 @@ impl Default for BurnConfig {
     }
 }
 
+impl BurnConfig {
+    /// Checks the tuning: burst and gap ranges finite, positive and
+    /// ordered, utilizations in `[0, 1]`, jitter finite and non-negative.
+    ///
+    /// # Errors
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let range = |(lo, hi): (f64, f64)| lo > 0.0 && hi >= lo && hi.is_finite();
+        let unit = |u: f64| (0.0..=1.0).contains(&u);
+        let (b, g) = (self.burst_s, self.gap_s);
+        if !range(b) {
+            Err(format!(
+                "invalid burst range: burst_s ({}, {}) must be finite, positive and ordered",
+                b.0, b.1
+            ))
+        } else if !range(g) {
+            Err(format!(
+                "invalid gap range: gap_s ({}, {}) must be finite, positive and ordered",
+                g.0, g.1
+            ))
+        } else if !unit(self.burst_util) || !unit(self.gap_util) {
+            Err(format!(
+                "burst_util and gap_util must be in [0,1] (got {} and {})",
+                self.burst_util, self.gap_util
+            ))
+        } else if !(self.jitter.is_finite() && self.jitter >= 0.0) {
+            Err(format!("jitter must be finite and non-negative (got {})", self.jitter))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The cpu-burn workload: runs forever.
 #[derive(Debug, Clone)]
 pub struct CpuBurn {
@@ -59,9 +92,13 @@ impl CpuBurn {
     }
 
     /// Creates the stressor with explicit tuning.
+    ///
+    /// # Panics
+    /// Panics on a tuning [`BurnConfig::validate`] refuses.
     pub fn with_config(cfg: BurnConfig, seed: u64) -> Self {
-        assert!(cfg.burst_s.0 > 0.0 && cfg.burst_s.1 >= cfg.burst_s.0, "invalid burst range");
-        assert!(cfg.gap_s.0 > 0.0 && cfg.gap_s.1 >= cfg.gap_s.0, "invalid gap range");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let mut rng = SmallRng::seed_from_u64(seed);
         let first = rng.gen_range(cfg.burst_s.0..=cfg.burst_s.1);
         Self { cfg, rng, in_burst: true, remaining_s: first }

@@ -35,4 +35,4 @@ pub use burn::CpuBurn;
 pub use npb::{NpbBenchmark, NpbClass};
 pub use phases::{Phase, PhaseWorkload, StepOutcome, WorkState, Workload};
 pub use synthetic::{ScriptWorkload, Segment};
-pub use trace::TraceWorkload;
+pub use trace::{TracePointError, TraceWorkload};

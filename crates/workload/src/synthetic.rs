@@ -22,10 +22,30 @@ pub struct Segment {
 
 impl Segment {
     /// Creates a segment.
+    ///
+    /// # Panics
+    /// Panics on a segment [`Segment::validate`] refuses.
     pub fn new(duration_s: f64, utilization: f64) -> Self {
-        assert!(duration_s > 0.0, "segment duration must be positive");
-        assert!((0.0..=1.0).contains(&utilization), "utilization must be in [0,1]");
-        Self { duration_s, utilization }
+        let segment = Self { duration_s, utilization };
+        if let Err(e) = segment.validate() {
+            panic!("{e}");
+        }
+        segment
+    }
+
+    /// Checks a positive duration and a utilization in `[0, 1]`.
+    ///
+    /// # Errors
+    /// Names the field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = self.duration_s > 0.0;
+        if !positive {
+            Err(format!("duration_s must be positive (got {})", self.duration_s))
+        } else if !(0.0..=1.0).contains(&self.utilization) {
+            Err(format!("utilization must be in [0,1] (got {})", self.utilization))
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -40,12 +60,28 @@ pub struct ScriptWorkload {
 }
 
 impl ScriptWorkload {
+    /// Checks a script: at least one segment, each valid.
+    ///
+    /// # Errors
+    /// Names the first offending segment.
+    pub fn validate(segments: &[Segment]) -> Result<(), String> {
+        if segments.is_empty() {
+            return Err("script must not be empty".into());
+        }
+        for (i, segment) in segments.iter().enumerate() {
+            segment.validate().map_err(|e| format!("segment {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Creates the workload from a segment list.
     ///
     /// # Panics
-    /// Panics on an empty script.
+    /// Panics on a script [`ScriptWorkload::validate`] refuses.
     pub fn new(segments: Vec<Segment>) -> Self {
-        assert!(!segments.is_empty(), "script must not be empty");
+        if let Err(e) = Self::validate(&segments) {
+            panic!("{e}");
+        }
         let total = segments.iter().map(|s| s.duration_s).sum();
         let first = segments[0].duration_s;
         Self { segments, current: 0, remaining_s: first, total_s: total, elapsed_s: 0.0 }

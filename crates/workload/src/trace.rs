@@ -44,25 +44,78 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+/// Why a list of trace points cannot be replayed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TracePointError {
+    /// No points at all.
+    Empty,
+    /// One point breaks a rule.
+    Point {
+        /// Index of the offending point.
+        index: usize,
+        /// The rule it breaks.
+        reason: &'static str,
+    },
+}
+
+impl std::fmt::Display for TracePointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TracePointError::Empty => write!(f, "trace must not be empty"),
+            TracePointError::Point { index, reason } => write!(f, "trace point {index}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for TracePointError {}
+
 impl TraceWorkload {
+    /// Checks `(time_s, utilization, activity)` points: at least one,
+    /// timestamps finite, non-negative and strictly increasing,
+    /// utilization and activity in `[0, 1]`.
+    ///
+    /// # Errors
+    /// Names the first offending point and the rule it breaks.
+    pub fn validate_points(points: &[(f64, f64, f64)]) -> Result<(), TracePointError> {
+        if points.is_empty() {
+            return Err(TracePointError::Empty);
+        }
+        let mut last_t = f64::NEG_INFINITY;
+        for (index, &(t, u, a)) in points.iter().enumerate() {
+            let reason = if !(t.is_finite() && t >= 0.0) {
+                "timestamps must be finite and non-negative"
+            } else if t <= last_t {
+                "timestamps must be strictly increasing"
+            } else if !(0.0..=1.0).contains(&u) {
+                "utilization must be in [0,1]"
+            } else if !(0.0..=1.0).contains(&a) {
+                "activity must be in [0,1]"
+            } else {
+                last_t = t;
+                continue;
+            };
+            return Err(TracePointError::Point { index, reason });
+        }
+        Ok(())
+    }
+
     /// Builds a trace from `(time_s, utilization, activity)` points.
     ///
     /// # Panics
-    /// Panics on an empty trace, non-monotone timestamps, or out-of-range
-    /// utilizations — recorded traces with those defects need cleaning, not
-    /// silent repair.
+    /// Panics on points [`TraceWorkload::validate_points`] refuses —
+    /// recorded traces with those defects need cleaning, not silent repair.
     pub fn from_points_with_activity(points: &[(f64, f64, f64)]) -> Self {
-        assert!(!points.is_empty(), "trace must not be empty");
-        let mut rows = Vec::with_capacity(points.len());
-        let mut last_t = f64::NEG_INFINITY;
-        for &(t, u, a) in points {
-            assert!(t.is_finite() && t >= 0.0, "timestamps must be finite and non-negative");
-            assert!(t > last_t, "timestamps must be strictly increasing");
-            assert!((0.0..=1.0).contains(&u), "utilization must be in [0,1]");
-            assert!((0.0..=1.0).contains(&a), "activity must be in [0,1]");
-            rows.push(Row { time_s: t, utilization: u, activity: a });
-            last_t = t;
+        if let Err(e) = Self::validate_points(points) {
+            panic!("{e}");
         }
+        Self::from_valid_points(points)
+    }
+
+    fn from_valid_points(points: &[(f64, f64, f64)]) -> Self {
+        let rows = points
+            .iter()
+            .map(|&(time_s, utilization, activity)| Row { time_s, utilization, activity })
+            .collect();
         Self { rows, elapsed_s: 0.0, looping: false }
     }
 
@@ -70,7 +123,7 @@ impl TraceWorkload {
     /// starting with `#` and a leading header row (non-numeric first field)
     /// are skipped.
     pub fn from_csv_str(text: &str) -> Result<Self, TraceParseError> {
-        let mut points = Vec::new();
+        let (mut points, mut lines) = (Vec::new(), Vec::new());
         for (i, line) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = line.trim();
@@ -102,28 +155,18 @@ impl TraceWorkload {
                 })?,
                 _ => u,
             };
-            if !(0.0..=1.0).contains(&u) || !(0.0..=1.0).contains(&a) {
-                return Err(TraceParseError {
-                    line: line_no,
-                    reason: format!("utilization/activity out of [0,1]: {u}, {a}"),
-                });
-            }
             points.push((t, u, a));
+            lines.push(line_no);
         }
-        if points.is_empty() {
-            return Err(TraceParseError { line: 0, reason: "no data rows".into() });
-        }
-        // Monotonicity is a parse error here (not a panic): the text came
-        // from outside the program.
-        for w in points.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(TraceParseError {
-                    line: 0,
-                    reason: format!("timestamps not increasing at t={}", w[1].0),
-                });
+        // Defects are parse errors here (not a panic): the text came from
+        // outside the program.
+        Self::validate_points(&points).map_err(|e| match e {
+            TracePointError::Empty => TraceParseError { line: 0, reason: "no data rows".into() },
+            TracePointError::Point { index, reason } => {
+                TraceParseError { line: lines[index], reason: reason.into() }
             }
-        }
-        Ok(Self::from_points_with_activity(&points))
+        })?;
+        Ok(Self::from_valid_points(&points))
     }
 
     /// Reads and parses a CSV trace file.
@@ -249,10 +292,11 @@ mod tests {
         assert!(err.to_string().contains("utilization"));
 
         let err = TraceWorkload::from_csv_str("0.0,1.5\n").unwrap_err();
-        assert!(err.reason.contains("out of [0,1]"));
+        assert!(err.reason.contains("utilization must be in [0,1]"));
 
-        let err = TraceWorkload::from_csv_str("0.0,0.5\n0.0,0.6\n").unwrap_err();
-        assert!(err.reason.contains("not increasing"));
+        let err = TraceWorkload::from_csv_str("0.0,0.5\n# gap\n0.0,0.6\n").unwrap_err();
+        assert!(err.reason.contains("strictly increasing"));
+        assert_eq!(err.line, 3, "the offending row's line");
 
         let err = TraceWorkload::from_csv_str("# only comments\n").unwrap_err();
         assert!(err.reason.contains("no data rows"));
