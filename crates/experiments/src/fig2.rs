@@ -29,18 +29,13 @@ pub struct Fig2Result {
 
 /// Regenerates Figure 2.
 pub fn run(_scale: Scale) -> Fig2Result {
-    let profile = ScriptWorkload::figure2_profile();
-    let segments = WorkloadSpec::Script(
-        // Re-derive the segments by replaying the canonical profile is not
-        // possible (the workload is consumed); build it again instead.
-        figure2_segments(),
-    );
+    let segments = ScriptWorkload::figure2_segments();
     // The trace length defines the figure at either scale.
-    let max_time = profile.total_duration_s() + 10.0;
+    let max_time = segments.iter().map(|s| s.duration_s).sum::<f64>() + 10.0;
     let report = Simulation::new(
         Scenario::new("fig2")
             .with_nodes(1)
-            .with_workload(segments)
+            .with_workload(WorkloadSpec::Script(segments))
             // "constant fan speed" per the figure caption; 40 % keeps the
             // interesting temperature range.
             .with_fan(FanScheme::Constant { duty: 40 })
@@ -61,20 +56,6 @@ pub fn run(_scale: Scale) -> Fig2Result {
         *histogram.entry(key).or_insert(0) += 1;
     }
     Fig2Result { temp, labels, histogram }
-}
-
-/// The utilization script behind [`ScriptWorkload::figure2_profile`],
-/// exposed as segments for the scenario spec.
-fn figure2_segments() -> Vec<unitherm_workload::Segment> {
-    use unitherm_workload::Segment;
-    let mut segs = vec![Segment::new(30.0, 0.10), Segment::new(70.0, 1.00)];
-    for i in 0..40 {
-        segs.push(Segment::new(2.0, if i % 2 == 0 { 0.95 } else { 0.45 }));
-    }
-    segs.push(Segment::new(10.0, 0.10));
-    segs.push(Segment::new(60.0, 0.55));
-    segs.push(Segment::new(50.0, 0.10));
-    segs
 }
 
 impl Experiment for Fig2Result {

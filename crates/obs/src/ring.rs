@@ -78,7 +78,12 @@ impl EventSink for RingSink {
             self.buf.push(*rec);
         } else {
             self.buf[self.head] = *rec;
-            self.head = (self.head + 1) % self.capacity;
+            // A compare, not `% capacity`: this runs on every event once
+            // the ring is full, and a division costs far more.
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -105,6 +110,20 @@ mod tests {
         assert_eq!(times, vec![2.0, 3.0, 4.0], "oldest records were overwritten");
         let iter_times: Vec<f64> = ring.iter().map(|r| r.time_s).collect();
         assert_eq!(iter_times, times);
+    }
+
+    #[test]
+    fn head_wraps_past_the_end_any_number_of_times() {
+        for n in 0..12u32 {
+            let mut ring = RingSink::with_capacity(3);
+            for t in 0..n {
+                ring.record(&rec(f64::from(t)));
+            }
+            let want: Vec<f64> = (n.saturating_sub(3)..n).map(f64::from).collect();
+            let times: Vec<f64> = ring.iter().map(|r| r.time_s).collect();
+            assert_eq!(times, want, "{n} records");
+            assert_eq!(ring.dropped(), u64::from(n.saturating_sub(3)));
+        }
     }
 
     #[test]

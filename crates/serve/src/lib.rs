@@ -16,7 +16,8 @@
 //!   [`unitherm_cluster::Simulation`] under a shared
 //!   [`unitherm_cluster::ThreadPermits`] budget, so service concurrency
 //!   never oversubscribes intra-run worker pools (DESIGN.md §15).
-//! - [`server`] — routing for the HTTP API documented in `docs/API.md`:
+//! - [`server`] — reused connection handler threads, and routing for the
+//!   HTTP API documented in `docs/API.md`:
 //!   `POST /jobs`, `GET /jobs`, `GET /jobs/{id}`, `GET /jobs/{id}/events`
 //!   (SSE, JSONL, or unitherm-bjl/v1), `GET /metrics`, `GET /healthz`.
 //!
@@ -31,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod handoff;
 pub mod http;
 pub mod queue;
 pub mod runner;

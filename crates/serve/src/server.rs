@@ -2,14 +2,20 @@
 //! (`docs/API.md`): `POST /jobs`, `GET /jobs`, `GET /jobs/{id}`,
 //! `GET /jobs/{id}/events`, `GET /metrics`, `GET /healthz`.
 //!
-//! The server is deliberately plain: one OS thread per connection, one
-//! request per connection (`Connection: close`), bodies bounded by
-//! [`Limits`]. Connection handling never touches the simulator directly —
+//! The server is deliberately plain: one request per connection
+//! (`Connection: close`), bodies bounded by [`Limits`], and each accepted
+//! connection served by a handler thread that is reused. A handler that
+//! has written its response waits for the next connection; the accept
+//! loop hands each connection to a waiting handler and starts a thread
+//! only when none waits, so a request never queues behind a busy handler
+//! (an open SSE stream). A handler idle for `HANDLER_IDLE_TIMEOUT` (10 s)
+//! exits. Connection handling never touches the simulator directly —
 //! every route reads or writes through the shared [`JobQueue`], so HTTP
 //! concurrency and simulation concurrency stay decoupled.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -20,9 +26,14 @@ use unitherm_cluster::{RunReport, ThreadPermits};
 use unitherm_experiments::scenario_file;
 use unitherm_obs::{prometheus_text, records_to_bjl, write_sse_frame, EventSink, JournalWriter};
 
+use crate::handoff::HandOff;
 use crate::http::{parse_request, render_response, HttpError, Limits, Method, Request};
 use crate::queue::{JobId, JobQueue, JobSnapshot, SubmitError};
 use crate::runner::{spawn_runners, RunnerPool};
+
+/// How long a handler thread waits for its next connection before it
+/// exits.
+const HANDLER_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Service configuration (flags of the `unitherm-serve` binary).
 #[derive(Debug, Clone)]
@@ -76,22 +87,55 @@ impl Server {
         self.queue.clone()
     }
 
-    /// Accept loop: one thread per connection, forever.
+    /// Accept loop, forever: each connection goes to an idle handler
+    /// thread, or to a new one when none is idle.
     pub fn run(self) -> std::io::Result<()> {
-        let permits = Arc::clone(&self.pool.permits);
+        let shared = Arc::new(Shared {
+            queue: self.queue.clone(),
+            permits: Arc::clone(&self.pool.permits),
+            limits: self.limits,
+            handoff: HandOff::new(HANDLER_IDLE_TIMEOUT),
+            threads_started: AtomicU64::new(0),
+        });
         for stream in self.listener.incoming() {
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let queue = self.queue.clone();
-            let permits = Arc::clone(&permits);
-            let limits = self.limits;
-            let _ = thread::Builder::new().name("unitherm-conn".to_string()).spawn(move || {
-                handle_connection(stream, &queue, &permits, &limits);
-            });
+            let Ok(stream) = stream else { continue };
+            if let Some(stream) = shared.handoff.offer(stream) {
+                start_handler(&shared, stream);
+            }
         }
         Ok(())
+    }
+}
+
+/// What every handler thread shares.
+struct Shared {
+    queue: JobQueue,
+    permits: Arc<ThreadPermits>,
+    limits: Limits,
+    handoff: HandOff<TcpStream>,
+    /// Handler threads started, for `/metrics`.
+    threads_started: AtomicU64,
+}
+
+/// Starts a handler thread serving `stream`, then every connection the
+/// hand-off gives it until it has been idle for [`HANDLER_IDLE_TIMEOUT`].
+/// If the thread cannot start, `stream` is closed unanswered.
+fn start_handler(shared: &Arc<Shared>, stream: TcpStream) {
+    // Counted before the thread runs, so a `/metrics` it serves counts it.
+    shared.threads_started.fetch_add(1, Ordering::Relaxed);
+    let handler = Arc::clone(shared);
+    let spawned = thread::Builder::new().name("unitherm-conn".to_string()).spawn(move || {
+        let mut stream = stream;
+        loop {
+            handle_connection(&mut stream, &handler);
+            match handler.handoff.next(stream) {
+                Some(next) => stream = next,
+                None => return,
+            }
+        }
+    });
+    if spawned.is_err() {
+        shared.threads_started.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -183,39 +227,27 @@ fn write_all(stream: &mut TcpStream, bytes: &[u8]) {
     let _ = stream.flush();
 }
 
-/// Reads one request, routes it, writes one response, closes.
-fn handle_connection(
-    mut stream: TcpStream,
-    queue: &JobQueue,
-    permits: &ThreadPermits,
-    limits: &Limits,
-) {
+/// Reads one request, routes it and writes one response; the caller
+/// closes the connection.
+fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = {
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        });
-        parse_request(&mut reader, limits)
-    };
+    let request = parse_request(&mut BufReader::new(&*stream), &shared.limits);
     let request = match request {
         Ok(req) => req,
         Err(HttpError::ConnectionClosed) => return,
         Err(e) => {
             let (status, reason) = e.status();
             let body = error_json(reason, &e.to_string());
-            write_all(
-                &mut stream,
-                &render_response(status, reason, "application/json", &[], &body),
-            );
+            write_all(stream, &render_response(status, reason, "application/json", &[], &body));
             return;
         }
     };
     let _ = stream.set_read_timeout(None);
-    route(&mut stream, &request, queue, permits);
+    route(stream, &request, shared);
 }
 
-fn route(stream: &mut TcpStream, req: &Request, queue: &JobQueue, permits: &ThreadPermits) {
+fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
+    let queue = &shared.queue;
     match (req.method, req.path.as_str()) {
         (Method::Get, "/healthz") => {
             write_all(
@@ -223,7 +255,12 @@ fn route(stream: &mut TcpStream, req: &Request, queue: &JobQueue, permits: &Thre
                 &render_response(200, "OK", "text/plain; charset=utf-8", &[], b"ok\n"),
             );
         }
-        (Method::Get, "/metrics") => serve_metrics(stream, queue, permits),
+        (Method::Get, "/metrics") => serve_metrics(
+            stream,
+            queue,
+            &shared.permits,
+            shared.threads_started.load(Ordering::Relaxed),
+        ),
         (Method::Post, "/jobs") => serve_submit(stream, req, queue),
         (Method::Get, "/jobs") => serve_job_list(stream, queue),
         (Method::Get, path) if path.starts_with("/jobs/") => {
@@ -441,7 +478,12 @@ fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
 
 /// `GET /metrics`: service-level counters plus the merged control-plane
 /// [`Counters`] of every finished job, in Prometheus text exposition.
-fn serve_metrics(stream: &mut TcpStream, queue: &JobQueue, permits: &ThreadPermits) {
+fn serve_metrics(
+    stream: &mut TcpStream,
+    queue: &JobQueue,
+    permits: &ThreadPermits,
+    threads_started: u64,
+) {
     let stats = queue.stats();
     let mut body = String::new();
     let mut counter = |name: &str, help: &str, kind: &str, value: u64| {
@@ -489,6 +531,12 @@ fn serve_metrics(stream: &mut TcpStream, queue: &JobQueue, permits: &ThreadPermi
         "Simulation-thread permits not currently held by a run.",
         "gauge",
         permits.available() as u64,
+    );
+    counter(
+        "unitherm_serve_connection_threads_started_total",
+        "Connection handler threads started; each serves connections until idle.",
+        "counter",
+        threads_started,
     );
     body.push_str(&prometheus_text(&queue.counters_total(), ""));
     write_all(
@@ -730,10 +778,13 @@ mod tests {
              unitherm_serve_thread_permits_total 3\n\
              # HELP unitherm_serve_thread_permits_available Simulation-thread permits not currently held by a run.\n\
              # TYPE unitherm_serve_thread_permits_available gauge\n\
-             unitherm_serve_thread_permits_available 3\n{}",
+             unitherm_serve_thread_permits_available 3\n\
+             # HELP unitherm_serve_connection_threads_started_total Connection handler threads started; each serves connections until idle.\n\
+             # TYPE unitherm_serve_connection_threads_started_total counter\n\
+             unitherm_serve_connection_threads_started_total 2\n{}",
             prometheus_text(&counters, "")
         );
-        let got = response(|s| serve_metrics(s, &queue, &permits));
+        let got = response(|s| serve_metrics(s, &queue, &permits, 2));
         assert_eq!(text(body(&got).to_vec()), want);
     }
 }

@@ -413,3 +413,82 @@ fn a_zero_pstate_voltage_is_a_400_and_the_next_job_completes() {
     let doc = String::from_utf8_lossy(&doc).into_owned();
     assert_eq!(json_field(&doc, "status").as_deref(), Some(JobStatus::Done.as_str()), "{doc}");
 }
+
+/// `unitherm_serve_connection_threads_started_total` from `/metrics`.
+fn handler_threads_started(addr: &str) -> u64 {
+    let (status, _, body) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let text = String::from_utf8_lossy(&body).into_owned();
+    text.lines()
+        .find_map(|l| l.strip_prefix("unitherm_serve_connection_threads_started_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("/metrics lists the handler-thread counter: {text}"))
+}
+
+#[test]
+fn sequential_requests_reuse_handler_threads() {
+    let addr = start_server();
+    let json = scenario_json();
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    assert_eq!(status, 202);
+    let id = json_field(&String::from_utf8_lossy(&body), "id").expect("job id");
+    let paths = [
+        format!("/jobs/{id}/events"),
+        format!("/jobs/{id}"),
+        format!("/jobs/{id}/events?format=bjl"),
+        "/jobs".to_string(),
+        "/healthz".to_string(),
+        "/nowhere".to_string(),
+        "/metrics".to_string(),
+    ];
+    for path in &paths {
+        let (status, _, _) = request(&addr, "GET", path, None);
+        assert!(status == 200 || status == 404, "{path}: {status}");
+    }
+    // Every request waited for the one before it, so a handler that had
+    // answered was free for the next; one more may start while the first
+    // is still closing its connection.
+    let started = handler_threads_started(&addr);
+    let requests = paths.len() + 2;
+    assert!((1..=2).contains(&started), "{requests} requests started {started} handler threads");
+}
+
+#[test]
+fn a_request_is_answered_at_once_while_an_sse_stream_holds_the_only_handler() {
+    let addr = start_server();
+    // A job that runs for the rest of the process, so its stream never
+    // ends on its own.
+    let json = scenario_json()
+        .replace("\"max_time_s\": 20.0", "\"max_time_s\": 1000000000.0")
+        .replace("\"record_series\": true", "\"record_series\": false");
+    let (status, _, body) = request(&addr, "POST", "/jobs", Some(&json));
+    assert_eq!(status, 202);
+    let id = json_field(&String::from_utf8_lossy(&body), "id").expect("job id");
+
+    // The POST's handler, now free, takes the stream; once the stream's
+    // head is read, that handler is inside the stream loop for good.
+    let mut sse = TcpStream::connect(&addr).expect("connect");
+    write!(sse, "GET /jobs/{id}/events HTTP/1.1\r\nHost: {addr}\r\n\r\n").expect("send");
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        sse.read_exact(&mut byte).expect("stream head");
+        head.push(byte[0]);
+    }
+    assert!(head.starts_with(b"HTTP/1.1 200 OK\r\n"), "{}", String::from_utf8_lossy(&head));
+
+    // Answered by a new handler, not queued behind the endless stream
+    // (which would hit the read timeout and fail the request).
+    let mut probe = TcpStream::connect(&addr).expect("connect");
+    probe.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("timeout");
+    write!(probe, "GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").expect("send");
+    let mut reply = Vec::new();
+    probe.read_to_end(&mut reply).expect("healthz is answered while the stream is open");
+    assert!(reply.starts_with(b"HTTP/1.1 200 OK\r\n"), "{}", String::from_utf8_lossy(&reply));
+    assert!(reply.ends_with(b"\r\n\r\nok\n"));
+
+    // One thread for the POST and the stream, one for the probe, which is
+    // free again for the metrics request.
+    assert_eq!(handler_threads_started(&addr), 2);
+    drop(sse);
+}

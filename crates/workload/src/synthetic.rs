@@ -91,6 +91,12 @@ impl ScriptWorkload {
     /// sustained load, bursty jitter, sudden drop, and a cool-down tail.
     /// Total duration ≈ 300 s (1200 samples at 4 Hz, like the figure).
     pub fn figure2_profile() -> Self {
+        Self::new(Self::figure2_segments())
+    }
+
+    /// The 45 segments of [`ScriptWorkload::figure2_profile`], for a
+    /// scenario's `Script` workload.
+    pub fn figure2_segments() -> Vec<Segment> {
         let mut segs = vec![
             Segment::new(30.0, 0.10), // idle baseline
             Segment::new(70.0, 1.00), // sudden rise, then gradual climb
@@ -102,7 +108,7 @@ impl ScriptWorkload {
         segs.push(Segment::new(10.0, 0.10)); // sudden drop
         segs.push(Segment::new(60.0, 0.55)); // moderate plateau
         segs.push(Segment::new(50.0, 0.10)); // cool-down tail
-        Self::new(segs)
+        segs
     }
 
     /// Total scripted duration in seconds.
@@ -194,6 +200,7 @@ mod tests {
     fn figure2_profile_duration() {
         let w = ScriptWorkload::figure2_profile();
         assert!((w.total_duration_s() - 300.0).abs() < 1.0, "{}", w.total_duration_s());
+        assert_eq!(ScriptWorkload::figure2_segments().len(), 45);
     }
 
     #[test]

@@ -342,33 +342,67 @@ impl<W: io::Write> Writer<W> {
         self.put(bracket)
     }
 
-    /// Writes `s` as a quoted JSON string, copying unescaped runs whole.
+    /// Writes `s` as a quoted JSON string: in one write when nothing in it
+    /// needs escaping and it fits the stack buffer, else copying unescaped
+    /// runs whole between escapes.
     fn quoted(&mut self, s: &str) -> io::Result<()> {
+        if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            let mut buf = [0u8; 128];
+            if let Some(framed) = buf.get_mut(..s.len() + 2) {
+                framed[0] = b'"';
+                framed[1..=s.len()].copy_from_slice(s.as_bytes());
+                framed[s.len() + 1] = b'"';
+                return self.out.write_all(framed);
+            }
+        }
         self.put("\"")?;
         let mut run = 0;
         for (i, b) in s.bytes().enumerate() {
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1f => "",
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => {
+                    &[b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]
+                }
                 _ => continue,
             };
             // Escaped bytes are ASCII, so `run..i` ends on a char boundary.
             self.put(&s[run..i])?;
-            if escape.is_empty() {
-                write!(self.out, "\\u{b:04x}")?;
-            } else {
-                self.put(escape)?;
-            }
+            self.out.write_all(escape)?;
             run = i + 1;
         }
         self.put(&s[run..])?;
         self.put("\"")
     }
+
+    /// Writes `-` (when `negative`) and the decimal digits of `n`, then
+    /// `suffix`, in one write from a stack buffer.
+    fn integer(&mut self, negative: bool, n: u64, suffix: &[u8]) -> io::Result<()> {
+        // 20 digits of `u64::MAX`, a sign and the 2-byte `.0` suffix.
+        let mut buf = [0u8; 23];
+        let mut start = buf.len() - suffix.len();
+        buf[start..].copy_from_slice(suffix);
+        let mut n = n;
+        loop {
+            start -= 1;
+            buf[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if negative {
+            start -= 1;
+            buf[start] = b'-';
+        }
+        self.out.write_all(&buf[start..])
+    }
 }
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 impl<W: io::Write> serde::Serializer for Writer<W> {
     type Error = io::Error;
@@ -382,11 +416,11 @@ impl<W: io::Write> serde::Serializer for Writer<W> {
     }
 
     fn serialize_i64(&mut self, v: i64) -> io::Result<()> {
-        write!(self.out, "{v}")
+        self.integer(v < 0, v.unsigned_abs(), b"")
     }
 
     fn serialize_u64(&mut self, v: u64) -> io::Result<()> {
-        write!(self.out, "{v}")
+        self.integer(false, v, b"")
     }
 
     fn serialize_f64(&mut self, v: f64) -> io::Result<()> {
@@ -396,9 +430,9 @@ impl<W: io::Write> serde::Serializer for Writer<W> {
         } else if v == v.trunc() && v.abs() < 1e16 {
             // Match serde_json: integral floats keep a trailing `.0`. Below
             // 1e16 the shortest form of an integral float is its exact
-            // integer digits (sign of zero included), the same bytes as
-            // `{v:.1}` without the exact-precision formatter's cost.
-            write!(self.out, "{v}.0")
+            // integer digits (sign of zero included), so they are written
+            // as the integer they hold.
+            self.integer(v.is_sign_negative(), v.abs() as u64, b".0")
         } else {
             write!(self.out, "{v}")
         }

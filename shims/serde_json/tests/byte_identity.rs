@@ -356,3 +356,170 @@ fn raw_json_is_compact_only() {
     let err = serde_json::to_string_pretty(&vec![raw]).unwrap_err();
     assert!(err.to_string().contains("compact output only"), "{err}");
 }
+
+/// The writer's fast paths against the `format!` output they replaced:
+/// integers and integral floats below 1e16 written from a stack buffer,
+/// strings with nothing to escape written in one piece.
+mod fast_paths {
+    use serde::Value;
+
+    /// Integers, as the `{v}` formatter wrote them.
+    fn integer_reference(v: i128) -> String {
+        format!("{v}")
+    }
+
+    /// Floats, as the formatter wrote them: non-finite as `null`, integral
+    /// values below 1e16 as `{v}.0`, everything else as `{v}`.
+    fn float_reference(v: f64) -> String {
+        if !v.is_finite() {
+            "null".to_string()
+        } else if v == v.trunc() && v.abs() < 1e16 {
+            format!("{v}.0")
+        } else {
+            format!("{v}")
+        }
+    }
+
+    /// Strings, escaped byte by byte with `\u{b:04x}` for control bytes.
+    fn string_reference(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn compact<T: serde::Serialize + ?Sized>(v: &T) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+
+    #[test]
+    fn integers_match_the_formatter() {
+        for v in [0, -1, 1, 9, 10, 99, 100, i64::MAX, i64::MIN, i64::MIN + 1] {
+            assert_eq!(compact(&v), integer_reference(v.into()), "{v}");
+            assert_eq!(compact(&Value::I64(v)), integer_reference(v.into()), "{v}");
+        }
+        for v in [0, 1, 10, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            assert_eq!(compact(&v), integer_reference(v.into()), "{v}");
+            assert_eq!(compact(&Value::U64(v)), integer_reference(v.into()), "{v}");
+        }
+        for v in [i8::MIN, -1, 0, i8::MAX] {
+            assert_eq!(compact(&v), integer_reference(v.into()), "{v}");
+        }
+        for v in [0u32, 7, u32::MAX] {
+            assert_eq!(compact(&v), integer_reference(v.into()), "{v}");
+        }
+        // Every power of ten and its neighbours, both signs.
+        let mut p: u64 = 1;
+        loop {
+            for v in [p - 1, p, p + 1] {
+                assert_eq!(compact(&v), integer_reference(v.into()), "{v}");
+                if let Ok(v) = i64::try_from(v) {
+                    assert_eq!(compact(&-v), integer_reference((-v).into()), "-{v}");
+                }
+            }
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+    }
+
+    #[test]
+    fn floats_match_the_formatter() {
+        let two_53 = 9_007_199_254_740_992.0;
+        let below_1e16 = 9_999_999_999_999_998.0; // 1e16 − 1 rounds to even
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            300.0,
+            1e16 - 1.0,
+            -(1e16 - 1.0),
+            below_1e16,
+            -below_1e16,
+            1e16,
+            -1e16,
+            two_53,
+            -two_53,
+            two_53 + 2.0,
+            1e21,
+            1e300,
+            0.1,
+            -0.1,
+            0.25,
+            51.0625,
+            0.1 + 0.2,
+            1e-7,
+            1e-320,
+            -1e-320,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for k in 0..64 {
+            let x = 2f64.powi(k);
+            cases.extend([x, -x, x - 1.0, x + 1.0, x + 0.5]);
+        }
+        for v in cases {
+            assert_eq!(compact(&v), float_reference(v), "{v:e}");
+            assert_eq!(compact(&Value::F64(v)), float_reference(v), "{v:e}");
+            assert_eq!(compact(&(v as f32)), float_reference(f64::from(v as f32)), "{v:e} as f32");
+        }
+    }
+
+    #[test]
+    fn strings_match_the_escaper() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let long_plain = "x".repeat(1000);
+        let long_escaped = format!("{}\"{}\\{}", "a".repeat(300), "é".repeat(100), "\u{1}");
+        let mut cases = vec![
+            String::new(),
+            "plain".to_string(),
+            "quote \" inside".to_string(),
+            "back\\slash".to_string(),
+            controls,
+            "\u{7f} del is not escaped".to_string(),
+            "é ✓ 🚀 non-ASCII".to_string(),
+            "ends with a control\u{1f}".to_string(),
+            "\"".to_string(),
+            "\\".to_string(),
+            long_plain,
+            long_escaped,
+        ];
+        // Lengths on both sides of the writer's stack buffer, with and
+        // without a byte to escape at the end.
+        for len in 120..136 {
+            cases.push("y".repeat(len));
+            cases.push(format!("{}\n", "y".repeat(len)));
+            cases.push("é".repeat(len / 2));
+        }
+        for s in &cases {
+            let want = string_reference(s);
+            assert_eq!(compact(s.as_str()), want, "{s:?}");
+            assert_eq!(compact(&Value::Str(s.clone())), want, "{s:?}");
+            // The same bytes as a map key, compact and pretty.
+            let map = Value::Map(vec![(s.clone(), Value::Null), (s.clone(), Value::Bool(true))]);
+            assert_eq!(compact(&map), format!("{{{want}:null,{want}:true}}"), "key {s:?}");
+            assert_eq!(
+                serde_json::to_string_pretty(&map).unwrap(),
+                format!("{{\n  {want}: null,\n  {want}: true\n}}"),
+                "key {s:?}"
+            );
+            assert_eq!(serde_json::from_str::<String>(&want).unwrap(), *s, "{s:?} round trips");
+        }
+    }
+}
