@@ -1,7 +1,8 @@
 //! Refactor-parity regression for the control plane.
 //!
-//! Every pre-existing `FanScheme`/`DvfsScheme` arm is locked to a golden
-//! trace snapshot captured from the original per-arm daemon wiring. The traces are compared bit-for-bit
+//! Every `FanScheme`/`DvfsScheme` arm, the §4.4 hybrid and the ACPI
+//! sleep-state scheme are locked to a golden trace snapshot captured from
+//! the original per-arm daemon wiring. The traces are compared bit-for-bit
 //! (f64s via their raw bit patterns), so any behavioural drift in the
 //! scheme → daemon pipeline fails these tests even when summary statistics
 //! round the same.
@@ -19,7 +20,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use unitherm::cluster::{DvfsScheme, FanScheme, RunReport, Scenario, Simulation, WorkloadSpec};
+use unitherm::cluster::{
+    report_digest, DvfsScheme, FanScheme, RunReport, Scenario, SchemeSpec, Simulation, WorkloadSpec,
+};
 use unitherm::core::baseline::StaticFanCurve;
 use unitherm::core::control_array::Policy;
 use unitherm::core::failsafe::FailsafeConfig;
@@ -47,6 +50,9 @@ fn fingerprint(report: &RunReport) -> String {
     writeln!(out, "wall_time {}", hex(report.wall_time_s)).unwrap();
     writeln!(out, "exec_time {}", hex(report.exec_time_s)).unwrap();
     writeln!(out, "completed {}", report.completed).unwrap();
+    // The report digest covers what the lines below do not: events,
+    // counters and delivered faults.
+    writeln!(out, "digest {}", report_digest(report)).unwrap();
     for (i, node) in report.nodes.iter().enumerate() {
         writeln!(out, "node {i}").unwrap();
         writeln!(
@@ -197,6 +203,22 @@ fn dvfs_cpuspeed_trace_is_stable() {
         base("dvfs-cpuspeed")
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
             .with_dvfs(DvfsScheme::cpuspeed()),
+    );
+}
+
+#[test]
+fn hybrid_trace_is_stable() {
+    check_scenario("hybrid", base("hybrid").with_scheme(SchemeSpec::hybrid(Policy::MODERATE, 60)));
+}
+
+#[test]
+fn acpi_sleep_trace_is_stable() {
+    check_scenario(
+        "acpi-sleep",
+        base("acpi-sleep").with_scheme(SchemeSpec::acpi_sleep(
+            Policy::AGGRESSIVE,
+            FanScheme::Constant { duty: 10 },
+        )),
     );
 }
 
