@@ -377,13 +377,13 @@ impl NodeSim {
             die_temp_c: plant.die_temp_c(),
         };
         let mut act = PlatformActuators { node: plant, binding };
-        let out = observed(events, counters, *index, now_s, journal, |obs| {
+        let applied = observed(events, counters, *index, now_s, journal, |obs| {
             plane.on_sample_observed(&sample, &mut act, obs)
         });
         let plant = act.node;
         // Daemon-confirmed frequency changes are trace events; frequencies
         // forced by a failsafe engagement are not (they bypass the driver).
-        if let Some(mhz) = out.freq_mhz {
+        if let Some(mhz) = applied {
             rec.freq_event(now_s, mhz);
         }
 
@@ -412,7 +412,9 @@ mod tests {
     use super::*;
     use crate::scenario::WorkloadSpec;
     use crate::scheme::{DvfsScheme, FanScheme, SchemeSpec};
+    use unitherm_core::acpi::SleepState;
     use unitherm_core::control_array::Policy;
+    use unitherm_core::control_plane::UnifiedDaemon;
 
     fn scenario_with(fan: FanScheme, dvfs: DvfsScheme) -> Scenario {
         Scenario::new("node-sim-test")
@@ -559,14 +561,14 @@ mod tests {
         run(&mut ns, 280.0);
         // A 10 % fan cannot hold burn temperatures; the sleep controller
         // must have stepped out of C0 at some point.
-        let daemon = ns
+        let ctl = ns
             .plane
-            .daemon::<unitherm_core::control_plane::AcpiSleepDaemon>()
-            .expect("sleep daemon attached");
-        assert!(daemon.controller().stats().rounds > 0, "controller observed samples");
+            .daemon::<UnifiedDaemon<SleepState>>()
+            .expect("sleep daemon attached")
+            .controller();
+        assert!(ctl.stats().rounds > 0, "controller observed samples");
         assert!(
-            ns.node.view().sleep_gate() < 1.0
-                || daemon.current_state() != unitherm_core::acpi::SleepState::C0,
+            ns.node.view().sleep_gate() < 1.0 || ctl.current_mode() != SleepState::C0,
             "sleep controller never left C0 under a starved fan"
         );
     }

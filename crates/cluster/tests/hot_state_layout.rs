@@ -11,7 +11,7 @@
 //!
 //! * each shard's consecutive workload objects sit a median of 128 B apart
 //!   or less, so pass A walks them densely;
-//! * consecutive nodes' `DynamicFan` daemon boxes sit a median of under
+//! * consecutive nodes' dynamic-fan daemon boxes sit a median of under
 //!   2 kB apart, a fifth of one ring, so no ring is allocated between two
 //!   nodes' hot state;
 //! * a recording-off `NodeSim` is at most 768 B, so the sample pass's
@@ -27,8 +27,9 @@ use unitherm_cluster::node_sim::NodeSim;
 use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
 use unitherm_cluster::sim::Simulation;
+use unitherm_core::actuator::FanDuty;
 use unitherm_core::control_array::Policy;
-use unitherm_core::control_plane::DynamicFan;
+use unitherm_core::control_plane::UnifiedDaemon;
 use unitherm_obs::EventRecord;
 
 /// Median address distance between consecutive items of `addrs`.
@@ -68,8 +69,8 @@ fn per_node_state_is_laid_out_in_pass_order() {
             .nodes()
             .iter()
             .map(|ns| {
-                let fan = ns.plane.daemon::<DynamicFan>().expect("dynamic fan scheme");
-                (fan as *const DynamicFan) as usize
+                let fan = ns.plane.daemon::<UnifiedDaemon<FanDuty>>().expect("dynamic fan scheme");
+                (fan as *const UnifiedDaemon<FanDuty>) as usize
             })
             .collect();
         let stride = median_stride(&daemons);

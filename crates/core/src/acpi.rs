@@ -2,14 +2,12 @@
 //!
 //! The paper's §3.2.2 lists "valid sleep states for ACPI-compatible system"
 //! as one of the mode sets the thermal control array can hold. This module
-//! provides that mode set and a processor-idle-state controller built from
-//! the same [`UnifiedController`] machinery, demonstrating that the unified
-//! representation extends beyond fans and DVFS without new controller code.
+//! provides that mode set; a [`crate::controller::UnifiedController`] over
+//! [`SleepState::ALL`] is the processor-idle-state controller, showing that
+//! the unified representation extends beyond fans and DVFS without new
+//! controller code.
 
 use serde::{Deserialize, Serialize};
-
-use crate::control_array::Policy;
-use crate::controller::{ControllerConfig, UnifiedController};
 
 /// An ACPI processor idle (C-)state. Deeper states save more power / heat
 /// but cost more wake-up latency, so deeper = more effective thermal mode.
@@ -63,19 +61,11 @@ impl std::fmt::Display for SleepState {
     }
 }
 
-/// A thermal controller over ACPI idle states: identical machinery to the
-/// fan controller, different mode set.
-pub type SleepStateController = UnifiedController<SleepState>;
-
-/// Builds a sleep-state controller under a policy.
-pub fn sleep_state_controller(policy: Policy, cfg: ControllerConfig) -> SleepStateController {
-    UnifiedController::new(&SleepState::ALL, policy, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control_array::ThermalControlArray;
+    use crate::control_array::{Policy, ThermalControlArray};
+    use crate::controller::{ControllerConfig, UnifiedController};
 
     #[test]
     fn states_ordered_by_effectiveness() {
@@ -95,7 +85,8 @@ mod tests {
 
     #[test]
     fn controller_escalates_sleep_depth_on_heat() {
-        let mut c = sleep_state_controller(Policy::MODERATE, ControllerConfig::default());
+        let mut c =
+            UnifiedController::new(&SleepState::ALL, Policy::MODERATE, ControllerConfig::default());
         assert_eq!(c.current_mode(), SleepState::C0);
         // Sudden +8 °C step.
         c.observe(45.0);

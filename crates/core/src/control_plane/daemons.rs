@@ -1,19 +1,23 @@
 //! The concrete control daemons the scheme factory assembles.
 //!
-//! Each daemon wraps one of the policy controllers from this crate and
-//! adapts it to the [`ControlDaemon`] pipeline shape: sampling cadence,
-//! attach/reapply paths, and actuation through the [`Actuators`] trait.
+//! Each daemon adapts one policy to the [`ControlDaemon`] pipeline shape:
+//! sampling cadence, attach/reapply paths, and actuation through the
+//! [`Actuators`] trait. The paper's unified mode-index controller reaches
+//! hardware through one daemon, [`UnifiedDaemon`], generic over the mode it
+//! walks (fan duty or ACPI sleep state) and optionally nudged by
+//! utilization feedforward; tDVFS, CPUSPEED and the fan baselines have a
+//! daemon each. A daemon's sample and tick paths return the frequency it
+//! applied, if any — the one outcome the plane's host records.
 
-use super::{window_level, Actuators, ControlDaemon, DaemonEvent, SensorSample};
-use crate::acpi::{sleep_state_controller, SleepState, SleepStateController};
-use crate::actuator::{FanDuty, FreqMhz};
+use super::{window_level, Actuators, ControlDaemon, SensorSample};
+use crate::acpi::SleepState;
+use crate::actuator::{fan_mode_set, FanDuty, FreqMhz};
 use crate::baseline::StaticFanCurve;
 use crate::control_array::Policy;
-use crate::controller::ControllerConfig;
-use crate::fan_control::DynamicFanController;
-use crate::feedforward::{FeedforwardConfig, FeedforwardFanController};
+use crate::controller::{ControllerConfig, DecisionLevel, UnifiedController};
+use crate::feedforward::{FeedforwardConfig, UtilizationFeedforward};
 use crate::governor::{CpuSpeedConfig, CpuSpeedGovernor};
-use crate::tdvfs::{Tdvfs, TdvfsConfig};
+use crate::tdvfs::{Tdvfs, TdvfsConfig, TdvfsEvent};
 use unitherm_obs::{ActuatorKind, CrossDirection, Event, Observer, WindowLevel};
 
 /// Traditional chip-automatic fan control (paper §2): the ADT7467's own
@@ -32,15 +36,6 @@ impl ChipAutoFan {
 impl ControlDaemon for ChipAutoFan {
     fn label(&self) -> String {
         "chip-auto-fan".to_string()
-    }
-
-    fn on_sample(
-        &mut self,
-        _sample: &SensorSample,
-        _act: &mut dyn Actuators,
-        _obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        DaemonEvent::None
     }
 
     fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
@@ -81,15 +76,12 @@ impl ControlDaemon for StaticCurveFan {
         sample: &SensorSample,
         act: &mut dyn Actuators,
         _obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        let Some(t) = sample.temp_c else {
-            return DaemonEvent::None;
-        };
-        let duty = self.curve.duty_for(t);
-        if duty != act.last_commanded_duty() && act.set_fan_duty(duty) {
-            return DaemonEvent::FanDuty(duty);
+    ) -> Option<FreqMhz> {
+        let duty = self.curve.duty_for(sample.temp_c?);
+        if duty != act.last_commanded_duty() {
+            let _ = act.set_fan_duty(duty);
         }
-        DaemonEvent::None
+        None
     }
 
     fn reapply(&mut self, sample: &SensorSample, act: &mut dyn Actuators) {
@@ -123,15 +115,6 @@ impl ControlDaemon for ConstantFanDaemon {
         let _ = act.set_fan_duty(self.duty);
     }
 
-    fn on_sample(
-        &mut self,
-        _sample: &SensorSample,
-        _act: &mut dyn Actuators,
-        _obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        DaemonEvent::None
-    }
-
     fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
         let _ = act.set_fan_duty(self.duty);
     }
@@ -141,92 +124,98 @@ impl ControlDaemon for ConstantFanDaemon {
     }
 }
 
-/// The paper's dynamic fan daemon (§4.2): the two-level history window
-/// drives the mode index over the discretized duty set.
+/// A mode the unified controller walks and the plane applies.
+pub trait ActuatedMode: Copy + PartialEq + std::fmt::Debug + Send + 'static {
+    /// The actuator named in this mode's change events.
+    const KIND: ActuatorKind;
+
+    /// Commands the mode. Returns `true` when it was applied.
+    fn apply(self, act: &mut dyn Actuators) -> bool;
+
+    /// The mode as a change event reports it.
+    fn code(self) -> u32;
+}
+
+impl ActuatedMode for FanDuty {
+    const KIND: ActuatorKind = ActuatorKind::Fan;
+
+    fn apply(self, act: &mut dyn Actuators) -> bool {
+        act.set_fan_duty(self)
+    }
+
+    fn code(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl ActuatedMode for SleepState {
+    const KIND: ActuatorKind = ActuatorKind::Sleep;
+
+    fn apply(self, act: &mut dyn Actuators) -> bool {
+        act.set_sleep_state(self)
+    }
+
+    fn code(self) -> u32 {
+        self as u32
+    }
+}
+
+/// The paper's unified controller as a daemon: the two-level history window
+/// drives the mode index over one mode set — the discretized fan duties
+/// (§4.2) or the ACPI C0–C3 sleep states (§3.2.2) — and an optional
+/// utilization feedforward nudges it when the measured history saw nothing
+/// (§5 future work).
 #[derive(Debug)]
-pub struct DynamicFan {
-    ctl: DynamicFanController,
-    cfg: ControllerConfig,
+pub struct UnifiedDaemon<M> {
+    label: &'static str,
+    ctl: UnifiedController<M>,
+    /// Boxed: the daemon sits in every node's hot state, and most schemes
+    /// run it without feedforward.
+    feedforward: Option<Box<UtilizationFeedforward>>,
 }
 
-impl DynamicFan {
-    /// Creates the daemon.
-    pub fn new(policy: Policy, max_duty: FanDuty, cfg: ControllerConfig) -> Self {
-        Self { ctl: DynamicFanController::new(policy, max_duty, cfg), cfg }
-    }
-}
-
-impl ControlDaemon for DynamicFan {
-    fn label(&self) -> String {
-        "dynamic-fan".to_string()
-    }
-
-    fn attach(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
-        let _ = act.set_fan_duty(self.ctl.current_duty());
-    }
-
-    fn on_sample(
-        &mut self,
-        sample: &SensorSample,
-        act: &mut dyn Actuators,
-        obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        let Some(t) = sample.temp_c else {
-            return DaemonEvent::None;
-        };
-        let from = self.ctl.current_duty();
-        if let Some(decision) = self.ctl.observe(t) {
-            if act.set_fan_duty(decision.mode) {
-                let saturated = decision.index == 1 || decision.index == self.cfg.array_len;
-                obs.mode_change(
-                    ActuatorKind::Fan,
-                    u32::from(from),
-                    u32::from(decision.mode),
-                    window_level(decision.level),
-                    saturated,
-                );
-                return DaemonEvent::FanDuty(decision.mode);
-            }
-        }
-        DaemonEvent::None
-    }
-
-    fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
-        let _ = act.set_fan_duty(self.ctl.current_duty());
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// The dynamic fan daemon augmented with utilization feedforward (the
-/// paper's §5 future-work prediction path).
-#[derive(Debug)]
-pub struct FeedforwardFan {
-    ctl: FeedforwardFanController,
-    cfg: ControllerConfig,
-}
-
-impl FeedforwardFan {
-    /// Creates the daemon.
-    pub fn new(
+impl UnifiedDaemon<FanDuty> {
+    /// The dynamic fan daemon over the duties `1..=max_duty`; with a
+    /// feedforward configuration, the feedforward-augmented one.
+    pub fn fan(
         policy: Policy,
         max_duty: FanDuty,
         cfg: ControllerConfig,
-        ff_cfg: FeedforwardConfig,
+        feedforward: Option<FeedforwardConfig>,
     ) -> Self {
-        Self { ctl: FeedforwardFanController::new(policy, max_duty, cfg, ff_cfg), cfg }
+        Self {
+            label: if feedforward.is_some() { "feedforward-fan" } else { "dynamic-fan" },
+            ctl: UnifiedController::new(&fan_mode_set(max_duty), policy, cfg),
+            feedforward: feedforward.map(|cfg| Box::new(UtilizationFeedforward::new(cfg))),
+        }
     }
 }
 
-impl ControlDaemon for FeedforwardFan {
+impl UnifiedDaemon<SleepState> {
+    /// The ACPI processor sleep-state daemon.
+    pub fn sleep(policy: Policy, cfg: ControllerConfig) -> Self {
+        Self {
+            label: "acpi-sleep",
+            ctl: UnifiedController::new(&SleepState::ALL, policy, cfg),
+            feedforward: None,
+        }
+    }
+}
+
+impl<M> UnifiedDaemon<M> {
+    /// The wrapped controller (current mode, stats).
+    pub fn controller(&self) -> &UnifiedController<M> {
+        &self.ctl
+    }
+}
+
+impl<M: ActuatedMode> ControlDaemon for UnifiedDaemon<M> {
     fn label(&self) -> String {
-        "feedforward-fan".to_string()
+        self.label.to_string()
     }
 
     fn attach(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
-        let _ = act.set_fan_duty(self.ctl.current_duty());
+        let _ = self.ctl.current_mode().apply(act);
     }
 
     fn on_sample(
@@ -234,35 +223,32 @@ impl ControlDaemon for FeedforwardFan {
         sample: &SensorSample,
         act: &mut dyn Actuators,
         obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        let Some(t) = sample.temp_c else {
-            return DaemonEvent::None;
-        };
-        let from = self.ctl.current_duty();
-        if let Some(decision) = self.ctl.observe(t, sample.utilization) {
-            if act.set_fan_duty(decision.mode) {
-                let saturated = decision.index == 1 || decision.index == self.cfg.array_len;
-                obs.mode_change(
-                    ActuatorKind::Fan,
-                    u32::from(from),
-                    u32::from(decision.mode),
-                    window_level(decision.level),
-                    saturated,
-                );
-                if decision.level == crate::controller::DecisionLevel::Feedforward {
-                    obs.emit(Event::PredictionSample {
-                        utilization: sample.utilization,
-                        predicted_delta_c: decision.delta_c,
-                    });
-                }
-                return DaemonEvent::FanDuty(decision.mode);
+    ) -> Option<FreqMhz> {
+        let t = sample.temp_c?;
+        let from = self.ctl.current_mode();
+        let prediction = self.feedforward.as_mut().and_then(|ff| ff.observe(sample.utilization));
+        let decision = self.ctl.observe_with_prediction(t, prediction)?;
+        if decision.mode.apply(act) {
+            let saturated = decision.index == 1 || decision.index == self.ctl.config().array_len;
+            obs.mode_change(
+                M::KIND,
+                from.code(),
+                decision.mode.code(),
+                window_level(decision.level),
+                saturated,
+            );
+            if decision.level == DecisionLevel::Feedforward {
+                obs.emit(Event::PredictionSample {
+                    utilization: sample.utilization,
+                    predicted_delta_c: decision.delta_c,
+                });
             }
         }
-        DaemonEvent::None
+        None
     }
 
     fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
-        let _ = act.set_fan_duty(self.ctl.current_duty());
+        let _ = self.ctl.current_mode().apply(act);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -300,10 +286,8 @@ impl ControlDaemon for TdvfsDaemon {
         sample: &SensorSample,
         act: &mut dyn Actuators,
         obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        let Some(t) = sample.temp_c else {
-            return DaemonEvent::None;
-        };
+    ) -> Option<FreqMhz> {
+        let t = sample.temp_c?;
         let above = t > self.cfg.threshold_c;
         if self.last_above.is_some_and(|was| was != above) {
             obs.emit(Event::ThresholdCross {
@@ -315,17 +299,16 @@ impl ControlDaemon for TdvfsDaemon {
         self.last_above = Some(above);
 
         let from = self.tdvfs.current_frequency_mhz();
-        if let Some(event) = self.tdvfs.observe(t) {
-            let mhz = event.frequency_mhz();
-            if act.set_frequency_mhz(mhz) {
-                match event {
-                    crate::tdvfs::TdvfsEvent::ScaleDown(_) => obs.tdvfs_engage(from, mhz),
-                    crate::tdvfs::TdvfsEvent::Restore(_) => obs.tdvfs_release(mhz),
-                }
-                return DaemonEvent::Frequency(mhz);
-            }
+        let event = self.tdvfs.observe(t)?;
+        let mhz = event.frequency_mhz();
+        if !act.set_frequency_mhz(mhz) {
+            return None;
         }
-        DaemonEvent::None
+        match event {
+            TdvfsEvent::ScaleDown(_) => obs.tdvfs_engage(from, mhz),
+            TdvfsEvent::Restore(_) => obs.tdvfs_release(mhz),
+        }
+        Some(mhz)
     }
 
     fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
@@ -361,30 +344,20 @@ impl ControlDaemon for CpuSpeedDaemon {
         "cpuspeed".to_string()
     }
 
-    fn on_sample(
-        &mut self,
-        _sample: &SensorSample,
-        _act: &mut dyn Actuators,
-        _obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        DaemonEvent::None
-    }
-
     fn on_tick(
         &mut self,
         dt_s: f64,
         utilization: f64,
         act: &mut dyn Actuators,
         obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
+    ) -> Option<FreqMhz> {
         let from = self.gov.current_frequency_mhz();
-        if let Some(mhz) = self.gov.observe(dt_s, utilization) {
-            if act.set_frequency_mhz(mhz) {
-                obs.mode_change(ActuatorKind::Dvfs, from, mhz, WindowLevel::Governor, false);
-                return DaemonEvent::Frequency(mhz);
-            }
+        let mhz = self.gov.observe(dt_s, utilization)?;
+        if !act.set_frequency_mhz(mhz) {
+            return None;
         }
-        DaemonEvent::None
+        obs.mode_change(ActuatorKind::Dvfs, from, mhz, WindowLevel::Governor, false);
+        Some(mhz)
     }
 
     fn wants_tick(&self) -> bool {
@@ -397,71 +370,6 @@ impl ControlDaemon for CpuSpeedDaemon {
 
     fn controls_frequency(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// The ACPI processor sleep-state daemon (paper §3.2.2): the unified
-/// controller walks the C0–C3 mode set as temperature history dictates.
-#[derive(Debug)]
-pub struct AcpiSleepDaemon {
-    ctl: SleepStateController,
-    cfg: ControllerConfig,
-}
-
-impl AcpiSleepDaemon {
-    /// Creates the daemon.
-    pub fn new(policy: Policy, cfg: ControllerConfig) -> Self {
-        Self { ctl: sleep_state_controller(policy, cfg), cfg }
-    }
-
-    /// The sleep state the controller currently commands.
-    pub fn current_state(&self) -> SleepState {
-        self.ctl.current_mode()
-    }
-
-    /// The wrapped controller (stats).
-    pub fn controller(&self) -> &SleepStateController {
-        &self.ctl
-    }
-}
-
-impl ControlDaemon for AcpiSleepDaemon {
-    fn label(&self) -> String {
-        "acpi-sleep".to_string()
-    }
-
-    fn on_sample(
-        &mut self,
-        sample: &SensorSample,
-        act: &mut dyn Actuators,
-        obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        let Some(t) = sample.temp_c else {
-            return DaemonEvent::None;
-        };
-        let from = self.ctl.current_mode();
-        if let Some(decision) = self.ctl.observe(t) {
-            if act.set_sleep_state(decision.mode) {
-                let saturated = decision.index == 1 || decision.index == self.cfg.array_len;
-                obs.mode_change(
-                    ActuatorKind::Sleep,
-                    from as u32,
-                    decision.mode as u32,
-                    window_level(decision.level),
-                    saturated,
-                );
-                return DaemonEvent::Sleep(decision.mode);
-            }
-        }
-        DaemonEvent::None
-    }
-
-    fn reapply(&mut self, _sample: &SensorSample, act: &mut dyn Actuators) {
-        let _ = act.set_sleep_state(self.ctl.current_mode());
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

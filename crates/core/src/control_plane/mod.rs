@@ -1,13 +1,16 @@
 //! The unified control plane: an ordered pipeline of control daemons.
 //!
 //! The paper's system runs several cooperating daemons against one node —
-//! feedforward-augmented fan control, plain dynamic fan control, tDVFS, the
-//! CPUSPEED governor, ACPI sleep management — supervised by a failsafe
-//! watchdog. This module gives them a single shape:
+//! the unified mode-index controller over fan duties (± utilization
+//! feedforward) or ACPI sleep states, tDVFS, the CPUSPEED governor —
+//! supervised by a failsafe watchdog. This module gives them a single
+//! shape:
 //!
 //! * [`ControlDaemon`] — one control loop: observes a [`SensorSample`] at
-//!   4 Hz (and, for utilization governors, every physics tick) and actuates
-//!   through the hardware-agnostic [`Actuators`] trait;
+//!   4 Hz (and, for utilization governors, every physics tick), actuates
+//!   through the hardware-agnostic [`Actuators`] trait and returns the
+//!   frequency it applied, if any — the one outcome the plane's host
+//!   records;
 //! * [`ControlPlane`] — the ordered daemon pipeline plus the failsafe
 //!   supervisor. §4.4's hybrid coordination is expressed as pipeline
 //!   ordering: fan daemons run before DVFS daemons before sleep daemons, so
@@ -34,15 +37,15 @@ mod daemons;
 mod scheme;
 
 pub use daemons::{
-    AcpiSleepDaemon, ChipAutoFan, ConstantFanDaemon, CpuSpeedDaemon, DynamicFan, FeedforwardFan,
-    StaticCurveFan, TdvfsDaemon,
+    ActuatedMode, ChipAutoFan, ConstantFanDaemon, CpuSpeedDaemon, StaticCurveFan, TdvfsDaemon,
+    UnifiedDaemon,
 };
 pub use scheme::{BuildContext, DvfsScheme, FanBinding, FanScheme, SchemeSpec};
 
 use crate::acpi::SleepState;
 use crate::actuator::{FanDuty, FreqMhz};
 use crate::failsafe::{Failsafe, FailsafeAction, FailsafeConfig, FailsafeReason};
-use unitherm_obs::{Counters, Event, NullSink, Observer, TripCause, WindowLevel};
+use unitherm_obs::{Event, Observer, TripCause, WindowLevel};
 
 use crate::controller::DecisionLevel;
 
@@ -122,19 +125,6 @@ pub trait Actuators {
     fn set_sleep_state(&mut self, state: SleepState) -> bool;
 }
 
-/// An actuation event a daemon reports back to the plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DaemonEvent {
-    /// No actuation this sample.
-    None,
-    /// A fan duty was commanded.
-    FanDuty(FanDuty),
-    /// A frequency change was applied.
-    Frequency(FreqMhz),
-    /// A sleep state was commanded.
-    Sleep(SleepState),
-}
-
 /// One control loop in the plane's pipeline.
 ///
 /// `Send` is a supertrait so a whole pipeline (and the node that owns it)
@@ -152,24 +142,26 @@ pub trait ControlDaemon: Send {
     /// The 4 Hz sampling path. Called only when `sample.temp_c` is present;
     /// writes are gated (dropped) while the failsafe is engaged. Accepted
     /// actuations (and pure observations like threshold crossings) are
-    /// reported through `obs`.
+    /// reported through `obs`. Returns the frequency applied, if any.
     fn on_sample(
         &mut self,
-        sample: &SensorSample,
-        act: &mut dyn Actuators,
-        obs: &mut Observer<'_>,
-    ) -> DaemonEvent;
+        _sample: &SensorSample,
+        _act: &mut dyn Actuators,
+        _obs: &mut Observer<'_>,
+    ) -> Option<FreqMhz> {
+        None
+    }
 
     /// The per-physics-tick path (utilization governors). Writes are gated
-    /// while the failsafe is engaged.
+    /// while the failsafe is engaged. Returns the frequency applied, if any.
     fn on_tick(
         &mut self,
         _dt_s: f64,
         _utilization: f64,
         _act: &mut dyn Actuators,
         _obs: &mut Observer<'_>,
-    ) -> DaemonEvent {
-        DaemonEvent::None
+    ) -> Option<FreqMhz> {
+        None
     }
 
     /// True when the daemon does real work in [`ControlDaemon::on_tick`].
@@ -255,27 +247,6 @@ impl Actuators for GatedActuators<'_> {
     }
 }
 
-/// What one plane sample did (the platform layers map this onto their own
-/// outcome/recorder types).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlaneOutcome {
-    /// The temperature the daemons acted on, if any.
-    pub temp_c: Option<f64>,
-    /// True while the failsafe owns the actuators (after this sample's
-    /// observation).
-    pub failsafe_engaged: bool,
-    /// Fan duty forced by a failsafe engagement this sample.
-    pub forced_fan_duty: Option<FanDuty>,
-    /// Frequency forced by a failsafe engagement this sample, MHz.
-    pub forced_freq_mhz: Option<FreqMhz>,
-    /// Fan duty a daemon successfully commanded this sample.
-    pub fan_duty: Option<FanDuty>,
-    /// Frequency a daemon successfully applied this sample, MHz.
-    pub freq_mhz: Option<FreqMhz>,
-    /// Sleep state a daemon successfully commanded this sample.
-    pub sleep_state: Option<SleepState>,
-}
-
 /// The ordered daemon pipeline plus the failsafe supervisor.
 ///
 /// Build one from a serializable [`SchemeSpec`] (the single
@@ -289,6 +260,7 @@ pub struct PlaneOutcome {
 /// };
 /// use unitherm_core::acpi::SleepState;
 /// use unitherm_core::actuator::{FanDuty, FreqMhz};
+/// use unitherm_obs::{Counters, NullSink, Observer};
 ///
 /// /// A toy actuation surface; real ones live in the platform binding.
 /// #[derive(Default)]
@@ -331,6 +303,8 @@ pub struct PlaneOutcome {
 /// let mut plane = ControlPlane::new(spec.build(&ctx), None);
 ///
 /// let mut act = Bench::default();
+/// let (mut sink, mut counters) = (NullSink, Counters::default());
+/// let mut obs = Observer::new(&mut sink, &mut counters, 0, 0.0);
 /// let sample = |now_s: f64, temp_c: f64| SensorSample {
 ///     now_s,
 ///     fresh_temp_c: Some(temp_c),
@@ -340,10 +314,14 @@ pub struct PlaneOutcome {
 /// };
 /// plane.attach(&sample(0.0, 45.0), &mut act);
 /// for i in 1..=20 {
-///     // A hot plateau: the window fills, the mode index climbs.
-///     plane.on_sample(&sample(f64::from(i) * 0.25, 70.0), &mut act);
+///     // Heating at 1 °C per sample: each window round moves the mode index
+///     // up. A fan-only scheme applies no frequency.
+///     let s = sample(f64::from(i) * 0.25, 45.0 + f64::from(i));
+///     assert_eq!(plane.on_sample_observed(&s, &mut act, &mut obs), None);
 /// }
-/// assert!(act.last_commanded_duty() > 0, "sustained heat must spin the fan up");
+/// assert!(act.last_commanded_duty() > 1, "heating must spin the fan up");
+/// assert_eq!(counters.samples, 20);
+/// assert!(counters.l1_decisions > 0, "window decisions are counted");
 /// ```
 pub struct ControlPlane {
     daemons: Vec<Box<dyn ControlDaemon>>,
@@ -387,22 +365,21 @@ impl ControlPlane {
 
     /// Runs the 4 Hz sampling path: failsafe supervision first, then the
     /// daemon pipeline (observing always, writing only while not engaged).
-    /// Events and counters go through `obs`.
+    /// Events and counters go through `obs`. Returns the frequency a daemon
+    /// applied this sample, if any (a frequency the failsafe forces is not
+    /// one: it bypasses the daemons).
     pub fn on_sample_observed(
         &mut self,
         sample: &SensorSample,
         act: &mut dyn Actuators,
         obs: &mut Observer<'_>,
-    ) -> PlaneOutcome {
+    ) -> Option<FreqMhz> {
         obs.counters.samples += 1;
-        let mut out = PlaneOutcome { temp_c: sample.temp_c, ..PlaneOutcome::default() };
 
         if let Some(fs) = &mut self.failsafe {
             match fs.observe(sample.fresh_temp_c) {
                 Some(FailsafeAction::Engage(reason)) => {
-                    let (duty, mhz) = act.force_max_cooling();
-                    out.forced_fan_duty = Some(duty);
-                    out.forced_freq_mhz = Some(mhz);
+                    let _ = act.force_max_cooling();
                     obs.failsafe_trip(trip_cause(reason));
                 }
                 Some(FailsafeAction::Release) => {
@@ -417,31 +394,13 @@ impl ControlPlane {
                 None => {}
             }
         }
-        let engaged = self.is_failsafe_engaged();
-        out.failsafe_engaged = engaged;
-
-        if sample.temp_c.is_some() {
-            let mut gate = GatedActuators { inner: act, engaged };
-            for d in &mut self.daemons {
-                match d.on_sample(sample, &mut gate, obs) {
-                    DaemonEvent::FanDuty(duty) => out.fan_duty = Some(duty),
-                    DaemonEvent::Frequency(mhz) => out.freq_mhz = Some(mhz),
-                    DaemonEvent::Sleep(state) => out.sleep_state = Some(state),
-                    DaemonEvent::None => {}
-                }
-            }
+        sample.temp_c?;
+        let mut gate = GatedActuators { inner: act, engaged: self.is_failsafe_engaged() };
+        let mut applied = None;
+        for d in &mut self.daemons {
+            applied = d.on_sample(sample, &mut gate, obs).or(applied);
         }
-        out
-    }
-
-    /// [`ControlPlane::on_sample_observed`] with observability discarded
-    /// (null sink, throwaway counters). Behavior is identical — the
-    /// observer is write-only from the plane's perspective.
-    pub fn on_sample(&mut self, sample: &SensorSample, act: &mut dyn Actuators) -> PlaneOutcome {
-        let mut sink = NullSink;
-        let mut counters = Counters::default();
-        let mut obs = Observer::new(&mut sink, &mut counters, 0, sample.now_s);
-        self.on_sample_observed(sample, act, &mut obs)
+        applied
     }
 
     /// Runs the per-physics-tick path (utilization governors observe every
@@ -463,9 +422,7 @@ impl ControlPlane {
         let mut gate = GatedActuators { inner: act, engaged };
         let mut applied = None;
         for d in &mut self.daemons {
-            if let DaemonEvent::Frequency(mhz) = d.on_tick(dt_s, utilization, &mut gate, obs) {
-                applied = Some(mhz);
-            }
+            applied = d.on_tick(dt_s, utilization, &mut gate, obs).or(applied);
         }
         applied
     }
@@ -496,6 +453,7 @@ impl ControlPlane {
 mod tests {
     use super::*;
     use crate::control_array::Policy;
+    use unitherm_obs::{Counters, NullSink};
 
     /// A recording in-memory actuator for plane-level unit tests.
     #[derive(Debug, Default)]
@@ -556,6 +514,17 @@ mod tests {
         }
     }
 
+    /// Runs one sample through the plane with observability discarded.
+    fn on_sample(
+        plane: &mut ControlPlane,
+        sample: &SensorSample,
+        act: &mut TestActuators,
+    ) -> Option<FreqMhz> {
+        let (mut sink, mut counters) = (NullSink, Counters::default());
+        let mut obs = Observer::new(&mut sink, &mut counters, 0, sample.now_s);
+        plane.on_sample_observed(sample, act, &mut obs)
+    }
+
     fn dynamic_plane(failsafe: Option<FailsafeConfig>) -> ControlPlane {
         let spec = SchemeSpec::split(FanScheme::dynamic(Policy::MODERATE, 100), DvfsScheme::None);
         let ctx = BuildContext { available_mhz: vec![2400, 2200, 2000, 1800, 1000] };
@@ -579,14 +548,11 @@ mod tests {
     fn sudden_step_commands_a_duty() {
         let mut plane = dynamic_plane(None);
         let mut act = TestActuators::default();
-        let mut commanded = None;
         for t in [45.0, 45.0, 51.0, 51.0] {
-            let out = plane.on_sample(&sample(Some(t)), &mut act);
-            commanded = out.fan_duty.or(commanded);
+            assert_eq!(on_sample(&mut plane, &sample(Some(t)), &mut act), None);
         }
-        let duty = commanded.expect("sudden step must command a duty");
-        assert!(duty > 40, "{duty}");
-        assert_eq!(act.duty, duty);
+        assert_eq!(act.fan_writes, 1, "sudden step must command a duty");
+        assert!(act.duty > 40, "{}", act.duty);
     }
 
     #[test]
@@ -595,18 +561,13 @@ mod tests {
         let mut act = TestActuators::default();
         // Warm up with live readings, then go dark past the stale budget.
         for _ in 0..4 {
-            let _ = plane.on_sample(&sample(Some(45.0)), &mut act);
+            let _ = on_sample(&mut plane, &sample(Some(45.0)), &mut act);
         }
-        let mut engaged_out = None;
         for _ in 0..25 {
-            let out = plane.on_sample(&sample(None), &mut act);
-            if out.forced_fan_duty.is_some() {
-                engaged_out = Some(out);
-            }
+            let _ = on_sample(&mut plane, &sample(None), &mut act);
         }
-        let out = engaged_out.expect("stale sensor must engage the failsafe");
-        assert_eq!(out.forced_fan_duty, Some(100));
-        assert_eq!(out.forced_freq_mhz, Some(1000));
+        assert_eq!(act.forced, 1, "stale sensor must engage the failsafe");
+        assert_eq!((act.duty, act.freq), (100, 1000));
         assert!(plane.is_failsafe_engaged());
         assert_eq!(plane.failsafe_engagement_count(), 1);
         // While engaged, a hot stale reading must not reach the actuators.
@@ -619,10 +580,10 @@ mod tests {
             die_temp_c: 60.0,
         };
         for _ in 0..8 {
-            let out = plane.on_sample(&hot, &mut act);
-            assert_eq!(out.fan_duty, None, "daemon writes are gated");
+            let _ = on_sample(&mut plane, &hot, &mut act);
         }
         assert_eq!(act.fan_writes, writes_before, "no writes while engaged");
+        assert_eq!(act.duty, 100, "the forced duty holds");
     }
 
     /// A §4.4 hybrid plane over the test ladder, with the CPU starting at
@@ -643,7 +604,7 @@ mod tests {
         // DVFS must not.
         for i in 0..240 {
             let t = (42.0 + 0.1 * f64::from(i)).min(50.0);
-            let _ = plane.on_sample(&sample(Some(t)), &mut act);
+            let _ = on_sample(&mut plane, &sample(Some(t)), &mut act);
         }
         assert!(act.duty > 1, "fan engaged");
         assert_eq!(act.freq, 2400, "DVFS untouched below threshold");
@@ -655,17 +616,19 @@ mod tests {
         let (mut plane, mut act) = hybrid_plane(25);
         // 60 s of 58 °C at 4 Hz: a fan capped at 25 % cannot hold it, so
         // tDVFS must scale the CPU down.
+        let mut applied = None;
         for _ in 0..240 {
-            let _ = plane.on_sample(&sample(Some(58.0)), &mut act);
+            applied = on_sample(&mut plane, &sample(Some(58.0)), &mut act).or(applied);
         }
         assert!(act.duty <= 25, "fan mode set capped at 25 %: {}", act.duty);
         assert!(act.freq < 2400, "capped fan cannot hold 58 °C; DVFS must act");
+        assert_eq!(applied, Some(act.freq), "the plane returns what tDVFS applied");
     }
 
     #[test]
     fn downcast_accessor_finds_daemons() {
         let plane = dynamic_plane(None);
-        assert!(plane.daemon::<DynamicFan>().is_some());
+        assert!(plane.daemon::<UnifiedDaemon<FanDuty>>().is_some());
         assert!(plane.daemon::<TdvfsDaemon>().is_none());
     }
 }

@@ -14,8 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use super::daemons::{
-    AcpiSleepDaemon, ChipAutoFan, ConstantFanDaemon, CpuSpeedDaemon, DynamicFan, FeedforwardFan,
-    StaticCurveFan, TdvfsDaemon,
+    ChipAutoFan, ConstantFanDaemon, CpuSpeedDaemon, StaticCurveFan, TdvfsDaemon, UnifiedDaemon,
 };
 use super::ControlDaemon;
 use crate::actuator::{FanDuty, FreqMhz};
@@ -148,10 +147,10 @@ impl FanScheme {
             FanScheme::SoftwareStatic { curve } => Box::new(StaticCurveFan::new(*curve)),
             FanScheme::Constant { duty } => Box::new(ConstantFanDaemon::new(*duty)),
             FanScheme::Dynamic { policy, max_duty, config } => {
-                Box::new(DynamicFan::new(*policy, *max_duty, *config))
+                Box::new(UnifiedDaemon::fan(*policy, *max_duty, *config, None))
             }
             FanScheme::DynamicFeedforward { policy, max_duty, config, feedforward } => {
-                Box::new(FeedforwardFan::new(*policy, *max_duty, *config, *feedforward))
+                Box::new(UnifiedDaemon::fan(*policy, *max_duty, *config, Some(*feedforward)))
             }
         }
     }
@@ -323,11 +322,11 @@ impl SchemeSpec {
                 daemons
             }
             SchemeSpec::Hybrid { policy, max_duty, config, tdvfs } => vec![
-                Box::new(DynamicFan::new(*policy, *max_duty, *config)),
+                Box::new(UnifiedDaemon::fan(*policy, *max_duty, *config, None)),
                 Box::new(TdvfsDaemon::new(&ctx.available_mhz, *policy, *tdvfs)),
             ],
             SchemeSpec::AcpiSleep { policy, config, fan } => {
-                vec![fan.daemon(), Box::new(AcpiSleepDaemon::new(*policy, *config))]
+                vec![fan.daemon(), Box::new(UnifiedDaemon::sleep(*policy, *config))]
             }
         }
     }

@@ -236,6 +236,33 @@ impl<M: Copy + PartialEq + std::fmt::Debug> UnifiedController<M> {
         }
         None
     }
+
+    /// [`UnifiedController::observe`] with a feedforward prediction (see
+    /// [`crate::feedforward`]). The reactive decision is taken first; only
+    /// when the measured history moved nothing does a predicted swing
+    /// `ΔT` step the index by `round(c · ΔT)`.
+    pub fn observe_with_prediction(
+        &mut self,
+        temp_c: f64,
+        predicted_delta_c: Option<f64>,
+    ) -> Option<Decision<M>> {
+        let reactive = self.observe(temp_c);
+        if reactive.is_some() {
+            return reactive;
+        }
+        let delta_c = predicted_delta_c?;
+        let before = self.index;
+        self.force_index(before as i64 + (self.cfg.gain() * delta_c).round() as i64);
+        if self.index == before {
+            return None;
+        }
+        Some(Decision {
+            index: self.index,
+            mode: self.current_mode(),
+            level: DecisionLevel::Feedforward,
+            delta_c,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -249,6 +276,11 @@ mod tests {
 
     fn controller(pp: u32) -> UnifiedController<u8> {
         UnifiedController::new(&duties(), Policy::new(pp).unwrap(), ControllerConfig::default())
+    }
+
+    /// Climbs 0.5 °C per sample from 40 to 60 °C, then holds there.
+    fn heating_curve() -> impl Iterator<Item = f64> {
+        (0..200).map(|i| (40.0 + 0.5 * f64::from(i)).min(60.0))
     }
 
     /// Feeds a flat series of rounds.
@@ -387,21 +419,39 @@ mod tests {
 
     #[test]
     fn aggressive_policy_reaches_higher_duty_for_same_stimulus() {
-        let mut agg = controller(25);
-        let mut weak = controller(75);
-        for c in [&mut agg, &mut weak] {
-            c.observe(45.0);
-            c.observe(45.0);
-            c.observe(50.0);
-            c.observe(50.0);
+        // A sudden step, and sustained heating (which may pin both arrays
+        // at their most effective cell, hence "at least").
+        let step = [45.0, 45.0, 50.0, 50.0];
+        let heating: Vec<f64> = heating_curve().collect();
+        for (temps, strictly) in [(&step[..], true), (&heating[..], false)] {
+            let mut agg = controller(25);
+            let mut weak = controller(75);
+            for c in [&mut agg, &mut weak] {
+                for &t in temps {
+                    let _ = c.observe(t);
+                }
+            }
+            assert_eq!(agg.current_index(), weak.current_index(), "same index motion");
+            let (a, w) = (agg.current_mode(), weak.current_mode());
+            assert!(
+                if strictly { a > w } else { a >= w },
+                "aggressive array maps the index to more duty: {a} vs {w}"
+            );
         }
-        assert_eq!(agg.current_index(), weak.current_index(), "same index motion");
-        assert!(
-            agg.current_mode() > weak.current_mode(),
-            "aggressive array maps the index to more duty: {} vs {}",
-            agg.current_mode(),
-            weak.current_mode()
-        );
+    }
+
+    #[test]
+    fn sustained_heating_raises_the_mode_and_cooling_lowers_it() {
+        let mut c = controller(50);
+        for t in heating_curve() {
+            let _ = c.observe(t);
+        }
+        let high = c.current_mode();
+        assert!(high > 50, "duty after sustained heating: {high}");
+        for i in 0..200 {
+            let _ = c.observe((60.0 - 0.5 * f64::from(i)).max(42.0));
+        }
+        assert!(c.current_mode() < high, "{} < {high}", c.current_mode());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! [`UtilizationFeedforward`] predictor watches per-round utilization
 //! averages and, on a sustained jump, predicts the imminent die-temperature
 //! swing (`ΔT ≈ gain · Δu`, with the gain calibrated to the dynamic power
-//! excursion across the die–sink thermal resistance). The
-//! [`FeedforwardFanController`] folds that prediction into the standard
-//! mode-index rule, moving the fan *before* the sensor sees anything.
+//! excursion across the die–sink thermal resistance).
+//! [`UnifiedController::observe_with_prediction`] folds that prediction
+//! into the standard mode-index rule, moving the fan *before* the sensor
+//! sees anything; [`FeedforwardFanController`] pairs the two over the fan
+//! duty set.
 //!
 //! Measured history always wins: the feedforward term is consulted only on
 //! rounds where the reactive controller saw nothing, so a mispredicting
@@ -20,10 +22,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::actuator::FanDuty;
+use crate::actuator::{fan_mode_set, FanDuty};
 use crate::control_array::Policy;
-use crate::controller::{ControllerConfig, Decision, DecisionLevel};
-use crate::fan_control::DynamicFanController;
+use crate::controller::{ControllerConfig, Decision, UnifiedController};
 use crate::tdvfs::MAX_ROUND_LEN;
 
 /// Feedforward predictor tuning.
@@ -107,12 +108,12 @@ impl UtilizationFeedforward {
 /// A dynamic fan controller augmented with utilization feedforward.
 #[derive(Debug, Clone)]
 pub struct FeedforwardFanController {
-    inner: DynamicFanController,
+    ctl: UnifiedController<FanDuty>,
     predictor: UtilizationFeedforward,
 }
 
 impl FeedforwardFanController {
-    /// Creates the augmented controller.
+    /// Creates the augmented controller over the duty set `1..=max_duty`.
     pub fn new(
         policy: Policy,
         max_duty: FanDuty,
@@ -120,7 +121,7 @@ impl FeedforwardFanController {
         ff_cfg: FeedforwardConfig,
     ) -> Self {
         Self {
-            inner: DynamicFanController::new(policy, max_duty, controller_cfg),
+            ctl: UnifiedController::new(&fan_mode_set(max_duty), policy, controller_cfg),
             predictor: UtilizationFeedforward::new(ff_cfg),
         }
     }
@@ -132,7 +133,7 @@ impl FeedforwardFanController {
 
     /// The duty the controller currently commands.
     pub fn current_duty(&self) -> FanDuty {
-        self.inner.current_duty()
+        self.ctl.current_mode()
     }
 
     /// Feeds one (temperature, utilization) sample pair. The reactive
@@ -140,36 +141,14 @@ impl FeedforwardFanController {
     /// when the measured history saw nothing this round.
     pub fn observe(&mut self, temp_c: f64, utilization: f64) -> Option<Decision<FanDuty>> {
         let prediction = self.predictor.observe(utilization);
-        let reactive = self.inner.observe(temp_c);
-        if reactive.is_some() {
-            return reactive;
-        }
-        let predicted_delta = prediction?;
-        let ctl = self.inner.controller_mut();
-        let gain = ctl.config().gain();
-        let step = (gain * predicted_delta).round() as i64;
-        if step == 0 {
-            return None;
-        }
-        let before = ctl.current_index();
-        let target = before as i64 + step;
-        ctl.force_index(target);
-        let index = ctl.current_index();
-        if index == before {
-            return None;
-        }
-        Some(Decision {
-            index,
-            mode: ctl.current_mode(),
-            level: DecisionLevel::Feedforward,
-            delta_c: predicted_delta,
-        })
+        self.ctl.observe_with_prediction(temp_c, prediction)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::DecisionLevel;
 
     fn controller() -> FeedforwardFanController {
         FeedforwardFanController::with_defaults(Policy::MODERATE, 100)

@@ -17,7 +17,6 @@
 //!   fallback;
 //! * [`classify`] — the §3.1 workload thermal-behaviour taxonomy (sudden /
 //!   gradual / jitter);
-//! * [`fan_control`] — the dynamic out-of-band fan controller (§4.2);
 //! * [`tdvfs`] — the threshold-triggered in-band tDVFS daemon (§4.3);
 //! * [`governor`] — the CPUSPEED utilization governor the paper compares
 //!   against;
@@ -33,9 +32,12 @@
 //! * [`control_plane`] — the unified daemon pipeline: every technique above
 //!   wrapped as a [`control_plane::ControlDaemon`], ordered per §4.4's
 //!   coordination and supervised by the failsafe, built from a serializable
-//!   [`control_plane::SchemeSpec`] by its single `build()` factory. The
-//!   §4.4 hybrid — one `P_p` shared by the fan controller and tDVFS, fan
-//!   first — is `SchemeSpec::hybrid`;
+//!   [`control_plane::SchemeSpec`] by its single `build()` factory. One
+//!   daemon, [`control_plane::UnifiedDaemon`], runs the [`controller`] over
+//!   either mode set the paper's array holds besides frequencies: the
+//!   dynamic out-of-band fan duties (§4.2, ± [`feedforward`]) and the ACPI
+//!   sleep states. The §4.4 hybrid — one `P_p` shared by the fan controller
+//!   and tDVFS, fan first — is `SchemeSpec::hybrid`;
 //! * [`config`] — the shared configuration-validation error type.
 //!
 //! The crate is hardware-agnostic: controllers consume temperature samples
@@ -53,7 +55,6 @@ pub mod control_array;
 pub mod control_plane;
 pub mod controller;
 pub mod failsafe;
-pub mod fan_control;
 pub mod feedforward;
 pub mod governor;
 pub mod tdvfs;
@@ -64,12 +65,11 @@ pub use classify::{BehaviorClassifier, ThermalBehavior};
 pub use config::ConfigError;
 pub use control_array::{Policy, PolicyError, ThermalControlArray};
 pub use control_plane::{
-    Actuators, BuildContext, ControlDaemon, ControlPlane, DaemonEvent, DvfsScheme, FanBinding,
-    FanScheme, PlaneOutcome, SchemeSpec, SensorSample,
+    Actuators, BuildContext, ControlDaemon, ControlPlane, DvfsScheme, FanBinding, FanScheme,
+    SchemeSpec, SensorSample,
 };
 pub use controller::{ControllerConfig, Decision, DecisionLevel, UnifiedController};
 pub use failsafe::{Failsafe, FailsafeAction, FailsafeConfig, FailsafeReason};
-pub use fan_control::DynamicFanController;
 pub use feedforward::{FeedforwardConfig, FeedforwardFanController, UtilizationFeedforward};
 pub use governor::{CpuSpeedConfig, CpuSpeedGovernor};
 pub use tdvfs::{Tdvfs, TdvfsConfig, TdvfsEvent};

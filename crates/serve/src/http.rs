@@ -131,25 +131,47 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The HTTP status line this error maps to.
-    pub fn status(&self) -> (u16, &'static str) {
+    /// The HTTP status code this error maps to (its reason phrase is
+    /// [`reason_phrase`]).
+    pub fn status(&self) -> u16 {
         match self {
-            HttpError::ConnectionClosed | HttpError::Io(_) => (400, "Bad Request"),
-            HttpError::MalformedRequestLine(_)
+            HttpError::ConnectionClosed
+            | HttpError::Io(_)
+            | HttpError::MalformedRequestLine(_)
             | HttpError::MalformedHeader(_)
             | HttpError::TruncatedHeaders
             | HttpError::InvalidContentLength(_)
-            | HttpError::TruncatedBody { .. } => (400, "Bad Request"),
-            HttpError::RequestLineTooLong { .. } => (414, "URI Too Long"),
-            HttpError::UnsupportedMethod(_) => (405, "Method Not Allowed"),
-            HttpError::UnsupportedVersion(_) => (505, "HTTP Version Not Supported"),
-            HttpError::HeaderTooLarge { .. } | HttpError::TooManyHeaders { .. } => {
-                (431, "Request Header Fields Too Large")
-            }
-            HttpError::UnsupportedTransferEncoding(_) => (501, "Not Implemented"),
-            HttpError::LengthRequired => (411, "Length Required"),
-            HttpError::BodyTooLarge { .. } => (413, "Content Too Large"),
+            | HttpError::TruncatedBody { .. } => 400,
+            HttpError::RequestLineTooLong { .. } => 414,
+            HttpError::UnsupportedMethod(_) => 405,
+            HttpError::UnsupportedVersion(_) => 505,
+            HttpError::HeaderTooLarge { .. } | HttpError::TooManyHeaders { .. } => 431,
+            HttpError::UnsupportedTransferEncoding(_) => 501,
+            HttpError::LengthRequired => 411,
+            HttpError::BodyTooLarge { .. } => 413,
         }
+    }
+}
+
+/// The reason phrase of every status the server sends, the one table both
+/// status lines and error bodies read. Any other code has none (an empty
+/// phrase is valid HTTP/1.1).
+pub fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        202 => "Accepted",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        411 => "Length Required",
+        413 => "Content Too Large",
+        414 => "URI Too Long",
+        429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        505 => "HTTP Version Not Supported",
+        _ => "",
     }
 }
 
@@ -340,16 +362,17 @@ pub fn parse_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Requ
 
 /// Renders a complete HTTP/1.1 response with a `Content-Length` body and
 /// `Connection: close` (the server speaks one request per connection).
-/// `extra_headers` lines are spliced in verbatim (no terminators).
+/// The status line's reason phrase is [`reason_phrase`]; `extra_headers`
+/// lines are spliced in verbatim (no terminators).
 pub fn render_response(
     status: u16,
-    reason: &str,
     content_type: &str,
     extra_headers: &[&str],
     body: &[u8],
 ) -> Vec<u8> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        reason_phrase(status),
         body.len()
     );
     for extra in extra_headers {
@@ -456,16 +479,17 @@ mod tests {
 
     #[test]
     fn error_statuses_are_stable() {
-        assert_eq!(HttpError::LengthRequired.status().0, 411);
-        assert_eq!(HttpError::UnsupportedMethod("PUT".into()).status().0, 405);
-        assert_eq!(HttpError::BodyTooLarge { length: 9, limit: 8 }.status().0, 413);
-        assert_eq!(HttpError::TooManyHeaders { limit: 2 }.status().0, 431);
-        assert_eq!(HttpError::MalformedRequestLine(String::new()).status().0, 400);
+        assert_eq!(HttpError::LengthRequired.status(), 411);
+        assert_eq!(HttpError::UnsupportedMethod("PUT".into()).status(), 405);
+        assert_eq!(HttpError::BodyTooLarge { length: 9, limit: 8 }.status(), 413);
+        assert_eq!(HttpError::TooManyHeaders { limit: 2 }.status(), 431);
+        assert_eq!(HttpError::MalformedRequestLine(String::new()).status(), 400);
+        assert_eq!(reason_phrase(431), "Request Header Fields Too Large");
     }
 
     #[test]
     fn response_renderer_emits_content_length_and_close() {
-        let bytes = render_response(202, "Accepted", "application/json", &[], b"{}");
+        let bytes = render_response(202, "application/json", &[], b"{}");
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 202 Accepted\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"), "{text}");

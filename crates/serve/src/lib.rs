@@ -38,7 +38,7 @@ pub mod queue;
 pub mod runner;
 pub mod server;
 
-pub use http::{parse_request, render_response, HttpError, Limits, Method, Request};
+pub use http::{parse_request, reason_phrase, render_response, HttpError, Limits, Method, Request};
 pub use queue::{JobId, JobQueue, JobSnapshot, JobStatus, QueueConfig, QueueStats, SubmitError};
 pub use runner::{run_one, spawn_runners, QueueSink, RunnerPool};
 pub use server::{ServeConfig, Server};

@@ -27,7 +27,9 @@ use unitherm_experiments::scenario_file;
 use unitherm_obs::{prometheus_text, records_to_bjl, write_sse_frame, EventSink, JournalWriter};
 
 use crate::handoff::HandOff;
-use crate::http::{parse_request, render_response, HttpError, Limits, Method, Request};
+use crate::http::{
+    parse_request, reason_phrase, render_response, HttpError, Limits, Method, Request,
+};
 use crate::queue::{JobId, JobQueue, JobSnapshot, SubmitError};
 use crate::runner::{spawn_runners, RunnerPool};
 
@@ -218,13 +220,16 @@ fn json<T: Serialize>(doc: &T) -> Vec<u8> {
     out
 }
 
-fn error_json(error: &str, detail: &str) -> Vec<u8> {
-    json(&ErrorDoc { error, detail })
-}
-
 fn write_all(stream: &mut TcpStream, bytes: &[u8]) {
     let _ = stream.write_all(bytes);
     let _ = stream.flush();
+}
+
+/// Writes an error response: an [`ErrorDoc`] whose `error` field is the
+/// status's reason phrase, as is the status line's.
+fn reply_error(stream: &mut TcpStream, status: u16, extra_headers: &[&str], detail: &str) {
+    let body = json(&ErrorDoc { error: reason_phrase(status), detail });
+    write_all(stream, &render_response(status, "application/json", extra_headers, &body));
 }
 
 /// Reads one request, routes it and writes one response; the caller
@@ -235,12 +240,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let request = match request {
         Ok(req) => req,
         Err(HttpError::ConnectionClosed) => return,
-        Err(e) => {
-            let (status, reason) = e.status();
-            let body = error_json(reason, &e.to_string());
-            write_all(stream, &render_response(status, reason, "application/json", &[], &body));
-            return;
-        }
+        Err(e) => return reply_error(stream, e.status(), &[], &e.to_string()),
     };
     let _ = stream.set_read_timeout(None);
     route(stream, &request, shared);
@@ -250,10 +250,7 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let queue = &shared.queue;
     match (req.method, req.path.as_str()) {
         (Method::Get, "/healthz") => {
-            write_all(
-                stream,
-                &render_response(200, "OK", "text/plain; charset=utf-8", &[], b"ok\n"),
-            );
+            write_all(stream, &render_response(200, "text/plain; charset=utf-8", &[], b"ok\n"));
         }
         (Method::Get, "/metrics") => serve_metrics(
             stream,
@@ -282,8 +279,7 @@ fn route(stream: &mut TcpStream, req: &Request, shared: &Shared) {
 }
 
 fn not_found(stream: &mut TcpStream, path: &str) {
-    let body = error_json("Not Found", &format!("no route for {path}"));
-    write_all(stream, &render_response(404, "Not Found", "application/json", &[], &body));
+    reply_error(stream, 404, &[], &format!("no route for {path}"));
 }
 
 /// `POST /jobs`: validate the scenario body, enqueue, answer 202 with the
@@ -298,65 +294,26 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
         || tenant.len() > 64
         || !tenant.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
     {
-        let body = error_json("Bad Request", "tenant must be 1-64 chars of [A-Za-z0-9_-]");
-        write_all(stream, &render_response(400, "Bad Request", "application/json", &[], &body));
-        return;
+        return reply_error(stream, 400, &[], "tenant must be 1-64 chars of [A-Za-z0-9_-]");
     }
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => {
-            let body = error_json("Bad Request", "scenario body must be UTF-8 JSON");
-            write_all(stream, &render_response(400, "Bad Request", "application/json", &[], &body));
-            return;
-        }
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return reply_error(stream, 400, &[], "scenario body must be UTF-8 JSON");
     };
     let scenario = match scenario_file::parse(text) {
         Ok(s) => s,
-        Err(e) => {
-            let body = error_json("Bad Request", &e.to_string());
-            write_all(stream, &render_response(400, "Bad Request", "application/json", &[], &body));
-            return;
-        }
+        Err(e) => return reply_error(stream, 400, &[], &e.to_string()),
     };
     match queue.submit(&tenant, scenario) {
         Ok(id) => {
             let body = json(&AcceptedDoc { id, status: "queued", tenant: &tenant });
-            write_all(
-                stream,
-                &render_response(
-                    202,
-                    "Accepted",
-                    "application/json",
-                    &[&format!("Location: /jobs/{id}")],
-                    &body,
-                ),
-            );
+            let location = format!("Location: /jobs/{id}");
+            write_all(stream, &render_response(202, "application/json", &[&location], &body));
         }
         Err(e @ SubmitError::QueueFull { .. }) => {
-            let body = error_json("Service Unavailable", &e.to_string());
-            write_all(
-                stream,
-                &render_response(
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    &["Retry-After: 1"],
-                    &body,
-                ),
-            );
+            reply_error(stream, 503, &["Retry-After: 1"], &e.to_string());
         }
         Err(e @ SubmitError::TenantQuota { .. }) => {
-            let body = error_json("Too Many Requests", &e.to_string());
-            write_all(
-                stream,
-                &render_response(
-                    429,
-                    "Too Many Requests",
-                    "application/json",
-                    &["Retry-After: 1"],
-                    &body,
-                ),
-            );
+            reply_error(stream, 429, &["Retry-After: 1"], &e.to_string());
         }
     }
 }
@@ -364,19 +321,16 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
 fn serve_job_list(stream: &mut TcpStream, queue: &JobQueue) {
     let snaps = queue.snapshots();
     let body = json(&JobListDoc { jobs: snaps.iter().map(JobStatusDoc::from).collect() });
-    write_all(stream, &render_response(200, "OK", "application/json", &[], &body));
+    write_all(stream, &render_response(200, "application/json", &[], &body));
 }
 
 fn serve_job_status(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
     match queue.take_snapshot(id) {
         Some(snap) => {
             let body = json(&JobStatusDoc::from(&snap));
-            write_all(stream, &render_response(200, "OK", "application/json", &[], &body));
+            write_all(stream, &render_response(200, "application/json", &[], &body));
         }
-        None => {
-            let body = error_json("Not Found", &format!("no job {id}"));
-            write_all(stream, &render_response(404, "Not Found", "application/json", &[], &body));
-        }
+        None => reply_error(stream, 404, &[], &format!("no job {id}")),
     }
 }
 
@@ -387,9 +341,7 @@ fn serve_job_status(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
 /// --journal/--bjl` writes for the same scenario (FORMATS.md §6).
 fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id: JobId) {
     if queue.snapshot(id).is_none() {
-        let body = error_json("Not Found", &format!("no job {id}"));
-        write_all(stream, &render_response(404, "Not Found", "application/json", &[], &body));
-        return;
+        return reply_error(stream, 404, &[], &format!("no job {id}"));
     }
     let accept = req.header("accept").unwrap_or("");
     let format = req.query_param("format").map(str::to_string).unwrap_or_else(|| {
@@ -413,22 +365,17 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
                 journal.record(rec);
             }
             let body = journal.finish().expect("an in-memory journal cannot fail");
-            write_all(stream, &render_response(200, "OK", "application/x-ndjson", &[], &body));
+            write_all(stream, &render_response(200, "application/x-ndjson", &[], &body));
         }
         "bjl" => {
             let _ = queue.wait_done(id);
             let events = queue.events(id).unwrap_or_default();
             let dt_s = queue.dt_s(id).unwrap_or(0.0);
             let body = records_to_bjl(&events, dt_s);
-            write_all(
-                stream,
-                &render_response(200, "OK", "application/vnd.unitherm.bjl", &[], &body),
-            );
+            write_all(stream, &render_response(200, "application/vnd.unitherm.bjl", &[], &body));
         }
         other => {
-            let body =
-                error_json("Bad Request", &format!("unknown format {other:?} (sse, jsonl, bjl)"));
-            write_all(stream, &render_response(400, "Bad Request", "application/json", &[], &body));
+            reply_error(stream, 400, &[], &format!("unknown format {other:?} (sse, jsonl, bjl)"))
         }
     }
 }
@@ -541,13 +488,7 @@ fn serve_metrics(
     body.push_str(&prometheus_text(&queue.counters_total(), ""));
     write_all(
         stream,
-        &render_response(
-            200,
-            "OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            &[],
-            body.as_bytes(),
-        ),
+        &render_response(200, "text/plain; version=0.0.4; charset=utf-8", &[], body.as_bytes()),
     );
 }
 
@@ -618,8 +559,9 @@ mod tests {
             text(json(&AcceptedDoc { id: 3, status: "queued", tenant: "t-1" })),
             r#"{"id":3,"status":"queued","tenant":"t-1"}"#
         );
+        let detail = "unknown format \"x\" (sse, jsonl, bjl)";
         assert_eq!(
-            text(error_json("Bad Request", "unknown format \"x\" (sse, jsonl, bjl)")),
+            text(body(&response(|s| reply_error(s, 400, &[], detail))).to_vec()),
             r#"{"error":"Bad Request","detail":"unknown format \"x\" (sse, jsonl, bjl)"}"#
         );
     }

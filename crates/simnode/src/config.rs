@@ -282,10 +282,10 @@ impl NodeConfig {
             (b.psu_efficiency, "PSU efficiency must be finite"),
         ])?;
         check(b.base_power_w >= 0.0, "base power must be non-negative")?;
-        check(
-            (0.0..=1.0).contains(&b.psu_efficiency) && b.psu_efficiency > 0.0,
-            "PSU efficiency must be in (0,1]",
-        )?;
+        // Wall power is the DC load divided by the efficiency, so a tiny
+        // efficiency drives it non-finite. No supply wastes more than it
+        // delivers.
+        check((0.5..=1.0).contains(&b.psu_efficiency), "PSU efficiency must be in [0.5, 1]")?;
         Ok(())
     }
 }
@@ -373,6 +373,18 @@ mod tests {
                 *field(&mut c) = bad;
                 assert_eq!(c.validate(), Err(format!("{name} must be finite").as_str()), "{bad}");
             }
+        }
+    }
+
+    #[test]
+    fn psu_efficiency_must_be_physical() {
+        let bad = Err("PSU efficiency must be in [0.5, 1]");
+        for (eff, want) in
+            [(1e-320, bad), (0.0, bad), (0.49, bad), (0.5, Ok(())), (1.0, Ok(())), (1.01, bad)]
+        {
+            let mut c = NodeConfig::default();
+            c.board.psu_efficiency = eff;
+            assert_eq!(c.validate(), want, "{eff}");
         }
     }
 

@@ -11,9 +11,9 @@
 //! cargo run --release --example acpi_sleep
 //! ```
 
-use unitherm::core::acpi::{sleep_state_controller, SleepState};
+use unitherm::core::acpi::SleepState;
 use unitherm::core::control_array::Policy;
-use unitherm::core::controller::ControllerConfig;
+use unitherm::core::controller::{ControllerConfig, UnifiedController};
 use unitherm::metrics::TextTable;
 
 /// A synthetic 4 Hz trace: idle, sudden load, hot plateau with jitter,
@@ -40,7 +40,7 @@ fn main() {
 
     for pp in [25u32, 50, 75] {
         let policy = Policy::new(pp).expect("valid");
-        let mut ctl = sleep_state_controller(policy, ControllerConfig::default());
+        let mut ctl = UnifiedController::new(&SleepState::ALL, policy, ControllerConfig::default());
         let mut deepest = SleepState::C0;
         let mut c0_samples = 0usize;
         let mut total = 0usize;

@@ -6,9 +6,10 @@
 //! validate the evaluation, these validate the narrative.
 
 use unitherm::cluster::{DvfsScheme, FanScheme, Scenario, Simulation, WorkloadSpec};
+use unitherm::core::actuator::fan_mode_set;
 use unitherm::core::classify::{BehaviorClassifier, ThermalBehavior};
 use unitherm::core::control_array::Policy;
-use unitherm::core::fan_control::DynamicFanController;
+use unitherm::core::controller::{ControllerConfig, UnifiedController};
 use unitherm::core::tdvfs::Tdvfs;
 use unitherm::workload::{NpbBenchmark, NpbClass};
 
@@ -105,13 +106,14 @@ fn claim_fan_alone_is_not_enough() {
 /// phases … It is also intelligent not to respond to periods of jitter."
 #[test]
 fn claim_controller_ignores_jitter_but_not_changes() {
-    let mut fan = DynamicFanController::with_defaults(Policy::MODERATE, 100);
+    let mut fan =
+        UnifiedController::new(&fan_mode_set(100), Policy::MODERATE, ControllerConfig::default());
     // Pure jitter for 100 rounds: no response.
     for i in 0..400 {
         let t = 45.0 + if i % 2 == 0 { 0.3 } else { -0.3 };
         assert!(fan.observe(t).is_none(), "sample {i}");
     }
-    assert_eq!(fan.current_duty(), 1);
+    assert_eq!(fan.current_mode(), 1);
     // A genuine sudden change: immediate response.
     fan.observe(45.0);
     fan.observe(45.0);
