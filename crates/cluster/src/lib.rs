@@ -32,9 +32,10 @@
 //! * [`replay`] — journal-driven fault injection: derive a tick-addressed
 //!   fault schedule from a recorded event journal so the faults land
 //!   exactly where an earlier run made interesting decisions;
-//! * [`sweep`] — parallel execution of independent scenarios (std
-//!   scoped threads, one per configuration), budgeted against the
-//!   intra-run thread counts so the two layers never oversubscribe;
+//! * [`sweep`] — parallel execution of independent scenarios on the
+//!   calling thread plus one process-wide pool of helper threads,
+//!   budgeted against the host's cores and the intra-run thread counts
+//!   so the two layers never oversubscribe;
 //! * [`chaos`] — adversarial search over tick-addressed fault windows:
 //!   finds the cheapest fault sequence that flips a scenario outcome
 //!   (failsafe trip, thermal limit, SLA miss) and emits a replayable

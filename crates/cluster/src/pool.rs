@@ -72,14 +72,19 @@ pub fn pool_width(threads: usize, nodes: usize) -> usize {
     if threads <= 1 {
         return 1;
     }
+    width_on(threads, nodes, host_cores())
+}
+
+/// The cores this process may run on (its affinity mask and CPU quota
+/// count), read once per process. The pool width and the sweep budget
+/// both clamp to it.
+pub(crate) fn host_cores() -> usize {
     static HOST_CORES: OnceLock<usize> = OnceLock::new();
-    let cores =
-        *HOST_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    width_on(threads, nodes, cores)
+    *HOST_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// [`pool_width`] on a host with `cores` cores.
-fn width_on(threads: usize, nodes: usize, cores: usize) -> usize {
+pub(crate) fn width_on(threads: usize, nodes: usize, cores: usize) -> usize {
     threads.min(cores).min(nodes / MIN_NODES_PER_SHARD).max(1)
 }
 

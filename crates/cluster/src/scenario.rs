@@ -273,9 +273,10 @@ pub struct Scenario {
     /// default — gives a one-shard pool that runs every pass inline on the
     /// calling thread; larger values shard the nodes across a persistent
     /// worker pool [`crate::pool_width`] wide (clamped to the host's cores
-    /// and the nodes-per-shard grain), with bit-identical results. Coordinate with
-    /// [`crate::sweep::run_scenarios_parallel`]'s thread budget when
-    /// sweeping many scenarios at once.
+    /// and the nodes-per-shard grain), with bit-identical results. A sweep
+    /// ([`crate::sweep::run_scenarios_parallel`]) divides its worker count
+    /// by the widest such pool, so sweep workers × pool width stays within
+    /// the host's cores; no caller needs to coordinate the two.
     #[serde(default = "default_threads")]
     pub threads: usize,
 }

@@ -1,15 +1,51 @@
 //! Parallel execution of independent scenarios.
 //!
 //! Parameter sweeps (Figures 5, 7, 10; Table 1; the ablations) run many
-//! independent simulations. Each simulation is single-threaded and
-//! deterministic; the sweep fans them out across std scoped threads claiming
-//! work through a lock-free atomic cursor — the shared-nothing data-parallel
-//! idiom — and reassembles results in input order.
+//! independent simulations. Each simulation is deterministic and owns all
+//! of its state, so a sweep is shared-nothing data parallelism: workers
+//! claim scenario indices from one atomic cursor, each moves its scenario
+//! out of the sweep and runs it to a report, and the reports come back in
+//! input order, bit-identical to a one-worker run.
+//!
+//! # One pool of helpers per process
+//!
+//! Sweep workers come from one process-wide pool of `host cores − 1`
+//! helper threads. The pool starts on the first sweep that wants more than
+//! one worker and lives as long as the process; an idle helper parks on a
+//! condvar. A sweep of `w` workers posts `w − 1` helper tasks and then
+//! claims scenarios on the calling thread too, from the same cursor:
+//!
+//! * a sweep never waits for the pool. When the helpers are busy
+//!   (concurrent or nested sweeps) the caller runs every job itself, and a
+//!   task a helper reaches after its sweep drained finds nothing to claim;
+//! * a one-worker sweep is the same loop with no helper tasks, and a
+//!   one-core host never starts a thread;
+//! * a process spawns its helpers once, not once per sweep, so the paper
+//!   suite's few dozen sweeps per pass pay no thread spawn or join
+//!   (DESIGN.md §9 has the measured cost).
+//!
+//! # Budget
+//!
+//! A sweep runs [`thread_budget`]`(min(max_threads, host cores), jobs,
+//! widest pool width)` workers, so sweep workers × intra-run pool width
+//! never exceeds the host's cores, and a sweep asking for more threads
+//! than the host has runs correctly, on fewer.
+//!
+//! # Failures
+//!
+//! A scenario that fails validation is a [`SweepError`] naming it. A
+//! simulation that panics is caught on whichever thread ran it (a helper
+//! survives and serves the next sweep), the rest of the sweep still runs,
+//! and the caller re-raises the original payload of the lowest-index
+//! panicking job.
 
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Once};
 
-use crate::pool::pool_width;
+use crate::pool::{host_cores, width_on};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sim::Simulation;
@@ -42,8 +78,9 @@ impl std::error::Error for SweepError {
 /// worker sits idle when there are fewer jobs than threads).
 ///
 /// `threads_per_job` is the *largest* intra-run pool width among the
-/// jobs — a scenario whose [`pool_width`] is above 1 brings its own worker
-/// pool to every simulation, so the sweep must leave room for it.
+/// jobs — a scenario whose [`pool_width`](crate::pool_width) is above 1
+/// brings its own worker pool to every simulation, so the sweep must leave
+/// room for it.
 pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) -> usize {
     if jobs == 0 {
         return 0;
@@ -56,11 +93,11 @@ pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) ->
 ///
 /// [`thread_budget`] sizes a one-shot sweep up front; a long-lived service
 /// (e.g. `unitherm-serve`) instead admits jobs as they arrive, each bringing
-/// its own intra-run worker pool ([`pool_width`] wide). `ThreadPermits`
-/// makes the same no-oversubscription guarantee dynamic: a job acquires as
-/// many permits as its pool is wide before running and returns them when the
-/// run finishes, so the sum of intra-run pool widths in flight never exceeds
-/// the budget.
+/// its own intra-run worker pool ([`pool_width`](crate::pool_width) wide).
+/// `ThreadPermits` makes the same no-oversubscription guarantee dynamic: a
+/// job acquires as many permits as its pool is wide before running and
+/// returns them when the run finishes, so the sum of intra-run pool widths
+/// in flight never exceeds the budget.
 ///
 /// Requests larger than the whole budget are clamped to it (an oversized
 /// pool still gets to run — alone), mirroring [`thread_budget`]'s
@@ -139,26 +176,23 @@ impl Drop for PermitGuard<'_> {
     }
 }
 
-/// Runs every scenario, using up to `max_threads` worker threads, and
-/// returns reports in the same order as the input.
+/// Runs every scenario on up to `max_threads` workers and returns the
+/// reports in input order.
 ///
-/// The worker count is budgeted by [`thread_budget`]: capped at the
-/// scenario count (small sweeps stop spawning idle threads) and divided by
-/// the widest intra-run pool any scenario builds ([`pool_width`]), so
-/// sweep parallelism × intra-run parallelism never oversubscribes the
-/// machine.
-///
-/// Work is dispatched through an atomic claim index instead of a mutex-held
-/// queue: a worker that panics mid-simulation cannot poison anything, so the
-/// surviving workers drain the remaining scenarios and the original panic
-/// payload propagates from the scope join untouched.
+/// The worker count is [`thread_budget`] over `min(max_threads, host
+/// cores)`: capped at the scenario count and divided by the widest
+/// intra-run pool any scenario builds ([`pool_width`](crate::pool_width)),
+/// so sweep parallelism × intra-run parallelism never oversubscribes the
+/// host. The workers are the caller plus helpers from the process-wide
+/// pool (module docs).
 ///
 /// # Panics
-/// Propagates panics from worker threads (a panicking simulation is a bug),
-/// and panics with the failed job's [`SweepError`] message — scenario name
-/// included — when a scenario fails validation. Callers that must survive
-/// invalid jobs (the chaos search evaluating generated candidates) use
-/// [`try_run_scenarios_parallel`] instead.
+/// Re-raises the original payload of a simulation that panicked (a
+/// panicking simulation is a bug), and panics with the failed job's
+/// [`SweepError`] message — scenario name included — when a scenario fails
+/// validation. Callers that must survive invalid jobs (the chaos search
+/// evaluating generated candidates) use [`try_run_scenarios_parallel`]
+/// instead.
 pub fn run_scenarios_parallel(scenarios: Vec<Scenario>, max_threads: usize) -> Vec<RunReport> {
     try_run_scenarios_parallel(scenarios, max_threads)
         .into_iter()
@@ -174,79 +208,179 @@ pub fn run_scenarios_parallel(scenarios: Vec<Scenario>, max_threads: usize) -> V
 /// pathological search candidate) cannot take down a whole sweep.
 ///
 /// # Panics
-/// Still propagates *panics* from worker threads: a simulation that
-/// validated and then panicked mid-run is a bug, not a job failure.
+/// Still re-raises *panics*: a simulation that validated and then panicked
+/// mid-run is a bug, not a job failure. The other jobs run to completion
+/// first, and the payload is that of the lowest-index panicking job.
 pub fn try_run_scenarios_parallel(
     scenarios: Vec<Scenario>,
     max_threads: usize,
 ) -> Vec<Result<RunReport, SweepError>> {
-    let run_one = |scenario: Scenario| -> Result<RunReport, SweepError> {
-        let name = scenario.name.clone();
-        match Simulation::try_new(scenario) {
-            Ok(sim) => Ok(sim.run()),
-            Err(error) => Err(SweepError { scenario: name, error }),
-        }
-    };
-
-    let n = scenarios.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = sweep_workers(&scenarios, max_threads);
-    if workers == 1 {
-        return scenarios.into_iter().map(run_one).collect();
+    let sweep = Arc::new(Sweep::new(scenarios));
+    if workers > 1 {
+        HELPERS.post(&sweep, workers - 1);
     }
-
-    let next = AtomicUsize::new(0);
-    let (result_tx, result_rx) = mpsc::channel::<(usize, Result<RunReport, SweepError>)>();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let scenarios = &scenarios;
-                let result_tx = result_tx.clone();
-                let run_one = &run_one;
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(idx) else { break };
-                    let result = run_one(scenario.clone());
-                    // Ignore a closed channel: it only closes early when a
-                    // sibling panicked — dying here would mask the original
-                    // message.
-                    let _ = result_tx.send((idx, result));
-                })
-            })
-            .collect();
-        drop(result_tx);
-        // Join manually and re-raise the first worker's own panic payload;
-        // letting the scope auto-join would replace it with the generic
-        // "a scoped thread panicked".
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    let mut results: Vec<Option<Result<RunReport, SweepError>>> = (0..n).map(|_| None).collect();
-    while let Ok((idx, result)) = result_rx.recv() {
-        results[idx] = Some(result);
-    }
-    results.into_iter().map(|r| r.expect("every scenario produced a result")).collect()
+    sweep.work();
+    sweep.finish()
 }
 
 /// How many scenario-level workers [`try_run_scenarios_parallel`] runs
-/// `scenarios` on: [`thread_budget`] with room for the widest pool the
-/// scenarios actually build.
+/// `scenarios` on.
 fn sweep_workers(scenarios: &[Scenario], max_threads: usize) -> usize {
-    let per_job = scenarios.iter().map(|s| pool_width(s.threads, s.nodes)).max().unwrap_or(1);
-    thread_budget(max_threads, scenarios.len(), per_job)
+    workers_on(scenarios, max_threads, host_cores())
+}
+
+/// [`sweep_workers`] on a host with `cores` cores: [`thread_budget`] over
+/// `min(max_threads, cores)` with room for the widest pool the scenarios
+/// build there.
+fn workers_on(scenarios: &[Scenario], max_threads: usize, cores: usize) -> usize {
+    let per_job = scenarios.iter().map(|s| width_on(s.threads, s.nodes, cores)).max().unwrap_or(1);
+    thread_budget(max_threads.min(cores), scenarios.len(), per_job)
+}
+
+/// What one job produced.
+type Outcome = Result<RunReport, SweepError>;
+
+/// Validates and runs one scenario.
+fn run_one(scenario: Scenario) -> Outcome {
+    let name = scenario.name.clone();
+    match Simulation::try_new(scenario) {
+        Ok(sim) => Ok(sim.run()),
+        Err(error) => Err(SweepError { scenario: name, error }),
+    }
+}
+
+/// One sweep in flight, shared by its caller and the helper tasks it
+/// posted.
+struct Sweep {
+    /// Scenario `i`, until the worker that claims index `i` moves it out.
+    jobs: Vec<Mutex<Option<Scenario>>>,
+    /// The next unclaimed index.
+    next: AtomicUsize,
+    /// What the finished jobs produced.
+    results: Mutex<Results>,
+    /// Signalled when the last job finishes.
+    all_done: Condvar,
+}
+
+/// The finished jobs of a [`Sweep`].
+struct Results {
+    /// Job `i`'s outcome, once it ran without panicking.
+    outcomes: Vec<Option<Outcome>>,
+    /// Jobs finished, panicked ones included.
+    done: usize,
+    /// The lowest-index job that panicked, with its payload.
+    panic: Option<(usize, Box<dyn Any + Send>)>,
+}
+
+impl Sweep {
+    fn new(scenarios: Vec<Scenario>) -> Self {
+        let n = scenarios.len();
+        Self {
+            jobs: scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect(),
+            next: AtomicUsize::new(0),
+            results: Mutex::new(Results {
+                outcomes: (0..n).map(|_| None).collect(),
+                done: 0,
+                panic: None,
+            }),
+            all_done: Condvar::new(),
+        }
+    }
+
+    /// Claims and runs jobs until the cursor passes the last one. Every
+    /// job's panic is caught here, so the thread running the loop — a
+    /// helper or the caller — never unwinds out of it.
+    fn work(&self) {
+        loop {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = self.jobs.get(idx) else { return };
+            let scenario = job.lock().expect("sweep job").take().expect("each job is claimed once");
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_one(scenario)));
+            let mut results = self.results.lock().expect("sweep results");
+            match outcome {
+                Ok(outcome) => results.outcomes[idx] = Some(outcome),
+                Err(payload) => {
+                    if results.panic.as_ref().is_none_or(|(first, _)| idx < *first) {
+                        results.panic = Some((idx, payload));
+                    }
+                }
+            }
+            results.done += 1;
+            if results.done == self.jobs.len() {
+                self.all_done.notify_all();
+            }
+        }
+    }
+
+    /// Waits for the jobs other workers claimed, then returns every
+    /// outcome in input order, or re-raises the first panic.
+    fn finish(&self) -> Vec<Outcome> {
+        let mut results = self.results.lock().expect("sweep results");
+        while results.done < self.jobs.len() {
+            results = self.all_done.wait(results).expect("sweep results");
+        }
+        if let Some((_, payload)) = results.panic.take() {
+            drop(results);
+            panic::resume_unwind(payload);
+        }
+        std::mem::take(&mut results.outcomes)
+            .into_iter()
+            .map(|r| r.expect("every job produced an outcome"))
+            .collect()
+    }
+}
+
+/// The process-wide sweep helpers: a queue of posted sweeps and the
+/// condvar idle helpers park on.
+struct Helpers {
+    queue: Mutex<VecDeque<Arc<Sweep>>>,
+    posted: Condvar,
+    started: Once,
+}
+
+static HELPERS: Helpers =
+    Helpers { queue: Mutex::new(VecDeque::new()), posted: Condvar::new(), started: Once::new() };
+
+impl Helpers {
+    /// Posts `tasks` helper tasks for `sweep`, starting the helpers on
+    /// first use. A helper that cannot be spawned only means fewer
+    /// workers: the caller runs whatever no helper claims.
+    fn post(&'static self, sweep: &Arc<Sweep>, tasks: usize) {
+        self.started.call_once(|| {
+            for _ in 1..host_cores() {
+                let _ = std::thread::Builder::new()
+                    .name("unitherm-sweep".into())
+                    .spawn(move || self.serve());
+            }
+        });
+        self.queue.lock().expect("sweep queue").extend((0..tasks).map(|_| Arc::clone(sweep)));
+        for _ in 0..tasks {
+            self.posted.notify_one();
+        }
+    }
+
+    /// A helper's life: take the oldest posted task and work its sweep.
+    fn serve(&self) {
+        loop {
+            let sweep = {
+                let mut queue = self.queue.lock().expect("sweep queue");
+                loop {
+                    if let Some(sweep) = queue.pop_front() {
+                        break sweep;
+                    }
+                    queue = self.posted.wait(queue).expect("sweep queue");
+                }
+            };
+            sweep.work();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::report_digest;
     use crate::pool::MIN_NODES_PER_SHARD;
     use crate::scenario::WorkloadSpec;
     use crate::scheme::FanScheme;
@@ -293,9 +427,7 @@ mod tests {
         // 3 nodes are below the grain, so no pool is built and the sweep
         // keeps one worker per job instead of halving for pools that never
         // exist.
-        assert_eq!(sweep_workers(&build(), 4), 3);
-        let wide = vec![quick("wide", 50).with_nodes(2 * MIN_NODES_PER_SHARD).with_threads(2); 4];
-        assert_eq!(sweep_workers(&wide, 4), 4 / pool_width(2, 2 * MIN_NODES_PER_SHARD));
+        assert_eq!(workers_on(&build(), 4, 8), 3);
         let serial = run_scenarios_parallel(build(), 1);
         let parallel = run_scenarios_parallel(build(), 4);
         for (s, p) in serial.iter().zip(&parallel) {
@@ -303,6 +435,60 @@ mod tests {
             assert_eq!(s.avg_temp_c(), p.avg_temp_c());
             assert_eq!(s.avg_node_power_w(), p.avg_node_power_w());
         }
+    }
+
+    #[test]
+    fn workers_never_exceed_the_host_the_budget_or_the_jobs() {
+        // Every sweep shape on an injected host: the worker count stays
+        // within min(max_threads, cores, jobs), and workers × the widest
+        // pool the jobs build there fits the clamped budget whenever one
+        // pool fits it at all (an oversized pool still gets one worker).
+        let shapes: [(usize, usize); 4] =
+            [(1, 4), (2, 3), (2, 2 * MIN_NODES_PER_SHARD), (4, 8 * MIN_NODES_PER_SHARD)];
+        for cores in [1usize, 2, 8] {
+            for max_threads in [0usize, 1, 2, 3, 4, 6, 16] {
+                for jobs in [0usize, 1, 3, 6, 16] {
+                    for &(threads, nodes) in &shapes {
+                        let list: Vec<Scenario> = (0..jobs)
+                            .map(|i| {
+                                let s = quick(&format!("j{i}"), 50).with_nodes(4);
+                                // The first job carries the shape under test.
+                                if i == 0 {
+                                    s.with_nodes(nodes).with_threads(threads)
+                                } else {
+                                    s
+                                }
+                            })
+                            .collect();
+                        let w = workers_on(&list, max_threads, cores);
+                        let budget = max_threads.min(cores).max(1);
+                        if jobs == 0 {
+                            assert_eq!(w, 0);
+                            continue;
+                        }
+                        let case = format!(
+                            "cores {cores} max {max_threads} jobs {jobs} shape {threads}x{nodes}"
+                        );
+                        assert!(w >= 1, "{case}: no worker");
+                        assert!(w <= budget.min(jobs), "{case}: {w} workers");
+                        let widest = width_on(threads, nodes, cores);
+                        if widest <= budget {
+                            assert!(w * widest <= budget, "{case}: {w} × {widest} > {budget}");
+                        } else {
+                            assert_eq!(w, 1, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        let wide = vec![quick("wide", 50).with_nodes(8 * MIN_NODES_PER_SHARD).with_threads(4); 6];
+        assert_eq!(workers_on(&wide, 8, 8), 2, "2 workers × 4-wide pools fill 8 cores");
+        assert_eq!(workers_on(&wide, 8, 2), 1, "a 2-wide pool fills a 2-core host alone");
+        assert_eq!(workers_on(&wide, 8, 1), 1);
+        let narrow = vec![quick("narrow", 50); 6];
+        assert_eq!(workers_on(&narrow, 6, 2), 2, "six threads asked, two cores to run them");
+        assert_eq!(workers_on(&narrow, 6, 8), 6);
+        assert_eq!(workers_on(&narrow, 6, 1), 1, "a one-core host runs every job inline");
     }
 
     #[test]
@@ -427,5 +613,67 @@ mod tests {
         let results = try_run_scenarios_parallel(vec![quick("a", 25), bad], 1);
         assert!(results[0].is_ok());
         assert_eq!(results[1].as_ref().expect_err("bad fails serially").scenario, "bad");
+    }
+
+    /// The panic message of `payload`, whichever string type it carries.
+    fn panic_message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn mid_run_panic_reraises_its_own_message_and_the_next_sweep_runs() {
+        // A plant constant no validation bounds yet drives the die
+        // temperature non-finite mid-run, tripping an assert. If validation
+        // ever rejects it, choose another scenario that validates and then
+        // panics: this test is about the panic path, not the constant.
+        let mut bad = quick("bad", 50);
+        bad.node_config.thermal.die_sink_conductance_w_per_k = 1e18;
+        let direct = panic::catch_unwind(AssertUnwindSafe(|| {
+            Simulation::try_new(bad.clone()).expect("the scenario validates").run()
+        }))
+        .expect_err("the scenario panics mid-run");
+        let want = panic_message(&*direct);
+        assert!(!want.is_empty());
+
+        let scenarios = vec![quick("a", 25), bad, quick("b", 75), quick("c", 60)];
+        let err = panic::catch_unwind(AssertUnwindSafe(|| run_scenarios_parallel(scenarios, 2)))
+            .expect_err("the panicking job must panic the sweep");
+        assert_eq!(panic_message(&*err), want, "the original payload is re-raised");
+
+        // Whichever thread caught the panic keeps serving sweeps.
+        let build =
+            || -> Vec<Scenario> { (0..6).map(|i| quick(&format!("n{i}"), 40 + i)).collect() };
+        let serial: Vec<String> =
+            run_scenarios_parallel(build(), 1).iter().map(report_digest).collect();
+        let parallel: Vec<String> =
+            run_scenarios_parallel(build(), 2).iter().map(report_digest).collect();
+        assert_eq!(parallel, serial);
+    }
+
+    #[test]
+    fn concurrent_sweeps_each_match_serial_in_input_order() {
+        // Four callers sweep at once, so at least three of them find the
+        // helpers busy and run their own jobs.
+        let build = |caller: u32| -> Vec<Scenario> {
+            (0..6).map(|i| quick(&format!("c{caller}-{i}"), 20 + 10 * i + caller)).collect()
+        };
+        let serial: Vec<Vec<String>> = (0..4)
+            .map(|c| run_scenarios_parallel(build(c), 1).iter().map(report_digest).collect())
+            .collect();
+        let concurrent: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|c| {
+                    scope.spawn(move || {
+                        run_scenarios_parallel(build(c), 2).iter().map(report_digest).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("caller")).collect()
+        });
+        assert_eq!(concurrent, serial);
     }
 }
