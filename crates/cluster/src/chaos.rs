@@ -441,16 +441,14 @@ fn candidate_key(windows: &[FaultWindow]) -> String {
 fn to_schedules(windows: &[FaultWindow]) -> Vec<(usize, TickFaultSchedule)> {
     let mut out: Vec<(usize, TickFaultSchedule)> = Vec::new();
     for w in windows {
-        let sched = TickFaultSchedule::window(
-            w.start_tick.max(1),
-            w.hold_ticks,
-            w.kind.inject(w.magnitude),
-            w.kind.recover(),
-        );
-        match out.iter_mut().find(|(n, _)| *n == w.node) {
-            Some((_, existing)) => existing.merge(&sched),
-            None => out.push((w.node, sched)),
-        }
+        let i = out.iter().position(|(n, _)| *n == w.node).unwrap_or_else(|| {
+            out.push((w.node, TickFaultSchedule::none()));
+            out.len() - 1
+        });
+        // The hold is at least one tick, so recovery lands after injection.
+        let start = w.start_tick.max(1);
+        out[i].1.schedule(start, w.kind.inject(w.magnitude));
+        out[i].1.schedule(start.saturating_add(w.hold_ticks.max(1)), w.kind.recover());
     }
     out.sort_by_key(|(n, _)| *n);
     out

@@ -29,7 +29,6 @@ use unitherm_core::control_plane::{BuildContext, ControlPlane, SensorSample};
 use unitherm_hwmon::{LmSensors, PlatformActuators, PlatformBinding};
 use unitherm_metrics::{RunningStats, TimeSeries};
 use unitherm_obs::{Counters, EventSink, Observer, RingSink, TeeSink};
-use unitherm_simnode::faults::FaultPlan;
 use unitherm_simnode::{Node, NodeView, PhysicsBatch};
 use unitherm_workload::{WorkState, Workload};
 
@@ -212,20 +211,12 @@ impl NodeSim {
     /// 10 kB ring apart (DESIGN §14).
     pub(crate) fn build_hot(scenario: &Scenario, node_idx: usize, mut at: PlantAt<'_>) -> Self {
         let seed = scenario.node_seed(node_idx);
-        let faults = scenario
-            .faults
-            .iter()
-            .find(|(n, _)| *n == node_idx)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_else(FaultPlan::none);
+        let faults = scenario.fault_schedule(node_idx);
         let cfg = scenario.node_config_for(node_idx).clone();
         let mut node = match &mut at {
             Some((lanes, slot)) => Node::in_slot(cfg, seed, faults, lanes, *slot),
             None => Node::with_faults(cfg, seed, faults),
         };
-        if let Some((_, schedule)) = scenario.tick_faults.iter().find(|(n, _)| *n == node_idx) {
-            node.set_tick_faults(schedule.clone());
-        }
         let spec = scenario.effective_scheme(node_idx);
         let mut plant = view(&mut node, at);
         let mut binding =

@@ -13,8 +13,11 @@
 //! records (from either encoding — `unitherm_obs::read_journal` for
 //! JSONL, `unitherm_obs::bjl_to_records` for `unitherm-bjl/v1`) and pins
 //! faults to the *exact ticks* of the recorded decisions
-//! (`tick = round(time_s / dt_s)`; the simulation stamps events with
-//! `now_s = tick · dt_s`, so the mapping is exact):
+//! (`tick = round(time_s / dt_s)`). The simulation stamps events with its
+//! accumulated clock `0.0 + dt_s + dt_s …`, which can sit an ulp off
+//! `tick · dt_s` (tick 10 of a 0.05 s run reads `0.49999999999999994`),
+//! far inside the half-tick rounding margin, so the tick comes back
+//! exactly:
 //!
 //! * a `ModeChange` gets a [`FaultEvent::SensorJitter`] burst — the
 //!   controller must re-make the decision through a degraded sensing path;
@@ -24,8 +27,10 @@
 //!   watchdog's stale-sensor path fires again under a true blackout.
 //!
 //! The derived [`ReplayPlan`] applies as `Scenario::tick_faults`, which
-//! [`crate::node_sim::NodeSim::build`] attaches to each node's
-//! `TickFaultSchedule`. Delivery happens in the node's per-tick hook of
+//! `Scenario::fault_schedule` folds, with the scenario's own time-addressed
+//! plans, into the one `TickFaultSchedule` each node delivers when
+//! [`crate::node_sim::NodeSim::build`] builds it. Delivery happens in the
+//! node's per-tick hook of
 //! the hardware pass, before the lane tick — per-node state only — so the
 //! replay inherits the sharded tick loop's bit-identical guarantee at any
 //! `threads` count (see `DESIGN.md` §12).

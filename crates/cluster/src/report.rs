@@ -57,8 +57,9 @@ pub struct NodeReport {
     #[serde(default)]
     pub events: Vec<EventRecord>,
     /// Faults delivered to this node's hardware, `(tick, fault)` in
-    /// delivery order — both stochastic (`FaultPlan`) and tick-addressed
-    /// replay (`TickFaultSchedule`) deliveries appear here.
+    /// delivery order: the node's one schedule, which holds the scenario's
+    /// tick-addressed schedules and its time-addressed plans placed on
+    /// ticks (`Scenario::fault_schedule`).
     #[serde(default)]
     pub faults_applied: Vec<(u64, FaultEvent)>,
 }

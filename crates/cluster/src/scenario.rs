@@ -5,7 +5,7 @@
 //! duration bounds and the seed. Experiments construct scenarios; the
 //! [`crate::sim::Simulation`] executes them.
 
-use unitherm_simnode::faults::{FaultPlan, TickFaultSchedule};
+use unitherm_simnode::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 use unitherm_simnode::NodeConfig;
 use unitherm_workload::burn::BurnConfig;
 use unitherm_workload::{
@@ -227,13 +227,16 @@ pub struct Scenario {
     /// Workload specification.
     #[serde(default)]
     pub workload: WorkloadSpec,
-    /// Fault plans keyed by node index.
+    /// Time-addressed fault plans keyed by node index. A node may be
+    /// listed more than once; [`Scenario::fault_schedule`] places every
+    /// plan on the run's tick clock.
     #[serde(default)]
     pub faults: Vec<(usize, FaultPlan)>,
     /// Tick-addressed fault schedules keyed by node index (deterministic
     /// replay: faults pinned to the exact ticks where a recorded run made
-    /// interesting decisions). Composes with `faults`; within a tick the
-    /// tick-addressed events deliver first. See `crate::replay`.
+    /// interesting decisions). Composes with `faults`: within a tick these
+    /// events deliver first. See [`Scenario::fault_schedule`] and
+    /// `crate::replay`.
     #[serde(default)]
     pub tick_faults: Vec<(usize, TickFaultSchedule)>,
     /// Node hardware configuration.
@@ -256,7 +259,9 @@ pub struct Scenario {
     #[serde(default)]
     pub rack: Option<crate::rack::RackConfig>,
     /// Per-node fan-scheme overrides (heterogeneous clusters: a dusty or
-    /// undersized fan on one node). Nodes not listed use `fan`.
+    /// undersized fan on one node). Nodes not listed use `fan`. Only the
+    /// split `fan`/`dvfs` pair takes overrides: validation refuses them
+    /// next to a full `scheme`.
     #[serde(default)]
     pub fan_overrides: Vec<(usize, FanScheme)>,
     /// Per-node hardware-config overrides (a hotter node position, a
@@ -433,14 +438,54 @@ impl Scenario {
     }
 
     /// The effective control scheme for a node: the full `scheme` when
-    /// set, else the split `fan`/`dvfs` pair (honouring per-node fan
-    /// overrides). This is what [`crate::node_sim::NodeSim::build`] hands
-    /// to `SchemeSpec::build()`.
+    /// set (validation refuses fan overrides next to it), else the split
+    /// `fan`/`dvfs` pair honouring per-node fan overrides. This is what
+    /// [`crate::node_sim::NodeSim::build`] hands to `SchemeSpec::build()`.
     pub fn effective_scheme(&self, node: usize) -> SchemeSpec {
         self.scheme.clone().unwrap_or_else(|| SchemeSpec::Split {
             fan: self.fan_for(node).clone(),
             dvfs: self.dvfs.clone(),
         })
+    }
+
+    /// The one fault schedule node `node` delivers, assembled at build:
+    /// first the events of every `tick_faults` schedule listed for it, then
+    /// the events of every `faults` plan listed for it, placed on the run's
+    /// tick clock.
+    ///
+    /// The clock is the running sum `0.0 + dt_s + dt_s …` the plant keeps
+    /// ([`unitherm_simnode::PhysicsBatch::begin_tick`]), so a plan event
+    /// lands on the first tick whose clock reaches its time, exactly where
+    /// a node comparing the clock against it would have delivered it. The
+    /// run's last tick is the first whose clock reaches `max_time_s`;
+    /// events after it are dropped. Within one tick the tick-addressed
+    /// events come first, then the plan events in time order, with ties in
+    /// list order.
+    pub fn fault_schedule(&self, node: usize) -> TickFaultSchedule {
+        let mut schedule = TickFaultSchedule::none();
+        let listed = self.tick_faults.iter().filter(|(n, _)| *n == node);
+        for &(tick, event) in listed.flat_map(|(_, listed)| listed.events()) {
+            schedule.schedule(tick, event);
+        }
+        let mut timed: Vec<(f64, FaultEvent)> = self
+            .faults
+            .iter()
+            .filter(|(n, _)| *n == node)
+            .flat_map(|(_, plan)| plan.events().iter().copied())
+            .collect();
+        timed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (mut tick, mut clock) = (1, self.dt_s);
+        for (time_s, event) in timed {
+            while clock < time_s {
+                if clock >= self.max_time_s {
+                    return schedule;
+                }
+                tick += 1;
+                clock += self.dt_s;
+            }
+            schedule.schedule(tick, event);
+        }
+        schedule
     }
 
     /// Fan-side label for reports (cluster default, ignoring overrides).
@@ -463,7 +508,8 @@ impl Scenario {
     /// problem found: zero nodes, non-positive times, a sampling period not
     /// a whole number of ticks, an event ring above 65,536 records,
     /// references to out-of-range nodes, a fault plan or tick-fault
-    /// schedule its builder would refuse, a workload its constructor would
+    /// schedule its builder would refuse, fan overrides next to a full
+    /// control scheme, a workload its constructor would
     /// refuse, a hardware ([`NodeConfig`]) or rack config outside its
     /// physical range, or a control scheme whose controller tuning is
     /// unusable.
@@ -533,6 +579,11 @@ impl Scenario {
         // scheme, or else the default fan (when some node uses it), the
         // DVFS arm and each override in effect (the first for its node).
         if let Some(scheme) = &self.scheme {
+            check(
+                self.fan_overrides.is_empty(),
+                "fan_overrides cannot be combined with a full `scheme`, which sets every \
+                 node's fan arm; use the split `fan`/`dvfs` fields",
+            )?;
             return scheme.validate().map_err(Into::into);
         }
         let mut overridden = std::collections::BTreeSet::new();
@@ -696,6 +747,124 @@ mod tests {
             .with_tick_faults(3, TickFaultSchedule::none())
             .validate()
             .unwrap();
+    }
+
+    /// The tick on which a standalone node's clock first reaches each of
+    /// `times` at step `dt_s`, or `None` for a time after the last tick of
+    /// a `max_time_s` run (the first tick whose clock reaches it).
+    fn node_clock_ticks(dt_s: f64, max_time_s: f64, times: &[f64]) -> Vec<Option<u64>> {
+        let mut node = unitherm_simnode::Node::new(NodeConfig::default(), 1);
+        let mut found = vec![None; times.len()];
+        loop {
+            node.tick(dt_s);
+            let view = node.view();
+            for (tick, &t) in found.iter_mut().zip(times) {
+                if tick.is_none() && view.time_s() >= t {
+                    *tick = Some(view.ticks());
+                }
+            }
+            if view.time_s() >= max_time_s {
+                return found;
+            }
+        }
+    }
+
+    /// A one-node scenario on a `dt_s` clock, run to `max_time_s`.
+    fn clocked(dt_s: f64, max_time_s: f64) -> Scenario {
+        let mut s = Scenario::new("clock").with_nodes(1).with_max_time(max_time_s);
+        s.dt_s = dt_s;
+        s.sample_period_s = dt_s;
+        s
+    }
+
+    #[test]
+    fn plan_events_land_where_the_node_clock_reaches_them() {
+        let times = [0.0, 0.05, 0.3, 1.0, 2.5, 3.0, 7.7, 9.95, 10.0, 10.2, 10.5, 40.0];
+        for dt_s in [0.05, 0.1, 0.25, 1.0 / 3.0] {
+            let plan = times
+                .iter()
+                .enumerate()
+                .fold(FaultPlan::none(), |p, (i, &t)| p.at(t, FaultEvent::AmbientStep(i as f64)));
+            let s = clocked(dt_s, 10.0).with_fault(0, plan);
+            s.validate().unwrap();
+            let want: Vec<(u64, FaultEvent)> = node_clock_ticks(dt_s, 10.0, &times)
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, tick)| Some((tick?, FaultEvent::AmbientStep(i as f64))))
+                .collect();
+            assert_eq!(s.fault_schedule(0).events(), &want[..], "dt_s = {dt_s}");
+        }
+    }
+
+    #[test]
+    fn placement_pins_the_accumulated_clock() {
+        let tick_of = |dt_s: f64, max_time_s: f64, time_s: f64| {
+            let s = clocked(dt_s, max_time_s)
+                .with_fault(0, FaultPlan::none().at(time_s, FaultEvent::FanFailure));
+            s.fault_schedule(0).events().first().map(|&(tick, _)| tick)
+        };
+        // Ten additions of 0.1 read 0.9999999999999999.
+        assert_eq!(tick_of(0.1, 5.0, 1.0), Some(11));
+        // Twenty additions of 0.05 read 1.0000000000000002.
+        assert_eq!(tick_of(0.05, 5.0, 1.0), Some(20));
+        assert_eq!(tick_of(0.05, 5.0, 0.0), Some(1));
+        // A 1 s run on a 0.1 s clock ends on tick 11 (1.0999999999999999):
+        // an event inside it lands, one after it is dropped.
+        assert_eq!(tick_of(0.1, 1.0, 1.05), Some(11));
+        assert_eq!(tick_of(0.1, 1.0, 1.1), None);
+        assert_eq!(node_clock_ticks(0.1, 1.0, &[1.05, 1.1]), vec![Some(11), None]);
+    }
+
+    #[test]
+    fn within_a_tick_tick_faults_come_first_then_plans_in_time_order() {
+        // 0.12 s and 0.15 s both land on tick 3 of a 0.05 s clock.
+        let s = clocked(0.05, 5.0)
+            .with_fault(
+                0,
+                FaultPlan::none()
+                    .at(0.15, FaultEvent::SensorDropout)
+                    .at(0.12, FaultEvent::FanFailure),
+            )
+            .with_tick_faults(0, TickFaultSchedule::none().at_tick(3, FaultEvent::PwmStuck))
+            .with_fault(0, FaultPlan::none().at(0.12, FaultEvent::I2cFailure))
+            .with_tick_faults(
+                0,
+                TickFaultSchedule::none().at_tick(3, FaultEvent::SensorJitter(1.0)),
+            );
+        assert_eq!(
+            s.fault_schedule(0).events(),
+            &[
+                (3, FaultEvent::PwmStuck),
+                (3, FaultEvent::SensorJitter(1.0)),
+                (3, FaultEvent::FanFailure),
+                (3, FaultEvent::I2cFailure),
+                (3, FaultEvent::SensorDropout),
+            ]
+        );
+        assert!(s.fault_schedule(1).is_empty(), "other nodes get none of it");
+    }
+
+    #[test]
+    fn every_fault_entry_listed_for_a_node_is_delivered() {
+        use crate::sim::Simulation;
+        let s = Scenario::new("every-entry")
+            .with_nodes(1)
+            .with_max_time(30.0)
+            .with_fault(0, FaultPlan::none().at(2.0, FaultEvent::SensorDropout))
+            .with_fault(0, FaultPlan::none().at(3.0, FaultEvent::FanFailure))
+            .with_tick_faults(0, TickFaultSchedule::none().at_tick(10, FaultEvent::PwmStuck))
+            .with_tick_faults(0, TickFaultSchedule::none().at_tick(20, FaultEvent::I2cFailure));
+        let report = Simulation::new(s).run();
+        assert_eq!(
+            report.nodes[0].faults_applied,
+            vec![
+                (10, FaultEvent::PwmStuck),
+                (20, FaultEvent::I2cFailure),
+                (40, FaultEvent::SensorDropout),
+                // Sixty additions of 0.05 read 2.9999999999999973.
+                (61, FaultEvent::FanFailure),
+            ]
+        );
     }
 
     #[test]

@@ -565,7 +565,7 @@ pub(crate) fn hardware_pass(
     batch.begin_tick(dt_s);
     for &i in hooked {
         let ns = &mut nodes[i];
-        if !ns.tick_daemon && !ns.node.fault_due(batch.ticks(), batch.time_s()) {
+        if !ns.tick_daemon && !ns.node.fault_due(batch.ticks()) {
             continue;
         }
         ns.on_tick_hook(batch, i, dt_s, now_s, journal.as_deref_mut());

@@ -227,3 +227,26 @@ fn control_schemes_validate_once_with_the_per_node_error_text() {
     validate_json(&doc(good_fan, &format!("[[1, {good_fan}], [1, {bad_fan}]]")))
         .expect("a shadowed override is not checked");
 }
+
+#[test]
+fn fan_overrides_next_to_a_full_scheme_are_refused_by_name() {
+    // A full scheme sets every node's fan arm, so an override would be
+    // silently ignored: refuse it.
+    let doc = include_str!("../../../examples/scenarios/hybrid_burn.json");
+    validate_json(doc).expect("the example itself is valid");
+    let with_override =
+        doc.replacen('{', r#"{"fan_overrides": [[1, {"Constant": {"duty": 100}}]],"#, 1);
+    let err = validate_json(&with_override).expect_err("an override under a full scheme");
+    assert!(err.contains("fan_overrides"), "{err}");
+
+    // The builder path gets the same error.
+    use unitherm_cluster::{FanScheme, SchemeSpec};
+    use unitherm_core::control_array::Policy;
+    let err = Scenario::new("hybrid")
+        .with_nodes(2)
+        .with_scheme(SchemeSpec::hybrid(Policy::MODERATE, 30))
+        .with_node_fan(1, FanScheme::Constant { duty: 100 })
+        .validate()
+        .expect_err("an override under a full scheme");
+    assert!(err.message().contains("fan_overrides"), "{err}");
+}

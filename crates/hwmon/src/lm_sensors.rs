@@ -48,7 +48,7 @@ impl LmSensors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unitherm_simnode::faults::{FaultEvent, FaultPlan};
+    use unitherm_simnode::faults::{FaultEvent, TickFaultSchedule};
     use unitherm_simnode::node::Node;
     use unitherm_simnode::NodeConfig;
 
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn dropout_keeps_the_last_good_reading() {
-        let faults = FaultPlan::none().at(1.0, FaultEvent::SensorDropout);
+        let faults = TickFaultSchedule::none().at_tick(20, FaultEvent::SensorDropout);
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         let mut lm = LmSensors::new();
         let before = lm.read_hottest_celsius(&mut node.view()).unwrap();
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn dropout_without_history_has_no_last_good() {
-        let faults = FaultPlan::none().at(0.01, FaultEvent::SensorDropout);
+        let faults = TickFaultSchedule::none().at_tick(1, FaultEvent::SensorDropout);
         let mut node = Node::with_faults(NodeConfig::default(), 17, faults);
         node.tick(0.05);
         let mut lm = LmSensors::new();

@@ -65,8 +65,9 @@ pub struct Counters {
     /// Failsafe watchdog trips.
     #[serde(default)]
     pub failsafe_trips: u64,
-    /// Faults delivered to the node's hardware by a fault plan (stochastic
-    /// or tick-addressed replay schedule).
+    /// Faults delivered to the node's hardware from its one fault
+    /// schedule (a scenario's tick-addressed schedules and its
+    /// time-addressed plans, placed on ticks).
     #[serde(default)]
     pub faults_injected: u64,
 }

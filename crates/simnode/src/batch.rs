@@ -8,7 +8,7 @@
 //! as tight loops over slices instead of chasing pointers through a `Vec`
 //! of node structs. A cluster shard owns one batch for all its nodes; a
 //! standalone [`Node`] owns a one-slot batch. Nothing else holds a copy:
-//! the node keeps only its cold parts (sensors, fault schedules, bus NACK
+//! the node keeps only its cold parts (sensors, fault schedule, bus NACK
 //! latch, configuration), and sensor reads, SMBus register writes, cpufreq
 //! and sleep-gate actuation and fault delivery all act on the slot in place
 //! through a [`NodeView`].
@@ -332,7 +332,9 @@ impl PhysicsBatch {
 
     /// Advances the lockstep tick/time counters — call exactly once per
     /// simulation tick, before fault delivery and [`PhysicsBatch::tick_all`],
-    /// so a fault due on this tick sees the tick's own count and time.
+    /// so a fault due on this tick sees the tick's own count. The clock is
+    /// the running sum `0.0 + dt_s + dt_s …`, which a scenario also walks
+    /// to place its time-addressed faults on ticks.
     pub fn begin_tick(&mut self, dt_s: f64) {
         assert!(dt_s > 0.0, "time step must be positive");
         self.ticks += 1;

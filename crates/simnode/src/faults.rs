@@ -1,16 +1,18 @@
-//! Timed fault injection for resilience experiments.
+//! Scripted fault injection for resilience experiments.
 //!
-//! A [`FaultPlan`] is a time-ordered script of [`FaultEvent`]s applied to a
-//! node as the simulation clock passes each event's deadline. It models the
-//! failure scenarios the paper's related work reacts to (fan failure, per
-//! Choi et al. \[10\] and Heath et al. \[7\]), plus sensor dropouts and ambient
-//! (machine-room) temperature excursions.
+//! The events model the failure scenarios the paper's related work reacts
+//! to (fan failure, per Choi et al. \[10\] and Heath et al. \[7\]), plus
+//! sensor dropouts, a wedged fan controller and ambient (machine-room)
+//! temperature excursions.
 //!
-//! A [`TickFaultSchedule`] is the replay-oriented sibling: the same events,
-//! addressed by integer tick number instead of seconds. Replay tooling
-//! derives one from a recorded event journal so a fault lands on *exactly*
-//! the tick where an earlier run made an interesting decision, independent
-//! of floating-point time accumulation.
+//! A node delivers exactly one [`TickFaultSchedule`]: events addressed by
+//! integer tick number, popped at the start of each tick, so a fault lands
+//! on *exactly* the tick its author meant, independent of floating-point
+//! time accumulation. Replay derives one from a recorded journal, chaos
+//! search from its fault windows. A [`FaultPlan`] is the hand-written,
+//! time-addressed form a scenario may carry too; the scenario places it
+//! on the run's tick clock when it builds the node's schedule
+//! (`Scenario::fault_schedule` in the cluster crate).
 
 use serde::{Deserialize, Serialize};
 
@@ -58,12 +60,12 @@ impl FaultEvent {
     }
 }
 
-/// A time-ordered script of fault events.
+/// A time-ordered script of fault events, in seconds. It is a
+/// description only: a scenario places it on its run's tick clock, and the
+/// node delivers the resulting [`TickFaultSchedule`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     events: Vec<(f64, FaultEvent)>,
-    #[serde(skip)]
-    cursor: usize,
 }
 
 impl FaultPlan {
@@ -74,14 +76,13 @@ impl FaultPlan {
 
     /// Builder-style: schedules an event at `time_s`.
     ///
-    /// Events may be added in any order; the plan keeps them sorted by time.
+    /// Events may be added in any order; the plan keeps them sorted by time
+    /// (equal times in insertion order).
     ///
     /// # Panics
-    /// Panics if called after delivery has started (events already consumed)
-    /// or with a non-finite time.
+    /// Panics on a negative or non-finite time.
     pub fn at(mut self, time_s: f64, event: FaultEvent) -> Self {
         assert!(time_s.is_finite() && time_s >= 0.0, "event time must be finite and non-negative");
-        assert_eq!(self.cursor, 0, "cannot extend a fault plan after delivery started");
         let idx = self.events.partition_point(|(t, _)| *t <= time_s);
         self.events.insert(idx, (time_s, event));
         self
@@ -105,47 +106,20 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Number of scheduled events (delivered or not).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Pops the next event due at or before `now_s`, if any. Call in a
-    /// loop to drain a tick's events in schedule order without allocating.
-    pub fn pop_due(&mut self, now_s: f64) -> Option<FaultEvent> {
-        let ev = self.next_due(now_s)?;
-        self.cursor += 1;
-        Some(ev)
-    }
-
-    /// True when [`FaultPlan::pop_due`] would deliver an event at `now_s`.
-    pub fn has_due(&self, now_s: f64) -> bool {
-        self.next_due(now_s).is_some()
-    }
-
-    fn next_due(&self, now_s: f64) -> Option<FaultEvent> {
-        let &(t, ev) = self.events.get(self.cursor)?;
-        (t <= now_s).then_some(ev)
-    }
-
-    /// Remaining undelivered events.
-    pub fn pending(&self) -> usize {
-        self.events.len() - self.cursor
+    /// The full plan, sorted by time.
+    pub fn events(&self) -> &[(f64, FaultEvent)] {
+        &self.events
     }
 }
 
-/// A tick-addressed script of fault events, for deterministic replay.
+/// A tick-addressed script of fault events: the one schedule a node
+/// delivers.
 ///
-/// Where [`FaultPlan`] schedules in seconds (natural for hand-written
-/// resilience scenarios), this schedules by tick number — the unit replay
-/// derivation works in, since recorded journal events map exactly onto
-/// ticks (`tick = round(time_s / dt_s)`). A node can carry both; tick
-/// faults are delivered first within a tick.
+/// Ticks are the unit replay derivation works in, since recorded journal
+/// events map exactly onto ticks (`tick = round(time_s / dt_s)`); a
+/// scenario's time-addressed [`FaultPlan`]s are placed onto ticks before
+/// the node is built. Events sharing a tick deliver in the order they were
+/// scheduled.
 ///
 /// Delivery is cursor-based and allocation-free: [`TickFaultSchedule::pop_due`]
 /// hands out one event at a time.
@@ -165,7 +139,8 @@ impl TickFaultSchedule {
     /// Builder-style: schedules an event at tick `tick` (ticks are 1-based;
     /// a node's first tick is tick 1).
     ///
-    /// Events may be added in any order; the schedule keeps them sorted.
+    /// Events may be added in any order; the schedule keeps them sorted
+    /// (equal ticks in insertion order).
     ///
     /// # Panics
     /// Panics if called after delivery has started or with tick 0.
@@ -237,105 +212,35 @@ impl TickFaultSchedule {
         let &(t, ev) = self.events.get(self.cursor)?;
         (t <= tick).then_some(ev)
     }
-
-    /// Remaining undelivered events.
-    pub fn pending(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Builds a single injection/recovery window: `inject` lands at
-    /// `start_tick`, `recover` at `start_tick + hold_ticks` (hold is
-    /// clamped to at least one tick, so the pair never collapses onto the
-    /// same tick in the wrong order).
-    ///
-    /// This is the unit the chaos search mutates: a candidate fault
-    /// sequence is a set of windows, each built here and combined with
-    /// [`TickFaultSchedule::merge`].
-    ///
-    /// # Panics
-    /// Panics when `start_tick` is 0 (ticks are 1-based).
-    pub fn window(
-        start_tick: u64,
-        hold_ticks: u64,
-        inject: FaultEvent,
-        recover: FaultEvent,
-    ) -> Self {
-        Self::none()
-            .at_tick(start_tick, inject)
-            .at_tick(start_tick.saturating_add(hold_ticks.max(1)), recover)
-    }
-
-    /// Merges another schedule's events into this one, keeping tick order
-    /// (equal ticks keep `self`'s events first, then `other`'s — a stable,
-    /// deterministic interleave).
-    ///
-    /// # Panics
-    /// Panics if delivery has started on either schedule.
-    pub fn merge(&mut self, other: &TickFaultSchedule) {
-        assert_eq!(other.cursor, 0, "cannot merge a schedule after its delivery started");
-        for &(tick, ev) in &other.events {
-            self.schedule(tick, ev);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Drains every event `plan` delivers at `now_s`.
-    fn drain(plan: &mut FaultPlan, now_s: f64) -> Vec<FaultEvent> {
-        std::iter::from_fn(|| plan.pop_due(now_s)).collect()
+    /// Drains every event `sched` delivers at `tick`.
+    fn drain(sched: &mut TickFaultSchedule, tick: u64) -> Vec<FaultEvent> {
+        std::iter::from_fn(|| sched.pop_due(tick)).collect()
     }
 
     #[test]
-    fn delivers_in_time_order() {
-        let mut plan = FaultPlan::none()
+    fn plan_keeps_time_order_and_insertion_order_for_ties() {
+        let plan = FaultPlan::none()
             .at(10.0, FaultEvent::FanFailure)
             .at(5.0, FaultEvent::AmbientStep(30.0))
+            .at(10.0, FaultEvent::SensorDropout)
             .at(20.0, FaultEvent::FanRepair);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(drain(&mut plan, 4.9), vec![]);
-        assert_eq!(drain(&mut plan, 5.0), vec![FaultEvent::AmbientStep(30.0)]);
-        assert_eq!(drain(&mut plan, 15.0), vec![FaultEvent::FanFailure]);
-        assert_eq!(plan.pending(), 1);
-        assert_eq!(drain(&mut plan, 100.0), vec![FaultEvent::FanRepair]);
-        assert_eq!(plan.pending(), 0);
-        assert_eq!(drain(&mut plan, 200.0), vec![]);
-    }
-
-    #[test]
-    fn simultaneous_events_keep_insertion_order() {
-        let mut plan =
-            FaultPlan::none().at(5.0, FaultEvent::FanFailure).at(5.0, FaultEvent::SensorDropout);
-        assert_eq!(drain(&mut plan, 5.0), vec![FaultEvent::FanFailure, FaultEvent::SensorDropout]);
-    }
-
-    #[test]
-    fn empty_plan() {
-        let mut plan = FaultPlan::none();
-        assert!(plan.is_empty());
-        assert!(!plan.has_due(1e9), "nothing pending");
-        assert_eq!(plan.pop_due(1e9), None);
-    }
-
-    #[test]
-    fn plan_peek_matches_delivery() {
-        let mut plan = FaultPlan::none().at(2.5, FaultEvent::PwmStuck);
-        assert!(!plan.has_due(2.499));
-        // Due exactly at the boundary, like `pop_due`.
-        assert!(plan.has_due(2.5));
-        assert!(plan.has_due(2.5), "peeking consumes nothing");
-        assert_eq!(plan.pop_due(2.5), Some(FaultEvent::PwmStuck));
-        assert!(!plan.has_due(1e9), "nothing left after the drain");
-    }
-
-    #[test]
-    #[should_panic(expected = "after delivery started")]
-    fn cannot_extend_after_delivery() {
-        let mut plan = FaultPlan::none().at(1.0, FaultEvent::FanFailure);
-        let _ = plan.pop_due(2.0);
-        let _ = plan.at(3.0, FaultEvent::FanRepair);
+        assert_eq!(
+            plan.events(),
+            &[
+                (5.0, FaultEvent::AmbientStep(30.0)),
+                (10.0, FaultEvent::FanFailure),
+                (10.0, FaultEvent::SensorDropout),
+                (20.0, FaultEvent::FanRepair),
+            ]
+        );
+        assert_eq!(plan.validate(), Ok(()));
+        assert!(FaultPlan::none().events().is_empty());
     }
 
     #[test]
@@ -351,14 +256,14 @@ mod tests {
             .at_tick(40, FaultEvent::PwmStuck)
             .at_tick(40, FaultEvent::SensorJitter(0.5));
         assert_eq!(sched.len(), 3);
-        assert_eq!(sched.pop_due(39), None);
-        assert_eq!(sched.pop_due(40), Some(FaultEvent::PwmStuck));
-        assert_eq!(sched.pop_due(40), Some(FaultEvent::SensorJitter(0.5)));
-        assert_eq!(sched.pop_due(40), None);
-        assert_eq!(sched.pending(), 1);
-        assert_eq!(sched.pop_due(1000), Some(FaultEvent::PwmRelease));
-        assert_eq!(sched.pop_due(1000), None);
-        assert_eq!(sched.pending(), 0);
+        assert_eq!(drain(&mut sched, 39), vec![]);
+        assert_eq!(
+            drain(&mut sched, 40),
+            vec![FaultEvent::PwmStuck, FaultEvent::SensorJitter(0.5)]
+        );
+        assert_eq!(drain(&mut sched, 1000), vec![FaultEvent::PwmRelease]);
+        assert_eq!(drain(&mut sched, u64::MAX), vec![]);
+        assert!(TickFaultSchedule::none().pop_due(u64::MAX).is_none());
     }
 
     #[test]
@@ -387,6 +292,15 @@ mod tests {
     }
 
     #[test]
+    fn plan_json_shape_is_an_events_list() {
+        let plan = FaultPlan::none().at(1.5, FaultEvent::FanFailure);
+        let json = serde_json::to_string(&plan).expect("serialize");
+        assert_eq!(json, r#"{"events":[[1.5,"FanFailure"]]}"#);
+        let back: FaultPlan = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, plan);
+    }
+
+    #[test]
     #[should_panic(expected = "after delivery started")]
     fn tick_schedule_cannot_extend_after_delivery() {
         let mut sched = TickFaultSchedule::none().at_tick(1, FaultEvent::FanFailure);
@@ -398,54 +312,5 @@ mod tests {
     #[should_panic(expected = "1-based")]
     fn tick_schedule_rejects_tick_zero() {
         let _ = TickFaultSchedule::none().at_tick(0, FaultEvent::FanFailure);
-    }
-
-    #[test]
-    fn window_builds_an_injection_recovery_pair() {
-        let w = TickFaultSchedule::window(
-            100,
-            50,
-            FaultEvent::SensorDropout,
-            FaultEvent::SensorRestore,
-        );
-        assert_eq!(
-            w.events(),
-            &[(100, FaultEvent::SensorDropout), (150, FaultEvent::SensorRestore)]
-        );
-        // A zero hold is clamped so recovery still lands after injection.
-        let z = TickFaultSchedule::window(7, 0, FaultEvent::PwmStuck, FaultEvent::PwmRelease);
-        assert_eq!(z.events(), &[(7, FaultEvent::PwmStuck), (8, FaultEvent::PwmRelease)]);
-    }
-
-    #[test]
-    fn merge_interleaves_in_tick_order() {
-        let mut a = TickFaultSchedule::window(10, 30, FaultEvent::PwmStuck, FaultEvent::PwmRelease);
-        let b = TickFaultSchedule::window(
-            20,
-            5,
-            FaultEvent::SensorJitter(2.0),
-            FaultEvent::SensorJitter(0.0),
-        );
-        a.merge(&b);
-        assert_eq!(
-            a.events(),
-            &[
-                (10, FaultEvent::PwmStuck),
-                (20, FaultEvent::SensorJitter(2.0)),
-                (25, FaultEvent::SensorJitter(0.0)),
-                (40, FaultEvent::PwmRelease),
-            ]
-        );
-        // Merged schedules deliver like any other.
-        assert_eq!(a.pop_due(10), Some(FaultEvent::PwmStuck));
-    }
-
-    #[test]
-    #[should_panic(expected = "after its delivery started")]
-    fn merge_rejects_consumed_source() {
-        let mut a = TickFaultSchedule::none();
-        let mut b = TickFaultSchedule::window(5, 5, FaultEvent::FanFailure, FaultEvent::FanRepair);
-        let _ = b.pop_due(5);
-        a.merge(&b);
     }
 }

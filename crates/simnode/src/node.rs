@@ -1,7 +1,7 @@
 //! The assembled server node.
 //!
 //! A [`Node`] is the cold half of a simulated server — its configuration,
-//! thermal sensors and their noise streams, fault schedules and log, and
+//! thermal sensors and their noise streams, fault schedule and log, and
 //! the i2c bus's NACK latch and counters. The plant itself (die and sink
 //! temperatures, fan, ADT7467 registers, CPU state, meter) lives in one
 //! slot of a [`PhysicsBatch`]: a standalone node owns a one-slot batch,
@@ -32,7 +32,7 @@ use crate::batch::{PhysicsBatch, COND_SHUTDOWN};
 use crate::config::NodeConfig;
 use crate::cpu::{InvalidFrequency, ThermalCondition};
 use crate::fan;
-use crate::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
+use crate::faults::{FaultEvent, TickFaultSchedule};
 use crate::i2c::{I2cBus, I2cError};
 use crate::sensor::{SensorDropout, ThermalSensor};
 use crate::units::{DutyCycle, MilliCelsius};
@@ -76,10 +76,8 @@ struct Cold {
     sensors: Vec<ThermalSensor>,
     /// The bus to the ADT7467, whose registers sit in the plant's slot.
     bus: I2cBus,
-    faults: FaultPlan,
-    /// Tick-addressed faults (deterministic replay); delivered before the
-    /// time-addressed plan within a tick.
-    tick_faults: TickFaultSchedule,
+    /// The node's faults, by tick.
+    faults: TickFaultSchedule,
     /// Every fault actually delivered, with the tick it landed on.
     /// Pre-reserved to the total scheduled count so steady-state ticks
     /// never allocate.
@@ -100,21 +98,23 @@ impl Node {
     /// configuration, pre-warmed to its idle operating point (CPU idle at
     /// top frequency, ADT7467 in automatic mode, thermal network settled).
     pub fn new(cfg: NodeConfig, seed: u64) -> Self {
-        Self::with_faults(cfg, seed, FaultPlan::none())
+        Self::with_faults(cfg, seed, TickFaultSchedule::none())
     }
 
-    /// Builds a standalone node with a fault-injection plan.
+    /// Builds a standalone node that delivers `faults`, each at the start
+    /// of its tick.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`NodeConfig::validate`].
-    pub fn with_faults(cfg: NodeConfig, seed: u64, faults: FaultPlan) -> Self {
+    pub fn with_faults(cfg: NodeConfig, seed: u64, faults: TickFaultSchedule) -> Self {
         let mut plant = Box::new(PhysicsBatch::with_len(1));
         let node = Self::in_slot(cfg, seed, faults, &mut plant, 0);
         Self { plant: Some(plant), ..node }
     }
 
     /// Builds a node whose plant lives in slot `slot` of `lanes`, pre-warmed
-    /// like [`Node::new`]; the returned node holds only the cold parts.
+    /// like [`Node::new`] and delivering `faults` like
+    /// [`Node::with_faults`]; the returned node holds only the cold parts.
     /// Reach the plant with [`Node::view_in`] on the same batch and slot.
     ///
     /// # Panics
@@ -122,7 +122,7 @@ impl Node {
     pub fn in_slot(
         cfg: NodeConfig,
         seed: u64,
-        faults: FaultPlan,
+        faults: TickFaultSchedule,
         lanes: &mut PhysicsBatch,
         slot: usize,
     ) -> Self {
@@ -146,28 +146,8 @@ impl Node {
             })
             .collect();
         let fault_log = Vec::with_capacity(faults.len());
-        let cold = Cold {
-            cfg,
-            sensors,
-            bus: I2cBus::new(ADT7467_ADDR),
-            faults,
-            tick_faults: TickFaultSchedule::none(),
-            fault_log,
-        };
+        let cold = Cold { cfg, sensors, bus: I2cBus::new(ADT7467_ADDR), faults, fault_log };
         Self { cold, plant: None }
-    }
-
-    /// Attaches a tick-addressed fault schedule (deterministic replay).
-    /// Within a tick these deliver before the time-addressed plan.
-    ///
-    /// # Panics
-    /// Panics if the node's own plant has already ticked — a schedule
-    /// attached mid-flight would not replay deterministically.
-    pub fn set_tick_faults(&mut self, schedule: TickFaultSchedule) {
-        let ticks = self.plant.as_ref().map_or(0, |p| p.ticks);
-        assert_eq!(ticks, 0, "tick faults must be attached before the first tick");
-        self.cold.fault_log.reserve(schedule.len());
-        self.cold.tick_faults = schedule;
     }
 
     /// Every fault delivered so far, with the tick each landed on.
@@ -175,18 +155,17 @@ impl Node {
         &self.cold.fault_log
     }
 
-    /// True when this node has any scheduled fault sources (time- or
-    /// tick-addressed). A batched simulation hooks such nodes so it can
-    /// deliver their faults between lane ticks.
+    /// True when this node has any scheduled faults. A batched simulation
+    /// hooks such nodes so it can deliver their faults between lane ticks.
     pub fn has_fault_sources(&self) -> bool {
-        !self.cold.faults.is_empty() || !self.cold.tick_faults.is_empty()
+        !self.cold.faults.is_empty()
     }
 
-    /// True when a fault is due at tick `tick` and time `time_s`: what
-    /// [`NodeView::deliver_due_faults`] would deliver on a plant whose
-    /// clock reads them.
-    pub fn fault_due(&self, tick: u64, time_s: f64) -> bool {
-        self.cold.tick_faults.has_due(tick) || self.cold.faults.has_due(time_s)
+    /// True when a fault is due at tick `tick`: what
+    /// [`NodeView::deliver_due_faults`] would deliver on a plant at that
+    /// tick.
+    pub fn fault_due(&self, tick: u64) -> bool {
+        self.cold.faults.has_due(tick)
     }
 
     /// The view of a standalone node: its cold parts with its own plant.
@@ -307,18 +286,13 @@ impl NodeView<'_> {
         self.lanes.ticks
     }
 
-    /// Delivers every fault due at the plant's current tick and time:
-    /// tick-addressed ones first, then time-addressed ones, each logged.
-    /// Returns true when any fault landed. Call after the batch's
-    /// [`PhysicsBatch::begin_tick`] and before its
+    /// Delivers every fault due at the plant's current tick, in schedule
+    /// order, each logged. Returns true when any fault landed. Call after
+    /// the batch's [`PhysicsBatch::begin_tick`] and before its
     /// [`PhysicsBatch::tick_all`].
     pub fn deliver_due_faults(&mut self) -> bool {
         let before = self.cold.fault_log.len();
-        let (ticks, time_s) = (self.lanes.ticks, self.lanes.time_s);
-        while let Some(ev) = self.cold.tick_faults.pop_due(ticks) {
-            self.apply_fault(ev);
-        }
-        while let Some(ev) = self.cold.faults.pop_due(time_s) {
+        while let Some(ev) = self.cold.faults.pop_due(self.lanes.ticks) {
             self.apply_fault(ev);
         }
         self.cold.fault_log.len() > before
@@ -702,7 +676,7 @@ mod tests {
 
     #[test]
     fn fan_failure_causes_runaway_and_throttle() {
-        let faults = FaultPlan::none().at(10.0, FaultEvent::FanFailure);
+        let faults = TickFaultSchedule::none().at_tick(200, FaultEvent::FanFailure);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         n.view().set_utilization(1.0);
         run(&mut n, 600.0);
@@ -717,8 +691,9 @@ mod tests {
 
     #[test]
     fn sensor_dropout_fault_blocks_reads() {
-        let faults =
-            FaultPlan::none().at(1.0, FaultEvent::SensorDropout).at(2.0, FaultEvent::SensorRestore);
+        let faults = TickFaultSchedule::none()
+            .at_tick(20, FaultEvent::SensorDropout)
+            .at_tick(40, FaultEvent::SensorRestore);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         run(&mut n, 1.5);
         assert!(n.view().read_sensor().is_err());
@@ -728,7 +703,7 @@ mod tests {
 
     #[test]
     fn i2c_fault_blocks_smbus() {
-        let faults = FaultPlan::none().at(1.0, FaultEvent::I2cFailure);
+        let faults = TickFaultSchedule::none().at_tick(20, FaultEvent::I2cFailure);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         run(&mut n, 2.0);
         assert!(matches!(
@@ -739,7 +714,7 @@ mod tests {
 
     #[test]
     fn ambient_step_heats_node() {
-        let faults = FaultPlan::none().at(5.0, FaultEvent::AmbientStep(35.0));
+        let faults = TickFaultSchedule::none().at_tick(100, FaultEvent::AmbientStep(35.0));
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
         let before = n.view().die_temp_c();
         run(&mut n, 600.0);
@@ -748,13 +723,11 @@ mod tests {
 
     #[test]
     fn tick_faults_land_on_their_exact_tick_and_are_logged() {
-        let mut n = node();
-        n.set_tick_faults(
-            TickFaultSchedule::none()
-                .at_tick(10, FaultEvent::PwmStuck)
-                .at_tick(20, FaultEvent::SensorJitter(1.5))
-                .at_tick(30, FaultEvent::PwmRelease),
-        );
+        let faults = TickFaultSchedule::none()
+            .at_tick(10, FaultEvent::PwmStuck)
+            .at_tick(20, FaultEvent::SensorJitter(1.5))
+            .at_tick(30, FaultEvent::PwmRelease);
+        let mut n = Node::with_faults(NodeConfig::default(), 7, faults);
         for _ in 0..9 {
             n.tick(0.05);
         }
@@ -779,31 +752,27 @@ mod tests {
     }
 
     #[test]
-    fn tick_faults_deliver_before_time_faults_within_a_tick() {
-        // Both address the same tick (tick 5 = 0.25 s); the log shows the
-        // tick-addressed event first.
-        let faults = FaultPlan::none().at(0.25, FaultEvent::FanFailure);
+    fn faults_sharing_a_tick_deliver_in_schedule_order() {
+        let faults = TickFaultSchedule::none()
+            .at_tick(5, FaultEvent::SensorDropout)
+            .at_tick(5, FaultEvent::FanFailure);
         let mut n = Node::with_faults(NodeConfig::default(), 3, faults);
-        n.set_tick_faults(TickFaultSchedule::none().at_tick(5, FaultEvent::SensorDropout));
-        for _ in 0..5 {
+        assert!(n.has_fault_sources());
+        for _ in 0..4 {
             n.tick(0.05);
         }
-        assert_eq!(n.fault_log(), &[(5, FaultEvent::SensorDropout), (5, FaultEvent::FanFailure)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first tick")]
-    fn tick_faults_rejected_after_first_tick() {
-        let mut n = node();
+        assert!(n.fault_due(5), "both wait for tick 5");
         n.tick(0.05);
-        n.set_tick_faults(TickFaultSchedule::none().at_tick(2, FaultEvent::FanFailure));
+        assert!(!n.fault_due(u64::MAX), "nothing left after delivery");
+        assert_eq!(n.fault_log(), &[(5, FaultEvent::SensorDropout), (5, FaultEvent::FanFailure)]);
     }
 
     #[test]
     fn sensor_jitter_fault_degrades_then_recovers_readings() {
         let mut a = node();
-        let mut b = node();
-        b.set_tick_faults(
+        let mut b = Node::with_faults(
+            NodeConfig::default(),
+            7,
             TickFaultSchedule::none()
                 .at_tick(1, FaultEvent::SensorJitter(5.0))
                 .at_tick(50, FaultEvent::SensorJitter(0.0)),
@@ -907,7 +876,7 @@ mod tests {
     fn sensor_dropout_takes_all_sensors() {
         let mut cfg = NodeConfig::default();
         cfg.sensor.count = 3;
-        let faults = FaultPlan::none().at(1.0, FaultEvent::SensorDropout);
+        let faults = TickFaultSchedule::none().at_tick(20, FaultEvent::SensorDropout);
         let mut n = Node::with_faults(cfg, 23, faults);
         run(&mut n, 2.0);
         assert!(n.view().read_hottest_sensor().is_err(), "no sensor should respond");
@@ -922,8 +891,9 @@ mod tests {
 
     #[test]
     fn stuck_pwm_freezes_duty_until_release() {
-        let mut n = node();
-        n.set_tick_faults(
+        let mut n = Node::with_faults(
+            NodeConfig::default(),
+            7,
             TickFaultSchedule::none()
                 .at_tick(200, FaultEvent::PwmStuck)
                 .at_tick(401, FaultEvent::PwmRelease),

@@ -99,26 +99,25 @@ fn case(k: usize) -> Scenario {
         s = s.with_rack(RackConfig::default());
     }
 
-    // One plan and one schedule per node: a scenario keeps the first
-    // entry it finds for a node.
-    let mut plans = vec![FaultPlan::none(); nodes];
-    let mut schedules = vec![TickFaultSchedule::none(); nodes];
+    // Every fault goes in as its own entry: a scenario folds all entries
+    // listed for a node into its one schedule.
     if k.is_multiple_of(5) {
         // An 8 s sensor dropout outlasts a 4-sample stale budget at every
         // sample period drawn, so the failsafe engages.
-        s = s.with_failsafe(FailsafeConfig { max_stale_samples: 4, ..FailsafeConfig::default() });
-        schedules[0] = TickFaultSchedule::window(
-            20,
-            160,
-            FaultEvent::SensorDropout,
-            FaultEvent::SensorRestore,
-        );
+        s = s
+            .with_failsafe(FailsafeConfig { max_stale_samples: 4, ..FailsafeConfig::default() })
+            .with_tick_faults(
+                0,
+                TickFaultSchedule::none()
+                    .at_tick(20, FaultEvent::SensorDropout)
+                    .at_tick(180, FaultEvent::SensorRestore),
+            );
     }
     for _ in 0..rng.below(4) {
         let node = rng.below(nodes as u64) as usize;
         let event = TIME_FAULTS[rng.below(TIME_FAULTS.len() as u64) as usize];
         let at = rng.range(1.0, max_time_s - 1.0);
-        plans[node] = std::mem::take(&mut plans[node]).at(at, event);
+        s = s.with_fault(node, FaultPlan::none().at(at, event));
     }
     let last_tick = (max_time_s / s.dt_s) as u64 - 1;
     for _ in 0..rng.below(3) {
@@ -126,17 +125,10 @@ fn case(k: usize) -> Scenario {
         let (inject, recover) = TICK_WINDOWS[rng.below(TICK_WINDOWS.len() as u64) as usize];
         let start = 1 + rng.below(last_tick);
         let hold = 1 + rng.below(200);
-        schedules[node].merge(&TickFaultSchedule::window(start, hold, inject, recover));
-    }
-    for (node, plan) in plans.into_iter().enumerate() {
-        if !plan.is_empty() {
-            s = s.with_fault(node, plan);
-        }
-    }
-    for (node, schedule) in schedules.into_iter().enumerate() {
-        if !schedule.is_empty() {
-            s = s.with_tick_faults(node, schedule);
-        }
+        s = s.with_tick_faults(
+            node,
+            TickFaultSchedule::none().at_tick(start, inject).at_tick(start + hold, recover),
+        );
     }
     s
 }

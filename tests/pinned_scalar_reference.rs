@@ -14,6 +14,7 @@
 //! change of step length (which re-derives the per-step constants), and
 //! faults delivered between lane ticks.
 
+use unitherm::cluster::Scenario;
 use unitherm::simnode::cpu::ThermalCondition;
 use unitherm::simnode::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 use unitherm::simnode::{Node, NodeConfig};
@@ -251,13 +252,14 @@ fn faults_between_lane_ticks_match_the_scalar_tick() {
         .at(1.0, FaultEvent::AmbientStep(35.0))
         .at(2.0, FaultEvent::FanFailure)
         .at(4.0, FaultEvent::FanRepair);
-    let mut node = Node::with_faults(NodeConfig::default(), 5, plan);
-    node.set_tick_faults(
+    let scenario = Scenario::new("faults").with_nodes(1).with_fault(0, plan).with_tick_faults(
+        0,
         TickFaultSchedule::none()
             .at_tick(30, FaultEvent::PwmStuck)
             .at_tick(40, FaultEvent::FanFailure)
             .at_tick(50, FaultEvent::PwmRelease),
     );
+    let mut node = Node::with_faults(NodeConfig::default(), 5, scenario.fault_schedule(0));
     node.view().set_utilization(1.0);
     for _ in 0..200 {
         node.tick(0.05);
