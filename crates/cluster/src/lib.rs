@@ -53,12 +53,12 @@ pub mod sim;
 pub mod sweep;
 
 pub use chaos::{
-    chaos_search, report_digest, report_json_and_digest, AttackKind, ChaosConfig, ChaosCorpus,
-    ChaosError, Counterexample, FaultWindow, OutcomePredicate, OutcomeSummary, CHAOS_SCHEMA,
+    chaos_search, report_digest, report_json_and_digest, ChaosConfig, ChaosCorpus, ChaosError,
+    Counterexample, OutcomePredicate, OutcomeSummary, CHAOS_SCHEMA,
 };
 pub use pool::{pool_width, MIN_NODES_PER_SHARD};
 pub use rack::{RackConfig, RackModel};
-pub use replay::{derive_fault_plan, DerivedFault, ReplayError, ReplayOptions, ReplayPlan};
+pub use replay::{derive_fault_plan, AttackKind, FaultWindow, ReplayError, ReplayPlan};
 pub use report::{NodeReport, RunReport};
 pub use scenario::{Scenario, ScenarioError, WorkloadSpec};
 pub use scheme::{DvfsScheme, FanScheme, SchemeSpec};

@@ -9,8 +9,8 @@
 use std::path::Path;
 
 use unitherm_cluster::{
-    derive_fault_plan, ChaosCorpus, ReplayError, ReplayOptions, RunReport, Scenario, ScenarioError,
-    Simulation, CHAOS_SCHEMA,
+    derive_fault_plan, ChaosCorpus, ReplayError, RunReport, Scenario, ScenarioError, Simulation,
+    CHAOS_SCHEMA,
 };
 use unitherm_metrics::AsciiPlot;
 use unitherm_obs::{
@@ -117,17 +117,20 @@ pub fn apply_replay(
     journal_path: impl AsRef<Path>,
 ) -> Result<(Scenario, String), ScenarioFileError> {
     let (records, format) = read_any_journal(journal_path)?;
-    let plan = derive_fault_plan(&records, &scenario, &ReplayOptions::default())
-        .map_err(ScenarioFileError::Replay)?;
+    let plan = derive_fault_plan(&records, &scenario).map_err(ScenarioFileError::Replay)?;
     let mut desc = format!(
         "derived {} fault window(s) from {} journal event(s) ({format}):\n",
         plan.len(),
         records.len()
     );
-    for d in &plan.derived {
+    for w in &plan.windows {
         desc.push_str(&format!(
             "  node {} tick {} (t={:.2} s): {:?} until tick {}\n",
-            d.node, d.tick, d.trigger_time_s, d.fault, d.recovery_tick
+            w.node,
+            w.start_tick,
+            w.start_tick as f64 * scenario.dt_s,
+            w.kind.inject(w.magnitude),
+            w.start_tick + w.hold_ticks
         ));
     }
     Ok((plan.apply(scenario), desc))

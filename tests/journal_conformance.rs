@@ -7,7 +7,7 @@
 //! `journal-conformance` job runs this file plus the same round trip
 //! through the `repro journal convert` CLI.
 
-use unitherm::cluster::{derive_fault_plan, ReplayOptions, Scenario, Simulation};
+use unitherm::cluster::{derive_fault_plan, Scenario, Simulation};
 use unitherm::experiments::scenario_file;
 use unitherm::obs::{
     bjl_to_records, read_journal, records_to_bjl, EventRecord, EventSink, JournalWriter,
@@ -75,8 +75,7 @@ fn freshly_recorded_faulted_journal_round_trips_byte_identically() {
         scenario_file::load(repo_path("examples/scenarios/replay/hybrid_burn_replay.json"))
             .expect("committed scenario loads");
     let records = read_journal(jsonl.as_slice()).expect("journal parses");
-    let plan =
-        derive_fault_plan(&records, &scenario, &ReplayOptions::default()).expect("plan derives");
+    let plan = derive_fault_plan(&records, &scenario).expect("plan derives");
     let faulted = plan.apply(scenario);
     let dt_s = faulted.dt_s;
     let jsonl = record_run(faulted);
@@ -95,13 +94,12 @@ fn both_encodings_derive_identical_replay_plans() {
         scenario_file::load(repo_path("examples/scenarios/replay/hybrid_burn_replay.json"))
             .expect("committed scenario loads");
     let records = read_journal(jsonl.as_slice()).expect("journal parses");
-    let opts = ReplayOptions::default();
 
-    let from_jsonl = derive_fault_plan(&records, &scenario, &opts).expect("jsonl plan derives");
+    let from_jsonl = derive_fault_plan(&records, &scenario).expect("jsonl plan derives");
     let bjl = records_to_bjl(&records, scenario.dt_s);
     let decoded = bjl_to_records(&bjl).expect("own bjl decodes");
-    let from_bjl = derive_fault_plan(&decoded, &scenario, &opts).expect("bjl plan derives");
+    let from_bjl = derive_fault_plan(&decoded, &scenario).expect("bjl plan derives");
 
-    assert!(!from_jsonl.derived.is_empty(), "committed journal must derive a non-trivial plan");
+    assert!(!from_jsonl.is_empty(), "committed journal must derive a non-trivial plan");
     assert_eq!(from_jsonl, from_bjl, "the two encodings derived different plans");
 }

@@ -13,7 +13,7 @@
 use std::sync::{Arc, Mutex};
 
 use unitherm::cluster::replay::classify_fault;
-use unitherm::cluster::{derive_fault_plan, ReplayOptions, RunReport, Scenario, Simulation};
+use unitherm::cluster::{derive_fault_plan, RunReport, Scenario, Simulation};
 use unitherm::experiments::scenario_file;
 use unitherm::obs::{read_journal, Event, EventRecord, EventSink};
 
@@ -67,8 +67,7 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
 
     // Derive: fault windows pinned to the recorded decisions.
     let base = base_scenario();
-    let opts = ReplayOptions::default();
-    let plan = derive_fault_plan(&recorded, &base, &opts).expect("clean journal derives");
+    let plan = derive_fault_plan(&recorded, &base).expect("clean journal derives");
     assert!(!plan.is_empty(), "hybrid burn makes decisions to derive faults from");
     let dt = base.dt_s;
 
@@ -79,15 +78,19 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
     // Every derived injection lands on its pinned tick: a FaultInjected
     // record on the right node whose timestamp maps back to exactly the
     // derived tick, with the kind the classifier assigns to that fault.
-    for d in &plan.derived {
-        let (kind, magnitude) = classify_fault(d.fault);
+    for d in &plan.windows {
+        let (kind, magnitude) = classify_fault(d.kind.inject(d.magnitude));
         let hit = ref_events.iter().any(|rec| {
             rec.node as usize == d.node
-                && (rec.time_s / dt).round() as u64 == d.tick
+                && (rec.time_s / dt).round() as u64 == d.start_tick
                 && matches!(rec.event, Event::FaultInjected { kind: k, magnitude: m }
                     if k == kind && m == magnitude)
         });
-        assert!(hit, "derived fault {d:?} missing from the replayed journal at tick {}", d.tick);
+        assert!(
+            hit,
+            "derived fault {d:?} missing from the replayed journal at tick {}",
+            d.start_tick
+        );
     }
 
     // The same deliveries are visible in the report: per-node fault logs
@@ -102,9 +105,11 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
         applied as u64,
         "the faults_injected counter mirrors the fault log"
     );
-    for d in &plan.derived {
+    for d in &plan.windows {
         assert!(
-            ref_report.nodes[d.node].faults_applied.contains(&(d.tick, d.fault)),
+            ref_report.nodes[d.node]
+                .faults_applied
+                .contains(&(d.start_tick, d.kind.inject(d.magnitude))),
             "derived fault {d:?} missing from node {}'s faults_applied",
             d.node
         );
@@ -121,10 +126,8 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
 #[test]
 fn derivation_is_a_pure_function_of_the_journal() {
     let (_, recorded) = run_with_journal(base_scenario(), 1);
-    let a = derive_fault_plan(&recorded, &base_scenario(), &ReplayOptions::default())
-        .expect("derive a");
-    let b = derive_fault_plan(&recorded, &base_scenario(), &ReplayOptions::default())
-        .expect("derive b");
+    let a = derive_fault_plan(&recorded, &base_scenario()).expect("derive a");
+    let b = derive_fault_plan(&recorded, &base_scenario()).expect("derive b");
     assert_eq!(a, b);
     assert!(!a.is_empty());
 }
@@ -140,8 +143,7 @@ fn committed_replay_example_derives_a_nonempty_plan() {
         .expect("committed journal exists");
     let records = read_journal(std::io::BufReader::new(file)).expect("journal parses");
     assert!(!records.is_empty());
-    let plan = derive_fault_plan(&records, &scenario, &ReplayOptions::default())
-        .expect("committed journal derives");
+    let plan = derive_fault_plan(&records, &scenario).expect("committed journal derives");
     assert!(!plan.is_empty(), "the committed journal must derive fault windows");
     let report = Simulation::new(plan.apply(scenario)).run();
     assert!(!report.any_shutdown(), "the example replay must survive its faults");
