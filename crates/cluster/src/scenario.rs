@@ -507,7 +507,8 @@ impl Scenario {
     /// Validates the scenario, returning a description of the first
     /// problem found: zero nodes, non-positive times, a sampling period not
     /// a whole number of ticks, an event ring above 65,536 records,
-    /// references to out-of-range nodes, a fault plan or tick-fault
+    /// references to out-of-range nodes, a node with two entries in
+    /// `fan_overrides` or `node_config_overrides`, a fault plan or tick-fault
     /// schedule its builder would refuse, fan overrides next to a full
     /// control scheme, a workload its constructor would
     /// refuse, a hardware ([`NodeConfig`]) or rack config outside its
@@ -567,6 +568,18 @@ impl Scenario {
                 ScenarioError::new(format!("node_config_overrides (node {node}): {e}"))
             })?;
         }
+        // `fan_for` and `node_config_for` take a node's first entry, so a
+        // second one would be silently ignored.
+        for (field, node) in [
+            ("fan_overrides", repeated_node(&self.fan_overrides)),
+            ("node_config_overrides", repeated_node(&self.node_config_overrides)),
+        ] {
+            if let Some(node) = node {
+                return Err(ScenarioError::new(format!(
+                    "{field}: node {node} has more than one entry"
+                )));
+            }
+        }
         if let Some(rack) = &self.rack {
             rack.validate().map_err(|e| ScenarioError::new(format!("rack: {e}")))?;
         }
@@ -577,7 +590,7 @@ impl Scenario {
         }
         // Each distinct scheme once, whatever the node count: the full
         // scheme, or else the default fan (when some node uses it), the
-        // DVFS arm and each override in effect (the first for its node).
+        // DVFS arm and each override.
         if let Some(scheme) = &self.scheme {
             check(
                 self.fan_overrides.is_empty(),
@@ -586,18 +599,11 @@ impl Scenario {
             )?;
             return scheme.validate().map_err(Into::into);
         }
-        let mut overridden = std::collections::BTreeSet::new();
-        let overrides: Vec<&FanScheme> = self
-            .fan_overrides
-            .iter()
-            .filter(|(node, _)| overridden.insert(*node))
-            .map(|(_, fan)| fan)
-            .collect();
-        if overridden.len() < self.nodes {
+        if self.fan_overrides.len() < self.nodes {
             self.fan.validate()?;
         }
         self.dvfs.validate()?;
-        for fan in overrides {
+        for (_, fan) in &self.fan_overrides {
             fan.validate()?;
         }
         Ok(())
@@ -622,6 +628,12 @@ impl Scenario {
     pub fn node_seed(&self, node: usize) -> u64 {
         self.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1)
     }
+}
+
+/// The first node a per-node override list names a second time, if any.
+fn repeated_node<T>(entries: &[(usize, T)]) -> Option<usize> {
+    let mut seen = std::collections::HashSet::with_capacity(entries.len());
+    entries.iter().map(|(node, _)| *node).find(|node| !seen.insert(*node))
 }
 
 #[cfg(test)]

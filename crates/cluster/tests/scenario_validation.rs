@@ -208,8 +208,8 @@ fn control_schemes_validate_once_with_the_per_node_error_text() {
     .expect_err("the shared DVFS arm is still checked");
     assert!(err.contains("interval must be positive"), "{err}");
 
-    // An override in effect is checked; the default fan is not when every
-    // node overrides it, nor is a later, shadowed override for a node.
+    // An override is checked; the default fan is not when every node
+    // overrides it. A second override for a node is refused by name.
     let controller = serde_json::to_string(&unitherm_core::controller::ControllerConfig::default())
         .expect("serialize controller config");
     let bad_fan =
@@ -224,8 +224,22 @@ fn control_schemes_validate_once_with_the_per_node_error_text() {
     assert!(err.contains("policy"), "{err}");
     validate_json(&doc(bad_fan, &format!("[[0, {good_fan}], [1, {good_fan}]]")))
         .expect("a default fan no node uses is not checked");
-    validate_json(&doc(good_fan, &format!("[[1, {good_fan}], [1, {bad_fan}]]")))
-        .expect("a shadowed override is not checked");
+    let err = validate_json(&doc(good_fan, &format!("[[1, {good_fan}], [1, {bad_fan}]]")))
+        .expect_err("a second override for a node is refused");
+    assert!(err.contains("fan_overrides") && err.contains("node 1"), "{err}");
+}
+
+#[test]
+fn a_second_node_config_override_for_a_node_is_refused_by_name() {
+    let cfg = serde_json::to_string(&unitherm_simnode::NodeConfig::default())
+        .expect("serialize node config");
+    let doc = |overrides: &str| {
+        format!(r#"{{"name": "c", "nodes": 3, "node_config_overrides": {overrides}}}"#)
+    };
+    validate_json(&doc(&format!("[[0, {cfg}], [2, {cfg}]]"))).expect("one entry per node");
+    let err = validate_json(&doc(&format!("[[2, {cfg}], [0, {cfg}], [2, {cfg}]]")))
+        .expect_err("a second config override for a node is refused");
+    assert!(err.contains("node_config_overrides") && err.contains("node 2"), "{err}");
 }
 
 #[test]

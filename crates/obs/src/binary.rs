@@ -169,118 +169,38 @@ impl From<BinaryJournalError> for io::Error {
 
 // ------------------------------------------------------------ enum codecs
 
-fn actuator_to_u8(v: ActuatorKind) -> u8 {
-    match v {
-        ActuatorKind::Fan => 0,
-        ActuatorKind::Dvfs => 1,
-        ActuatorKind::Sleep => 2,
-    }
-}
+// One table per enum: a value's wire code is its index here, which is also
+// its declaration order, so encoding is an `as u8` cast and decoding a
+// bounds-checked lookup (`tables_follow_declaration_order` pins the two).
+// A new variant goes last in both, or the wire format changes.
 
-fn actuator_from_u8(b: u8) -> Option<ActuatorKind> {
-    Some(match b {
-        0 => ActuatorKind::Fan,
-        1 => ActuatorKind::Dvfs,
-        2 => ActuatorKind::Sleep,
-        _ => return None,
-    })
-}
+const ACTUATORS: [ActuatorKind; 3] = [ActuatorKind::Fan, ActuatorKind::Dvfs, ActuatorKind::Sleep];
 
-fn level_to_u8(v: WindowLevel) -> u8 {
-    match v {
-        WindowLevel::L1 => 0,
-        WindowLevel::L2 => 1,
-        WindowLevel::Feedforward => 2,
-        WindowLevel::Governor => 3,
-    }
-}
+const LEVELS: [WindowLevel; 4] =
+    [WindowLevel::L1, WindowLevel::L2, WindowLevel::Feedforward, WindowLevel::Governor];
 
-fn level_from_u8(b: u8) -> Option<WindowLevel> {
-    Some(match b {
-        0 => WindowLevel::L1,
-        1 => WindowLevel::L2,
-        2 => WindowLevel::Feedforward,
-        3 => WindowLevel::Governor,
-        _ => return None,
-    })
-}
+const DIRECTIONS: [CrossDirection; 2] = [CrossDirection::Above, CrossDirection::Below];
 
-fn direction_to_u8(v: CrossDirection) -> u8 {
-    match v {
-        CrossDirection::Above => 0,
-        CrossDirection::Below => 1,
-    }
-}
+const CAUSES: [TripCause; 2] = [TripCause::StaleSensor, TripCause::OverTemperature];
 
-fn direction_from_u8(b: u8) -> Option<CrossDirection> {
-    Some(match b {
-        0 => CrossDirection::Above,
-        1 => CrossDirection::Below,
-        _ => return None,
-    })
-}
+const FAULTS: [InjectedFault; 10] = [
+    InjectedFault::FanFailure,
+    InjectedFault::FanRepair,
+    InjectedFault::SensorDropout,
+    InjectedFault::SensorRestore,
+    InjectedFault::I2cFailure,
+    InjectedFault::I2cRecovery,
+    InjectedFault::AmbientStep,
+    InjectedFault::PwmStuck,
+    InjectedFault::PwmRelease,
+    InjectedFault::SensorJitter,
+];
 
-fn cause_to_u8(v: TripCause) -> u8 {
-    match v {
-        TripCause::StaleSensor => 0,
-        TripCause::OverTemperature => 1,
-    }
-}
+const PHASES: [SearchPhase; 3] = [SearchPhase::Sample, SearchPhase::Mutate, SearchPhase::Bisect];
 
-fn cause_from_u8(b: u8) -> Option<TripCause> {
-    Some(match b {
-        0 => TripCause::StaleSensor,
-        1 => TripCause::OverTemperature,
-        _ => return None,
-    })
-}
-
-fn fault_to_u8(v: InjectedFault) -> u8 {
-    match v {
-        InjectedFault::FanFailure => 0,
-        InjectedFault::FanRepair => 1,
-        InjectedFault::SensorDropout => 2,
-        InjectedFault::SensorRestore => 3,
-        InjectedFault::I2cFailure => 4,
-        InjectedFault::I2cRecovery => 5,
-        InjectedFault::AmbientStep => 6,
-        InjectedFault::PwmStuck => 7,
-        InjectedFault::PwmRelease => 8,
-        InjectedFault::SensorJitter => 9,
-    }
-}
-
-fn fault_from_u8(b: u8) -> Option<InjectedFault> {
-    Some(match b {
-        0 => InjectedFault::FanFailure,
-        1 => InjectedFault::FanRepair,
-        2 => InjectedFault::SensorDropout,
-        3 => InjectedFault::SensorRestore,
-        4 => InjectedFault::I2cFailure,
-        5 => InjectedFault::I2cRecovery,
-        6 => InjectedFault::AmbientStep,
-        7 => InjectedFault::PwmStuck,
-        8 => InjectedFault::PwmRelease,
-        9 => InjectedFault::SensorJitter,
-        _ => return None,
-    })
-}
-
-fn phase_to_u8(v: SearchPhase) -> u8 {
-    match v {
-        SearchPhase::Sample => 0,
-        SearchPhase::Mutate => 1,
-        SearchPhase::Bisect => 2,
-    }
-}
-
-fn phase_from_u8(b: u8) -> Option<SearchPhase> {
-    Some(match b {
-        0 => SearchPhase::Sample,
-        1 => SearchPhase::Mutate,
-        2 => SearchPhase::Bisect,
-        _ => return None,
-    })
+/// The value with wire code `code` in `table`, if there is one.
+fn from_code<T: Copy>(table: &[T], code: u8) -> Option<T> {
+    table.get(usize::from(code)).copied()
 }
 
 // ----------------------------------------------------------- frame codec
@@ -303,14 +223,14 @@ fn encode_frame(rec: &EventRecord) -> [u8; BJL_FRAME_LEN] {
     match rec.event {
         Event::ModeChange { actuator, from, to, window_level } => {
             b[12] = 0;
-            b[14] = actuator_to_u8(actuator);
-            b[15] = level_to_u8(window_level);
+            b[14] = actuator as u8;
+            b[15] = window_level as u8;
             b[16..20].copy_from_slice(&from.to_le_bytes());
             b[20..24].copy_from_slice(&to.to_le_bytes());
         }
         Event::ThresholdCross { threshold_c, temp_c, direction } => {
             b[12] = 1;
-            b[14] = direction_to_u8(direction);
+            b[14] = direction as u8;
             b[16..24].copy_from_slice(&threshold_c.to_le_bytes());
             b[24..32].copy_from_slice(&temp_c.to_le_bytes());
         }
@@ -325,7 +245,7 @@ fn encode_frame(rec: &EventRecord) -> [u8; BJL_FRAME_LEN] {
         }
         Event::FailsafeTrip { cause } => {
             b[12] = 4;
-            b[14] = cause_to_u8(cause);
+            b[14] = cause as u8;
         }
         Event::FailsafeRelease => {
             b[12] = 5;
@@ -337,12 +257,12 @@ fn encode_frame(rec: &EventRecord) -> [u8; BJL_FRAME_LEN] {
         }
         Event::FaultInjected { kind, magnitude } => {
             b[12] = 7;
-            b[14] = fault_to_u8(kind);
+            b[14] = kind as u8;
             b[16..24].copy_from_slice(&magnitude.to_le_bytes());
         }
         Event::SearchProgress { phase, evaluated, counterexamples, best_cost } => {
             b[12] = 8;
-            b[14] = phase_to_u8(phase);
+            b[14] = phase as u8;
             b[16..20].copy_from_slice(&evaluated.to_le_bytes());
             b[20..24].copy_from_slice(&counterexamples.to_le_bytes());
             b[24..32].copy_from_slice(&best_cost.to_le_bytes());
@@ -371,30 +291,30 @@ fn decode_frame(b: &[u8], frame: usize) -> Result<EventRecord, BinaryJournalErro
     let node = read_u32(b, 8);
     let event = match b[12] {
         0 => Event::ModeChange {
-            actuator: actuator_from_u8(b[14]).ok_or(bad("actuator", b[14]))?,
-            window_level: level_from_u8(b[15]).ok_or(bad("window_level", b[15]))?,
+            actuator: from_code(&ACTUATORS, b[14]).ok_or(bad("actuator", b[14]))?,
+            window_level: from_code(&LEVELS, b[15]).ok_or(bad("window_level", b[15]))?,
             from: read_u32(b, 16),
             to: read_u32(b, 20),
         },
         1 => Event::ThresholdCross {
-            direction: direction_from_u8(b[14]).ok_or(bad("direction", b[14]))?,
+            direction: from_code(&DIRECTIONS, b[14]).ok_or(bad("direction", b[14]))?,
             threshold_c: read_f64(b, 16),
             temp_c: read_f64(b, 24),
         },
         2 => Event::TdvfsEngage { from_mhz: read_u32(b, 16), to_mhz: read_u32(b, 20) },
         3 => Event::TdvfsRelease { to_mhz: read_u32(b, 16) },
-        4 => Event::FailsafeTrip { cause: cause_from_u8(b[14]).ok_or(bad("cause", b[14]))? },
+        4 => Event::FailsafeTrip { cause: from_code(&CAUSES, b[14]).ok_or(bad("cause", b[14]))? },
         5 => Event::FailsafeRelease,
         6 => Event::PredictionSample {
             utilization: read_f64(b, 16),
             predicted_delta_c: read_f64(b, 24),
         },
         7 => Event::FaultInjected {
-            kind: fault_from_u8(b[14]).ok_or(bad("kind", b[14]))?,
+            kind: from_code(&FAULTS, b[14]).ok_or(bad("kind", b[14]))?,
             magnitude: read_f64(b, 16),
         },
         8 => Event::SearchProgress {
-            phase: phase_from_u8(b[14]).ok_or(bad("phase", b[14]))?,
+            phase: from_code(&PHASES, b[14]).ok_or(bad("phase", b[14]))?,
             evaluated: read_u32(b, 16),
             counterexamples: read_u32(b, 20),
             best_cost: read_u64(b, 24),
@@ -595,6 +515,23 @@ mod tests {
                 },
             },
         ]
+    }
+
+    #[test]
+    fn tables_follow_declaration_order() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(table: &[T], code: impl Fn(T) -> u8) {
+            for (i, &v) in table.iter().enumerate() {
+                assert_eq!(usize::from(code(v)), i, "{v:?} encodes off its table index");
+                assert_eq!(from_code(table, code(v)), Some(v));
+            }
+            assert_eq!(from_code(table, table.len() as u8), None);
+        }
+        check(&ACTUATORS, |v| v as u8);
+        check(&LEVELS, |v| v as u8);
+        check(&DIRECTIONS, |v| v as u8);
+        check(&CAUSES, |v| v as u8);
+        check(&FAULTS, |v| v as u8);
+        check(&PHASES, |v| v as u8);
     }
 
     #[test]
