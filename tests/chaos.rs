@@ -32,7 +32,6 @@ fn quick_config(threads: usize) -> ChaosConfig {
         max_evaluations: 40,
         batch: 8,
         threads,
-        ..ChaosConfig::default()
     }
 }
 
