@@ -14,10 +14,12 @@
 //! simulation, or a one-slot batch the node owns when built standalone
 //! with [`NodeSim::build`]. The sample pass and the per-tick hook reach it
 //! through the node's `NodeView` and act on the slot in place; nothing is
-//! copied back and forth. Its workload is kept the same way: a simulation
-//! keeps its ranks' workloads back to back in its shards, where pass A
-//! walks them without touching a `NodeSim`, and only a standalone node
-//! owns one ([`OwnWorkload`]).
+//! copied back and forth. Its event ring and its workload are kept the
+//! same way: a simulation keeps its nodes' rings in one [`EventRings`]
+//! block per shard, ring `slot` for slot `slot`, and its ranks' workloads
+//! back to back in its shards, where pass A walks them without touching a
+//! `NodeSim`; only a standalone node owns a one-ring block and a workload
+//! ([`OwnWorkload`]).
 //!
 //! The 4 Hz sample pass reads every node's `NodeSim` and prefetches it
 //! whole, so recording-only state is one pointer here: the recorder's
@@ -28,7 +30,7 @@ use unitherm_core::actuator::FreqMhz;
 use unitherm_core::control_plane::{BuildContext, ControlPlane, SensorSample};
 use unitherm_hwmon::{LmSensors, PlatformActuators, PlatformBinding};
 use unitherm_metrics::{RunningStats, TimeSeries};
-use unitherm_obs::{Counters, EventSink, Observer, RingSink, TeeSink};
+use unitherm_obs::{Counters, EventRecord, EventRings, EventSink, Observer, Ring, TeeSink};
 use unitherm_simnode::{Node, NodeView, PhysicsBatch};
 use unitherm_workload::{WorkState, Workload};
 
@@ -102,24 +104,34 @@ impl NodeRecorder {
     }
 }
 
-/// Where a node's plant lives for one call: its own one-slot batch
-/// (`None`, a node from [`NodeSim::build`]) or a slot of its shard's
-/// batch.
-pub(crate) type PlantAt<'a> = Option<(&'a mut PhysicsBatch, usize)>;
+/// Where a node's plant and event ring live for one call: its own
+/// one-slot batch and one-ring block (`None`, a node from
+/// [`NodeSim::build`]) or slot `slot` of its shard's batch and ring block.
+pub(crate) type PlantAt<'a> = Option<(&'a mut PhysicsBatch, &'a mut EventRings, usize)>;
 
-/// The view of `node` with its plant at `at`.
-fn view<'a>(node: &'a mut Node, at: PlantAt<'a>) -> NodeView<'a> {
+/// The view of `node` with its plant at `at`, and its event ring there
+/// (in `own` when `at` is `None`).
+fn view<'a>(
+    node: &'a mut Node,
+    own: &'a mut Option<Box<EventRings>>,
+    at: PlantAt<'a>,
+) -> (NodeView<'a>, Ring<'a>) {
     match at {
-        Some((lanes, slot)) => node.view_in(lanes, slot),
-        None => node.view(),
+        Some((lanes, rings, slot)) => (node.view_in(lanes, slot), rings.ring(slot)),
+        None => (node.view(), own_rings(own).ring(0)),
     }
+}
+
+/// The one-ring block of a node from [`NodeSim::build`].
+fn own_rings(own: &mut Option<Box<EventRings>>) -> &mut EventRings {
+    own.as_deref_mut().expect("a simulation keeps its nodes' event rings in its shards")
 }
 
 /// Runs `f` with an observer over a node's event ring and counters, teed
 /// into `journal` when one is attached.
 #[inline]
 fn observed<R>(
-    events: &mut RingSink,
+    events: &mut Ring<'_>,
     counters: &mut Counters,
     index: u32,
     now_s: f64,
@@ -154,9 +166,10 @@ pub struct NodeSim {
     pub rec: NodeRecorder,
     /// This node's rank index (stamped into emitted event records).
     pub index: u32,
-    /// Fixed-capacity ring of the most recent control-plane events
-    /// (allocation-free in steady state; capacity from the scenario).
-    pub events: RingSink,
+    /// The one-ring event block of a node from [`NodeSim::build`], the
+    /// way its `Node` owns a one-slot plant; `None` in a simulation, whose
+    /// shards keep their nodes' rings.
+    own_events: Option<Box<EventRings>>,
     /// Monotonic control-plane counters for this node.
     pub counters: Counters,
     /// Watermark into `Node::fault_log`: entries before it have already
@@ -194,22 +207,27 @@ impl NodeSim {
     /// daemon pipeline through the scheme factory, attach.
     pub fn build(scenario: &Scenario, node_idx: usize) -> Self {
         let workload = scenario.workload.instantiate(node_idx, scenario.seed);
+        let rings = EventRings::try_new(1, scenario.event_capacity)
+            .unwrap_or_else(|e| panic!("event ring: {e}"));
         let mut ns = Self::build_hot(scenario, node_idx, None);
         ns.workload = OwnWorkload(Some(workload));
-        ns.events = RingSink::with_capacity(scenario.event_capacity);
+        ns.own_events = Some(Box::new(rings));
         ns
     }
 
-    /// [`Self::build`] with the plant at `at`, no workload and no event
-    /// ring: every hot heap object the sample pass reads (sensor and bus
-    /// state, daemons, binding) and a zero-capacity, unallocated ring,
-    /// since building emits no events. `Simulation::build` allocates
-    /// per-node state in pass order: every rank's workload into its shard,
-    /// then every node this way with its plant straight in its shard's
-    /// batch, then the rings. Consecutive workloads so sit back to back,
-    /// and consecutive nodes' hot state under 1 kB apart instead of one
-    /// 10 kB ring apart (DESIGN §14).
-    pub(crate) fn build_hot(scenario: &Scenario, node_idx: usize, mut at: PlantAt<'_>) -> Self {
+    /// [`Self::build`] with the plant at `at`, and no workload and no
+    /// event ring: every hot heap object the sample pass reads (sensor and
+    /// bus state, daemons, binding), since building emits no events.
+    /// `Simulation::build` reserves each shard's ring block first, then
+    /// allocates per-node state in pass order: every rank's workload into
+    /// its shard, then every node this way with its plant straight in its
+    /// shard's batch. Consecutive workloads so sit back to back, and
+    /// consecutive nodes' hot state under 1 kB apart (DESIGN §14).
+    pub(crate) fn build_hot(
+        scenario: &Scenario,
+        node_idx: usize,
+        mut at: Option<(&mut PhysicsBatch, usize)>,
+    ) -> Self {
         let seed = scenario.node_seed(node_idx);
         let faults = scenario.fault_schedule(node_idx);
         let cfg = scenario.node_config_for(node_idx).clone();
@@ -218,7 +236,10 @@ impl NodeSim {
             None => Node::with_faults(cfg, seed, faults),
         };
         let spec = scenario.effective_scheme(node_idx);
-        let mut plant = view(&mut node, at);
+        let mut plant = match at {
+            Some((lanes, slot)) => node.view_in(lanes, slot),
+            None => node.view(),
+        };
         let mut binding =
             PlatformBinding::probe(&mut plant, &spec).expect("chip reachable at build time");
         let ctx = BuildContext { available_mhz: PlatformBinding::available_mhz(&plant) };
@@ -242,7 +263,7 @@ impl NodeSim {
             binding,
             rec: NodeRecorder::new(node_idx, scenario.record_series, scenario.expected_samples()),
             index: node_idx as u32,
-            events: RingSink::with_capacity(0),
+            own_events: None,
             counters: Counters::default(),
             fault_log_seen: 0,
             tick_daemon,
@@ -272,16 +293,18 @@ impl NodeSim {
     ) {
         self.run_tick_daemons(None, dt_s, now_s, journal.as_deref_mut());
         self.node.tick(dt_s);
-        self.emit_fault_events(now_s, journal);
+        self.emit_fault_events(None, now_s, journal);
     }
 
     /// The per-tick work the lane tick does not do, run on slot `slot` of
-    /// `lanes` after the batch's `begin_tick` and before its `tick_all`:
-    /// the per-tick daemons, then due faults, then their `FaultInjected`
-    /// events — the order [`NodeSim::tick_hardware`] runs them in.
+    /// `lanes` and `rings` after the batch's `begin_tick` and before its
+    /// `tick_all`: the per-tick daemons, then due faults, then their
+    /// `FaultInjected` events — the order [`NodeSim::tick_hardware`] runs
+    /// them in.
     pub(crate) fn on_tick_hook(
         &mut self,
         lanes: &mut PhysicsBatch,
+        rings: &mut EventRings,
         slot: usize,
         dt_s: f64,
         now_s: f64,
@@ -290,10 +313,11 @@ impl NodeSim {
         // A plane without per-tick daemons would only count a skipped
         // tick here; the report counts those from the tick count.
         if self.tick_daemon {
-            self.run_tick_daemons(Some((&mut *lanes, slot)), dt_s, now_s, journal.as_deref_mut());
+            let at = Some((&mut *lanes, &mut *rings, slot));
+            self.run_tick_daemons(at, dt_s, now_s, journal.as_deref_mut());
         }
         self.node.view_in(lanes, slot).deliver_due_faults();
-        self.emit_fault_events(now_s, journal);
+        self.emit_fault_events(Some((rings, slot)), now_s, journal);
     }
 
     /// Hands one tick to the control plane's per-tick daemons and records
@@ -305,10 +329,11 @@ impl NodeSim {
         now_s: f64,
         journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        let Self { node, plane, binding, rec, events, counters, index, .. } = self;
-        let mut act = PlatformActuators { node: view(node, at), binding };
+        let Self { node, plane, binding, rec, own_events, counters, index, .. } = self;
+        let (plant, mut events) = view(node, own_events, at);
+        let mut act = PlatformActuators { node: plant, binding };
         let util = act.node.utilization();
-        let applied = observed(events, counters, *index, now_s, journal, |obs| {
+        let applied = observed(&mut events, counters, *index, now_s, journal, |obs| {
             plane.on_tick_observed(dt_s, util, &mut act, obs)
         });
         if let Some(mhz) = applied {
@@ -317,24 +342,41 @@ impl NodeSim {
     }
 
     /// Emits a `FaultInjected` event for every fault the node delivered
-    /// since the last call. Runs in pass B at every pool width (shard 0
-    /// tees directly, the other shards' scratch drains in node order), so
-    /// the journal stream stays thread-count invariant. No-op — and
+    /// since the last call into its ring, ring `slot` of `rings` (its own
+    /// when `None`). Runs in pass B at every pool width (shard 0 tees
+    /// directly, the other shards' scratch drains in node order), so the
+    /// journal stream stays thread-count invariant. No-op — and
     /// allocation-free — on fault-free ticks.
-    fn emit_fault_events(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
+    fn emit_fault_events(
+        &mut self,
+        rings: Option<(&mut EventRings, usize)>,
+        now_s: f64,
+        journal: Option<&mut (dyn EventSink + 'static)>,
+    ) {
         let start = self.fault_log_seen;
         let end = self.node.fault_log().len();
         if start >= end {
             return;
         }
         self.fault_log_seen = end;
-        let Self { node, events, counters, index, .. } = self;
-        observed(events, counters, *index, now_s, journal, |obs| {
+        let Self { node, own_events, counters, index, .. } = self;
+        let mut events = match rings {
+            Some((rings, slot)) => rings.ring(slot),
+            None => own_rings(own_events).ring(0),
+        };
+        observed(&mut events, counters, *index, now_s, journal, |obs| {
             for &(_, ev) in &node.fault_log()[start..] {
                 let (kind, magnitude) = classify_fault(ev);
                 obs.fault_injected(kind, magnitude);
             }
         });
+    }
+
+    /// The records in the event ring of a node from [`NodeSim::build`],
+    /// oldest first. A simulation's report carries its nodes' rings.
+    pub fn events(&self) -> Vec<EventRecord> {
+        let own = self.own_events.as_deref();
+        own.expect("a simulation keeps its nodes' event rings in its shards").records(0)
     }
 
     /// Runs the 4 Hz sampling path of a node from [`NodeSim::build`]: read
@@ -352,8 +394,8 @@ impl NodeSim {
         now_s: f64,
         journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        let Self { node, lm, plane, binding, rec, events, counters, index, .. } = self;
-        let mut plant = view(node, at);
+        let Self { node, lm, plane, binding, rec, own_events, counters, index, .. } = self;
+        let (mut plant, mut events) = view(node, own_events, at);
         // Hottest-sensor read. `fresh` distinguishes a live reading from
         // the stale fallback the controllers tolerate — the failsafe cares
         // about the difference.
@@ -368,7 +410,7 @@ impl NodeSim {
             die_temp_c: plant.die_temp_c(),
         };
         let mut act = PlatformActuators { node: plant, binding };
-        let applied = observed(events, counters, *index, now_s, journal, |obs| {
+        let applied = observed(&mut events, counters, *index, now_s, journal, |obs| {
             plane.on_sample_observed(&sample, &mut act, obs)
         });
         let plant = act.node;
@@ -587,8 +629,9 @@ mod tests {
             ns.counters.l1_decisions + ns.counters.l2_fallbacks > 0,
             "window decisions counted"
         );
-        assert!(!ns.events.is_empty());
-        assert!(ns.events.iter().all(|r| r.node == 0));
+        let events = ns.events();
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|r| r.node == 0));
     }
 
     #[test]

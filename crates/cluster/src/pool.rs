@@ -361,7 +361,8 @@ fn worker_loop(shared: &Shared, shard: usize) {
 unsafe fn exec_shard(job: &Job, s: usize, journal: Option<&mut (dyn EventSink + 'static)>) {
     let range = shard_range(job.len, job.width, s);
     let nodes = std::slice::from_raw_parts_mut(job.nodes.add(range.start), range.len());
-    let Shard { lanes, workloads, finish_time_s, hooked, out, events } = &mut *job.shards.add(s);
+    let Shard { lanes, rings, workloads, finish_time_s, hooked, out, events } =
+        &mut *job.shards.add(s);
     let journal = journal.or_else(|| job.teeing.then_some(events as &mut dyn EventSink));
 
     *out = match job.kind {
@@ -369,15 +370,19 @@ unsafe fn exec_shard(job: &Job, s: usize, journal: Option<&mut (dyn EventSink + 
             crate::sim::workload_pass(workloads, lanes, dt_s, endless)
         }
         PassKind::Hardware { dt_s, now_s, release, finite } => {
-            let heat = (!job.heat.is_null())
-                .then(|| std::slice::from_raw_parts_mut(job.heat.add(range.start), range.len()));
-            crate::sim::hardware_pass(nodes, lanes, hooked, dt_s, now_s, heat, journal);
+            crate::sim::hardware_pass(nodes, lanes, rings, hooked, dt_s, now_s, journal);
+            if !job.heat.is_null() {
+                lanes.write_heat(std::slice::from_raw_parts_mut(
+                    job.heat.add(range.start),
+                    range.len(),
+                ));
+            }
             let finished_delta =
                 crate::sim::rank_pass(workloads, finish_time_s, release, finite, now_s);
             ShardOut { finished_delta, ..ShardOut::default() }
         }
         PassKind::Sample { now_s } => {
-            crate::sim::sample_pass(nodes, lanes, now_s, journal);
+            crate::sim::sample_pass(nodes, lanes, rings, now_s, journal);
             ShardOut::default()
         }
     };
@@ -457,10 +462,11 @@ mod tests {
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fault(1, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
         let mut lanes = unitherm_simnode::PhysicsBatch::with_len(2);
+        let rings = unitherm_obs::EventRings::try_new(2, scenario.event_capacity).unwrap();
         let workloads = (0..2).map(|i| scenario.workload.instantiate(i, scenario.seed)).collect();
         let mut nodes: Vec<NodeSim> =
             (0..2).map(|i| NodeSim::build_hot(&scenario, i, Some((&mut lanes, i)))).collect();
-        let mut shards = vec![Shard::new(lanes, workloads, &nodes)];
+        let mut shards = vec![Shard::new(lanes, rings, workloads, &nodes)];
         let mut sink = ThreadSink(Vec::new());
         for tick in 1..=4 {
             let now_s = tick as f64 * 0.05;

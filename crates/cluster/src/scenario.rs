@@ -24,7 +24,7 @@ pub struct ScenarioError {
 }
 
 impl ScenarioError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         Self { message: message.into() }
     }
 

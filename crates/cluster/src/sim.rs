@@ -20,16 +20,17 @@
 //!
 //! Every rank's workload lives in its shard too, in one dense array: pass
 //! A, barrier release and finish detection walk that array and the lanes,
-//! never a `NodeSim`. `Simulation::build` allocates per-node state in the
-//! order the passes read it: each shard's workloads, then every node's hot
-//! state, then the event rings (DESIGN §14).
+//! never a `NodeSim`; so do the nodes' event rings, one zeroed block per
+//! shard. `Simulation::build` reserves the ring blocks first, then
+//! allocates per-node state in the order the passes read it: each shard's
+//! workloads, then every node's hot state (DESIGN §14).
 //!
 //! Barrier release is all-or-nothing: a rank that reaches a barrier parks
 //! (near-zero utilization) until every unfinished rank arrives. A rank on a
 //! throttled or down-scaled CPU therefore delays the whole job — the
 //! mechanism behind the paper's execution-time results.
 
-use unitherm_obs::{EventSink, RingSink, VecSink};
+use unitherm_obs::{EventRings, EventSink, VecSink};
 use unitherm_simnode::PhysicsBatch;
 use unitherm_workload::{WorkState, Workload};
 
@@ -61,11 +62,12 @@ pub struct Simulation {
     /// one flag per simulation.
     endless: bool,
     /// Optional cluster-wide event journal; every node's event stream is
-    /// teed into it on top of the per-node rings (e.g. a JSONL
+    /// teed into it on top of the nodes' rings (e.g. a JSONL
     /// [`unitherm_obs::JournalWriter`] behind `repro run-scenario --journal`).
     journal: Option<Box<dyn EventSink>>,
-    /// Each shard's physics lanes, workloads, finish times, hooked nodes,
-    /// reduction slot and journal scratch, one entry per pool shard.
+    /// Each shard's physics lanes, event rings, workloads, finish times,
+    /// hooked nodes, reduction slot and journal scratch, one entry per
+    /// pool shard.
     shards: Vec<Shard>,
     /// Per-node heat slots for the rack reduction: each pass fills its
     /// shard's rows, the coordinator folds them in node order so the f64
@@ -75,14 +77,15 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds the cluster from a scenario, or reports why the scenario
-    /// cannot be run (the [`Scenario::validate`] error).
+    /// cannot be run: the [`Scenario::validate`] error, or an event-ring
+    /// block (`event rings: …`) the allocator cannot grant.
     ///
     /// `Scenario::threads` is an upper bound: the pool is
     /// [`pool_width`]`(threads, nodes)` shards wide (see [`Self::width`]).
     pub fn try_new(scenario: Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
         let width = pool_width(scenario.threads, scenario.nodes);
-        Ok(Self::build(scenario, width))
+        Self::build(scenario, width)
     }
 
     /// Like [`Self::try_new`], but shards the nodes exactly `width` ways
@@ -93,18 +96,29 @@ impl Simulation {
     pub fn try_with_width(scenario: Scenario, width: usize) -> Result<Self, ScenarioError> {
         scenario.validate()?;
         let width = width.clamp(1, scenario.nodes);
-        Ok(Self::build(scenario, width))
+        Self::build(scenario, width)
     }
 
-    /// Builds a validated scenario on a pool `shards` shards wide.
-    fn build(scenario: Scenario, shards: usize) -> Self {
-        // Per-node state is allocated in pass order: each shard's lanes,
+    /// Builds a validated scenario on a pool `shards` shards wide, or
+    /// names the event-ring block the allocator could not grant.
+    fn build(scenario: Scenario, shards: usize) -> Result<Self, ScenarioError> {
+        // Each shard's event-ring block is reserved first, fallibly: it is
+        // the one reservation a valid scenario can make too large to grant,
+        // and a zeroed block faults its pages in only as events land.
+        // Per-node state then follows in pass order: each shard's lanes,
         // then every rank's workload (pass A walks only these), then every
         // node's hot state with its plant built straight into its shard's
-        // slot (the sample pass walks it), then every 10 kB event ring. A
-        // workload or a ring built between two nodes' hot state would
-        // spread each pass's walk over more lines and pages.
+        // slot (the sample pass walks it). A workload built between two
+        // nodes' hot state would spread each pass's walk over more lines
+        // and pages.
         let width = shards;
+        let rings = (0..width)
+            .map(|s| {
+                let n = shard_range(scenario.nodes, width, s).len();
+                EventRings::try_new(n, scenario.event_capacity)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| ScenarioError::new(format!("event rings: {e}")))?;
         let mut lanes: Vec<PhysicsBatch> = (0..width)
             .map(|s| PhysicsBatch::with_len(shard_range(scenario.nodes, width, s).len()))
             .collect();
@@ -121,9 +135,6 @@ impl Simulation {
             for (j, i) in shard_range(scenario.nodes, width, s).enumerate() {
                 nodes.push(NodeSim::build_hot(&scenario, i, Some((&mut *batch, j))));
             }
-        }
-        for ns in &mut nodes {
-            ns.events = RingSink::with_capacity(scenario.event_capacity);
         }
         let ticks_per_sample = (scenario.sample_period_s / scenario.dt_s).round() as u64;
         // validate() rejects sample_period_s < dt_s, so this cannot be 0 —
@@ -146,13 +157,14 @@ impl Simulation {
         let pool = WorkerPool::new(width);
         let shards: Vec<Shard> = lanes
             .into_iter()
+            .zip(rings)
             .zip(workloads)
             .enumerate()
-            .map(|(s, (lanes, workloads))| {
-                Shard::new(lanes, workloads, &nodes[shard_range(nodes.len(), width, s)])
+            .map(|(s, ((lanes, rings), workloads))| {
+                Shard::new(lanes, rings, workloads, &nodes[shard_range(nodes.len(), width, s)])
             })
             .collect();
-        Self {
+        Ok(Self {
             pool,
             scenario,
             nodes,
@@ -166,20 +178,20 @@ impl Simulation {
             journal: None,
             shards,
             heat_scratch,
-        }
+        })
     }
 
     /// Builds the cluster from a scenario.
     ///
     /// # Panics
-    /// On an invalid scenario; library callers who want the
-    /// [`Scenario::validate`] error instead use [`Simulation::try_new`].
+    /// On an invalid scenario or an ungrantable event-ring block; library
+    /// callers who want the error instead use [`Simulation::try_new`].
     pub fn new(scenario: Scenario) -> Self {
         Self::try_new(scenario).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Attaches a cluster-wide event journal: every node's control-plane
-    /// event stream is teed into `sink` in addition to the per-node rings.
+    /// event stream is teed into `sink` in addition to the nodes' rings.
     /// The sink sees records in tick order (node order within a tick) at
     /// every thread count.
     pub fn attach_journal(&mut self, sink: Box<dyn EventSink>) {
@@ -374,7 +386,8 @@ impl Simulation {
             .zip(finish_times)
             .map(|((mut ns, (s, j)), finish_time_s)| {
                 let faults_applied = ns.node.fault_log().to_vec();
-                let plant = ns.node.view_in(&mut self.shards[s].lanes, j);
+                let shard = &mut self.shards[s];
+                let plant = ns.node.view_in(&mut shard.lanes, j);
                 // Every lane tick of a node without a per-tick daemon is a
                 // control-plane tick that observed nothing.
                 let mut counters = ns.counters;
@@ -400,8 +413,8 @@ impl Simulation {
                     duty_summary: ns.rec.duty_stats.summary(),
                     finish_time_s,
                     counters,
-                    events_dropped: ns.events.dropped(),
-                    events: ns.events.to_vec(),
+                    events_dropped: shard.rings.dropped(j),
+                    events: shard.rings.records(j),
                 }
             })
             .collect();
@@ -425,16 +438,19 @@ impl Simulation {
 //
 // The worker pool's `exec_shard` runs these functions over a shard's slice
 // of the nodes plus the matching shard. `nodes`, the shard's lanes, its
-// workloads and its finish times are index-aligned: slot `i` of each
-// belongs to `nodes[i]`.
+// rings, its workloads and its finish times are index-aligned: slot `i` of
+// each belongs to `nodes[i]`.
 
-/// One shard: the plants and workloads of its nodes, their finish times,
-/// which nodes the hardware pass hooks, its reduction slot and its journal
-/// scratch.
+/// One shard: the plants, event rings and workloads of its nodes, their
+/// finish times, which nodes the hardware pass hooks, its reduction slot
+/// and its journal scratch.
 pub(crate) struct Shard {
     /// Structure-of-arrays plant state, slot `i` holding node `i` of the
     /// shard.
     pub(crate) lanes: PhysicsBatch,
+    /// The shard's nodes' event rings in one block, ring `i` holding node
+    /// `i`'s.
+    pub(crate) rings: EventRings,
     /// The shard's ranks' workloads, built back to back before any node's
     /// hot state, so pass A walks them densely without touching a
     /// `NodeSim`.
@@ -452,15 +468,17 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// The shard over `nodes`, whose plants `lanes` and whose workloads
-    /// `workloads` hold.
+    /// The shard over `nodes`, whose plants `lanes`, whose event rings
+    /// `rings` and whose workloads `workloads` hold.
     pub(crate) fn new(
         lanes: PhysicsBatch,
+        rings: EventRings,
         workloads: Vec<Box<dyn Workload>>,
         nodes: &[NodeSim],
     ) -> Self {
         Self {
             lanes,
+            rings,
             finish_time_s: vec![None; workloads.len()],
             workloads,
             hooked: (0..nodes.len())
@@ -544,8 +562,8 @@ pub(crate) fn workload_pass(
     out
 }
 
-/// Pass B's node half: the hooks, the lane physics tick and per-node heat
-/// capture.
+/// Pass B's node half: the hooks and the lane physics tick (the pool then
+/// captures per-node heat from the lanes).
 ///
 /// A hooked node with work this tick — a per-tick daemon, which has work
 /// every tick, or a fault that is due — runs [`NodeSim::on_tick_hook`]
@@ -556,10 +574,10 @@ pub(crate) fn workload_pass(
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
+    rings: &mut EventRings,
     hooked: &[usize],
     dt_s: f64,
     now_s: f64,
-    heat: Option<&mut [f64]>,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
 ) {
     batch.begin_tick(dt_s);
@@ -568,12 +586,9 @@ pub(crate) fn hardware_pass(
         if !ns.tick_daemon && !ns.node.fault_due(batch.ticks()) {
             continue;
         }
-        ns.on_tick_hook(batch, i, dt_s, now_s, journal.as_deref_mut());
+        ns.on_tick_hook(batch, rings, i, dt_s, now_s, journal.as_deref_mut());
     }
     batch.tick_all(dt_s);
-    if let Some(heat) = heat {
-        batch.write_heat(heat);
-    }
 }
 
 /// Pass B's rank half: optional barrier release, then finish detection
@@ -606,10 +621,11 @@ pub(crate) fn rank_pass(
 }
 
 /// The 4 Hz sampling pass: for each rank, the sampling path (sensor read,
-/// control plane, recorders) on its slot in place.
+/// control plane, recorders) on its slot of the lanes and rings in place.
 pub(crate) fn sample_pass(
     nodes: &mut [NodeSim],
     batch: &mut PhysicsBatch,
+    rings: &mut EventRings,
     now_s: f64,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
 ) {
@@ -617,7 +633,7 @@ pub(crate) fn sample_pass(
         if let Some(ahead) = node_ahead(nodes, i) {
             prefetch(ahead);
         }
-        nodes[i].sample(Some((&mut *batch, i)), now_s, journal.as_deref_mut());
+        nodes[i].sample(Some((&mut *batch, &mut *rings, i)), now_s, journal.as_deref_mut());
     }
 }
 
@@ -793,6 +809,19 @@ mod tests {
         assert!(report.total_freq_transitions() > 0, "tDVFS must engage");
         assert!(report.first_dvfs_event_time_s().is_some());
         assert!(report.min_commanded_freq_mhz().unwrap() < 2400);
+    }
+
+    #[test]
+    fn ungrantable_event_rings_are_a_named_error() {
+        // 2^40 nodes of 65,536 records: 2^61 B, more than any allocator
+        // can grant. 2^50 nodes: the size overflows before any allocator
+        // is asked. Either is an error from `try_new`, not an abort.
+        for (nodes, cause) in [(1usize << 40, "refused"), (1 << 50, "overflow")] {
+            let scenario = Scenario::new("huge").with_nodes(nodes).with_event_capacity(65_536);
+            let err = Simulation::try_new(scenario).err().expect("no block can be granted");
+            assert!(err.message().starts_with("event rings: "), "{err}");
+            assert!(err.message().contains(cause), "{err}");
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Parameter sweeps (Figures 5, 7, 10; Table 1; the ablations) run many
 //! independent simulations. Each simulation is deterministic and owns all
 //! of its state, so a sweep is shared-nothing data parallelism: workers
-//! claim scenario indices from one atomic cursor, each moves its scenario
-//! out of the sweep and runs it to a report, and the reports come back in
-//! input order, bit-identical to a one-worker run.
+//! claim scenarios from one atomic cursor, costliest first
+//! ([`claim_order`]), each moves its scenario out of the sweep and runs it
+//! to a report, and the reports come back in input order, bit-identical to
+//! a one-worker run.
 //!
 //! # One pool of helpers per process
 //!
@@ -250,12 +251,29 @@ fn run_one(scenario: Scenario) -> Outcome {
     }
 }
 
+/// The order a sweep's workers claim `scenarios` in: costliest first, by
+/// simulated node-ticks (`nodes × max_time_s / dt_s`), ties in input
+/// order. A sweep ends no earlier than its last claim does, so a large job
+/// claimed last leaves every other worker idle while it runs.
+fn claim_order(scenarios: &[Scenario]) -> Vec<usize> {
+    let cost = |i: usize| {
+        let s = &scenarios[i];
+        s.nodes as f64 * s.max_time_s / s.dt_s
+    };
+    let mut order: Vec<usize> = (0..scenarios.len()).collect();
+    // A stable sort: equal costs keep their input order.
+    order.sort_by(|&a, &b| cost(b).total_cmp(&cost(a)));
+    order
+}
+
 /// One sweep in flight, shared by its caller and the helper tasks it
 /// posted.
 struct Sweep {
     /// Scenario `i`, until the worker that claims index `i` moves it out.
     jobs: Vec<Mutex<Option<Scenario>>>,
-    /// The next unclaimed index.
+    /// The job indices in claim order ([`claim_order`]).
+    order: Vec<usize>,
+    /// The next unclaimed position in `order`.
     next: AtomicUsize,
     /// What the finished jobs produced.
     results: Mutex<Results>,
@@ -277,6 +295,7 @@ impl Sweep {
     fn new(scenarios: Vec<Scenario>) -> Self {
         let n = scenarios.len();
         Self {
+            order: claim_order(&scenarios),
             jobs: scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect(),
             next: AtomicUsize::new(0),
             results: Mutex::new(Results {
@@ -288,14 +307,15 @@ impl Sweep {
         }
     }
 
-    /// Claims and runs jobs until the cursor passes the last one. Every
-    /// job's panic is caught here, so the thread running the loop — a
-    /// helper or the caller — never unwinds out of it.
+    /// Claims and runs jobs in claim order until the cursor passes the
+    /// last one. Every job's panic is caught here, so the thread running
+    /// the loop — a helper or the caller — never unwinds out of it.
     fn work(&self) {
         loop {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = self.jobs.get(idx) else { return };
-            let scenario = job.lock().expect("sweep job").take().expect("each job is claimed once");
+            let claim = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = self.order.get(claim) else { return };
+            let scenario =
+                self.jobs[idx].lock().expect("sweep job").take().expect("each job is claimed once");
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_one(scenario)));
             let mut results = self.results.lock().expect("sweep results");
             match outcome {
@@ -489,6 +509,31 @@ mod tests {
         assert_eq!(workers_on(&narrow, 6, 2), 2, "six threads asked, two cores to run them");
         assert_eq!(workers_on(&narrow, 6, 8), 6);
         assert_eq!(workers_on(&narrow, 6, 1), 1, "a one-core host runs every job inline");
+    }
+
+    #[test]
+    fn jobs_are_claimed_costliest_first_with_ties_in_input_order() {
+        // The `scaling` sweep's shape: 2, 4, 8 and 16 nodes over one
+        // horizon. The 16-node job is claimed first, not last.
+        let scaling: Vec<Scenario> =
+            [2, 4, 8, 16].iter().map(|&n| quick(&format!("n{n}"), 50).with_nodes(n)).collect();
+        assert_eq!(claim_order(&scaling), vec![3, 2, 1, 0]);
+        // Equal-sized jobs keep their input order.
+        let equal: Vec<Scenario> = (0..5).map(|i| quick(&format!("e{i}"), 50)).collect();
+        assert_eq!(claim_order(&equal), vec![0, 1, 2, 3, 4]);
+        // Cost is nodes × max_time_s / dt_s: 400 node-ticks for "small",
+        // 200 for "coarse" (a tick twice as long), and 800 for both "long"
+        // and "wide", a tie kept in input order.
+        let mut coarse = quick("coarse", 50);
+        coarse.dt_s = 0.1;
+        let mixed = vec![
+            quick("small", 50),
+            coarse,
+            quick("long", 50).with_max_time(40.0),
+            quick("wide", 50).with_nodes(2),
+        ];
+        assert_eq!(claim_order(&mixed), vec![2, 3, 0, 1]);
+        assert!(claim_order(&[]).is_empty());
     }
 
     #[test]

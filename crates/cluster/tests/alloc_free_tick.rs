@@ -21,23 +21,31 @@ use unitherm_obs::{EventRecord, EventSink};
 /// allocator (deallocations are free to happen — dropping a pre-reserved
 /// buffer is not a hot-path cost), per thread: the test harness runs
 /// tests and prints results on other threads at the same time. Every
-/// scenario here but the 2-wide journaled one runs on a one-shard pool,
-/// so all of the simulation's allocations land on the measuring thread's
-/// count; the 2-wide run counts its coordinating thread.
+/// scenario here but the 2-wide ones runs on a one-shard pool, so all of
+/// the simulation's allocations land on the measuring thread's count; the
+/// 2-wide runs count their coordinating thread, which builds every shard.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The allocations of at least [`LARGE`] bytes among them.
+    static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+/// The size from which an allocation also counts as large.
+const LARGE: usize = 1024;
+
+fn count_allocation(size: usize) {
     // `try_with`: an allocation during thread teardown is not counted.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if size >= LARGE {
+        let _ = LARGE_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -59,6 +67,14 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Allocations of at least [`LARGE`] bytes performed by this thread while
+/// running `f`.
+fn large_allocations_during(f: impl FnOnce()) -> u64 {
+    let before = LARGE_ALLOCATIONS.with(Cell::get);
+    f();
+    LARGE_ALLOCATIONS.with(Cell::get) - before
 }
 
 fn warmed(scenario: Scenario) -> Simulation {
@@ -91,18 +107,76 @@ fn steady_state_tick_is_allocation_free() {
     });
     assert_eq!(n, 0, "steady-state tick allocated {n} times over 1000 ticks");
     // The zero-allocation window must not be an artifact of observability
-    // sitting idle: the ring sinks and counters were live the whole time.
+    // sitting idle: the event rings and counters were live the whole time.
     let report = sim.into_report();
     let counters = report.counters_total();
     assert!(counters.samples > 0, "sampling path ran during the window");
     assert!(
         counters.events_emitted > 0,
-        "dynamic-fan control under burn must emit events through the ring sink"
+        "dynamic-fan control under burn must emit events through the rings"
     );
     assert!(
         report.nodes.iter().any(|node| !node.events.is_empty()),
-        "ring sinks captured events with zero heap allocations"
+        "event rings captured events with zero heap allocations"
     );
+}
+
+#[test]
+fn wrapping_rings_tick_allocation_free() {
+    // Four-record rings fill during warm-up, so every event in the window
+    // overwrites its ring's oldest frame.
+    let mut sim = warmed(
+        Scenario::new("alloc-wrap")
+            .with_nodes(4)
+            .with_workload(WorkloadSpec::CpuBurn)
+            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+            .with_recording(false)
+            .with_event_capacity(4)
+            .with_max_time(1e9),
+    );
+    let dropped = |sim: Simulation| -> u64 {
+        sim.into_report().nodes.iter().map(|node| node.events_dropped).sum()
+    };
+    let n = allocations_during(|| {
+        for _ in 0..1000 {
+            sim.tick();
+        }
+    });
+    assert_eq!(n, 0, "wrapping-ring tick allocated {n} times over 1000 ticks");
+    assert!(dropped(sim) > 0, "the rings wrapped");
+}
+
+#[test]
+fn event_rings_are_one_allocation_per_shard() {
+    // The nodes' rings are one zeroed block per shard: building with rings
+    // costs exactly one allocation per shard more than building without,
+    // however many nodes each shard holds. A ring of 256 records is 8 kB,
+    // so the count is of large allocations: starting a 2-wide pool's
+    // worker makes a timing-dependent number of small ones (channel and
+    // thread bookkeeping) on the building thread.
+    for width in [1, 2] {
+        let build = |capacity: usize| {
+            let scenario = Scenario::new("alloc-rings")
+                .with_nodes(6)
+                .with_workload(WorkloadSpec::CpuBurn)
+                .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+                .with_recording(false)
+                .with_event_capacity(capacity)
+                .with_max_time(60.0);
+            large_allocations_during(|| {
+                let sim = Simulation::try_with_width(scenario, width).expect("valid scenario");
+                assert_eq!(sim.width(), width);
+                std::hint::black_box(sim);
+            })
+        };
+        let (with_rings, without) = (build(256), build(0));
+        assert_eq!(
+            with_rings - without,
+            width as u64,
+            "{width}-wide build: {with_rings} large allocations with 256-record rings, \
+             {without} without; the rings must add one block per shard"
+        );
+    }
 }
 
 #[test]

@@ -2,18 +2,19 @@
 //!
 //! Pass A reads every rank's workload each tick, and the 4 Hz sample pass
 //! reads each node's whole hot state (its `NodeSim` and the heap objects it
-//! points to: sensor state, daemons, binding). Each node also owns an
-//! `event_capacity`-slot event ring (10 kB at the default 256 slots) that
-//! the passes touch only when an event fires. `Simulation::build` therefore
-//! allocates per-node state in pass order: each shard's workloads back to
-//! back, then every node's hot state, then the rings. This test pins the
-//! resulting layout:
+//! points to: sensor state, daemons, binding). Each node also has an
+//! `event_capacity`-record event ring (8 kB of 32-byte frames at the
+//! default 256 records) that the passes touch only when an event fires;
+//! every ring of a shard lives in one zeroed block. `Simulation::build`
+//! therefore reserves the ring blocks first, then allocates per-node state
+//! in pass order: each shard's workloads back to back, then every node's
+//! hot state. This test pins the resulting layout:
 //!
 //! * each shard's consecutive workload objects sit a median of 128 B apart
 //!   or less, so pass A walks them densely;
 //! * consecutive nodes' dynamic-fan daemon boxes sit a median of under
-//!   2 kB apart, a fifth of one ring, so no ring is allocated between two
-//!   nodes' hot state;
+//!   2 kB apart, a quarter of one ring, so no ring or other cold per-node
+//!   storage is allocated between two nodes' hot state;
 //! * a recording-off `NodeSim` is at most 768 B, so the sample pass's
 //!   per-node prefetch touches at most 13 cache lines.
 //!
@@ -30,7 +31,7 @@ use unitherm_cluster::sim::Simulation;
 use unitherm_core::actuator::FanDuty;
 use unitherm_core::control_array::Policy;
 use unitherm_core::control_plane::UnifiedDaemon;
-use unitherm_obs::EventRecord;
+use unitherm_obs::BJL_FRAME_LEN;
 
 /// Median address distance between consecutive items of `addrs`.
 fn median_stride(addrs: &[usize]) -> usize {
@@ -47,7 +48,7 @@ fn per_node_state_is_laid_out_in_pass_order() {
         .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
         .with_recording(false)
         .with_max_time(60.0);
-    let ring_bytes = scenario.event_capacity * std::mem::size_of::<EventRecord>();
+    let ring_bytes = scenario.event_capacity * BJL_FRAME_LEN;
     for width in [1, 2] {
         let sim = Simulation::try_with_width(scenario.clone(), width).expect("valid scenario");
         assert_eq!(sim.width(), width);

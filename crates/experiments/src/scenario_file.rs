@@ -250,7 +250,9 @@ pub fn run_and_render_with_journal(
     journal_out: Option<&Path>,
     format: JournalFormat,
 ) -> Result<(RunReport, String), ScenarioFileError> {
-    let mut sim = Simulation::new(scenario);
+    // A validated scenario can still ask for more event-ring memory than
+    // the allocator grants; `try_new` names that too.
+    let mut sim = Simulation::try_new(scenario).map_err(ScenarioFileError::Invalid)?;
     if let Some(path) = journal_out {
         let file = std::fs::File::create(path).map_err(ScenarioFileError::JournalWrite)?;
         let buffered = std::io::BufWriter::new(file);

@@ -215,8 +215,9 @@ fn encode_header(dt_s: f64) -> [u8; BJL_HEADER_LEN] {
     h
 }
 
-/// Encodes one record into its 32-byte frame.
-fn encode_frame(rec: &EventRecord) -> [u8; BJL_FRAME_LEN] {
+/// Encodes one record into its 32-byte frame (also the slot format of the
+/// event rings, [`crate::EventRings`]).
+pub(crate) fn encode_frame(rec: &EventRecord) -> [u8; BJL_FRAME_LEN] {
     let mut b = [0u8; BJL_FRAME_LEN];
     b[0..8].copy_from_slice(&rec.time_s.to_le_bytes());
     b[8..12].copy_from_slice(&rec.node.to_le_bytes());
@@ -285,7 +286,7 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 
 /// Decodes one 32-byte frame. `frame` is the zero-based index used in
 /// error reports.
-fn decode_frame(b: &[u8], frame: usize) -> Result<EventRecord, BinaryJournalError> {
+pub(crate) fn decode_frame(b: &[u8], frame: usize) -> Result<EventRecord, BinaryJournalError> {
     let bad = |field: &'static str, value: u8| BinaryJournalError::BadEnum { frame, field, value };
     let time_s = read_f64(b, 0);
     let node = read_u32(b, 8);

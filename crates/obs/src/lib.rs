@@ -10,10 +10,11 @@
 //!
 //! * [`Event`] / [`EventRecord`] — the typed, fixed-size (`Copy`, heap-free)
 //!   event taxonomy every control layer emits;
-//! * [`EventSink`] — the pluggable recording trait. [`RingSink`] is the
-//!   steady-state sink: a fixed-capacity ring buffer whose `record` path
-//!   performs **zero heap allocations** (enforced by the counting-allocator
-//!   test in `unitherm-cluster`). [`JournalWriter`] streams records as JSONL
+//! * [`EventSink`] — the pluggable recording trait. An [`EventRings`]
+//!   block holds the steady-state sinks: fixed-capacity rings, many to one
+//!   zeroed block, whose [`Ring`] `record` path performs **zero heap
+//!   allocations** (enforced by the counting-allocator test in
+//!   `unitherm-cluster`). [`JournalWriter`] streams records as JSONL
 //!   for offline analysis; [`BinaryJournalWriter`] streams the same records
 //!   as compact fixed-width `unitherm-bjl/v1` frames (see [`binary`]);
 //!   [`TeeSink`] fans one stream out to both. Reading either encoding
@@ -50,6 +51,6 @@ pub use event::{
     WindowLevel,
 };
 pub use journal::{read_journal, record_tick, JournalFormat, JournalWriter};
-pub use ring::RingSink;
+pub use ring::{EventRings, EventRingsError, Ring};
 pub use sink::{EventSink, NullSink, Observer, TeeSink, VecSink};
 pub use sse::{sse_journal_frame, write_sse_frame};

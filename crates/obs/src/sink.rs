@@ -7,7 +7,7 @@ use crate::event::{ActuatorKind, Event, EventRecord, InjectedFault, TripCause, W
 ///
 /// Implementations used on the simulation hot path must not allocate in
 /// `record` — the counting-allocator regression test in `unitherm-cluster`
-/// enforces this for [`crate::RingSink`]. Offline sinks (the JSONL
+/// enforces this for the rings of an [`crate::EventRings`] block. Offline sinks (the JSONL
 /// [`crate::JournalWriter`]) may allocate freely.
 ///
 /// # Example
@@ -59,7 +59,7 @@ impl EventSink for VecSink {
     }
 }
 
-/// Fans one event stream out to two sinks (e.g. the per-node ring buffer
+/// Fans one event stream out to two sinks (e.g. a node's event ring
 /// plus a shared JSONL journal).
 pub struct TeeSink<'a> {
     a: &'a mut dyn EventSink,

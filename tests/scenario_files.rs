@@ -175,6 +175,26 @@ fn out_of_range_hardware_and_rack_configs_are_named_errors() {
 }
 
 /// `json` with the number after the first `"key": ` replaced by `value`.
+#[test]
+fn an_ungrantable_event_ring_block_is_a_named_error_at_run_time() {
+    // Valid, but 2^40 nodes' 65,536-record rings are 2^61 B: the reservation
+    // must come back as the CLI's named error, not a panic or an abort.
+    let huge =
+        r#"{"name":"huge-fleet","nodes":1099511627776,"max_time_s":5,"event_capacity":65536}"#;
+    let scenario = scenario_file::parse(huge).expect("the scenario validates");
+    let err = scenario_file::run_and_render_with_journal(
+        scenario,
+        None,
+        unitherm::obs::JournalFormat::Jsonl,
+    )
+    .expect_err("no allocator grants the rings");
+    assert_eq!(
+        err.to_string(),
+        "unusable scenario: event rings: the allocator refused 2305843009213693952 B for \
+         1099511627776 rings of 65536 records"
+    );
+}
+
 fn with_value(json: &str, key: &str, value: &str) -> String {
     let field = format!("\"{key}\": ");
     let start =
