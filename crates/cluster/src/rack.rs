@@ -18,6 +18,8 @@
 //! dense rack.
 
 use serde::{Deserialize, Serialize};
+use unitherm_core::config::{check, ConfigError, Rule, POSITIVE, UNIT};
+use unitherm_core::rule;
 
 /// Rack air-volume parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,26 +54,22 @@ impl RackConfig {
         Self { crac_conductance_w_per_k: 10.0, ..Default::default() }
     }
 
-    /// Validates the configuration, returning a description of the first
-    /// problem: a non-finite value, non-positive capacity/conductance or a
-    /// recirculation fraction outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
-            if ok {
-                Ok(())
-            } else {
-                Err(message)
-            }
-        }
-        check(self.air_capacity_j_per_k.is_finite(), "air capacity must be finite")?;
-        check(self.supply_air_c.is_finite(), "supply air temperature must be finite")?;
-        check(self.crac_conductance_w_per_k.is_finite(), "CRAC conductance must be finite")?;
-        check(self.air_capacity_j_per_k > 0.0, "air capacity must be positive")?;
-        check(self.crac_conductance_w_per_k > 0.0, "CRAC conductance must be positive")?;
-        check(
-            (0.0..=1.0).contains(&self.recirculation_fraction),
-            "recirculation fraction must be in [0, 1]",
-        )
+    /// What [`RackConfig::validate`] checks, in order.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(Finite air_capacity_j_per_k; "air capacity must be finite"),
+        rule!(Finite supply_air_c; "supply air temperature must be finite"),
+        rule!(Finite crac_conductance_w_per_k; "CRAC conductance must be finite"),
+        rule!(Range air_capacity_j_per_k, POSITIVE; "air capacity must be positive"),
+        rule!(Range crac_conductance_w_per_k, POSITIVE; "CRAC conductance must be positive"),
+        rule!(Range recirculation_fraction, UNIT; "recirculation fraction must be in [0, 1]"),
+    ];
+
+    /// Validates the configuration against [`RackConfig::RULES`].
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self)
     }
 
     /// Steady-state intake-air temperature for a given recirculated heat
@@ -182,6 +180,6 @@ mod tests {
     #[test]
     fn bad_fraction_rejected() {
         let cfg = RackConfig { recirculation_fraction: 1.5, ..Default::default() };
-        assert!(cfg.validate().is_err_and(|e| e.contains("recirculation")));
+        assert!(cfg.validate().is_err_and(|e| e.message().contains("recirculation")));
     }
 }

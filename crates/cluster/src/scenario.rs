@@ -13,7 +13,8 @@ use unitherm_workload::{
     Workload,
 };
 
-use unitherm_core::config::ConfigError;
+use unitherm_core::config::{check, ConfigError, Rule, POSITIVE};
+use unitherm_core::rule;
 
 use crate::scheme::{DvfsScheme, FanScheme, SchemeSpec};
 
@@ -504,82 +505,71 @@ impl Scenario {
         }
     }
 
-    /// Validates the scenario, returning a description of the first
-    /// problem found: zero nodes, non-positive times, a sampling period not
-    /// a whole number of ticks, an event ring above 65,536 records,
-    /// references to out-of-range nodes, a node with two entries in
-    /// `fan_overrides` or `node_config_overrides`, a fault plan or tick-fault
-    /// schedule its builder would refuse, fan overrides next to a full
-    /// control scheme, a workload its constructor would
-    /// refuse, a hardware ([`NodeConfig`]) or rack config outside its
-    /// physical range, or a control scheme whose controller tuning is
-    /// unusable.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
-        fn check(ok: bool, message: impl Into<String>) -> Result<(), ScenarioError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(ScenarioError::new(message))
-            }
-        }
-        check(self.nodes >= 1, "need at least one node")?;
-        check(self.threads >= 1, "need at least one worker thread")?;
+    /// What [`Scenario::validate`] checks of the top-level numbers, in
+    /// order, before any block.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast nodes, 1; "need at least one node"),
+        rule!(AtLeast threads, 1; "need at least one worker thread"),
         // An infinite limit would let an endless workload hold its thread
         // (and a service job its permits) forever.
-        check(
-            self.max_time_s.is_finite() && self.max_time_s > 0.0,
-            "time limit must be finite and positive",
-        )?;
-        check(self.cooldown_s.is_finite(), "cooldown must be finite")?;
-        check(self.dt_s > 0.0, "tick must be positive")?;
-        check(self.sample_period_s >= self.dt_s, "sampling cannot outpace the tick")?;
-        let ratio = self.sample_period_s / self.dt_s;
-        check(
-            (ratio - ratio.round()).abs() < 1e-9,
-            "sample period must be a whole number of ticks",
-        )?;
-        check(
-            self.event_capacity <= MAX_RESERVED_RECORDS,
-            format!(
-                "event_capacity must be at most {MAX_RESERVED_RECORDS} records (got {})",
-                self.event_capacity
-            ),
-        )?;
+        rule!(Finite max_time_s; "time limit must be finite and positive"),
+        rule!(Range max_time_s, POSITIVE; "time limit must be finite and positive"),
+        rule!(Finite cooldown_s; "cooldown must be finite"),
+        rule!(Range dt_s, POSITIVE; "tick must be positive"),
+        rule!("sample_period_s", Holds(|s| s.sample_period_s >= s.dt_s, "≥ dt_s");
+            "sampling cannot outpace the tick"),
+        rule!("sample_period_s", Holds(|s| {
+            let ticks = s.sample_period_s / s.dt_s;
+            (ticks - ticks.round()).abs() < 1e-9
+        }, "a whole number of dt_s"); "sample period must be a whole number of ticks"),
+        rule!(AtMost event_capacity, MAX_RESERVED_RECORDS;
+            "event_capacity must be at most {max} records (got {got})"),
+    ];
+
+    /// Validates the scenario, returning a description of the first
+    /// problem found: a top-level number breaking [`Scenario::RULES`], a
+    /// workload its constructor would refuse, references to out-of-range
+    /// nodes, a fault plan or tick-fault schedule its builder would refuse,
+    /// a hardware ([`NodeConfig`]) or rack config outside its rules, a node
+    /// with two entries in `fan_overrides` or `node_config_overrides`, fan
+    /// overrides next to a full control scheme, or a control scheme whose
+    /// controller tuning is unusable.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        check(Self::RULES, self)?;
         self.workload.validate()?;
+        let exists = |node: usize, entry: &str| {
+            if node < self.nodes {
+                Ok(())
+            } else {
+                Err(ScenarioError::new(format!("{entry} for nonexistent node {node}")))
+            }
+        };
         // Deserialized schedules skip their builders' checks.
         for (node, plan) in &self.faults {
-            check(*node < self.nodes, format!("fault plan for nonexistent node {node}"))?;
+            exists(*node, "fault plan")?;
             plan.validate()
                 .map_err(|e| ScenarioError::new(format!("fault plan (node {node}): {e}")))?;
         }
         for (node, sched) in &self.tick_faults {
-            check(*node < self.nodes, format!("tick-fault schedule for nonexistent node {node}"))?;
+            exists(*node, "tick-fault schedule")?;
             sched.validate().map_err(|e| {
                 ScenarioError::new(format!("tick-fault schedule (node {node}): {e}"))
             })?;
         }
         for (node, _) in &self.fan_overrides {
-            check(*node < self.nodes, format!("fan override for nonexistent node {node}"))?;
+            exists(*node, "fan override")?;
         }
         self.node_config.validate().map_err(|e| ScenarioError::new(format!("node_config: {e}")))?;
         for (node, cfg) in &self.node_config_overrides {
-            check(*node < self.nodes, format!("config override for nonexistent node {node}"))?;
+            exists(*node, "config override")?;
             cfg.validate().map_err(|e| {
                 ScenarioError::new(format!("node_config_overrides (node {node}): {e}"))
             })?;
         }
         // `fan_for` and `node_config_for` take a node's first entry, so a
         // second one would be silently ignored.
-        for (field, node) in [
-            ("fan_overrides", repeated_node(&self.fan_overrides)),
-            ("node_config_overrides", repeated_node(&self.node_config_overrides)),
-        ] {
-            if let Some(node) = node {
-                return Err(ScenarioError::new(format!(
-                    "{field}: node {node} has more than one entry"
-                )));
-            }
-        }
+        once_per_node("fan_overrides", &self.fan_overrides)?;
+        once_per_node("node_config_overrides", &self.node_config_overrides)?;
         if let Some(rack) = &self.rack {
             rack.validate().map_err(|e| ScenarioError::new(format!("rack: {e}")))?;
         }
@@ -592,11 +582,12 @@ impl Scenario {
         // scheme, or else the default fan (when some node uses it), the
         // DVFS arm and each override.
         if let Some(scheme) = &self.scheme {
-            check(
-                self.fan_overrides.is_empty(),
-                "fan_overrides cannot be combined with a full `scheme`, which sets every \
-                 node's fan arm; use the split `fan`/`dvfs` fields",
-            )?;
+            if !self.fan_overrides.is_empty() {
+                return Err(ScenarioError::new(
+                    "fan_overrides cannot be combined with a full `scheme`, which sets every \
+                     node's fan arm; use the split `fan`/`dvfs` fields",
+                ));
+            }
             return scheme.validate().map_err(Into::into);
         }
         if self.fan_overrides.len() < self.nodes {
@@ -630,10 +621,14 @@ impl Scenario {
     }
 }
 
-/// The first node a per-node override list names a second time, if any.
-fn repeated_node<T>(entries: &[(usize, T)]) -> Option<usize> {
+/// Fails naming the first node the per-node override list `field` names a
+/// second time.
+fn once_per_node<T>(field: &str, entries: &[(usize, T)]) -> Result<(), ScenarioError> {
     let mut seen = std::collections::HashSet::with_capacity(entries.len());
-    entries.iter().map(|(node, _)| *node).find(|node| !seen.insert(*node))
+    let repeated = entries.iter().find(|(node, _)| !seen.insert(*node));
+    repeated.map_or(Ok(()), |(node, _)| {
+        Err(ScenarioError::new(format!("{field}: node {node} has more than one entry")))
+    })
 }
 
 #[cfg(test)]

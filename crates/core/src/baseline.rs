@@ -5,6 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::actuator::FanDuty;
+use crate::config::Rule;
+use crate::rule;
 
 /// The traditional static fan curve (paper Figure 1): duty is `pwm_min`
 /// below `t_min`, rises linearly to `pwm_max` at `t_max`, and saturates
@@ -34,6 +36,14 @@ impl StaticFanCurve {
     pub fn with_max(pwm_max: FanDuty) -> Self {
         Self { pwm_max: pwm_max.clamp(1, 100), ..Default::default() }
     }
+
+    /// What a `SoftwareStatic` fan scheme checks of its curve, in order. An
+    /// inverted or empty ramp is legal: the curve then pins the fan at
+    /// `pwm_min`.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(Finite t_min_c; "t_min_c must be finite"),
+        rule!(Finite t_max_c; "t_max_c must be finite"),
+    ];
 
     /// The duty for a given temperature.
     pub fn duty_for(&self, temp_c: f64) -> FanDuty {

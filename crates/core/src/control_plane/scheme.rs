@@ -19,7 +19,7 @@ use super::daemons::{
 use super::ControlDaemon;
 use crate::actuator::{FanDuty, FreqMhz};
 use crate::baseline::StaticFanCurve;
-use crate::config::ConfigError;
+use crate::config::{check, ConfigError};
 use crate::control_array::Policy;
 use crate::controller::ControllerConfig;
 use crate::feedforward::FeedforwardConfig;
@@ -125,7 +125,8 @@ impl FanScheme {
                 config.validate()?;
                 feedforward.validate()
             }
-            _ => Ok(()),
+            FanScheme::SoftwareStatic { curve } => check(StaticFanCurve::RULES, curve),
+            FanScheme::ChipAutomatic { .. } | FanScheme::Constant { .. } => Ok(()),
         }
     }
 

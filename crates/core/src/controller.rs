@@ -21,7 +21,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::{check, ConfigError, Rule, NON_NEGATIVE};
 use crate::control_array::{Policy, ThermalControlArray};
+use crate::rule;
 use crate::window::{TwoLevelWindow, WindowConfig};
 
 /// The largest thermal control array a [`ControllerConfig`] may ask for
@@ -64,26 +66,25 @@ impl ControllerConfig {
         (self.array_len - 1) as f64 / (self.t_max_c - self.t_min_c)
     }
 
-    /// Validates the configuration.
+    /// What [`ControllerConfig::validate`] checks, in order, before the
+    /// window's [`WindowConfig::RULES`].
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast array_len, 1; "array length must be at least 1"),
+        rule!(AtMost array_len, MAX_ARRAY_LEN; "array_len must be at most {max} (got {got})"),
+        rule!(Below t_min_c < t_max_c; "temperature range must be positive ({lo} .. {hi})"),
+        rule!(Range l1_deadband_c, NON_NEGATIVE; "deadband must be non-negative"),
+        rule!(Finite t_min_c; "t_min_c must be finite"),
+        rule!(Finite t_max_c; "t_max_c must be finite"),
+        rule!(Finite l1_deadband_c; "l1_deadband_c must be finite"),
+    ];
+
+    /// Validates the configuration against [`ControllerConfig::RULES`],
+    /// then the window geometry.
     ///
     /// # Errors
-    /// Returns an error on a non-positive temperature range, zero array
-    /// length, or an invalid window geometry.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        if self.array_len < 1 {
-            return Err(crate::config::ConfigError::new("array length must be at least 1"));
-        }
-        crate::config::ConfigError::at_most("array_len", self.array_len, MAX_ARRAY_LEN)?;
-        if self.t_max_c <= self.t_min_c {
-            return Err(crate::config::ConfigError::new(format!(
-                "temperature range must be positive ({} .. {})",
-                self.t_min_c, self.t_max_c
-            )));
-        }
-        if self.l1_deadband_c < 0.0 {
-            return Err(crate::config::ConfigError::new("deadband must be non-negative"));
-        }
-        self.window.validate()
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self).and_then(|()| self.window.validate())
     }
 }
 

@@ -22,6 +22,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::{check, ConfigError, Rule};
+use crate::rule;
+
 /// Failsafe tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FailsafeConfig {
@@ -42,19 +45,23 @@ impl Default for FailsafeConfig {
 }
 
 impl FailsafeConfig {
-    /// Validates the configuration: the release temperature must sit below
-    /// the panic temperature and the stale budget must be at least 1.
+    /// What [`FailsafeConfig::validate`] checks, in order.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast max_stale_samples, 1; "need a stale budget of at least 1 sample"),
+        rule!(Below release_temp_c < panic_temp_c;
+            "release temperature must be below panic temperature"),
+        rule!(Finite panic_temp_c; "panic_temp_c must be finite"),
+        rule!(Finite release_temp_c; "release_temp_c must be finite"),
+    ];
+
+    /// Validates the configuration against [`FailsafeConfig::RULES`].
     /// Returns an error (rather than panicking) so scenario files carrying
     /// a bad failsafe block are rejected as data errors.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        if self.max_stale_samples < 1 {
-            return Err(ConfigError::new("need a stale budget of at least 1 sample"));
-        }
-        if self.release_temp_c >= self.panic_temp_c {
-            return Err(ConfigError::new("release temperature must be below panic temperature"));
-        }
-        Ok(())
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self)
     }
 }
 

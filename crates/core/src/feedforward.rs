@@ -23,8 +23,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::actuator::{fan_mode_set, FanDuty};
+use crate::config::{check, ConfigError, Rule, NON_NEGATIVE};
 use crate::control_array::Policy;
 use crate::controller::{ControllerConfig, Decision, UnifiedController};
+use crate::rule;
 use crate::tdvfs::MAX_ROUND_LEN;
 
 /// Feedforward predictor tuning.
@@ -52,22 +54,25 @@ impl Default for FeedforwardConfig {
 }
 
 impl FeedforwardConfig {
-    /// Validates the configuration: positive round size, non-negative
-    /// gain/deadband. Returns an error so scenario files carrying a bad
-    /// feedforward block are rejected as data errors.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        if self.samples_per_round < 1 {
-            return Err(ConfigError::new("need at least one sample per round"));
-        }
-        ConfigError::at_most("samples_per_round", self.samples_per_round, MAX_ROUND_LEN)?;
-        if self.gain_c_per_util < 0.0 {
-            return Err(ConfigError::new("gain must be non-negative"));
-        }
-        if self.deadband_util < 0.0 {
-            return Err(ConfigError::new("deadband must be non-negative"));
-        }
-        Ok(())
+    /// What [`FeedforwardConfig::validate`] checks, in order.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast samples_per_round, 1; "need at least one sample per round"),
+        rule!(AtMost samples_per_round, MAX_ROUND_LEN;
+            "samples_per_round must be at most {max} (got {got})"),
+        rule!(Range gain_c_per_util, NON_NEGATIVE; "gain must be non-negative"),
+        rule!(Range deadband_util, NON_NEGATIVE; "deadband must be non-negative"),
+        rule!(Finite gain_c_per_util; "gain_c_per_util must be finite"),
+        rule!(Finite deadband_util; "deadband_util must be finite"),
+    ];
+
+    /// Validates the configuration against [`FeedforwardConfig::RULES`].
+    /// Returns an error so scenario files carrying a bad feedforward block
+    /// are rejected as data errors.
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self)
     }
 }
 

@@ -17,6 +17,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::actuator::FreqMhz;
+use crate::config::{check, ConfigError, Rule, POSITIVE, UNIT};
+use crate::rule;
 
 /// CPUSPEED tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,23 +38,23 @@ impl Default for CpuSpeedConfig {
 }
 
 impl CpuSpeedConfig {
-    /// Validates the configuration: positive interval, thresholds within
-    /// `[0, 1]` and not inverted. Returns an error so scenario files
-    /// carrying a bad governor block are rejected as data errors.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        // `<= 0.0` alone would let NaN through; check it explicitly.
-        if self.interval_s <= 0.0 || self.interval_s.is_nan() {
-            return Err(ConfigError::new("interval must be positive"));
-        }
-        if !(0.0..=1.0).contains(&self.up_threshold) || !(0.0..=1.0).contains(&self.down_threshold)
-        {
-            return Err(ConfigError::new("thresholds must be within [0, 1]"));
-        }
-        if self.down_threshold >= self.up_threshold {
-            return Err(ConfigError::new("down threshold must be below up threshold"));
-        }
-        Ok(())
+    /// What [`CpuSpeedConfig::validate`] checks, in order.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(Range interval_s, POSITIVE; "interval must be positive"),
+        rule!(Range up_threshold, UNIT; "thresholds must be within [0, 1]"),
+        rule!(Range down_threshold, UNIT; "thresholds must be within [0, 1]"),
+        rule!(Below down_threshold < up_threshold; "down threshold must be below up threshold"),
+        rule!(Finite interval_s; "interval_s must be finite"),
+    ];
+
+    /// Validates the configuration against [`CpuSpeedConfig::RULES`].
+    /// Returns an error so scenario files carrying a bad governor block are
+    /// rejected as data errors.
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self)
     }
 }
 

@@ -23,8 +23,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::actuator::FreqMhz;
+use crate::config::{check, ConfigError, Rule, NON_NEGATIVE};
 use crate::control_array::{Policy, ThermalControlArray};
 use crate::controller::ControllerConfig;
+use crate::rule;
 
 /// The most samples per round and confirmation rounds a [`TdvfsConfig`]
 /// may ask for (the paper's are 4 and 8).
@@ -82,27 +84,31 @@ impl Default for TdvfsConfig {
 }
 
 impl TdvfsConfig {
-    /// Validates the configuration: positive round sizes, non-negative
-    /// hysteresis/margin, and a usable embedded controller tuning. Returns
-    /// an error so scenario files carrying a bad tDVFS block are rejected
-    /// as data errors.
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        if self.samples_per_round < 1 {
-            return Err(ConfigError::new("need at least one sample per round"));
-        }
-        if self.consecutive_rounds < 1 {
-            return Err(ConfigError::new("need at least one confirmation round"));
-        }
-        ConfigError::at_most("samples_per_round", self.samples_per_round, MAX_ROUND_LEN)?;
-        ConfigError::at_most("consecutive_rounds", self.consecutive_rounds, MAX_ROUND_LEN)?;
-        if self.hysteresis_c < 0.0 {
-            return Err(ConfigError::new("hysteresis must be non-negative"));
-        }
-        if self.escalation_margin_c < 0.0 {
-            return Err(ConfigError::new("escalation margin must be non-negative"));
-        }
-        self.controller.validate()
+    /// What [`TdvfsConfig::validate`] checks, in order, before the embedded
+    /// controller's rules.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast samples_per_round, 1; "need at least one sample per round"),
+        rule!(AtLeast consecutive_rounds, 1; "need at least one confirmation round"),
+        rule!(AtMost samples_per_round, MAX_ROUND_LEN;
+            "samples_per_round must be at most {max} (got {got})"),
+        rule!(AtMost consecutive_rounds, MAX_ROUND_LEN;
+            "consecutive_rounds must be at most {max} (got {got})"),
+        rule!(Range hysteresis_c, NON_NEGATIVE; "hysteresis must be non-negative"),
+        rule!(Range escalation_margin_c, NON_NEGATIVE; "escalation margin must be non-negative"),
+        rule!(Finite threshold_c; "threshold_c must be finite"),
+        rule!(Finite hysteresis_c; "hysteresis_c must be finite"),
+        rule!(Finite rising_threshold_c; "rising_threshold_c must be finite"),
+        rule!(Finite escalation_margin_c; "escalation_margin_c must be finite"),
+    ];
+
+    /// Validates the configuration against [`TdvfsConfig::RULES`], then
+    /// the embedded controller tuning. Returns an error so scenario files
+    /// carrying a bad tDVFS block are rejected as data errors.
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self).and_then(|()| self.controller.validate())
     }
 }
 

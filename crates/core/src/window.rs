@@ -20,6 +20,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+use crate::config::{check, ConfigError, Rule};
+use crate::rule;
+
 /// The longest level-one array or level-two FIFO a [`WindowConfig`] may
 /// ask for (the paper's are 4 and 5 entries).
 pub const MAX_WINDOW_LEN: usize = 4_096;
@@ -41,27 +44,22 @@ impl Default for WindowConfig {
 }
 
 impl WindowConfig {
-    /// Validates the geometry.
+    /// What [`WindowConfig::validate`] checks, in order.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtLeast l1_len, 2; "level-one window needs at least 2 entries"),
+        rule!("l1_len", Holds(|w| w.l1_len.is_multiple_of(2), "even");
+            "level-one window length must be even"),
+        rule!(AtLeast l2_len, 2; "level-two window needs at least 2 entries"),
+        rule!(AtMost l1_len, MAX_WINDOW_LEN; "l1_len must be at most {max} (got {got})"),
+        rule!(AtMost l2_len, MAX_WINDOW_LEN; "l2_len must be at most {max} (got {got})"),
+    ];
+
+    /// Validates the geometry against [`WindowConfig::RULES`].
     ///
     /// # Errors
-    /// Returns an error on an odd or too-small level-one length, or a
-    /// too-small level-two length.
-    pub fn validate(self) -> Result<(), crate::config::ConfigError> {
-        if self.l1_len < 2 {
-            return Err(crate::config::ConfigError::new(
-                "level-one window needs at least 2 entries",
-            ));
-        }
-        if !self.l1_len.is_multiple_of(2) {
-            return Err(crate::config::ConfigError::new("level-one window length must be even"));
-        }
-        if self.l2_len < 2 {
-            return Err(crate::config::ConfigError::new(
-                "level-two window needs at least 2 entries",
-            ));
-        }
-        crate::config::ConfigError::at_most("l1_len", self.l1_len, MAX_WINDOW_LEN)?;
-        crate::config::ConfigError::at_most("l2_len", self.l2_len, MAX_WINDOW_LEN)
+    /// Returns the first broken rule's error.
+    pub fn validate(self) -> Result<(), ConfigError> {
+        check(Self::RULES, &self)
     }
 }
 

@@ -255,6 +255,8 @@ fn rejections_are_named_and_slots_recycle() {
         "\"faults\": []",
         r#""faults": [[0, {"events": [[1.0, {"AmbientStep": 1e999}]]}]]"#,
     );
+    // An infinite controller setting → 400, not a job whose tDVFS never fires.
+    let infinite_threshold = full.replace("\"threshold_c\": 51.0", "\"threshold_c\": 1e999");
     for (body, named) in [
         (zero_capacity, "die capacity"),
         (bad_rack, "recirculation fraction"),
@@ -262,6 +264,7 @@ fn rejections_are_named_and_slots_recycle() {
         (infinite_airflow, "airflow conductance must be finite"),
         (endless, "time limit must be finite"),
         (infinite_step, "ambient step must be finite"),
+        (infinite_threshold, "threshold_c must be finite"),
     ] {
         assert_ne!(body, full, "the mutation must hit the scenario");
         let (status, _, reply) = request(&addr, "POST", "/jobs", Some(&body));

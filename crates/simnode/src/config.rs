@@ -10,7 +10,11 @@
 //! * cpu-burn with a failed fan runs away past the 70 °C emergency throttle,
 //! * a full node under load draws ≈ 95–100 W at the wall (Table 1).
 
+use std::ops::Bound::{Excluded, Included};
+
 use serde::{Deserialize, Serialize};
+use unitherm_core::config::{check, ConfigError, Rule, NON_NEGATIVE, POSITIVE};
+use unitherm_core::rule;
 
 use crate::units::{athlon64_pstates, PState};
 
@@ -186,117 +190,111 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Validates the configuration, returning a description of the first
-    /// inconsistency. Scenario files carry whole node configs, so a bad
-    /// value is a data error for the caller to name; [`crate::Node`]
-    /// construction panics on the same error, which keeps the simulation
-    /// loop free of defensive checks. Every value must be finite: an
-    /// infinite one passes a sign check but breaks the physics mid-run, and
-    /// the lanes' constant sub-step split (`thermal::fixed_substeps_raw`)
-    /// relies on it.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        fn check(ok: bool, message: &'static str) -> Result<(), &'static str> {
-            if ok {
-                Ok(())
-            } else {
-                Err(message)
-            }
-        }
-        fn finite(values: &[(f64, &'static str)]) -> Result<(), &'static str> {
-            values.iter().find(|(v, _)| !v.is_finite()).map_or(Ok(()), |&(_, m)| Err(m))
-        }
-        let t = &self.thermal;
-        finite(&[
-            (t.die_capacity_j_per_k, "die capacity must be finite"),
-            (t.sink_capacity_j_per_k, "sink capacity must be finite"),
-            (t.die_sink_conductance_w_per_k, "die-sink conductance must be finite"),
-            (t.natural_conductance_w_per_k, "natural conductance must be finite"),
-            (t.airflow_conductance_w_per_k, "airflow conductance must be finite"),
-            (t.airflow_exponent, "airflow exponent must be finite"),
-            (t.ambient_c, "ambient temperature must be finite"),
-        ])?;
-        check(t.die_capacity_j_per_k > 0.0, "die capacity must be positive")?;
-        check(t.sink_capacity_j_per_k > 0.0, "sink capacity must be positive")?;
-        check(t.die_sink_conductance_w_per_k > 0.0, "die-sink conductance must be positive")?;
-        check(t.natural_conductance_w_per_k >= 0.0, "natural conductance must be non-negative")?;
-        check(t.airflow_conductance_w_per_k >= 0.0, "airflow conductance must be non-negative")?;
-        check(t.airflow_exponent > 0.0, "airflow exponent must be positive")?;
-
-        let c = &self.cpu;
-        check(c.pstates.iter().all(|p| p.voltage_v.is_finite()), "P-state voltage must be finite")?;
-        finite(&[
-            (c.dynamic_power_max_w, "dynamic power must be finite"),
-            (c.leakage_power_ref_w, "leakage power must be finite"),
-            (c.leakage_ref_temp_c, "leakage reference temperature must be finite"),
-            (c.leakage_temp_coeff_per_k, "leakage temperature coefficient must be finite"),
-            (c.emergency_throttle_c, "throttle threshold must be finite"),
-            (c.emergency_shutdown_c, "shutdown threshold must be finite"),
-            (c.emergency_hysteresis_c, "hysteresis must be finite"),
-        ])?;
-        check(!c.pstates.is_empty(), "at least one P-state required")?;
+    /// What [`NodeConfig::validate`] checks, in order. Every value must be
+    /// finite: an infinite one passes a sign check but breaks the physics
+    /// mid-run, and the lanes' constant sub-step split
+    /// (`thermal::fixed_substeps_raw`) relies on it.
+    pub const RULES: &'static [Rule<Self>] = &[
+        rule!(Finite thermal.die_capacity_j_per_k; "die capacity must be finite"),
+        rule!(Finite thermal.sink_capacity_j_per_k; "sink capacity must be finite"),
+        rule!(Finite thermal.die_sink_conductance_w_per_k; "die-sink conductance must be finite"),
+        rule!(Finite thermal.natural_conductance_w_per_k; "natural conductance must be finite"),
+        rule!(Finite thermal.airflow_conductance_w_per_k; "airflow conductance must be finite"),
+        rule!(Finite thermal.airflow_exponent; "airflow exponent must be finite"),
+        rule!(Finite thermal.ambient_c; "ambient temperature must be finite"),
+        rule!(Range thermal.die_capacity_j_per_k, POSITIVE; "die capacity must be positive"),
+        rule!(Range thermal.sink_capacity_j_per_k, POSITIVE; "sink capacity must be positive"),
+        rule!(Range thermal.die_sink_conductance_w_per_k, POSITIVE;
+            "die-sink conductance must be positive"),
+        rule!(Range thermal.natural_conductance_w_per_k, NON_NEGATIVE;
+            "natural conductance must be non-negative"),
+        rule!(Range thermal.airflow_conductance_w_per_k, NON_NEGATIVE;
+            "airflow conductance must be non-negative"),
+        rule!(Range thermal.airflow_exponent, POSITIVE; "airflow exponent must be positive"),
+        rule!("cpu.pstates[].voltage_v",
+            Holds(|c| c.cpu.pstates.iter().all(|p| p.voltage_v.is_finite()), "finite");
+            "P-state voltage must be finite"),
+        rule!(Finite cpu.dynamic_power_max_w; "dynamic power must be finite"),
+        rule!(Finite cpu.leakage_power_ref_w; "leakage power must be finite"),
+        rule!(Finite cpu.leakage_ref_temp_c; "leakage reference temperature must be finite"),
+        rule!(Finite cpu.leakage_temp_coeff_per_k;
+            "leakage temperature coefficient must be finite"),
+        rule!(Finite cpu.emergency_throttle_c; "throttle threshold must be finite"),
+        rule!(Finite cpu.emergency_shutdown_c; "shutdown threshold must be finite"),
+        rule!(Finite cpu.emergency_hysteresis_c; "hysteresis must be finite"),
+        rule!("cpu.pstates", Holds(|c| !c.cpu.pstates.is_empty(), "not empty");
+            "at least one P-state required"),
         // The power law divides by the top P-state's voltage: at 0 V it is
         // 0/0, which drives the die temperature non-finite on the first
         // tick. A negative voltage or a 0 MHz state is no P-state either.
-        check(c.pstates.iter().all(|p| p.voltage_v > 0.0), "P-state voltage must be positive")?;
-        check(c.pstates.iter().all(|p| p.freq_mhz > 0), "P-state frequency must be positive")?;
-        check(
-            c.pstates.windows(2).all(|w| w[0].freq_mhz > w[1].freq_mhz),
-            "P-states must be in strictly descending frequency order",
-        )?;
-        check(c.dynamic_power_max_w >= 0.0, "dynamic power must be non-negative")?;
-        check(c.leakage_power_ref_w >= 0.0, "leakage power must be non-negative")?;
-        check(
-            c.emergency_throttle_c < c.emergency_shutdown_c,
-            "throttle threshold must be below shutdown threshold",
-        )?;
-        check(c.emergency_hysteresis_c >= 0.0, "hysteresis must be non-negative")?;
-
-        let f = &self.fan;
-        finite(&[
-            (f.max_rpm, "fan max RPM must be finite"),
-            (f.time_constant_s, "fan time constant must be finite"),
-            (f.max_power_w, "fan power must be finite"),
-            (f.stall_fraction, "stall fraction must be finite"),
-        ])?;
-        check(f.max_rpm > 0.0, "fan max RPM must be positive")?;
-        check(f.time_constant_s > 0.0, "fan time constant must be positive")?;
-        check(f.max_power_w >= 0.0, "fan power must be non-negative")?;
-        check((0.0..1.0).contains(&f.stall_fraction), "stall fraction must be in [0,1)")?;
-
-        let s = &self.sensor;
-        finite(&[
-            (s.noise_std_c, "sensor noise must be finite"),
-            (s.quantization_c, "sensor quantization must be finite"),
-            (s.offset_c, "sensor offset must be finite"),
-            (s.core_spread_c, "core spread must be finite"),
-        ])?;
-        check(s.noise_std_c >= 0.0, "sensor noise must be non-negative")?;
-        check(s.quantization_c >= 0.0, "sensor quantization must be non-negative")?;
-        check(s.count >= 1, "need at least one thermal sensor")?;
-        check(s.count <= MAX_SENSORS, "sensor count must be at most 256")?;
-        check(s.core_spread_c >= 0.0, "core spread must be non-negative")?;
-
-        let b = &self.board;
-        finite(&[
-            (b.base_power_w, "base power must be finite"),
-            (b.psu_efficiency, "PSU efficiency must be finite"),
-        ])?;
-        check(b.base_power_w >= 0.0, "base power must be non-negative")?;
+        rule!("cpu.pstates[].voltage_v",
+            Holds(|c| c.cpu.pstates.iter().all(|p| p.voltage_v > 0.0), "> 0");
+            "P-state voltage must be positive"),
+        rule!("cpu.pstates[].freq_mhz",
+            Holds(|c| c.cpu.pstates.iter().all(|p| p.freq_mhz > 0), "> 0");
+            "P-state frequency must be positive"),
+        rule!("cpu.pstates[].freq_mhz",
+            Holds(|c| c.cpu.pstates.windows(2).all(|w| w[0].freq_mhz > w[1].freq_mhz),
+                "strictly descending");
+            "P-states must be in strictly descending frequency order"),
+        rule!(Range cpu.dynamic_power_max_w, NON_NEGATIVE; "dynamic power must be non-negative"),
+        rule!(Range cpu.leakage_power_ref_w, NON_NEGATIVE; "leakage power must be non-negative"),
+        rule!(Below cpu.emergency_throttle_c < cpu.emergency_shutdown_c;
+            "throttle threshold must be below shutdown threshold"),
+        rule!(Range cpu.emergency_hysteresis_c, NON_NEGATIVE; "hysteresis must be non-negative"),
+        rule!(Finite fan.max_rpm; "fan max RPM must be finite"),
+        rule!(Finite fan.time_constant_s; "fan time constant must be finite"),
+        rule!(Finite fan.max_power_w; "fan power must be finite"),
+        rule!(Finite fan.stall_fraction; "stall fraction must be finite"),
+        rule!(Range fan.max_rpm, POSITIVE; "fan max RPM must be positive"),
+        rule!(Range fan.time_constant_s, POSITIVE; "fan time constant must be positive"),
+        rule!(Range fan.max_power_w, NON_NEGATIVE; "fan power must be non-negative"),
+        rule!(Range fan.stall_fraction, (Included(0.0), Excluded(1.0));
+            "stall fraction must be in [0,1)"),
+        rule!(Finite sensor.noise_std_c; "sensor noise must be finite"),
+        rule!(Finite sensor.quantization_c; "sensor quantization must be finite"),
+        rule!(Finite sensor.offset_c; "sensor offset must be finite"),
+        rule!(Finite sensor.core_spread_c; "core spread must be finite"),
+        rule!(Range sensor.noise_std_c, NON_NEGATIVE; "sensor noise must be non-negative"),
+        rule!(Range sensor.quantization_c, NON_NEGATIVE;
+            "sensor quantization must be non-negative"),
+        rule!(AtLeast sensor.count, 1; "need at least one thermal sensor"),
+        rule!(AtMost sensor.count, MAX_SENSORS; "sensor count must be at most {max}"),
+        rule!(Range sensor.core_spread_c, NON_NEGATIVE; "core spread must be non-negative"),
+        rule!(Finite board.base_power_w; "base power must be finite"),
+        rule!(Finite board.psu_efficiency; "PSU efficiency must be finite"),
+        rule!(Range board.base_power_w, NON_NEGATIVE; "base power must be non-negative"),
         // Wall power is the DC load divided by the efficiency, so a tiny
         // efficiency drives it non-finite. No supply wastes more than it
         // delivers.
-        check((0.5..=1.0).contains(&b.psu_efficiency), "PSU efficiency must be in [0.5, 1]")?;
-        Ok(())
+        rule!(Range board.psu_efficiency, (Included(0.5), Included(1.0));
+            "PSU efficiency must be in [0.5, 1]"),
+    ];
+
+    /// Validates the configuration against [`NodeConfig::RULES`]. Scenario
+    /// files carry whole node configs, so a bad value is a data error for
+    /// the caller to name; [`crate::Node`] construction panics on the same
+    /// error, which keeps the simulation loop free of defensive checks.
+    ///
+    /// # Errors
+    /// Returns the first broken rule's error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(Self::RULES, self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
+    fn errors(c: &NodeConfig) -> Result<(), String> {
+        c.validate().map_err(|e| e.to_string())
+    }
 
     #[test]
     fn default_config_is_valid() {
-        assert_eq!(NodeConfig::default().validate(), Ok(()));
+        assert_eq!(errors(&NodeConfig::default()), Ok(()));
     }
 
     #[test]
@@ -311,7 +309,7 @@ mod tests {
     fn rejects_unsorted_pstates() {
         let mut c = NodeConfig::default();
         c.cpu.pstates.reverse();
-        assert!(c.validate().is_err_and(|e| e.contains("descending frequency")));
+        assert!(errors(&c).is_err_and(|e| e.contains("descending frequency")));
     }
 
     #[test]
@@ -319,7 +317,11 @@ mod tests {
         for (idx, bad) in [(0, 0.0), (0, -1.0), (4, 0.0), (2, -0.5)] {
             let mut c = NodeConfig::default();
             c.cpu.pstates[idx].voltage_v = bad;
-            assert_eq!(c.validate(), Err("P-state voltage must be positive"), "[{idx}] = {bad}");
+            assert_eq!(
+                errors(&c),
+                Err("P-state voltage must be positive".into()),
+                "[{idx}] = {bad}"
+            );
         }
     }
 
@@ -327,53 +329,68 @@ mod tests {
     fn rejects_a_zero_pstate_frequency() {
         let mut c = NodeConfig::default();
         c.cpu.pstates.last_mut().expect("default P-states").freq_mhz = 0;
-        assert_eq!(c.validate(), Err("P-state frequency must be positive"));
+        assert_eq!(errors(&c), Err("P-state frequency must be positive".into()));
     }
 
     #[test]
     fn rejects_zero_capacity() {
         let mut c = NodeConfig::default();
         c.thermal.die_capacity_j_per_k = 0.0;
-        assert!(c.validate().is_err_and(|e| e.contains("die capacity")));
+        assert!(errors(&c).is_err_and(|e| e.contains("die capacity")));
+    }
+
+    /// Sets the `n`-th `f64` leaf of `node`, in document order, to `bad`
+    /// and returns its path as `RULES` spells it (`[]` for a list element).
+    fn set_nth_leaf(node: &mut Value, path: &str, n: &mut usize, bad: f64) -> Option<String> {
+        match node {
+            Value::F64(v) if *n == 0 => {
+                *v = bad;
+                Some(path.to_string())
+            }
+            Value::F64(_) => {
+                *n -= 1;
+                None
+            }
+            Value::Map(entries) => entries.iter_mut().find_map(|(key, v)| {
+                let path = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                set_nth_leaf(v, &path, n, bad)
+            }),
+            Value::Seq(items) => {
+                items.iter_mut().find_map(|v| set_nth_leaf(v, &format!("{path}[]"), n, bad))
+            }
+            _ => None,
+        }
     }
 
     #[test]
     fn rejects_every_non_finite_value_by_name() {
-        type Field = fn(&mut NodeConfig) -> &mut f64;
-        let fields: [(Field, &str); 25] = [
-            (|c| &mut c.thermal.die_capacity_j_per_k, "die capacity"),
-            (|c| &mut c.thermal.sink_capacity_j_per_k, "sink capacity"),
-            (|c| &mut c.thermal.die_sink_conductance_w_per_k, "die-sink conductance"),
-            (|c| &mut c.thermal.natural_conductance_w_per_k, "natural conductance"),
-            (|c| &mut c.thermal.airflow_conductance_w_per_k, "airflow conductance"),
-            (|c| &mut c.thermal.airflow_exponent, "airflow exponent"),
-            (|c| &mut c.thermal.ambient_c, "ambient temperature"),
-            (|c| &mut c.cpu.pstates[2].voltage_v, "P-state voltage"),
-            (|c| &mut c.cpu.dynamic_power_max_w, "dynamic power"),
-            (|c| &mut c.cpu.leakage_power_ref_w, "leakage power"),
-            (|c| &mut c.cpu.leakage_ref_temp_c, "leakage reference temperature"),
-            (|c| &mut c.cpu.leakage_temp_coeff_per_k, "leakage temperature coefficient"),
-            (|c| &mut c.cpu.emergency_throttle_c, "throttle threshold"),
-            (|c| &mut c.cpu.emergency_shutdown_c, "shutdown threshold"),
-            (|c| &mut c.cpu.emergency_hysteresis_c, "hysteresis"),
-            (|c| &mut c.fan.max_rpm, "fan max RPM"),
-            (|c| &mut c.fan.time_constant_s, "fan time constant"),
-            (|c| &mut c.fan.max_power_w, "fan power"),
-            (|c| &mut c.fan.stall_fraction, "stall fraction"),
-            (|c| &mut c.sensor.noise_std_c, "sensor noise"),
-            (|c| &mut c.sensor.quantization_c, "sensor quantization"),
-            (|c| &mut c.sensor.offset_c, "sensor offset"),
-            (|c| &mut c.sensor.core_spread_c, "core spread"),
-            (|c| &mut c.board.base_power_w, "base power"),
-            (|c| &mut c.board.psu_efficiency, "PSU efficiency"),
-        ];
-        for (field, name) in fields {
-            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-                let mut c = NodeConfig::default();
-                *field(&mut c) = bad;
-                assert_eq!(c.validate(), Err(format!("{name} must be finite").as_str()), "{bad}");
+        use unitherm_core::config::Check;
+        let is_finite_row =
+            |r: &&Rule<NodeConfig>| matches!(r.check, Check::Finite(_) | Check::Holds(_, "finite"));
+        let json = serde_json::to_string(&NodeConfig::default()).expect("serializes");
+        let doc = serde_json::parse_value(&json).expect("valid JSON");
+        let mut named = std::collections::HashSet::new();
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for k in 0.. {
+                let mut tree = doc.clone();
+                let mut n = k;
+                let Some(path) = set_nth_leaf(&mut tree, "", &mut n, bad) else { break };
+                let row = NodeConfig::RULES
+                    .iter()
+                    .filter(is_finite_row)
+                    .find(|r| r.field == path)
+                    .unwrap_or_else(|| panic!("no finite rule for {path}"));
+                assert!(row.message.ends_with(" must be finite"), "{}", row.message);
+                let c = <NodeConfig as serde::Deserialize>::deserialize(&tree).expect("shape");
+                assert_eq!(errors(&c), Err(row.message.into()), "{path} = {bad}");
+                named.insert(row.field);
             }
         }
+        let rows: Vec<&str> =
+            NodeConfig::RULES.iter().filter(is_finite_row).map(|r| r.field).collect();
+        assert!(rows.iter().all(|f| named.contains(f)), "a finite rule names no field: {rows:?}");
+        // Every float of the default config, P-state voltages as one.
+        assert_eq!(named.len(), 25);
     }
 
     #[test]
@@ -384,7 +401,7 @@ mod tests {
         {
             let mut c = NodeConfig::default();
             c.board.psu_efficiency = eff;
-            assert_eq!(c.validate(), want, "{eff}");
+            assert_eq!(errors(&c), want.map_err(String::from), "{eff}");
         }
     }
 
@@ -392,16 +409,16 @@ mod tests {
     fn rejects_a_sensor_count_above_the_cap() {
         let mut c = NodeConfig::default();
         c.sensor.count = MAX_SENSORS;
-        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(errors(&c), Ok(()));
         c.sensor.count = MAX_SENSORS + 1;
-        assert_eq!(c.validate(), Err("sensor count must be at most 256"));
+        assert_eq!(errors(&c), Err("sensor count must be at most 256".into()));
     }
 
     #[test]
     fn rejects_inverted_emergency_thresholds() {
         let mut c = NodeConfig::default();
         c.cpu.emergency_throttle_c = 90.0;
-        assert!(c.validate().is_err_and(|e| e.contains("below shutdown")));
+        assert!(errors(&c).is_err_and(|e| e.contains("below shutdown")));
     }
 
     #[test]
