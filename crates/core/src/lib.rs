@@ -38,7 +38,8 @@
 //!   dynamic out-of-band fan duties (§4.2, ± [`feedforward`]) and the ACPI
 //!   sleep states. The §4.4 hybrid — one `P_p` shared by the fan controller
 //!   and tDVFS, fan first — is `SchemeSpec::hybrid`;
-//! * [`config`] — the shared configuration-validation error type.
+//! * [`config`] — configuration validation: the error type, and the rule
+//!   tables every config type a scenario file carries declares and walks.
 //!
 //! The crate is hardware-agnostic: controllers consume temperature samples
 //! and emit mode decisions over the [`actuator`] mode sets, which the daemons
