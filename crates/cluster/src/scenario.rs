@@ -515,6 +515,7 @@ impl Scenario {
         rule!(Finite max_time_s; "time limit must be finite and positive"),
         rule!(Range max_time_s, POSITIVE; "time limit must be finite and positive"),
         rule!(Finite cooldown_s; "cooldown must be finite"),
+        rule!(Finite dt_s; "tick must be finite"),
         rule!(Range dt_s, POSITIVE; "tick must be positive"),
         rule!("sample_period_s", Holds(|s| s.sample_period_s >= s.dt_s, "≥ dt_s");
             "sampling cannot outpace the tick"),

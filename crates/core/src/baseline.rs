@@ -41,6 +41,8 @@ impl StaticFanCurve {
     /// inverted or empty ramp is legal: the curve then pins the fan at
     /// `pwm_min`.
     pub const RULES: &'static [Rule<Self>] = &[
+        rule!(AtMost pwm_min, 100; "pwm_min must be at most {max} (got {got})"),
+        rule!(AtMost pwm_max, 100; "pwm_max must be at most {max} (got {got})"),
         rule!(Finite t_min_c; "t_min_c must be finite"),
         rule!(Finite t_max_c; "t_max_c must be finite"),
     ];

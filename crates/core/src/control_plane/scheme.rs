@@ -19,7 +19,7 @@ use super::daemons::{
 use super::ControlDaemon;
 use crate::actuator::{FanDuty, FreqMhz};
 use crate::baseline::StaticFanCurve;
-use crate::config::{check, ConfigError};
+use crate::config::{check, ConfigError, Rule};
 use crate::control_array::Policy;
 use crate::controller::ControllerConfig;
 use crate::feedforward::FeedforwardConfig;
@@ -32,6 +32,14 @@ use crate::tdvfs::TdvfsConfig;
 fn check_policy(policy: Policy) -> Result<(), ConfigError> {
     policy.validate().map_err(|e| ConfigError::new(e.to_string()))
 }
+
+/// The rule on a `Constant` arm's duty, percent.
+const DUTY: &[Rule<FanDuty>] = &[crate::rule!("duty", AtMost(|d| usize::from(*d), 100);
+    "duty must be at most {max} (got {got})")];
+
+/// The rule on every other arm's duty cap, percent.
+const MAX_DUTY: &[Rule<FanDuty>] = &[crate::rule!("max_duty", AtMost(|d| usize::from(*d), 100);
+    "max_duty must be at most {max} (got {got})")];
 
 /// Fan-side control scheme.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,23 +118,27 @@ impl FanScheme {
         }
     }
 
-    /// Validates every controller configuration reachable from this arm.
+    /// Validates this arm's duty percent, then every controller
+    /// configuration reachable from it.
     ///
     /// # Errors
-    /// Returns the first invalid configuration found.
+    /// Returns the first invalid value found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
-            FanScheme::Dynamic { policy, config, .. } => {
+            FanScheme::Dynamic { policy, max_duty, config } => {
+                check(MAX_DUTY, max_duty)?;
                 check_policy(*policy)?;
                 config.validate()
             }
-            FanScheme::DynamicFeedforward { policy, config, feedforward, .. } => {
+            FanScheme::DynamicFeedforward { policy, max_duty, config, feedforward } => {
+                check(MAX_DUTY, max_duty)?;
                 check_policy(*policy)?;
                 config.validate()?;
                 feedforward.validate()
             }
             FanScheme::SoftwareStatic { curve } => check(StaticFanCurve::RULES, curve),
-            FanScheme::ChipAutomatic { .. } | FanScheme::Constant { .. } => Ok(()),
+            FanScheme::ChipAutomatic { max_duty } => check(MAX_DUTY, max_duty),
+            FanScheme::Constant { duty } => check(DUTY, duty),
         }
     }
 
@@ -359,7 +371,8 @@ impl SchemeSpec {
                 fan.validate()?;
                 dvfs.validate()
             }
-            SchemeSpec::Hybrid { policy, config, tdvfs, .. } => {
+            SchemeSpec::Hybrid { policy, max_duty, config, tdvfs } => {
+                check(MAX_DUTY, max_duty)?;
                 check_policy(*policy)?;
                 config.validate()?;
                 tdvfs.validate()

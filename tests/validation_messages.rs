@@ -58,6 +58,7 @@ fn field_cases() -> Vec<(String, &'static str, &'static str)> {
         ("cooldown_s", "1e999", "cooldown must be finite"),
         ("cooldown_s", "-1e999", "cooldown must be finite"),
         ("dt_s", "0.0", "tick must be positive"),
+        ("dt_s", "1e999", "tick must be finite"),
         ("sample_period_s", "0.01", "sampling cannot outpace the tick"),
         ("sample_period_s", "0.13", "sample period must be a whole number of ticks"),
         ("event_capacity", "65537", "event_capacity must be at most 65536 records (got 65537)"),
@@ -347,6 +348,31 @@ fn field_cases() -> Vec<(String, &'static str, &'static str)> {
         ("fan_overrides.0.1.SoftwareStatic.curve.t_min_c", "-1e999", "t_min_c must be finite"),
         ("fan_overrides.0.1.SoftwareStatic.curve.t_max_c", "1e999", "t_max_c must be finite"),
         ("fan_overrides.0.1.SoftwareStatic.curve.t_max_c", "-1e999", "t_max_c must be finite"),
+        // Fan duties are percents.
+        ("fan.DynamicFeedforward.max_duty", "101", "max_duty must be at most 100 (got 101)"),
+        (
+            "fan",
+            r#"{"ChipAutomatic": {"max_duty": 250}}"#,
+            "max_duty must be at most 100 (got 250)",
+        ),
+        ("fan", r#"{"Constant": {"duty": 250}}"#, "duty must be at most 100 (got 250)"),
+        (
+            "fan",
+            r#"{"Dynamic": {"policy": 50, "max_duty": 101, "config": {"array_len": 100,
+                "t_min_c": 38.0, "t_max_c": 82.0, "window": {"l1_len": 4, "l2_len": 5},
+                "l1_deadband_c": 0.75}}}"#,
+            "max_duty must be at most 100 (got 101)",
+        ),
+        (
+            "fan_overrides.0.1.SoftwareStatic.curve.pwm_min",
+            "101",
+            "pwm_min must be at most 100 (got 101)",
+        ),
+        (
+            "fan_overrides.0.1.SoftwareStatic.curve.pwm_max",
+            "255",
+            "pwm_max must be at most 100 (got 255)",
+        ),
     ];
     let mut out: Vec<(String, &str, &str)> =
         cases.iter().map(|&(path, value, want)| (path.to_string(), value, want)).collect();
@@ -489,6 +515,10 @@ fn block_cases() -> Vec<(Vec<(String, String)>, &'static str)> {
             "node_config_overrides: node 2 has more than one entry",
         ),
         (scheme(&hybrid(0, CONTROLLER)), "policy P_p = 0 outside [1, 100]"),
+        (
+            with(scheme(&hybrid(50, CONTROLLER)), "scheme.Hybrid.max_duty", "101"),
+            "max_duty must be at most 100 (got 101)",
+        ),
         (scheme(&hybrid(50, BAD_CONTROLLER)), "array length must be at least 1"),
         (
             with(scheme(&hybrid(50, CONTROLLER)), "scheme.Hybrid.tdvfs.hysteresis_c", "-1.0"),

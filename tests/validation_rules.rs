@@ -311,7 +311,9 @@ fn summary_markdown(sizes: &[(&str, usize)]) -> String {
         out += &format!("{}. {item}\n", i + 1);
     }
     out += &format!(
-        "\nEach scheme arm checks its `policy` in [1, 100] (`policy P_p = N outside [1, 100]`), \
+        "\nEach scheme arm checks its duty percent first, if it has one: a `Constant` arm's \
+         `duty` and any other arm's `max_duty` must be ≤ 100 (`max_duty must be at most 100 \
+         (got N)`). Then it checks its `policy` in [1, 100] (`policy P_p = N outside [1, 100]`), \
          then its tuning: the {} [`ControllerConfig` rules](#controllerconfig) and the {} \
          `WindowConfig` rules, the {} [`FeedforwardConfig` rules](#feedforwardconfig), the {} \
          [`TdvfsConfig` rules](#tdvfsconfig) (then its embedded controller), the {} \
