@@ -1,16 +1,33 @@
-//! The persistent node-parallel worker pool behind [`crate::sim::Simulation`].
+//! The process's one worker pool, and the per-shard passes of a simulation.
 //!
-//! Every simulation ticks on this pool. It shards the nodes into
+//! Every simulation ticks through this module. It shards the nodes into
 //! [`pool_width`] contiguous ranges and runs the per-node halves of every
 //! tick — workload advance (pass A), daemons + physics then barrier
 //! release and finish detection (pass B), and the 4 Hz sampling pass —
 //! over the shards. Each shard owns its nodes' plants and its ranks'
 //! workloads as dense arrays; only the hooks and the sampling pass read
-//! the nodes themselves. A one-shard pool spawns no thread and runs each
-//! pass inline on the calling thread. A wider pool is created once per
-//! simulation and persists across ticks: at a 50 ms simulated dt a tick
-//! is microseconds of work, so spawn-per-tick (or even scope-per-tick)
-//! would dominate the run.
+//! the nodes themselves. A one-shard simulation runs each pass inline.
+//!
+//! # One pool, one claim rule
+//!
+//! A process has one pool of `host cores − 1` helper threads, started by
+//! the first post that wants one (a one-core host starts none). Sweep jobs
+//! (`crate::sweep`) and shards 1, 2, … of a pass are posted to it under
+//! one rule:
+//!
+//! * for `n`-wide work the poster posts up to `n − 1` helper tasks, then
+//!   claims items from the same atomic cursor itself;
+//! * it waits only for items a helper has already claimed, never for a
+//!   helper to wake;
+//! * every claimed item runs under `catch_unwind`, and the poster re-raises
+//!   the lowest-index panic once every claimed item has finished.
+//!
+//! A pass's coordinator always runs shard 0 itself (the journal tee below
+//! needs it), and posting a pass allocates nothing: the claim state is the
+//! simulation's, and the coordinator takes its task off the board before
+//! it returns. No claimed item waits on a post, so nested or concurrent
+//! work cannot deadlock and adds no thread. Idle helpers and waiting
+//! posters spin briefly, then park.
 //!
 //! # Width
 //!
@@ -22,7 +39,8 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical to a one-shard pool at every width:
+//! Results are bit-identical to a one-shard run at every width, whichever
+//! thread runs which shard:
 //!
 //! * per-node work is shared-nothing — a node's tick depends only on its
 //!   own state plus tick-global inputs (the barrier-release decision, the
@@ -36,22 +54,12 @@
 //!   the coordinator drains in shard (= node) order after the pass,
 //!   preserving the "tick order, node order within a tick" contract
 //!   byte-for-byte.
-//!
-//! # Synchronization
-//!
-//! The coordinator publishes a [`Job`] (raw shard pointers + pass
-//! parameters) under an epoch counter, executes shard 0 itself, and waits
-//! for the workers' completion countdown. Workers spin briefly on the
-//! epoch and then park, so an idle pool (a paused simulation, a pool
-//! outliving its last tick) costs nothing; on oversubscribed machines the
-//! park path keeps ticks correct, just not faster. Worker panics are
-//! caught, carried across the countdown, and re-raised on the coordinator
-//! thread with their original payload.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
+use std::thread::Thread;
 
 use crate::node_sim::NodeSim;
 use crate::sim::Shard;
@@ -77,7 +85,7 @@ pub fn pool_width(threads: usize, nodes: usize) -> usize {
 
 /// The cores this process may run on (its affinity mask and CPU quota
 /// count), read once per process. The pool width and the sweep budget
-/// both clamp to it.
+/// both clamp to it, and the pool has one helper fewer.
 pub(crate) fn host_cores() -> usize {
     static HOST_CORES: OnceLock<usize> = OnceLock::new();
     *HOST_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -132,12 +140,12 @@ pub(crate) struct ShardOut {
     pub finished_delta: usize,
 }
 
-/// One pass: everything a worker needs to process its shard.
+/// One pass: everything a thread needs to process a shard of it.
 ///
-/// Raw pointers stand in for the `&mut` borrows the coordinator holds; the
-/// run protocol guarantees workers only dereference them between the epoch
-/// publish and their completion decrement, while the coordinator is parked
-/// inside [`WorkerPool::run`] and the borrows are live.
+/// Raw pointers stand in for the `&mut` borrows the coordinator holds. A
+/// helper dereferences them only for a shard it claimed, and the
+/// coordinator stays inside [`Passes::run`], with the borrows live, until
+/// every claimed shard has finished.
 #[derive(Clone, Copy)]
 struct Job {
     nodes: *mut NodeSim,
@@ -155,84 +163,263 @@ struct Job {
     teeing: bool,
 }
 
-// SAFETY: the pointers are only dereferenced under the run protocol above,
+// SAFETY: the pointers are only dereferenced under the claim rule above,
 // over disjoint shard ranges.
 unsafe impl Send for Job {}
 
-struct Shared {
-    /// Bumped (release) to publish `job`; workers acquire-load it.
-    epoch: AtomicUsize,
-    /// The published job; valid for the epoch it was published under.
-    job: UnsafeCell<Option<Job>>,
-    /// Workers yet to finish the current job.
-    remaining: AtomicUsize,
-    /// Set (then epoch bumped) to shut the pool down.
-    shutdown: AtomicBool,
-    /// The coordinator thread, unparked by the last finishing worker.
-    coordinator: Thread,
-    /// First worker panic of the current job, re-raised by the coordinator.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-// SAFETY: `job` is written only by the coordinator before the epoch bump
-// and read by workers after acquiring the new epoch; `remaining` orders the
-// hand-back.
-unsafe impl Sync for Shared {}
-
-/// Spins this long on the epoch / countdown before parking. Short, so a
-/// pool on an oversubscribed (or single-core) machine backs off to the
-/// scheduler quickly instead of burning the very cycles the shards need.
+/// Spins this long on the post counter / the outstanding claims before
+/// parking. Short, so an oversubscribed (or single-core) machine backs off
+/// to the scheduler quickly instead of burning the cycles the work needs.
 const SPIN_LIMIT: u32 = 512;
-
-/// The persistent pool: `width - 1` spawned workers plus the calling
-/// thread, which always executes shard 0 itself.
-pub(crate) struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<Thread>,
-    handles: Vec<JoinHandle<()>>,
-    width: usize,
-}
 
 /// The contiguous node range of shard `s` out of `shards` over `len` nodes.
 pub(crate) fn shard_range(len: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
     (s * len / shards)..((s + 1) * len / shards)
 }
 
-impl WorkerPool {
-    /// Spawns `width - 1` workers (the coordinator is shard 0), so a
-    /// one-shard pool spawns none.
-    pub fn new(width: usize) -> Self {
-        let shared = Arc::new(Shared {
-            epoch: AtomicUsize::new(0),
-            job: UnsafeCell::new(None),
-            remaining: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            coordinator: std::thread::current(),
-            panic: Mutex::new(None),
-        });
-        let (tx, rx) = std::sync::mpsc::channel();
-        let handles: Vec<JoinHandle<()>> = (1..width)
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("unitherm-shard{shard}"))
-                    .spawn(move || {
-                        tx.send(std::thread::current()).expect("pool creator is alive");
-                        drop(tx);
-                        worker_loop(&shared, shard);
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        drop(tx);
-        let workers: Vec<Thread> = rx.iter().take(width - 1).collect();
-        Self { shared, workers, handles, width }
+/// The claim state of one piece of posted work: items `start..end` are
+/// claimed from one cursor, and the poster waits for those not finished.
+struct Claims {
+    /// The next unclaimed item; runs past `end` once the work is drained.
+    next: AtomicUsize,
+    /// One past the last item.
+    end: usize,
+    /// Items not yet finished, claimed or not.
+    remaining: AtomicUsize,
+    /// The lowest-index panic so far, with its payload.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+}
+
+impl Claims {
+    fn new(end: usize) -> Self {
+        let (next, remaining) = (AtomicUsize::new(0), AtomicUsize::new(end));
+        Self { next, end, remaining, panic: Mutex::new(None) }
     }
 
-    /// Runs one pass over `nodes`, returning when every shard (including
-    /// the coordinator's own shard 0) has finished. A one-shard pool runs
-    /// it inline, with nothing to publish or wait for.
+    /// Reopens items `start..end`. Only between posts, when no helper
+    /// holds a claim; the next post publishes it under the board lock.
+    fn open(&self, start: usize) {
+        self.remaining.store(self.end - start, Ordering::Relaxed);
+        self.next.store(start, Ordering::Relaxed);
+    }
+
+    /// Claims the next item, if one is left.
+    fn claim(&self) -> Option<usize> {
+        let item = self.next.fetch_add(1, Ordering::Relaxed);
+        (item < self.end).then_some(item)
+    }
+
+    /// Runs item `item`, keeping its panic if no lower item's is kept.
+    fn run(&self, item: usize, body: impl FnOnce()) {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(body)) {
+            let mut slot = self.panic.lock().expect("panic slot");
+            if slot.as_ref().is_none_or(|(first, _)| item < *first) {
+                *slot = Some((item, payload));
+            }
+        }
+    }
+
+    /// Marks one claimed item finished; true for the last one.
+    fn finish(&self) -> bool {
+        self.remaining.fetch_sub(1, Ordering::Release) == 1
+    }
+
+    /// Waits until every item has finished (the thread finishing the last
+    /// one unparks the poster), then re-raises the lowest-index panic.
+    fn wait(&self) {
+        let mut spins = 0u32;
+        while self.remaining.load(Ordering::Acquire) != 0 {
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+        if let Some((_, payload)) = self.panic.lock().expect("panic slot").take() {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// What a posted task's items are.
+#[derive(Clone)]
+enum Items {
+    /// Shards of one simulation pass.
+    Pass(Job),
+    /// Items of work the closure keeps alive, such as a sweep's jobs.
+    Shared(Arc<dyn Fn(usize) + Send + Sync>),
+}
+
+/// Posted work: its items and their claim state.
+#[derive(Clone)]
+struct Task {
+    claims: Arc<Claims>,
+    items: Items,
+}
+
+impl Task {
+    /// Runs claimed item `item` under `catch_unwind`.
+    fn run(&self, item: usize) {
+        self.claims.run(item, || match &self.items {
+            // SAFETY: `item` is a shard this thread claimed; its poster
+            // waits for it with the pass's borrows live.
+            Items::Pass(job) => unsafe { exec_shard(job, item, None) },
+            Items::Shared(body) => body(item),
+        });
+    }
+
+    /// A helper's turn on the task, from its first claimed item on. Each
+    /// next claim is made before the item before it is marked finished, so
+    /// the poster is still waiting and the task's borrows are live.
+    fn help(&self, mut item: usize, poster: &Thread) {
+        loop {
+            self.run(item);
+            let next = self.claims.claim();
+            if self.claims.finish() {
+                poster.unpark();
+            }
+            let Some(n) = next else { return };
+            item = n;
+        }
+    }
+}
+
+/// A task on the board.
+struct Posted {
+    task: Task,
+    /// Helpers that may still take the task.
+    seats: usize,
+    /// The poster, unparked by the helper that finishes the last item.
+    poster: Thread,
+}
+
+/// The posted tasks and the parked helpers, behind one lock.
+struct Board {
+    /// Tasks with seats left, oldest first.
+    posts: Vec<Posted>,
+    /// Helpers parked until the next post.
+    parked: Vec<Thread>,
+}
+
+impl Board {
+    /// Takes a seat on the oldest task with an item left and claims the
+    /// item under the lock, where every task's poster is still working it.
+    /// Drained tasks leave on the way.
+    fn take(&mut self) -> Option<(Task, Thread, usize)> {
+        while let Some(posted) = self.posts.first_mut() {
+            let Some(item) = posted.task.claims.claim() else {
+                self.posts.remove(0);
+                continue;
+            };
+            posted.seats -= 1;
+            let taken = (posted.task.clone(), posted.poster.clone(), item);
+            if posted.seats == 0 {
+                self.posts.remove(0);
+            }
+            return Some(taken);
+        }
+        None
+    }
+}
+
+static BOARD: Mutex<Board> = Mutex::new(Board { posts: Vec::new(), parked: Vec::new() });
+
+/// Bumped after every post; idle helpers spin on it before parking.
+static POSTS: AtomicUsize = AtomicUsize::new(0);
+
+fn board() -> MutexGuard<'static, Board> {
+    BOARD.lock().expect("pool board")
+}
+
+/// How many helpers the process has: `host cores − 1`, started on the
+/// first call. A helper that cannot be spawned only means fewer of them:
+/// posters run whatever no helper claims.
+fn helpers() -> usize {
+    static STARTED: Once = Once::new();
+    STARTED.call_once(|| {
+        board().posts.reserve(host_cores());
+        for _ in 1..host_cores() {
+            let _ = std::thread::Builder::new().name("unitherm-helper".into()).spawn(serve);
+        }
+    });
+    host_cores() - 1
+}
+
+/// A helper's life: help the oldest task with an item left; when there is
+/// none, spin on the post counter, then park until a poster unparks it.
+fn serve() {
+    let me = std::thread::current();
+    loop {
+        let seen = POSTS.load(Ordering::Acquire);
+        let mut board = board();
+        board.parked.retain(|h| h.id() != me.id());
+        if let Some((task, poster, item)) = board.take() {
+            drop(board);
+            task.help(item, &poster);
+            continue;
+        }
+        board.parked.push(me.clone());
+        drop(board);
+        let mut spins = 0u32;
+        while POSTS.load(Ordering::Acquire) == seen && spins < SPIN_LIMIT {
+            spins += 1;
+            std::hint::spin_loop();
+        }
+        if POSTS.load(Ordering::Acquire) == seen {
+            std::thread::park();
+        }
+    }
+}
+
+/// Runs `task` by the claim rule (module docs): posts it for up to `seats`
+/// helpers, runs `first` (an item the poster keeps outside the cursor),
+/// claims what is left, takes the task off the board and waits.
+fn run_task(task: Task, seats: usize, first: impl FnOnce()) {
+    let seats = if seats == 0 { 0 } else { seats.min(helpers()) };
+    if seats > 0 {
+        let mut board = board();
+        let poster = std::thread::current();
+        board.posts.push(Posted { task: task.clone(), seats, poster });
+        for _ in 0..seats {
+            let Some(helper) = board.parked.pop() else { break };
+            helper.unpark();
+        }
+        drop(board);
+        POSTS.fetch_add(1, Ordering::Release);
+    }
+    first();
+    while let Some(item) = task.claims.claim() {
+        task.run(item);
+        task.claims.finish();
+    }
+    if seats > 0 {
+        board().posts.retain(|p| !Arc::ptr_eq(&p.task.claims, &task.claims));
+    }
+    task.claims.wait();
+}
+
+/// Runs `body` on every item of `0..items`, on the caller plus up to
+/// `seats` helpers, by the claim rule (module docs), re-raising the
+/// lowest-index panic.
+pub(crate) fn run_items(items: usize, seats: usize, body: Arc<dyn Fn(usize) + Send + Sync>) {
+    let task = Task { claims: Arc::new(Claims::new(items)), items: Items::Shared(body) };
+    run_task(task, seats, || {});
+}
+
+/// A simulation's passes: the claim state every pass over its `width`
+/// shards reopens, so posting one allocates nothing.
+pub(crate) struct Passes(Arc<Claims>);
+
+impl Passes {
+    pub fn new(width: usize) -> Self {
+        Self(Arc::new(Claims::new(width)))
+    }
+
+    /// Runs one pass over `nodes`, returning when every shard has finished
+    /// (re-raising the lowest-index shard's panic). The calling thread runs
+    /// shard 0 and posts shards 1, 2, … for up to `width − 1` helpers; a
+    /// one-shard pass runs inline.
     ///
     /// `shards` must hold one entry per shard; `heat`, when given, one slot
     /// per node. Shard 0 tees its events into `journal`; when a journal is
@@ -246,7 +433,8 @@ impl WorkerPool {
         heat: Option<&mut [f64]>,
         journal: Option<&mut (dyn EventSink + 'static)>,
     ) {
-        assert_eq!(shards.len(), self.width, "one entry per shard");
+        let width = self.0.end;
+        assert_eq!(shards.len(), width, "one entry per shard");
         if let Some(heat) = &heat {
             assert_eq!(heat.len(), nodes.len(), "one heat slot per node");
         }
@@ -254,102 +442,25 @@ impl WorkerPool {
             nodes: nodes.as_mut_ptr(),
             shards: shards.as_mut_ptr(),
             len: nodes.len(),
-            width: self.width,
+            width,
             kind,
             heat: heat.map_or(std::ptr::null_mut(), |h| h.as_mut_ptr()),
             teeing: journal.is_some(),
         };
-        if self.workers.is_empty() {
+        if width == 1 {
             // SAFETY: the one shard is ours alone.
             unsafe { exec_shard(&job, 0, journal) };
             return;
         }
-
-        // Publish: countdown first, then the job, then the epoch (release)
-        // so an acquiring worker sees both.
-        self.shared.remaining.store(self.width - 1, Ordering::Relaxed);
-        // SAFETY: workers only read `job` after the epoch bump below; no
-        // other writer exists.
-        unsafe { *self.shared.job.get() = Some(job) };
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for w in &self.workers {
-            w.unpark();
-        }
-
-        // The coordinator is shard 0.
-        // SAFETY: shard ranges are disjoint; shard 0 is ours alone.
-        unsafe { exec_shard(&job, 0, journal) };
-
-        // Wait for the workers, spinning briefly before parking; the last
-        // worker unparks us.
-        let mut spins = 0u32;
-        while self.shared.remaining.load(Ordering::Acquire) != 0 {
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
-        }
-        if let Some(payload) = self.shared.panic.lock().expect("panic slot").take() {
-            std::panic::resume_unwind(payload);
-        }
+        self.0.open(1);
+        let task = Task { claims: Arc::clone(&self.0), items: Items::Pass(job) };
+        // SAFETY: shard 0 is the coordinator's alone; the cursor hands out
+        // shards 1, 2, … once each.
+        run_task(task, width - 1, || self.0.run(0, || unsafe { exec_shard(&job, 0, journal) }));
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for w in &self.workers {
-            w.unpark();
-        }
-        for handle in self.handles.drain(..) {
-            // A worker that panicked outside catch_unwind already aborted
-            // the process; a join error here cannot carry new information.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, shard: usize) {
-    let mut seen = 0usize;
-    loop {
-        // Wait for a new epoch: spin briefly, then park.
-        let mut spins = 0u32;
-        let epoch = loop {
-            let e = shared.epoch.load(Ordering::Acquire);
-            if e != seen {
-                break e;
-            }
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
-        };
-        seen = epoch;
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // SAFETY: the coordinator published the job before this epoch and
-        // keeps the underlying borrows alive until `remaining` hits 0.
-        let job = unsafe { (*shared.job.get()).expect("epoch bump publishes a job") };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: disjoint shard ranges; this shard is ours alone.
-            unsafe { exec_shard(&job, shard, None) };
-        }));
-        if let Err(payload) = result {
-            shared.panic.lock().expect("panic slot").get_or_insert(payload);
-        }
-        if shared.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            shared.coordinator.unpark();
-        }
-    }
-}
-
-/// Processes shard `s` of the published job and leaves its reduction in
+/// Processes shard `s` of the job and leaves its reduction in
 /// the shard's `out`. Events go to `journal` when given (shard 0, on the
 /// coordinator), else to the shard's scratch when the job tees. The pass
 /// bodies are the `crate::sim` functions, run over the shard's slice.
@@ -442,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_pool_spawns_nothing_and_runs_on_the_caller() {
+    fn one_shard_pass_runs_on_the_caller_and_a_wide_one_leaves_no_post() {
         use crate::scenario::{Scenario, WorkloadSpec};
         use unitherm_obs::EventRecord;
         use unitherm_simnode::faults::{FaultEvent, FaultPlan};
@@ -455,26 +566,59 @@ mod tests {
             }
         }
 
-        let pool = WorkerPool::new(1);
-        assert!(pool.handles.is_empty() && pool.workers.is_empty(), "no worker thread");
-        let scenario = Scenario::new("inline")
-            .with_nodes(2)
-            .with_workload(WorkloadSpec::CpuBurn)
-            .with_fault(1, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
-        let mut lanes = unitherm_simnode::PhysicsBatch::with_len(2);
-        let rings = unitherm_obs::EventRings::try_new(2, scenario.event_capacity).unwrap();
-        let workloads = (0..2).map(|i| scenario.workload.instantiate(i, scenario.seed)).collect();
-        let mut nodes: Vec<NodeSim> =
-            (0..2).map(|i| NodeSim::build_hot(&scenario, i, Some((&mut lanes, i)))).collect();
-        let mut shards = vec![Shard::new(lanes, rings, workloads, &nodes)];
-        let mut sink = ThreadSink(Vec::new());
-        for tick in 1..=4 {
-            let now_s = tick as f64 * 0.05;
-            let kind = PassKind::Hardware { dt_s: 0.05, now_s, release: false, finite: false };
-            pool.run(&mut nodes, &mut shards, kind, None, Some(&mut sink));
+        for width in [1, 2] {
+            let scenario = Scenario::new("inline")
+                .with_nodes(2)
+                .with_workload(WorkloadSpec::CpuBurn)
+                .with_fault(0, FaultPlan::none().at(0.1, FaultEvent::FanFailure));
+            let mut shards = Vec::new();
+            let mut nodes: Vec<NodeSim> = Vec::new();
+            for s in 0..width {
+                let range = shard_range(2, width, s);
+                let mut lanes = unitherm_simnode::PhysicsBatch::with_len(range.len());
+                let rings = unitherm_obs::EventRings::try_new(range.len(), 64).unwrap();
+                let workloads = range
+                    .clone()
+                    .map(|i| scenario.workload.instantiate(i, scenario.seed))
+                    .collect();
+                let first = nodes.len();
+                for (j, i) in range.enumerate() {
+                    nodes.push(NodeSim::build_hot(&scenario, i, Some((&mut lanes, j))));
+                }
+                shards.push(Shard::new(lanes, rings, workloads, &nodes[first..]));
+            }
+            let passes = Passes::new(width);
+            let mut sink = ThreadSink(Vec::new());
+            for tick in 1..=4 {
+                let now_s = tick as f64 * 0.05;
+                let kind = PassKind::Hardware { dt_s: 0.05, now_s, release: false, finite: false };
+                passes.run(&mut nodes, &mut shards, kind, None, Some(&mut sink));
+                assert!(
+                    board().posts.iter().all(|p| !Arc::ptr_eq(&p.task.claims, &passes.0)),
+                    "{width}-wide pass left its task on the board"
+                );
+            }
+            // Node 0 is shard 0's, which the coordinator always runs.
+            assert!(!sink.0.is_empty(), "the fault's event reached the journal");
+            assert!(sink.0.iter().all(|&id| id == std::thread::current().id()), "ran inline");
         }
-        assert!(!sink.0.is_empty(), "the fault's event reached the journal");
-        assert!(sink.0.iter().all(|&id| id == std::thread::current().id()), "ran inline");
+    }
+
+    #[test]
+    fn every_item_runs_once_and_the_lowest_index_panic_is_reraised() {
+        for seats in [0usize, 1, 3, 16] {
+            let hits: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..40).map(|_| AtomicUsize::new(0)).collect());
+            let counted = Arc::clone(&hits);
+            run_items(40, seats, Arc::new(move |i| _ = counted[i].fetch_add(1, Ordering::Relaxed)));
+            assert!(hits.iter().all(|n| n.load(Ordering::Relaxed) == 1), "{seats} seats");
+
+            let panicking = Arc::new(|i: usize| assert!(i % 7 != 3, "item {i}"));
+            let err = panic::catch_unwind(|| run_items(40, seats, panicking))
+                .expect_err("items 3, 10, 17, … panic");
+            let msg = err.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("item 3"), "{seats} seats");
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   every 250 ms:       sensor sample → fan/tDVFS daemons → recorders
 //! ```
 //!
-//! Every tick runs on the simulation's worker pool (`crate::pool`), one
-//! shard wide unless the run is large enough to split; a one-shard pool
-//! runs each pass inline on the calling thread. Every node's plant lives in
+//! Every tick runs its passes through `crate::pool`: shard 0 on the
+//! calling thread, any other shard on whichever pool helper claims it (or
+//! on the caller); no simulation owns a thread. Every node's plant lives in
 //! a slot of its shard's structure-of-arrays [`PhysicsBatch`], built there
 //! at construction; the node itself keeps only the cold parts. What the
 //! lanes do not model acts on the slot in place through the node's
@@ -35,17 +35,12 @@ use unitherm_simnode::PhysicsBatch;
 use unitherm_workload::{WorkState, Workload};
 
 use crate::node_sim::NodeSim;
-use crate::pool::{pool_width, shard_range, PassKind, ShardOut, WorkerPool};
+use crate::pool::{pool_width, shard_range, PassKind, Passes, ShardOut};
 use crate::report::{NodeReport, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 
 /// A runnable cluster simulation.
 pub struct Simulation {
-    /// The worker pool every pass runs on. Declared first: fields drop in
-    /// declaration order, and the pool's `Drop` joins its workers — which
-    /// may still hold shard pointers into `nodes` if a coordinator-side
-    /// panic is unwinding — before `nodes` is freed.
-    pool: WorkerPool,
     scenario: Scenario,
     nodes: Vec<NodeSim>,
     rack: Option<crate::rack::RackModel>,
@@ -67,8 +62,10 @@ pub struct Simulation {
     journal: Option<Box<dyn EventSink>>,
     /// Each shard's physics lanes, event rings, workloads, finish times,
     /// hooked nodes, reduction slot and journal scratch, one entry per
-    /// pool shard.
+    /// shard.
     shards: Vec<Shard>,
+    /// The claim state every pass over the shards reopens.
+    passes: Passes,
     /// Per-node heat slots for the rack reduction: each pass fills its
     /// shard's rows, the coordinator folds them in node order so the f64
     /// summation order is the same at every width.
@@ -80,7 +77,7 @@ impl Simulation {
     /// cannot be run: the [`Scenario::validate`] error, or an event-ring
     /// block (`event rings: …`) the allocator cannot grant.
     ///
-    /// `Scenario::threads` is an upper bound: the pool is
+    /// `Scenario::threads` is an upper bound: the run is
     /// [`pool_width`]`(threads, nodes)` shards wide (see [`Self::width`]).
     pub fn try_new(scenario: Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
@@ -90,8 +87,8 @@ impl Simulation {
 
     /// Like [`Self::try_new`], but shards the nodes exactly `width` ways
     /// (capped at the node count), bypassing the host-core clamp and the
-    /// nodes-per-shard grain. For tests that must run the worker pool on
-    /// small clusters; scenarios, the CLI and the service never reach it.
+    /// nodes-per-shard grain. For tests that must run multi-shard passes
+    /// on small clusters; scenarios, the CLI and the service never reach it.
     #[doc(hidden)]
     pub fn try_with_width(scenario: Scenario, width: usize) -> Result<Self, ScenarioError> {
         scenario.validate()?;
@@ -99,7 +96,7 @@ impl Simulation {
         Self::build(scenario, width)
     }
 
-    /// Builds a validated scenario on a pool `shards` shards wide, or
+    /// Builds a validated scenario sharded `shards` ways, or
     /// names the event-ring block the allocator could not grant.
     fn build(scenario: Scenario, shards: usize) -> Result<Self, ScenarioError> {
         // Each shard's event-ring block is reserved first, fallibly: it is
@@ -154,7 +151,6 @@ impl Simulation {
             }
             model
         });
-        let pool = WorkerPool::new(width);
         let shards: Vec<Shard> = lanes
             .into_iter()
             .zip(rings)
@@ -165,7 +161,6 @@ impl Simulation {
             })
             .collect();
         Ok(Self {
-            pool,
             scenario,
             nodes,
             rack,
@@ -177,6 +172,7 @@ impl Simulation {
             endless,
             journal: None,
             shards,
+            passes: Passes::new(width),
             heat_scratch,
         })
     }
@@ -221,7 +217,7 @@ impl Simulation {
         self.attach_journal(Box::new(unitherm_obs::BinaryJournalWriter::new(out, dt_s)));
     }
 
-    /// How many shards the nodes are split into: the worker-pool width.
+    /// How many shards the nodes are split into: the width of every pass.
     /// Never enters the report or the journal.
     pub fn width(&self) -> usize {
         self.shards.len()
@@ -254,8 +250,9 @@ impl Simulation {
     /// sampling work that genuinely needs a completed pass) and performs no
     /// heap allocation in steady state — the barrier reduction folds into
     /// pass A instead of collecting per-rank states into a scratch `Vec`.
-    /// Every pass runs on the pool, shard-parallel when it is wider than
-    /// one, with bit-identical results at every width.
+    /// Every pass runs through the process's pool, shard-parallel when the
+    /// run is wider than one shard, with bit-identical results at every
+    /// width.
     ///
     /// Determinism: the barrier decision folds exact booleans; rack heat is
     /// captured per node and folded here in node order; journal events
@@ -273,7 +270,7 @@ impl Simulation {
         // all-or-nothing, so the decision needs every rank's post-advance
         // state and cannot merge with pass B.
         let kind = PassKind::Workload { dt_s: dt, endless: self.endless };
-        self.pool.run(&mut self.nodes, &mut self.shards, kind, None, None);
+        self.passes.run(&mut self.nodes, &mut self.shards, kind, None, None);
         let release = self.shards.iter().all(|s| s.out.unfinished_parked)
             && self.shards.iter().any(|s| s.out.any_parked);
 
@@ -281,7 +278,7 @@ impl Simulation {
         // then barrier release and finish times.
         let kind = PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, finite };
         let heat = self.rack.is_some().then_some(&mut self.heat_scratch[..]);
-        self.pool.run(&mut self.nodes, &mut self.shards, kind, heat, self.journal.as_deref_mut());
+        self.passes.run(&mut self.nodes, &mut self.shards, kind, heat, self.journal.as_deref_mut());
         self.finished_nodes += self.shards.iter().map(|s| s.out.finished_delta).sum::<usize>();
         self.drain_events();
 
@@ -291,7 +288,7 @@ impl Simulation {
         // node's slot in place.
         if self.ticks.is_multiple_of(self.ticks_per_sample) {
             let kind = PassKind::Sample { now_s: self.time_s };
-            self.pool.run(
+            self.passes.run(
                 &mut self.nodes,
                 &mut self.shards,
                 kind,
@@ -436,7 +433,7 @@ impl Simulation {
 
 // --- Per-shard pass bodies -----------------------------------------------
 //
-// The worker pool's `exec_shard` runs these functions over a shard's slice
+// `crate::pool`'s `exec_shard` runs these functions over a shard's slice
 // of the nodes plus the matching shard. `nodes`, the shard's lanes, its
 // rings, its workloads and its finish times are index-aligned: slot `i` of
 // each belongs to `nodes[i]`.

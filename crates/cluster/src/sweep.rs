@@ -8,45 +8,37 @@
 //! to a report, and the reports come back in input order, bit-identical to
 //! a one-worker run.
 //!
-//! # One pool of helpers per process
+//! # Workers
 //!
-//! Sweep workers come from one process-wide pool of `host cores − 1`
-//! helper threads. The pool starts on the first sweep that wants more than
-//! one worker and lives as long as the process; an idle helper parks on a
-//! condvar. A sweep of `w` workers posts `w − 1` helper tasks and then
-//! claims scenarios on the calling thread too, from the same cursor:
-//!
-//! * a sweep never waits for the pool. When the helpers are busy
-//!   (concurrent or nested sweeps) the caller runs every job itself, and a
-//!   task a helper reaches after its sweep drained finds nothing to claim;
-//! * a one-worker sweep is the same loop with no helper tasks, and a
-//!   one-core host never starts a thread;
-//! * a process spawns its helpers once, not once per sweep, so the paper
-//!   suite's few dozen sweeps per pass pay no thread spawn or join
-//!   (DESIGN.md §9 has the measured cost).
+//! A sweep of `w` workers is the caller plus up to `w − 1` helpers of the
+//! process's one pool (`crate::pool`), under the pool's claim rule: the
+//! caller posts `w − 1` helper tasks and claims scenarios itself from the
+//! same cursor, and waits only for scenarios a helper already claimed. So
+//! a sweep never waits for the pool: when the helpers are busy
+//! (concurrent or nested sweeps, wide simulations' passes) the caller runs
+//! every job itself. A one-worker sweep posts nothing, and a one-core host
+//! never starts a thread. A process starts its helpers once, not once per
+//! sweep, so the paper suite's few dozen sweeps per pass pay no thread
+//! spawn or join (DESIGN.md §9 has the measured cost).
 //!
 //! # Budget
 //!
 //! A sweep runs [`thread_budget`]`(min(max_threads, host cores), jobs,
-//! widest pool width)` workers, so sweep workers × intra-run pool width
-//! never exceeds the host's cores, and a sweep asking for more threads
-//! than the host has runs correctly, on fewer.
+//! widest pool width)` workers, so sweep workers × pass width never
+//! exceeds the host's cores, and a sweep asking for more threads than the
+//! host has runs correctly, on fewer.
 //!
 //! # Failures
 //!
 //! A scenario that fails validation is a [`SweepError`] naming it. A
 //! simulation that panics is caught on whichever thread ran it (a helper
-//! survives and serves the next sweep), the rest of the sweep still runs,
-//! and the caller re-raises the original payload of the lowest-index
-//! panicking job.
+//! survives and serves the next post), the rest of the sweep still runs,
+//! and the caller re-raises the original payload of the first panicking
+//! job in claim order.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex};
 
-use crate::pool::{host_cores, width_on};
+use crate::pool::{self, host_cores, width_on};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sim::Simulation;
@@ -78,10 +70,10 @@ impl std::error::Error for SweepError {
 /// that `workers × threads_per_job` never exceeds `max_threads` (and no
 /// worker sits idle when there are fewer jobs than threads).
 ///
-/// `threads_per_job` is the *largest* intra-run pool width among the
-/// jobs — a scenario whose [`pool_width`](crate::pool_width) is above 1
-/// brings its own worker pool to every simulation, so the sweep must leave
-/// room for it.
+/// `threads_per_job` is the *largest* pass width among the jobs — a
+/// scenario whose [`pool_width`](crate::pool_width) is above 1 runs every
+/// pass on its coordinator plus up to that many − 1 pool helpers, so the
+/// sweep must leave room for them.
 pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) -> usize {
     if jobs == 0 {
         return 0;
@@ -93,15 +85,15 @@ pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) ->
 /// simulations concurrently *over time* rather than as one batch.
 ///
 /// [`thread_budget`] sizes a one-shot sweep up front; a long-lived service
-/// (e.g. `unitherm-serve`) instead admits jobs as they arrive, each bringing
-/// its own intra-run worker pool ([`pool_width`](crate::pool_width) wide).
-/// `ThreadPermits` makes the same no-oversubscription guarantee dynamic: a
-/// job acquires as many permits as its pool is wide before running and
-/// returns them when the run finishes, so the sum of intra-run pool widths
-/// in flight never exceeds the budget.
+/// (e.g. `unitherm-serve`) instead admits jobs as they arrive, each running
+/// on up to [`pool_width`](crate::pool_width) threads: its own and that
+/// many − 1 pool helpers. `ThreadPermits` makes the same
+/// no-oversubscription guarantee dynamic: a job acquires as many permits as
+/// it is wide before running and returns them when the run finishes, so
+/// the sum of pass widths in flight never exceeds the budget.
 ///
 /// Requests larger than the whole budget are clamped to it (an oversized
-/// pool still gets to run — alone), mirroring [`thread_budget`]'s
+/// job still gets to run — alone), mirroring [`thread_budget`]'s
 /// "an oversized pool still gets one worker" rule.
 ///
 /// # Example
@@ -181,11 +173,10 @@ impl Drop for PermitGuard<'_> {
 /// reports in input order.
 ///
 /// The worker count is [`thread_budget`] over `min(max_threads, host
-/// cores)`: capped at the scenario count and divided by the widest
-/// intra-run pool any scenario builds ([`pool_width`](crate::pool_width)),
-/// so sweep parallelism × intra-run parallelism never oversubscribes the
-/// host. The workers are the caller plus helpers from the process-wide
-/// pool (module docs).
+/// cores)`: capped at the scenario count and divided by the widest pass
+/// any scenario runs ([`pool_width`](crate::pool_width)), so sweep
+/// parallelism × pass width never oversubscribes the host. The workers
+/// are the caller plus helpers from the process's pool (module docs).
 ///
 /// # Panics
 /// Re-raises the original payload of a simulation that panicked (a
@@ -211,18 +202,25 @@ pub fn run_scenarios_parallel(scenarios: Vec<Scenario>, max_threads: usize) -> V
 /// # Panics
 /// Still re-raises *panics*: a simulation that validated and then panicked
 /// mid-run is a bug, not a job failure. The other jobs run to completion
-/// first, and the payload is that of the lowest-index panicking job.
+/// first, and the payload is that of the first panicking job in claim
+/// order.
 pub fn try_run_scenarios_parallel(
     scenarios: Vec<Scenario>,
     max_threads: usize,
 ) -> Vec<Result<RunReport, SweepError>> {
     let workers = sweep_workers(&scenarios, max_threads);
-    let sweep = Arc::new(Sweep::new(scenarios));
-    if workers > 1 {
-        HELPERS.post(&sweep, workers - 1);
-    }
-    sweep.work();
-    sweep.finish()
+    let sweep = Arc::new(Sweep {
+        order: claim_order(&scenarios),
+        outcomes: scenarios.iter().map(|_| Mutex::new(None)).collect(),
+        jobs: scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect(),
+    });
+    let worked = Arc::clone(&sweep);
+    pool::run_items(sweep.jobs.len(), workers.saturating_sub(1), Arc::new(move |c| worked.run(c)));
+    sweep
+        .outcomes
+        .iter()
+        .map(|o| o.lock().expect("sweep outcome").take().expect("every job produced an outcome"))
+        .collect()
 }
 
 /// How many scenario-level workers [`try_run_scenarios_parallel`] runs
@@ -266,134 +264,24 @@ fn claim_order(scenarios: &[Scenario]) -> Vec<usize> {
     order
 }
 
-/// One sweep in flight, shared by its caller and the helper tasks it
-/// posted.
+/// One sweep in flight, shared by its caller and the helpers working it.
 struct Sweep {
     /// Scenario `i`, until the worker that claims index `i` moves it out.
     jobs: Vec<Mutex<Option<Scenario>>>,
     /// The job indices in claim order ([`claim_order`]).
     order: Vec<usize>,
-    /// The next unclaimed position in `order`.
-    next: AtomicUsize,
-    /// What the finished jobs produced.
-    results: Mutex<Results>,
-    /// Signalled when the last job finishes.
-    all_done: Condvar,
-}
-
-/// The finished jobs of a [`Sweep`].
-struct Results {
     /// Job `i`'s outcome, once it ran without panicking.
-    outcomes: Vec<Option<Outcome>>,
-    /// Jobs finished, panicked ones included.
-    done: usize,
-    /// The lowest-index job that panicked, with its payload.
-    panic: Option<(usize, Box<dyn Any + Send>)>,
+    outcomes: Vec<Mutex<Option<Outcome>>>,
 }
 
 impl Sweep {
-    fn new(scenarios: Vec<Scenario>) -> Self {
-        let n = scenarios.len();
-        Self {
-            order: claim_order(&scenarios),
-            jobs: scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-            next: AtomicUsize::new(0),
-            results: Mutex::new(Results {
-                outcomes: (0..n).map(|_| None).collect(),
-                done: 0,
-                panic: None,
-            }),
-            all_done: Condvar::new(),
-        }
-    }
-
-    /// Claims and runs jobs in claim order until the cursor passes the
-    /// last one. Every job's panic is caught here, so the thread running
-    /// the loop — a helper or the caller — never unwinds out of it.
-    fn work(&self) {
-        loop {
-            let claim = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = self.order.get(claim) else { return };
-            let scenario =
-                self.jobs[idx].lock().expect("sweep job").take().expect("each job is claimed once");
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_one(scenario)));
-            let mut results = self.results.lock().expect("sweep results");
-            match outcome {
-                Ok(outcome) => results.outcomes[idx] = Some(outcome),
-                Err(payload) => {
-                    if results.panic.as_ref().is_none_or(|(first, _)| idx < *first) {
-                        results.panic = Some((idx, payload));
-                    }
-                }
-            }
-            results.done += 1;
-            if results.done == self.jobs.len() {
-                self.all_done.notify_all();
-            }
-        }
-    }
-
-    /// Waits for the jobs other workers claimed, then returns every
-    /// outcome in input order, or re-raises the first panic.
-    fn finish(&self) -> Vec<Outcome> {
-        let mut results = self.results.lock().expect("sweep results");
-        while results.done < self.jobs.len() {
-            results = self.all_done.wait(results).expect("sweep results");
-        }
-        if let Some((_, payload)) = results.panic.take() {
-            drop(results);
-            panic::resume_unwind(payload);
-        }
-        std::mem::take(&mut results.outcomes)
-            .into_iter()
-            .map(|r| r.expect("every job produced an outcome"))
-            .collect()
-    }
-}
-
-/// The process-wide sweep helpers: a queue of posted sweeps and the
-/// condvar idle helpers park on.
-struct Helpers {
-    queue: Mutex<VecDeque<Arc<Sweep>>>,
-    posted: Condvar,
-    started: Once,
-}
-
-static HELPERS: Helpers =
-    Helpers { queue: Mutex::new(VecDeque::new()), posted: Condvar::new(), started: Once::new() };
-
-impl Helpers {
-    /// Posts `tasks` helper tasks for `sweep`, starting the helpers on
-    /// first use. A helper that cannot be spawned only means fewer
-    /// workers: the caller runs whatever no helper claims.
-    fn post(&'static self, sweep: &Arc<Sweep>, tasks: usize) {
-        self.started.call_once(|| {
-            for _ in 1..host_cores() {
-                let _ = std::thread::Builder::new()
-                    .name("unitherm-sweep".into())
-                    .spawn(move || self.serve());
-            }
-        });
-        self.queue.lock().expect("sweep queue").extend((0..tasks).map(|_| Arc::clone(sweep)));
-        for _ in 0..tasks {
-            self.posted.notify_one();
-        }
-    }
-
-    /// A helper's life: take the oldest posted task and work its sweep.
-    fn serve(&self) {
-        loop {
-            let sweep = {
-                let mut queue = self.queue.lock().expect("sweep queue");
-                loop {
-                    if let Some(sweep) = queue.pop_front() {
-                        break sweep;
-                    }
-                    queue = self.posted.wait(queue).expect("sweep queue");
-                }
-            };
-            sweep.work();
-        }
+    /// Runs the job at claim position `claim`.
+    fn run(&self, claim: usize) {
+        let idx = self.order[claim];
+        let scenario =
+            self.jobs[idx].lock().expect("sweep job").take().expect("each job is claimed once");
+        let outcome = run_one(scenario);
+        *self.outcomes[idx].lock().expect("sweep outcome") = Some(outcome);
     }
 }
 
@@ -404,6 +292,8 @@ mod tests {
     use crate::pool::MIN_NODES_PER_SHARD;
     use crate::scenario::WorkloadSpec;
     use crate::scheme::FanScheme;
+    use std::any::Any;
+    use std::panic::{self, AssertUnwindSafe};
     use unitherm_core::control_array::Policy;
 
     fn quick(name: &str, pp: u32) -> Scenario {

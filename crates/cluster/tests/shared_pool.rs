@@ -72,3 +72,41 @@ fn a_panicking_shard_reraises_its_message_and_the_next_wide_run_matches_serial()
         assert_eq!(digest_at(burn("after"), 2), serial, "node {node}: the next 2-wide run");
     }
 }
+
+#[test]
+fn concurrent_sweeps_of_wide_simulations_match_serial_in_input_order() {
+    // Four callers sweep at once, each over scenarios wide enough for a
+    // multi-shard pass on any host with two cores or more: sweep jobs and
+    // the passes nested in them share the process's helpers, and none of
+    // it may deadlock or move a bit.
+    use unitherm_cluster::sweep::run_scenarios_parallel;
+    use unitherm_cluster::MIN_NODES_PER_SHARD;
+
+    let build = |caller: usize| -> Vec<Scenario> {
+        (0..3)
+            .map(|i| {
+                let mut s = burn(&format!("c{caller}-{i}"))
+                    .with_nodes(8 * MIN_NODES_PER_SHARD)
+                    .with_seed((caller * 10 + i) as u64)
+                    .with_max_time(2.0 + i as f64)
+                    .with_threads(4);
+                s.fan =
+                    FanScheme::dynamic(Policy::new(30 + 10 * (caller + i) as u32).unwrap(), 100);
+                s
+            })
+            .collect()
+    };
+    let serial: Vec<Vec<String>> =
+        (0..4).map(|c| build(c).into_iter().map(|s| digest_at(s, 1)).collect()).collect();
+    let concurrent: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|c| {
+                scope.spawn(move || {
+                    run_scenarios_parallel(build(c), 4).iter().map(report_digest).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("caller")).collect()
+    });
+    assert_eq!(concurrent, serial);
+}
