@@ -25,8 +25,9 @@
 //! * [`node_sim`] — one node's simulation state: hardware + platform
 //!   binding + control plane + recorders;
 //! * [`sim`] — the cluster tick loop with barrier release; the per-node
-//!   passes run on a worker pool [`pool_width`] shards wide (inline for
-//!   one shard, shard-parallel above that) with bit-identical results;
+//!   passes run [`pool_width`] shards wide (inline for one shard,
+//!   shard-parallel on the process's one pool above that) with
+//!   bit-identical results;
 //! * [`report`] — structured run results (traces + the summary numbers the
 //!   paper's tables report);
 //! * [`replay`] — journal-driven fault injection: derive a tick-addressed

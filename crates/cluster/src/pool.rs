@@ -181,10 +181,13 @@ pub(crate) fn shard_range(len: usize, shards: usize, s: usize) -> std::ops::Rang
 /// claimed from one cursor, and the poster waits for those not finished.
 struct Claims {
     /// The next unclaimed item; runs past `end` once the work is drained.
+    /// Relaxed: an item's inputs reach a helper through the board lock it
+    /// made its first claim under.
     next: AtomicUsize,
     /// One past the last item.
     end: usize,
-    /// Items not yet finished, claimed or not.
+    /// Items not yet finished, claimed or not. `finish` releases and
+    /// `wait` acquires, so the poster sees every item's writes.
     remaining: AtomicUsize,
     /// The lowest-index panic so far, with its payload.
     panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
@@ -325,7 +328,8 @@ impl Board {
 
 static BOARD: Mutex<Board> = Mutex::new(Board { posts: Vec::new(), parked: Vec::new() });
 
-/// Bumped after every post; idle helpers spin on it before parking.
+/// Bumped after every post; idle helpers spin on it before parking. It
+/// only prompts a helper to look: the board lock publishes the posts.
 static POSTS: AtomicUsize = AtomicUsize::new(0);
 
 fn board() -> MutexGuard<'static, Board> {
@@ -351,7 +355,7 @@ fn helpers() -> usize {
 fn serve() {
     let me = std::thread::current();
     loop {
-        let seen = POSTS.load(Ordering::Acquire);
+        let seen = POSTS.load(Ordering::Relaxed);
         let mut board = board();
         board.parked.retain(|h| h.id() != me.id());
         if let Some((task, poster, item)) = board.take() {
@@ -362,11 +366,11 @@ fn serve() {
         board.parked.push(me.clone());
         drop(board);
         let mut spins = 0u32;
-        while POSTS.load(Ordering::Acquire) == seen && spins < SPIN_LIMIT {
+        while POSTS.load(Ordering::Relaxed) == seen && spins < SPIN_LIMIT {
             spins += 1;
             std::hint::spin_loop();
         }
-        if POSTS.load(Ordering::Acquire) == seen {
+        if POSTS.load(Ordering::Relaxed) == seen {
             std::thread::park();
         }
     }
@@ -386,7 +390,7 @@ fn run_task(task: Task, seats: usize, first: impl FnOnce()) {
             helper.unpark();
         }
         drop(board);
-        POSTS.fetch_add(1, Ordering::Release);
+        POSTS.fetch_add(1, Ordering::Relaxed);
     }
     first();
     while let Some(item) = task.claims.claim() {

@@ -275,13 +275,14 @@ pub struct Scenario {
     /// sink-off arm of an overhead comparison. At most 65,536.
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
-    /// Upper bound on worker threads for the intra-run tick loop. 1 — the
-    /// default — gives a one-shard pool that runs every pass inline on the
-    /// calling thread; larger values shard the nodes across a persistent
-    /// worker pool [`crate::pool_width`] wide (clamped to the host's cores
-    /// and the nodes-per-shard grain), with bit-identical results. A sweep
+    /// Upper bound on threads for the intra-run tick loop. 1 — the
+    /// default — runs every pass inline on the calling thread; larger
+    /// values shard the nodes [`crate::pool_width`] ways (clamped to the
+    /// host's cores and the nodes-per-shard grain), each pass running on
+    /// the caller plus helpers claimed from the process's one pool, with
+    /// bit-identical results. A sweep
     /// ([`crate::sweep::run_scenarios_parallel`]) divides its worker count
-    /// by the widest such pool, so sweep workers × pool width stays within
+    /// by the widest such pass, so sweep workers × pass width stays within
     /// the host's cores; no caller needs to coordinate the two.
     #[serde(default = "default_threads")]
     pub threads: usize,
@@ -416,9 +417,9 @@ impl Scenario {
         self
     }
 
-    /// Builder: at most `threads` intra-run worker threads (1 = a one-shard
-    /// pool that runs inline; more shard the nodes across a persistent pool
-    /// [`crate::pool_width`] wide, bit-identically).
+    /// Builder: at most `threads` intra-run threads (1 = every pass inline;
+    /// more shard the nodes [`crate::pool_width`] ways over the process's
+    /// pool, bit-identically).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

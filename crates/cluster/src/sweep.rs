@@ -24,7 +24,7 @@
 //! # Budget
 //!
 //! A sweep runs [`thread_budget`]`(min(max_threads, host cores), jobs,
-//! widest pool width)` workers, so sweep workers × pass width never
+//! widest pass width)` workers, so sweep workers × pass width never
 //! exceeds the host's cores, and a sweep asking for more threads than the
 //! host has runs correctly, on fewer.
 //!
@@ -208,7 +208,7 @@ pub fn try_run_scenarios_parallel(
     scenarios: Vec<Scenario>,
     max_threads: usize,
 ) -> Vec<Result<RunReport, SweepError>> {
-    let workers = sweep_workers(&scenarios, max_threads);
+    let workers = workers_on(&scenarios, max_threads, host_cores());
     let sweep = Arc::new(Sweep {
         order: claim_order(&scenarios),
         outcomes: scenarios.iter().map(|_| Mutex::new(None)).collect(),
@@ -224,14 +224,9 @@ pub fn try_run_scenarios_parallel(
 }
 
 /// How many scenario-level workers [`try_run_scenarios_parallel`] runs
-/// `scenarios` on.
-fn sweep_workers(scenarios: &[Scenario], max_threads: usize) -> usize {
-    workers_on(scenarios, max_threads, host_cores())
-}
-
-/// [`sweep_workers`] on a host with `cores` cores: [`thread_budget`] over
-/// `min(max_threads, cores)` with room for the widest pool the scenarios
-/// build there.
+/// `scenarios` on, on a host with `cores` cores: [`thread_budget`] over
+/// `min(max_threads, cores)` with room for the widest pass the scenarios
+/// run there.
 fn workers_on(scenarios: &[Scenario], max_threads: usize, cores: usize) -> usize {
     let per_job = scenarios.iter().map(|s| width_on(s.threads, s.nodes, cores)).max().unwrap_or(1);
     thread_budget(max_threads.min(cores), scenarios.len(), per_job)
@@ -239,15 +234,6 @@ fn workers_on(scenarios: &[Scenario], max_threads: usize, cores: usize) -> usize
 
 /// What one job produced.
 type Outcome = Result<RunReport, SweepError>;
-
-/// Validates and runs one scenario.
-fn run_one(scenario: Scenario) -> Outcome {
-    let name = scenario.name.clone();
-    match Simulation::try_new(scenario) {
-        Ok(sim) => Ok(sim.run()),
-        Err(error) => Err(SweepError { scenario: name, error }),
-    }
-}
 
 /// The order a sweep's workers claim `scenarios` in: costliest first, by
 /// simulated node-ticks (`nodes × max_time_s / dt_s`), ties in input
@@ -275,12 +261,15 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Runs the job at claim position `claim`.
+    /// Validates and runs the job at claim position `claim`.
     fn run(&self, claim: usize) {
         let idx = self.order[claim];
         let scenario =
             self.jobs[idx].lock().expect("sweep job").take().expect("each job is claimed once");
-        let outcome = run_one(scenario);
+        let name = scenario.name.clone();
+        let outcome = Simulation::try_new(scenario)
+            .map(Simulation::run)
+            .map_err(|error| SweepError { scenario: name, error });
         *self.outcomes[idx].lock().expect("sweep outcome") = Some(outcome);
     }
 }
@@ -327,7 +316,7 @@ mod tests {
 
     #[test]
     fn sweep_of_threaded_scenarios_matches_serial() {
-        // Scenarios that bring their own intra-run pools must produce the
+        // Scenarios that ask for multi-shard passes must produce the
         // same reports through the budgeted sweep as one at a time.
         let build = || -> Vec<Scenario> {
             (0..3)

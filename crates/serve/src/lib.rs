@@ -15,7 +15,7 @@
 //! - [`runner`] — claiming threads that execute jobs through
 //!   [`unitherm_cluster::Simulation`] under a shared
 //!   [`unitherm_cluster::ThreadPermits`] budget, so service concurrency
-//!   never oversubscribes intra-run worker pools (DESIGN.md §15).
+//!   never oversubscribes the cores its passes run on (DESIGN.md §15).
 //! - [`server`] — reused connection handler threads, and routing for the
 //!   HTTP API documented in `docs/API.md`:
 //!   `POST /jobs`, `GET /jobs`, `GET /jobs/{id}`, `GET /jobs/{id}/events`

@@ -110,8 +110,8 @@ pub fn spawn_runners(queue: JobQueue, max_threads: usize) -> RunnerPool {
     RunnerPool { permits, handles }
 }
 
-/// Takes the permits `scenario`'s worker pool needs and narrows the
-/// scenario to the width they cover. Oversized requests clamp to the
+/// Takes the permits `scenario`'s passes need (one per shard) and narrows
+/// the scenario to the width they cover. Oversized requests clamp to the
 /// budget: the job still runs, narrower than asked, mirroring
 /// `thread_budget`'s floor of one.
 fn reserve(permits: &ThreadPermits, mut scenario: Scenario) -> (PermitGuard<'_>, Scenario) {
